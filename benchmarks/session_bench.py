@@ -11,6 +11,10 @@ depth >= 12) and records per-edit latency (p50 / p90 / p99) plus
 rehashed-nodes-per-edit.  The baseline is what the batch API would pay
 per edit: a from-scratch ``alpha_hash_all`` of the whole corpus.
 
+Open, first touch and warm edits are reported separately: ``open_s``
+is the one-time open (the pass that warms the store's summary memo),
+a *first touch* is an item's first edit, and every later edit is warm.
+
 Hard gates (exit 1 on failure):
 
 1. **bit_identical** -- every edit's root hash equals a from-scratch
@@ -24,7 +28,11 @@ Hard gates (exit 1 on failure):
    corpora make the fixed per-edit overhead dominate, so the ratio
    measures the harness, not the algorithm.  Skips are annotated in
    the JSON (``speedup_gate.enforced`` / ``.reason``), the same
-   honesty rule as ``cpu_bound`` cells in ``run_bench.py``.
+   honesty rule as ``cpu_bound`` cells in ``run_bench.py``;
+4. **first_touch_3x** -- first-touch p50 at most 3x the warm p50
+   (always enforced, smoke or full): open leaves every item warm, so
+   a first edit costs O(spine) like any other; a cold O(item) first
+   touch coming back fails this gate.
 
 The committed ``BENCH_PR9.json`` is a full-size run.
 """
@@ -41,6 +49,7 @@ import time
 FULL_GATE_MIN_NODES = 50_000
 SPEEDUP_FLOOR = 10.0
 DEPTH_FLOOR = 12.0
+FIRST_TOUCH_CEILING = 3.0
 
 
 def build_corpus(n_items: int, item_size: int, seed: int):
@@ -99,13 +108,19 @@ def run(args) -> dict:
     rng = random.Random(args.seed + 1)
     shadow = list(corpus)
     latencies = []
+    first_touch = []
+    warm = []
+    touched = set()
     rehashed = []
     spine_depths = []
     bit_identical = True
     mismatches = 0
 
     session = Session()
+    started = time.perf_counter()
     stream = session.open_stream(corpus)
+    open_s = time.perf_counter() - started
+    print(f"open: {open_s * 1e3:.0f} ms")
     try:
         for index in range(args.edits):
             item = rng.randrange(len(shadow))
@@ -116,7 +131,10 @@ def run(args) -> dict:
             )
             started = time.perf_counter()
             report = stream.edit(item, path, replacement)
-            latencies.append(time.perf_counter() - started)
+            elapsed = time.perf_counter() - started
+            latencies.append(elapsed)
+            (warm if item in touched else first_touch).append(elapsed)
+            touched.add(item)
             rehashed.append(report.nodes_rehashed)
             spine_depths.append(report.spine_depth)
 
@@ -137,6 +155,11 @@ def run(args) -> dict:
     p50 = percentile(ordered, 0.50)
     p90 = percentile(ordered, 0.90)
     p99 = percentile(ordered, 0.99)
+    first_p50 = percentile(sorted(first_touch), 0.50)
+    first_max = max(first_touch)
+    warm_sorted = sorted(warm)
+    warm_p50 = percentile(warm_sorted, 0.50)
+    warm_p99 = percentile(warm_sorted, 0.99)
     mean_depth = statistics.fmean(spine_depths)
     mean_rehashed = statistics.fmean(rehashed)
     speedup = baseline_s / mean_edit_s if mean_edit_s else float("inf")
@@ -158,6 +181,7 @@ def run(args) -> dict:
         "bit_identical": bit_identical,
         "depth_floor": mean_depth >= DEPTH_FLOOR,
         "speedup_10x": (speedup >= SPEEDUP_FLOOR) if enforce_speedup else True,
+        "first_touch_3x": first_p50 <= FIRST_TOUCH_CEILING * warm_p50,
     }
 
     result = {
@@ -170,6 +194,13 @@ def run(args) -> dict:
         "edits": args.edits,
         "seed": args.seed,
         "baseline_full_rehash_s": round(baseline_s, 6),
+        "open_s": round(open_s, 6),
+        "first_touches": len(first_touch),
+        "first_touch_p50_s": round(first_p50, 6),
+        "first_touch_max_s": round(first_max, 6),
+        "warm_edits": len(warm),
+        "warm_p50_s": round(warm_p50, 6),
+        "warm_p99_s": round(warm_p99, 6),
         "edit_mean_s": round(mean_edit_s, 6),
         "edit_p50_s": round(p50, 6),
         "edit_p90_s": round(p90, 6),
@@ -187,6 +218,11 @@ def run(args) -> dict:
     print(
         f"edits: {args.edits}  p50 {p50 * 1e6:.0f}us  p90 {p90 * 1e6:.0f}us  "
         f"p99 {p99 * 1e6:.0f}us  mean {mean_edit_s * 1e6:.0f}us"
+    )
+    print(
+        f"first touch ({len(first_touch)}): p50 {first_p50 * 1e6:.0f}us  "
+        f"max {first_max * 1e6:.0f}us  |  warm ({len(warm)}): "
+        f"p50 {warm_p50 * 1e6:.0f}us  p99 {warm_p99 * 1e6:.0f}us"
     )
     print(
         f"rehashed/edit: {mean_rehashed:.1f} nodes "
@@ -217,8 +253,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
+        # 4 x 8192 nodes: still above the planner's arena threshold, so
+        # an open that leaves the memo cold shows in first_touch_3x.
         args.items = min(args.items, 4)
-        args.item_size = min(args.item_size, 2048)
+        args.item_size = min(args.item_size, 8192)
         args.edits = min(args.edits, 40)
         args.baseline_reps = min(args.baseline_reps, 2)
 

@@ -10,6 +10,16 @@ spine plus the new subtree via :class:`~repro.core.IncrementalHasher`
 and answers with the updated root hash, a new-sharing report and the
 nodes-rehashed count (the perf receipt: O(spine), not O(corpus)).
 
+Warm open: opening is always one serial tree-engine pass, whatever the
+``engine`` / ``workers`` hints say, because that pass fills the store's
+per-node summary memo (the arena engine keeps only per-root results).
+An item's first edit then starts from its collapsed root read out of
+the memo and expands only the spine it walks, so it costs O(spine) like
+every later edit.  An item the memo no longer covers -- flushed by a
+bounded store's ``memo_limit``, or a store-less session -- falls back to
+a one-time O(item) annotation build, bit-identical; ``EditReport.built``
+and ``report()["built_items"]`` count those cold builds.
+
 Eviction safety: the session **pins** its classes in the shared store
 (:meth:`~repro.store.ExprStore.pin`), so an LRU-bounded or sharded
 store serving other traffic cannot evict a session's corpus roots or
@@ -65,9 +75,10 @@ class EditReport(StatsDictMixin):
     ``shared`` says whether the new subtree's alpha-equivalence class
     already existed in the store before this edit (the new-sharing
     report); ``new_classes`` counts classes this edit created.
-    ``built`` flags the item's first edit, which pays a one-time
-    O(item) annotation-tree build; ``repinned`` flags an
-    evicted-then-recovered pin (see module docs).
+    ``built`` flags a first edit that paid the O(item) cold
+    annotation build because the store memo did not cover the item
+    (a warm open makes first edits O(spine); see module docs);
+    ``repinned`` flags an evicted-then-recovered pin.
     """
 
     item: int
@@ -112,9 +123,13 @@ class StreamSession:
         open their sessions with ``False``: hashing needs no ownership,
         and sharing reports degrade to lookup + session-local history.
     hints:
-        Optional request hints (``engine`` / ``workers`` / ...) applied
-        to the opening hash and intern requests, exactly like the
-        keyword hints of :class:`~repro.api.request.HashRequest`.
+        Optional request hints applied to the opening hash and intern
+        requests, like the keyword hints of
+        :class:`~repro.api.request.HashRequest`, except that ``engine``
+        and ``workers`` are overridden: open is always one serial tree
+        pass (see module docs).  A ``bits`` / ``seed`` pin that
+        disagrees with the session still raises
+        :class:`~repro.api.plan.PlanError`.
 
     The caller keeps binders unique across each item (the same contract
     as :class:`~repro.core.IncrementalHasher.replace`; real rewrite
@@ -148,8 +163,9 @@ class StreamSession:
         self.intern_classes = intern_classes
         self.closed = False
 
-        #: item index -> lazily built annotation tree (first edit pays
-        #: the O(item) build; every later edit on the item is O(spine)).
+        #: item index -> annotation tree, created on the item's first
+        #: edit from its collapsed root in the store memo (O(1)), or by
+        #: the O(item) cold build when the memo does not cover it.
         self._hashers: dict[int, IncrementalHasher] = {}
         #: node ids this session has pinned (unpinned on close).
         self._pinned: list[int] = []
@@ -164,11 +180,13 @@ class StreamSession:
         self.repins = 0
         self.built_items = 0
 
-        # Open: hash the corpus through the plan pipeline (the plan is
-        # kept for inspection), then intern + pin the roots so the
+        # Open: one serial tree pass through the plan pipeline (the plan
+        # is kept for inspection) fills the store's summary memo for the
+        # first edits to start from; a pool would fill its workers'
+        # memos, not this store's.  Then intern + pin the roots so the
         # shared store cannot evict them mid-stream.
         self.plan: Optional["ExecutionPlan"] = None
-        hints = dict(hints or {})
+        hints = {**(hints or {}), "engine": "tree", "workers": 1}
         if self._corpus:
             request = HashRequest(self._corpus, **hints)
             self.plan = session.plan(request)
@@ -222,6 +240,7 @@ class StreamSession:
         return hasher.expr if hasher is not None else self._corpus[item]
 
     def _hasher(self, item: int) -> tuple[IncrementalHasher, bool]:
+        """``item``'s hasher, and whether getting it took a cold build."""
         hasher = self._hashers.get(item)
         if hasher is not None:
             return hasher, False
@@ -231,8 +250,9 @@ class StreamSession:
             store=self.store,
         )
         self._hashers[item] = hasher
-        self.built_items += 1
-        return hasher, True
+        if hasher.built:
+            self.built_items += 1
+        return hasher, hasher.built
 
     # -- edits -----------------------------------------------------------------
 

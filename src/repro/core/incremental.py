@@ -136,7 +136,12 @@ class IncrementalHasher:
         self.store = store
         self._here = pt_here_hash(self.combiners)
         self._svar = svar_hash(self.combiners)
-        self._root = self._build(expr)
+        warm = self._collapsed(expr)
+        #: Whether construction re-summarised ``expr`` (the O(item) cold
+        #: path) because the store memo did not cover it; ``False`` when
+        #: it started from the memo's collapsed root in one lookup.
+        self.built = warm is None
+        self._root = warm or self._build(expr)
 
     # -- queries --------------------------------------------------------------
 
@@ -195,10 +200,15 @@ class IncrementalHasher:
         return items
 
     def _expand(self, ann: _Ann) -> None:
-        """Materialise the children annotations of a collapsed node."""
+        """Materialise the children annotations of a collapsed node:
+        one memo lookup per child, re-summarising only a child the memo
+        no longer covers (flushed since ``ann`` was read)."""
         if ann.children is not None:
             return
-        ann.children = tuple(self._build(child) for child in ann.expr.children())
+        ann.children = tuple(
+            self._collapsed(child) or self._build(child)
+            for child in ann.expr.children()
+        )
 
     # -- updates ---------------------------------------------------------------
 
@@ -252,20 +262,17 @@ class IncrementalHasher:
         already computed are taken from its cache as collapsed
         annotations instead of being re-summarised; ``skip_counter[0]``
         accumulates the node count so saved."""
-        store = self.store
         results: list[_Ann] = []
         stack: list[tuple[Expr, bool]] = [(expr, False)]
         while stack:
             node, visited = stack.pop()
             if not visited:
-                if store is not None:
-                    cached = store.cached_summary(node)
-                    if cached is not None:
-                        s_hash, varmap, top = cached
-                        results.append(_Ann(node, s_hash, varmap, top, None))
-                        if skip_counter is not None:
-                            skip_counter[0] += node.size
-                        continue
+                collapsed = self._collapsed(node)
+                if collapsed is not None:
+                    results.append(collapsed)
+                    if skip_counter is not None:
+                        skip_counter[0] += node.size
+                    continue
                 stack.append((node, True))
                 for child in reversed(node.children()):
                     stack.append((child, False))
@@ -279,6 +286,21 @@ class IncrementalHasher:
             results.append(self._combine(node, children, None))
         assert len(results) == 1
         return results[0]
+
+    def _collapsed(self, node: Expr) -> Optional[_Ann]:
+        """A collapsed annotation for ``node`` read straight from the
+        store memo, or ``None`` if the memo does not cover it.
+
+        The annotation shares the memo record's frozen map:
+        :meth:`_combine` snapshots a child's map before changing it.
+        """
+        if self.store is None:
+            return None
+        cached = self.store.cached_summary(node)
+        if cached is None:
+            return None
+        s_hash, varmap, top = cached
+        return _Ann(node, s_hash, varmap, top, None)
 
     def _combine(
         self,

@@ -401,18 +401,16 @@ class ServiceClient:
         exprs: Iterable[Expr],
         *,
         ttl: Optional[float] = None,
-        engine: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> dict:
         """Open a server-side :class:`~repro.api.stream.StreamSession`.
 
         Uploads the corpus once; the reply carries the session id, the
-        root hashes and the resolved plan.  Stream edits with
-        :meth:`session_edit`; the server holds the trees.
+        root hashes and the resolved plan (always one serial tree pass,
+        which warms the server's summary memo for the first edits).
+        Stream edits with :meth:`session_edit`; the server holds the
+        trees.
         """
-        payload = self._corpus_payload(
-            exprs, {"ttl": ttl, "engine": engine, "workers": workers}
-        )
+        payload = self._corpus_payload(exprs, {"ttl": ttl})
         return self._json("POST", "/v1/session/open", payload)
 
     def session_edit(

@@ -19,7 +19,11 @@ versioned under ``/v1``:
                              version ``V`` as delta bytes (replica catch-up)
 ``POST /v1/session/open``    upload a corpus, open a streaming edit session
                              (:class:`~repro.api.stream.StreamSession`);
-                             returns the session id + root hashes + plan
+                             returns the session id + root hashes + plan.
+                             Open pays one serial tree pass that warms the
+                             store's summary memo, so first edits are
+                             O(spine); ``engine``/``workers`` hints do not
+                             apply to it (``bits``/``seed`` pins still do)
 ``POST /v1/session/edit``    ``{"session", "item", "path", "expr"}`` ->
                              the edit report (root hash, nodes rehashed,
                              sharing) -- O(dirty spine), not O(corpus)

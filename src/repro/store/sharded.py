@@ -199,6 +199,9 @@ class ShardedExprStore(ExprStore):
             return super().hash_corpus(exprs, engine=engine)
 
     def cached_summary(self, node: Expr):
+        """The flat lookup under the memo lock.  The map it hands out is
+        the record's frozen one, shared with every other reader and so
+        safe to read outside the lock only because nobody mutates it."""
         with self._memo_lock:
             return super().cached_summary(node)
 

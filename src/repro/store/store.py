@@ -293,17 +293,18 @@ class ExprStore:
     def cached_summary(
         self, node: Expr
     ) -> Optional[tuple[int, HashedVarMap, int]]:
-        """``(structure_hash, owned varmap copy, top_hash)`` for a subtree
-        object this store has hashed before, else ``None``.
+        """``(structure_hash, varmap, top_hash)`` for a subtree object
+        this store has hashed before, else ``None``.
 
-        The returned map is an independent copy: callers (the incremental
-        hasher's ancestor re-summarise, most notably) may consume it
-        destructively.
+        The returned map wraps the record's frozen entries without a
+        copy, so callers must never mutate it: take a
+        :meth:`~repro.core.varmap.HashedVarMap.snapshot` first, as the
+        incremental hasher's ancestor re-summarise does.
         """
         rec = self._memo.get(id(node))
         if rec is None:
             return None
-        return rec.s_hash, HashedVarMap(dict(rec.vm_entries), rec.vm_hash), rec.top
+        return rec.s_hash, HashedVarMap(rec.vm_entries, rec.vm_hash), rec.top
 
     def cached_top(self, node: Expr) -> Optional[int]:
         """The memoised top-level alpha-hash of ``node``, if any."""

@@ -1,12 +1,15 @@
-"""Tests for streaming rewrite sessions (ISSUE 9).
+"""Tests for streaming rewrite sessions.
 
 The differential wall: every streamed edit's root hash must be
 bit-identical to a from-scratch ``alpha_hash_all`` of the edited tree,
-across flat, LRU-bounded and sharded stores -- plus the eviction
-safety that makes that true under pressure (session pins, the
-recompute-and-repin fallback), the ``/v1/session`` wire protocol
-(TTL expiry, capacity, 409 reopen semantics), the keep-alive client
-transport, and the coordinator's sticky session routing.
+across flat, LRU-bounded and sharded stores -- plus the warm open
+(first edits read the summary memo open filled, and are O(spine); the
+cold build is only a fallback), the frozen memo records that warm
+reads share, the eviction safety that makes that true under pressure
+(session pins, the recompute-and-repin fallback), the ``/v1/session``
+wire protocol (TTL expiry, capacity, 409 reopen semantics), the
+keep-alive client transport, and the coordinator's sticky session
+routing.
 """
 
 import random
@@ -16,15 +19,21 @@ import time
 import pytest
 
 from repro.api import (
+    PlanError,
     RemoteSession,
     Session,
     StoreThrashError,
     StreamError,
     StreamSession,
 )
+from repro.api.plan import ARENA_NODE_THRESHOLD
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.core.hashed import alpha_hash_all
-from repro.core.incremental import PathError
+from repro.core.incremental import IncrementalHasher, PathError
+from repro.core.kernel import summarise_tree
+from repro.core.position_tree import pt_here_hash
+from repro.core.structure import svar_hash
+from repro.core.varmap import HashedVarMap
 from repro.gen.random_exprs import alpha_rename, random_expr
 from repro.lang.traversal import preorder_with_paths, replace_at
 from repro.service import ReproServer, ServiceClient, ServiceError
@@ -64,6 +73,12 @@ STORE_CONFIGS = [
     pytest.param({"max_entries": 60, "memo_limit": 300}, id="lru-bounded"),
     pytest.param({"num_shards": 4}, id="sharded"),
     pytest.param({"num_shards": 4, "max_entries": 48}, id="sharded-bounded"),
+]
+
+#: The configurations no bound flushes the summary memo on: open must
+#: leave every item of these warm.
+UNBOUNDED_CONFIGS = [
+    config for config in STORE_CONFIGS if "max_entries" not in config.values[0]
 ]
 
 
@@ -111,6 +126,144 @@ class TestDifferentialWall:
                 # Dirty spine + tiny subtree, nowhere near the corpus.
                 assert report.nodes_rehashed <= len(deep) + 4
                 assert report.nodes_rehashed < stream.corpus_nodes / 10
+
+
+class TestWarmOpen:
+    """Open fills the store's summary memo in one serial tree pass, so an
+    item's first edit starts from its memoised root: O(spine), not
+    O(item)."""
+
+    @pytest.mark.parametrize(
+        "intern_classes", [True, False], ids=["interned", "hash-only"]
+    )
+    @pytest.mark.parametrize("config", UNBOUNDED_CONFIGS)
+    def test_first_touch_is_spine_not_item(
+        self, config, intern_classes, monkeypatch
+    ):
+        # Big enough that an "auto" plan would pick the arena engine,
+        # whose per-root results leave the memo empty.
+        corpus = build_corpus(2, seed=110, size=ARENA_NODE_THRESHOLD // 2 + 1)
+        combined = []
+        combine = IncrementalHasher._combine
+
+        def spy(hasher, node, children, merge_counter):
+            combined.append(node)
+            return combine(hasher, node, children, merge_counter)
+
+        monkeypatch.setattr(IncrementalHasher, "_combine", spy)
+        with Session(**config) as session:
+            with session.open_stream(
+                corpus, intern_classes=intern_classes
+            ) as stream:
+                touched = set()
+                for item, path, repl, expected_tree in seeded_edits(
+                    corpus, n_edits=5, seed=111
+                ):
+                    combined.clear()
+                    report = stream.edit(item, path, repl)
+                    assert (
+                        report.root_hash
+                        == alpha_hash_all(expected_tree).root_hash
+                    )
+                    assert report.built is False
+                    assert len(combined) <= (
+                        report.spine_depth + report.subtree_nodes
+                    )
+                    touched.add(item)
+                assert touched == {0, 1}
+                assert stream.report()["built_items"] == 0
+
+    @pytest.mark.parametrize("flush", ["memo-cleared", "memo-limit"])
+    def test_cold_fallback_stays_exact(self, flush):
+        corpus = build_corpus(2, seed=112, size=200)
+        config = {"memo_limit": 50} if flush == "memo-limit" else {}
+        with Session(**config) as session:
+            with session.open_stream(corpus) as stream:
+                if flush == "memo-cleared":
+                    session.store._memo.clear()
+                touched = set()
+                for item, path, repl, expected_tree in seeded_edits(
+                    corpus, n_edits=8, seed=113
+                ):
+                    report = stream.edit(item, path, repl)
+                    assert (
+                        report.root_hash
+                        == alpha_hash_all(expected_tree).root_hash
+                    )
+                    assert report.built is (item not in touched)
+                    touched.add(item)
+                assert stream.report()["built_items"] == len(touched) == 2
+
+    def test_open_hints_cannot_skip_the_warm_pass(self):
+        corpus = build_corpus(2, seed=114, size=120)
+        with Session() as session:
+            with StreamSession(
+                corpus, session=session, hints={"engine": "arena", "workers": 2}
+            ) as stream:
+                assert (stream.plan.engine, stream.plan.workers) == ("tree", 1)
+                for item, path, repl, expected_tree in seeded_edits(
+                    corpus, n_edits=4, seed=115
+                ):
+                    report = stream.edit(item, path, repl)
+                    assert report.built is False
+                    assert (
+                        report.root_hash
+                        == alpha_hash_all(expected_tree).root_hash
+                    )
+
+    @pytest.mark.parametrize("pin", ["bits", "seed"])
+    def test_family_pins_still_checked(self, pin):
+        corpus = build_corpus(1, seed=116, size=20)
+        with Session() as session:
+            wrong = {"bits": 32, "seed": session.combiners.seed + 1}[pin]
+            with pytest.raises(PlanError):
+                StreamSession(corpus, session=session, hints={pin: wrong})
+
+
+class TestMemoRecordsStayFrozen:
+    """``cached_summary`` hands out a memo record's own map, uncopied: a
+    stream of edits must leave every record exactly as summarised."""
+
+    @pytest.mark.parametrize("config", UNBOUNDED_CONFIGS)
+    def test_edit_stream_never_mutates_a_record(self, config):
+        corpus = build_corpus(3, seed=119)
+        rng = random.Random(121)
+        with Session(**config) as session:
+            with session.open_stream(corpus) as stream:
+                for item, path, repl, expected_tree in seeded_edits(
+                    corpus, n_edits=24, seed=120
+                ):
+                    stream.edit(item, path, repl)
+                    # Put a subtree of the item back in place: the edit
+                    # reads memoised summaries (the subtree's own, or its
+                    # descendants') and combines its spine over them.
+                    path, node = rng.choice(
+                        list(preorder_with_paths(stream.expr(item)))
+                    )
+                    report = stream.edit(item, path, node)
+                    assert (
+                        report.root_hash
+                        == alpha_hash_all(expected_tree).root_hash
+                    )
+            combiners = session.combiners
+            records = list(session.store._memo.values())
+            assert len(records) >= sum(item.size for item in corpus)
+            for rec in records:
+                frozen = HashedVarMap(rec.vm_entries, rec.vm_hash)
+                assert frozen.recomputed_hash(combiners) == rec.vm_hash
+                s_hash, varmap = summarise_tree(
+                    rec.node,
+                    combiners,
+                    here=pt_here_hash(combiners),
+                    svar=svar_hash(combiners),
+                    var_entry_cache={},
+                    lit_cache={},
+                )
+                assert (s_hash, varmap.entries, varmap.hash) == (
+                    rec.s_hash,
+                    rec.vm_entries,
+                    rec.vm_hash,
+                )
 
 
 class TestEvictionSafety:
@@ -258,6 +411,36 @@ class TestSessionWireProtocol:
                 assert report["edits"] == 10
         finally:
             remote.close()
+
+    def test_open_hints_cannot_skip_the_warm_pass(self, server):
+        corpus = build_corpus(2, seed=117, size=70)
+        client = ServiceClient(server.url)
+
+        def open_with(hints):
+            payload = ServiceClient._corpus_payload(corpus, hints)
+            return client._json("POST", "/v1/session/open", payload)
+
+        try:
+            opened = open_with({"engine": "arena", "workers": 2})
+            plan = opened["plan"]
+            assert (plan["engine"], plan["workers"]) == ("tree", 1)
+            for item, path, repl, expected_tree in seeded_edits(
+                corpus, n_edits=4, seed=118
+            ):
+                reply = client.session_edit(opened["session"], item, path, repl)
+                assert reply["built"] is False
+                assert (
+                    reply["root_hash"]
+                    == alpha_hash_all(expected_tree).root_hash
+                )
+            client.session_close(opened["session"])
+            seed = server.session.combiners.seed
+            for pin in ({"bits": 32}, {"seed": seed + 1}):
+                with pytest.raises(ServiceError) as err:
+                    open_with(pin)
+                assert err.value.status == 400
+        finally:
+            client.close()
 
     def test_unknown_session_409(self, server):
         client = ServiceClient(server.url)
