@@ -13,13 +13,13 @@ behind one facade:
   determinism and resource hints.
 * the planner (:mod:`repro.api.plan`) -- resolves a request against a
   session into an inspectable :class:`ExecutionPlan` (tree vs arena
-  engine, workers, pool mode, executor), absorbing the ``engine="auto"``
-  heuristic behind one threshold constant.
-* executors (:mod:`repro.api.executors`) -- pluggable runners
-  (``serial`` / ``pool`` / ``async``) that drive the store and the
-  parallel engine; results are bit-identical across all of them.
+  engine and kernel, backend, store routing), absorbing the
+  ``engine="auto"`` heuristic behind one threshold constant.
+* :meth:`Session.execute` runs the plan on one serial path through the
+  store; results are bit-identical across engines.
 * :class:`AsyncSession` (:mod:`repro.api.aio`) -- the asyncio front
-  end (awaitable corpus jobs, bounded in-flight, cancellation).
+  end (awaitable corpus jobs, bounded in-flight, cancellation) over
+  the :class:`~repro.api.executors.AsyncExecutor` thread bridge.
 * :class:`RemoteSession` (:mod:`repro.api.remote`) -- the same verbs
   against a ``repro serve`` node or a ``repro cluster serve``
   coordinator; swap a URL to scale from one store to a cluster.
@@ -46,15 +46,7 @@ from repro.api.backends import (
     load_entry_point_backends,
     register_backend,
 )
-from repro.api.executors import (
-    EXECUTORS,
-    AsyncExecutor,
-    Executor,
-    PooledExecutor,
-    SerialExecutor,
-    get_executor,
-    register_executor,
-)
+from repro.api.executors import AsyncExecutor
 from repro.api.plan import (
     ARENA_NODE_THRESHOLD,
     ExecutionPlan,
@@ -91,13 +83,7 @@ __all__ = [
     "Planner",
     "PlanError",
     "ARENA_NODE_THRESHOLD",
-    "Executor",
-    "SerialExecutor",
-    "PooledExecutor",
     "AsyncExecutor",
-    "EXECUTORS",
-    "get_executor",
-    "register_executor",
     # backends
     "HasherBackend",
     "FunctionBackend",

@@ -1,11 +1,11 @@
 """``AsyncSession``: the asyncio front end over the Session pipeline.
 
-The ROADMAP's "async sessions" item: a server (or any event loop) wants
-to interleave several corpus jobs without blocking on the worker pools.
-:class:`AsyncSession` wraps a synchronous :class:`~repro.api.session.
-Session` and exposes awaitable corpus operations::
+A server (or any event loop) wants to interleave several corpus jobs
+without blocking the loop on hashing.  :class:`AsyncSession` wraps a
+synchronous :class:`~repro.api.session.Session` and exposes awaitable
+corpus operations::
 
-    async with AsyncSession(workers=4) as asession:
+    async with AsyncSession() as asession:
         hashes = await asession.hash_corpus_async(corpus)
         ids = await asession.intern_many_async(corpus)
 
@@ -24,18 +24,18 @@ Semantics:
   semaphore, or queued behind the thread bridge) prevents it from ever
   touching the session; cancelling a *running* job lets the worker
   thread finish its store transaction and discards the result -- the
-  store is never left mid-write and the session-owned pools stay
-  reusable.  (Hashing is pure; interning is transactional per call.)
+  store is never left mid-write.  (Hashing is pure; interning is
+  transactional per call.)
 * **One loop at a time.**  The semaphore binds to the first event loop
   that awaits a job; use one ``AsyncSession`` per loop (they are cheap
-  -- the expensive parts, store and pools, live on the inner session,
-  which may be shared sequentially across loops).
+  -- the expensive part, the store, lives on the inner session, which
+  may be shared sequentially across loops).
 
 The blocking work runs on an :class:`~repro.api.executors.AsyncExecutor`
-thread bridge.  Jobs against one session are serialised at the store
-boundary (the summary memo is the shared mutable resource); the corpus
-*inside* a job still fans out over process/thread pools per its plan,
-which is where the actual parallelism lives under the GIL.
+thread bridge over :meth:`Session.execute`.  Jobs against one session
+are serialised at the store boundary (the summary memo is the shared
+mutable resource), so the bridge keeps the loop responsive rather than
+adding parallelism.
 """
 
 from __future__ import annotations
@@ -55,12 +55,12 @@ __all__ = ["AsyncSession"]
 class AsyncSession:
     """Awaitable corpus hashing/interning over a synchronous session.
 
-    Construct around an existing session (shared store, shared pools)
-    or from :class:`~repro.api.session.SessionConfig` keywords, which
-    build a private session that :meth:`close` tears down::
+    Construct around an existing session (shared store) or from
+    :class:`~repro.api.session.SessionConfig` keywords, which build a
+    private session that :meth:`close` tears down::
 
         AsyncSession(session)                  # borrow
-        AsyncSession(workers=4, engine="auto") # own
+        AsyncSession(num_shards=4)             # own
     """
 
     def __init__(
@@ -115,14 +115,10 @@ class AsyncSession:
         *,
         backend: Optional[str] = None,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
-        mode: Optional[str] = None,
     ) -> list[int]:
         """Awaitable corpus hashing; bit-identical to the sync path."""
         return await self.execute_async(
-            HashRequest(
-                exprs, backend=backend, engine=engine, workers=workers, mode=mode
-            )
+            HashRequest(exprs, backend=backend, engine=engine)
         )
 
     async def intern_many_async(
@@ -130,14 +126,10 @@ class AsyncSession:
         exprs: Iterable[Expr],
         *,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> list[int]:
         """Awaitable batch interning (same contract as
-        :meth:`Session.intern_many`: classes/hashes bit-identical,
-        ids encode arrival order)."""
-        return await self.execute_async(
-            InternRequest(exprs, engine=engine, workers=workers)
-        )
+        :meth:`Session.intern_many`: ids encode arrival order)."""
+        return await self.execute_async(InternRequest(exprs, engine=engine))
 
     async def hash_async(self, expr: Expr) -> int:
         """Awaitable single-expression root hash."""

@@ -1,134 +1,39 @@
-"""Executors: the things that actually run an :class:`ExecutionPlan`.
+"""The asynchronous bridge over the execute stage.
 
-The third stage of the request -> plan -> execute pipeline.  An
-executor receives the session, the original request and the resolved
-plan, and drives exactly the mechanism layers that already existed --
-``ExprStore.hash_corpus`` / ``intern_many`` serially,
-``parallel_hash_corpus`` / ``parallel_intern_corpus`` over pools -- so
-results are bit-identical to the pre-pipeline paths by construction.
+The third stage of the request -> plan -> execute pipeline runs in
+:meth:`Session.execute <repro.api.session.Session.execute>` itself:
+there is one synchronous path, which drives ``ExprStore.hash_corpus`` /
+``intern_many`` (or the selected backend's own pass) per the plan.
 
-Three executors ship:
-
-* :class:`SerialExecutor` (``"serial"``) -- in-process, store-batched
-  when the backend is store-backed, otherwise one backend pass per
-  expression;
-* :class:`PooledExecutor` (``"pool"``) -- fans the corpus out over the
-  session-owned persistent :class:`~repro.store.WorkerPool`s (arena
-  engine) or a per-call pool (tree engine's publish-then-fork path);
-* :class:`AsyncExecutor` (``"async"``) -- a thread-bridge that runs
-  either of the above off the calling thread and returns a
-  ``concurrent.futures.Future``; :class:`~repro.api.aio.AsyncSession`
-  builds its asyncio surface on it.
-
-The registry is pluggable like the backend registry: third parties may
-:func:`register_executor` their own (a tracing executor, a remote
-dispatcher) and select it by name.
+:class:`AsyncExecutor` runs that path off the calling thread and
+returns a ``concurrent.futures.Future``;
+:class:`~repro.api.aio.AsyncSession` builds its asyncio surface on it.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Optional, Protocol, runtime_checkable
-
-from repro.core.arena import engine_family
-from repro.store.parallel import parallel_hash_corpus, parallel_intern_corpus
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.plan import ExecutionPlan
     from repro.api.request import HashRequest
     from repro.api.session import Session
 
-__all__ = [
-    "Executor",
-    "SerialExecutor",
-    "PooledExecutor",
-    "AsyncExecutor",
-    "EXECUTORS",
-    "get_executor",
-    "register_executor",
-]
-
-
-@runtime_checkable
-class Executor(Protocol):
-    """What the execute stage needs: a named ``run`` over (session,
-    request, plan) returning one result per corpus item."""
-
-    name: str
-
-    def run(
-        self, session: "Session", request: "HashRequest", plan: "ExecutionPlan"
-    ) -> list[int]:
-        ...  # pragma: no cover - protocol
-
-
-class SerialExecutor:
-    """Run the plan in-process, through the store when possible."""
-
-    name = "serial"
-
-    def run(self, session, request, plan) -> list[int]:
-        corpus = list(request.exprs)
-        if plan.kind == "intern":
-            store = session._require_store("intern requests")
-            return store.intern_many(corpus, engine=plan.engine)
-        if plan.store_backed:
-            return session.store.hash_corpus(corpus, engine=plan.engine)
-        from repro.api.backends import get_backend
-
-        backend = get_backend(plan.backend)
-        return [
-            backend.hash_all(e, session.combiners).root_hash for e in corpus
-        ]
-
-
-class PooledExecutor:
-    """Fan the corpus out over worker pools (bit-identical to serial).
-
-    Arena-engine hash plans reuse the session-owned persistent
-    :class:`~repro.store.WorkerPool` for the plan's ``(mode, workers)``
-    shape; the tree engine's fork fast path builds its fresh
-    publish-then-fork pool inside :func:`parallel_hash_corpus`, exactly
-    as before the redesign.
-    """
-
-    name = "pool"
-
-    def run(self, session, request, plan) -> list[int]:
-        corpus = list(request.exprs)
-        if plan.kind == "intern":
-            store = session._require_store("intern requests")
-            return parallel_intern_corpus(corpus, store, workers=plan.workers)
-        return parallel_hash_corpus(
-            corpus,
-            workers=plan.workers,
-            mode=plan.mode,
-            store=session.store,
-            engine=plan.engine,
-            pool=(
-                session._pool_for(plan.mode, plan.workers)
-                if engine_family(plan.engine) == "arena"
-                else None
-            ),
-        )
+__all__ = ["AsyncExecutor"]
 
 
 class AsyncExecutor:
-    """A thread bridge over the synchronous executors.
+    """A thread bridge over :meth:`Session.execute`.
 
-    ``submit`` schedules the plan's own executor (serial or pool) on a
-    private thread pool and returns a ``concurrent.futures.Future``;
-    ``run`` blocks on it, satisfying the :class:`Executor` protocol.
-    Jobs against one session are serialised with a lock -- the store's
-    summary memo is the shared resource -- while the corpus *inside* a
-    job still fans out over worker pools per its plan.  A bounded
-    ``max_workers`` caps the threads; :class:`~repro.api.aio.
-    AsyncSession` adds the asyncio semantics (awaitables, cancellation,
-    bounded in-flight jobs) on top.
+    ``submit`` schedules the plan on a private thread pool and returns a
+    ``concurrent.futures.Future``; ``run`` blocks on it.  Jobs against
+    one session are serialised with a lock -- the store's summary memo
+    is the shared resource.  A bounded ``max_workers`` caps the threads;
+    :class:`~repro.api.aio.AsyncSession` adds the asyncio semantics
+    (awaitables, cancellation, bounded in-flight jobs) on top.
     """
-
-    name = "async"
 
     def __init__(self, max_workers: int = 4):
         if max_workers < 1:
@@ -145,17 +50,18 @@ class AsyncExecutor:
             )
         return self._threads
 
-    def submit(self, session, request, plan) -> "Future[list[int]]":
-        inner = get_executor("pool" if plan.executor == "pool" else "serial")
-
+    def submit(
+        self, session: "Session", request: "HashRequest", plan: "ExecutionPlan"
+    ) -> "Future[list[int]]":
         def job() -> list[int]:
             with self._session_lock:
-                # repro-lint: allow[lock-blocking,lock-cycle] reason=one job per session at a time is this lock's whole contract (the store's summary memo is the shared resource); inner is pinned to serial/pool on the line above, so the async executor can never re-enter itself
-                return inner.run(session, request, plan)
+                return session.execute(request, plan)
 
         return self._ensure().submit(job)
 
-    def run(self, session, request, plan) -> list[int]:
+    def run(
+        self, session: "Session", request: "HashRequest", plan: "ExecutionPlan"
+    ) -> list[int]:
         return self.submit(session, request, plan).result()
 
     def close(self) -> None:
@@ -168,34 +74,3 @@ class AsyncExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-#: The executor registry: name -> zero-argument factory.  Stateless
-#: executors are shared singletons; the async executor owns threads, so
-#: every lookup builds a fresh one for its caller to manage.
-EXECUTORS: dict[str, Callable[[], Executor]] = {}
-
-
-def register_executor(name: str, factory: Callable[[], Executor]) -> None:
-    """Add an executor factory under ``name`` (duplicates are errors)."""
-    if name in EXECUTORS:
-        raise ValueError(f"executor name {name!r} is already registered")
-    EXECUTORS[name] = factory
-
-
-# lint: returns SerialExecutor|PooledExecutor|AsyncExecutor
-def get_executor(name: str) -> Executor:
-    """Build/fetch the executor registered under ``name``."""
-    factory = EXECUTORS.get(name)
-    if factory is None:
-        raise KeyError(
-            f"unknown executor {name!r}; available: {sorted(EXECUTORS)}"
-        )
-    return factory()
-
-
-_SERIAL = SerialExecutor()
-_POOL = PooledExecutor()
-register_executor("serial", lambda: _SERIAL)
-register_executor("pool", lambda: _POOL)
-register_executor("async", AsyncExecutor)

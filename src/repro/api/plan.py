@@ -3,12 +3,11 @@
 The :class:`Planner` turns a declarative :class:`~repro.api.request.
 HashRequest` / :class:`~repro.api.request.InternRequest` plus a
 :class:`~repro.api.session.Session` into an :class:`ExecutionPlan` --
-every decision the scattered kwargs of PRs 3-4 used to make inline
-(tree vs arena engine, worker count, pool flavour, serial vs pooled
-executor) is made **here, once**, and the result is a frozen record the
+every decision (backend, store routing, tree vs arena engine, arena
+kernel) is made **here, once**, and the result is a frozen record the
 caller can inspect, log, or ship over the wire before anything runs::
 
-    plan = session.plan(HashRequest(corpus, workers=4))
+    plan = session.plan(HashRequest(corpus))
     print(plan.explain())       # why each choice was made
     session.execute(request, plan=plan)
 
@@ -20,8 +19,8 @@ Engine policy
 the planner shares with the low-level ``resolve_engine`` normaliser
 (defined next to the arena kernel as
 :data:`repro.core.arena.ARENA_MIN_NODES`, so the core stays importable
-without this package; there is exactly one literal).  The store- and
-parallel-layer batch entry points consult the same constant through
+without this package; there is exactly one literal).  The store's
+batch entry points consult the same constant through
 :func:`repro.core.arena.plan_corpus_engine`, so a forced ``engine=``
 and an ``auto`` decision can never disagree between layers.
 """
@@ -38,7 +37,6 @@ from repro.core.arena import (
     resolve_engine,
     resolve_kernel,
 )
-from repro.store.parallel import resolve_workers
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.request import HashRequest
@@ -60,19 +58,14 @@ class PlanError(ValueError):
 class ExecutionPlan:
     """Every resolved decision for one request, before anything runs.
 
-    ``engine``, ``workers`` and ``mode`` are concrete (no ``"auto"``,
-    no ``None``); ``executor`` names the registered executor that will
-    carry the plan out (:mod:`repro.api.executors`); ``reasons`` records
-    one line per decision for :meth:`explain`.
+    ``engine`` is concrete (never ``"auto"``); ``reasons`` records one
+    line per decision for :meth:`explain`.
     """
 
     kind: str  #: ``"hash"`` or ``"intern"``
     backend: str  #: resolved unified-registry backend name
     store_backed: bool  #: whether the store's memo serves this backend
     engine: str  #: ``"tree"`` / ``"arena"`` family -- never ``"auto"``
-    workers: int  #: resolved pool size (1 = serial)
-    mode: str  #: pool flavour, meaningful when ``workers > 1``
-    executor: str  #: ``"serial"`` or ``"pool"``
     corpus_items: int  #: expressions in the request
     total_nodes: int  #: total AST nodes across the corpus
     bits: int  #: combiner width the job will run at
@@ -91,8 +84,7 @@ class ExecutionPlan:
         head = (
             f"{self.kind} {self.corpus_items} expression(s), "
             f"{self.total_nodes} nodes -> engine={self.engine},{kernel} "
-            f"executor={self.executor}, workers={self.workers} "
-            f"({self.mode}), backend={self.backend}"
+            f"backend={self.backend}"
         )
         return "\n".join([head, *(f"  - {r}" for r in self.reasons)])
 
@@ -151,12 +143,12 @@ class Planner:
                     "with use_store=False"
                 )
             store_backed = True  # interning is defined over the store
+        elif not store_backed:
+            reasons.append(
+                f"backend {backend.name!r} runs its own pass, not the store's memo"
+            )
 
-        # Resource hints fall back to the session's configured defaults.
-        workers = resolve_workers(
-            session.config.workers if request.workers is None else request.workers
-        )
-        mode = request.mode or session.config.parallel_mode
+        # The engine hint falls back to the session's configured default.
         engine_hint = request.engine or session.config.engine
 
         total_nodes = request.total_nodes
@@ -192,38 +184,12 @@ class Planner:
             else:
                 reasons.append(f"arena kernel {kernel!r} forced by the engine hint")
 
-        # Executor selection mirrors (and replaces) the inline branch
-        # the Session facade used to carry: fan out only when there is
-        # a store to cooperate with and more than one item to fan.
-        if workers > 1 and not store_backed and request.kind == "hash":
-            reasons.append(
-                f"backend {backend.name!r} times its own pass; staying serial"
-            )
-            executor = "serial"
-            workers = 1
-        elif workers > 1 and len(request.exprs) > 1:
-            executor = "pool"
-            reasons.append(
-                f"{workers} workers over a {mode} pool "
-                f"({len(request.exprs)} items)"
-            )
-        else:
-            if workers > 1:
-                reasons.append(
-                    "corpus too small to fan out; running serially"
-                )
-                workers = 1
-            executor = "serial"
-
         num_shards = getattr(store, "num_shards", None)
         return ExecutionPlan(
             kind=request.kind,
             backend=backend.name,
             store_backed=store_backed,
             engine=engine,
-            workers=workers,
-            mode=mode,
-            executor=executor,
             corpus_items=len(request.exprs),
             total_nodes=total_nodes,
             bits=combiners.bits,

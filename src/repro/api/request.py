@@ -1,22 +1,18 @@
 """Declarative work requests: what to run, not how to run it.
 
-PRs 3 and 4 grew the execution knobs (``workers``, ``parallel_mode``,
-``engine``, shard counts) organically onto every call site; this module
-is the other half of the redesign that pulls them back behind one
-declarative record.  A request carries *intent* only:
+A request carries *intent* only, never call-site execution knobs:
 
 * :class:`HashRequest` -- "alpha-hash this corpus", plus optional
   backend, determinism hints (``bits``/``seed``, validated against the
-  executing session) and resource hints (``engine``/``workers``/
-  ``mode``);
+  executing session) and an ``engine`` hint;
 * :class:`InternRequest` -- "intern this corpus", same hints.
 
 ``None`` for any hint means "the session's configured default".  A
 :class:`~repro.api.plan.Planner` resolves a request against a session
-into an inspectable :class:`~repro.api.plan.ExecutionPlan`, and an
-executor (:mod:`repro.api.executors`) runs the plan::
+into an inspectable :class:`~repro.api.plan.ExecutionPlan`, and
+:meth:`~repro.api.session.Session.execute` runs the plan::
 
-    request = HashRequest(corpus, engine="auto", workers=4)
+    request = HashRequest(corpus, engine="auto")
     plan = session.plan(request)        # look before you leap
     hashes = session.execute(request)   # or execute(request, plan)
 
@@ -32,7 +28,6 @@ from typing import Iterable, Optional
 
 from repro.core.arena import ENGINE_CHOICES
 from repro.lang.expr import Expr
-from repro.store.parallel import PARALLEL_MODES
 
 __all__ = ["HashRequest", "InternRequest", "ENGINES"]
 
@@ -69,11 +64,6 @@ class HashRequest:
         Corpus strategy hint (:data:`ENGINES`): ``"auto"`` / ``"tree"``
         / ``"arena"`` / ``"arena-vec"`` / ``"arena-scalar"``; ``None``
         defers to the session default.
-    workers:
-        Pool size hint (``0`` = one per CPU, ``1`` = serial); ``None``
-        defers to the session default.
-    mode:
-        Worker pool flavour (:data:`~repro.store.parallel.PARALLEL_MODES`).
     bits / seed:
         Determinism hints: when set, planning fails loudly unless the
         executing session's combiner family matches -- a request built
@@ -83,8 +73,6 @@ class HashRequest:
     exprs: tuple[Expr, ...] = field(repr=False)
     backend: Optional[str] = None
     engine: Optional[str] = None
-    workers: Optional[int] = None
-    mode: Optional[str] = None
     bits: Optional[int] = None
     seed: Optional[int] = None
 
@@ -108,12 +96,6 @@ class HashRequest:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if self.mode is not None and self.mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"mode must be one of {PARALLEL_MODES}, got {self.mode!r}"
-            )
-        if self.workers is not None and self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.bits is not None and self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
 
@@ -149,9 +131,7 @@ class InternRequest(HashRequest):
     """One corpus-interning job: same hints, interning semantics.
 
     Interning always needs a store (planning fails on store-less
-    sessions) and its parallel path merges worker intern tables back
-    shard-by-shard; node *ids* may differ from serial order, classes
-    and hashes are bit-identical (the store's contract).
+    sessions); node ids encode arrival order within that store.
     """
 
     kind = "intern"

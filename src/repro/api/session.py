@@ -14,9 +14,9 @@ workflow behind one object::
     session.intern(expr)                      # canonical node id
 
     # corpus work is a request -> plan -> execute pipeline underneath:
-    request = HashRequest(corpus, workers=4, engine="auto")
+    request = HashRequest(corpus, engine="auto")
     session.plan(request)                     # inspectable ExecutionPlan
-    session.execute(request)                  # bit-identical to serial
+    session.execute(request)                  # one serial path
     session.cse(expr); session.share(expr)    # apps, pooled through the store
     session.save("corpus.snap")               # persist intern table + memo
     warm = Session.load("corpus.snap")        # ...in another process
@@ -34,32 +34,19 @@ alpha-hash.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Union
 
 from repro.api.backends import HasherBackend, get_backend
-from repro.api.executors import get_executor
 from repro.api.plan import ExecutionPlan, Planner
 from repro.api.request import HashRequest, InternRequest
 from repro.core.arena import ENGINE_CHOICES
 from repro.core.combiners import DEFAULT_SEED, HashCombiners
 from repro.core.hashed import AlphaHashes
 from repro.lang.expr import Expr
-from repro.store import (
-    ExprStore,
-    ShardedExprStore,
-    WorkerPool,
-    read_snapshot,
-)
-from repro.store.parallel import PARALLEL_MODES
+from repro.store import ExprStore, ShardedExprStore, read_snapshot
 
 __all__ = ["Session", "SessionConfig", "SessionError"]
-
-_LEGACY_KWARGS_HINT = (
-    "is deprecated; build a repro.api.HashRequest/InternRequest and call "
-    "Session.execute() (the kwargs are lowered into a request for now)"
-)
 
 
 class SessionError(RuntimeError):
@@ -76,16 +63,11 @@ class SessionConfig:
     intern/save/load become unavailable.  ``max_entries``/``memo_limit``
     configure the store's LRU-bounded mode.
 
-    Scaling knobs: ``num_shards`` (when set) backs the session with a
-    lock-striped :class:`~repro.store.ShardedExprStore`; ``workers``
-    sets the *default* pool size for :meth:`Session.hash_corpus` /
-    :meth:`Session.intern_many` (``1`` = serial, ``0`` = one per CPU);
-    ``parallel_mode`` picks the pool flavour (``"process"`` for
-    CPU-bound corpus hashing -- the sensible default under the GIL --
-    ``"fork"``/``"spawn"`` to force one start method, or ``"thread"``);
-    ``engine`` picks the corpus hashing strategy (``"auto"`` compiles
-    large corpora into an array arena, ``"tree"``/``"arena"`` force a
-    path -- see the README's "Arena kernel" section).
+    ``num_shards`` (when set) backs the session with a lock-striped
+    :class:`~repro.store.ShardedExprStore`; ``engine`` picks the corpus
+    hashing strategy (``"auto"`` compiles large corpora into an array
+    arena, ``"tree"``/``"arena"`` force a path -- see the README's
+    "Arena kernel" section).
     """
 
     backend: str = "ours"
@@ -94,8 +76,6 @@ class SessionConfig:
     use_store: bool = True
     max_entries: Optional[int] = None
     memo_limit: Optional[int] = None
-    workers: int = 1
-    parallel_mode: str = "process"
     num_shards: Optional[int] = None
     engine: str = "auto"
 
@@ -121,23 +101,12 @@ class Session:
             raise TypeError(
                 "pass either a SessionConfig or keyword overrides, not both"
             )
-        if config.parallel_mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"parallel_mode must be one of {PARALLEL_MODES}, got "
-                f"{config.parallel_mode!r}"
-            )
         if config.engine not in ENGINE_CHOICES:
             raise ValueError(
                 f"engine must be one of {', '.join(ENGINE_CHOICES)}, got "
                 f"{config.engine!r}"
             )
         self.config = config
-        #: Long-lived worker pools keyed by (mode, size), created on
-        #: first parallel use and reused across hash_corpus calls until
-        #: close() -- the fork/spawn cost is paid once per session, not
-        #: once per batch.  (The tree engine's fork path ignores them;
-        #: see repro.store.parallel.WorkerPool.)
-        self._pools: dict[tuple[str, int], WorkerPool] = {}
         #: The policy stage of the request -> plan -> execute pipeline;
         #: swap it (e.g. ``Planner(arena_threshold=...)``) to retune
         #: decisions without touching execution code.
@@ -187,23 +156,14 @@ class Session:
             return self.store.hashes(expr)
         return self.backend.hash_all(expr, self.combiners)
 
-    def _pool_for(self, mode: str, workers: int) -> WorkerPool:
-        key = (mode, workers)
-        pool = self._pools.get(key)
-        if pool is None:
-            pool = WorkerPool(workers, mode)
-            self._pools[key] = pool
-        return pool
-
     # -- the request -> plan -> execute pipeline -------------------------------
 
     def plan(self, request: HashRequest) -> ExecutionPlan:
         """Resolve ``request`` into an inspectable :class:`ExecutionPlan`
-        (engine, workers, pool mode, executor) without running anything.
-        See :mod:`repro.api.plan` for the policy."""
+        (backend, store routing, engine, kernel) without running
+        anything.  See :mod:`repro.api.plan` for the policy."""
         return self.planner.plan(self, request)
 
-    # repro-lint: allow[lock-blocking] reason=CPU-bound hashing/interning fan-out; a caller's service lock is what serializes the store mutation this performs, and no executor path touches a service lock of its own
     def execute(
         self, request: HashRequest, plan: Optional[ExecutionPlan] = None
     ) -> list[int]:
@@ -211,61 +171,42 @@ class Session:
 
         The canonical entry point for corpus work::
 
-            session.execute(HashRequest(corpus, workers=4))
+            session.execute(HashRequest(corpus, engine="arena"))
             session.execute(InternRequest(corpus))
 
-        Results are bit-identical across executors and engines -- the
-        plan only decides *how* the same pure function is evaluated.
-        Pool-executor plans run on session-owned persistent pools; call
-        :meth:`close` (or use the session as a context manager) to
-        release them.
+        Results are bit-identical across engines -- the plan only
+        decides *how* the same pure function is evaluated.
         """
         if plan is None:
             plan = self.plan(request)
-        return get_executor(plan.executor).run(self, request, plan)
+        corpus = list(request.exprs)
+        if plan.kind == "intern":
+            store = self._require_store("intern requests")
+            return store.intern_many(corpus, engine=plan.engine)
+        if plan.store_backed:
+            return self.store.hash_corpus(corpus, engine=plan.engine)
+        backend = get_backend(plan.backend)
+        return [backend.hash_all(e, self.combiners).root_hash for e in corpus]
 
-    def hash_corpus(
-        self,
-        exprs: Iterable[Expr],
-        workers: Optional[int] = None,
-        mode: Optional[str] = None,
-        engine: Optional[str] = None,
-    ) -> list[int]:
+    def hash_corpus(self, exprs: Iterable[Expr]) -> list[int]:
         """Root hashes of a whole corpus, store-batched when possible:
         repeated and overlapping subtrees are summarised once.
 
         Sugar for ``execute(HashRequest(exprs))``: the session's
-        configured ``workers`` / ``parallel_mode`` / ``engine`` become
-        the planner's defaults, results are **bit-identical** to the
-        serial path regardless of the plan.  The per-call ``workers`` /
-        ``mode`` / ``engine`` keyword overrides are deprecated -- pass a
-        :class:`~repro.api.request.HashRequest` carrying the hints to
-        :meth:`execute` instead (they are lowered into exactly that
-        request here, under a :class:`DeprecationWarning`).
+        configured ``engine`` is the planner's default.  Pass a
+        :class:`~repro.api.request.HashRequest` carrying hints to
+        :meth:`execute` to override it per call.
         """
-        if workers is not None or mode is not None or engine is not None:
-            warnings.warn(
-                "Session.hash_corpus(workers=/mode=/engine=) "
-                + _LEGACY_KWARGS_HINT,
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.execute(
-            HashRequest(exprs, workers=workers, mode=mode, engine=engine)
-        )
+        return self.execute(HashRequest(exprs))
 
     def close(self) -> None:
-        """Shut down the session's persistent worker pools (idempotent).
+        """End the session (idempotent); the store and caches survive.
 
-        The store and its caches survive -- only pool processes/threads
-        are released.  Sessions are also context managers::
+        Sessions are also context managers::
 
-            with Session(workers=4) as session:
-                session.hash_corpus(corpus)   # pool reused across calls
+            with Session() as session:
+                session.hash_corpus(corpus)
         """
-        pools, self._pools = self._pools, {}
-        for pool in pools.values():
-            pool.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -287,30 +228,13 @@ class Session:
         """Intern ``expr``; alpha-equivalent trees share one node id."""
         return self._require_store("intern()").intern(expr)
 
-    def intern_many(
-        self,
-        exprs: Iterable[Expr],
-        workers: Optional[int] = None,
-        engine: Optional[str] = None,
-    ) -> list[int]:
+    def intern_many(self, exprs: Iterable[Expr]) -> list[int]:
         """Batch :meth:`intern`: one id per input, duplicates collapse.
 
-        Sugar for ``execute(InternRequest(exprs))``.  Pooled plans
-        intern slices in worker processes and merge the tables back
-        shard-by-shard over the snapshot wire format: the resulting
-        *classes and hashes* are bit-identical to the serial path; node
-        ids may differ (ids encode arrival order, and were never stable
-        across store instances).  The per-call ``workers`` / ``engine``
-        keyword overrides are deprecated -- pass an
-        :class:`~repro.api.request.InternRequest` to :meth:`execute`.
+        Sugar for ``execute(InternRequest(exprs))``; node ids encode
+        arrival order within this session's store.
         """
-        if workers is not None or engine is not None:
-            warnings.warn(
-                "Session.intern_many(workers=/engine=) " + _LEGACY_KWARGS_HINT,
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.execute(InternRequest(exprs, workers=workers, engine=engine))
+        return self.execute(InternRequest(exprs))
 
     def open_stream(
         self,
@@ -376,11 +300,7 @@ class Session:
             if isinstance(self.store, ShardedExprStore):
                 out["num_shards"] = self.store.num_shards
                 out["shard_sizes"] = self.store.shard_sizes()
-        out["workers"] = self.config.workers
         out["engine"] = self.config.engine
-        out["live_pools"] = sorted(
-            f"{mode}x{workers}" for mode, workers in self._pools
-        )
         return out
 
     # -- persistence -----------------------------------------------------------
@@ -438,8 +358,6 @@ class Session:
             use_store=True,
             max_entries=header.get("max_entries"),
             memo_limit=header.get("memo_limit"),
-            workers=saved_config.get("workers", 1),
-            parallel_mode=saved_config.get("parallel_mode", "process"),
             num_shards=num_shards,
             engine=saved_config.get("engine", "auto"),
         )

@@ -10,8 +10,8 @@ spine plus the new subtree via :class:`~repro.core.IncrementalHasher`
 and answers with the updated root hash, a new-sharing report and the
 nodes-rehashed count (the perf receipt: O(spine), not O(corpus)).
 
-Warm open: opening is always one serial tree-engine pass, whatever the
-``engine`` / ``workers`` hints say, because that pass fills the store's
+Warm open: opening is always one tree-engine pass, whatever the
+``engine`` hint says, because that pass fills the store's
 per-node summary memo (the arena engine keeps only per-root results).
 An item's first edit then starts from its collapsed root read out of
 the memo and expands only the spine it walks, so it costs O(spine) like
@@ -126,8 +126,8 @@ class StreamSession:
         Optional request hints applied to the opening hash and intern
         requests, like the keyword hints of
         :class:`~repro.api.request.HashRequest`, except that ``engine``
-        and ``workers`` are overridden: open is always one serial tree
-        pass (see module docs).  A ``bits`` / ``seed`` pin that
+        is overridden: open is always one tree pass (see module docs).
+        A ``bits`` / ``seed`` pin that
         disagrees with the session still raises
         :class:`~repro.api.plan.PlanError`.
 
@@ -180,13 +180,12 @@ class StreamSession:
         self.repins = 0
         self.built_items = 0
 
-        # Open: one serial tree pass through the plan pipeline (the plan
-        # is kept for inspection) fills the store's summary memo for the
-        # first edits to start from; a pool would fill its workers'
-        # memos, not this store's.  Then intern + pin the roots so the
+        # Open: one tree pass through the plan pipeline (the plan is
+        # kept for inspection) fills the store's summary memo for the
+        # first edits to start from.  Then intern + pin the roots so the
         # shared store cannot evict them mid-stream.
         self.plan: Optional["ExecutionPlan"] = None
-        hints = {**(hints or {}), "engine": "tree", "workers": 1}
+        hints = {**(hints or {}), "engine": "tree"}
         if self._corpus:
             request = HashRequest(self._corpus, **hints)
             self.plan = session.plan(request)

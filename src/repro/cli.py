@@ -223,19 +223,6 @@ def _run_hash(rest: Sequence[str]) -> int:
         help="any unified-registry backend (Table 1 rows, ours_lazy, ablations)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="hash the corpus on N workers (0 = one per CPU); results are "
-        "bit-identical to --workers 1",
-    )
-    parser.add_argument(
-        "--parallel-mode",
-        choices=("process", "fork", "spawn", "thread"),
-        default="process",
-        help="worker pool flavour (process is right for CPU-bound hashing)",
-    )
-    parser.add_argument(
         "--engine",
         choices=ENGINE_CHOICES,
         default="auto",
@@ -247,35 +234,28 @@ def _run_hash(rest: Sequence[str]) -> int:
 
     from repro.api import Session
 
-    # The context manager releases the session-owned worker pools that
-    # --workers N > 1 spins up.
-    with Session(
-        backend=args.algorithm,
-        bits=args.bits,
-        seed=args.seed,
-        workers=args.workers,
-        parallel_mode=args.parallel_mode,
-        engine=args.engine,
-    ) as session:
-        exprs = [_read_expr(path) for path in args.files]
-        hashes = session.hash_corpus(exprs)
-        if len(args.files) == 1:
-            print(f"0x{hashes[0]:x}")
-            return 0
-        for path, expr, value in zip(args.files, exprs, hashes):
-            print(
-                json.dumps(
-                    {
-                        "file": path,
-                        "hash": f"0x{value:x}",
-                        "nodes": expr.size,
-                        "backend": session.backend.name,
-                        "bits": session.combiners.bits,
-                    },
-                    sort_keys=True,
-                )
-            )
+    session = Session(
+        backend=args.algorithm, bits=args.bits, seed=args.seed, engine=args.engine
+    )
+    exprs = [_read_expr(path) for path in args.files]
+    hashes = session.hash_corpus(exprs)
+    if len(args.files) == 1:
+        print(f"0x{hashes[0]:x}")
         return 0
+    for path, expr, value in zip(args.files, exprs, hashes):
+        print(
+            json.dumps(
+                {
+                    "file": path,
+                    "hash": f"0x{value:x}",
+                    "nodes": expr.size,
+                    "backend": session.backend.name,
+                    "bits": session.combiners.bits,
+                },
+                sort_keys=True,
+            )
+        )
+    return 0
 
 
 def _run_session(rest: Sequence[str]) -> int:
@@ -311,19 +291,6 @@ def _run_session(rest: Sequence[str]) -> int:
     )
     parser.add_argument(
         "--max-entries", type=int, default=None, help="LRU-bound the store"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="hash/intern the corpus on N workers (0 = one per CPU); "
-        "hashes are bit-identical to --workers 1",
-    )
-    parser.add_argument(
-        "--parallel-mode",
-        choices=("process", "fork", "spawn", "thread"),
-        default="process",
-        help="worker pool flavour for --workers",
     )
     parser.add_argument(
         "--engine",
@@ -413,18 +380,13 @@ def _run_session(rest: Sequence[str]) -> int:
             seed=args.seed,
             use_store=not args.no_store,
             max_entries=args.max_entries,
-            workers=args.workers,
-            parallel_mode=args.parallel_mode,
             num_shards=args.num_shards,
             engine=args.engine,
         )
 
-    try:
-        if args.stream:
-            return _session_stream_local(session, args, exprs)
-        return _session_report(session, args, exprs)
-    finally:
-        session.close()  # releases persistent worker pools (--workers N)
+    if args.stream:
+        return _session_stream_local(session, args, exprs)
+    return _session_report(session, args, exprs)
 
 
 def _session_report(session, args, exprs) -> int:
@@ -434,14 +396,7 @@ def _session_report(session, args, exprs) -> int:
 
     # CLI knobs lower into declarative requests -- the planner resolves
     # them against the session exactly like library callers' requests.
-    hashes = session.execute(
-        HashRequest(
-            exprs,
-            workers=args.workers,
-            mode=args.parallel_mode,
-            engine=args.engine,
-        )
-    )
+    hashes = session.execute(HashRequest(exprs, engine=args.engine))
     missing = 0
     known_flags: list[bool] = []
     if session.store is not None:
@@ -451,8 +406,7 @@ def _session_report(session, args, exprs) -> int:
         # are computed before any interning, so a later duplicate of a
         # missing class still reports it as missing.  For the store-backed
         # default backend the corpus hashes above already *are* canonical
-        # -- reuse them instead of re-hashing the corpus serially (which
-        # would silently undo a --workers fan-out).
+        # -- reuse them instead of re-hashing the corpus.
         if session.backend.store_backed:
             canonical = hashes
         else:
@@ -461,9 +415,8 @@ def _session_report(session, args, exprs) -> int:
             session.store.lookup_hash(value) is not None for value in canonical
         ]
         # One bulk intern (after the flags above), not one walk per
-        # file: serial sessions reuse the compile the hash pass above
-        # cached (large corpora take the store's arena bulk-intern
-        # path); --workers sessions fan out over the worker-merge path.
+        # file: it reuses the compile the hash pass above cached (large
+        # corpora take the store's arena bulk-intern path).
         node_ids = session.execute(InternRequest(exprs, engine=args.engine))
     for index, (path, expr, value) in enumerate(
         zip(args.files, exprs, hashes)

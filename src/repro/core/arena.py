@@ -26,16 +26,10 @@ This module *compiles* a corpus once into an :class:`ExprArena`:
   splitmix64 combiner chains inlined into the loop.  Hashes are
   **bit-identical** to :func:`repro.core.hashed.alpha_hash_all` -- the
   test wall checks this on adversarial corpora at several widths.
-
-Arenas are also cheap to ship: pickling a handful of flat arrays is
-iterative and O(bytes), so arbitrarily deep corpora cross a ``spawn``
-process boundary that would overflow the C stack if the trees
-themselves were pickled (see :mod:`repro.store.parallel`).
 """
 
 from __future__ import annotations
 
-import threading
 from array import array
 from typing import Iterable, Optional, Sequence
 
@@ -62,7 +56,6 @@ HAVE_NUMPY = _np is not None
 
 __all__ = [
     "ExprArena",
-    "ArenaMemo",
     "arena_hash",
     "arena_hash_vec",
     "arena_hash_any",
@@ -100,9 +93,9 @@ ENGINE_CHOICES = ("auto", "tree") + ARENA_ENGINES
 def engine_family(engine: str) -> str:
     """Collapse an engine name to its family: ``"arena"`` or ``"tree"``.
 
-    Call sites that only care *which pipeline* runs (store gates, the
-    pooled executor) compare against the family, so ``arena-vec`` and
-    ``arena-scalar`` route exactly like ``arena``.
+    Call sites that only care *which pipeline* runs (the store's batch
+    gates, the planner) compare against the family, so ``arena-vec``
+    and ``arena-scalar`` route exactly like ``arena``.
     """
     return "arena" if engine in ARENA_ENGINES else engine
 
@@ -177,11 +170,10 @@ def resolve_engine(
 def plan_corpus_engine(engine: str, corpus: Sequence[Expr]) -> str:
     """The concrete engine for hashing/interning ``corpus``.
 
-    The one shared ``auto`` decision point for the store- and
-    parallel-layer batch entry points: total nodes are counted here
-    (``Expr.size`` is O(1) per root) and compared against the single
-    threshold constant, so no call site carries its own size loop or
-    literal."""
+    The one shared ``auto`` decision point for the store's batch entry
+    points: total nodes are counted here (``Expr.size`` is O(1) per
+    root) and compared against the single threshold constant, so no
+    call site carries its own size loop or literal."""
     if engine == "auto":
         return resolve_engine(engine, sum(expr.size for expr in corpus))
     return resolve_engine(engine, 0)  # validates the name
@@ -204,8 +196,8 @@ class ExprArena:
         binders, a ``literals`` index for Lit, ``-1`` for App.
     ``sizes[i]`` / ``depths[i]``
         Node count and height of the subtree (the structure tag of
-        Section 4.8 is ``sizes[i]``; ``depths`` also feeds the spawn
-        pickling guard and lets binder-depth diagnostics stay O(1)).
+        Section 4.8 is ``sizes[i]``; ``depths`` orders the vectorized
+        kernel's levels and keeps depth diagnostics O(1)).
 
     Structurally identical subtrees share one index, so the arena is a
     maximally-shared DAG over *syntactic* classes (finer than the
@@ -213,9 +205,7 @@ class ExprArena:
     keep distinct arena nodes and collapse later, at intern time).
 
     Instances grow append-only through :meth:`flatten` and may be reused
-    across corpora; the structural intern index is rebuilt lazily after
-    unpickling, so the wire form is just the flat arrays and leaf
-    tables.
+    across corpora.
     """
 
     __slots__ = (
@@ -243,55 +233,7 @@ class ExprArena:
         self.literals: list = []
         self._name_ids: dict[str, int] = {}
         self._lit_ids: dict[tuple, int] = {}
-        self._struct: Optional[dict] = {}
-
-    # -- pickling (workers; see store/parallel.py) ---------------------------
-
-    def __getstate__(self):
-        # The structural index is derivable from the arrays; shipping it
-        # would double the wire size for nothing.
-        return (
-            bytes(self.op),
-            self.left,
-            self.right,
-            self.aux,
-            self.sizes,
-            self.depths,
-            self.names,
-            self.literals,
-        )
-
-    def __setstate__(self, state):
-        op, self.left, self.right, self.aux, self.sizes, self.depths, names, lits = state
-        self.op = bytearray(op)
-        self.names = names
-        self.literals = lits
-        self._name_ids = {name: i for i, name in enumerate(names)}
-        from repro.core.hashed import lit_cache_key
-
-        self._lit_ids = {lit_cache_key(v): i for i, v in enumerate(lits)}
-        self._struct = None  # rebuilt lazily if this arena keeps growing
-
-    def _ensure_index(self) -> dict:
-        """The structural intern index, rebuilt from the arrays if needed."""
-        struct = self._struct
-        if struct is None:
-            struct = {}
-            op, left, right, aux = self.op, self.left, self.right, self.aux
-            for i in range(len(op)):
-                opc = op[i]
-                if opc == OP_VAR:
-                    struct[aux[i] * 8] = i
-                elif opc == OP_LIT:
-                    struct[aux[i] * 8 + 1] = i
-                elif opc == OP_LAM:
-                    struct[(OP_LAM, aux[i], left[i])] = i
-                elif opc == OP_APP:
-                    struct[(OP_APP, left[i], right[i])] = i
-                else:
-                    struct[(OP_LET, aux[i], left[i], right[i])] = i
-            self._struct = struct
-        return struct
+        self._struct: dict = {}
 
     # -- queries -------------------------------------------------------------
 
@@ -340,7 +282,7 @@ class ExprArena:
         roll back on error -- a failed flatten (a foreign node kind)
         leaves the arena exactly as it was, safe to keep using.
         """
-        struct = self._ensure_index()
+        struct = self._struct
         count0 = len(self.op)
         n_names0 = len(self.names)
         n_lits0 = len(self.literals)
@@ -386,7 +328,7 @@ class ExprArena:
         """
         from repro.core.hashed import lit_cache_key
 
-        struct = self._ensure_index()
+        struct = self._struct
         struct_get = struct.get
         name_ids, names = self._name_ids, self.names
         lit_ids, literals = self._lit_ids, self.literals
@@ -583,9 +525,7 @@ def flatten_corpus(
 def arena_hash(
     arena: ExprArena,
     combiners: Optional[HashCombiners] = None,
-    only: Optional[Sequence[int]] = None,
-    memo: Optional["ArenaMemo"] = None,
-) -> list[Optional[int]]:
+) -> list[int]:
     """Alpha-hash every arena node; ``tops[i]`` is node ``i``'s hash.
 
     The single post-order pass of Section 5 run at array speed: children
@@ -597,12 +537,6 @@ def arena_hash(
     the Lemma 6.1 merge bound while letting deduplicated nodes feed any
     number of parents.
 
-    ``only`` restricts work to the downward closure of the given roots
-    (other slots come back ``None``) -- this is the unit the parallel
-    engine fans out.  ``memo``, an :class:`ArenaMemo`, seeds the pass
-    with summaries other chunks already computed and publishes this
-    pass's results back, so thread-mode fan-out stops re-walking shared
-    subtrees (seeded maps are never stolen -- every reference copies).
     Bit-identical to :func:`~repro.core.hashed.alpha_hash_all` at every
     width; the single-lane fast path below inlines the splitmix64
     chains, the multi-lane widths go through the same recipes via
@@ -614,60 +548,15 @@ def arena_hash(
 
     # Plain lists index faster than array('q') (no per-access int
     # materialisation); the one-shot conversion is C-speed, cheap next
-    # to the kernel even when ``only`` restricts the Python-speed work.
-    # ``tolist`` also accepts the numpy / memoryview columns a
-    # shared-memory attached arena carries (see repro.core.arena_shm).
+    # to the kernel.
     op = bytes(arena.op)
     left, right = arena.left.tolist(), arena.right.tolist()
     aux, sizes = arena.aux.tolist(), arena.sizes.tolist()
 
-    names, literals = arena.names, arena.literals
-    done = memo.snapshot_done() if memo is not None else None
-    seeded: list[int] = []
-    if only is None and done is None:
-        indices: Sequence[int] = range(n)
-        # Leaf tables: one hash per interned name / literal, not per node.
-        name_h = [combiners.hash_name(name) for name in names]
-        lit_s = [slit_hash(combiners, value) for value in literals]
-    else:
-        if only is not None:
-            mask = arena.closure(only)
-        else:
-            mask = b"\x01" * n
-        if done is None:
-            indices = [i for i in range(n) if mask[i]]
-        else:
-            indices = [i for i in range(n) if mask[i] and not done[i]]
-            seeded = [i for i in range(n) if mask[i] and done[i]]
-        # The leaf tables are shared arena-wide; a restricted pass (one
-        # parallel chunk of many) hashes only the entries its closure
-        # touches, so per-chunk setup scales with the chunk.
-        name_used = bytearray(len(names))
-        lit_used = bytearray(len(literals))
-        for i in indices:
-            opc = op[i]
-            if opc == OP_LIT:
-                lit_used[aux[i]] = 1
-            elif opc != OP_APP:
-                name_used[aux[i]] = 1
-        # Seeded free-variable maps are keyed by name id too: merges
-        # above a seeded subtree dereference those entry chains.
-        for i in seeded:
-            vm = memo.vms[i]
-            if vm:
-                for nid in vm:
-                    name_used[nid] = 1
-        # None marks slots the closure never dereferences (map keys and
-        # binder removals only involve names of in-closure Vars); the
-        # derived entry_pre/var_entry tables skip them too.
-        name_h = [
-            combiners.hash_name(name) if used else None
-            for name, used in zip(names, name_used)
-        ]
-        lit_s = [
-            slit_hash(combiners, value) if used else None
-            for value, used in zip(literals, lit_used)
-        ]
+    indices = range(n)
+    # Leaf tables: one hash per interned name / literal, not per node.
+    name_h = [combiners.hash_name(name) for name in arena.names]
+    lit_s = [slit_hash(combiners, value) for value in arena.literals]
 
     HERE = pt_here_hash(combiners)
     SVAR = svar_hash(combiners)
@@ -675,7 +564,7 @@ def arena_hash(
     TRUE = combiners.TRUE_HASH
     FALSE = combiners.FALSE_HASH
     entry2 = combine_chain(combiners, "entry", 2)
-    var_entry = [None if h is None else entry2(h, HERE) for h in name_h]
+    var_entry = [entry2(h, HERE) for h in name_h]
 
     # Integer-indexed memo arrays: structure hash, map hash, map, top.
     shs: list = [0] * n
@@ -683,14 +572,7 @@ def arena_hash(
     vms: list = [None] * n
     tops: list = [None] * n
 
-    for i in seeded:
-        shs[i] = memo.shs[i]
-        vmhs[i] = memo.vmhs[i]
-        vms[i] = memo.vms[i]
-        tops[i] = memo.tops[i]
-
     # Reference counts: how many parents will consume each node's map.
-    # (Children of in-closure nodes are in the closure by construction.)
     uses = [0] * n
     for i in indices:
         child = left[i]
@@ -699,15 +581,6 @@ def arena_hash(
         child = right[i]
         if child >= 0:
             uses[child] += 1
-    if memo is not None:
-        # One phantom reference per node keeps every map alive (and, for
-        # seeded nodes, unstolen): the published dicts are shared across
-        # threads and must never be mutated, and the fresh ones survive
-        # the pass so merge() below can publish them.
-        for i in indices:
-            uses[i] += 1
-        for i in seeded:
-            uses[i] += 1
 
     if combiners._lanes == 1:
         _arena_hash_lane1(
@@ -720,11 +593,6 @@ def arena_hash(
             combiners, indices, op, left, right, aux, sizes,
             name_h, var_entry, lit_s, HERE, SVAR, NONE, TRUE, FALSE,
             shs, vmhs, vms, tops, uses,
-        )
-
-    if memo is not None:
-        memo.merge(
-            (i, tops[i], shs[i], vmhs[i], vms[i]) for i in indices
         )
     return tops
 
@@ -766,12 +634,8 @@ def _arena_hash_lane1(
 
     # Per-name entry-chain states: entry(name, pos) resumes after the
     # name absorb, halving the per-entry work in merges and removals.
-    # (None slots are names outside a restricted pass's closure.)
     entry_pre = []
     for nh in name_h:
-        if nh is None:
-            entry_pre.append(None)
-            continue
         x = ((S_ENTRY ^ nh) + G) & M64
         x = ((x ^ (x >> 30)) * M0) & M64
         x = ((x ^ (x >> 27)) * M1) & M64
@@ -1103,80 +967,21 @@ def _arena_hash_generic(
         tops[i] = top2(s, vh)
 
 
-class ArenaMemo:
-    """Cross-chunk memo for one arena batch: integer-indexed, thread-safe.
-
-    Thread-mode fan-out splits an arena's roots into chunks, but the
-    chunks' closures overlap heavily (flatten-dedup is exactly what
-    makes them overlap).  One ``ArenaMemo``, shared by every chunk of a
-    batch, lets a chunk (a) skip nodes another chunk already summarised
-    and (b) publish its own summaries at the end of its pass -- the
-    "merge at batch boundaries" discipline: no per-node locking, one
-    lock acquisition per chunk for the snapshot and one for the merge.
-
-    Published entries are immutable by contract: ``done[i]`` is set only
-    after ``i``'s summary is written, under the lock, and readers seed
-    kernels with the *same* dict objects, which the kernels then never
-    mutate (they copy on write -- see the phantom reference counts in
-    :func:`arena_hash` / the append-only pool in :func:`arena_hash_vec`).
-    """
-
-    __slots__ = ("lock", "done", "tops", "shs", "vmhs", "vms")
-
-    def __init__(self, n: int):
-        self.lock = threading.Lock()
-        self.done = bytearray(n)
-        self.tops: list = [None] * n
-        self.shs: list = [0] * n
-        self.vmhs: list = [0] * n
-        self.vms: list = [None] * n
-
-    def snapshot_done(self) -> bytes:
-        """A point-in-time copy of the done mask (safe to read lock-free)."""
-        with self.lock:
-            return bytes(self.done)
-
-    def merge(self, items) -> int:
-        """Publish ``(index, top, s_hash, vm_hash, vm_dict)`` summaries.
-
-        First writer wins per index (the summaries are deterministic, so
-        losers are simply duplicate work).  Returns how many entries
-        were newly published.
-        """
-        fresh = 0
-        with self.lock:
-            done = self.done
-            for i, top, sh, vh, vm in items:
-                if done[i]:
-                    continue
-                self.tops[i] = top
-                self.shs[i] = sh
-                self.vmhs[i] = vh
-                self.vms[i] = vm if vm is not None else {}
-                done[i] = 1
-                fresh += 1
-        return fresh
-
-
 def arena_hash_any(
     arena: ExprArena,
     combiners: Optional[HashCombiners] = None,
-    only: Optional[Sequence[int]] = None,
     kernel: str = "auto",
-    memo: Optional[ArenaMemo] = None,
-) -> list[Optional[int]]:
+) -> list[int]:
     """Run the arena kernel named by ``kernel`` (``auto``/``vec``/``scalar``)."""
     if resolve_kernel(kernel) == "vec":
-        return arena_hash_vec(arena, combiners, only=only, memo=memo)
-    return arena_hash(arena, combiners, only=only, memo=memo)
+        return arena_hash_vec(arena, combiners)
+    return arena_hash(arena, combiners)
 
 
 def arena_hash_vec(
     arena: ExprArena,
     combiners: Optional[HashCombiners] = None,
-    only: Optional[Sequence[int]] = None,
-    memo: Optional[ArenaMemo] = None,
-) -> list[Optional[int]]:
+) -> list[int]:
     """Vectorized arena kernel: the same pass, level-by-level in NumPy.
 
     ``depths`` orders the arena into levels (a node's children are
@@ -1188,7 +993,7 @@ def arena_hash_vec(
     removal is a batched ``searchsorted``, the small-into-big merge of
     Lemma 6.1 is one stable sort + last-wins dedup per level, and the
     XOR'd map-hash deltas fold with ``bitwise_xor.reduceat``.  Maps are
-    never mutated in place, which is also what makes memo seeding safe.
+    never mutated in place.
 
     Bit-identical to :func:`arena_hash` (and hence to the tree paths)
     at every width: values are carried as ``(lo, hi)`` 64-bit lane
@@ -1209,9 +1014,8 @@ def arena_hash_vec(
     if combiners is None:
         combiners = default_combiners()
     n = len(arena.op)
-    out: list = [None] * n
     if n == 0:
-        return out
+        return []
 
     lanes = combiners._lanes
     two = lanes == 2
@@ -1249,15 +1053,9 @@ def arena_hash_vec(
         return h1, h0 & mask_hi
 
     def col_i64(col):
-        if isinstance(col, np.ndarray):
-            return col
         return np.frombuffer(col, dtype=np.int64)
 
-    opc = (
-        arena.op
-        if isinstance(arena.op, np.ndarray)
-        else np.frombuffer(arena.op, dtype=np.uint8)
-    )
+    opc = np.frombuffer(arena.op, dtype=np.uint8)
     left = col_i64(arena.left)
     right = col_i64(arena.right)
     aux = col_i64(arena.aux)
@@ -1266,53 +1064,18 @@ def arena_hash_vec(
     names, literals = arena.names, arena.literals
     n_names = len(names)
 
-    # -- indices: full pass, closure-restricted, and/or memo-filtered --------
-    done = memo.snapshot_done() if memo is not None else None
-    if only is None and done is None:
-        idx = np.arange(n, dtype=np.int64)
-        restricted = False
-        seeded_idx = ()
-    else:
-        restricted = True
-        if only is not None:
-            mask = np.frombuffer(arena.closure(only), dtype=np.uint8) != 0
-        else:
-            mask = np.ones(n, dtype=bool)
-        if done is not None:
-            done_np = np.frombuffer(done, dtype=np.uint8) != 0
-            seeded_idx = np.nonzero(mask & done_np)[0].tolist()
-            idx = np.nonzero(mask & ~done_np)[0]
-        else:
-            seeded_idx = ()
-            idx = np.nonzero(mask)[0]
-
     # -- leaf tables (Python-speed, but per unique name/literal only) --------
-    name_used = np.zeros(n_names, dtype=bool)
-    lit_used = np.zeros(len(literals), dtype=bool)
-    if restricted:
-        op_i = opc[idx]
-        aux_i = aux[idx]
-        name_used[aux_i[(op_i != OP_APP) & (op_i != OP_LIT)]] = True
-        lit_used[aux_i[op_i == OP_LIT]] = True
-        for i in seeded_idx:
-            vm = memo.vms[i]
-            if vm:
-                name_used[list(vm)] = True
-    else:
-        name_used[:] = True
-        lit_used[:] = True
-
     nh_lo = np.zeros(n_names, dtype=U)
     nh_hi = np.zeros(n_names, dtype=U) if two else None
-    for j in np.nonzero(name_used)[0].tolist():
-        h = combiners.hash_name(names[j])
+    for j, name in enumerate(names):
+        h = combiners.hash_name(name)
         nh_lo[j] = h & M64
         if two:
             nh_hi[j] = (h >> 64) & M64
     ls_lo = np.zeros(len(literals), dtype=U)
     ls_hi = np.zeros(len(literals), dtype=U) if two else None
-    for j in np.nonzero(lit_used)[0].tolist():
-        h = slit_hash(combiners, literals[j])
+    for j, value in enumerate(literals):
+        h = slit_hash(combiners, value)
         ls_lo[j] = h & M64
         if two:
             ls_hi[j] = (h >> 64) & M64
@@ -1325,8 +1088,7 @@ def arena_hash_vec(
     none_lo, none_hi = split(combiners.NONE_HASH)
     true_lo, true_hi = split(combiners.TRUE_HASH)
     false_lo, false_hi = split(combiners.FALSE_HASH)
-    # var_entry[nid] = entry(name, PTHere): unused slots hold garbage
-    # (their nh is 0) and are never read.
+    # var_entry[nid] = entry(name, PTHere).
     ve_lo, ve_hi = chain("entry", [(nh_lo, nh_hi), (here_lo, here_hi)])
 
     # -- per-node state columns ----------------------------------------------
@@ -1368,30 +1130,7 @@ def arena_hash_vec(
             self.size = need
             return s
 
-    pool = Pool(max(1024, 2 * len(idx)))
-
-    # -- memo seeding --------------------------------------------------------
-    for i in seeded_idx:
-        out[i] = memo.tops[i]
-        sh = memo.shs[i]
-        vh = memo.vmhs[i]
-        shs_lo[i] = sh & M64
-        vmh_lo[i] = vh & M64
-        if two:
-            shs_hi[i] = (sh >> 64) & M64
-            vmh_hi[i] = (vh >> 64) & M64
-        vm = memo.vms[i]
-        if vm:
-            entries = sorted(vm.items())
-            nid = np.array([e[0] for e in entries], dtype=np.int64)
-            plo = np.array([e[1] & M64 for e in entries], dtype=U)
-            phi = (
-                np.array([(e[1] >> 64) & M64 for e in entries], dtype=U)
-                if two
-                else None
-            )
-            map_start[i] = pool.append(nid, plo, phi)
-            map_len[i] = len(entries)
+    pool = Pool(max(1024, 2 * n))
 
     # -- batched map machinery -----------------------------------------------
     K = n_names + 1  # combined (segment, name-id) sort key stride
@@ -1566,18 +1305,12 @@ def arena_hash_vec(
         return shs_lo[nodes], shs_hi[nodes] if two else None
 
     # -- the level loop ------------------------------------------------------
-    if len(idx):
-        d_vals = depths[idx]
-        order = np.argsort(d_vals, kind="stable")
-        sorted_idx = idx[order]
-        sorted_d = d_vals[order]
-        bounds = np.nonzero(
-            np.concatenate(([True], sorted_d[1:] != sorted_d[:-1]))
-        )[0]
-        level_slices = list(zip(bounds.tolist(), bounds[1:].tolist() + [len(sorted_idx)]))
-    else:
-        sorted_idx = idx
-        level_slices = []
+    sorted_idx = np.argsort(depths, kind="stable")
+    sorted_d = depths[sorted_idx]
+    bounds = np.nonzero(
+        np.concatenate(([True], sorted_d[1:] != sorted_d[:-1]))
+    )[0]
+    level_slices = list(zip(bounds.tolist(), bounds[1:].tolist() + [n]))
 
     for lo_b, hi_b in level_slices:
         lvl = sorted_idx[lo_b:hi_b]
@@ -1726,65 +1459,10 @@ def arena_hash_vec(
                 shs_hi[sub] = s_hi
 
     # -- tops ----------------------------------------------------------------
-    if len(idx):
-        t_lo, t_hi = chain(
-            "top",
-            [
-                (shs_lo[idx], shs_hi[idx] if two else None),
-                (vmh_lo[idx], vmh_hi[idx] if two else None),
-            ],
-        )
-        if not two:
-            vals = t_lo.tolist()
-            if not restricted:
-                out = vals
-            else:
-                for i, v in zip(idx.tolist(), vals):
-                    out[i] = v
-        else:
-            lo_list = t_lo.tolist()
-            hi_list = t_hi.tolist()
-            if not restricted:
-                out = [(h << 64) | l for h, l in zip(hi_list, lo_list)]
-            else:
-                for i, h, l in zip(idx.tolist(), hi_list, lo_list):
-                    out[i] = (h << 64) | l
-
-    # -- memo publish --------------------------------------------------------
-    if memo is not None and len(idx):
-        idx_list = idx.tolist()
-        start_l = map_start[idx].tolist()
-        len_l = map_len[idx].tolist()
-        if not two:
-            sh_l = shs_lo[idx].tolist()
-            vh_l = vmh_lo[idx].tolist()
-        else:
-            sh_l = [
-                (h << 64) | l
-                for h, l in zip(shs_hi[idx].tolist(), shs_lo[idx].tolist())
-            ]
-            vh_l = [
-                (h << 64) | l
-                for h, l in zip(vmh_hi[idx].tolist(), vmh_lo[idx].tolist())
-            ]
-
-        def published():
-            for j, i in enumerate(idx_list):
-                s, m = start_l[j], len_l[j]
-                if m:
-                    keys = pool.nid[s : s + m].tolist()
-                    p_lo = pool.lo[s : s + m].tolist()
-                    if two:
-                        p_hi = pool.hi[s : s + m].tolist()
-                        vm = {
-                            k: (h << 64) | l
-                            for k, l, h in zip(keys, p_lo, p_hi)
-                        }
-                    else:
-                        vm = dict(zip(keys, p_lo))
-                else:
-                    vm = {}
-                yield i, out[i], sh_l[j], vh_l[j], vm
-
-        memo.merge(published())
-    return out
+    t_lo, t_hi = chain(
+        "top",
+        [(shs_lo, shs_hi), (vmh_lo, vmh_hi)],
+    )
+    if not two:
+        return t_lo.tolist()
+    return [(h << 64) | l for h, l in zip(t_hi.tolist(), t_lo.tolist())]

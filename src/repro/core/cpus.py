@@ -1,11 +1,11 @@
 """CPU accounting that respects cgroup and affinity limits.
 
 ``os.cpu_count()`` reports the *machine's* logical CPUs, which
-over-subscribes worker pools inside containers and batch schedulers
+over-subscribes thread pools inside containers and batch schedulers
 that pin the process to a subset (cgroup cpusets, ``taskset``,
 Kubernetes CPU limits expressed as affinity).  Everything in this
-repository that sizes a pool, clamps a client's ``workers`` request or
-decides whether a benchmark is CPU-starved goes through
+repository that sizes a pool (the snapshot codec's per-shard threads)
+or records a benchmark's host shape goes through
 :func:`available_cpus` instead, so the policy lives in exactly one
 place.
 """

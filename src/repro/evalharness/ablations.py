@@ -21,8 +21,7 @@ Three load-bearing choices from DESIGN.md, each ablated:
 The variant implementations live in :mod:`repro.baselines.ablated` and
 are resolved -- like every other hashing algorithm -- through the
 unified :mod:`repro.api.backends` registry; this module only times
-them.  The old module-level ``ABLATION_VARIANTS`` registry is a
-deprecated shim over that unified registry.
+them.
 
 The harness times all variants on the unbalanced family (where the
 differences are starkest) and prints fitted slopes.
@@ -30,7 +29,6 @@ differences are starkest) and prints fitted slopes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -57,30 +55,14 @@ __all__ = [
 
 #: The sweep's historical display labels, which predate the unified
 #: registry ("ours" is labelled "Ours" there, from Table 1).  Keeping
-#: them stable keeps regenerated ablation tables -- and the deprecated
-#: shim below -- byte-compatible with previously published output.
+#: them stable keeps regenerated ablation tables byte-compatible with
+#: previously published output.
 _SWEEP_LABELS = {"ours": "Ours (full)", "lazy": "Appendix C variant"}
 
 
 def sweep_label(key: str) -> str:
     """The historical display label of one ablation-sweep variant."""
     return _SWEEP_LABELS.get(key, get_backend(key).label)
-
-
-def __getattr__(name: str):
-    if name == "ABLATION_VARIANTS":
-        warnings.warn(
-            "repro.evalharness.ablations.ABLATION_VARIANTS is deprecated; "
-            "resolve backends through the unified registry instead "
-            "(repro.api.backends.get_backend / repro.api.Session)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            key: (sweep_label(key), get_backend(key).hash_all)
-            for key in ABLATION_ORDER
-        }
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

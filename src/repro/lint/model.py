@@ -9,8 +9,8 @@ cross-checked against runtime observations.
 
 Lock labels are short and globally unique by construction:
 ``ClassName.attr`` for instance locks (``ShardedExprStore._memo_lock``,
-``_Shard.lock``) and ``modulebasename.NAME`` for module globals
-(``parallel._FORK_PUBLISH_LOCK``).
+``_Shard.lock``, ``Journal._mutex``) and ``modulebasename.NAME`` for
+module globals.
 """
 
 from __future__ import annotations

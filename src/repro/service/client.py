@@ -351,8 +351,6 @@ class ServiceClient:
         *,
         backend: Optional[str] = None,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
-        mode: Optional[str] = None,
         with_plan: bool = False,
     ) -> Union[list[int], tuple[list[int], dict]]:
         """Root alpha-hashes of ``exprs``, computed by the server.
@@ -365,15 +363,7 @@ class ServiceClient:
         reply = self._json(
             "POST",
             "/v1/hash",
-            self._corpus_payload(
-                exprs,
-                {
-                    "backend": backend,
-                    "engine": engine,
-                    "workers": workers,
-                    "mode": mode,
-                },
-            ),
+            self._corpus_payload(exprs, {"backend": backend, "engine": engine}),
         )
         if with_plan:
             return reply["hashes"], reply["plan"]
@@ -384,13 +374,10 @@ class ServiceClient:
         exprs: Iterable[Expr],
         *,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> list[int]:
         """Intern ``exprs`` into the server store; returns node ids."""
         reply = self._json(
-            "POST",
-            "/v1/intern",
-            self._corpus_payload(exprs, {"engine": engine, "workers": workers}),
+            "POST", "/v1/intern", self._corpus_payload(exprs, {"engine": engine})
         )
         return reply["ids"]
 
@@ -405,7 +392,7 @@ class ServiceClient:
         """Open a server-side :class:`~repro.api.stream.StreamSession`.
 
         Uploads the corpus once; the reply carries the session id, the
-        root hashes and the resolved plan (always one serial tree pass,
+        root hashes and the resolved plan (always one tree pass,
         which warms the server's summary memo for the first edits).
         Stream edits with :meth:`session_edit`; the server holds the
         trees.

@@ -6,7 +6,7 @@ versioned under ``/v1``:
 
 ===========================  ==================================================
 ``GET  /v1/health``          liveness + combiner family + store shape
-``GET  /v1/stats``           :meth:`Session.stats` (entries, hit rates, pools)
+``GET  /v1/stats``           :meth:`Session.stats` (entries, hit rates, shards)
 ``GET  /v1/metrics``         operational metrics: uptime, request count,
                              hit/miss rates, shard occupancy, engine/kernel
 ``POST /v1/hash``            ``{"exprs": [wire...], hints...}`` ->
@@ -20,10 +20,10 @@ versioned under ``/v1``:
 ``POST /v1/session/open``    upload a corpus, open a streaming edit session
                              (:class:`~repro.api.stream.StreamSession`);
                              returns the session id + root hashes + plan.
-                             Open pays one serial tree pass that warms the
+                             Open pays one tree pass that warms the
                              store's summary memo, so first edits are
-                             O(spine); ``engine``/``workers`` hints do not
-                             apply to it (``bits``/``seed`` pins still do)
+                             O(spine); an ``engine`` hint does not apply
+                             to it (``bits``/``seed`` pins still do)
 ``POST /v1/session/edit``    ``{"session", "item", "path", "expr"}`` ->
                              the edit report (root hash, nodes rehashed,
                              sharing) -- O(dirty spine), not O(corpus)
@@ -47,17 +47,17 @@ Expressions ride as the flat postorder documents of
 checksummed snapshot format (:func:`repro.store.snapshot_to_bytes` /
 ``snapshot_from_bytes``) -- a sharded server store produces the v2
 sharded layout, a flat one the v1 layout, and clients can load either.
-Hash/intern hints (``engine`` / ``workers`` / ``mode`` / ``backend``)
+Hash/intern hints (``backend`` / ``engine`` / ``bits`` / ``seed``)
 are lowered into a :class:`~repro.api.request.HashRequest` server-side,
 so a remote call and a local call run the *same* plan and return
 bit-identical hashes; the resolved plan is echoed in the response for
-inspectability.
+inspectability.  Any other body key is ignored.
 
 Concurrency: the listener is a ``ThreadingHTTPServer`` (slow clients
 don't starve the accept loop), while store-touching work is serialised
-per server -- the session is the shared resource; the parallelism that
-matters (corpus fan-out over worker pools) happens *inside* a request
-per its plan.
+per server -- the session is the shared resource.  Scale-out is more
+server processes (cluster shards, see :mod:`repro.cluster`), each
+running the whole pipeline.
 
 Cluster membership: a server started with ``shard_id``/``shard_count``
 is one node of a hash cluster (see :mod:`repro.cluster`).  It hashes
@@ -102,20 +102,6 @@ __all__ = ["ReproServer", "serve"]
 MAX_BODY_BYTES = 256 * 1024 * 1024
 
 
-def _max_request_workers() -> int:
-    """Ceiling on a client-supplied ``workers`` hint.
-
-    ``workers`` reaches ``Session._pool_for`` and forks real processes;
-    without a cap a remote client could ask for thousands.  One worker
-    per *available* CPU (affinity- and cgroup-aware, not the machine's
-    raw count) is also where the speedup tops out, so clamping (rather
-    than rejecting) loses the client nothing.
-    """
-    from repro.core.cpus import available_cpus
-
-    return available_cpus()
-
-
 class _RequestError(Exception):
     """A client error carrying its HTTP status."""
 
@@ -135,16 +121,11 @@ def _decode_corpus(payload: dict) -> list:
 
 
 def _request_hints(payload: dict) -> dict:
-    hints = {}
-    for name in ("backend", "engine", "workers", "mode", "bits", "seed"):
-        if payload.get(name) is not None:
-            hints[name] = payload[name]
-    workers = hints.get("workers")
-    if isinstance(workers, int) and workers > 0:
-        # 0 already means "one per CPU"; clamp explicit asks to the same
-        # ceiling so clients cannot make the server fork unboundedly.
-        hints["workers"] = min(workers, _max_request_workers())
-    return hints
+    return {
+        name: payload[name]
+        for name in ("backend", "engine", "bits", "seed")
+        if payload.get(name) is not None
+    }
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -311,7 +292,6 @@ class _Handler(BaseHTTPRequestHandler):
             "backend": stats.get("backend"),
             "engine": engine,
             "kernel": kernel,
-            "workers": stats.get("workers"),
             "shard_id": service.shard_id,
             "shard_count": service.shard_count,
             "sessions": sessions_block,
@@ -675,7 +655,7 @@ class ReproServer:
     Usable embedded (tests spin one up on an ephemeral port) or via the
     ``repro serve`` CLI::
 
-        with ReproServer(port=0, workers=2) as server:
+        with ReproServer(port=0, num_shards=4) as server:
             client = ServiceClient(server.url)
             client.hash_corpus(corpus)
 
@@ -1079,18 +1059,6 @@ def serve(argv=None) -> int:
     parser.add_argument("--bits", type=int, default=64)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="default pool size for corpus requests (0 = one per CPU; "
-        "default 1, or the snapshot's saved default with --load)",
-    )
-    parser.add_argument(
-        "--parallel-mode",
-        choices=("process", "fork", "spawn", "thread"),
-        default=None,
-    )
-    parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default=None
     )
     parser.add_argument(
@@ -1183,17 +1151,6 @@ def serve(argv=None) -> int:
                 "drop --bits/--seed/--num-shards"
             )
         session = Session.from_snapshot_bytes(checkpoint_bytes, backend=args.backend)
-        overrides = {
-            name: value
-            for name, value in (
-                ("workers", args.workers),
-                ("parallel_mode", args.parallel_mode),
-                ("engine", args.engine),
-            )
-            if value is not None
-        }
-        if overrides:
-            session.config = replace(session.config, **overrides)
     elif args.load:
         if args.bits != 64 or args.seed is not None or args.num_shards is not None:
             parser.error(
@@ -1201,30 +1158,17 @@ def serve(argv=None) -> int:
                 "drop --bits/--seed/--num-shards"
             )
         session = Session.load(args.load, backend=args.backend)
-        # Scheduling knobs are not store shape: explicit CLI values
-        # override the snapshot's saved defaults rather than being
-        # silently ignored.
-        overrides = {
-            name: value
-            for name, value in (
-                ("workers", args.workers),
-                ("parallel_mode", args.parallel_mode),
-                ("engine", args.engine),
-            )
-            if value is not None
-        }
-        if overrides:
-            session.config = replace(session.config, **overrides)
     else:
         session = Session(
             backend=args.backend,
             bits=args.bits,
             seed=args.seed,
-            workers=1 if args.workers is None else args.workers,
-            parallel_mode=args.parallel_mode or "process",
-            engine=args.engine or "auto",
             num_shards=args.num_shards,
         )
+    if args.engine is not None:
+        # The engine is not store shape: an explicit --engine overrides
+        # a snapshot's saved default rather than being ignored.
+        session.config = replace(session.config, engine=args.engine)
     server = ReproServer(
         session,
         host=args.host,
@@ -1260,8 +1204,8 @@ def serve(argv=None) -> int:
     )
 
     # SIGTERM (supervisors, CI teardown) exits through the same clean
-    # path as Ctrl-C: the accept loop unwinds, the socket is released,
-    # worker pools shut down.  No leaked listeners.
+    # path as Ctrl-C: the accept loop unwinds and the socket is
+    # released.  No leaked listeners.
     import signal
 
     def _on_sigterm(signum, frame):

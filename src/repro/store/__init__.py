@@ -7,12 +7,6 @@ hashed once.  See :mod:`repro.store.store` for the design notes.
 """
 
 from repro.store.arena_intern import hash_corpus_arena, intern_corpus_arena
-from repro.store.parallel import (
-    WorkerPool,
-    parallel_hash_corpus,
-    parallel_intern_corpus,
-    resolve_workers,
-)
 from repro.store.sharded import DEFAULT_NUM_SHARDS, ShardedExprStore
 from repro.store.journal import Journal, JournalError
 from repro.store.snapshot import (
@@ -55,10 +49,6 @@ __all__ = [
     "content_checksum",
     "Journal",
     "JournalError",
-    "parallel_hash_corpus",
-    "parallel_intern_corpus",
-    "resolve_workers",
-    "WorkerPool",
     "hash_corpus_arena",
     "intern_corpus_arena",
 ]

@@ -40,7 +40,7 @@ stays visible: ``hashed_nodes`` counts unique arena nodes summarised,
 from __future__ import annotations
 
 import contextlib
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.arena import (
     OP_APP,
@@ -62,96 +62,67 @@ _KIND_OF_OP = ("Var", "Lit", "Lam", "App", "Let")
 
 
 def hash_corpus_arena(
-    store: Optional["ExprStore"],
-    corpus: Sequence[Expr],
-    combiners=None,
-    fanout=None,
-    kernel: str = "auto",
+    store: "ExprStore", corpus: Sequence[Expr], kernel: str = "auto"
 ) -> list[int]:
     """Root alpha-hashes of ``corpus`` through the arena kernel.
 
-    ``store`` may be ``None`` (pure function mode: no memo consults, no
-    stats; ``combiners`` must then be given).  ``fanout``, when set, is
-    ``fanout(arena, unique_roots) -> {root_index: top}`` and replaces
-    the local kernel run -- the parallel engine plugs its worker pools
-    in here, so serial and parallel share every other line of this
-    path.  ``kernel`` picks the vectorized or scalar array kernel
-    (``"auto"`` prefers vectorized when NumPy is importable).
+    ``kernel`` picks the vectorized or scalar array kernel (``"auto"``
+    prefers vectorized when NumPy is importable).
     """
     # Sharded stores guard their memo behind an RLock; every touch of
     # root_memo / stats / the flush below happens under it (re-entrant,
     # so arriving via the already-locked ShardedExprStore.hash_corpus
     # is fine).  The flatten and kernel run outside the lock.
-    lock = getattr(store, "_memo_lock", None) if store is not None else None
+    lock = getattr(store, "_memo_lock", None)
     if lock is None:
         lock = contextlib.nullcontext()
-    if store is not None:
-        combiners = store.combiners
-        root_memo = store._arena_root_memo
-        stats = store.stats
+    root_memo = store._arena_root_memo
+    stats = store.stats
     results: list = [None] * len(corpus)
     pending: list[Expr] = []
     pending_at: list[int] = []
-    if store is None:
-        pending = list(corpus)
-        pending_at = list(range(len(corpus)))
-    else:
-        with lock:
-            for index, expr in enumerate(corpus):
-                top = store.cached_top(expr)
-                if top is None:
-                    cached = root_memo.get(id(expr))
-                    if cached is not None:
-                        top = cached[1]
-                if top is None:
-                    pending.append(expr)
-                    pending_at.append(index)
-                else:
-                    stats.memo_hits += 1
-                    stats.memo_skipped_nodes += expr.size
-                    results[index] = top
+    with lock:
+        for index, expr in enumerate(corpus):
+            top = store.cached_top(expr)
+            if top is None:
+                cached = root_memo.get(id(expr))
+                if cached is not None:
+                    top = cached[1]
+            if top is None:
+                pending.append(expr)
+                pending_at.append(index)
+            else:
+                stats.memo_hits += 1
+                stats.memo_skipped_nodes += expr.size
+                results[index] = top
 
     if pending:
         arena, roots = flatten_corpus(pending)
-        if fanout is None:
-            tops = arena_hash_any(arena, combiners, kernel=kernel)
-        else:
-            tops = fanout(arena, sorted(set(roots)))
-        if store is None:
-            for root, index in zip(roots, pending_at):
-                results[index] = tops[root]
-        else:
-            with lock:
-                unique_nodes = len(arena)
-                stats.hashed_nodes += unique_nodes
-                walked = sum(expr.size for expr in pending)
-                if walked > unique_nodes:
-                    stats.memo_skipped_nodes += walked - unique_nodes
-                for expr, root, index in zip(pending, roots, pending_at):
-                    top = tops[root]
-                    root_memo[id(expr)] = (expr, top)
-                    results[index] = top
-                if (
-                    fanout is None
-                    and store._arena_intern_ok
-                    and store.memo_limit is None
-                ):
-                    # Serial passes produce per-node tops: stash the
-                    # compile so a following bulk intern of the same
-                    # corpus reuses it (one-shot; the consumer clears
-                    # it).  Fanned-out passes only have root tops, and
-                    # stores that cannot take the bulk-intern path
-                    # would pin the corpus for nothing.
-                    store._arena_compile_cache = (
-                        arena,
-                        pending,
-                        {id(e): r for e, r in zip(pending, roots)},
-                        tops,
-                    )
-
-    if store is not None:
+        tops = arena_hash_any(arena, store.combiners, kernel=kernel)
         with lock:
-            store._maybe_flush_memo()
+            unique_nodes = len(arena)
+            stats.hashed_nodes += unique_nodes
+            walked = sum(expr.size for expr in pending)
+            if walked > unique_nodes:
+                stats.memo_skipped_nodes += walked - unique_nodes
+            for expr, root, index in zip(pending, roots, pending_at):
+                top = tops[root]
+                root_memo[id(expr)] = (expr, top)
+                results[index] = top
+            if store._arena_intern_ok and store.memo_limit is None:
+                # Stash the compile so a following bulk intern of the
+                # same corpus reuses it (one-shot; the consumer clears
+                # it).  Stores that cannot take the bulk-intern path
+                # would pin the corpus for nothing.
+                store._arena_compile_cache = (
+                    arena,
+                    pending,
+                    {id(e): r for e, r in zip(pending, roots)},
+                    tops,
+                )
+
+    with lock:
+        store._maybe_flush_memo()
     return results
 
 

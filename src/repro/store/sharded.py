@@ -33,7 +33,7 @@ Capacity: ``max_entries`` bounds the whole table; each shard enforces
 policy as the flat store.
 
 Shard merging: :meth:`merge_store` folds another store (flat or
-sharded -- e.g. one built by a parallel worker process) into this one
+sharded -- e.g. one uploaded by a service client) into this one
 by re-interning its canonical entries, returning the id remapping.
 
 Snapshots: :meth:`save` writes the native v2 sharded layout (shard

@@ -205,9 +205,8 @@ def snapshot_to_bytes(store: "ExprStore", meta: Optional[dict] = None) -> bytes:
     """Serialise ``store`` to the snapshot wire format, in memory.
 
     Exactly the bytes :func:`write_snapshot` would put on disk (header
-    line + body).  Used by the parallel intern engine to ship worker
-    stores back to the parent process (and by the :mod:`repro.service`
-    endpoints to ship stores between machines) without touching the
+    line + body).  Used by the :mod:`repro.service` endpoints to ship
+    stores between machines without touching the
     filesystem -- the JSON-lines encoding is iteration-only, so
     arbitrarily deep expressions serialise without recursion (unlike
     pickling the trees).

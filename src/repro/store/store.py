@@ -606,8 +606,8 @@ class ExprStore:
         this store.  ``other`` is not modified.  (The sharded store
         inherits this as-is -- ``self.intern`` is the override point
         that routes every class through its lock-striped shards; the
-        parallel intern engine and the service's snapshot-upload
-        endpoint both merge worker/client stores through it.)
+        service's snapshot-upload endpoint merges client stores through
+        it.)
         """
         self.resolve_combiners(other.combiners)
         mapping: dict[int, int] = {}

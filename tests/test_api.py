@@ -199,21 +199,6 @@ class TestSessionApps:
 
 
 class TestDeprecatedAblationRegistry:
-    def test_shim_warns_and_matches_old_shape(self):
-        import repro.evalharness.ablations as ablations
-
-        with pytest.deprecated_call():
-            variants = ablations.ABLATION_VARIANTS
-        assert set(variants) == {"ours", "always_left", "recompute_vm", "lazy"}
-        # the historical display labels survive the registry unification
-        assert variants["ours"][0] == "Ours (full)"
-        assert variants["lazy"][0] == "Appendix C variant"
-        assert variants["always_left"][0] == "no smaller-subtree merge"
-        assert variants["recompute_vm"][0] == "no XOR maintenance"
-        e = parse(r"\x. x + 7")
-        for _label, fn in variants.values():
-            assert fn(e).root_hash is not None
-
     def test_unknown_attribute_still_raises(self):
         import repro.evalharness.ablations as ablations
 
@@ -221,7 +206,7 @@ class TestDeprecatedAblationRegistry:
             ablations.NOT_A_THING
 
     def test_api_internals_are_warning_free(self, recwarn):
-        """Nothing inside repro.api may route through deprecated shims."""
+        """Nothing inside repro.api may route through deprecated code."""
         import warnings
 
         with warnings.catch_warnings():

@@ -4,12 +4,10 @@ The arena engine (:mod:`repro.core.arena`) re-implements the paper's
 single-pass hashing over a post-order struct-of-arrays compilation of
 the corpus.  Its one contract is *bit-identity* with the tree path --
 :func:`repro.core.hashed.alpha_hash_all` -- on every input, at every
-combiner width, under every fan-out mode.  This wall pins that
-contract on adversarial corpora (deep chains, heavy sharing, shadowed
-binders, a depth-5000 degenerate case), plus the arena's own
-mechanics: flatten-time dedup, ``flatten -> rebuild`` round-trips,
-incremental flattening, pickling (the spawn wire format), and
-``only=``-restricted kernel runs.
+combiner width.  This wall pins that contract on adversarial corpora
+(deep chains, heavy sharing, shadowed binders, a depth-5000 degenerate
+case), plus the arena's own mechanics: flatten-time dedup,
+``flatten -> rebuild`` round-trips and incremental flattening.
 """
 
 import pickle
@@ -30,13 +28,7 @@ from repro.core.hashed import alpha_hash_all
 from repro.gen.adversarial import adversarial_pair
 from repro.gen.random_exprs import alpha_rename, random_expr
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
-from repro.store import (
-    ExprStore,
-    ShardedExprStore,
-    WorkerPool,
-    hash_corpus_arena,
-    parallel_hash_corpus,
-)
+from repro.store import ExprStore, ShardedExprStore
 
 DEPTH_DEEP = 5000
 
@@ -269,41 +261,6 @@ class TestRoundTrip:
 
 
 class TestKernelMechanics:
-    def test_only_restricts_work(self):
-        corpus = mixed_corpus(40, seed=8)
-        arena, roots = flatten_corpus(corpus)
-        full = arena_hash(arena, default_combiners())
-        some = sorted(set(roots[:10]))
-        partial = arena_hash(arena, default_combiners(), only=some)
-        for r in some:
-            assert partial[r] == full[r]
-        outside = set(i for i, b in enumerate(arena.closure(some)) if not b)
-        assert all(partial[i] is None for i in outside)
-
-    def test_pickle_round_trip(self):
-        """The spawn wire format: flat arrays survive pickling, the
-        revived arena hashes identically and keeps growing."""
-        corpus = mixed_corpus(60, seed=17)
-        arena, roots = flatten_corpus(corpus)
-        revived = pickle.loads(pickle.dumps(arena))
-        assert len(revived) == len(arena)
-        tops = arena_hash(revived, default_combiners())
-        assert [tops[r] for r in roots] == tree_hashes(corpus)
-        # The structural index is rebuilt lazily: flattening the same
-        # corpus into the revived arena must add nothing.
-        again = revived.flatten(corpus)
-        assert len(revived) == len(arena)
-        assert again == roots
-
-    def test_deep_arena_pickles_iteratively(self):
-        """Depth-5000 trees cannot be pickled directly (recursion), but
-        their arena can -- that is what lifts the fork-only restriction."""
-        arena, roots = flatten_corpus([left_skewed_app(DEPTH_DEEP)])
-        revived = pickle.loads(pickle.dumps(arena))
-        tops = arena_hash(revived, default_combiners(), only=[roots[0]])
-        ref = arena_hash(arena, default_combiners())
-        assert tops[roots[0]] == ref[roots[0]]
-
     def test_resolve_engine(self):
         assert resolve_engine("auto", ARENA_MIN_NODES) == "arena"
         assert resolve_engine("auto", ARENA_MIN_NODES - 1) == "tree"
@@ -331,13 +288,6 @@ class TestStoreIntegration:
         second = store.hash_corpus(corpus, engine="arena")
         assert second == first
         assert store.stats.memo_hits > hits_before
-
-    def test_pure_function_mode(self, corpus):
-        combiners = default_combiners()
-        assert (
-            hash_corpus_arena(None, corpus, combiners=combiners)
-            == tree_hashes(corpus, combiners)
-        )
 
     def test_intern_after_hash_reuses_compile(self, corpus):
         """The repro-session flow: hash_corpus then intern_many of the
@@ -377,6 +327,25 @@ class TestStoreIntegration:
             sharded.hash_corpus(corpus, engine="arena")
             == ExprStore().hash_corpus(corpus, engine="tree")
         )
+
+    def test_concurrent_parallel_calls_on_shared_sharded_store(self, corpus):
+        """The arena path takes the sharded store's memo lock: several
+        threads hashing through one store must not corrupt it."""
+        import threading
+
+        serial = ExprStore().hash_corpus(corpus, engine="tree")
+        store = ShardedExprStore(num_shards=4)
+        outputs: dict[int, list] = {}
+
+        def run(slot):
+            outputs[slot] = store.hash_corpus(corpus, engine="arena")
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(outputs[t] == serial for t in range(3))
 
     def test_sharded_intern_stays_lock_striped(self, corpus):
         """Sharded ids encode the shard, so compare classes by hash:
@@ -427,121 +396,3 @@ class TestStoreIntegration:
         path = str(tmp_path / "s.snap")
         session.save(path)
         assert Session.load(path).config.engine == "tree"
-
-
-class TestSpawnParallel:
-    """The lifted restriction: arena chunks cross any process boundary."""
-
-    @pytest.fixture(scope="class")
-    def corpus(self):
-        return mixed_corpus(400, seed=51)
-
-    @pytest.fixture(scope="class")
-    def serial(self, corpus):
-        return ExprStore().hash_corpus(corpus, engine="tree")
-
-    def test_spawn_mode_bit_identity(self, corpus, serial):
-        assert (
-            parallel_hash_corpus(corpus, workers=2, mode="spawn", engine="arena")
-            == serial
-        )
-
-    def test_fork_mode_bit_identity(self, corpus, serial):
-        assert (
-            parallel_hash_corpus(corpus, workers=2, mode="fork", engine="arena")
-            == serial
-        )
-
-    def test_thread_mode_bit_identity(self, corpus, serial):
-        assert (
-            parallel_hash_corpus(corpus, workers=2, mode="thread", engine="arena")
-            == serial
-        )
-
-    def test_spawn_mode_depth_5000(self):
-        """The tree engine refuses spawn beyond MAX_PICKLE_DEPTH; the
-        arena engine must not -- arenas pickle iteratively."""
-        corpus = [left_skewed_app(DEPTH_DEEP), lam_chain(DEPTH_DEEP)] * 3
-        serial = kernel_hashes(corpus)
-        assert (
-            parallel_hash_corpus(corpus, workers=2, mode="spawn", engine="arena")
-            == serial
-        )
-
-    def test_persistent_pool_reuse(self, corpus, serial):
-        with WorkerPool(2, "spawn") as pool:
-            first = parallel_hash_corpus(
-                corpus, workers=2, engine="arena", pool=pool
-            )
-            assert pool.started
-            second = parallel_hash_corpus(
-                corpus, workers=2, engine="arena", pool=pool
-            )
-        assert first == serial and second == serial
-        assert not pool.started
-
-    def test_pool_close_is_idempotent(self):
-        pool = WorkerPool(2, "thread")
-        pool.close()
-        pool.close()
-        assert not pool.started
-
-    def test_abandoned_pool_reclaimed_by_gc(self):
-        """An un-closed pool (one-shot session, no close()) must not
-        strand workers: the GC finalizer shuts it down."""
-        import gc
-
-        pool = WorkerPool(2, "thread")
-        pool.map(len, [(1, 2)])
-        finalizer = pool._finalizer
-        assert finalizer is not None and finalizer.alive
-        del pool
-        gc.collect()
-        assert not finalizer.alive
-
-    def test_session_owns_pools_and_closes(self, corpus, serial):
-        with Session(
-            workers=2, parallel_mode="spawn", engine="arena"
-        ) as session:
-            assert session.hash_corpus(corpus) == serial
-            assert session.hash_corpus(corpus) == serial
-            assert session.stats()["live_pools"] == ["spawnx2"]
-        assert session.stats()["live_pools"] == []
-
-    def test_session_tree_engine_registers_no_pool(self, corpus, serial):
-        """Tree-engine parallel calls cannot use a persistent pool, so
-        the session must not create one for them."""
-        with Session(
-            workers=2, parallel_mode="thread", engine="tree"
-        ) as session:
-            assert session.hash_corpus(corpus) == serial
-            assert session.stats()["live_pools"] == []
-
-    def test_store_stats_fold_back(self, corpus):
-        store = ExprStore()
-        parallel_hash_corpus(
-            corpus, workers=2, mode="spawn", engine="arena", store=store
-        )
-        assert store.stats.hashed_nodes > 0
-
-    def test_concurrent_parallel_calls_on_shared_sharded_store(
-        self, corpus, serial
-    ):
-        """The arena path takes the sharded store's memo lock: several
-        threads fanning out over one store must not corrupt it."""
-        import threading
-
-        store = ShardedExprStore(num_shards=4)
-        outputs: dict[int, list] = {}
-
-        def run(slot):
-            outputs[slot] = parallel_hash_corpus(
-                corpus, workers=2, mode="thread", engine="arena", store=store
-            )
-
-        threads = [threading.Thread(target=run, args=(t,)) for t in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(outputs[t] == serial for t in range(3))

@@ -1,43 +1,24 @@
-"""Vectorized arena kernel wall + shared-memory fan-out hygiene.
+"""Vectorized arena kernel wall.
 
-PR 6's contract has three legs, each pinned here:
+The contract has two legs, each pinned here:
 
 * **Differential wall** -- :func:`repro.core.arena.arena_hash_vec` is
   bit-identical to the scalar kernel (and through it to
   ``alpha_hash_all``) at every combiner width, on mixed/adversarial/
-  depth-5000 corpora, under ``only=`` restriction and under
-  memo-interleaved chunked passes that mix both kernels.
+  depth-5000 corpora.
 * **No-NumPy fallback** -- ``kernel="auto"`` degrades to the scalar
-  kernel, forcing ``vec`` fails loudly (``ValueError`` at the kernel
-  layer, :class:`~repro.api.PlanError` at the planner), and the
-  shared-memory attach path works on ``memoryview`` columns alone.
-* **Lifecycle hygiene** -- shared-memory segments never outlive their
-  batch (even when a worker is SIGKILLed mid-batch), a broken pool
-  recovers on the next call, and a dropped never-closed pool leaves no
-  live children (GC finalizer in-process, atexit drain across a real
-  interpreter exit).
+  kernel, and forcing ``vec`` fails loudly (``ValueError`` at the kernel
+  layer, :class:`~repro.api.PlanError` at the planner).
 """
-
-import gc
-import glob
-import os
-import signal
-import subprocess
-import sys
-import textwrap
-import time
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.api import HashRequest, PlanError, Session
 from repro.core import arena as arena_mod
-from repro.core import arena_shm as arena_shm_mod
 from repro.core.arena import (
     ARENA_ENGINES,
     ENGINE_CHOICES,
     HAVE_NUMPY,
-    ArenaMemo,
     arena_hash,
     arena_hash_any,
     arena_hash_vec,
@@ -46,14 +27,8 @@ from repro.core.arena import (
     flatten_corpus,
     resolve_kernel,
 )
-from repro.core.arena_shm import (
-    attach_arena,
-    attach_arena_cached,
-    drop_attachments,
-    share_arena,
-)
 from repro.core.combiners import HashCombiners
-from repro.store import ExprStore, WorkerPool, parallel_hash_corpus
+from repro.store import ExprStore
 
 from test_arena import (
     DEPTH_DEEP,
@@ -111,37 +86,12 @@ class TestVecDifferential:
         corpus = mixed_corpus(120, seed=31, size=120)
         assert vec_root_hashes(corpus) == tree_hashes(corpus)
 
-    @pytest.mark.parametrize("bits", [64, 128])
-    def test_only_restricted_runs(self, flat, bits):
-        arena, roots = flat
-        combiners = HashCombiners(bits=bits)
-        subset = sorted(set(roots))[::3]
-        vec = arena_hash_vec(arena, combiners, only=subset)
-        scalar = arena_hash(arena, combiners, only=subset)
-        assert [vec[r] for r in subset] == [scalar[r] for r in subset]
-
     def test_empty_and_tiny_corpora(self):
         from repro.lang.expr import Lit, Var
 
         assert arena_hash_vec(flatten_corpus([])[0]) == []
         for item in (Var("x"), Lit(7)):
             assert vec_root_hashes([item]) == tree_hashes([item])
-
-    def test_memo_interleaved_kernels(self, corpus):
-        """Chunked passes mixing both kernels over one shared memo."""
-        arena, roots = flatten_corpus(corpus)
-        reference = arena_hash(arena)
-        memo = ArenaMemo(len(arena))
-        uroots = sorted(set(roots))
-        tops = {}
-        chunk = max(1, len(uroots) // 5)
-        for i in range(0, len(uroots), chunk):
-            part = uroots[i : i + chunk]
-            kernel = arena_hash_vec if (i // chunk) % 2 else arena_hash
-            got = kernel(arena, only=part, memo=memo)
-            tops.update((r, got[r]) for r in part)
-        assert [tops[r] for r in uroots] == [reference[r] for r in uroots]
-
 
 class TestScalarFallback:
     """Behaviour of every layer when NumPy is (simulated) absent."""
@@ -178,29 +128,6 @@ class TestScalarFallback:
             )
         assert plan.kernel == "scalar"
         assert any("scalar fallback" in reason for reason in plan.reasons)
-
-    def test_shm_attach_without_numpy(self, monkeypatch):
-        """memoryview columns satisfy the scalar kernel end to end."""
-        corpus = mixed_corpus(40, seed=9)
-        arena, roots = flatten_corpus(corpus)
-        reference = arena_hash(arena)
-        monkeypatch.setattr(arena_shm_mod, "_np", None)
-        handle = share_arena(arena)
-        try:
-            attached, shm = attach_arena(handle.meta())
-            try:
-                assert arena_hash(attached) == reference
-            finally:
-                for column in ("left", "right", "aux", "sizes", "depths", "op"):
-                    view = getattr(attached, column)
-                    setattr(attached, column, None)
-                    if isinstance(view, memoryview):
-                        view.release()
-                view = None
-                shm.close()
-        finally:
-            handle.close_unlink()
-
 
 class TestEngineSurface:
     """The engine/kernel naming layer the API and CLI share."""
@@ -242,152 +169,3 @@ class TestEngineSurface:
             vec = session.execute(HashRequest(corpus, engine="arena-vec"))
             scalar = session.execute(HashRequest(corpus, engine="arena-scalar"))
         assert vec == scalar
-
-
-@pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="POSIX shared memory required"
-)
-class TestSharedMemoryHygiene:
-    """Segments must never outlive their batch, crash or no crash."""
-
-    @staticmethod
-    def _segments() -> set:
-        return set(glob.glob("/dev/shm/psm_*"))
-
-    def test_roundtrip_and_unlink(self):
-        corpus = mixed_corpus(60, seed=17)
-        arena, _roots = flatten_corpus(corpus)
-        reference = arena_hash(arena)
-        before = self._segments()
-        handle = share_arena(arena)
-        try:
-            attached = attach_arena_cached(handle.meta())
-            assert attach_arena_cached(handle.meta()) is attached
-            assert arena_hash_any(attached, kernel="scalar") == reference
-            if HAVE_NUMPY:
-                assert arena_hash_any(attached, kernel="vec") == reference
-        finally:
-            drop_attachments()
-            handle.close_unlink()
-        handle.close_unlink()  # idempotent
-        assert self._segments() <= before
-
-    def test_parallel_batches_leave_no_segments(self):
-        corpus = mixed_corpus(80, seed=23)
-        want = ExprStore().hash_corpus(corpus, engine="arena")
-        before = self._segments()
-        with WorkerPool(workers=2, mode="spawn") as pool:
-            got = parallel_hash_corpus(
-                corpus, workers=2, engine="arena", pool=pool
-            )
-        assert got == want
-        assert self._segments() <= before
-
-    def test_worker_crash_unlinks_segments_and_pool_recovers(self):
-        corpus = mixed_corpus(80, seed=27)
-        want = ExprStore().hash_corpus(corpus, engine="arena")
-        before = self._segments()
-        with WorkerPool(workers=2, mode="spawn") as pool:
-            # Warm the pool so there are real workers to kill.
-            assert (
-                parallel_hash_corpus(
-                    corpus, workers=2, engine="arena", pool=pool
-                )
-                == want
-            )
-            victim = next(iter(pool._pool._processes))
-            os.kill(victim, signal.SIGKILL)
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and not pool._pool._broken:
-                time.sleep(0.05)
-            with pytest.raises(BrokenProcessPool):
-                parallel_hash_corpus(
-                    corpus, workers=2, engine="arena", pool=pool
-                )
-            # The crash path's finally must have unlinked the batch's
-            # segment, and the broken executor must have been dropped
-            # so the very next call gets a fresh pool.
-            assert self._segments() <= before
-            assert not pool.started
-            assert (
-                parallel_hash_corpus(
-                    corpus, workers=2, engine="arena", pool=pool
-                )
-                == want
-            )
-        assert self._segments() <= before
-
-
-class TestWorkerPoolLifecycle:
-    """A dropped, never-closed pool must not leak worker processes."""
-
-    @staticmethod
-    def _alive(pid: int) -> bool:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:  # pragma: no cover - pid reused
-            return True
-        return True
-
-    def test_gc_finalizer_drains_workers(self):
-        corpus = mixed_corpus(40, seed=33)
-        pool = WorkerPool(workers=2, mode="spawn")
-        parallel_hash_corpus(corpus, workers=2, engine="arena", pool=pool)
-        pids = list(pool._pool._processes)
-        assert pids
-        del pool
-        gc.collect()
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and any(map(self._alive, pids)):
-            time.sleep(0.05)
-        assert not any(map(self._alive, pids))
-
-    def test_dropped_session_leaves_no_children_past_exit(self, tmp_path):
-        """A real interpreter exit with a live, un-close()d pool."""
-        script = textwrap.dedent(
-            """
-            import sys
-
-            from repro.api import HashRequest, Session
-            from repro.gen.random_exprs import random_expr
-
-            if __name__ == "__main__":  # spawn re-imports __main__
-                corpus = [random_expr(40, seed=i) for i in range(40)]
-                session = Session(workers=2, parallel_mode="spawn")
-                session.execute(HashRequest(corpus, engine="arena"))
-                pids = [
-                    pid
-                    for pool in session._pools.values()
-                    for pid in pool._pool._processes
-                ]
-                print("PIDS", *pids, flush=True)
-                # Neither close() nor __exit__: the session (and its
-                # pools) are simply dropped on interpreter exit.
-                sys.exit(0)
-            """
-        )
-        path = tmp_path / "drop_session.py"
-        path.write_text(script)
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, str(path)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        pid_lines = [
-            line for line in proc.stdout.splitlines() if line.startswith("PIDS")
-        ]
-        assert pid_lines, proc.stdout
-        pids = [int(token) for token in pid_lines[0].split()[1:]]
-        assert pids
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and any(map(self._alive, pids)):
-            time.sleep(0.05)
-        assert not any(map(self._alive, pids))

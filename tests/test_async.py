@@ -47,13 +47,6 @@ class TestAsyncBitIdentity:
 
         assert asyncio.run(main()) == expected
 
-    def test_async_pool_plan_equals_serial(self, corpus, expected):
-        async def main():
-            async with AsyncSession(workers=2) as asession:
-                return await asession.hash_corpus_async(corpus)
-
-        assert asyncio.run(main()) == expected
-
     def test_hash_async_single(self):
         expr = parse(r"\x. x + 7")
 
@@ -189,47 +182,46 @@ class TestCancellation:
 
         assert asyncio.run(main()) == expected
 
-    def test_pool_reusable_after_cancellation(self, corpus, expected):
-        """A pooled session keeps its persistent WorkerPool working
-        across a cancelled job."""
-        session = Session(workers=2)
-        try:
+    def test_borrowed_session_reusable_after_cancellation(
+        self, corpus, expected
+    ):
+        """A borrowed session keeps working across a cancelled job."""
+        session = Session()
 
-            async def main():
-                async with AsyncSession(session, max_in_flight=1) as asession:
-                    running = asyncio.ensure_future(
-                        asession.hash_corpus_async(corpus)
-                    )
-                    victim = asyncio.ensure_future(
-                        asession.hash_corpus_async(corpus)
-                    )
-                    await asyncio.sleep(0)
-                    victim.cancel()
-                    first, second = await asyncio.gather(
-                        running, victim, return_exceptions=True
-                    )
-                    assert first == expected
-                    assert isinstance(second, asyncio.CancelledError)
-                    return await asession.hash_corpus_async(corpus)
+        async def main():
+            async with AsyncSession(session, max_in_flight=1) as asession:
+                running = asyncio.ensure_future(
+                    asession.hash_corpus_async(corpus)
+                )
+                victim = asyncio.ensure_future(
+                    asession.hash_corpus_async(corpus)
+                )
+                await asyncio.sleep(0)
+                victim.cancel()
+                first, second = await asyncio.gather(
+                    running, victim, return_exceptions=True
+                )
+                assert first == expected
+                assert isinstance(second, asyncio.CancelledError)
+                return await asession.hash_corpus_async(corpus)
 
-            assert asyncio.run(main()) == expected
-            # ...and the synchronous session still works afterwards.
-            assert session.execute(HashRequest(corpus)) == expected
-        finally:
-            session.close()
+        assert asyncio.run(main()) == expected
+        # ...and the synchronous session still works afterwards.
+        assert session.execute(HashRequest(corpus)) == expected
 
 
 class TestLifecycle:
     def test_owned_session_closes_with_wrapper(self):
-        asession = AsyncSession(workers=2)
-        inner = asession.session
+        asession = AsyncSession(num_shards=2)
+        assert asession.session.store.num_shards == 2
+        asyncio.run(asession.hash_async(parse("a b")))
         asession.close()
         asession.close()  # idempotent
-        assert inner._pools == {}
+        assert asession._bridge._threads is None
 
     def test_borrow_xor_kwargs(self):
         with pytest.raises(TypeError, match="not both"):
-            AsyncSession(Session(), workers=2)
+            AsyncSession(Session(), num_shards=2)
 
     def test_max_in_flight_validated(self):
         with pytest.raises(ValueError, match="max_in_flight"):

@@ -104,6 +104,21 @@ class TestHashCommand:
         main(["hash", str(f)])
         assert capsys.readouterr().out == recompute  # bit-identical variant
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hash", "{f}", "--workers", "2"],
+            ["hash", "{f}", "--parallel-mode", "spawn"],
+            ["session", "{f}", "--workers", "2"],
+            ["serve", "--workers", "2"],
+        ],
+    )
+    def test_removed_fanout_flags_exit_2(self, capsys, expr_file, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(f=expr_file) for arg in argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestClassesCommand:
     def test_lists_classes(self, capsys, expr_file):

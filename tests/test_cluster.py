@@ -119,6 +119,21 @@ class TestClusterRouting:
         client = ServiceClient(coordinator.url)
         assert client.hash_corpus(corpus) == expected
 
+    def test_old_client_fanout_keys_are_ignored(self, cluster, corpus, expected):
+        """A body still carrying ``workers`` / ``mode`` answers 200,
+        bit-identical; ``bits`` / ``seed`` pins reach the shards."""
+        coordinator, _nodes, _reply = cluster
+        client = ServiceClient(coordinator.url, retries=0)
+        payload = client._corpus_payload(corpus, {"workers": 4, "mode": "spawn"})
+        reply = client._json("POST", "/v1/hash", payload)
+        assert reply["hashes"] == expected
+        assert not {"workers", "mode", "executor"} & set(reply["plan"])
+        with pytest.raises(ServiceError) as excinfo:
+            client._json(
+                "POST", "/v1/hash", client._corpus_payload(corpus, {"bits": 32})
+            )
+        assert excinfo.value.status == 400
+
     def test_intern_reply_shape(self, cluster, corpus, expected):
         _coordinator, _nodes, reply = cluster
         assert reply["hashes"] == expected

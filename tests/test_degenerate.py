@@ -7,11 +7,10 @@ loudly), and shadowed binders, pushed through the Step-1 summarisers,
 their rebuild inverses, the fast hasher, the incremental hasher and the
 store.
 
-``TestVeryDeepChains`` raises the ceiling to depth 5000 (PR 3): the
-summarisers, both rebuilds, the CEK evaluator, the store and the
-parallel engine are all explicit-stack / explicit-continuation, so the
-*only* recursion-limited path near a corpus is pickling the trees --
-which the fork-mode parallel engine deliberately never does, and whose
+``TestVeryDeepChains`` raises the ceiling to depth 5000: the
+summarisers, both rebuilds, the CEK evaluator and the store are all
+explicit-stack / explicit-continuation, so the *only*
+recursion-limited path near a corpus is pickling the trees, whose
 failure mode is pinned here as a regression canary.
 """
 
@@ -218,18 +217,9 @@ class TestVeryDeepChains:
         a = store.intern(lam_chain(DEPTH_DEEP))
         assert store.intern(lam_chain(DEPTH_DEEP)) == a
 
-    def test_parallel_engine_handles_deep_corpus(self):
-        """Fork workers inherit the corpus through process memory; the
-        engine must not fall back to pickling, which recurses."""
-        from repro.store import parallel_hash_corpus
-
-        corpus = [lam_chain(DEPTH_DEEP), right_skewed_app(DEPTH_DEEP)]
-        assert parallel_hash_corpus(corpus, workers=2) == ExprStore(
-        ).hash_corpus(corpus)
-
     def test_pickle_is_the_recursive_path(self):
-        """Canary: if pickling deep trees ever stops recursing, the
-        engine's fork-only shipping rule can be revisited."""
+        """Canary: pickling deep trees recurses, so nothing in the
+        pipeline may ship trees by pickle."""
         with pytest.raises(RecursionError):
             pickle.dumps(lam_chain(DEPTH_DEEP))
 

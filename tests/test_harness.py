@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.api.backends import ABLATION_ORDER
 from repro.evalharness.ablations import (
-    ABLATION_VARIANTS,
     alpha_hash_all_always_left,
     alpha_hash_all_recompute_vm,
     run_ablations,
+    sweep_label,
 )
 from repro.evalharness.config import PROFILES, current_profile
 from repro.evalharness.fig2 import run_fig2
@@ -174,7 +175,12 @@ class TestOpCounts:
 
 class TestAblationVariants:
     def test_variants_registered(self):
-        assert set(ABLATION_VARIANTS) == {"ours", "always_left", "recompute_vm", "lazy"}
+        assert set(ABLATION_ORDER) == {"ours", "always_left", "recompute_vm", "lazy"}
+        # the historical display labels survive the registry unification
+        assert sweep_label("ours") == "Ours (full)"
+        assert sweep_label("lazy") == "Appendix C variant"
+        assert sweep_label("always_left") == "no smaller-subtree merge"
+        assert sweep_label("recompute_vm") == "no XOR maintenance"
 
     def test_always_left_is_still_correct(self):
         e = random_expr(300, seed=4, p_let=0.2)

@@ -219,12 +219,12 @@ class TestLitCacheBitExactness:
         hashes = alpha_hash_all(tree)
         assert hashes.hash_of(tree.arg) == alpha_hash_root(Lit(-0.0))
 
-    def test_store_corpus_matches_fresh_and_parallel(self):
-        from repro.store import ExprStore, parallel_hash_corpus
+    def test_store_corpus_matches_fresh_and_arena(self):
+        from repro.store import ExprStore
 
         corpus = [Lit(0.0), Lit(-0.0), App(Lit(0.0), Lit(-0.0))]
         fresh = [alpha_hash_root(e) for e in corpus]
         assert ExprStore().hash_corpus(corpus) == fresh
-        assert parallel_hash_corpus(corpus, workers=2) == fresh
+        assert ExprStore().hash_corpus(corpus, engine="arena") == fresh
         store = ExprStore()
         assert store.intern(Lit(0.0)) != store.intern(Lit(-0.0))

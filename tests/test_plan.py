@@ -1,11 +1,11 @@
 """Tests for the request -> plan -> execute pipeline.
 
-The contract under test (ISSUE 5): the ``HashRequest`` ->
-``ExecutionPlan`` -> execute path is bit-identical to
-``alpha_hash_all`` across engines (tree/arena) and executors
-(serial/pool), legacy ``Session.hash_corpus(engine=..., workers=...)``
-kwargs still work behind a ``DeprecationWarning``, and third-party
-backends register through the ``repro.backends`` entry-point group.
+The contract under test: the ``HashRequest`` -> ``ExecutionPlan`` ->
+execute path is bit-identical to ``alpha_hash_all`` across engines
+(tree/arena) and through the async bridge, the removed fan-out knobs
+(``workers`` / ``mode``) are rejected rather than silently ignored,
+and third-party backends register through the ``repro.backends``
+entry-point group.
 """
 
 import random
@@ -22,8 +22,8 @@ from repro.api import (
     PlanError,
     Planner,
     Session,
+    SessionConfig,
     get_backend,
-    get_executor,
 )
 from repro.api.backends import _ALIASES, load_entry_point_backends
 from repro.core.arena import ARENA_MIN_NODES, plan_corpus_engine
@@ -62,10 +62,6 @@ class TestRequests:
     def test_request_rejects_bad_hints(self, corpus):
         with pytest.raises(ValueError, match="engine"):
             HashRequest(corpus, engine="warp")
-        with pytest.raises(ValueError, match="mode"):
-            HashRequest(corpus, mode="fiber")
-        with pytest.raises(ValueError, match="workers"):
-            HashRequest(corpus, workers=-1)
         with pytest.raises(TypeError, match="unknown request hint"):
             HashRequest(corpus, warp_factor=9)
         with pytest.raises(TypeError, match="expressions"):
@@ -73,9 +69,9 @@ class TestRequests:
 
     def test_hints_view(self, corpus):
         assert HashRequest(corpus).hints() == {}
-        assert HashRequest(corpus, engine="tree", workers=2).hints() == {
+        assert HashRequest(corpus, engine="tree", bits=64).hints() == {
             "engine": "tree",
-            "workers": 2,
+            "bits": 64,
         }
 
     def test_intern_request_kind(self, corpus):
@@ -96,7 +92,7 @@ class TestPlanner:
         assert any("threshold 1" in r for r in replanned.reasons)
 
     def test_plan_corpus_engine_matches_planner(self, corpus):
-        # Store/parallel layers resolve "auto" through the same policy.
+        # The store layer resolves "auto" through the same policy.
         session = Session()
         assert (
             plan_corpus_engine("auto", corpus)
@@ -104,31 +100,34 @@ class TestPlanner:
         )
 
     def test_plan_is_concrete_and_inspectable(self, corpus):
-        plan = Session(workers=3).plan(HashRequest(corpus))
+        plan = Session().plan(HashRequest(corpus))
         assert isinstance(plan, ExecutionPlan)
         assert plan.engine in ("tree", "arena")
-        assert plan.executor == "pool" and plan.workers == 3
         assert plan.corpus_items == len(corpus)
         text = plan.explain()
-        assert "engine=" in text and "workers=3" in text
+        assert "engine=" in text and "backend=ours" in text
         as_dict = plan.as_dict()
-        assert as_dict["executor"] == "pool"
+        assert not {"workers", "mode", "executor"} & set(as_dict)
         assert isinstance(as_dict["reasons"], list) or isinstance(
             as_dict["reasons"], tuple
         )
 
-    def test_workers_hint_overrides_session_default(self, corpus):
-        session = Session(workers=4)
-        assert session.plan(HashRequest(corpus, workers=1)).executor == "serial"
-        assert session.plan(HashRequest(corpus)).workers == 4
-
-    def test_single_item_stays_serial(self):
-        plan = Session(workers=4).plan(HashRequest([parse("a b")]))
-        assert plan.executor == "serial" and plan.workers == 1
+    def test_removed_fanout_knobs_are_type_errors(self, corpus):
+        """The in-process fan-out is gone: its knobs fail loudly at
+        construction instead of being accepted and ignored."""
+        with pytest.raises(TypeError, match="workers"):
+            Session(workers=2)
+        with pytest.raises(TypeError, match="parallel_mode"):
+            SessionConfig(parallel_mode="spawn")
+        with pytest.raises(TypeError, match="unknown request hint"):
+            HashRequest(corpus, workers=2)
+        with pytest.raises(TypeError, match="unknown request hint"):
+            InternRequest(corpus, mode="thread")
+        with pytest.raises(TypeError):
+            Session().hash_corpus(corpus, workers=2)
 
     def test_non_store_backend_stays_serial(self, corpus):
-        plan = Session(backend="debruijn", workers=4).plan(HashRequest(corpus))
-        assert plan.executor == "serial"
+        plan = Session(backend="debruijn").plan(HashRequest(corpus))
         assert not plan.store_backed
         assert any("its own pass" in r for r in plan.reasons)
 
@@ -155,27 +154,13 @@ class TestPlanner:
 
 
 class TestExecuteBitIdentity:
-    """The acceptance matrix: engines x executors == alpha_hash_all."""
+    """The acceptance matrix: every engine, sync or async, ==
+    alpha_hash_all."""
 
     @pytest.mark.parametrize("engine", ["tree", "arena"])
     def test_serial_executor(self, corpus, expected, engine):
         session = Session()
         assert session.execute(HashRequest(corpus, engine=engine)) == expected
-
-    @pytest.mark.parametrize("engine", ["tree", "arena"])
-    def test_pool_executor(self, corpus, expected, engine):
-        with Session() as session:
-            request = HashRequest(corpus, engine=engine, workers=2)
-            plan = session.plan(request)
-            assert plan.executor == "pool"
-            assert session.execute(request, plan=plan) == expected
-
-    def test_thread_mode_pool(self, corpus, expected):
-        with Session() as session:
-            assert (
-                session.execute(HashRequest(corpus, workers=2, mode="thread"))
-                == expected
-            )
 
     def test_async_executor_runs_the_plan(self, corpus, expected):
         session = Session()
@@ -193,38 +178,6 @@ class TestExecuteBitIdentity:
         assert ids == Session().intern_many(corpus)
         hashes = [serial.store.entry(i).hash for i in ids]
         assert hashes == [alpha_hash_all(e).root_hash for e in corpus]
-
-    def test_executor_registry(self):
-        assert get_executor("serial") is get_executor("serial")
-        assert get_executor("pool").name == "pool"
-        assert get_executor("async") is not get_executor("async")  # stateful
-        with pytest.raises(KeyError, match="unknown executor"):
-            get_executor("warp")
-
-
-class TestLegacyKwargShim:
-    def test_hash_corpus_kwargs_warn_and_agree(self, corpus, expected):
-        session = Session()
-        with pytest.warns(DeprecationWarning, match="HashRequest"):
-            legacy = session.hash_corpus(corpus, engine="tree")
-        assert legacy == expected
-        with Session() as pooled, pytest.warns(DeprecationWarning):
-            assert pooled.hash_corpus(corpus, workers=2) == expected
-
-    def test_intern_many_kwargs_warn_and_agree(self, corpus):
-        reference = Session().intern_many(corpus)
-        session = Session()
-        with pytest.warns(DeprecationWarning, match="InternRequest"):
-            assert session.intern_many(corpus, engine="tree") == reference
-
-    def test_plain_calls_do_not_warn(self, corpus, expected):
-        import warnings
-
-        session = Session()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert session.hash_corpus(corpus) == expected
-            session.intern_many(corpus)
 
 
 class _EntryPointStub:

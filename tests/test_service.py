@@ -71,7 +71,7 @@ class TestHashEndpoint:
             corpus, engine="arena", with_plan=True
         )
         assert plan["engine"] == "arena"
-        assert plan["executor"] == "serial"
+        assert not {"workers", "mode", "executor"} & set(plan)
         assert hashes == client.hash_corpus(corpus, engine="tree")
 
     def test_alternate_backend(self, client):
@@ -189,14 +189,27 @@ class TestShardedServer:
 
 
 class TestServerHardening:
-    def test_workers_hint_is_clamped(self, client, corpus):
-        """A remote client must not be able to fork unbounded workers."""
-        from repro.core.cpus import available_cpus
-
-        _hashes, plan = client.hash_corpus(
-            corpus, workers=5000, with_plan=True
+    def test_old_client_fanout_keys_are_ignored(self, client, corpus, expected):
+        """Bodies from clients that still send ``workers`` / ``mode``
+        answer 200, bit-identical to a body without them."""
+        legacy = {"workers": 5000, "mode": "spawn"}
+        reply = client._json(
+            "POST", "/v1/hash", client._corpus_payload(corpus, legacy)
         )
-        assert plan["workers"] <= available_cpus()
+        assert reply["hashes"] == expected
+        assert not {"workers", "mode", "executor"} & set(reply["plan"])
+        reply = client._json(
+            "POST", "/v1/intern", client._corpus_payload(corpus, legacy)
+        )
+        assert reply["hashes"] == expected
+        assert not {"workers", "mode", "executor"} & set(reply["plan"])
+        assert reply["ids"] == client.intern_many(corpus)
+        opened = client._json(
+            "POST", "/v1/session/open", client._corpus_payload(corpus, legacy)
+        )
+        assert opened["roots"] == expected
+        assert not {"workers", "mode", "executor"} & set(opened["plan"])
+        client.session_close(opened["session"])
 
     def test_keep_alive_survives_an_unread_error_body(self, server):
         """An error reply sent before the body was read must not leave

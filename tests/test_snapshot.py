@@ -2,6 +2,11 @@
 save/load, including the CLI ``repro session`` verb."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -12,7 +17,13 @@ from repro.gen.random_exprs import random_expr
 from repro.lang.alpha import alpha_equivalent
 from repro.lang.expr import Lit
 from repro.lang.parser import parse
-from repro.store import ExprStore, SnapshotError, read_snapshot, write_snapshot
+from repro.store import (
+    ExprStore,
+    ShardedExprStore,
+    SnapshotError,
+    read_snapshot,
+    write_snapshot,
+)
 
 
 @pytest.fixture()
@@ -224,6 +235,85 @@ class TestSessionLoad:
         loaded = Session.load(snap_path)
         assert loaded.combiners.bits == 32
         assert loaded.hash(parse(r"\y. y + 7")) == value
+
+    def test_sharded_session_snapshot_round_trip(self, snap_path):
+        corpus = [
+            random_expr(50, seed=i, p_let=0.25, p_lit=0.15) for i in range(30)
+        ]
+        corpus += corpus[:10]
+        session = Session(num_shards=4)
+        hashes = session.hash_corpus(corpus)
+        session.intern_many(corpus)
+        session.save(snap_path)
+        restored = Session.load(snap_path)
+        assert isinstance(restored.store, ShardedExprStore)
+        assert restored.store.num_shards == 4
+        assert restored.hash_corpus(corpus) == hashes
+
+
+class TestLegacyFanoutConfig:
+    """Snapshots written while sessions still carried ``workers`` /
+    ``parallel_mode`` load on the one serial path; the keys are
+    ignored."""
+
+    @pytest.fixture()
+    def legacy_snapshot(self, snap_path):
+        corpus = [random_expr(40, seed=i, p_let=0.2) for i in range(12)]
+        session = Session(engine="tree")
+        hashes = session.hash_corpus(corpus)
+        session.intern_many(corpus)
+        config = {**asdict(session.config), "workers": 4, "parallel_mode": "spawn"}
+        session.store.save(snap_path, meta={"backend": "ours", "config": config})
+        return snap_path, corpus, hashes
+
+    def _assert_serial_session(self, session, corpus, hashes):
+        assert not hasattr(session.config, "workers")
+        assert session.config.engine == "tree"
+        assert "workers" not in session.stats()
+        assert session.hash_corpus(corpus) == hashes
+
+    def test_session_load(self, legacy_snapshot):
+        path, corpus, hashes = legacy_snapshot
+        self._assert_serial_session(Session.load(path), corpus, hashes)
+
+    def test_session_from_snapshot_bytes(self, legacy_snapshot):
+        path, corpus, hashes = legacy_snapshot
+        with open(path, "rb") as handle:
+            session = Session.from_snapshot_bytes(handle.read())
+        self._assert_serial_session(session, corpus, hashes)
+
+    def test_repro_serve_load(self, legacy_snapshot):
+        from repro.service import ServiceClient
+
+        path, corpus, hashes = legacy_snapshot
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--load", path, "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert banner.startswith("repro serve: http://"), (
+                banner + proc.stderr.read()
+            )
+            client = ServiceClient(banner.split()[2])
+            assert client.hash_corpus(corpus) == hashes
+            assert "workers" not in client.metrics()
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                returncode = proc.wait(timeout=30)
+            finally:
+                if proc.poll() is None:  # pragma: no cover - cleanup
+                    proc.kill()
+                proc.stdout.close()
+                proc.stderr.close()
+        assert returncode == 0
 
 
 class TestSessionCLI:

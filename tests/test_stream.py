@@ -198,9 +198,9 @@ class TestWarmOpen:
         corpus = build_corpus(2, seed=114, size=120)
         with Session() as session:
             with StreamSession(
-                corpus, session=session, hints={"engine": "arena", "workers": 2}
+                corpus, session=session, hints={"engine": "arena"}
             ) as stream:
-                assert (stream.plan.engine, stream.plan.workers) == ("tree", 1)
+                assert stream.plan.engine == "tree"
                 for item, path, repl, expected_tree in seeded_edits(
                     corpus, n_edits=4, seed=115
                 ):
@@ -421,9 +421,10 @@ class TestSessionWireProtocol:
             return client._json("POST", "/v1/session/open", payload)
 
         try:
+            # An old client's "workers" key is ignored like any unknown key.
             opened = open_with({"engine": "arena", "workers": 2})
             plan = opened["plan"]
-            assert (plan["engine"], plan["workers"]) == ("tree", 1)
+            assert plan["engine"] == "tree" and "workers" not in plan
             for item, path, repl, expected_tree in seeded_edits(
                 corpus, n_edits=4, seed=118
             ):
