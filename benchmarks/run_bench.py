@@ -30,9 +30,19 @@ Cells:
                   vs through a ``repro cluster serve`` coordinator
                   fronting two shard nodes (all on localhost), with
                   bit-identity and folded-stats conservation checked.
+* ``threshold`` -- the sweep behind ``ARENA_MIN_NODES``: tree vs arena
+                  engine per corpus size (~500 to ~32k nodes of
+                  60-node items), for ``Expr`` input and for wire input
+                  (the server's path: compile, then the planned engine),
+                  median of ``--repeats`` fresh-store runs each, and the
+                  crossover -- the smallest size from which the arena
+                  wins at every larger size.  Not in the default set::
 
-``--cells`` picks a subset (default: all); ``--pr`` stamps the record
-and the default output name (``BENCH_PR<n>.json``).
+                      PYTHONPATH=src python benchmarks/run_bench.py \
+                          --cells threshold --repeats 5 --out /tmp/threshold.json
+
+``--cells`` picks a subset (default: all but ``threshold``); ``--pr``
+stamps the record and the default output name (``BENCH_PR<n>.json``).
 
 Speedups are *reported* for every shape and *gated* nowhere -- gating
 lives in ``bench_store.py --smoke`` (CI).  The record always includes
@@ -257,7 +267,79 @@ def cluster_cell(n_items: int, item_size: int, repeats: int) -> dict:
             server.close()
 
 
-ALL_CELLS = ("store", "arena", "vec", "sharded", "cluster")
+def threshold_cell(sizes: list[int], item_size: int, repeats: int) -> dict:
+    """Tree vs arena engine per corpus size, ``Expr`` and wire input.
+
+    ``Expr`` input times ``ExprStore().hash_corpus`` with each engine
+    forced.  Wire input times what ``/v1/hash`` runs per request:
+    compile the documents (``ExprArena.extend_wire``), then execute the
+    compiled request on a fresh session with the engine forced (a tree
+    plan rebuilds the items from the arena).  Medians, in ms.
+    """
+    import statistics
+
+    from repro.api import HashRequest, Session
+    from repro.core.arena import ExprArena
+    from repro.lang.sexpr import to_wire
+
+    def median_ms(fn) -> float:
+        runs = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fn()
+            runs.append(time.perf_counter() - start)
+        return round(1000 * statistics.median(runs), 2)
+
+    def wire_run(docs, engine):
+        arena = ExprArena()
+        roots = arena.extend_wire(docs)
+        request = HashRequest.compiled(arena, roots, engine=engine)
+        return Session().execute(request)
+
+    rows = []
+    for target in sizes:
+        corpus = make_corpus(
+            max(1, target // item_size), item_size, dup_fraction=0.15, seed=target
+        )
+        docs = [to_wire(expr) for expr in corpus]
+        expected = ExprStore().hash_corpus(corpus, engine="tree")
+        if wire_run(docs, "arena") != expected:
+            raise AssertionError(f"wire arena hashes diverged at {target} nodes")
+        rows.append(
+            {
+                "nodes": sum(expr.size for expr in corpus),
+                "items": len(corpus),
+                "expr_tree_ms": median_ms(
+                    lambda: ExprStore().hash_corpus(corpus, engine="tree")
+                ),
+                "expr_arena_ms": median_ms(
+                    lambda: ExprStore().hash_corpus(corpus, engine="arena")
+                ),
+                "wire_tree_ms": median_ms(lambda: wire_run(docs, "tree")),
+                "wire_arena_ms": median_ms(lambda: wire_run(docs, "arena")),
+            }
+        )
+        print(f"  {json.dumps(rows[-1])}")
+
+    def crossover(source: str):
+        # The smallest size from which the arena wins at every larger one.
+        point = None
+        for row in reversed(rows):
+            if row[f"{source}_arena_ms"] >= row[f"{source}_tree_ms"]:
+                break
+            point = row["nodes"]
+        return point
+
+    return {
+        "item_size": item_size,
+        "repeats": repeats,
+        "rows": rows,
+        "crossover_nodes": {"expr": crossover("expr"), "wire": crossover("wire")},
+    }
+
+
+ALL_CELLS = ("store", "arena", "vec", "sharded", "cluster", "threshold")
+DEFAULT_CELLS = ALL_CELLS[:-1]
 
 
 def main(argv=None) -> int:
@@ -275,7 +357,7 @@ def main(argv=None) -> int:
         nargs="*",
         choices=ALL_CELLS,
         default=None,
-        help="cells to run (default: all)",
+        help="cells to run (default: all but threshold)",
     )
     parser.add_argument(
         "--quick", action="store_true", help="CI-sized corpora (seconds)"
@@ -283,18 +365,23 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
     out_path = args.out or f"BENCH_PR{args.pr}.json"
-    cells = tuple(args.cells) if args.cells else ALL_CELLS
+    cells = tuple(args.cells) if args.cells else DEFAULT_CELLS
 
     if args.quick:
         store_shape = (40, 200)
         arena_shape = (1500, 60)
         shard_shape = (300, 120)
         cluster_shape = (300, 60)
+        threshold_sizes = [500, 2_000, 4_000, 8_000, 16_000]
     else:
         store_shape = (60, 400)
         arena_shape = (10_000, 60)
         shard_shape = (1_000, 120)
         cluster_shape = (1_000, 60)
+        threshold_sizes = [
+            500, 1_000, 2_000, 3_000, 4_000, 5_000, 6_000, 8_000,
+            12_000, 16_000, 24_000, 32_000,
+        ]
 
     record = {
         "schema": "repro-bench-trajectory-v1",
@@ -343,6 +430,16 @@ def main(argv=None) -> int:
             *cluster_shape, args.repeats
         )
         print(f"  {json.dumps(record['cells']['cluster'])}")
+
+    if "threshold" in cells:
+        print(f"threshold cell ({len(threshold_sizes)} corpus sizes, 60-node items)...")
+        record["cells"]["threshold"] = threshold_cell(
+            threshold_sizes, 60, args.repeats
+        )
+        print(
+            "  crossover (nodes): "
+            f"{json.dumps(record['cells']['threshold']['crossover_nodes'])}"
+        )
 
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)

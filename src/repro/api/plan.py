@@ -39,10 +39,18 @@ from repro.core.arena import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.api.backends import HasherBackend
     from repro.api.request import HashRequest
     from repro.api.session import Session
 
-__all__ = ["ExecutionPlan", "Planner", "PlanError", "ARENA_NODE_THRESHOLD"]
+__all__ = [
+    "ExecutionPlan",
+    "Planner",
+    "PlanError",
+    "ARENA_NODE_THRESHOLD",
+    "resolve_backend",
+    "store_serves",
+]
 
 #: Total corpus nodes at which ``engine="auto"`` switches from the
 #: memoised tree walk to the arena kernel.  This is the planner's one
@@ -89,6 +97,32 @@ class ExecutionPlan:
         return "\n".join([head, *(f"  - {r}" for r in self.reasons)])
 
 
+def resolve_backend(session: "Session", name: Optional[str]) -> "HasherBackend":
+    """The backend a request names (``None``: the session's own); an
+    unknown name is a :class:`PlanError`."""
+    if name is None:
+        return session.backend
+    from repro.api.backends import get_backend
+
+    try:
+        return get_backend(name)
+    except KeyError as exc:
+        raise PlanError(str(exc)) from None
+
+
+def store_serves(session: "Session", kind: str, backend: "HasherBackend") -> bool:
+    """The store-routing rule: does the session's store run a ``kind``
+    request for ``backend``?
+
+    Interning is defined over the store.  Hashing runs there only for a
+    backend bit-compatible with the store's memoised summariser
+    (``store_backed``); any other backend runs its own pass.
+    """
+    if session.store is None:
+        return False
+    return kind == "intern" or backend.store_backed
+
+
 class Planner:
     """Resolves requests against a session into :class:`ExecutionPlan`s.
 
@@ -120,30 +154,27 @@ class Planner:
                 f"with seed {combiners.seed}"
             )
 
-        backend = session.backend
-        if request.backend is not None:
-            from repro.api.backends import get_backend
-
-            try:
-                backend = get_backend(request.backend)
-            except KeyError as exc:
-                raise PlanError(str(exc)) from None
-            if backend is not session.backend:
-                reasons.append(
-                    f"backend {backend.name!r} overrides the session's "
-                    f"{session.backend.name!r}"
-                )
+        backend = resolve_backend(session, request.backend)
+        if backend is not session.backend:
+            reasons.append(
+                f"backend {backend.name!r} overrides the session's "
+                f"{session.backend.name!r}"
+            )
 
         store = session.store
-        store_backed = store is not None and backend.store_backed
+        store_backed = store_serves(session, request.kind, backend)
         if request.kind == "intern":
             if store is None:
                 raise PlanError(
                     "intern requests need a store; this session was built "
                     "with use_store=False"
                 )
-            store_backed = True  # interning is defined over the store
         elif not store_backed:
+            if request.compiled_corpus is not None:
+                raise PlanError(
+                    f"backend {backend.name!r} runs its own pass over trees; "
+                    "a compiled corpus runs only on the store-backed path"
+                )
             reasons.append(
                 f"backend {backend.name!r} runs its own pass, not the store's memo"
             )
@@ -190,7 +221,7 @@ class Planner:
             backend=backend.name,
             store_backed=store_backed,
             engine=engine,
-            corpus_items=len(request.exprs),
+            corpus_items=len(request),
             total_nodes=total_nodes,
             bits=combiners.bits,
             seed=combiners.seed,

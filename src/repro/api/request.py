@@ -17,16 +17,20 @@ into an inspectable :class:`~repro.api.plan.ExecutionPlan`, and
     hashes = session.execute(request)   # or execute(request, plan)
 
 Requests are frozen: the same request can be planned against several
-sessions, logged, or shipped over the wire (the :mod:`repro.service`
-server reconstructs one per HTTP call).
+sessions, logged, or shipped over the wire.  The :mod:`repro.service`
+server rebuilds one per HTTP call with :meth:`HashRequest.compiled`:
+the request's wire documents go straight into an
+:class:`~repro.core.arena.ExprArena` (no ``Expr`` trees), which the
+store-backed arena path hashes and interns as is; a plan that needs
+trees gets them rebuilt from the arena (:meth:`HashRequest.items`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from repro.core.arena import ENGINE_CHOICES
+from repro.core.arena import ENGINE_CHOICES, ExprArena
 from repro.lang.expr import Expr
 
 __all__ = ["HashRequest", "InternRequest", "ENGINES"]
@@ -79,6 +83,12 @@ class HashRequest:
     #: What the planner plans this request as (subclasses override).
     kind = "hash"
 
+    #: ``(arena, roots)`` for a request built by :meth:`compiled`: the
+    #: corpus lives in the arena, one root index per item, and
+    #: ``exprs`` is empty.  ``None`` for an ``Expr`` corpus.  (Not a
+    #: dataclass field, so it is never a hint.)
+    compiled_corpus = None
+
     def __init__(self, exprs: Iterable[Expr], **hints):
         object.__setattr__(self, "exprs", _freeze_corpus(exprs))
         allowed = {f.name for f in fields(self)} - {"exprs"}
@@ -91,6 +101,32 @@ class HashRequest:
             )
         self._validate()
 
+    @classmethod
+    def compiled(
+        cls, arena: ExprArena, roots: Sequence[int], **hints
+    ) -> "HashRequest":
+        """A request over a corpus already compiled into ``arena``, one
+        root index per item (``roots``), e.g. by
+        :meth:`~repro.core.arena.ExprArena.extend_wire`.
+
+        Only the store-backed path runs it (planning fails otherwise):
+        an arena plan hands ``(arena, roots)`` to the store's arena
+        step, and a tree plan rebuilds the items with :meth:`items`.
+        """
+        request = cls((), **hints)
+        object.__setattr__(request, "compiled_corpus", (arena, tuple(roots)))
+        return request
+
+    def items(self) -> list[Expr]:
+        """The corpus as trees, rebuilt from the arena in one pass for
+        a compiled request.  Rebuilt items share structurally identical
+        subtrees, which the store's tree path (summaries depend only on
+        the subtree) takes as is."""
+        if self.compiled_corpus is None:
+            return list(self.exprs)
+        arena, roots = self.compiled_corpus
+        return arena.rebuild_many(roots)
+
     def _validate(self) -> None:
         if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(
@@ -100,12 +136,19 @@ class HashRequest:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
 
     def __len__(self) -> int:
-        return len(self.exprs)
+        if self.compiled_corpus is None:
+            return len(self.exprs)
+        return len(self.compiled_corpus[1])
 
     @property
     def total_nodes(self) -> int:
-        """Total AST nodes in the corpus (``Expr.size`` is O(1))."""
-        return sum(expr.size for expr in self.exprs)
+        """Total AST nodes in the corpus (O(1) per item: ``Expr.size``,
+        or the arena's size column)."""
+        if self.compiled_corpus is None:
+            return sum(expr.size for expr in self.exprs)
+        arena, roots = self.compiled_corpus
+        sizes = arena.sizes
+        return sum(sizes[root] for root in roots)
 
     def hints(self) -> dict:
         """The non-default hints, for logging and wire encoding."""
@@ -121,7 +164,7 @@ class HashRequest:
     def __repr__(self) -> str:
         hints = ", ".join(f"{k}={v!r}" for k, v in self.hints().items())
         return (
-            f"{type(self).__name__}({len(self.exprs)} exprs"
+            f"{type(self).__name__}({len(self)} exprs"
             + (f", {hints}" if hints else "")
             + ")"
         )

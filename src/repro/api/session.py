@@ -35,12 +35,12 @@ alpha-hash.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from repro.api.backends import HasherBackend, get_backend
 from repro.api.plan import ExecutionPlan, Planner
 from repro.api.request import HashRequest, InternRequest
-from repro.core.arena import ENGINE_CHOICES
+from repro.core.arena import ENGINE_CHOICES, engine_family, flatten_corpus
 from repro.core.combiners import DEFAULT_SEED, HashCombiners
 from repro.core.hashed import AlphaHashes
 from repro.lang.expr import Expr
@@ -175,18 +175,60 @@ class Session:
             session.execute(InternRequest(corpus))
 
         Results are bit-identical across engines -- the plan only
-        decides *how* the same pure function is evaluated.
+        decides *how* the same pure function is evaluated.  A compiled
+        request (:meth:`HashRequest.compiled`) on an arena plan goes to
+        the store's arena step as is; on a tree plan its items are
+        rebuilt from the arena.
         """
         if plan is None:
             plan = self.plan(request)
-        corpus = list(request.exprs)
+        compiled = request.compiled_corpus
+        on_arena = compiled is not None and engine_family(plan.engine) == "arena"
         if plan.kind == "intern":
             store = self._require_store("intern requests")
-            return store.intern_many(corpus, engine=plan.engine)
+            if on_arena:
+                return store.intern_arena(*compiled, kernel=plan.kernel)[0]
+            return store.intern_many(request.items(), engine=plan.engine)
         if plan.store_backed:
-            return self.store.hash_corpus(corpus, engine=plan.engine)
+            if on_arena:
+                return self.store.hash_arena(*compiled, kernel=plan.kernel)
+            return self.store.hash_corpus(request.items(), engine=plan.engine)
         backend = get_backend(plan.backend)
-        return [backend.hash_all(e, self.combiners).root_hash for e in corpus]
+        return [
+            backend.hash_all(e, self.combiners).root_hash for e in request.exprs
+        ]
+
+    def intern_with_hashes(
+        self,
+        request: InternRequest,
+        plan: Optional[ExecutionPlan] = None,
+        check: Optional[Callable[[list[int]], None]] = None,
+    ) -> tuple[list[int], list[int]]:
+        """Run an intern request; return ``(ids, hashes)``, one of each
+        per item, the hash being the item's root alpha-hash.
+
+        On an arena plan the hashes come from the kernel pass interning
+        runs anyway; on a tree plan from the memoised walk (warm after
+        interning).  ``check``, when given, receives the hashes before
+        anything is interned and refuses the batch by raising (a cluster
+        shard refuses keys it does not own); a tree plan then hashes
+        first and interns from the warm memo.
+        """
+        if plan is None:
+            plan = self.plan(request)
+        store = self._require_store("intern requests")
+        if engine_family(plan.engine) == "arena":
+            arena, roots = request.compiled_corpus or flatten_corpus(
+                request.exprs
+            )
+            return store.intern_arena(arena, roots, kernel=plan.kernel, check=check)
+        items = request.items()
+        if check is None:
+            ids = store.intern_many(items, engine=plan.engine)
+            return ids, [store.hash_expr(expr) for expr in items]
+        hashes = [store.hash_expr(expr) for expr in items]
+        check(hashes)
+        return store.intern_many(items, engine=plan.engine), hashes
 
     def hash_corpus(self, exprs: Iterable[Expr]) -> list[int]:
         """Root hashes of a whole corpus, store-batched when possible:

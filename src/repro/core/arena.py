@@ -45,6 +45,7 @@ from repro.core.kernel import combine_chain
 from repro.core.position_tree import pt_here_hash
 from repro.core.structure import slit_hash, svar_hash
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
+from repro.lang.sexpr import WIRE_FORMAT, SexprError, literal_value
 
 try:  # NumPy is an optional extra (``repro[vec]``): the vectorized
     import numpy as _np  # kernel needs it, everything else falls back.
@@ -136,16 +137,22 @@ def resolve_kernel(kernel: str = "auto") -> str:
         f"kernel must be 'auto', 'vec' or 'scalar', got {kernel!r}"
     )
 
-#: Corpus size (total nodes) above which ``engine="auto"`` picks the
-#: arena.  Below it the per-corpus compile overhead (building the arrays
-#: and leaf tables) eats the per-node win; above it the kernel pulls
-#: ahead quickly.  Chosen from the BENCH_PR4 sweep; override per call
-#: with ``engine="arena"`` / ``engine="tree"``.  This is the **one**
-#: auto-engine literal in the repository: the planner re-exports it as
-#: :data:`repro.api.plan.ARENA_NODE_THRESHOLD` (the policy-level name),
-#: and every batch entry point resolves ``"auto"`` against it through
-#: :func:`resolve_engine` / :func:`plan_corpus_engine`.
-ARENA_MIN_NODES = 25_000
+#: Corpus size (total nodes) from which ``engine="auto"`` picks the
+#: arena.  Below it the per-corpus fixed costs (building the arrays and
+#: leaf tables, and the vectorized kernel's per-level NumPy overhead)
+#: eat the per-node win; above it the kernel pulls ahead quickly.  Set
+#: just above the measured crossover (~3k nodes of 60-node items, for
+#: ``Expr`` and wire input alike) by the sweep::
+#:
+#:     PYTHONPATH=src python benchmarks/run_bench.py --cells threshold \
+#:         --repeats 5 --out /tmp/threshold.json
+#:
+#: Override per call with ``engine="arena"`` / ``engine="tree"``.  This
+#: is the **one** auto-engine literal in the repository: the planner
+#: re-exports it as :data:`repro.api.plan.ARENA_NODE_THRESHOLD` (the
+#: policy-level name), and every batch entry point resolves ``"auto"``
+#: against it through :func:`resolve_engine` / :func:`plan_corpus_engine`.
+ARENA_MIN_NODES = 4_000
 
 
 def resolve_engine(
@@ -276,11 +283,36 @@ class ExprArena:
 
         The stack holds bare nodes (no visited flags): a node whose
         children are not all interned yet re-pushes itself below them
-        and is resolved on its second pop.  Columns are buffered in
-        plain lists and flushed into the arrays once at the end (list
-        appends are cheaper), and the structural index and leaf tables
-        roll back on error -- a failed flatten (a foreign node kind)
-        leaves the arena exactly as it was, safe to keep using.
+        and is resolved on its second pop.  A failed flatten (a foreign
+        node kind) leaves the arena exactly as it was (see
+        :meth:`_compile`).
+        """
+        return self._compile(self._flatten_walk, exprs)
+
+    def extend_wire(self, docs: Iterable) -> list[int]:
+        """Compile ``repro-expr-v1`` wire documents straight into the
+        arena; return one root index each.
+
+        The flat postorder form of :func:`repro.lang.sexpr.to_wire` is
+        already the arena's order, so each entry becomes one row (or a
+        structural-dedup hit) with no :class:`Expr` built on the way:
+        exactly the columns, ``names`` and ``literals`` that
+        ``flatten([from_wire(doc) for doc in docs])`` produces.  Input is
+        accepted and rejected exactly as :func:`~repro.lang.sexpr.from_wire`
+        does, with the same :class:`~repro.lang.sexpr.SexprError` text,
+        and a rejected call leaves the arena as it was.
+        """
+        return self._compile(self._wire_walk, docs)
+
+    def _compile(self, walk, source) -> list[int]:
+        """Run one compile ``walk`` over ``source``: flush or roll back.
+
+        The walk writes the new rows into plain-list column buffers
+        (list appends are cheaper than ``array`` ones), flushed into the
+        arrays once at the end, while it writes the structural index
+        and leaf tables inline -- so on error those tables are rolled
+        back, and the arena is left exactly as it was, safe to keep
+        using.
         """
         struct = self._struct
         count0 = len(self.op)
@@ -290,12 +322,10 @@ class ExprArena:
         buffers: tuple[list[int], ...] = ([], [], [], [], [], [])
         roots: list[int] = []
         try:
-            self._flatten_walk(exprs, roots, *buffers)
+            walk(source, roots, *buffers)
         except BaseException:
-            # Roll back the shared tables: the buffered columns are
-            # simply dropped, but the structural index and leaf tables
-            # were written inline and would otherwise point at rows
-            # that never get flushed.
+            # The buffered columns are simply dropped; the tables would
+            # otherwise point at rows that never get flushed.
             from repro.core.hashed import lit_cache_key
 
             for name in self.names[n_names0:]:
@@ -324,7 +354,7 @@ class ExprArena:
         """The flatten loop proper, writing into the column buffers.
 
         Mutates the structural index and leaf tables inline;
-        :meth:`flatten` owns the flush-or-rollback around it.
+        :meth:`_compile` owns the flush-or-rollback around it.
         """
         from repro.core.hashed import lit_cache_key
 
@@ -465,6 +495,166 @@ class ExprArena:
                     )
             roots.append(idmemo[id(root)])
 
+    def _wire_walk(
+        self, docs, roots, op_b, left_b, right_b, aux_b, sizes_b, depths_b
+    ) -> None:
+        """The wire compile loop, writing into the column buffers.
+
+        Entries arrive children-first, so an operand stack of
+        ``(index, size, depth)`` triples stands in for the tree: each
+        operator pops its operands, derives its size and depth from
+        theirs and pushes its own row.  Keys, leaf tables and row order
+        are :meth:`_flatten_walk`'s; the checks and messages are
+        :func:`~repro.lang.sexpr.from_wire`'s.
+        """
+        from repro.core.hashed import lit_cache_key
+
+        struct = self._struct
+        struct_get = struct.get
+        name_ids, names = self._name_ids, self.names
+        lit_ids, literals = self._lit_ids, self.literals
+        count = len(self.op)
+
+        for doc in docs:
+            if not isinstance(doc, dict) or doc.get("format") != WIRE_FORMAT:
+                raise SexprError(f"not a {WIRE_FORMAT} document")
+            post = doc.get("post")
+            if not isinstance(post, list) or not post:
+                raise SexprError("missing postorder node list")
+            stack: list[tuple[int, int, int]] = []
+            push, pop = stack.append, stack.pop
+            for entry in post:
+                if not isinstance(entry, list) or not entry:
+                    raise SexprError(f"malformed entry {entry!r}")
+                # Branches in entry-frequency order; the name checks
+                # are from_wire's, inlined (this loop runs per node).
+                tag = entry[0]
+                if tag == "v":
+                    if (
+                        len(entry) != 2
+                        or not isinstance(name := entry[1], str)
+                        or not name
+                    ):
+                        raise SexprError(f"malformed variable {entry!r}")
+                    nid = name_ids.get(name)
+                    if nid is None:
+                        name_ids[name] = nid = len(names)
+                        names.append(name)
+                    key = nid * 8
+                    idx = struct_get(key)
+                    if idx is None:
+                        struct[key] = idx = count
+                        count += 1
+                        op_b.append(OP_VAR)
+                        left_b.append(-1)
+                        right_b.append(-1)
+                        aux_b.append(nid)
+                        sizes_b.append(1)
+                        depths_b.append(1)
+                    push((idx, 1, 1))
+                elif tag == "l":
+                    if (
+                        len(entry) != 2
+                        or not isinstance(binder := entry[1], str)
+                        or not binder
+                        or not stack
+                    ):
+                        raise SexprError(f"malformed lambda entry {entry!r}")
+                    body, body_size, body_depth = pop()
+                    nid = name_ids.get(binder)
+                    if nid is None:
+                        name_ids[binder] = nid = len(names)
+                        names.append(binder)
+                    size = 1 + body_size
+                    depth = 1 + body_depth
+                    key = (OP_LAM, nid, body)
+                    idx = struct_get(key)
+                    if idx is None:
+                        struct[key] = idx = count
+                        count += 1
+                        op_b.append(OP_LAM)
+                        left_b.append(body)
+                        right_b.append(-1)
+                        aux_b.append(nid)
+                        sizes_b.append(size)
+                        depths_b.append(depth)
+                    push((idx, size, depth))
+                elif tag == "a":
+                    if len(stack) < 2:
+                        raise SexprError(
+                            "application entry with too few operands"
+                        )
+                    arg, arg_size, arg_depth = pop()
+                    fn, fn_size, fn_depth = pop()
+                    size = 1 + fn_size + arg_size
+                    depth = 1 + (fn_depth if fn_depth > arg_depth else arg_depth)
+                    key = (OP_APP, fn, arg)
+                    idx = struct_get(key)
+                    if idx is None:
+                        struct[key] = idx = count
+                        count += 1
+                        op_b.append(OP_APP)
+                        left_b.append(fn)
+                        right_b.append(arg)
+                        aux_b.append(-1)
+                        sizes_b.append(size)
+                        depths_b.append(depth)
+                    push((idx, size, depth))
+                elif tag == "t":
+                    if (
+                        len(entry) != 2
+                        or not isinstance(binder := entry[1], str)
+                        or not binder
+                        or len(stack) < 2
+                    ):
+                        raise SexprError(f"malformed let entry {entry!r}")
+                    body, body_size, body_depth = pop()
+                    bound, bound_size, bound_depth = pop()
+                    nid = name_ids.get(binder)
+                    if nid is None:
+                        name_ids[binder] = nid = len(names)
+                        names.append(binder)
+                    size = 1 + bound_size + body_size
+                    depth = 1 + (
+                        bound_depth if bound_depth > body_depth else body_depth
+                    )
+                    key = (OP_LET, nid, bound, body)
+                    idx = struct_get(key)
+                    if idx is None:
+                        struct[key] = idx = count
+                        count += 1
+                        op_b.append(OP_LET)
+                        left_b.append(bound)
+                        right_b.append(body)
+                        aux_b.append(nid)
+                        sizes_b.append(size)
+                        depths_b.append(depth)
+                    push((idx, size, depth))
+                elif tag == "c":
+                    value = literal_value(entry)
+                    lkey = lit_cache_key(value)
+                    lid = lit_ids.get(lkey)
+                    if lid is None:
+                        lit_ids[lkey] = lid = len(literals)
+                        literals.append(value)
+                    key = lid * 8 + 1
+                    idx = struct_get(key)
+                    if idx is None:
+                        struct[key] = idx = count
+                        count += 1
+                        op_b.append(OP_LIT)
+                        left_b.append(-1)
+                        right_b.append(-1)
+                        aux_b.append(lid)
+                        sizes_b.append(1)
+                        depths_b.append(1)
+                    push((idx, 1, 1))
+                else:
+                    raise SexprError(f"unknown entry tag {tag!r}")
+            if len(stack) != 1:
+                raise SexprError("unbalanced postorder stream")
+            roots.append(stack[0][0])
+
     # -- decompilation -------------------------------------------------------
 
     def closure(self, roots: Iterable[int]) -> bytearray:
@@ -485,18 +675,22 @@ class ExprArena:
                 stack.append(child)
         return mask
 
-    def rebuild(self, index: int) -> Expr:
-        """Reconstruct the expression rooted at ``index``.
+    def rebuild_many(self, roots: Sequence[int]) -> list[Expr]:
+        """Reconstruct the expression rooted at each index in ``roots``.
 
         Shared arena nodes come back as shared :class:`Expr` objects (a
-        maximally-shared tree); alpha-hashes are preserved by
-        construction -- the round-trip test wall pins this.
+        maximally-shared tree, within and across roots); alpha-hashes
+        are preserved by construction -- the round-trip test wall pins
+        this.  One closure mark and one ascending sweep serve all roots,
+        so the cost is O(arena) however many roots there are.
         """
-        mask = self.closure((index,))
+        if not roots:
+            return []
+        mask = self.closure(roots)
         op, left, right, aux = self.op, self.left, self.right, self.aux
         names, literals = self.names, self.literals
-        built: dict[int, Expr] = {}
-        for i in range(index + 1):
+        built: list = [None] * (max(roots) + 1)
+        for i in range(len(built)):
             if not mask[i]:
                 continue
             opc = op[i]
@@ -510,7 +704,7 @@ class ExprArena:
                 built[i] = App(built[left[i]], built[right[i]])
             else:
                 built[i] = Let(names[aux[i]], built[left[i]], built[right[i]])
-        return built[index]
+        return [built[i] for i in roots]
 
 
 def flatten_corpus(

@@ -34,6 +34,7 @@ __all__ = [
     "loads",
     "SexprError",
     "WIRE_FORMAT",
+    "literal_value",
 ]
 
 #: Format tag of the flat postorder wire encoding (`dumps`/`to_wire`).
@@ -45,6 +46,36 @@ class SexprError(ValueError):
 
 
 _LIT_TAGS = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def _is_name(value: Any) -> bool:
+    """Whether ``value`` may name a variable or binder: a non-empty str,
+    as :class:`~repro.lang.expr.Var` requires (checked here so a decoder
+    rejects it with a :class:`SexprError`)."""
+    return isinstance(value, str) and value != ""
+
+
+def literal_value(node: list) -> Any:
+    """The value of a ``["c", tag, value]`` literal entry.
+
+    The one copy of the literal rules, shared by :func:`from_sexpr`
+    (hence :func:`from_wire`) and
+    :meth:`repro.core.arena.ExprArena.extend_wire`: the tag must name
+    a literal type, an integral JSON number is read as a float under
+    the ``float`` tag (JSON may render ``1.0`` as ``1``), and a bool
+    never passes for an int.
+    """
+    if len(node) != 3 or node[1] not in _LIT_TAGS:
+        raise SexprError(f"malformed literal {node!r}")
+    expected = _LIT_TAGS[node[1]]
+    value = node[2]
+    if expected is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, expected) or (
+        expected is int and isinstance(value, bool)
+    ):
+        raise SexprError(f"literal value/tag mismatch {node!r}")
+    return value
 
 
 def to_sexpr(expr: Expr) -> list:
@@ -112,23 +143,13 @@ def from_sexpr(data: Any) -> Expr:
             raise SexprError(f"expected a tagged list, got {node!r}")
         tag = node[0]
         if tag == "v":
-            if len(node) != 2 or not isinstance(node[1], str):
+            if len(node) != 2 or not _is_name(node[1]):
                 raise SexprError(f"malformed variable {node!r}")
             results.append(Var(node[1]))
         elif tag == "c":
-            if len(node) != 3 or node[1] not in _LIT_TAGS:
-                raise SexprError(f"malformed literal {node!r}")
-            expected = _LIT_TAGS[node[1]]
-            value = node[2]
-            if expected is float and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)  # JSON may render 1.0 as 1
-            if not isinstance(value, expected) or (
-                expected is int and isinstance(value, bool)
-            ):
-                raise SexprError(f"literal value/tag mismatch {node!r}")
-            results.append(Lit(value))
+            results.append(Lit(literal_value(node)))
         elif tag == "l":
-            if len(node) != 3 or not isinstance(node[1], str):
+            if len(node) != 3 or not _is_name(node[1]):
                 raise SexprError(f"malformed lambda {node!r}")
             stack.append(("build", ("l", node[1])))
             stack.append(("visit", node[2]))
@@ -139,7 +160,7 @@ def from_sexpr(data: Any) -> Expr:
             stack.append(("visit", node[2]))
             stack.append(("visit", node[1]))
         elif tag == "t":
-            if len(node) != 4 or not isinstance(node[1], str):
+            if len(node) != 4 or not _is_name(node[1]):
                 raise SexprError(f"malformed let {node!r}")
             stack.append(("build", ("t", node[1])))
             stack.append(("visit", node[3]))
@@ -206,7 +227,7 @@ def from_wire(payload: Any) -> Expr:
         if tag in ("v", "c"):
             results.append(from_sexpr(entry))
         elif tag == "l":
-            if len(entry) != 2 or not isinstance(entry[1], str) or not results:
+            if len(entry) != 2 or not _is_name(entry[1]) or not results:
                 raise SexprError(f"malformed lambda entry {entry!r}")
             results.append(Lam(entry[1], results.pop()))
         elif tag == "a":
@@ -216,7 +237,7 @@ def from_wire(payload: Any) -> Expr:
             fn = results.pop()
             results.append(App(fn, arg))
         elif tag == "t":
-            if len(entry) != 2 or not isinstance(entry[1], str) or len(results) < 2:
+            if len(entry) != 2 or not _is_name(entry[1]) or len(results) < 2:
                 raise SexprError(f"malformed let entry {entry!r}")
             body = results.pop()
             bound = results.pop()

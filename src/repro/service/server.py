@@ -53,6 +53,17 @@ so a remote call and a local call run the *same* plan and return
 bit-identical hashes; the resolved plan is echoed in the response for
 inspectability.  Any other body key is ignored.
 
+Ingest: ``_decode_corpus`` decodes each document once, before the
+service lock.  For ``/v1/hash`` and ``/v1/intern`` requests the store
+serves, it compiles the documents straight into a fresh
+:class:`~repro.core.arena.ExprArena`
+(:meth:`~repro.core.arena.ExprArena.extend_wire`), and the request
+carries ``(arena, roots)``: an arena plan hashes and interns them with
+the store's arena step and builds no ``Expr`` tree, so nothing of the
+request outlives it; a tree plan rebuilds the items from the arena in
+one pass.  A backend with its own pass, session open and session edit
+decode to trees (:func:`~repro.lang.sexpr.from_wire`).
+
 Concurrency: the listener is a ``ThreadingHTTPServer`` (slow clients
 don't starve the accept loop), while store-touching work is serialised
 per server -- the session is the shared resource.  Scale-out is more
@@ -63,8 +74,9 @@ Cluster membership: a server started with ``shard_id``/``shard_count``
 is one node of a hash cluster (see :mod:`repro.cluster`).  It hashes
 anything, but *interns* only expressions whose root alpha-hash it owns
 (``hash % shard_count == shard_id``) -- a foreign key is rejected with
-409 so a misrouted write can never silently split an equivalence class
-across nodes.
+409, checked on the hashes the intern pass computes but before anything
+is interned, so a misrouted write can never silently split an
+equivalence class across nodes.
 """
 
 from __future__ import annotations
@@ -80,9 +92,15 @@ from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api import HashRequest, InternRequest, PlanError, Session
+from repro.api.plan import resolve_backend, store_serves
 from repro.api.stream import StreamSession
 from repro.core.incremental import PathError
-from repro.core.arena import ENGINE_CHOICES, engine_kernel, resolve_kernel
+from repro.core.arena import (
+    ENGINE_CHOICES,
+    ExprArena,
+    engine_kernel,
+    resolve_kernel,
+)
 from repro.lang.sexpr import SexprError, from_wire
 from repro.store import (
     Journal,
@@ -110,14 +128,40 @@ class _RequestError(Exception):
         self.status = status
 
 
-def _decode_corpus(payload: dict) -> list:
+def _decode_corpus(payload: dict, to_arena: bool = False):
+    """Decode the body's ``exprs`` wire documents, each once.
+
+    Returns a list of trees, or with ``to_arena`` the pair ``(arena,
+    roots)``: the documents compiled into a fresh
+    :class:`~repro.core.arena.ExprArena`, with no tree built.
+    """
     exprs_wire = payload.get("exprs")
     if not isinstance(exprs_wire, list):
         raise _RequestError(400, "body must carry an 'exprs' list")
     try:
+        if to_arena:
+            arena = ExprArena()
+            return arena, arena.extend_wire(exprs_wire)
         return [from_wire(doc) for doc in exprs_wire]
     except SexprError as exc:
         raise _RequestError(400, f"malformed expression: {exc}") from None
+
+
+def _corpus_request(request_type, payload: dict, session: Session):
+    """Lower a ``/v1/hash`` or ``/v1/intern`` body into a request.
+
+    A request the store serves is compiled straight into an arena
+    (:meth:`~repro.api.request.HashRequest.compiled`).  A backend that
+    runs its own pass gets trees from :func:`from_wire`: such a backend
+    may key values by node identity (``debruijn`` does), which the
+    shared subtrees of an arena rebuild would break.
+    """
+    hints = _request_hints(payload)
+    backend = resolve_backend(session, hints.get("backend"))
+    if store_serves(session, request_type.kind, backend):
+        arena, roots = _decode_corpus(payload, to_arena=True)
+        return request_type.compiled(arena, roots, **hints)
+    return request_type(_decode_corpus(payload), **hints)
 
 
 def _request_hints(payload: dict) -> dict:
@@ -379,9 +423,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_hash(self) -> None:
         payload = self._read_json()
-        corpus = _decode_corpus(payload)
-        request = HashRequest(corpus, **_request_hints(payload))
         service = self.service
+        request = _corpus_request(HashRequest, payload, service.session)
         with service.lock:
             plan = service.session.plan(request)
             hashes = service.session.execute(request, plan=plan)
@@ -390,46 +433,23 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_intern(self) -> None:
         payload = self._read_json()
-        corpus = _decode_corpus(payload)
-        request = InternRequest(corpus, **_request_hints(payload))
         service = self.service
+        request = _corpus_request(InternRequest, payload, service.session)
         store = service.session.store
         if store is None:
             raise _RequestError(409, "this server runs without a store")
+        # A cluster node refuses foreign keys *before* anything lands
+        # in the intern table; the check reads the root hashes the
+        # intern pass computes anyway.
+        check = self._refuse_foreign if service.shard_count is not None else None
         with service.lock:
-            if service.shard_count is not None:
-                # Cluster node: hash first and refuse foreign keys
-                # *before* anything lands in the intern table.  Hashing
-                # is ownership-free (bit-identical everywhere), so this
-                # costs one summary pass the intern below then answers
-                # from the warm memo.
-                hashes = [store.hash_expr(expr) for expr in corpus]
-                foreign = [
-                    index
-                    for index, digest in enumerate(hashes)
-                    if digest % service.shard_count != service.shard_id
-                ]
-                if foreign:
-                    first = foreign[0]
-                    raise _RequestError(
-                        409,
-                        f"shard {service.shard_id}/{service.shard_count} "
-                        f"does not own {len(foreign)} of {len(corpus)} "
-                        f"items: item {first} (hash 0x{hashes[first]:x}) "
-                        f"belongs to shard "
-                        f"{hashes[first] % service.shard_count}",
-                    )
-                plan = service.session.plan(request)
-                ids = service.session.execute(request, plan=plan)
-            else:
-                plan = service.session.plan(request)
-                ids = service.session.execute(request, plan=plan)
-                # Canonical hashes come from the (memo-warm) hashing
-                # path, not an id lookup: on an entry-bounded store an
-                # early root can already be evicted again by the end of
-                # the batch, and a capacity condition must not surface
-                # as a KeyError.
-                hashes = [store.hash_expr(expr) for expr in corpus]
+            plan = service.session.plan(request)
+            # Hashes come from the hashing pass, not an id lookup: on an
+            # entry-bounded store an early root can already be evicted
+            # again by the end of the batch.
+            ids, hashes = service.session.intern_with_hashes(
+                request, plan=plan, check=check
+            )
             # Write-ahead durability: the batch's delta frame reaches
             # the journal (fsync'd) *before* this 200 is sent -- an
             # acked intern survives SIGKILL.  An append failure (disk
@@ -448,6 +468,25 @@ class _Handler(BaseHTTPRequestHandler):
                 "plan": plan.as_dict(),
             },
         )
+
+    def _refuse_foreign(self, hashes: list[int]) -> None:
+        """409 unless this shard owns every root hash."""
+        service = self.service
+        foreign = [
+            index
+            for index, digest in enumerate(hashes)
+            if digest % service.shard_count != service.shard_id
+        ]
+        if foreign:
+            first = foreign[0]
+            raise _RequestError(
+                409,
+                f"shard {service.shard_id}/{service.shard_count} "
+                f"does not own {len(foreign)} of {len(hashes)} "
+                f"items: item {first} (hash 0x{hashes[first]:x}) "
+                f"belongs to shard "
+                f"{hashes[first] % service.shard_count}",
+            )
 
     # -- streaming edit sessions -----------------------------------------------
 

@@ -1,30 +1,45 @@
 """Arena-backed fast paths for the expression store (``engine="arena"``).
 
-Two entry points, both invoked from :class:`~repro.store.ExprStore`
-when a corpus is large enough for the compile-then-hash trade to win
-(:data:`repro.core.arena.ARENA_MIN_NODES`, overridable per call):
+Every path here is a *compile* step followed by one *arena step* that
+takes ``(arena, roots)``: an :class:`~repro.core.arena.ExprArena` and
+one root index per corpus item.  The compile is either
+:meth:`~repro.core.arena.ExprArena.flatten` over ``Expr`` trees (the
+``*_corpus_arena`` entry points, invoked from
+:class:`~repro.store.ExprStore` when a corpus plans as arena,
+:data:`repro.core.arena.ARENA_MIN_NODES`) or
+:meth:`~repro.core.arena.ExprArena.extend_wire` straight from wire
+documents (the service's ``/v1/hash`` and ``/v1/intern``, through
+:meth:`~repro.store.ExprStore.hash_arena` /
+:meth:`~repro.store.ExprStore.intern_arena`), which
+builds no tree at all.  The kernel is always called as this module's
+``arena_hash_any``.
 
-* :func:`hash_corpus_arena` -- batch hashing.  Items the store already
-  knows (per-object summary memo, or the arena root cache from an
-  earlier batch) are answered locally; the rest are compiled into one
-  :class:`~repro.core.arena.ExprArena` and hashed by the array kernel.
-  Hashes are bit-identical to the tree path; what changes is the cache
-  discipline -- the arena path does **not** snapshot a per-object memo
-  record for every interior node (that one-dict-copy-per-node cost is
-  precisely what it avoids).  Instead each corpus *root* lands in the
-  store's arena root cache, so re-hashing the same corpus objects is
-  O(1) per item, while ``hash_expr``/``hashes`` on interior subtrees
-  falls back to the tree path's memo as before.
+* :func:`hash_corpus_arena` -- batch hashing of trees.  Items the store
+  already knows (per-object summary memo, or the arena root cache from
+  an earlier batch) are answered locally; the rest are compiled into one
+  arena and hashed by the array kernel.  Hashes are bit-identical to the
+  tree path; what changes is the cache discipline -- the arena path does
+  **not** snapshot a per-object memo record for every interior node
+  (that one-dict-copy-per-node cost is precisely what it avoids).
+  Instead each corpus *root* lands in the store's arena root cache, so
+  re-hashing the same corpus objects is O(1) per item, while
+  ``hash_expr``/``hashes`` on interior subtrees falls back to the tree
+  path's memo as before.  :func:`hash_arena` is the arena step alone:
+  with no objects to key them by, it touches neither the root cache nor
+  the compile cache.
 
-* :func:`intern_corpus_arena` -- bulk interning.  The corpus is
-  compiled once, hashed once, and then every *unique* arena node is
+* :func:`intern_corpus_arena` / :func:`intern_arena` -- bulk interning.
+  The corpus is hashed once, and then every *unique* arena node is
   resolved against the intern table directly: duplicates never reach
   ``_hash_tree``, and a class interned by an earlier batch costs one
   dict probe.  Canonical entries, hashes, ids and refcounts come out
   exactly as the serial path would produce for the same arrival order;
   the summary memo is left cold (see above), and ``hits``/``misses``
-  count unique arena nodes rather than subtree occurrences.  Flat
-  stores take a direct-dict hot loop; sharded stores take a
+  count unique arena nodes rather than subtree occurrences.  The arena
+  step returns each root's hash (read from the kernel's per-node tops)
+  next to its id, and runs an optional ``check`` on those hashes before
+  anything is interned -- a cluster shard refuses foreign keys there.
+  Flat stores take a direct-dict hot loop; sharded stores take a
   lock-striped branch (writers are already serialised by the store's
   memo lock, but every table mutation still happens under the owning
   shard's lock so concurrent readers never see a torn table).
@@ -34,13 +49,13 @@ when a corpus is large enough for the compile-then-hash trade to win
 
 Both paths fold their work into ``store.stats`` so delegated hashing
 stays visible: ``hashed_nodes`` counts unique arena nodes summarised,
-``memo_skipped_nodes`` counts the nodes flatten-dedup avoided.
+``memo_skipped_nodes`` counts the nodes compile-time dedup avoided.
+Callers hold a sharded store's memo lock (its public wrappers take it).
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.arena import (
     OP_APP,
@@ -48,6 +63,7 @@ from repro.core.arena import (
     OP_LET,
     OP_LIT,
     OP_VAR,
+    ExprArena,
     arena_hash_any,
     flatten_corpus,
 )
@@ -56,9 +72,32 @@ from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.store import ExprStore
 
-__all__ = ["hash_corpus_arena", "intern_corpus_arena"]
+__all__ = [
+    "hash_arena",
+    "hash_corpus_arena",
+    "intern_arena",
+    "intern_corpus_arena",
+]
 
 _KIND_OF_OP = ("Var", "Lit", "Lam", "App", "Let")
+
+
+def _hash_step(
+    store: "ExprStore", arena: ExprArena, roots: Sequence[int], kernel: str
+) -> list[int]:
+    """Run the kernel over ``arena``; every node's top hash.
+
+    Counts the arena's unique nodes as hashed and the items' remaining
+    tree nodes as skipped by dedup."""
+    tops = arena_hash_any(arena, store.combiners, kernel=kernel)
+    stats = store.stats
+    unique_nodes = len(arena)
+    stats.hashed_nodes += unique_nodes
+    sizes = arena.sizes
+    walked = sum(sizes[root] for root in roots)
+    if walked > unique_nodes:
+        stats.memo_skipped_nodes += walked - unique_nodes
+    return tops
 
 
 def hash_corpus_arena(
@@ -69,69 +108,63 @@ def hash_corpus_arena(
     ``kernel`` picks the vectorized or scalar array kernel (``"auto"``
     prefers vectorized when NumPy is importable).
     """
-    # Sharded stores guard their memo behind an RLock; every touch of
-    # root_memo / stats / the flush below happens under it (re-entrant,
-    # so arriving via the already-locked ShardedExprStore.hash_corpus
-    # is fine).  The flatten and kernel run outside the lock.
-    lock = getattr(store, "_memo_lock", None)
-    if lock is None:
-        lock = contextlib.nullcontext()
     root_memo = store._arena_root_memo
     stats = store.stats
     results: list = [None] * len(corpus)
     pending: list[Expr] = []
     pending_at: list[int] = []
-    with lock:
-        for index, expr in enumerate(corpus):
-            top = store.cached_top(expr)
-            if top is None:
-                cached = root_memo.get(id(expr))
-                if cached is not None:
-                    top = cached[1]
-            if top is None:
-                pending.append(expr)
-                pending_at.append(index)
-            else:
-                stats.memo_hits += 1
-                stats.memo_skipped_nodes += expr.size
-                results[index] = top
+    for index, expr in enumerate(corpus):
+        top = store.cached_top(expr)
+        if top is None:
+            cached = root_memo.get(id(expr))
+            if cached is not None:
+                top = cached[1]
+        if top is None:
+            pending.append(expr)
+            pending_at.append(index)
+        else:
+            stats.memo_hits += 1
+            stats.memo_skipped_nodes += expr.size
+            results[index] = top
 
     if pending:
         arena, roots = flatten_corpus(pending)
-        tops = arena_hash_any(arena, store.combiners, kernel=kernel)
-        with lock:
-            unique_nodes = len(arena)
-            stats.hashed_nodes += unique_nodes
-            walked = sum(expr.size for expr in pending)
-            if walked > unique_nodes:
-                stats.memo_skipped_nodes += walked - unique_nodes
-            for expr, root, index in zip(pending, roots, pending_at):
-                top = tops[root]
-                root_memo[id(expr)] = (expr, top)
-                results[index] = top
-            if store._arena_intern_ok and store.memo_limit is None:
-                # Stash the compile so a following bulk intern of the
-                # same corpus reuses it (one-shot; the consumer clears
-                # it).  Stores that cannot take the bulk-intern path
-                # would pin the corpus for nothing.
-                store._arena_compile_cache = (
-                    arena,
-                    pending,
-                    {id(e): r for e, r in zip(pending, roots)},
-                    tops,
-                )
+        tops = _hash_step(store, arena, roots, kernel)
+        for expr, root, index in zip(pending, roots, pending_at):
+            top = tops[root]
+            root_memo[id(expr)] = (expr, top)
+            results[index] = top
+        if store._arena_intern_ok and store.memo_limit is None:
+            # Stash the compile so a following bulk intern of the
+            # same corpus reuses it (one-shot; the consumer clears
+            # it).  Stores that cannot take the bulk-intern path
+            # would pin the corpus for nothing.
+            store._arena_compile_cache = (
+                arena,
+                pending,
+                {id(e): r for e, r in zip(pending, roots)},
+                tops,
+            )
 
-    with lock:
-        store._maybe_flush_memo()
+    store._maybe_flush_memo()
     return results
+
+
+def hash_arena(
+    store: "ExprStore",
+    arena: ExprArena,
+    roots: Sequence[int],
+    kernel: str = "auto",
+) -> list[int]:
+    """Root alpha-hashes of an already-compiled corpus (the arena step)."""
+    tops = _hash_step(store, arena, roots, kernel)
+    return [tops[root] for root in roots]
 
 
 def intern_corpus_arena(
     store: "ExprStore", corpus: Sequence[Expr], kernel: str = "auto"
 ) -> list[int]:
     """Intern ``corpus`` via one arena pass (flat or sharded stores)."""
-    stats = store.stats
-    arena = None
     cached = store._arena_compile_cache
     store._arena_compile_cache = None  # one-shot: consumed or dropped
     if cached is not None:
@@ -140,14 +173,39 @@ def intern_corpus_arena(
         if all(root is not None for root in cached_roots):
             # The hash pass just compiled this corpus: reuse its arena
             # and per-node tops (counted there -- no stats double-add).
-            arena, roots, tops = c_arena, cached_roots, c_tops
-    if arena is None:
-        arena, roots = flatten_corpus(corpus)
-        tops = arena_hash_any(arena, store.combiners, kernel=kernel)
-        stats.hashed_nodes += len(arena)
-        walked = sum(expr.size for expr in corpus)
-        if walked > len(arena):
-            stats.memo_skipped_nodes += walked - len(arena)
+            return _intern_step(store, c_arena, cached_roots, c_tops)[0]
+    arena, roots = flatten_corpus(corpus)
+    return intern_arena(store, arena, roots, kernel)[0]
+
+
+def intern_arena(
+    store: "ExprStore",
+    arena: ExprArena,
+    roots: Sequence[int],
+    kernel: str = "auto",
+    check: Optional[Callable[[list[int]], None]] = None,
+) -> tuple[list[int], list[int]]:
+    """Intern an already-compiled corpus (the arena step).
+
+    Returns ``(ids, hashes)``, one of each per root.  ``check``, when
+    given, receives the root hashes before anything is interned and
+    refuses the batch by raising.
+    """
+    tops = _hash_step(store, arena, roots, kernel)
+    return _intern_step(store, arena, roots, tops, check)
+
+
+def _intern_step(
+    store: "ExprStore",
+    arena: ExprArena,
+    roots: Sequence[int],
+    tops: list[int],
+    check: Optional[Callable[[list[int]], None]] = None,
+) -> tuple[list[int], list[int]]:
+    """Resolve every arena node against the intern table, given its tops."""
+    hashes = [tops[root] for root in roots]
+    if check is not None:
+        check(hashes)
 
     op = bytes(arena.op)
     left, right = arena.left.tolist(), arena.right.tolist()
@@ -166,9 +224,9 @@ def intern_corpus_arena(
     # Bounded stores enforce their LRU bound once per batch: evicting
     # mid-loop could drop a class a later arena row links to as a child.
     # Protect the last root, matching the serial path's final state.
-    store._evict_if_needed(protect=class_id[roots[-1]])
+    store._evict_if_needed(protect=class_id[roots[-1]] if roots else None)
     store._maybe_flush_memo()
-    return [class_id[root] for root in roots]
+    return [class_id[root] for root in roots], hashes
 
 
 def _resolve_flat(

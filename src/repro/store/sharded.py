@@ -198,6 +198,10 @@ class ShardedExprStore(ExprStore):
         with self._memo_lock:
             return super().hash_corpus(exprs, engine=engine)
 
+    def hash_arena(self, arena, roots, kernel: str = "auto") -> list[int]:
+        with self._memo_lock:
+            return super().hash_arena(arena, roots, kernel=kernel)
+
     def cached_summary(self, node: Expr):
         """The flat lookup under the memo lock.  The map it hands out is
         the record's frozen one, shared with every other reader and so
@@ -228,6 +232,10 @@ class ShardedExprStore(ExprStore):
     def intern_many(self, exprs, engine: str = "auto") -> list[int]:
         with self._memo_lock:
             return super().intern_many(exprs, engine=engine)
+
+    def intern_arena(self, arena, roots, kernel: str = "auto", check=None):
+        with self._memo_lock:
+            return super().intern_arena(arena, roots, kernel=kernel, check=check)
 
     def intern(self, expr: Expr) -> int:
         """Intern ``expr`` (same contract as the flat store).

@@ -62,6 +62,7 @@ import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.combiners import HashCombiners
@@ -172,10 +173,13 @@ class _MemoBackfill:
 
     A flush or prune may have dropped some canonical trees' summary
     records; persisting needs them all.  On enter the user-visible
-    counters and the memo key set are captured and every entry's tree is
+    counters and the memo size are captured and every entry's tree is
     (re)summarised; on exit the counters are restored and only the
     records the backfill created are dropped -- records that were
-    legitimately warm before the save stay warm.
+    legitimately warm before the save stay warm.  Summarising only
+    inserts, and a dict keeps insertion order, so those records are the
+    memo's last ``len_after - len_before`` keys: the cost is O(fresh
+    records), not O(memo).
     """
 
     def __init__(self, store: "ExprStore", entries: list):
@@ -187,7 +191,7 @@ class _MemoBackfill:
         self.counters = {
             f.name: getattr(store.stats, f.name) for f in fields(store.stats)
         }
-        self.memo_keys_before = set(store._memo)
+        self.memo_len_before = len(store._memo)
         for entry in sorted(self.entries, key=lambda e: e.node_id):
             store._hash_tree(entry.expr)
         for name, value in self.counters.items():
@@ -195,10 +199,10 @@ class _MemoBackfill:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        store = self.store
-        for key in list(store._memo):
-            if key not in self.memo_keys_before:
-                del store._memo[key]
+        memo = self.store._memo
+        created = len(memo) - self.memo_len_before
+        for key in list(islice(reversed(memo), created)):
+            del memo[key]
 
 
 def snapshot_to_bytes(store: "ExprStore", meta: Optional[dict] = None) -> bytes:

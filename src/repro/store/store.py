@@ -46,9 +46,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from repro.core.arena import engine_family, engine_kernel, plan_corpus_engine
+from repro.core.arena import (
+    ExprArena,
+    engine_family,
+    engine_kernel,
+    plan_corpus_engine,
+)
 from repro.core.combiners import HashCombiners, default_combiners
 from repro.core.hashed import AlphaHashes
 from repro.core.kernel import MemoRecord, summarise_tree
@@ -392,6 +397,21 @@ class ExprStore:
             return hash_corpus_arena(self, corpus, kernel=engine_kernel(planned))
         return [self.hash_expr(e) for e in corpus]
 
+    def hash_arena(
+        self, arena: ExprArena, roots: Sequence[int], kernel: str = "auto"
+    ) -> list[int]:
+        """Root alpha-hashes of a corpus already compiled into ``arena``
+        (one index per item in ``roots``), through the arena kernel.
+
+        The wire path's entry point: the server compiles request
+        documents with :meth:`~repro.core.arena.ExprArena.extend_wire`
+        and hashes them here without building a tree.  No cache keeps
+        the items (see :func:`repro.store.arena_intern.hash_arena`).
+        """
+        from repro.store.arena_intern import hash_arena
+
+        return hash_arena(self, arena, roots, kernel=kernel)
+
     def hashes(self, expr: Expr) -> AlphaHashes:
         """An :class:`AlphaHashes` view over ``expr`` computed through the
         memo -- a drop-in replacement for
@@ -547,6 +567,26 @@ class ExprStore:
 
             return intern_corpus_arena(self, corpus, kernel=engine_kernel(planned))
         return [self.intern(e) for e in corpus]
+
+    def intern_arena(
+        self,
+        arena: ExprArena,
+        roots: Sequence[int],
+        kernel: str = "auto",
+        check: Optional[Callable[[list[int]], None]] = None,
+    ) -> tuple[list[int], list[int]]:
+        """Intern a corpus already compiled into ``arena``; return
+        ``(ids, hashes)``, one of each per root.
+
+        The bulk-intern arena step of :meth:`intern_many`, without the
+        compile: ids, classes and stats come out as ``intern_many``
+        with ``engine="arena"`` would produce them.  ``check`` receives
+        the root hashes before anything is interned and refuses the
+        batch by raising.
+        """
+        from repro.store.arena_intern import intern_arena
+
+        return intern_arena(self, arena, roots, kernel=kernel, check=check)
 
     def _intern_one(
         self, node: Expr, rec: _MemoRecord, kid_ids: tuple[int, ...]

@@ -7,28 +7,36 @@ the corpus.  Its one contract is *bit-identity* with the tree path --
 combiner width.  This wall pins that contract on adversarial corpora
 (deep chains, heavy sharing, shadowed binders, a depth-5000 degenerate
 case), plus the arena's own mechanics: flatten-time dedup,
-``flatten -> rebuild`` round-trips and incremental flattening.
+``flatten -> rebuild_many`` round-trips, incremental flattening, and
+``extend_wire`` compiling wire documents into the same columns.
 """
 
+import json
 import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.api import HashRequest, Session
 from repro.core.arena import (
     ARENA_MIN_NODES,
     ExprArena,
     arena_hash,
+    arena_hash_any,
     flatten_corpus,
     resolve_engine,
 )
 from repro.core.combiners import HashCombiners, default_combiners
-from repro.core.hashed import alpha_hash_all
+from repro.core.hashed import alpha_hash_all, lit_cache_key
 from repro.gen.adversarial import adversarial_pair
 from repro.gen.random_exprs import alpha_rename, random_expr
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
+from repro.lang.sexpr import from_wire, to_wire
 from repro.store import ExprStore, ShardedExprStore
+
+from strategies import exprs
 
 DEPTH_DEEP = 5000
 
@@ -234,15 +242,126 @@ class TestFlatten:
         assert arena.flatten([App(Var("x"), Var("y"))]) == roots0
 
 
+def arena_state(arena: ExprArena) -> tuple:
+    """Everything an arena holds, literals keyed by type and float bits
+    (``0.0 == -0.0`` and ``1 == True`` would hide a conflation)."""
+    return (
+        bytes(arena.op),
+        arena.left.tolist(),
+        arena.right.tolist(),
+        arena.aux.tolist(),
+        arena.sizes.tolist(),
+        arena.depths.tolist(),
+        list(arena.names),
+        [lit_cache_key(value) for value in arena.literals],
+        dict(arena._struct),
+        dict(arena._name_ids),
+        dict(arena._lit_ids),
+    )
+
+
+class TestExtendWire:
+    """Wire documents compile straight into the columns ``from_wire``
+    then ``flatten`` would build, and hash like ``alpha_hash_all``."""
+
+    @staticmethod
+    def both(docs, via_tree=None, via_wire=None):
+        via_tree = ExprArena() if via_tree is None else via_tree
+        via_wire = ExprArena() if via_wire is None else via_wire
+        tree_roots = via_tree.flatten([from_wire(doc) for doc in docs])
+        wire_roots = via_wire.extend_wire(docs)
+        assert wire_roots == tree_roots
+        assert arena_state(via_wire) == arena_state(via_tree)
+        return via_wire, wire_roots
+
+    def assert_hashes(self, corpus, widths=(64,)):
+        arena, roots = self.both([to_wire(expr) for expr in corpus])
+        for bits in widths:
+            combiners = HashCombiners(bits=bits)
+            tops = arena_hash_any(arena, combiners)
+            assert [tops[r] for r in roots] == tree_hashes(corpus, combiners)
+
+    @pytest.mark.parametrize("bits", [16, 32, 64, 96, 128])
+    def test_mixed_corpus_at_every_width(self, bits):
+        self.assert_hashes(mixed_corpus(150, seed=bits, size=40), widths=(bits,))
+
+    @given(st.lists(exprs(max_size=40), min_size=1, max_size=6))
+    def test_random_corpora(self, corpus):
+        self.assert_hashes(corpus)
+
+    def test_depth_5000_chains(self):
+        corpus = [
+            left_skewed_app(DEPTH_DEEP),
+            right_skewed_app(DEPTH_DEEP),
+            lam_chain(DEPTH_DEEP),
+            let_chain(DEPTH_DEEP),
+        ]
+        self.assert_hashes(corpus, widths=(16, 64, 128))
+
+    def test_shadowed_binders(self):
+        x = Var("x")
+        corpus = [
+            Lam("x", Lam("x", x)),
+            Lam("x", App(x, Lam("x", x))),
+            Let("x", x, Let("x", x, x)),
+            Lam("x", Let("x", App(x, x), App(x, x))),
+            Let("x", Lam("x", x), App(Var("x"), Var("x"))),
+        ]
+        self.assert_hashes(corpus, widths=(32, 64, 128))
+
+    def test_literal_spellings_stay_apart(self):
+        corpus = [
+            Lit(-0.0), Lit(0.0), Lit(True), Lit(1), Lit(1.0), Lit(False),
+            Lit(0), Lit("1"), App(Lit(0.0), Lit(-0.0)), App(Lit(True), Lit(1)),
+        ]
+        arena, roots = self.both([to_wire(expr) for expr in corpus])
+        assert len(set(roots)) == len(roots)
+        self.assert_hashes(corpus, widths=(16, 64, 128))
+
+    def test_json_integral_float_reads_as_float(self):
+        """JSON may render ``1.0`` as ``1``: under the ``float`` tag it
+        is the float ``1.0``, never the int ``1``."""
+        doc = json.loads(
+            '{"format":"repro-expr-v1","post":[["c","float",1],["c","int",1],["a"]]}'
+        )
+        arena, roots = self.both([doc])
+        assert [type(value) for value in arena.literals] == [float, int]
+        tops = arena_hash_any(arena)
+        assert tops[roots[0]] == alpha_hash_all(App(Lit(1.0), Lit(1))).root_hash
+
+    def test_appends_to_a_populated_arena(self):
+        base = mixed_corpus(60, seed=31)
+        more = mixed_corpus(60, seed=32) + base[:10]
+        via_tree, via_wire = flatten_corpus(base)[0], flatten_corpus(base)[0]
+        # Grow both the same way once more, then compare the append.
+        self.both([to_wire(expr) for expr in more[:20]], via_tree, via_wire)
+        before = len(via_wire)
+        arena, roots = self.both([to_wire(expr) for expr in more], via_tree, via_wire)
+        assert len(arena) > before
+        tops = arena_hash_any(arena)
+        assert [tops[r] for r in roots] == tree_hashes(more)
+
+    def test_rebuild_many_is_one_shared_pass(self):
+        corpus = mixed_corpus(80, seed=33)
+        arena, roots = self.both([to_wire(expr) for expr in corpus])
+        rebuilt = arena.rebuild_many(roots)
+        assert tree_hashes(rebuilt) == tree_hashes(corpus)
+        assert [e.size for e in rebuilt] == [e.size for e in corpus]
+        # Structurally identical roots come back as one shared object.
+        twice = arena.rebuild_many([roots[0], roots[0]])
+        assert twice[0] is twice[1]
+        assert arena.rebuild_many([]) == []
+
+
 class TestRoundTrip:
-    """flatten -> rebuild preserves alpha-hashes and sharing."""
+    """flatten -> rebuild_many preserves alpha-hashes and sharing."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_rebuild_preserves_alpha_hash(self, seed):
         corpus = mixed_corpus(60, seed=seed)
         arena, roots = flatten_corpus(corpus)
         for expr, root in zip(corpus, roots):
-            rebuilt = arena.rebuild(root)
+            (rebuilt,) = arena.rebuild_many([root])
             assert (
                 alpha_hash_all(rebuilt).root_hash
                 == alpha_hash_all(expr).root_hash
@@ -251,12 +370,12 @@ class TestRoundTrip:
     def test_rebuild_is_maximally_shared(self):
         shared = random_expr(30, seed=4)
         arena, roots = flatten_corpus([App(shared, shared)])
-        rebuilt = arena.rebuild(roots[0])
+        (rebuilt,) = arena.rebuild_many(roots[:1])
         assert rebuilt.fn is rebuilt.arg
 
     def test_rebuild_deep_chain(self):
         arena, roots = flatten_corpus([lam_chain(DEPTH_DEEP)])
-        rebuilt = arena.rebuild(roots[0])
+        (rebuilt,) = arena.rebuild_many(roots[:1])
         assert rebuilt.size == DEPTH_DEEP + 1
 
 

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.api import RemoteSession, Session
+from repro.api import InternRequest, RemoteSession, Session
 from repro.cluster import ClusterCoordinator, ClusterTopology, TopologyError
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
@@ -104,6 +104,31 @@ class TestShardIdentity:
             client.intern_many(foreign)
         assert excinfo.value.status == 409
         assert "shard 0/2 does not own" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "n_items, engine", [(20, "tree"), (250, "arena")]
+    )
+    def test_foreign_key_refused_before_anything_is_interned(
+        self, n_items, engine
+    ):
+        corpus = mixed_corpus(n_items, seed=41)
+        hashes = [alpha_hash_all(e).root_hash for e in corpus]
+        owned = [e for e, h in zip(corpus, hashes) if h % 2 == 0]
+        foreign = next(e for e, h in zip(corpus, hashes) if h % 2 == 1)
+        batch = owned + [foreign]
+        assert Session().plan(InternRequest(batch)).engine == engine
+        with ReproServer(port=0, shard_id=0, shard_count=2) as node:
+            client = ServiceClient(node.url, retries=0)
+            with pytest.raises(ServiceError) as excinfo:
+                client.intern_many(batch)
+            assert excinfo.value.status == 409
+            assert (
+                f"does not own 1 of {len(batch)} items: item {len(owned)} "
+                in str(excinfo.value)
+            )
+            store = node.session.store
+            assert len(store) == 0 and store.version == 0
+            assert client.intern_many(owned) == Session().intern_many(owned)
 
     def test_health_carries_shard_identity(self, cluster):
         _coordinator, nodes, _reply = cluster

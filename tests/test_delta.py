@@ -293,3 +293,39 @@ class TestDeltaAccounting:
         assert header["format"] == DELTA_FORMAT
         assert header["since"] == 0
         assert header["version"] == store.version
+
+
+class _TouchCountingMemo(dict):
+    """A memo dict counting the keys handed out by iteration."""
+
+    touched = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.touched += 1
+            yield key
+
+    def __reversed__(self):
+        for key in super().__reversed__():
+            self.touched += 1
+            yield key
+
+
+class TestMemoBackfillCost:
+    def test_delta_touches_only_the_fresh_records(self):
+        """A journaled intern encodes a delta; its memo backfill must
+        cost O(fresh entries), not O(summary memo)."""
+        store = ExprStore()
+        for expr in corpus(1700, seed=41):
+            store.hash_expr(expr)
+        assert len(store._memo) >= 50_000
+        warm = dict(store._memo)
+        since = store.version
+        fresh = random_expr(12, seed=43, p_let=0.2)
+        store.intern_many([fresh], engine="arena")  # leaves the memo cold
+        store._memo = _TouchCountingMemo(store._memo)
+        data = delta_to_bytes(store, since)
+        assert json.loads(data.split(b"\n", 1)[0])["entries"] >= 1
+        assert store._memo.touched <= fresh.size
+        assert store._memo == warm
+        assert all(store._memo[key] is rec for key, rec in warm.items())

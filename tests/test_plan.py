@@ -26,10 +26,11 @@ from repro.api import (
     get_backend,
 )
 from repro.api.backends import _ALIASES, load_entry_point_backends
-from repro.core.arena import ARENA_MIN_NODES, plan_corpus_engine
+from repro.core.arena import ARENA_MIN_NODES, ExprArena, plan_corpus_engine
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
 from repro.lang.parser import parse
+from repro.lang.sexpr import to_wire
 
 
 def small_corpus(n_items: int = 40, seed: int = 3):
@@ -178,6 +179,66 @@ class TestExecuteBitIdentity:
         assert ids == Session().intern_many(corpus)
         hashes = [serial.store.entry(i).hash for i in ids]
         assert hashes == [alpha_hash_all(e).root_hash for e in corpus]
+
+
+def compile_wire(corpus):
+    """The server's decode: wire documents straight into an arena."""
+    arena = ExprArena()
+    return arena, arena.extend_wire([to_wire(expr) for expr in corpus])
+
+
+class TestCompiledRequests:
+    """Requests over a corpus compiled from wire documents run the same
+    plans, and return the same bits and ids, as ``Expr`` requests."""
+
+    def test_shape_matches_the_expr_request(self, corpus):
+        compiled = HashRequest.compiled(*compile_wire(corpus), engine="tree")
+        plain = HashRequest(corpus, engine="tree")
+        assert len(compiled) == len(plain) == len(corpus)
+        assert compiled.total_nodes == plain.total_nodes
+        assert compiled.hints() == plain.hints() == {"engine": "tree"}
+        assert compiled.exprs == () and plain.compiled_corpus is None
+        session = Session()
+        assert session.plan(compiled) == session.plan(plain)
+
+    @pytest.mark.parametrize("engine", ["tree", "arena", "arena-scalar"])
+    def test_hash_is_bit_identical(self, corpus, expected, engine):
+        request = HashRequest.compiled(*compile_wire(corpus), engine=engine)
+        assert Session().execute(request) == expected
+        assert Session(num_shards=3).execute(request) == expected
+
+    @pytest.mark.parametrize("engine", ["tree", "arena"])
+    def test_intern_lands_on_the_same_ids(self, corpus, expected, engine):
+        session = Session()
+        request = InternRequest.compiled(*compile_wire(corpus), engine=engine)
+        ids, hashes = session.intern_with_hashes(request)
+        assert hashes == expected
+        assert ids == Session().execute(InternRequest(corpus, engine=engine))
+        entries = len(session.store)
+        assert session.execute(request) == ids  # a repeat is all hits
+        assert len(session.store) == entries
+
+    @pytest.mark.parametrize("engine", ["tree", "arena"])
+    def test_check_refuses_before_anything_is_interned(self, corpus, engine):
+        session = Session()
+        request = InternRequest.compiled(*compile_wire(corpus), engine=engine)
+        seen = []
+
+        def refuse(hashes):
+            seen.append(hashes)
+            raise LookupError("not ours")
+
+        with pytest.raises(LookupError):
+            session.intern_with_hashes(request, check=refuse)
+        assert seen == [[alpha_hash_all(e).root_hash for e in corpus]]
+        assert len(session.store) == 0 and session.store.version == 0
+
+    def test_non_store_backends_refuse_compiled_corpora(self, corpus):
+        compiled = compile_wire(corpus)
+        with pytest.raises(PlanError, match="store-backed"):
+            Session().plan(HashRequest.compiled(*compiled, backend="debruijn"))
+        with pytest.raises(PlanError, match="store-backed"):
+            Session(use_store=False).plan(HashRequest.compiled(*compiled))
 
 
 class _EntryPointStub:

@@ -6,17 +6,32 @@ ids, and snapshots upload/download over the existing versioned wire
 format with entry-count conservation.
 """
 
+import json
 import random
 import time
 
 import pytest
 
-from repro.api import Session
+from repro.api import (
+    ARENA_NODE_THRESHOLD,
+    HashRequest,
+    InternRequest,
+    Session,
+    get_backend,
+)
+from repro.core.arena import ExprArena
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
 from repro.lang.parser import parse
+from repro.lang.sexpr import SexprError, from_wire, to_wire
+from repro.lang.traversal import preorder
 from repro.service import ReproServer, ServiceClient, ServiceError
 from repro.store import ShardedExprStore, snapshot_from_bytes
+
+
+def echoed(plan) -> dict:
+    """``plan`` as the server echoes it (JSON has lists, not tuples)."""
+    return json.loads(json.dumps(plan.as_dict()))
 
 
 def mixed_corpus(n_items: int, seed: int = 13, size: int = 40):
@@ -178,14 +193,42 @@ class TestShardedServer:
             assert local.config.num_shards == 4
             assert local.hash_corpus(corpus) == expected
 
-    def test_entry_bounded_server_intern_stays_clean(self, corpus, expected):
+    def test_entry_bounded_server_intern_stays_clean(self, corpus):
         """A capacity-bounded store evicting mid-batch must not turn the
         intern endpoint into a KeyError/400."""
+        self.check_bounded_intern(corpus)
+
+    @pytest.mark.parametrize(
+        "n_items",
+        # 40-node items: below the arena threshold, and the service
+        # workload's request size.
+        [40, 150],
+        ids=["1600_nodes", "6000_nodes"],
+    )
+    def test_entry_bounded_intern_on_either_engine(self, n_items):
+        self.check_bounded_intern(mixed_corpus(n_items))
+
+    @staticmethod
+    def check_bounded_intern(corpus):
+        docs = [to_wire(e) for e in corpus]
         with ReproServer(port=0, max_entries=5) as server:
             client = ServiceClient(server.url)
-            reply_ids = client.intern_many(corpus)
-            assert len(reply_ids) == len(corpus)
-            assert client.hash_corpus(corpus) == expected
+            reply = client.intern_wire(docs)
+            hashes = [alpha_hash_all(e).root_hash for e in corpus]
+            assert reply["hashes"] == hashes
+            assert client.hash_corpus(corpus) == hashes
+        # The oracle is the server's own pipeline run in process.  Under
+        # eviction, ids depend on LRU recency, which a tree walk over
+        # shared rebuilt subtrees touches differently from one over
+        # the original objects, so only the arena plan (no tree walk)
+        # also equals interning the ``Expr`` corpus itself.
+        arena = ExprArena()
+        request = InternRequest.compiled(arena, arena.extend_wire(docs))
+        oracle = Session(max_entries=5)
+        assert reply["plan"] == echoed(oracle.plan(request))
+        assert reply["ids"] == oracle.execute(request)
+        if reply["plan"]["engine"] == "arena":
+            assert reply["ids"] == Session(max_entries=5).intern_many(corpus)
 
 
 class TestServerHardening:
@@ -236,6 +279,100 @@ class TestServerHardening:
             assert json_module.loads(follow_up.read())["ok"] is True
         finally:
             conn.close()
+
+
+class TestWireToArena:
+    """Store-backed ``/v1/hash`` and ``/v1/intern`` compile their wire
+    documents straight into an arena: same bits, ids and plans as the
+    in-process path, and no request tree left behind in the store."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        corpus = mixed_corpus(150, seed=21)
+        assert sum(e.size for e in corpus) >= ARENA_NODE_THRESHOLD
+        return corpus
+
+    def test_hash_plans_arena_and_matches_the_session(self, client, big):
+        hashes, plan = client.hash_corpus(big, with_plan=True)
+        assert hashes == [alpha_hash_all(e).root_hash for e in big]
+        assert plan == echoed(Session().plan(HashRequest(big)))
+        assert plan["engine"] == "arena"
+
+    def test_intern_matches_the_session(self, client, big):
+        reply = client.intern_wire([to_wire(e) for e in big])
+        local = Session()
+        request = InternRequest(big)
+        assert reply["plan"] == echoed(local.plan(request))
+        assert reply["ids"] == local.execute(request)
+        assert reply["hashes"] == [alpha_hash_all(e).root_hash for e in big]
+
+    def test_store_keeps_no_request_objects(self, server, client, big):
+        client.hash_corpus(big)
+        client.intern_many(big)
+        client.hash_corpus(big, engine="arena-scalar")
+        store = server.session.store
+        assert store._arena_root_memo == {}
+        assert store._arena_compile_cache is None
+        canonical = set()
+        for entry in store.entries():
+            canonical.update(id(node) for node in preorder(entry.expr))
+        assert all(id(rec.node) in canonical for rec in store._memo.values())
+
+    def test_tree_hint_answers_as_before(self, client, big):
+        reply = client._json(
+            "POST", "/v1/hash", client._corpus_payload(big, {"engine": "tree"})
+        )
+        local = Session()
+        request = HashRequest(big, engine="tree")
+        assert reply == {
+            "hashes": local.execute(request),
+            "plan": echoed(local.plan(request)),
+        }
+        with ReproServer(port=0) as fresh:
+            remote = ServiceClient(fresh.url)
+            reply = remote.intern_wire(
+                [to_wire(e) for e in big], {"engine": "tree"}
+            )
+            request = InternRequest(big, engine="tree")
+            assert reply["plan"] == echoed(local.plan(request))
+            assert reply["ids"] == Session().execute(request)
+            assert reply["hashes"] == [alpha_hash_all(e).root_hash for e in big]
+
+    def test_debruijn_backend_answers_as_before(self, client, big):
+        backend = get_backend("debruijn")
+        reply = client._json(
+            "POST",
+            "/v1/hash",
+            client._corpus_payload(big, {"backend": "debruijn"}),
+        )
+        assert reply["hashes"] == [backend.hash_all(e).root_hash for e in big]
+        request = HashRequest(big, backend="debruijn")
+        assert reply["plan"] == echoed(Session().plan(request))
+
+    @pytest.mark.parametrize("path", ["/v1/hash", "/v1/intern"])
+    def test_malformed_documents_answer_400(self, server, client, path):
+        from test_sexpr import wire_cases
+
+        good = to_wire(parse(r"\x. x y"))
+        for doc in wire_cases():
+            with pytest.raises(SexprError) as expected:
+                from_wire(doc)
+            with pytest.raises(ServiceError) as excinfo:
+                client._json("POST", path, {"exprs": [good, doc]})
+            assert excinfo.value.status == 400
+            assert f"malformed expression: {expected.value}" in str(
+                excinfo.value
+            )
+        assert len(server.session.store) == 0
+
+    @pytest.mark.parametrize("path", ["/v1/hash", "/v1/intern"])
+    @pytest.mark.parametrize("pin", [{"bits": 32}, {"seed": 7}])
+    def test_mismatched_pins_answer_400(self, server, client, big, path, pin):
+        payload = client._corpus_payload(big, pin)
+        with pytest.raises(ServiceError) as excinfo:
+            client._json("POST", path, payload)
+        assert excinfo.value.status == 400
+        assert len(server.session.store) == 0
 
 
 class TestErrorHandling:
