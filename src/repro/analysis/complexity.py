@@ -10,16 +10,16 @@ plots, this module quantifies the same comparison:
   model shapes, returning the best-fitting one.
 
 Both use only large-n samples by default (small sizes are dominated by
-constant overheads).
+constant overheads), and only the standard library: the harnesses and
+their tests run where NumPy is not installed.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 __all__ = ["loglog_slope", "best_model", "ModelFit", "MODELS"]
 
@@ -50,10 +50,10 @@ def loglog_slope(
         big = [(n, t) for n, t in pairs if n >= 256]
         if len(big) >= 2:
             pairs = big
-    xs = np.log([n for n, _ in pairs])
-    ys = np.log([t for _, t in pairs])
-    slope, _intercept = np.polyfit(xs, ys, 1)
-    return float(slope)
+    xs = [math.log(n) for n, _ in pairs]
+    ys = [math.log(t) for _, t in pairs]
+    slope, _intercept = statistics.linear_regression(xs, ys)
+    return slope
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,11 @@ def best_model(
 
 def _fit_one(name: str, sizes: Sequence[int], times: Sequence[float]) -> ModelFit:
     shape = MODELS[name]
-    ms = np.array([shape(n) for n in sizes], dtype=float)
-    ts = np.array(times, dtype=float)
-    weights = 1.0 / ts  # relative error weighting
-    numerator = float(np.sum(weights * weights * ms * ts))
-    denominator = float(np.sum(weights * weights * ms * ms))
+    # Relative-error weighting (weight 1/t): with r = m(n)/t the scale
+    # is sum(r) / sum(r^2) and each residual (t - c*m(n))/t is 1 - c*r.
+    ratios = [shape(n) / t for n, t in zip(sizes, times)]
+    numerator = math.fsum(ratios)
+    denominator = math.fsum(r * r for r in ratios)
     scale = numerator / denominator if denominator else 0.0
-    residual = (ts - scale * ms) / ts
-    rel_rms = float(np.sqrt(np.mean(residual * residual)))
+    rel_rms = math.sqrt(statistics.fmean((1.0 - scale * r) ** 2 for r in ratios))
     return ModelFit(name, scale, rel_rms)

@@ -79,6 +79,16 @@ __all__ = [
 
 OP_VAR, OP_LIT, OP_LAM, OP_APP, OP_LET = 0, 1, 2, 3, 4
 
+#: The node classes :meth:`ExprArena.flatten` compiles (exact types).
+_NODE_TYPES = (Var, Lit, Lam, App, Let)
+
+
+def _foreign_node(node: object) -> TypeError:
+    return TypeError(
+        f"cannot flatten non-expression node of type {type(node).__name__}"
+    )
+
+
 #: Engine names that select the arena family.  ``"arena"`` lets the
 #: kernel auto-pick (vectorized when NumPy is importable, scalar
 #: otherwise); the suffixed forms force one kernel -- ``arena-vec``
@@ -204,7 +214,7 @@ class ExprArena:
     ``sizes[i]`` / ``depths[i]``
         Node count and height of the subtree (the structure tag of
         Section 4.8 is ``sizes[i]``; ``depths`` orders the vectorized
-        kernel's levels and keeps depth diagnostics O(1)).
+        kernel's levels).
 
     Structurally identical subtrees share one index, so the arena is a
     maximally-shared DAG over *syntactic* classes (finer than the
@@ -263,29 +273,19 @@ class ExprArena:
             ),
         }
 
-    def max_depth(self, roots: Optional[Iterable[int]] = None) -> int:
-        """Deepest subtree among ``roots`` (default: all nodes)."""
-        depths = self.depths
-        if roots is None:
-            return max(depths) if depths else 0
-        return max((depths[i] for i in roots), default=0)
-
     # -- compilation ---------------------------------------------------------
 
     def flatten(self, exprs: Iterable[Expr]) -> list[int]:
         """Compile ``exprs`` into the arena; return one root index each.
 
         Deduplicates three ways while walking: by object identity within
-        the call (shared subtree objects are visited once), by
+        the call (a shared interior object is walked once), by
         structural identity against everything already in the arena, and
         by leaf-table interning of names and literal values.  The walk
-        is iterative, so degenerate depth-50k chains compile fine.
-
-        The stack holds bare nodes (no visited flags): a node whose
-        children are not all interned yet re-pushes itself below them
-        and is resolved on its second pop.  A failed flatten (a foreign
-        node kind) leaves the arena exactly as it was (see
-        :meth:`_compile`).
+        is iterative and pops each node once (see :meth:`_flatten_walk`),
+        so degenerate depth-50k chains compile fine.  A failed flatten
+        (a foreign node kind) raises ``TypeError`` and leaves the arena
+        exactly as it was (see :meth:`_compile`).
         """
         return self._compile(self._flatten_walk, exprs)
 
@@ -353,8 +353,15 @@ class ExprArena:
     ) -> None:
         """The flatten loop proper, writing into the column buffers.
 
-        Mutates the structural index and leaf tables inline;
-        :meth:`_compile` owns the flush-or-rollback around it.
+        Each node is popped once.  A leaf resolves where it is popped;
+        an interior node pushes an ``(opcode, node)`` exit marker below
+        its children, and the marker pops its children's indices off an
+        operand stack, as :meth:`_wire_walk` does.  ``memo`` maps interior
+        node objects already compiled in this call to their index (nodes
+        hash by identity), so a shared object is walked once.  The type
+        is checked before a node is hashed.  Mutates the structural index
+        and leaf tables inline; :meth:`_compile` owns the flush-or-rollback
+        around it.
         """
         from repro.core.hashed import lit_cache_key
 
@@ -362,45 +369,78 @@ class ExprArena:
         struct_get = struct.get
         name_ids, names = self._name_ids, self.names
         lit_ids, literals = self._lit_ids, self.literals
-        idmemo: dict[int, int] = {}
-        idmemo_get = idmemo.get
+        memo: dict[Expr, int] = {}
+        memo_get = memo.get
         count = len(self.op)
+        stack: list = []
+        push, pop = stack.append, stack.pop
+        operands: list[int] = []
+        opush, opop = operands.append, operands.pop
 
         for root in exprs:
-            cached_root = idmemo_get(id(root))
-            if cached_root is not None:
-                roots.append(cached_root)
-                continue
-            stack: list[Expr] = [root]
-            push = stack.append
+            # Roots are checked up front: a foreign tuple must not pass
+            # for an exit marker (children are Exprs by construction).
+            if type(root) not in _NODE_TYPES:
+                raise _foreign_node(root)
+            push(root)
             while stack:
-                node = stack.pop()
-                node_key = id(node)
-                if node_key in idmemo:
-                    continue
+                node = pop()
                 cls = type(node)
-                if cls is App:
-                    fn = idmemo_get(id(node.fn))
-                    arg = idmemo_get(id(node.arg))
-                    if fn is None or arg is None:
-                        push(node)
-                        if arg is None:
-                            push(node.arg)
-                        if fn is None:
-                            push(node.fn)
-                        continue
-                    key = (OP_APP, fn, arg)
-                    idx = struct_get(key)
-                    if idx is None:
-                        struct[key] = idx = count
-                        count += 1
-                        op_b.append(OP_APP)
-                        left_b.append(fn)
-                        right_b.append(arg)
-                        aux_b.append(-1)
-                        sizes_b.append(node.size)
-                        depths_b.append(node.depth)
-                    idmemo[node_key] = idx
+                if cls is tuple:
+                    opc, node = node
+                    if opc == OP_LAM:
+                        body = opop()
+                        binder = node.binder
+                        nid = name_ids.get(binder)
+                        if nid is None:
+                            name_ids[binder] = nid = len(names)
+                            names.append(binder)
+                        key = (OP_LAM, nid, body)
+                        idx = struct_get(key)
+                        if idx is None:
+                            struct[key] = idx = count
+                            count += 1
+                            op_b.append(OP_LAM)
+                            left_b.append(body)
+                            right_b.append(-1)
+                            aux_b.append(nid)
+                            sizes_b.append(node.size)
+                            depths_b.append(node.depth)
+                    elif opc == OP_APP:
+                        arg = opop()
+                        fn = opop()
+                        key = (OP_APP, fn, arg)
+                        idx = struct_get(key)
+                        if idx is None:
+                            struct[key] = idx = count
+                            count += 1
+                            op_b.append(OP_APP)
+                            left_b.append(fn)
+                            right_b.append(arg)
+                            aux_b.append(-1)
+                            sizes_b.append(node.size)
+                            depths_b.append(node.depth)
+                    else:
+                        body = opop()
+                        bound = opop()
+                        binder = node.binder
+                        nid = name_ids.get(binder)
+                        if nid is None:
+                            name_ids[binder] = nid = len(names)
+                            names.append(binder)
+                        key = (OP_LET, nid, bound, body)
+                        idx = struct_get(key)
+                        if idx is None:
+                            struct[key] = idx = count
+                            count += 1
+                            op_b.append(OP_LET)
+                            left_b.append(bound)
+                            right_b.append(body)
+                            aux_b.append(nid)
+                            sizes_b.append(node.size)
+                            depths_b.append(node.depth)
+                    memo[node] = idx
+                    opush(idx)
                 elif cls is Var:
                     name = node.name
                     nid = name_ids.get(name)
@@ -418,57 +458,30 @@ class ExprArena:
                         aux_b.append(nid)
                         sizes_b.append(1)
                         depths_b.append(1)
-                    idmemo[node_key] = idx
+                    opush(idx)
                 elif cls is Lam:
-                    body = idmemo_get(id(node.body))
-                    if body is None:
-                        push(node)
+                    idx = memo_get(node)
+                    if idx is None:
+                        push((OP_LAM, node))
                         push(node.body)
-                        continue
-                    binder = node.binder
-                    nid = name_ids.get(binder)
-                    if nid is None:
-                        name_ids[binder] = nid = len(names)
-                        names.append(binder)
-                    key = (OP_LAM, nid, body)
-                    idx = struct_get(key)
+                    else:
+                        opush(idx)
+                elif cls is App:
+                    idx = memo_get(node)
                     if idx is None:
-                        struct[key] = idx = count
-                        count += 1
-                        op_b.append(OP_LAM)
-                        left_b.append(body)
-                        right_b.append(-1)
-                        aux_b.append(nid)
-                        sizes_b.append(node.size)
-                        depths_b.append(node.depth)
-                    idmemo[node_key] = idx
+                        push((OP_APP, node))
+                        push(node.arg)
+                        push(node.fn)
+                    else:
+                        opush(idx)
                 elif cls is Let:
-                    bound = idmemo_get(id(node.bound))
-                    body = idmemo_get(id(node.body))
-                    if bound is None or body is None:
-                        push(node)
-                        if body is None:
-                            push(node.body)
-                        if bound is None:
-                            push(node.bound)
-                        continue
-                    binder = node.binder
-                    nid = name_ids.get(binder)
-                    if nid is None:
-                        name_ids[binder] = nid = len(names)
-                        names.append(binder)
-                    key = (OP_LET, nid, bound, body)
-                    idx = struct_get(key)
+                    idx = memo_get(node)
                     if idx is None:
-                        struct[key] = idx = count
-                        count += 1
-                        op_b.append(OP_LET)
-                        left_b.append(bound)
-                        right_b.append(body)
-                        aux_b.append(nid)
-                        sizes_b.append(node.size)
-                        depths_b.append(node.depth)
-                    idmemo[node_key] = idx
+                        push((OP_LET, node))
+                        push(node.body)
+                        push(node.bound)
+                    else:
+                        opush(idx)
                 elif cls is Lit:
                     value = node.value
                     lkey = lit_cache_key(value)
@@ -487,13 +500,10 @@ class ExprArena:
                         aux_b.append(lid)
                         sizes_b.append(1)
                         depths_b.append(1)
-                    idmemo[node_key] = idx
+                    opush(idx)
                 else:
-                    raise TypeError(
-                        f"cannot flatten non-expression node of type "
-                        f"{type(node).__name__}"
-                    )
-            roots.append(idmemo[id(root)])
+                    raise _foreign_node(node)
+            roots.append(opop())
 
     def _wire_walk(
         self, docs, roots, op_b, left_b, right_b, aux_b, sizes_b, depths_b

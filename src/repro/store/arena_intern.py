@@ -24,23 +24,31 @@ builds no tree at all.  The kernel is always called as this module's
   Instead each corpus *root* lands in the store's arena root cache, so
   re-hashing the same corpus objects is O(1) per item, while
   ``hash_expr``/``hashes`` on interior subtrees falls back to the tree
-  path's memo as before.  :func:`hash_arena` is the arena step alone:
-  with no objects to key them by, it touches neither the root cache nor
-  the compile cache.
+  path's memo as before.  The compile and its per-node tops stay in the
+  store's one-shot compile cache for the bulk intern that follows.
+  :func:`hash_arena` is the arena step alone: with no objects to key
+  them by, it touches neither the root cache nor the compile cache.
 
 * :func:`intern_corpus_arena` / :func:`intern_arena` -- bulk interning.
-  The corpus is hashed once, and then every *unique* arena node is
-  resolved against the intern table directly: duplicates never reach
-  ``_hash_tree``, and a class interned by an earlier batch costs one
-  dict probe.  Canonical entries, hashes, ids and refcounts come out
-  exactly as the serial path would produce for the same arrival order;
-  the summary memo is left cold (see above), and ``hits``/``misses``
-  count unique arena nodes rather than subtree occurrences.  The arena
-  step returns each root's hash (read from the kernel's per-node tops)
-  next to its id, and runs an optional ``check`` on those hashes before
-  anything is interned -- a cluster shard refuses foreign keys there.
-  Flat stores take a direct-dict hot loop; sharded stores take a
-  lock-striped branch (writers are already serialised by the store's
+  An item already interned as the same object is a *root hit*: the
+  root cache records the class id each arena intern assigns, and a
+  live one is answered by the store's one hit-by-id routine, as in
+  :meth:`~repro.store.ExprStore.intern` (one LRU touch, one ``hits``,
+  no descent).  The other items reuse the hash pass's arena and tops
+  when they are exactly the items it compiled, even when some items
+  repeat earlier batches; otherwise only they are compiled and hashed.
+  Then every *unique* arena node is resolved against the intern table
+  directly: duplicates never reach ``_hash_tree``, and a class interned
+  by an earlier batch costs one dict probe.  Canonical entries, hashes,
+  ids and refcounts come out exactly as the serial path would produce
+  for the same arrival order; the summary memo is left cold (see
+  above), and ``hits``/``misses`` count one per root hit and one per
+  unique arena node of the rest, not per subtree occurrence.  The
+  arena step returns each root's hash (read from the kernel's per-node
+  tops) next to its id, and runs an optional ``check`` on those hashes
+  before anything is interned -- a cluster shard refuses foreign keys
+  there.  Flat stores take a direct-dict hot loop; sharded stores take
+  a lock-striped branch (writers are already serialised by the store's
   memo lock, but every table mutation still happens under the owning
   shard's lock so concurrent readers never see a torn table).
   LRU-bounded stores enforce their bound once at the end of the batch
@@ -55,6 +63,7 @@ Callers hold a sharded store's memo lock (its public wrappers take it).
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.arena import (
@@ -132,19 +141,12 @@ def hash_corpus_arena(
         tops = _hash_step(store, arena, roots, kernel)
         for expr, root, index in zip(pending, roots, pending_at):
             top = tops[root]
-            root_memo[id(expr)] = (expr, top)
+            root_memo[id(expr)] = (expr, top, None)
             results[index] = top
-        if store._arena_intern_ok and store.memo_limit is None:
-            # Stash the compile so a following bulk intern of the
-            # same corpus reuses it (one-shot; the consumer clears
-            # it).  Stores that cannot take the bulk-intern path
-            # would pin the corpus for nothing.
-            store._arena_compile_cache = (
-                arena,
-                pending,
-                {id(e): r for e, r in zip(pending, roots)},
-                tops,
-            )
+        if store.memo_limit is None:
+            # Stash the compile so a following bulk intern of the same
+            # items reuses it (one-shot; the consumer clears it).
+            store._arena_compile_cache = (arena, pending, roots, tops)
 
     store._maybe_flush_memo()
     return results
@@ -164,18 +166,52 @@ def hash_arena(
 def intern_corpus_arena(
     store: "ExprStore", corpus: Sequence[Expr], kernel: str = "auto"
 ) -> list[int]:
-    """Intern ``corpus`` via one arena pass (flat or sharded stores)."""
+    """Intern ``corpus`` via one arena pass (flat or sharded stores).
+
+    Root hits first (a tree-memo or root-cache record naming a live
+    class); the rest come from the hash pass's compile when it is
+    exactly theirs -- the arena ``flatten_corpus(rest)`` would build --
+    and are compiled and hashed here otherwise.
+    """
     cached = store._arena_compile_cache
     store._arena_compile_cache = None  # one-shot: consumed or dropped
-    if cached is not None:
-        c_arena, _pinned, root_by_id, c_tops = cached
-        cached_roots = [root_by_id.get(id(expr)) for expr in corpus]
-        if all(root is not None for root in cached_roots):
-            # The hash pass just compiled this corpus: reuse its arena
-            # and per-node tops (counted there -- no stats double-add).
-            return _intern_step(store, c_arena, cached_roots, c_tops)[0]
-    arena, roots = flatten_corpus(corpus)
-    return intern_arena(store, arena, roots, kernel)[0]
+    memo, root_memo = store._memo, store._arena_root_memo
+    hit_by_id = store._hit_by_id
+    ids: list = [None] * len(corpus)
+    rest: list[Expr] = []
+    rest_at: list[int] = []
+    for index, expr in enumerate(corpus):
+        key = id(expr)
+        rec = memo.get(key)
+        if rec is not None and hit_by_id(rec.node_id):
+            ids[index] = rec.node_id
+            continue
+        rooted = root_memo.get(key)
+        if rooted is not None and hit_by_id(rooted[2]):
+            ids[index] = rooted[2]
+            continue
+        rest.append(expr)
+        rest_at.append(index)
+
+    if rest:
+        if (
+            cached is not None
+            and len(cached[1]) == len(rest)
+            and all(map(operator.is_, cached[1], rest))
+        ):
+            # Counted by the hash pass: no stats double-add.
+            arena, _items, roots, tops = cached
+        else:
+            arena, roots = flatten_corpus(rest)
+            tops = _hash_step(store, arena, roots, kernel)
+        class_id = _resolve(store, arena, tops)
+        for expr, root, index in zip(rest, roots, rest_at):
+            node_id = class_id[root]
+            root_memo[id(expr)] = (expr, tops[root], node_id)
+            ids[index] = node_id
+
+    _end_batch(store, ids[-1] if ids else None)
+    return ids
 
 
 def intern_arena(
@@ -192,41 +228,34 @@ def intern_arena(
     refuses the batch by raising.
     """
     tops = _hash_step(store, arena, roots, kernel)
-    return _intern_step(store, arena, roots, tops, check)
-
-
-def _intern_step(
-    store: "ExprStore",
-    arena: ExprArena,
-    roots: Sequence[int],
-    tops: list[int],
-    check: Optional[Callable[[list[int]], None]] = None,
-) -> tuple[list[int], list[int]]:
-    """Resolve every arena node against the intern table, given its tops."""
     hashes = [tops[root] for root in roots]
     if check is not None:
         check(hashes)
+    class_id = _resolve(store, arena, tops)
+    ids = [class_id[root] for root in roots]
+    _end_batch(store, ids[-1] if ids else None)
+    return ids, hashes
 
+
+def _end_batch(store: "ExprStore", last_id: Optional[int]) -> None:
+    """Enforce a bounded store's LRU bound once per batch (evicting
+    mid-batch could drop a class a later arena row links to as a child),
+    protecting the batch's last id however it was resolved, as the
+    serial path's final state does."""
+    store._evict_if_needed(protect=last_id)
+    store._maybe_flush_memo()
+
+
+def _resolve(store: "ExprStore", arena: ExprArena, tops: list[int]) -> list[int]:
+    """Resolve every arena node against the intern table, given its tops;
+    one class id per node."""
     op = bytes(arena.op)
     left, right = arena.left.tolist(), arena.right.tolist()
     aux, sizes = arena.aux.tolist(), arena.sizes.tolist()
     names, literals = arena.names, arena.literals
-
-    if getattr(store, "_shards", None) is not None:
-        class_id = _resolve_sharded(
-            store, op, left, right, aux, sizes, names, literals, tops
-        )
-    else:
-        class_id = _resolve_flat(
-            store, op, left, right, aux, sizes, names, literals, tops
-        )
-
-    # Bounded stores enforce their LRU bound once per batch: evicting
-    # mid-loop could drop a class a later arena row links to as a child.
-    # Protect the last root, matching the serial path's final state.
-    store._evict_if_needed(protect=class_id[roots[-1]] if roots else None)
-    store._maybe_flush_memo()
-    return [class_id[root] for root in roots], hashes
+    sharded = getattr(store, "_shards", None) is not None
+    resolve = _resolve_sharded if sharded else _resolve_flat
+    return resolve(store, op, left, right, aux, sizes, names, literals, tops)
 
 
 def _resolve_flat(

@@ -223,13 +223,11 @@ class ShardedExprStore(ExprStore):
 
     # -- interning -------------------------------------------------------------
 
-    #: The arena bulk-intern path has a lock-striped write branch for
-    #: sharded stores (see :func:`repro.store.arena_intern.intern_corpus_arena`);
-    #: :meth:`intern_many` wraps the whole batch in the memo lock so the
-    #: arena walk sees a consistent memo, exactly like serial interning.
-    _arena_intern_ok = True
-
     def intern_many(self, exprs, engine: str = "auto") -> list[int]:
+        """The flat batch under the memo lock: the arena bulk intern's
+        lock-striped write branch and root hits see a consistent memo,
+        exactly like serial interning (see
+        :func:`repro.store.arena_intern.intern_corpus_arena`)."""
         with self._memo_lock:
             return super().intern_many(exprs, engine=engine)
 
@@ -240,42 +238,26 @@ class ShardedExprStore(ExprStore):
     def intern(self, expr: Expr) -> int:
         """Intern ``expr`` (same contract as the flat store).
 
-        The summarisation walk runs under the memo lock; each node's
-        table transaction runs under its owning shard's lock only.
+        The flat walk under the memo lock; each node's table transaction
+        (:meth:`_hit_by_id`, :meth:`_intern_one`) runs under its owning
+        shard's lock only.
         """
         with self._memo_lock:
-            self._hash_tree(expr)
-            memo = self._memo
-            ids: list[int] = []
-            stack: list[tuple[Expr, bool]] = [(expr, False)]
-            while stack:
-                node, visited = stack.pop()
-                rec = memo[id(node)]
-                if not visited:
-                    known = rec.node_id
-                    if known is not None and known in self:
-                        shard = self._shard_of_id(known)
-                        with shard.lock:
-                            shard.entries.move_to_end(known)
-                            shard.stats.hits += 1
-                        self.stats.hits += 1
-                        ids.append(known)
-                        continue
-                    stack.append((node, True))
-                    for child in reversed(node.children()):
-                        stack.append((child, False))
-                    continue
+            return super().intern(expr)
 
-                arity = len(node.children())
-                kid_ids = tuple(ids[len(ids) - arity :]) if arity else ()
-                if arity:
-                    del ids[len(ids) - arity :]
-                rec.node_id = self._intern_one(node, rec, kid_ids)
-                ids.append(rec.node_id)
-            assert len(ids) == 1
-            self._evict_if_needed(protect=ids[0])
-            self._maybe_flush_memo()
-            return ids[0]
+    def _hit_by_id(self, node_id: Optional[int]) -> bool:
+        """The flat store's hit by id under the owning shard's lock,
+        counted on that shard too."""
+        if node_id is None:
+            return False
+        shard = self._shard_of_id(node_id)
+        with shard.lock:
+            if node_id not in shard.entries:
+                return False
+            shard.entries.move_to_end(node_id)
+            shard.stats.hits += 1
+        self.stats.hits += 1
+        return True
 
     def _intern_one(self, node: Expr, rec, kid_ids: tuple[int, ...]) -> int:
         shard = self._shard_of_hash(rec.top)

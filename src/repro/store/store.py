@@ -199,15 +199,19 @@ class ExprStore:
         self._lit_cache: dict[tuple[type, object], int] = {}
         #: id(node) -> cached summary; holds a strong ref to the node.
         self._memo: dict[int, _MemoRecord] = {}
-        #: id(root) -> (root, top hash): the arena engine's root cache.
-        #: Cheaper than a full memo record (no varmap snapshot) but only
-        #: answers whole-corpus-item repeats; flushed with the memo.
-        self._arena_root_memo: dict[int, tuple[Expr, int]] = {}
-        #: The last serial arena compile: (arena, corpus objects,
-        #: id(expr) -> root index, per-node tops).  Lets a bulk intern
-        #: that follows a hash pass over the same corpus (the ``repro
-        #: session`` flow) reuse the compile instead of re-flattening
-        #: and re-hashing; replaced wholesale by each hash pass.
+        #: id(root) -> (root, top hash, class id or None): the arena
+        #: engine's root cache.  Cheaper than a full memo record (no
+        #: varmap snapshot) but only answers whole-corpus-item repeats:
+        #: a hash pass records the top, an arena intern the class id, so
+        #: a repeated item is one root hit (see :meth:`_hit_by_id`).
+        #: Flushed with the memo.
+        self._arena_root_memo: dict[int, tuple[Expr, int, Optional[int]]] = {}
+        #: The last arena hash pass's compile: (arena, the items it
+        #: compiled, their root indices, per-node tops).  A bulk intern
+        #: whose non-repeated items are exactly those items (the ``repro
+        #: session`` flow) resolves them from it instead of re-flattening
+        #: and re-hashing; one-shot, never kept by stores with a
+        #: ``memo_limit``.
         self._arena_compile_cache: Optional[tuple] = None
         #: node_id -> entry, in LRU order (oldest first).
         self._entries: "OrderedDict[int, StoreEntry]" = OrderedDict()
@@ -515,9 +519,7 @@ class ExprStore:
             node, visited = stack.pop()
             rec = memo[id(node)]
             if not visited:
-                if rec.node_id is not None and rec.node_id in self._entries:
-                    self._entries.move_to_end(rec.node_id)
-                    self.stats.hits += 1
+                if self._hit_by_id(rec.node_id):
                     ids.append(rec.node_id)
                     continue
                 stack.append((node, True))
@@ -538,19 +540,35 @@ class ExprStore:
         self._maybe_flush_memo()
         return ids[0]
 
-    #: Whether :meth:`intern_many` may take the arena bulk-intern path.
-    #: Subclasses with their own write discipline (the sharded store's
-    #: lock striping) opt out and keep the per-item path.
-    _arena_intern_ok = True
+    def _hit_by_id(self, node_id: Optional[int]) -> bool:
+        """The intern hit by id: if ``node_id`` names a live class,
+        touch its LRU recency, count one hit and return ``True``.
+
+        The one copy of this step: the tree walk (:meth:`intern`) takes
+        it for every subtree object interned before, the arena bulk
+        intern for every repeated corpus item
+        (:mod:`repro.store.arena_intern`).  ``None`` (never interned)
+        and evicted ids miss.  The sharded store overrides only the
+        storage: the same step under the owning shard's lock.
+        """
+        entries = self._entries
+        if node_id is None or node_id not in entries:
+            return False
+        entries.move_to_end(node_id)
+        self.stats.hits += 1
+        return True
 
     def intern_many(self, exprs: Iterable[Expr], engine: str = "auto") -> list[int]:
         """Batch :meth:`intern`: one id per input, duplicates collapse.
 
         ``engine="arena"`` (or ``"auto"`` above the node threshold)
-        compiles the corpus once and resolves every unique subtree class
-        against the intern table directly -- same classes, hashes and
-        ids as the serial path, with ``hits``/``misses`` counted per
-        unique class instead of per occurrence (see
+        answers items already interned as the same object with one root
+        hit each, as the serial path does, and resolves every unique
+        subtree class of the rest against the intern table directly,
+        reusing the compile of a :meth:`hash_corpus` call over the same
+        items -- same classes, hashes and ids as the serial path.
+        ``hits``/``misses`` count one per repeated item and one per
+        unique arena node of the rest, not per subtree occurrence (see
         :mod:`repro.store.arena_intern`).  LRU-bounded stores enforce
         their bound once at the end of the batch (arena child links
         need every class live mid-batch), so the table may transiently
@@ -558,11 +576,7 @@ class ExprStore:
         """
         corpus = exprs if isinstance(exprs, list) else list(exprs)
         planned = plan_corpus_engine(engine, corpus) if corpus else engine
-        if (
-            corpus
-            and self._arena_intern_ok
-            and engine_family(planned) == "arena"
-        ):
+        if corpus and engine_family(planned) == "arena":
             from repro.store.arena_intern import intern_corpus_arena
 
             return intern_corpus_arena(self, corpus, kernel=engine_kernel(planned))

@@ -208,12 +208,10 @@ class TestFlatten:
 
     def test_stats_and_max_depth(self):
         corpus = [left_skewed_app(100), Var("x")]
-        arena, roots = flatten_corpus(corpus)
+        arena, _ = flatten_corpus(corpus)
         stats = arena.stats()
         assert stats["nodes"] == len(arena)
         assert stats["bytes"] > 0
-        assert arena.max_depth() == 101
-        assert arena.max_depth([roots[1]]) == 1
 
     def test_unknown_node_kind_rejected(self):
         arena = ExprArena()
@@ -240,6 +238,53 @@ class TestFlatten:
             arena.flatten([Lam("z", Var("w")), object()])
         assert len(arena) == n0 and arena.names == names0
         assert arena.flatten([App(Var("x"), Var("y"))]) == roots0
+
+    def test_shared_objects_are_walked_once(self):
+        """A 50-level doubling DAG has 2**50 tree nodes but 52 objects:
+        the walk must visit each shared interior object once (this test
+        hangs if it does not)."""
+        expr: Expr = Lam("a", Var("a"))
+        for _ in range(50):
+            expr = App(expr, expr)
+        arena, roots = flatten_corpus([expr])
+        assert len(arena) == 52
+        assert arena.sizes[roots[0]] == expr.size
+
+    def test_unhashable_foreign_root_rolls_back(self):
+        """A foreign root is rejected by type before anything hashes it,
+        even an unhashable one, and the failed call leaves no trace."""
+        arena, _ = flatten_corpus(mixed_corpus(20, seed=51))
+        before = arena_state(arena)
+        prefix = [App(Var("fresh"), Lit(2.5)), Let("q", Var("q0"), Var("q"))]
+        with pytest.raises(
+            TypeError, match="^cannot flatten non-expression node of type list$"
+        ):
+            arena.flatten([*prefix, [1]])
+        assert arena_state(arena) == before
+
+    def test_row_order_matches_wire_compile(self):
+        """flatten and extend_wire build the same arena state on a
+        let-heavy corpus with same-object repeats and shared subtrees:
+        rows come out in first-occurrence postorder either way."""
+        rng = random.Random(53)
+        corpus: list[Expr] = []
+        for _ in range(60):
+            shared = random_expr(
+                rng.randint(3, 25), rng=rng, p_let=0.5, p_lit=0.2
+            )
+            body = random_expr(
+                rng.randint(3, 25), rng=rng, p_let=0.5, p_lit=0.2
+            )
+            corpus.append(
+                Let("s", shared, App(App(Var("s"), shared), Let("t", body, shared)))
+            )
+            if rng.random() < 0.3:
+                corpus.append(rng.choice(corpus))
+        via_tree, via_wire = ExprArena(), ExprArena()
+        tree_roots = via_tree.flatten(corpus)
+        wire_roots = via_wire.extend_wire([to_wire(expr) for expr in corpus])
+        assert tree_roots == wire_roots
+        assert arena_state(via_tree) == arena_state(via_wire)
 
 
 def arena_state(arena: ExprArena) -> tuple:
@@ -418,6 +463,101 @@ class TestStoreIntegration:
         assert store.stats.hashed_nodes == hashed_before
         assert [store.hash_of(i) for i in ids] == hashes
         assert ids == ExprStore().intern_many(corpus, engine="tree")
+
+    @staticmethod
+    def repeating_batches(n_batches=4, n_items=300, seed=61):
+        """Batches that repeat earlier batches' items as the same objects
+        and as alpha-renamed copies; the rest are fresh mixed items."""
+        rng = random.Random(seed)
+        earlier: list[Expr] = []
+        batches = []
+        for number in range(n_batches):
+            batch = []
+            for fresh in mixed_corpus(n_items, seed=seed + number):
+                roll = rng.random()
+                if earlier and roll < 0.25:
+                    batch.append(rng.choice(earlier))
+                elif earlier and roll < 0.4:
+                    batch.append(
+                        alpha_rename(rng.choice(earlier), seed=rng.randrange(1 << 16))
+                    )
+                else:
+                    batch.append(fresh)
+            earlier.extend(batch)
+            batches.append(batch)
+        return batches
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
+    def test_intern_after_hash_reuses_compile_across_batches(
+        self, sharded, monkeypatch
+    ):
+        """Hash then intern each of several batches, some items repeating
+        earlier batches: intern never re-flattens or re-hashes, and ids
+        match the tree engine fed the same sequence (by class on a
+        sharded store, whose ids encode the shard)."""
+        store = ShardedExprStore(num_shards=4) if sharded else ExprStore()
+        tree = ExprStore()
+        flattens = []
+        flatten = ExprArena.flatten
+
+        def counting_flatten(arena, exprs):
+            flattens.append(1)
+            return flatten(arena, exprs)
+
+        monkeypatch.setattr(ExprArena, "flatten", counting_flatten)
+        for batch in self.repeating_batches():
+            hashes = store.hash_corpus(batch, engine="arena")
+            assert hashes == tree.hash_corpus(batch, engine="tree")
+            hashed_before, flattens_before = store.stats.hashed_nodes, len(flattens)
+            ids = store.intern_many(batch, engine="arena")
+            assert store.stats.hashed_nodes == hashed_before
+            assert len(flattens) == flattens_before
+            tree_ids = tree.intern_many(batch, engine="tree")
+            assert [store.hash_of(i) for i in ids] == hashes
+            assert [tree.hash_of(i) for i in tree_ids] == hashes
+            if not sharded:
+                assert ids == tree_ids
+        assert len(store) == len(tree)
+
+    @pytest.mark.parametrize(
+        "earlier, order",
+        [
+            (0, lambda batch: batch[: len(batch) // 2]),
+            (0, lambda batch: batch[::-1]),
+            (40, lambda batch: batch),
+        ],
+        ids=["subset", "reversed", "hashed-earlier"],
+    )
+    def test_intern_of_other_items_compiles_its_own(self, corpus, earlier, order):
+        """Intern after hash reuses the compile only for exactly the
+        items it compiled: a subset, another order, or items an earlier
+        pass hashed but nobody interned are compiled afresh, so ids and
+        entries still equal the tree engine's for the intern's order."""
+        store = ExprStore()
+        store.hash_corpus(corpus[:earlier], engine="arena")
+        store.hash_corpus(corpus, engine="arena")
+        ids = store.intern_many(order(corpus), engine="arena")
+        tree = ExprStore()
+        assert ids == tree.intern_many(order(corpus), engine="tree")
+        assert len(store) == len(tree)
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
+    def test_repeated_items_are_root_hits(self, corpus, sharded):
+        """An item interned before as the same object is one hit, as in
+        the serial path: no compile, no descent, no new entry."""
+        store = ShardedExprStore(num_shards=4) if sharded else ExprStore()
+        tree = ExprStore()
+        ids = store.intern_many(corpus, engine="arena")
+        tree_ids = tree.intern_many(corpus, engine="tree")
+        before, tree_before = store.stats.as_dict(), tree.stats.as_dict()
+        assert store.intern_many(corpus[:50], engine="arena") == ids[:50]
+        assert tree.intern_many(corpus[:50], engine="tree") == tree_ids[:50]
+        for stats, start in ((store.stats, before), (tree.stats, tree_before)):
+            assert stats.hits == start["hits"] + 50
+            assert stats.misses == start["misses"]
+            assert stats.hashed_nodes == start["hashed_nodes"]
+        if sharded:
+            assert sum(s.hits for s in store.shard_stats()) == store.stats.hits
 
     def test_intern_many_engines_agree(self, corpus):
         by_tree = ExprStore().intern_many(corpus, engine="tree")

@@ -9,6 +9,7 @@ directions.
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -388,6 +389,43 @@ class TestConcurrentIntern:
             t.join()
         assert not errors
         flat = ExprStore()
+        flat.intern_many(corpus)
+        assert len(store) == len(flat)
+        per_shard = store.shard_stats()
+        assert sum(s.hits for s in per_shard) == store.stats.hits
+        assert sum(s.misses for s in per_shard) == store.stats.misses
+
+    def test_threaded_arena_interns_with_root_hits(self):
+        """Threads hashing then bulk-interning overlapping slices on the
+        arena engine, so later slices answer repeated objects as root
+        hits, end at the flat store's classes with conserved counters."""
+        corpus = mixed_corpus(120)
+        store = ShardedExprStore(num_shards=8)
+        errors, results = [], []
+
+        def work(slice_):
+            try:
+                store.hash_corpus(slice_, engine="arena")
+                results.append((slice_, store.intern_many(slice_, engine="arena")))
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        slices = [corpus[:60], corpus[40:], corpus[::2], corpus[::3], corpus]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in slices]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(results) == len(slices)
+        flat = ExprStore()
+        for slice_, ids in results:
+            assert [store.hash_of(i) for i in ids] == flat.hash_corpus(slice_)
         flat.intern_many(corpus)
         assert len(store) == len(flat)
         per_shard = store.shard_stats()
