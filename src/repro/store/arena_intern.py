@@ -47,10 +47,10 @@ builds no tree at all.  The kernel is always called as this module's
   arena step returns each root's hash (read from the kernel's per-node
   tops) next to its id, and runs an optional ``check`` on those hashes
   before anything is interned -- a cluster shard refuses foreign keys
-  there.  Flat stores take a direct-dict hot loop; sharded stores take
-  a lock-striped branch (writers are already serialised by the store's
-  memo lock, but every table mutation still happens under the owning
-  shard's lock so concurrent readers never see a torn table).
+  there.  The resolve loop writes nothing itself: every row goes
+  through the store's one hit-or-add step, bound once per batch (see
+  :mod:`repro.store.store`), so flat and sharded stores share the loop
+  and the collision guard.
   LRU-bounded stores enforce their bound once at the end of the batch
   -- mid-batch eviction could invalidate the arena's child-class
   links -- so the table may transiently exceed ``max_entries``.
@@ -70,13 +70,12 @@ from repro.core.arena import (
     OP_APP,
     OP_LAM,
     OP_LET,
-    OP_LIT,
     OP_VAR,
     ExprArena,
     arena_hash_any,
     flatten_corpus,
 )
-from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
+from repro.lang.expr import Expr
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.store import ExprStore
@@ -248,162 +247,29 @@ def _end_batch(store: "ExprStore", last_id: Optional[int]) -> None:
 
 def _resolve(store: "ExprStore", arena: ExprArena, tops: list[int]) -> list[int]:
     """Resolve every arena node against the intern table, given its tops;
-    one class id per node."""
+    one class id per node.  Post-order rows put children first, so each
+    row's child classes are already resolved."""
     op = bytes(arena.op)
     left, right = arena.left.tolist(), arena.right.tolist()
     aux, sizes = arena.aux.tolist(), arena.sizes.tolist()
     names, literals = arena.names, arena.literals
-    sharded = getattr(store, "_shards", None) is not None
-    resolve = _resolve_sharded if sharded else _resolve_flat
-    return resolve(store, op, left, right, aux, sizes, names, literals, tops)
-
-
-def _resolve_flat(
-    store: "ExprStore", op, left, right, aux, sizes, names, literals, tops
-) -> list[int]:
-    """The direct-dict hot loop: one table transaction per unique node."""
-    from repro.store.store import StoreCollisionError, StoreEntry
-
-    stats = store.stats
-    entries = store._entries
-    by_hash = store._by_hash
+    hit_or_add = store._hit_or_add_step()
     class_id = [0] * len(op)
 
     for i in range(len(op)):
-        top = tops[i]
-        existing = by_hash.get(top)
-        if existing is not None:
-            entry = entries[existing]
-            kind = _KIND_OF_OP[op[i]]
-            if entry.kind != kind or entry.size != sizes[i]:
-                raise StoreCollisionError(
-                    f"alpha-hash 0x{top:x} maps both a {entry.kind} of "
-                    f"size {entry.size} and a {kind} of size {sizes[i]}"
-                )
-            entries.move_to_end(existing)
-            stats.hits += 1
-            class_id[i] = existing
-            continue
-
         opc = op[i]
-        if opc == OP_VAR:
-            canonical: Expr = Var(names[aux[i]])
-            kid_ids: tuple[int, ...] = ()
-        elif opc == OP_LIT:
-            canonical = Lit(literals[aux[i]])
-            kid_ids = ()
+        if opc == OP_APP:
+            kid_ids: tuple[int, ...] = (class_id[left[i]], class_id[right[i]])
+            label = None
+        elif opc == OP_VAR:
+            kid_ids, label = (), names[aux[i]]
         elif opc == OP_LAM:
-            kid_ids = (class_id[left[i]],)
-            canonical = Lam(names[aux[i]], entries[kid_ids[0]].expr)
-        elif opc == OP_APP:
+            kid_ids, label = (class_id[left[i]],), names[aux[i]]
+        elif opc == OP_LET:
             kid_ids = (class_id[left[i]], class_id[right[i]])
-            canonical = App(entries[kid_ids[0]].expr, entries[kid_ids[1]].expr)
+            label = names[aux[i]]
         else:
-            kid_ids = (class_id[left[i]], class_id[right[i]])
-            canonical = Let(
-                names[aux[i]], entries[kid_ids[0]].expr, entries[kid_ids[1]].expr
-            )
-
-        node_id = store._next_id
-        store._next_id += 1
-        store.version += 1
-        entries[node_id] = StoreEntry(
-            node_id=node_id,
-            hash=top,
-            kind=_KIND_OF_OP[opc],
-            size=sizes[i],
-            children=kid_ids,
-            expr=canonical,
-            version=store.version,
-        )
-        for kid in kid_ids:
-            entries[kid].refcount += 1
-        by_hash[top] = node_id
-        stats.misses += 1
-        class_id[i] = node_id
-
-    return class_id
-
-
-def _resolve_sharded(
-    store, op, left, right, aux, sizes, names, literals, tops
-) -> list[int]:
-    """Lock-striped resolve for :class:`~repro.store.ShardedExprStore`.
-
-    The caller (``intern_many``) already holds the store's memo lock,
-    so this loop is the only writer; shard locks are still taken for
-    every mutation (and only one at a time) so lock-free readers on
-    other threads observe the same invariants the serial
-    ``_intern_one`` path maintains.  Ids come out of the per-shard
-    counters (``local * num_shards + shard``), exactly as serial
-    interning would assign them.
-    """
-    from repro.store.store import StoreCollisionError, StoreEntry
-
-    stats = store.stats
-    num_shards = store.num_shards
-    get_entry = store._get_entry
-    class_id = [0] * len(op)
-
-    for i in range(len(op)):
-        top = tops[i]
-        shard = store._shard_of_hash(top)
-        with shard.lock:
-            existing = shard.by_hash.get(top)
-            if existing is not None:
-                entry = shard.entries[existing]
-                kind = _KIND_OF_OP[op[i]]
-                if entry.kind != kind or entry.size != sizes[i]:
-                    raise StoreCollisionError(
-                        f"alpha-hash 0x{top:x} maps both a {entry.kind} of "
-                        f"size {entry.size} and a {kind} of size {sizes[i]}"
-                    )
-                shard.entries.move_to_end(existing)
-                shard.stats.hits += 1
-                stats.hits += 1
-                class_id[i] = existing
-                continue
-
-        opc = op[i]
-        if opc == OP_VAR:
-            canonical: Expr = Var(names[aux[i]])
-            kid_ids: tuple[int, ...] = ()
-        elif opc == OP_LIT:
-            canonical = Lit(literals[aux[i]])
-            kid_ids = ()
-        elif opc == OP_LAM:
-            kid_ids = (class_id[left[i]],)
-            canonical = Lam(names[aux[i]], get_entry(kid_ids[0]).expr)
-        elif opc == OP_APP:
-            kid_ids = (class_id[left[i]], class_id[right[i]])
-            canonical = App(get_entry(kid_ids[0]).expr, get_entry(kid_ids[1]).expr)
-        else:
-            kid_ids = (class_id[left[i]], class_id[right[i]])
-            canonical = Let(
-                names[aux[i]], get_entry(kid_ids[0]).expr, get_entry(kid_ids[1]).expr
-            )
-
-        with shard.lock:
-            node_id = shard.next_local * num_shards + shard.index
-            shard.next_local += 1
-            store.version += 1
-            shard.entries[node_id] = StoreEntry(
-                node_id=node_id,
-                hash=top,
-                kind=_KIND_OF_OP[opc],
-                size=sizes[i],
-                children=kid_ids,
-                expr=canonical,
-                version=store.version,
-            )
-            shard.by_hash[top] = node_id
-            shard.stats.misses += 1
-            stats.misses += 1
-        # Child refcounts live in other shards: one lock at a time.
-        for kid in kid_ids:
-            kid_shard = store._shard_of_id(kid)
-            with kid_shard.lock:
-                kid_shard.entries[kid].refcount += 1
-        class_id[i] = node_id
+            kid_ids, label = (), literals[aux[i]]
+        class_id[i] = hit_or_add(tops[i], _KIND_OF_OP[opc], sizes[i], kid_ids, label)
 
     return class_id

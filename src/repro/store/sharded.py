@@ -15,9 +15,13 @@ Layering:
   is keyed by object identity, so striping it would buy nothing under
   the GIL.  (A per-thread memo for free-threaded builds is a recorded
   ROADMAP item.)
-* **Intern table** -- lock-striped.  Entry lookup, creation, LRU
-  touching and eviction all happen under the owning shard's lock only;
-  no operation ever holds two shard locks at once (cross-shard refcount
+* **Intern table** -- lock-striped.  The table is written only by the
+  flat store's four steps (hit by id, hit-or-add by hash, restore,
+  unlink; see :mod:`repro.store.store`); this class overrides each one
+  only to route it to the owning shard, mint shard-encoded ids, take
+  that shard's lock and count on that shard too.  The collision guard,
+  canonical-node construction and memo seeding are the flat store's.
+  No operation ever holds two shard locks at once (cross-shard refcount
   updates take the locks one at a time), so there is no lock ordering
   to get wrong and no deadlock.
 
@@ -50,14 +54,16 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.combiners import HashCombiners
 from repro.store.store import (
     ExprStore,
-    StoreCollisionError,
     StoreEntry,
     StoreStats,
+    canonical_node,
+    check_same_class,
+    saved_stats,
 )
 from repro.lang.expr import Expr
 
@@ -153,8 +159,8 @@ class ShardedExprStore(ExprStore):
             shard.entries.move_to_end(node_id)
             return entry
 
-    def _get_entry(self, node_id: int) -> StoreEntry:
-        return self._shard_of_id(node_id).entries[node_id]
+    def _get_entry(self, node_id: int) -> Optional[StoreEntry]:
+        return self._shard_of_id(node_id).entries.get(node_id)
 
     def lookup_hash(self, hash_value: int) -> Optional[int]:
         return self._shard_of_hash(hash_value).by_hash.get(hash_value)
@@ -225,8 +231,8 @@ class ShardedExprStore(ExprStore):
 
     def intern_many(self, exprs, engine: str = "auto") -> list[int]:
         """The flat batch under the memo lock: the arena bulk intern's
-        lock-striped write branch and root hits see a consistent memo,
-        exactly like serial interning (see
+        hit-or-add steps and root hits see a consistent memo, exactly
+        like serial interning (see
         :func:`repro.store.arena_intern.intern_corpus_arena`)."""
         with self._memo_lock:
             return super().intern_many(exprs, engine=engine)
@@ -238,12 +244,14 @@ class ShardedExprStore(ExprStore):
     def intern(self, expr: Expr) -> int:
         """Intern ``expr`` (same contract as the flat store).
 
-        The flat walk under the memo lock; each node's table transaction
-        (:meth:`_hit_by_id`, :meth:`_intern_one`) runs under its owning
+        The flat walk under the memo lock; each node's table step
+        (:meth:`_hit_by_id`, the hit-or-add step) runs under its owning
         shard's lock only.
         """
         with self._memo_lock:
             return super().intern(expr)
+
+    # -- the table steps, routed to shards -------------------------------------
 
     def _hit_by_id(self, node_id: Optional[int]) -> bool:
         """The flat store's hit by id under the owning shard's lock,
@@ -259,64 +267,92 @@ class ShardedExprStore(ExprStore):
         self.stats.hits += 1
         return True
 
-    def _intern_one(self, node: Expr, rec, kid_ids: tuple[int, ...]) -> int:
-        shard = self._shard_of_hash(rec.top)
-        with shard.lock:
-            existing = shard.by_hash.get(rec.top)
-            if existing is not None:
-                entry = shard.entries[existing]
-                if entry.kind != node.kind or entry.size != node.size:
-                    raise StoreCollisionError(
-                        f"alpha-hash 0x{rec.top:x} maps both a {entry.kind} "
-                        f"of size {entry.size} and a {node.kind} of size "
-                        f"{node.size}"
+    def _hit_or_add_step(self) -> Callable[..., int]:
+        """The flat store's hit-or-add step in the shard owning ``top``,
+        under its lock; a new class's id is ``local * num_shards +
+        shard``.  The store-global version stamp is safe to bump: every
+        intern walk runs under the store's re-entrant memo lock, so
+        steps are serialised across threads."""
+        shards, num_shards, stats = self._shards, self.num_shards, self.stats
+        get_entry = self._get_entry
+
+        def hit_or_add(top, kind, size, kid_ids, label, leaf=None) -> int:
+            shard = shards[top % num_shards]
+            with shard.lock:
+                node_id = shard.by_hash.get(top)
+                if node_id is not None:
+                    check_same_class(shard.entries[node_id], top, kind, size)
+                    shard.entries.move_to_end(node_id)
+                    shard.stats.hits += 1
+                    stats.hits += 1
+                    return node_id
+                tree = leaf
+                if tree is None:
+                    tree = canonical_node(
+                        kind, label, [get_entry(kid).expr for kid in kid_ids]
                     )
-                shard.entries.move_to_end(existing)
-                shard.stats.hits += 1
-                self.stats.hits += 1
-                return existing
+                node_id = shard.next_local * num_shards + shard.index
+                shard.next_local += 1
+                self.version += 1
+                shard.entries[node_id] = StoreEntry(
+                    node_id, top, kind, size, kid_ids, tree, 0, self.version
+                )
+                shard.by_hash[top] = node_id
+                shard.stats.misses += 1
+                stats.misses += 1
+            self._adjust_refcounts(kid_ids, 1)
+            return node_id
 
-            canonical = self._canonical_expr(node, kid_ids)
-            node_id = shard.next_local * self.num_shards + shard.index
-            shard.next_local += 1
-            # The store-global version stamp is safe here: every intern
-            # walk runs under the store's re-entrant memo lock, so
-            # _intern_one calls are serialised across threads.
-            self.version += 1
-            entry = StoreEntry(
-                node_id=node_id,
-                hash=rec.top,
-                kind=node.kind,
-                size=node.size,
-                children=kid_ids,
-                expr=canonical,
-                version=self.version,
+        return hit_or_add
+
+    def _install(self, entry: StoreEntry) -> None:
+        """The flat store's restore write in the shard ``entry``'s id
+        encodes, under its lock, advancing that shard's id counter and
+        counting the miss there too."""
+        shard = self._shard_of_id(entry.node_id)
+        with shard.lock:
+            shard.entries[entry.node_id] = entry
+            shard.by_hash[entry.hash] = entry.node_id
+            shard.next_local = max(
+                shard.next_local, entry.node_id // self.num_shards + 1
             )
-            shard.entries[node_id] = entry
-            shard.by_hash[rec.top] = node_id
             shard.stats.misses += 1
-            self.stats.misses += 1
+        self.stats.misses += 1
 
-        # Child refcounts live in other shards: bump them after releasing
-        # this shard's lock (one lock at a time, never two).
+    def _restore_counters(
+        self,
+        stats: dict,
+        next_ids: Sequence[int],
+        shard_stats: Sequence[dict] = (),
+    ) -> None:
+        """The flat store's counter adoption, per shard: ``next_ids``
+        and ``shard_stats`` hold one saved counter and one saved stats
+        dict per shard."""
+        self.stats = saved_stats(stats)
+        for shard, next_local, saved in zip(self._shards, next_ids, shard_stats):
+            with shard.lock:
+                shard.next_local = max(shard.next_local, next_local)
+                shard.stats = saved_stats(saved)
+
+    def _adjust_refcounts(self, kid_ids: Iterable[int], delta: int) -> None:
+        # Children live in other shards: one lock at a time, never two.
         for kid in kid_ids:
             kid_shard = self._shard_of_id(kid)
             with kid_shard.lock:
-                kid_shard.entries[kid].refcount += 1
+                kid_shard.entries[kid].refcount += delta
 
-        # Seed the canonical tree's memo record, exactly as the flat
-        # store does (a record must imply full-subtree coverage).
-        if id(canonical) not in self._memo and all(
-            id(self._get_entry(kid).expr) in self._memo for kid in kid_ids
-        ):
-            from repro.store.store import _MemoRecord
-
-            seeded = _MemoRecord(
-                canonical, rec.s_hash, dict(rec.vm_entries), rec.vm_hash, rec.top
-            )
-            seeded.node_id = node_id
-            self._memo[id(canonical)] = seeded
-        return node_id
+    def _unlink(self, node_id: int) -> None:
+        """The flat store's unlink in the victim's shard, under its lock
+        and counted there too; the children are released after the lock
+        is dropped."""
+        shard = self._shard_of_id(node_id)
+        with shard.lock:
+            entry = shard.entries.pop(node_id)
+            if shard.by_hash.get(entry.hash) == node_id:
+                del shard.by_hash[entry.hash]
+            shard.stats.evictions += 1
+        self.stats.evictions += 1
+        self._release(entry)
 
     # -- eviction --------------------------------------------------------------
 
@@ -334,7 +370,7 @@ class ShardedExprStore(ExprStore):
             progressed = False
             for shard in self._shards:
                 while True:
-                    victim_entry = None
+                    victim = None
                     with shard.lock:
                         if len(shard.entries) <= self._per_shard_max:
                             break
@@ -344,26 +380,14 @@ class ShardedExprStore(ExprStore):
                                 and node_id != protect
                                 and node_id not in self._pinned
                             ):
-                                victim_entry = entry
+                                victim = node_id
                                 break
-                        if victim_entry is None:
-                            # Everything left is the protected fresh root
-                            # or referenced by a live parent.
-                            break
-                        shard.entries.pop(victim_entry.node_id)
-                        del shard.by_hash[victim_entry.hash]
-                        shard.stats.evictions += 1
-                        self.stats.evictions += 1
-                        progressed = True
-                    # Cross-shard refcount decrements outside this
-                    # shard's lock (never two shard locks at once).
-                    for kid in victim_entry.children:
-                        kid_shard = self._shard_of_id(kid)
-                        with kid_shard.lock:
-                            kid_shard.entries[kid].refcount -= 1
-                    rec = self._memo.get(id(victim_entry.expr))
-                    if rec is not None:
-                        rec.node_id = None
+                    if victim is None:
+                        # Everything left is the protected fresh root
+                        # or referenced by a live parent.
+                        break
+                    self._unlink(victim)
+                    progressed = True
 
     # -- merging ---------------------------------------------------------------
     #

@@ -66,7 +66,8 @@ from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.combiners import HashCombiners
-from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
+from repro.core.kernel import MemoRecord
+from repro.lang.expr import Expr, Lam, Let, Lit, Var
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.sharded import ShardedExprStore
@@ -113,7 +114,8 @@ def _lit_payload(value: Any) -> list:
     raise SnapshotError(f"cannot snapshot literal {value!r}")
 
 
-def _decode_lit(payload: Any) -> Lit:
+def _decode_lit(payload: Any):
+    """The literal value a ``["<tag>", value]`` payload carries."""
     if (
         not isinstance(payload, list)
         or len(payload) != 2
@@ -128,7 +130,7 @@ def _decode_lit(payload: Any) -> Lit:
         expected is int and isinstance(value, bool)
     ):
         raise SnapshotError(f"literal value/tag mismatch {payload!r}")
-    return Lit(value)
+    return value
 
 
 def _node_payload(node: Expr) -> Any:
@@ -427,12 +429,16 @@ def _build_exprs(records: list[dict], resolve_base=None) -> dict[int, Expr]:
     Ascending *size* order (ties broken by id for determinism) is valid
     for both layouts: every child is strictly smaller than its parent.
     For v1's ascending ids this coincides with the historical order.
+    A document naming one id twice is refused here, before any loader
+    writes to a store.
 
     ``resolve_base`` (delta application) resolves child ids that are not
     among ``records`` themselves -- they then refer to canonical entries
     the receiving store already holds; ``None`` from the resolver is a
     malformed/inapplicable delta and fails loudly.
     """
+    from repro.store.store import canonical_node
+
     exprs: dict[int, Expr] = {}
 
     def _kid(c: int) -> Expr:
@@ -454,27 +460,48 @@ def _build_exprs(records: list[dict], resolve_base=None) -> dict[int, Expr]:
 
     for rec in sorted(records, key=lambda r: (r["z"], r["i"])):
         kind, payload = rec["k"], rec["p"]
-        kids = [_kid(c) for c in rec["c"]]
-        if kind == "Var":
-            node: Expr = Var(payload)
-        elif kind == "Lit":
-            node = _decode_lit(payload)
-        elif kind == "Lam":
-            node = Lam(payload, kids[0])
-        elif kind == "App":
-            node = App(kids[0], kids[1])
-        elif kind == "Let":
-            node = Let(payload, kids[0], kids[1])
-        else:
+        if rec["i"] in exprs:
+            raise SnapshotError(f"entry id {rec['i']} appears twice")
+        if kind not in ("Var", "Lit", "Lam", "App", "Let"):
             raise SnapshotError(f"unknown entry kind {kind!r}")
-        exprs[rec["i"]] = node
+        label = _decode_lit(payload) if kind == "Lit" else payload
+        exprs[rec["i"]] = canonical_node(kind, label, [_kid(c) for c in rec["c"]])
     return exprs
+
+
+def _restore_records(store: "ExprStore", records: list[dict], exprs) -> int:
+    """Restore every record into ``store`` through its restore step,
+    children before parents; return how many were installed (the rest
+    were live already).  Every record's summary and version stamp is
+    checked before the first write, so a malformed one leaves the store
+    untouched."""
+    ordered = sorted(records, key=lambda r: (r["z"], r["i"]))
+    summaries = [
+        MemoRecord(exprs[rec["i"]], rec["s"], dict(rec["m"]), rec["v"], rec["h"])
+        for rec in ordered
+    ]
+    if not all(isinstance(rec.get("t", 0), int) for rec in ordered):
+        raise SnapshotError("malformed snapshot entry: non-integer version stamp")
+    installed = 0
+    for rec, summary in zip(ordered, summaries):
+        installed += store._restore(
+            rec["i"], rec["k"], rec["z"], tuple(rec["c"]), rec.get("t", 0), summary
+        )
+    return installed
+
+
+def _restore_recency(store: "ExprStore", records: list[dict]) -> None:
+    """Touch every record's id in file order, which is LRU order: the
+    restored recency.  The hits this counts are replaced by the saved
+    counters (:meth:`~repro.store.ExprStore._restore_counters`)."""
+    for rec in records:
+        store._hit_by_id(rec["i"])
 
 
 def _flat_snapshot_from_bytes(
     header: dict, body: bytes
 ) -> tuple["ExprStore", dict]:
-    from repro.store.store import ExprStore, StoreEntry, _MemoRecord
+    from repro.store.store import ExprStore
 
     missing_fields = [
         key
@@ -498,64 +525,25 @@ def _flat_snapshot_from_bytes(
     # hand-edited file with a recomputed checksum) must still fail as
     # SnapshotError, not leak a bare KeyError/TypeError from the rebuild.
     try:
-        exprs = _build_exprs(records)
-
-        # File order is LRU order: inserting in it restores recency.
-        for rec in records:
-            node_id = rec["i"]
-            entry = StoreEntry(
-                node_id=node_id,
-                hash=rec["h"],
-                kind=rec["k"],
-                size=rec["z"],
-                children=tuple(rec["c"]),
-                expr=exprs[node_id],
-                version=rec.get("t", 0),
-            )
-            store._entries[node_id] = entry
-            store._by_hash[entry.hash] = node_id
-        for entry in store._entries.values():
-            for kid in entry.children:
-                store._entries[kid].refcount += 1
-
-        # Warm the memo.  A record must imply full-subtree coverage,
-        # which holds here because every canonical child is restored.
-        for rec in sorted(records, key=lambda r: r["i"]):
-            node = exprs[rec["i"]]
-            memo_rec = _MemoRecord(
-                node, rec["s"], dict(rec["m"]), rec["v"], rec["h"]
-            )
-            memo_rec.node_id = rec["i"]
-            store._memo[id(node)] = memo_rec
+        _restore_records(store, records, _build_exprs(records))
+        _restore_recency(store, records)
+        store._restore_counters(header.get("stats", {}), [header["next_id"]])
     except SnapshotError:
         raise
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise SnapshotError(
             f"malformed snapshot entry: {exc!r}"
         ) from exc
-
-    store._next_id = header["next_id"]
-    store.version = header.get(
-        "version", max((r.get("t", 0) for r in records), default=0)
-    )
-    _restore_stats(store.stats, header.get("stats", {}))
+    store.version = max(store.version, header.get("version", 0))
     return store, header
 
 
-def _restore_stats(stats, saved: dict) -> None:
-    for f in fields(stats):
-        if f.name in saved:
-            setattr(stats, f.name, saved[f.name])
-
-
-# repro-lint: allow[guarded-by] reason=construction-time writes; the store being populated is a fresh local object no other thread can reach until this function returns it
 def _sharded_snapshot_from_bytes(
     header: dict, body: bytes
 ) -> tuple["ShardedExprStore", dict]:
     """Decode the v2 sharded layout; node ids and recency survive."""
     from repro.core.cpus import available_cpus
     from repro.store.sharded import ShardedExprStore
-    from repro.store.store import StoreEntry, _MemoRecord
 
     missing_fields = [
         key
@@ -613,57 +601,26 @@ def _sharded_snapshot_from_bytes(
         )
 
     try:
-        exprs = _build_exprs(records)
-
-        for shard, meta_entry, section in zip(
-            store._shards, shard_meta, shard_records
-        ):
-            # Section order is the shard's LRU order.
+        for index, section in enumerate(shard_records):
             for rec in section:
-                node_id = rec["i"]
-                if node_id % num_shards != shard.index:
+                if rec["i"] % num_shards != index:
                     raise SnapshotError(
-                        f"node id {node_id} landed in shard section "
-                        f"{shard.index} (ids encode their shard)"
+                        f"node id {rec['i']} landed in shard section "
+                        f"{index} (ids encode their shard)"
                     )
-                entry = StoreEntry(
-                    node_id=node_id,
-                    hash=rec["h"],
-                    kind=rec["k"],
-                    size=rec["z"],
-                    children=tuple(rec["c"]),
-                    expr=exprs[node_id],
-                    version=rec.get("t", 0),
-                )
-                shard.entries[node_id] = entry
-                shard.by_hash[entry.hash] = node_id
-            shard.next_local = meta_entry.get(
-                "next_local", len(shard.entries)
-            )
-            _restore_stats(shard.stats, meta_entry.get("stats", {}))
-
-        for shard in store._shards:
-            for entry in shard.entries.values():
-                for kid in entry.children:
-                    store._shard_of_id(kid).entries[kid].refcount += 1
-
-        # Warm the memo exactly like the flat layout.
-        for rec in sorted(records, key=lambda r: (r["z"], r["i"])):
-            node = exprs[rec["i"]]
-            memo_rec = _MemoRecord(
-                node, rec["s"], dict(rec["m"]), rec["v"], rec["h"]
-            )
-            memo_rec.node_id = rec["i"]
-            store._memo[id(node)] = memo_rec
+        _restore_records(store, records, _build_exprs(records))
+        # Each section is its shard's LRU order.
+        _restore_recency(store, records)
+        store._restore_counters(
+            header.get("stats", {}),
+            [meta_entry.get("next_local", 0) for meta_entry in shard_meta],
+            [meta_entry.get("stats", {}) for meta_entry in shard_meta],
+        )
     except SnapshotError:
         raise
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise SnapshotError(f"malformed snapshot entry: {exc!r}") from exc
-
-    store.version = header.get(
-        "version", max((r.get("t", 0) for r in records), default=0)
-    )
-    _restore_stats(store.stats, header.get("stats", {}))
+    store.version = max(store.version, header.get("version", 0))
     return store, header
 
 
@@ -694,7 +651,11 @@ def read_snapshot(path: str) -> tuple["ExprStore", dict]:
 # receiver's own table.  That makes replica catch-up O(new entries)
 # instead of O(store) -- the whole point.  Application is idempotent:
 # entries the receiver already holds are verified (same hash/kind/size)
-# and skipped, so overlapping deltas are safe to replay.
+# and skipped, so overlapping deltas are safe to replay.  A document
+# naming one id twice is refused whole.  Deltas carry no evictions, so
+# a replica can hold a class the primary evicted and later re-created
+# under a new id: both ids stay live, the newest id takes the hash
+# mapping, and evicting the stale one leaves that mapping alone.
 
 
 # lint: returns-lock ShardedExprStore._memo_lock
@@ -778,9 +739,6 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
     :class:`SnapshotError` without partial application of the broken
     record's subtree.
     """
-    from repro.store.sharded import ShardedExprStore
-    from repro.store.store import StoreEntry, _MemoRecord
-
     newline = data.find(b"\n")
     if newline < 0:
         header_line, body = data, b""
@@ -831,25 +789,18 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
                 "catch up with an older delta or a full snapshot"
             )
         records = _parse_records(body, header["entries"])
-        sharded = isinstance(store, ShardedExprStore)
-
-        def _existing(node_id: int) -> Optional[StoreEntry]:
-            if sharded:
-                return store._shard_of_id(node_id).entries.get(node_id)
-            return store._entries.get(node_id)
 
         def _resolve_base(node_id: int) -> Optional[Expr]:
-            entry = _existing(node_id)
+            entry = store._get_entry(node_id)
             return None if entry is None else entry.expr
 
-        applied = skipped = 0
         try:
             exprs = _build_exprs(records, resolve_base=_resolve_base)
-            # All-or-nothing: every mutation-loop failure mode is
-            # checked *before* the first store write, so a breaching
-            # delta (schema hole, entry disagreeing with the store)
-            # leaves the store untouched instead of half-applied --
-            # journal replay interrupted partway must never strand a
+            # All-or-nothing: every restore failure mode is checked
+            # *before* the first store write, so a breaching delta
+            # (schema hole, repeated id, entry disagreeing with the
+            # store) leaves the store untouched instead of half-applied
+            # -- journal replay interrupted partway must never strand a
             # prefix of one frame.
             for rec in records:
                 missing = [
@@ -862,77 +813,8 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
                         f"delta entry is missing field(s) {missing}: "
                         f"{rec!r}"
                     )
-                present = _existing(rec["i"])
-                if present is not None and (
-                    present.hash != rec["h"]
-                    or present.kind != rec["k"]
-                    or present.size != rec["z"]
-                ):
-                    raise SnapshotError(
-                        f"delta entry {rec['i']} disagrees with the "
-                        f"store's existing entry (hash/kind/size "
-                        "mismatch): the receiver does not mirror the "
-                        "emitting store"
-                    )
-            for rec in sorted(records, key=lambda r: (r["z"], r["i"])):
-                node_id = rec["i"]
-                present = _existing(node_id)
-                if present is not None:
-                    if (
-                        present.hash != rec["h"]
-                        or present.kind != rec["k"]
-                        or present.size != rec["z"]
-                    ):
-                        raise SnapshotError(
-                            f"delta entry {node_id} disagrees with the "
-                            f"store's existing entry (hash/kind/size "
-                            "mismatch): the receiver does not mirror the "
-                            "emitting store"
-                        )
-                    skipped += 1
-                    continue
-                entry = StoreEntry(
-                    node_id=node_id,
-                    hash=rec["h"],
-                    kind=rec["k"],
-                    size=rec["z"],
-                    children=tuple(rec["c"]),
-                    expr=exprs[node_id],
-                    version=rec["t"],
-                )
-                if sharded:
-                    shard = store._shard_of_id(node_id)
-                    with shard.lock:
-                        shard.entries[node_id] = entry
-                        shard.by_hash[entry.hash] = node_id
-                        shard.next_local = max(
-                            shard.next_local,
-                            node_id // store.num_shards + 1,
-                        )
-                        shard.stats.misses += 1
-                else:
-                    store._entries[node_id] = entry
-                    store._by_hash[entry.hash] = node_id
-                    store._next_id = max(store._next_id, node_id + 1)
-                store.stats.misses += 1
-                for kid in entry.children:
-                    kid_entry = _existing(kid)
-                    kid_entry.refcount += 1
-                # Warm the memo like the full-snapshot loaders, but only
-                # when every canonical child is still covered (a record
-                # must imply full-subtree coverage, and the receiver may
-                # have flushed its memo since the baseline load).
-                node = exprs[node_id]
-                if id(node) not in store._memo and all(
-                    id(_existing(kid).expr) in store._memo
-                    for kid in entry.children
-                ):
-                    memo_rec = _MemoRecord(
-                        node, rec["s"], dict(rec["m"]), rec["v"], rec["h"]
-                    )
-                    memo_rec.node_id = node_id
-                    store._memo[id(node)] = memo_rec
-                applied += 1
+                store._holds(rec["i"], rec["h"], rec["k"], rec["z"])
+            applied = _restore_records(store, records, exprs)
         except SnapshotError:
             raise
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
@@ -940,6 +822,6 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
         store.version = max(store.version, header["version"])
         return {
             "applied": applied,
-            "skipped": skipped,
+            "skipped": len(records) - applied,
             "version": store.version,
         }

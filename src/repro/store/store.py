@@ -24,7 +24,21 @@ Soundness is the paper's: equal alpha-hash == alpha-equivalent, up to
 hash collisions (Theorem 6.7 bounds these below ~n/2^61 at the default
 64-bit width).  A cheap structural guard (kind and size must match on
 every intern hit) turns the astronomically-unlikely collision into a
-loud :class:`StoreCollisionError` instead of silent conflation.
+loud :class:`StoreCollisionError` instead of silent conflation.  The
+guard is one function, :func:`check_same_class`, and every intern path
+reaches it through the one hit-or-add step.
+
+This module owns the intern table.  Every write goes through one of
+four :class:`ExprStore` steps, each written against the flat table:
+hit by id (:meth:`~ExprStore._hit_by_id`), hit-or-add by hash
+(:meth:`~ExprStore._hit_or_add_step`, bound once per batch), restore an
+entry with a known id (:meth:`~ExprStore._restore`, for the snapshot and
+delta loaders) and unlink an eviction victim
+(:meth:`~ExprStore._unlink`).  The tree walk, the arena bulk intern
+(:mod:`repro.store.arena_intern`), the loaders
+(:mod:`repro.store.snapshot`) and the eviction loops all call them;
+:class:`~repro.store.sharded.ShardedExprStore` overrides them only for
+shard routing, shard-encoded ids, shard locks and per-shard counters.
 
 Two capacity modes:
 
@@ -45,7 +59,7 @@ in-memory state and do not survive snapshots.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.arena import (
@@ -147,10 +161,58 @@ class StoreEntry:
     version: int = 0
 
 
-# The record class moved to repro.core.kernel in PR 4 (the shared
-# summarise loop creates it); the old private name stays importable for
-# the snapshot codec and the sharded store.
-_MemoRecord = MemoRecord
+def check_same_class(entry: StoreEntry, top: int, kind: str, size: int) -> None:
+    """The collision guard: an intern hit on ``entry`` by the alpha-hash
+    ``top`` must have the entry's kind and size.
+
+    The one copy of this check; a mismatch is a hash collision between
+    two terms that are not alpha-equivalent, and raises
+    :class:`StoreCollisionError` instead of conflating them."""
+    if entry.kind != kind or entry.size != size:
+        raise StoreCollisionError(
+            f"alpha-hash 0x{top:x} maps both a {entry.kind} of "
+            f"size {entry.size} and a {kind} of size {size}"
+        )
+
+
+def node_label(node: Expr):
+    """The payload a canonical node carries besides its children: a
+    variable's name, a literal's value, a binder; ``None`` for App."""
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Lit):
+        return node.value
+    if isinstance(node, (Lam, Let)):
+        return node.binder
+    return None
+
+
+def canonical_node(kind: str, label, kids: Sequence[Expr]) -> Expr:
+    """Build a canonical node from its kind, its :func:`node_label` and
+    its children's canonical trees ``kids``.
+
+    The one constructor of canonical trees: the intern steps and the
+    snapshot rebuild both call it.  Raises ``ValueError`` on an unknown
+    kind."""
+    if kind == "App":
+        return App(kids[0], kids[1])
+    if kind == "Var":
+        return Var(label)
+    if kind == "Lam":
+        return Lam(label, kids[0])
+    if kind == "Let":
+        return Let(label, kids[0], kids[1])
+    if kind == "Lit":
+        return Lit(label)
+    raise ValueError(f"unknown node kind {kind!r}")
+
+
+def saved_stats(saved: dict) -> StoreStats:
+    """A :class:`StoreStats` holding the counters a snapshot saved
+    (unknown keys ignored, missing ones zero)."""
+    return StoreStats(
+        **{f.name: saved[f.name] for f in fields(StoreStats) if f.name in saved}
+    )
 
 
 class ExprStore:
@@ -198,7 +260,7 @@ class ExprStore:
         self._var_entry_cache: dict[str, int] = {}
         self._lit_cache: dict[tuple[type, object], int] = {}
         #: id(node) -> cached summary; holds a strong ref to the node.
-        self._memo: dict[int, _MemoRecord] = {}
+        self._memo: dict[int, MemoRecord] = {}
         #: id(root) -> (root, top hash, class id or None): the arena
         #: engine's root cache.  Cheaper than a full memo record (no
         #: varmap snapshot) but only answers whole-corpus-item repeats:
@@ -435,7 +497,7 @@ class ExprStore:
         self._maybe_flush_memo()
         return AlphaHashes(expr, self.combiners, by_id)
 
-    def _hash_tree(self, expr: Expr) -> _MemoRecord:
+    def _hash_tree(self, expr: Expr) -> MemoRecord:
         """Summarise ``expr`` bottom-up, skipping memoised subtrees.
 
         Delegates to the shared :func:`repro.core.kernel.summarise_tree`
@@ -513,6 +575,7 @@ class ExprStore:
         """
         self._hash_tree(expr)
         memo = self._memo
+        hit_or_add = self._hit_or_add_step()
         ids: list[int] = []
         stack: list[tuple[Expr, bool]] = [(expr, False)]
         while stack:
@@ -531,7 +594,7 @@ class ExprStore:
             kid_ids = tuple(ids[len(ids) - arity :]) if arity else ()
             if arity:
                 del ids[len(ids) - arity :]
-            rec.node_id = self._intern_one(node, rec, kid_ids)
+            rec.node_id = self._intern_one(node, rec, kid_ids, hit_or_add)
             ids.append(rec.node_id)
         assert len(ids) == 1
         # Evict only once the whole tree is interned: children created
@@ -539,24 +602,6 @@ class ExprStore:
         self._evict_if_needed(protect=ids[0])
         self._maybe_flush_memo()
         return ids[0]
-
-    def _hit_by_id(self, node_id: Optional[int]) -> bool:
-        """The intern hit by id: if ``node_id`` names a live class,
-        touch its LRU recency, count one hit and return ``True``.
-
-        The one copy of this step: the tree walk (:meth:`intern`) takes
-        it for every subtree object interned before, the arena bulk
-        intern for every repeated corpus item
-        (:mod:`repro.store.arena_intern`).  ``None`` (never interned)
-        and evicted ids miss.  The sharded store overrides only the
-        storage: the same step under the owning shard's lock.
-        """
-        entries = self._entries
-        if node_id is None or node_id not in entries:
-            return False
-        entries.move_to_end(node_id)
-        self.stats.hits += 1
-        return True
 
     def intern_many(self, exprs: Iterable[Expr], engine: str = "auto") -> list[int]:
         """Batch :meth:`intern`: one id per input, duplicates collapse.
@@ -602,54 +647,6 @@ class ExprStore:
 
         return intern_arena(self, arena, roots, kernel=kernel, check=check)
 
-    def _intern_one(
-        self, node: Expr, rec: _MemoRecord, kid_ids: tuple[int, ...]
-    ) -> int:
-        existing = self._by_hash.get(rec.top)
-        if existing is not None:
-            entry = self._entries[existing]
-            if entry.kind != node.kind or entry.size != node.size:
-                raise StoreCollisionError(
-                    f"alpha-hash 0x{rec.top:x} maps both a {entry.kind} of "
-                    f"size {entry.size} and a {node.kind} of size {node.size}"
-                )
-            self._entries.move_to_end(existing)
-            self.stats.hits += 1
-            return existing
-
-        canonical = self._canonical_expr(node, kid_ids)
-        node_id = self._next_id
-        self._next_id += 1
-        self.version += 1
-        entry = StoreEntry(
-            node_id=node_id,
-            hash=rec.top,
-            kind=node.kind,
-            size=node.size,
-            children=kid_ids,
-            expr=canonical,
-            version=self.version,
-        )
-        for kid in kid_ids:
-            self._entries[kid].refcount += 1
-        self._entries[node_id] = entry
-        self._by_hash[rec.top] = node_id
-        self.stats.misses += 1
-        # The canonical tree is made of canonical subtrees, so hashing it
-        # later can be a pure memo hit: seed its summary from this one.
-        # Only when the memo still covers every canonical child, though --
-        # a record must always imply full-subtree coverage (hashing and
-        # interning resume above cached roots without descending), and a
-        # flush may have dropped the children's records.
-        if id(canonical) not in self._memo and all(
-            id(self._entries[kid].expr) in self._memo for kid in kid_ids
-        ):
-            self._memo[id(canonical)] = _MemoRecord(
-                canonical, rec.s_hash, dict(rec.vm_entries), rec.vm_hash, rec.top
-            )
-            self._memo[id(canonical)].node_id = node_id
-        return node_id
-
     def merge_store(self, other: "ExprStore") -> dict[int, int]:
         """Fold every canonical class of ``other`` into this store.
 
@@ -671,20 +668,226 @@ class ExprStore:
             mapping[entry.node_id] = self.intern(entry.expr)
         return mapping
 
-    def _get_entry(self, node_id: int) -> StoreEntry:
-        """Entry lookup without LRU side effects (overridable storage hook)."""
-        return self._entries[node_id]
+    # -- the intern table's write steps ----------------------------------------
+    #
+    # Nothing outside this module and repro.store.sharded writes the
+    # table; every write is one of the steps below.  The sharded store
+    # overrides each one only for routing, ids, locks and counters.
 
-    def _canonical_expr(self, node: Expr, kid_ids: tuple[int, ...]) -> Expr:
-        if isinstance(node, (Var, Lit)):
-            return node
-        kids = tuple(self._get_entry(kid).expr for kid in kid_ids)
-        if isinstance(node, Lam):
-            return Lam(node.binder, kids[0])
-        if isinstance(node, App):
-            return App(kids[0], kids[1])
-        assert isinstance(node, Let)
-        return Let(node.binder, kids[0], kids[1])
+    def _get_entry(self, node_id: int) -> Optional[StoreEntry]:
+        """The live entry ``node_id`` or ``None``, without LRU side effects."""
+        return self._entries.get(node_id)
+
+    def _hit_by_id(self, node_id: Optional[int]) -> bool:
+        """The intern hit by id: if ``node_id`` names a live class,
+        touch its LRU recency, count one hit and return ``True``.
+
+        The tree walk (:meth:`intern`) takes it for every subtree object
+        interned before, the arena bulk intern for every repeated corpus
+        item (:mod:`repro.store.arena_intern`).  ``None`` (never
+        interned) and evicted ids miss.
+        """
+        entries = self._entries
+        if node_id is None or node_id not in entries:
+            return False
+        entries.move_to_end(node_id)
+        self.stats.hits += 1
+        return True
+
+    def _hit_or_add_step(self) -> Callable[..., int]:
+        """The hit-or-add step by hash, bound once per batch.
+
+        Returns ``hit_or_add(top, kind, size, kid_ids, label, leaf=None)``
+        -> class id.  A hit on a class already keyed by ``top`` passes
+        :func:`check_same_class`, touches its recency and counts one
+        hit.  A miss creates the class from ``kid_ids`` (its children's
+        ids) and ``label`` (see :func:`canonical_node`), or adopts
+        ``leaf`` as a Var/Lit class's canonical tree when the caller
+        has one, and counts one miss.  Binding once keeps the tree walk
+        and the arena resolve loop off per-row attribute lookups.
+        """
+        entries, by_hash, stats = self._entries, self._by_hash, self.stats
+
+        def hit_or_add(top, kind, size, kid_ids, label, leaf=None) -> int:
+            node_id = by_hash.get(top)
+            if node_id is not None:
+                check_same_class(entries[node_id], top, kind, size)
+                entries.move_to_end(node_id)
+                stats.hits += 1
+                return node_id
+            tree = leaf
+            if tree is None:
+                tree = canonical_node(
+                    kind, label, [entries[kid].expr for kid in kid_ids]
+                )
+            node_id = self._next_id
+            self._next_id = node_id + 1
+            self.version += 1
+            entries[node_id] = StoreEntry(
+                node_id, top, kind, size, kid_ids, tree, 0, self.version
+            )
+            by_hash[top] = node_id
+            for kid in kid_ids:
+                entries[kid].refcount += 1
+            stats.misses += 1
+            return node_id
+
+        return hit_or_add
+
+    def _intern_one(
+        self,
+        node: Expr,
+        rec: MemoRecord,
+        kid_ids: tuple[int, ...],
+        hit_or_add: Callable[..., int],
+    ) -> int:
+        """One tree node through the hit-or-add step.  A leaf class it
+        creates adopts ``node`` itself, which already has its memo
+        record; an interior one gets its canonical tree's record seeded
+        from ``rec`` (the canonical tree is made of canonical subtrees,
+        so hashing it later can be a pure memo hit)."""
+        version = self.version
+        node_id = hit_or_add(
+            rec.top,
+            node.kind,
+            node.size,
+            kid_ids,
+            node_label(node),
+            None if kid_ids else node,
+        )
+        if kid_ids and self.version != version:  # a class was created
+            canonical = self._get_entry(node_id).expr
+            self._seed_memo(
+                MemoRecord(
+                    canonical, rec.s_hash, dict(rec.vm_entries), rec.vm_hash, rec.top
+                ),
+                node_id,
+            )
+        return node_id
+
+    def _seed_memo(self, record: MemoRecord, node_id: int) -> None:
+        """Install ``record`` (a canonical tree's summary) as the memo
+        record of class ``node_id``.
+
+        Only when the memo still covers every canonical child, though --
+        a record must always imply full-subtree coverage (hashing and
+        interning resume above cached roots without descending), and a
+        flush may have dropped the children's records.  A tree that
+        already has a record keeps it."""
+        memo, node = self._memo, record.node
+        if id(node) in memo or not all(
+            id(kid) in memo for kid in node.children()
+        ):
+            return
+        record.node_id = node_id
+        memo[id(node)] = record
+
+    def _holds(self, node_id: int, hash_value: int, kind: str, size: int) -> bool:
+        """Whether the live entry ``node_id`` already has this content
+        (``False`` if the id is not live).  A live entry with another
+        hash, kind or size raises
+        :class:`~repro.store.snapshot.SnapshotError`: the document does
+        not describe this store."""
+        present = self._get_entry(node_id)
+        if present is None:
+            return False
+        if (present.hash, present.kind, present.size) != (hash_value, kind, size):
+            from repro.store.snapshot import SnapshotError
+
+            raise SnapshotError(
+                f"entry {node_id} disagrees with the store's existing "
+                "entry (hash/kind/size mismatch): the receiver does not "
+                "mirror the emitting store"
+            )
+        return True
+
+    def _restore(
+        self,
+        node_id: int,
+        kind: str,
+        size: int,
+        kid_ids: tuple[int, ...],
+        version: int,
+        summary: MemoRecord,
+    ) -> bool:
+        """Install a saved entry under its known id; ``True`` if installed.
+
+        ``summary`` is the entry's saved memo record: its ``node`` is
+        the canonical tree, its ``top`` the class hash.  An entry
+        already live with the same content is skipped (``False``), so
+        replays are idempotent; other content raises (:meth:`_holds`).
+        The id counter and the store version advance past the entry,
+        the hash maps to it even when an older live id holds the same
+        hash (the newest id wins), the children gain a reference and
+        the record is seeded under :meth:`_seed_memo`'s coverage rule.
+        Callers restore children before parents (ascending size).
+        """
+        if self._holds(node_id, summary.top, kind, size):
+            return False
+        for kid in kid_ids:
+            if self._get_entry(kid) is None:
+                raise KeyError(kid)
+        version_after = max(self.version, version)
+        self._adjust_refcounts(kid_ids, 1)
+        self._install(
+            StoreEntry(
+                node_id, summary.top, kind, size, kid_ids, summary.node, 0, version
+            )
+        )
+        self.version = version_after
+        self._seed_memo(summary, node_id)
+        return True
+
+    def _install(self, entry: StoreEntry) -> None:
+        """Restore's table write: insert ``entry``, map its hash to it,
+        move the id counter past it and count one miss."""
+        self._entries[entry.node_id] = entry
+        self._by_hash[entry.hash] = entry.node_id
+        self._next_id = max(self._next_id, entry.node_id + 1)
+        self.stats.misses += 1
+
+    def _restore_counters(
+        self,
+        stats: dict,
+        next_ids: Sequence[int],
+        shard_stats: Sequence[dict] = (),
+    ) -> None:
+        """Adopt a loaded snapshot's saved counters.
+
+        ``stats`` replaces the store's counters.  ``next_ids`` holds
+        each table's saved id counter (the flat store has one table);
+        a counter only ever advances, since restoring already moved it
+        past every restored id.  ``shard_stats`` is for sharded stores.
+        """
+        self.stats = saved_stats(stats)
+        for next_id in next_ids:
+            self._next_id = max(self._next_id, next_id)
+
+    def _adjust_refcounts(self, kid_ids: Iterable[int], delta: int) -> None:
+        """Add ``delta`` to the refcount of each live child in ``kid_ids``."""
+        entries = self._entries
+        for kid in kid_ids:
+            entries[kid].refcount += delta
+
+    def _unlink(self, node_id: int) -> None:
+        """Drop the eviction victim ``node_id`` from the table.
+
+        Its hash is unmapped only while the mapping names the victim: a
+        replayed store can hold an evicted-then-recreated class under
+        two ids, and the newer one keeps the mapping."""
+        entry = self._entries.pop(node_id)
+        if self._by_hash.get(entry.hash) == node_id:
+            del self._by_hash[entry.hash]
+        self.stats.evictions += 1
+        self._release(entry)
+
+    def _release(self, entry: StoreEntry) -> None:
+        """An unlinked entry's last step: its children lose a reference
+        and its canonical tree's memo record forgets the id."""
+        self._adjust_refcounts(entry.children, -1)
+        rec = self._memo.get(id(entry.expr))
+        if rec is not None:
+            rec.node_id = None
 
     # -- eviction --------------------------------------------------------------
 
@@ -706,11 +909,4 @@ class ExprStore:
                 # pinned by a session, or referenced by a live parent; the
                 # table cannot shrink further without breaking child links.
                 break
-            entry = self._entries.pop(victim)
-            del self._by_hash[entry.hash]
-            for kid in entry.children:
-                self._entries[kid].refcount -= 1
-            rec = self._memo.get(id(entry.expr))
-            if rec is not None:
-                rec.node_id = None
-            self.stats.evictions += 1
+            self._unlink(victim)

@@ -20,6 +20,7 @@ from repro.store import (
     ShardedExprStore,
     SnapshotError,
     apply_delta_bytes,
+    content_checksum,
     delta_to_bytes,
     snapshot_from_bytes,
     snapshot_to_bytes,
@@ -255,6 +256,55 @@ class TestDeltaValidation:
         )
         with pytest.raises(SnapshotError):
             apply_delta_bytes(replica, doc)
+
+
+def repeat_record(doc: bytes, index: int) -> bytes:
+    """``doc`` with body record ``index`` repeated at the end, its hash
+    flipped; the header's entry count and checksum are recomputed."""
+    import hashlib
+
+    head, _, body = doc.partition(b"\n")
+    lines = body.decode("utf-8").splitlines()
+    rec = json.loads(lines[index])
+    rec["h"] ^= 1
+    lines.append(json.dumps(rec, separators=(",", ":"), sort_keys=True))
+    new_body = ("\n".join(lines) + "\n").encode("utf-8")
+    header = json.loads(head)
+    header["entries"] += 1
+    header["checksum"] = "sha256:" + hashlib.sha256(new_body).hexdigest()
+    return (
+        json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+        + b"\n"
+        + new_body
+    )
+
+
+class TestRepeatedIds:
+    def test_delta_naming_one_id_twice_is_refused_whole(self, layout):
+        """All-or-nothing: a document repeating an id (the second copy
+        with another hash) applies nothing, not a prefix."""
+        store = make_store(layout)
+        for expr in corpus(10):
+            store.intern(expr)
+        delta = delta_to_bytes(store, 0)
+        replica = make_store(layout)
+        before = (
+            len(replica),
+            replica.version,
+            replica.stats.as_dict(),
+            content_checksum(replica),
+        )
+        for index in (0, len(store) // 2, len(store) - 1):
+            with pytest.raises(SnapshotError):
+                apply_delta_bytes(replica, repeat_record(delta, index))
+            assert (
+                len(replica),
+                replica.version,
+                replica.stats.as_dict(),
+                content_checksum(replica),
+            ) == before
+        apply_delta_bytes(replica, delta)
+        assert entry_map(replica) == entry_map(store)
 
 
 class TestDeltaAccounting:

@@ -16,9 +16,11 @@ import pytest
 
 from repro.core.combiners import HashCombiners
 from repro.gen.random_exprs import random_expr
+from repro.lang.parser import parse
 from repro.store import (
     ExprStore,
     Journal,
+    ShardedExprStore,
     JournalError,
     SnapshotError,
     apply_delta_bytes,
@@ -461,3 +463,50 @@ class TestContentChecksum:
         for expr in items[:-1]:
             b.intern(expr)
         assert content_checksum(a) != content_checksum(b)
+
+
+class TestBoundedReplay:
+    """Deltas carry no evictions: a replayed bounded store still holds a
+    class the primary evicted, next to the id that re-created it."""
+
+    @staticmethod
+    def make(shape):
+        if shape == "flat":
+            return ExprStore(max_entries=6)
+        return ShardedExprStore(num_shards=2, max_entries=6)
+
+    @staticmethod
+    def assert_lookup_sound(store, hashes):
+        live = {entry.node_id: entry.hash for entry in store.entries()}
+        for hash_value in hashes:
+            found = store.lookup_hash(hash_value)
+            assert found is None or live.get(found) == hash_value
+
+    @pytest.mark.parametrize("shape", ["flat", "sharded"])
+    def test_replayed_store_interns_past_a_recreated_class(self, tmp_path, shape):
+        directory = str(tmp_path / "wal")
+        journal = Journal(directory, fsync=False)
+        primary = self.make(shape)
+
+        def intern(text):
+            node_id = primary.intern(parse(text))
+            journal.append_delta(primary)
+            return node_id
+
+        first = intern(r"\q. q + 99")
+        for i in range(10):
+            intern(f"f{i} (g{i} {i})")  # evicts the class above
+        recreated = intern(r"\z. z + 99")  # the same class, a new id
+        journal.close()
+        assert recreated != first
+
+        replica = self.make(shape)
+        Journal(directory, fsync=False).replay(replica)
+        assert first in replica and recreated in replica
+        assert replica.lookup_hash(primary.hash_of(recreated)) == recreated
+        hashes = {entry.hash for entry in replica.entries()}
+        self.assert_lookup_sound(replica, hashes)
+        for i in range(20):
+            node_id = replica.intern(parse(f"k{i} (m{i} {i})"))
+            hashes.add(replica.hash_of(node_id))
+            self.assert_lookup_sound(replica, hashes)

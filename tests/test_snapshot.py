@@ -21,7 +21,10 @@ from repro.store import (
     ExprStore,
     ShardedExprStore,
     SnapshotError,
+    content_checksum,
     read_snapshot,
+    snapshot_from_bytes,
+    snapshot_to_bytes,
     write_snapshot,
 )
 
@@ -214,6 +217,63 @@ class TestSnapshotIntegrity:
             handle.write(json.dumps(header) + "\n")
         with pytest.raises(SnapshotError, match="missing required"):
             read_snapshot(snap_path)
+
+
+def repeat_record(data: bytes, index: int) -> bytes:
+    """A snapshot with body record ``index`` repeated, its hash flipped:
+    appended to the record's own shard section in the sharded layout,
+    with every count, byte run and checksum recomputed."""
+    import hashlib
+
+    head, _, body = data.partition(b"\n")
+    header = json.loads(head)
+    lines = body.decode("utf-8").splitlines(keepends=True)
+    rec = json.loads(lines[index])
+    rec["h"] ^= 1
+    copy = json.dumps(rec, separators=(",", ":"), sort_keys=True) + "\n"
+    if "shards" in header:
+        section = rec["i"] % header["num_shards"]
+        end = sum(m["entries"] for m in header["shards"][: section + 1])
+        lines.insert(end, copy)
+        header["shards"][section]["entries"] += 1
+        header["shards"][section]["bytes"] += len(copy.encode("utf-8"))
+    else:
+        lines.append(copy)
+    new_body = "".join(lines).encode("utf-8")
+    header["entries"] += 1
+    header["checksum"] = "sha256:" + hashlib.sha256(new_body).hexdigest()
+    return (
+        json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+        + b"\n"
+        + new_body
+    )
+
+
+class TestRepeatedIds:
+    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    def test_snapshot_naming_one_id_twice_is_refused(self, layout):
+        """Loading such a file used to succeed with ``lookup_hash(h)``
+        naming an entry that carries ``h ^ 1``."""
+        store = ExprStore() if layout == "flat" else ShardedExprStore(num_shards=4)
+        for seed in range(12):
+            store.intern(random_expr(15, seed=seed, p_let=0.2, p_lit=0.2))
+        data = snapshot_to_bytes(store)
+        before = (
+            len(store),
+            store.version,
+            store.stats.as_dict(),
+            content_checksum(store),
+        )
+        for index in (0, len(store) // 2, len(store) - 1):
+            with pytest.raises(SnapshotError, match="twice"):
+                snapshot_from_bytes(repeat_record(data, index))
+        assert (
+            len(store),
+            store.version,
+            store.stats.as_dict(),
+            content_checksum(store),
+        ) == before
+        assert snapshot_to_bytes(snapshot_from_bytes(data)[0]) == data
 
 
 class TestSessionLoad:

@@ -14,7 +14,7 @@ from repro.lang.expr import App, Lam, Lit, Var, syntactic_eq
 from repro.lang.names import uniquify_binders
 from repro.lang.parser import parse
 from repro.lang.pretty import pretty
-from repro.store import ExprStore, StoreCollisionError, StoreStats
+from repro.store import ExprStore, ShardedExprStore, StoreCollisionError, StoreStats
 
 
 def p(text: str):
@@ -256,6 +256,42 @@ class TestCollisionGuard:
         except StoreCollisionError:
             saw_collision_error = True
         assert saw_collision_error or store.stats.hits > 0
+
+    @staticmethod
+    def colliding_var(combiners, target):
+        """A free variable whose alpha-hash is ``target``, by search."""
+        for n in range(1 << 16):
+            var = Var(f"v{n}")
+            if alpha_hash_all(var, combiners).root_hash == target:
+                return var
+        raise AssertionError(f"no variable hashes to 0x{target:x}")
+
+    @pytest.mark.parametrize("shape", ["flat", "sharded"])
+    @pytest.mark.parametrize("path", ["intern", "intern_many", "intern_arena"])
+    def test_collision_raises_on_every_intern_path(self, shape, path):
+        """At 8 bits a Var can share the alpha-hash of ``\\x. x``: every
+        intern path reaches the one guard and raises the same text."""
+        from repro.core.arena import ExprArena
+        from repro.lang.sexpr import to_wire
+
+        combiners = HashCombiners(bits=8, seed=1)
+        if shape == "flat":
+            store = ExprStore(combiners)
+        else:
+            store = ShardedExprStore(combiners, num_shards=4)
+        top = store.hash_of(store.intern(parse(r"\x. x")))
+        var = self.colliding_var(combiners, top)
+        with pytest.raises(StoreCollisionError) as raised:
+            if path == "intern":
+                store.intern(var)
+            elif path == "intern_many":
+                store.intern_many([var], engine="arena")
+            else:
+                arena = ExprArena()
+                store.intern_arena(arena, arena.extend_wire([to_wire(var)]))
+        assert str(raised.value) == (
+            f"alpha-hash 0x{top:x} maps both a Lam of size 2 and a Var of size 1"
+        )
 
 
 class TestStatsShape:

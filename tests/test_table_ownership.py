@@ -1,0 +1,136 @@
+"""The intern table has one owner: ``store/store.py`` and ``store/sharded.py``.
+
+An AST scan over the ``repro`` source tree.  Every other module reads
+the table only; writes go through the store's steps (hit by id,
+hit-or-add, restore, unlink), so the collision guard and the table's
+invariants live in one place.  A module outside the owners fails this
+test if it
+
+* stores into, deletes from, or calls a mutator (``move_to_end``,
+  ``pop``, ...) on ``_entries``, ``_by_hash``, or a shard's ``entries``
+  or ``by_hash``;
+* assigns ``_next_id`` or ``next_local``;
+* changes an entry's ``refcount``.
+
+``StoreCollisionError`` is raised at exactly one site: the guard.
+"""
+
+import ast
+import pathlib
+
+import repro
+
+SRC = pathlib.Path(repro.__file__).resolve().parent
+OWNERS = {"store/store.py", "store/sharded.py"}
+TABLE_ATTRS = {"_entries", "_by_hash"}
+SHARD_TABLE_ATTRS = {"entries", "by_hash"}
+COUNTER_ATTRS = {"_next_id", "next_local", "refcount"}
+MUTATORS = {"move_to_end", "pop", "popitem", "clear", "update", "setdefault"}
+
+
+def modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def is_table(node) -> bool:
+    """``X._entries`` / ``X._by_hash``, or ``entries`` / ``by_hash`` on a
+    receiver that names a shard (``shard``, ``kid_shard``,
+    ``store._shard_of_id(kid)``, ...)."""
+    if not isinstance(node, ast.Attribute):
+        return False
+    if node.attr in TABLE_ATTRS:
+        return True
+    return node.attr in SHARD_TABLE_ATTRS and "shard" in ast.unparse(node.value).lower()
+
+
+def flat_targets(target):
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from flat_targets(elt)
+    elif isinstance(target, ast.Starred):
+        yield from flat_targets(target.value)
+    else:
+        yield target
+
+
+def table_aliases(tree) -> set:
+    """Local names bound straight to a table (``entries = store._entries``,
+    also inside tuple assignments)."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = list(zip(target.elts, node.value.elts))
+            for name, value in pairs:
+                if isinstance(name, ast.Name) and is_table(value):
+                    aliases.add(name.id)
+    return aliases
+
+
+def table_writes(tree):
+    """``(line, source)`` of every table write in one module."""
+    aliases = table_aliases(tree)
+
+    def table(node) -> bool:
+        return is_table(node) or (isinstance(node, ast.Name) and node.id in aliases)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in MUTATORS
+                and table(func.value)
+            ):
+                yield node.lineno, ast.unparse(node)
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        else:
+            continue
+        for target in targets:
+            for sub in flat_targets(target):
+                if isinstance(sub, ast.Subscript) and table(sub.value):
+                    yield node.lineno, ast.unparse(sub)
+                elif isinstance(sub, ast.Attribute) and (
+                    sub.attr in COUNTER_ATTRS or is_table(sub)
+                ):
+                    yield node.lineno, ast.unparse(sub)
+
+
+def test_only_the_store_modules_write_the_intern_table():
+    offenders = [
+        f"{name}:{line}: {source}"
+        for name, tree in modules()
+        if name not in OWNERS
+        for line, source in table_writes(tree)
+    ]
+    assert offenders == []
+
+
+def test_the_scan_sees_the_owners_writes():
+    """The scan is not vacuous: the owners' own steps register."""
+    for name, tree in modules():
+        if name in OWNERS:
+            assert list(table_writes(tree)), name
+
+
+def test_one_collision_raise_site():
+    sites = [
+        f"{name}:{node.lineno}"
+        for name, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and ast.unparse(node.exc.func).split(".")[-1] == "StoreCollisionError"
+    ]
+    assert len(sites) == 1, sites
+    assert sites[0].startswith("store/store.py:")
