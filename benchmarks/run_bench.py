@@ -30,13 +30,18 @@ Cells:
                   vs through a ``repro cluster serve`` coordinator
                   fronting two shard nodes (all on localhost), with
                   bit-identity and folded-stats conservation checked.
-* ``threshold`` -- the sweep behind ``ARENA_MIN_NODES``: tree vs arena
-                  engine per corpus size (~500 to ~32k nodes of
-                  60-node items), for ``Expr`` input and for wire input
-                  (the server's path: compile, then the planned engine),
-                  median of ``--repeats`` fresh-store runs each, and the
-                  crossover -- the smallest size from which the arena
-                  wins at every larger size.  Not in the default set::
+* ``threshold`` -- the sweep behind ``ARENA_MIN_NODES`` and
+                  ``VEC_MIN_WIDTH``: tree vs the scalar and the vec
+                  arena kernel per corpus (~500 to ~32k nodes of
+                  60-node items, plus ``let`` and left-skewed ``App``
+                  chains of 4k-8k nodes), for ``Expr`` input and for
+                  wire input (the server's path: compile, then the
+                  forced engine), and each arena kernel alone; median
+                  of ``--repeats`` fresh-store runs each, with every
+                  row's walked nodes per level.  It prints two
+                  crossovers: by nodes, from tree to the best arena
+                  kernel, and by walked nodes per level, from the
+                  scalar to the vec kernel.  Not in the default set::
 
                       PYTHONPATH=src python benchmarks/run_bench.py \
                           --cells threshold --repeats 5 --out /tmp/threshold.json
@@ -267,20 +272,53 @@ def cluster_cell(n_items: int, item_size: int, repeats: int) -> dict:
             server.close()
 
 
-def threshold_cell(sizes: list[int], item_size: int, repeats: int) -> dict:
-    """Tree vs arena engine per corpus size, ``Expr`` and wire input.
+def _let_chain(depth: int):
+    from repro.lang.expr import Let, Var
 
-    ``Expr`` input times ``ExprStore().hash_corpus`` with each engine
-    forced.  Wire input times what ``/v1/hash`` runs per request:
-    compile the documents (``ExprArena.extend_wire``), then execute the
-    compiled request on a fresh session with the engine forced (a tree
-    plan rebuilds the items from the arena).  Medians, in ms.
+    expr = Var("x0")
+    for i in range(depth):
+        expr = Let(f"x{i % 5}", Var(f"x{(i + 1) % 5}"), expr)
+    return expr
+
+
+def _app_chain(depth: int):
+    from repro.lang.expr import App, Var
+
+    expr = Var("x")
+    for _ in range(depth):
+        expr = App(expr, Var("y"))
+    return expr
+
+
+def threshold_cell(sizes: list[int], item_size: int, repeats: int) -> dict:
+    """Tree vs the two arena kernels per corpus, ``Expr`` and wire input.
+
+    Rows are ``make_corpus`` corpora of about ``sizes`` nodes
+    (``item_size``-node items) plus deep, thin ones: a ``let`` chain and
+    a left-skewed ``App`` chain of ~4k and ~8k nodes each, one item per
+    corpus.  Per row, with ``tree``, ``arena-scalar`` and ``arena-vec``
+    forced: ``ExprStore().hash_corpus`` (``Expr`` input), and what
+    ``/v1/hash`` runs per request (compile the documents with
+    ``extend_wire``, then execute the compiled request on a fresh
+    session).  Also each arena kernel alone on the compiled arena, the
+    walked nodes per level (total nodes over the deepest item's depth;
+    the width rule's input) and the kernel ``auto`` picks.  Medians,
+    in ms.  Two crossovers: by nodes, from tree to the best arena
+    kernel; by width, from the scalar to the vec kernel alone.
     """
     import statistics
 
     from repro.api import HashRequest, Session
-    from repro.core.arena import ExprArena
+    from repro.core.arena import (
+        HAVE_NUMPY,
+        ExprArena,
+        arena_hash_any,
+        flatten_corpus,
+        resolve_kernel,
+    )
     from repro.lang.sexpr import to_wire
+
+    engines = ("tree", "scalar", "vec") if HAVE_NUMPY else ("tree", "scalar")
 
     def median_ms(fn) -> float:
         runs = []
@@ -290,51 +328,93 @@ def threshold_cell(sizes: list[int], item_size: int, repeats: int) -> dict:
             runs.append(time.perf_counter() - start)
         return round(1000 * statistics.median(runs), 2)
 
+    def engine_name(engine: str) -> str:
+        return engine if engine == "tree" else f"arena-{engine}"
+
     def wire_run(docs, engine):
         arena = ExprArena()
         roots = arena.extend_wire(docs)
-        request = HashRequest.compiled(arena, roots, engine=engine)
+        request = HashRequest.compiled(arena, roots, engine=engine_name(engine))
         return Session().execute(request)
 
-    rows = []
-    for target in sizes:
-        corpus = make_corpus(
-            max(1, target // item_size), item_size, dup_fraction=0.15, seed=target
+    corpora = [
+        (
+            "corpus",
+            make_corpus(
+                max(1, target // item_size), item_size, dup_fraction=0.15, seed=target
+            ),
         )
+        for target in sizes
+    ]
+    for depth in (2_000, 4_000):
+        corpora.append(("let_chain", [_let_chain(depth)]))
+        corpora.append(("app_chain", [_app_chain(depth)]))
+
+    rows = []
+    for shape, corpus in corpora:
         docs = [to_wire(expr) for expr in corpus]
         expected = ExprStore().hash_corpus(corpus, engine="tree")
-        if wire_run(docs, "arena") != expected:
-            raise AssertionError(f"wire arena hashes diverged at {target} nodes")
-        rows.append(
-            {
-                "nodes": sum(expr.size for expr in corpus),
-                "items": len(corpus),
-                "expr_tree_ms": median_ms(
-                    lambda: ExprStore().hash_corpus(corpus, engine="tree")
-                ),
-                "expr_arena_ms": median_ms(
-                    lambda: ExprStore().hash_corpus(corpus, engine="arena")
-                ),
-                "wire_tree_ms": median_ms(lambda: wire_run(docs, "tree")),
-                "wire_arena_ms": median_ms(lambda: wire_run(docs, "arena")),
-            }
-        )
-        print(f"  {json.dumps(rows[-1])}")
+        nodes = sum(expr.size for expr in corpus)
+        depth = max(expr.depth for expr in corpus)
+        arena, _roots = flatten_corpus(corpus)
+        row = {
+            "shape": shape,
+            "nodes": nodes,
+            "items": len(corpus),
+            "depth": depth,
+            "unique_rows": len(arena),
+            "walked_per_level": round(nodes / depth, 1),
+            "auto_kernel": resolve_kernel("auto", nodes, depth),
+        }
+        for engine in engines:
+            if wire_run(docs, engine) != expected:
+                raise AssertionError(
+                    f"wire {engine} hashes diverged on a {nodes}-node {shape}"
+                )
+            row[f"expr_{engine}_ms"] = median_ms(
+                lambda: ExprStore().hash_corpus(corpus, engine=engine_name(engine))
+            )
+            row[f"wire_{engine}_ms"] = median_ms(lambda: wire_run(docs, engine))
+            if engine != "tree":
+                row[f"kernel_{engine}_ms"] = median_ms(
+                    lambda: arena_hash_any(arena, kernel=engine)
+                )
+        rows.append(row)
+        print(f"  {json.dumps(row)}")
 
-    def crossover(source: str):
-        # The smallest size from which the arena wins at every larger one.
+    def crossover(ordered, wins, measure):
+        # The smallest measure from which ``wins`` holds at every larger one.
         point = None
-        for row in reversed(rows):
-            if row[f"{source}_arena_ms"] >= row[f"{source}_tree_ms"]:
+        for row in reversed(ordered):
+            if not wins(row):
                 break
-            point = row["nodes"]
+            point = row[measure]
         return point
 
+    by_nodes = sorted(rows, key=lambda row: row["nodes"])
+    arenas = engines[1:]
+
+    def arena_wins(source):
+        return lambda row: min(row[f"{source}_{k}_ms"] for k in arenas) < row[
+            f"{source}_tree_ms"
+        ]
+
+    vec_width = None
+    if HAVE_NUMPY:
+        vec_width = crossover(
+            sorted(rows, key=lambda row: row["walked_per_level"]),
+            lambda row: row["kernel_vec_ms"] < row["kernel_scalar_ms"],
+            "walked_per_level",
+        )
     return {
         "item_size": item_size,
         "repeats": repeats,
         "rows": rows,
-        "crossover_nodes": {"expr": crossover("expr"), "wire": crossover("wire")},
+        "crossover_nodes": {
+            source: crossover(by_nodes, arena_wins(source), "nodes")
+            for source in ("expr", "wire")
+        },
+        "crossover_width": vec_width,
     }
 
 
@@ -379,8 +459,8 @@ def main(argv=None) -> int:
         shard_shape = (1_000, 120)
         cluster_shape = (1_000, 60)
         threshold_sizes = [
-            500, 1_000, 2_000, 3_000, 4_000, 5_000, 6_000, 8_000,
-            12_000, 16_000, 24_000, 32_000,
+            500, 1_000, 1_500, 2_000, 2_500, 3_000, 4_000, 5_000, 6_000,
+            8_000, 12_000, 16_000, 24_000, 32_000,
         ]
 
     record = {
@@ -436,9 +516,14 @@ def main(argv=None) -> int:
         record["cells"]["threshold"] = threshold_cell(
             threshold_sizes, 60, args.repeats
         )
+        cell = record["cells"]["threshold"]
         print(
-            "  crossover (nodes): "
-            f"{json.dumps(record['cells']['threshold']['crossover_nodes'])}"
+            "  crossover tree -> best arena kernel (nodes): "
+            f"{json.dumps(cell['crossover_nodes'])}"
+        )
+        print(
+            "  crossover scalar -> vec kernel (walked nodes per level): "
+            f"{cell['crossover_width']}"
         )
 
     with open(out_path, "w", encoding="utf-8") as handle:

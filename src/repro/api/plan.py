@@ -23,6 +23,13 @@ without this package; there is exactly one literal).  The store's
 batch entry points consult the same constant through
 :func:`repro.core.arena.plan_corpus_engine`, so a forced ``engine=``
 and an ``auto`` decision can never disagree between layers.
+
+An arena plan's ``auto`` kernel follows the width rule of
+:func:`repro.core.arena.resolve_kernel`: vectorized from
+:data:`repro.core.arena.VEC_MIN_WIDTH` walked nodes per level (total
+nodes over the deepest item's depth), scalar below it.  The plan's
+kernel is the one that runs: execution passes it down on the ``Expr``
+path as on the compiled one.
 """
 
 from __future__ import annotations
@@ -30,8 +37,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.core import arena as arena_core
 from repro.core.arena import (
     ARENA_MIN_NODES,
+    VEC_MIN_WIDTH,
     engine_family,
     engine_kernel,
     resolve_engine,
@@ -196,24 +205,29 @@ class Planner:
             engine = resolve_engine(engine_hint, total_nodes)
             reasons.append(f"engine {engine!r} forced by the request")
 
-        # The arena family additionally picks its kernel.  Forcing the
-        # vectorized kernel on a NumPy-less interpreter is a planning
-        # error (fail before anything runs); ``auto`` records which way
-        # it went and why.
+        # The arena family additionally picks its kernel, by the width
+        # rule.  Forcing the vectorized kernel on a NumPy-less
+        # interpreter is a planning error (fail before anything runs);
+        # ``auto`` records which way it went and why.
         kernel: Optional[str] = None
         if engine_family(engine) == "arena":
             kernel_hint = engine_kernel(engine)
+            depth = max(request.depth, 1)
             try:
-                kernel = resolve_kernel(kernel_hint)
+                kernel = resolve_kernel(kernel_hint, total_nodes, depth)
             except ValueError as exc:
                 raise PlanError(str(exc)) from None
-            if kernel_hint == "auto":
-                reasons.append(
-                    f"arena kernel -> {kernel}: NumPy "
-                    + ("importable" if kernel == "vec" else "missing, scalar fallback")
-                )
-            else:
+            if kernel_hint != "auto":
                 reasons.append(f"arena kernel {kernel!r} forced by the engine hint")
+            elif not arena_core.HAVE_NUMPY:
+                reasons.append("arena kernel -> scalar: NumPy missing, scalar fallback")
+            else:
+                width = total_nodes / depth
+                reasons.append(
+                    f"arena kernel -> {kernel}: {width:.0f} walked nodes per "
+                    f"level {'>=' if kernel == 'vec' else '<'} width "
+                    f"threshold {VEC_MIN_WIDTH}"
+                )
 
         num_shards = getattr(store, "num_shards", None)
         return ExecutionPlan(

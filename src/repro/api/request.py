@@ -150,6 +150,16 @@ class HashRequest:
         sizes = arena.sizes
         return sum(sizes[root] for root in roots)
 
+    @property
+    def depth(self) -> int:
+        """Height of the deepest item (``Expr.depth``, or the arena's
+        depth column); 0 for an empty corpus."""
+        if self.compiled_corpus is None:
+            return max((expr.depth for expr in self.exprs), default=0)
+        arena, roots = self.compiled_corpus
+        depths = arena.depths
+        return max((depths[root] for root in roots), default=0)
+
     def hints(self) -> dict:
         """The non-default hints, for logging and wire encoding."""
         out = {}

@@ -184,15 +184,18 @@ class Session:
             plan = self.plan(request)
         compiled = request.compiled_corpus
         on_arena = compiled is not None and engine_family(plan.engine) == "arena"
+        # The kernel the plan records is the one that runs: the Expr
+        # path gets the engine name pinned to it.
+        engine = plan.engine if plan.kernel is None else f"arena-{plan.kernel}"
         if plan.kind == "intern":
             store = self._require_store("intern requests")
             if on_arena:
                 return store.intern_arena(*compiled, kernel=plan.kernel)[0]
-            return store.intern_many(request.items(), engine=plan.engine)
+            return store.intern_many(request.items(), engine=engine)
         if plan.store_backed:
             if on_arena:
                 return self.store.hash_arena(*compiled, kernel=plan.kernel)
-            return self.store.hash_corpus(request.items(), engine=plan.engine)
+            return self.store.hash_corpus(request.items(), engine=engine)
         backend = get_backend(plan.backend)
         return [
             backend.hash_all(e, self.combiners).root_hash for e in request.exprs

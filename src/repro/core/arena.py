@@ -62,6 +62,7 @@ __all__ = [
     "arena_hash_any",
     "flatten_corpus",
     "ARENA_MIN_NODES",
+    "VEC_MIN_WIDTH",
     "ARENA_ENGINES",
     "ENGINE_CHOICES",
     "HAVE_NUMPY",
@@ -90,8 +91,8 @@ def _foreign_node(node: object) -> TypeError:
 
 
 #: Engine names that select the arena family.  ``"arena"`` lets the
-#: kernel auto-pick (vectorized when NumPy is importable, scalar
-#: otherwise); the suffixed forms force one kernel -- ``arena-vec``
+#: kernel auto-pick (:func:`resolve_kernel`'s width rule, scalar without
+#: NumPy); the suffixed forms force one kernel -- ``arena-vec``
 #: errors without NumPy, ``arena-scalar`` exists mostly so benchmarks
 #: and the differential wall can pin the fallback.
 ARENA_ENGINES = ("arena", "arena-vec", "arena-scalar")
@@ -114,9 +115,9 @@ def engine_family(engine: str) -> str:
 def engine_kernel(engine: str) -> str:
     """The kernel request carried by an engine name.
 
-    ``"auto"`` for the bare families (the dispatcher then prefers the
-    vectorized kernel when NumPy is present), ``"vec"``/``"scalar"``
-    for the pinned forms.
+    ``"auto"`` for the bare families (:func:`resolve_kernel` then
+    applies the width rule), ``"vec"``/``"scalar"`` for the pinned
+    forms.
     """
     if engine == "arena-vec":
         return "vec"
@@ -125,15 +126,59 @@ def engine_kernel(engine: str) -> str:
     return "auto"
 
 
-def resolve_kernel(kernel: str = "auto") -> str:
+#: Corpus size (total nodes) from which ``engine="auto"`` picks the
+#: arena; the arena's kernel is then chosen by width
+#: (:data:`VEC_MIN_WIDTH`).  The sweep below shows the best arena
+#: kernel ahead of the tree engine at every size it measures (from ~540
+#: nodes of 60-node items, ``Expr`` and wire input; 2-CPU host, NumPy
+#: 2.4), but small interns stay on the tree engine until the journal
+#: stops re-walking arena-interned entries::
+#:
+#:     PYTHONPATH=src python benchmarks/run_bench.py --cells threshold \
+#:         --repeats 5 --out /tmp/threshold.json
+#:
+#: Override per call with ``engine="arena"`` / ``engine="tree"``.  This
+#: is the **one** auto-engine literal in the repository: the planner
+#: re-exports it as :data:`repro.api.plan.ARENA_NODE_THRESHOLD` (the
+#: policy-level name), and every batch entry point resolves ``"auto"``
+#: against it through :func:`resolve_engine` / :func:`plan_corpus_engine`.
+ARENA_MIN_NODES = 4_000
+
+#: Walked nodes per level from which the ``auto`` arena kernel is the
+#: vectorized one (the width rule, applied by :func:`resolve_kernel`).
+#: A corpus' walked nodes per level is its total node count divided by
+#: the depth of its deepest root.  The vectorized kernel pays a fixed
+#: number of NumPy calls per level and the scalar kernel a fixed cost
+#: per node, so on deep, thin corpora the scalar kernel wins by ~20x (a
+#: ``let`` chain of 4k-8k nodes walks two nodes per level: scalar 12-31
+#: ms, vec 330-680 ms for the kernel alone), and on wide ones the
+#: vectorized kernel does (~1k walked nodes per level, 35k nodes: 15 ms
+#: against 54-75).  Set just above the crossover of the kernels alone that
+#: the same sweep measures: two runs put it at 79 and at 94 walked nodes
+#: per level of 60-node items, and scalar still wins at 66 (2-CPU host,
+#: NumPy 2.4).  ``service`` requests walk 131-176 nodes per level and
+#: ``corpus`` batches ~1,400.
+VEC_MIN_WIDTH = 100
+
+
+def resolve_kernel(
+    kernel: str = "auto", nodes: Optional[int] = None, depth: int = 1
+) -> str:
     """Normalise a kernel request to ``"vec"`` or ``"scalar"``.
 
-    ``"auto"`` prefers the vectorized kernel whenever NumPy imported;
-    forcing ``"vec"`` without NumPy is an error rather than a silent
-    fallback (the caller asked for a specific performance envelope).
+    The one place the ``auto`` kernel is chosen: the planner and the
+    store's arena steps both call it.  ``"auto"`` picks the vectorized
+    kernel when NumPy imported and the corpus -- ``nodes`` walked nodes,
+    ``depth`` the height of its deepest root -- has at least
+    :data:`VEC_MIN_WIDTH` walked nodes per level; without ``nodes`` the
+    shape is unknown and counts as wide.  Forcing ``"vec"`` without
+    NumPy is an error rather than a silent fallback (the caller asked
+    for a specific performance envelope).
     """
     if kernel == "auto":
-        return "vec" if HAVE_NUMPY else "scalar"
+        if HAVE_NUMPY and (nodes is None or nodes >= VEC_MIN_WIDTH * depth):
+            return "vec"
+        return "scalar"
     if kernel == "vec":
         if not HAVE_NUMPY:
             raise ValueError(
@@ -146,23 +191,6 @@ def resolve_kernel(kernel: str = "auto") -> str:
     raise ValueError(
         f"kernel must be 'auto', 'vec' or 'scalar', got {kernel!r}"
     )
-
-#: Corpus size (total nodes) from which ``engine="auto"`` picks the
-#: arena.  Below it the per-corpus fixed costs (building the arrays and
-#: leaf tables, and the vectorized kernel's per-level NumPy overhead)
-#: eat the per-node win; above it the kernel pulls ahead quickly.  Set
-#: just above the measured crossover (~3k nodes of 60-node items, for
-#: ``Expr`` and wire input alike) by the sweep::
-#:
-#:     PYTHONPATH=src python benchmarks/run_bench.py --cells threshold \
-#:         --repeats 5 --out /tmp/threshold.json
-#:
-#: Override per call with ``engine="arena"`` / ``engine="tree"``.  This
-#: is the **one** auto-engine literal in the repository: the planner
-#: re-exports it as :data:`repro.api.plan.ARENA_NODE_THRESHOLD` (the
-#: policy-level name), and every batch entry point resolves ``"auto"``
-#: against it through :func:`resolve_engine` / :func:`plan_corpus_engine`.
-ARENA_MIN_NODES = 4_000
 
 
 def resolve_engine(
@@ -1176,7 +1204,13 @@ def arena_hash_any(
     combiners: Optional[HashCombiners] = None,
     kernel: str = "auto",
 ) -> list[int]:
-    """Run the arena kernel named by ``kernel`` (``auto``/``vec``/``scalar``)."""
+    """Run the arena kernel named by ``kernel`` (``auto``/``vec``/``scalar``).
+
+    With no roots to size, ``auto`` applies the width rule to the arena
+    itself: its rows per level.
+    """
+    if kernel == "auto" and len(arena):
+        kernel = resolve_kernel(kernel, len(arena), max(arena.depths))
     if resolve_kernel(kernel) == "vec":
         return arena_hash_vec(arena, combiners)
     return arena_hash(arena, combiners)
@@ -1189,20 +1223,40 @@ def arena_hash_vec(
     """Vectorized arena kernel: the same pass, level-by-level in NumPy.
 
     ``depths`` orders the arena into levels (a node's children are
-    strictly shallower), so every splitmix64 combiner chain of one
-    level runs as a handful of ``uint64`` array operations instead of
-    per-node Python bytecode.  The free-variable maps live in one
-    append-only columnar pool -- per node a ``(start, len)`` slice of
-    ``(name_id, pos_lo, pos_hi)`` rows sorted by name id -- so binder
-    removal is a batched ``searchsorted``, the small-into-big merge of
-    Lemma 6.1 is one stable sort + last-wins dedup per level, and the
-    XOR'd map-hash deltas fold with ``bitwise_xor.reduceat``.  Maps are
-    never mutated in place.
+    strictly shallower), so one level's combiner chains run as a few
+    ``uint64`` array operations instead of per-node Python bytecode.
+    The level's cost is a fixed number of NumPy calls, whatever kinds
+    it holds, plus a small per-row term:
+
+    * **Sorted slices.**  The interior rows are sorted once by
+      ``(depth, kind)`` with Lam < Let < App, so each level is one
+      contiguous slice whose Lam+Let rows and Let+App rows are
+      sub-slices.  The leaf rows (all at depth 1) are written once
+      before the loop.
+    * **One binder removal** per level over the Lam and Let bodies, as
+      a batched ``searchsorted`` over their concatenated maps.
+    * **One merge** per level over the Let and App pairs: Lemma 6.1's
+      small-into-big merge as one stable sort + last-wins dedup, the
+      ``entry`` hashes of the removed binders and of every merged name's
+      new and old position computed in one chain, and the map-hash
+      deltas folded with ``bitwise_xor.reduceat``.
+    * **One S-hash chain** per level with a salt per row (``slam``,
+      ``slet`` or ``sapp``): steps 1-3 over every row, step 4 over
+      Let+App, step 5 over Let.  Its steps run in the same arrays as the
+      merge's ``pt_join`` chain, and every chain's first absorb (salt,
+      then size or name) is computed once, before the loop.
+
+    The free-variable maps live in one append-only columnar pool -- per
+    node a ``(start, len)`` slice of ``(name_id, pos)`` rows sorted by
+    name id -- and are never mutated in place.
 
     Bit-identical to :func:`arena_hash` (and hence to the tree paths)
-    at every width: values are carried as ``(lo, hi)`` 64-bit lane
-    pairs, absorbed as ``lo ^ hi`` exactly like
-    :meth:`~repro.core.combiners.HashCombiners.combine`.
+    at every width.  A value is only ever absorbed as ``lo ^ hi`` of
+    its 64-bit words (see
+    :meth:`~repro.core.combiners.HashCombiners.combine`), so the kernel
+    carries that folded word alone; chains of two lanes (widths above
+    64 bits) run both lanes as the rows of one array, and only the
+    final ``top`` chain splits its output back into words.
 
     Trade-off: the pool is append-only, so peak memory is the total map
     traffic (the O(n log n) merge bound) rather than the scalar
@@ -1221,452 +1275,258 @@ def arena_hash_vec(
     if n == 0:
         return []
 
-    lanes = combiners._lanes
-    two = lanes == 2
-    U = np.uint64
-    M64 = _MASK64
+    U, I64 = np.uint64, np.int64
+    lanes, salts = combiners._lanes, combiners._salts
     G, M0, M1 = U(_GOLDEN), U(_M0), U(_M1)
     C30, C27, C31 = U(30), U(27), U(31)
-    mask_lo = U(combiners.mask & M64)
-    mask_hi = U((combiners.mask >> 64) & M64)
+    mask_lo = U(combiners.mask & _MASK64)
+    mask_hi = U((combiners.mask >> 64) & _MASK64)
 
     def mix(h, v):
-        # One splitmix64 absorb step, broadcasting over arrays.
+        # One splitmix64 absorb step; h is (lanes, k), v broadcasts.
         x = (h ^ v) + G
         x = (x ^ (x >> C30)) * M0
         x = (x ^ (x >> C27)) * M1
         return x ^ (x >> C31)
 
-    salts = combiners._salts
+    def salt(*salt_names):
+        # (lanes, len(salt_names)) chain starts.
+        return np.array(
+            [[salts[s][lane] for s in salt_names] for lane in range(lanes)],
+            dtype=U,
+        )
 
-    def chain(salt_name, vals):
-        # vals: [(lo, hi), ...] -- hi is None for pure-64-bit values.
-        # Mirrors HashCombiners.combine: absorb lo ^ hi per lane, then
-        # truncate; for two lanes, lane 0 is the high word of the output.
-        lane_salts = salts[salt_name]
-        if not two:
-            h = U(lane_salts[0])
-            for lo, hi in vals:
-                h = mix(h, lo if hi is None else lo ^ hi)
-            return h & mask_lo, None
-        h0, h1 = U(lane_salts[0]), U(lane_salts[1])
-        for lo, hi in vals:
-            v = lo if hi is None else lo ^ hi
-            h0 = mix(h0, v)
-            h1 = mix(h1, v)
-        return h1, h0 & mask_hi
+    def fold(h):
+        # A finished chain's b-bit output, as the folded word lo ^ hi.
+        return h[0] & mask_lo if lanes == 1 else h[1] ^ (h[0] & mask_hi)
 
-    def col_i64(col):
-        return np.frombuffer(col, dtype=np.int64)
+    def folded(values):
+        if lanes == 2:
+            values = [(v & _MASK64) ^ (v >> 64) for v in values]
+        return np.array(values, dtype=U)
+
+    iota = np.arange(max(n, 1024), dtype=I64)
+
+    def gather(starts, lens, ids):
+        """Pool positions of the concatenated slices: ``(seg, pos,
+        offs, total)``, with the ``ids`` entry of each entry's slice and
+        each slice's flat offset."""
+        nonlocal iota
+        ends = np.cumsum(lens)
+        total = int(ends[-1]) if len(ends) else 0
+        if total > len(iota):
+            iota = np.arange(2 * total, dtype=I64)
+        offs = ends - lens
+        pos = np.repeat(starts - offs, lens) + iota[:total]
+        return np.repeat(ids, lens), pos, offs, total
+
+    pool_nid = np.empty(max(1024, 2 * n), dtype=I64)
+    pool_pos = np.empty(len(pool_nid), dtype=U)
+    pool_used = 0
+
+    def append(nid, pos, lens):
+        """Append maps to the pool; the start of each of ``lens``' slices."""
+        nonlocal pool_nid, pool_pos, pool_used
+        start, pool_used = pool_used, pool_used + len(nid)
+        if pool_used > len(pool_nid):
+            cap = max(2 * len(pool_nid), pool_used)
+            pool_nid = np.concatenate((pool_nid[:start], np.empty(cap - start, I64)))
+            pool_pos = np.concatenate((pool_pos[:start], np.empty(cap - start, U)))
+        pool_nid[start:pool_used] = nid
+        pool_pos[start:pool_used] = pos
+        return start + np.cumsum(lens) - lens
 
     opc = np.frombuffer(arena.op, dtype=np.uint8)
-    left = col_i64(arena.left)
-    right = col_i64(arena.right)
-    aux = col_i64(arena.aux)
-    sizes = col_i64(arena.sizes)
-    depths = col_i64(arena.depths)
-    names, literals = arena.names, arena.literals
-    n_names = len(names)
+    left, right, aux, sizes, depths = (
+        np.frombuffer(col, dtype=I64)
+        for col in (arena.left, arena.right, arena.aux, arena.sizes, arena.depths)
+    )
+    K = len(arena.names) + 1  # (row, name id) sort-key stride
 
     # -- leaf tables (Python-speed, but per unique name/literal only) --------
-    nh_lo = np.zeros(n_names, dtype=U)
-    nh_hi = np.zeros(n_names, dtype=U) if two else None
-    for j, name in enumerate(names):
-        h = combiners.hash_name(name)
-        nh_lo[j] = h & M64
-        if two:
-            nh_hi[j] = (h >> 64) & M64
-    ls_lo = np.zeros(len(literals), dtype=U)
-    ls_hi = np.zeros(len(literals), dtype=U) if two else None
-    for j, value in enumerate(literals):
-        h = slit_hash(combiners, value)
-        ls_lo[j] = h & M64
-        if two:
-            ls_hi[j] = (h >> 64) & M64
-
-    def split(value):
-        return U(value & M64), (U((value >> 64) & M64) if two else None)
-
-    here_lo, here_hi = split(pt_here_hash(combiners))
-    svar_lo, svar_hi = split(svar_hash(combiners))
-    none_lo, none_hi = split(combiners.NONE_HASH)
-    true_lo, true_hi = split(combiners.TRUE_HASH)
-    false_lo, false_hi = split(combiners.FALSE_HASH)
-    # var_entry[nid] = entry(name, PTHere).
-    ve_lo, ve_hi = chain("entry", [(nh_lo, nh_hi), (here_lo, here_hi)])
-
-    # -- per-node state columns ----------------------------------------------
-    shs_lo = np.zeros(n, dtype=U)
-    shs_hi = np.zeros(n, dtype=U) if two else None
-    vmh_lo = np.zeros(n, dtype=U)
-    vmh_hi = np.zeros(n, dtype=U) if two else None
-    map_start = np.zeros(n, dtype=np.int64)
-    map_len = np.zeros(n, dtype=np.int64)
-
-    class Pool:
-        # Append-only columnar map pool: (name id, pos lanes) rows.
-        __slots__ = ("nid", "lo", "hi", "size")
-
-        def __init__(self, cap):
-            self.nid = np.empty(cap, dtype=np.int64)
-            self.lo = np.empty(cap, dtype=U)
-            self.hi = np.empty(cap, dtype=U) if two else None
-            self.size = 0
-
-        def append(self, nid, lo, hi):
-            m = len(nid)
-            need = self.size + m
-            cap = len(self.nid)
-            if need > cap:
-                cap = max(cap * 2, need)
-                for attr in ("nid", "lo", "hi"):
-                    arr = getattr(self, attr)
-                    if arr is None:
-                        continue
-                    grown = np.empty(cap, dtype=arr.dtype)
-                    grown[: self.size] = arr[: self.size]
-                    setattr(self, attr, grown)
-            s = self.size
-            self.nid[s:need] = nid
-            self.lo[s:need] = lo
-            if two:
-                self.hi[s:need] = hi
-            self.size = need
-            return s
-
-    pool = Pool(max(1024, 2 * n))
-
-    # -- batched map machinery -----------------------------------------------
-    K = n_names + 1  # combined (segment, name-id) sort key stride
-
-    def gather(starts, lens):
-        """Concatenate pool slices: per-entry segment ids + columns.
-
-        Returns ``(seg, nid, lo, hi, offs)`` where ``offs[j]`` is the
-        flat offset of segment ``j`` (= cumsum of lens, exclusive).
-        """
-        total = int(lens.sum())
-        offs = np.cumsum(lens) - lens
-        seg = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        pos = (
-            np.arange(total, dtype=np.int64) - offs[seg] + starts[seg]
-            if total
-            else np.empty(0, dtype=np.int64)
-        )
-        return (
-            seg,
-            pool.nid[pos],
-            pool.lo[pos],
-            pool.hi[pos] if two else None,
-            offs,
-        )
-
-    def remove_binder(nodes, binders):
-        """Drop ``binders`` from ``nodes``' maps (batched Lam/Let step).
-
-        Returns ``(starts, lens, vlo, vhi, found, pos_lo, pos_hi)`` --
-        the adjusted map slices and map hashes plus the removed
-        positions -- without touching ``nodes``' own published state.
-        """
-        starts = map_start[nodes]
-        lens = map_len[nodes]
-        vlo = vmh_lo[nodes]
-        vhi = vmh_hi[nodes] if two else None
-        k = len(nodes)
-        found = np.zeros(k, dtype=bool)
-        pos_lo = np.zeros(k, dtype=U)
-        pos_hi = np.zeros(k, dtype=U) if two else None
-        total = int(lens.sum())
-        if total:
-            seg, gn, glo, ghi, _offs = gather(starts, lens)
-            comb = seg * K + gn
-            q = np.arange(k, dtype=np.int64) * K + binders
-            loc = np.searchsorted(comb, q)
-            loc_c = np.minimum(loc, total - 1)
-            found = (loc < total) & (comb[loc_c] == q)
-            if found.any():
-                fidx = loc[found]
-                pos_lo[found] = glo[fidx]
-                if two:
-                    pos_hi[found] = ghi[fidx]
-                bnd_f = binders[found]
-                e_lo, e_hi = chain(
-                    "entry",
-                    [
-                        (nh_lo[bnd_f], nh_hi[bnd_f] if two else None),
-                        (
-                            pos_lo[found],
-                            pos_hi[found] if two else None,
-                        ),
-                    ],
-                )
-                vlo[found] ^= e_lo
-                if two:
-                    vhi[found] ^= e_hi
-                keep = np.ones(total, dtype=bool)
-                keep[fidx] = False
-                lens = lens - found.astype(np.int64)
-                start0 = pool.append(
-                    gn[keep], glo[keep], ghi[keep] if two else None
-                )
-                starts = start0 + (np.cumsum(lens) - lens)
-        return starts, lens, vlo, vhi, found, pos_lo, pos_hi
-
-    def merge_maps(b_start, b_len, b_vlo, b_vhi, s_start, s_len, tags):
-        """Merge small maps into big ones (Lemma 6.1, batched).
-
-        All arguments are per-node arrays; returns the merged
-        ``(starts, lens, vlo, vhi)``.  Nodes whose small map is empty
-        alias the big slice unchanged (no copy).
-        """
-        r_start = b_start.copy()
-        r_len = b_len.copy()
-        r_vlo = b_vlo.copy()
-        r_vhi = b_vhi.copy() if two else None
-        act = np.nonzero(s_len > 0)[0]
-        if not len(act):
-            return r_start, r_len, r_vlo, r_vhi
-        bl = b_len[act]
-        s_seg, sn, s_plo, s_phi, s_offs = gather(s_start[act], s_len[act])
-        b_total = int(bl.sum())
-        scomb = s_seg * K + sn
-        if b_total:
-            b_seg, bn, b_plo, b_phi, _ = gather(b_start[act], bl)
-            bcomb = b_seg * K + bn
-            loc = np.searchsorted(bcomb, scomb)
-            loc_c = np.minimum(loc, b_total - 1)
-            old_found = (loc < b_total) & (bcomb[loc_c] == scomb)
-            old_lo = np.where(old_found, b_plo[loc_c], none_lo)
-            old_hi = (
-                np.where(old_found, b_phi[loc_c], none_hi) if two else None
-            )
-        else:
-            bn = np.empty(0, dtype=np.int64)
-            b_plo = np.empty(0, dtype=U)
-            b_phi = np.empty(0, dtype=U) if two else None
-            bcomb = np.empty(0, dtype=np.int64)
-            old_found = np.zeros(len(sn), dtype=bool)
-            old_lo = np.full(len(sn), none_lo, dtype=U)
-            old_hi = np.full(len(sn), none_hi, dtype=U) if two else None
-        # new = pt_join(tag, maybe(old), small_pos)
-        t_lo = tags[act].astype(U)[s_seg]
-        new_lo, new_hi = chain(
-            "pt_join", [(t_lo, None), (old_lo, old_hi), (s_plo, s_phi)]
-        )
-        # Map-hash delta per small entry: XOR in entry(name, new), XOR
-        # out entry(name, old) where the name was already mapped.
-        e_new_lo, e_new_hi = chain(
-            "entry",
-            [(nh_lo[sn], nh_hi[sn] if two else None), (new_lo, new_hi)],
-        )
-        d_lo = e_new_lo
-        d_hi = e_new_hi
-        if old_found.any():
-            sn_f = sn[old_found]
-            e_old_lo, e_old_hi = chain(
-                "entry",
-                [
-                    (nh_lo[sn_f], nh_hi[sn_f] if two else None),
-                    (
-                        old_lo[old_found],
-                        old_hi[old_found] if two else None,
-                    ),
-                ],
-            )
-            d_lo = d_lo.copy()
-            d_lo[old_found] ^= e_old_lo
-            if two:
-                d_hi = d_hi.copy()
-                d_hi[old_found] ^= e_old_hi
-        # Every act segment is non-empty, so the reduceat offsets are
-        # strictly increasing and each slot folds exactly its segment.
-        r_vlo[act] ^= np.bitwise_xor.reduceat(d_lo, s_offs)
-        if two:
-            r_vhi[act] ^= np.bitwise_xor.reduceat(d_hi, s_offs)
-        # Merged maps: concat big + rewritten small, stable-sort by the
-        # combined key, keep the *last* of each duplicate pair (the
-        # rewritten small entry overwrites the big one's value).
-        all_keys = np.concatenate((bcomb, scomb))
-        all_nid = np.concatenate((bn, sn))
-        all_lo = np.concatenate((b_plo, new_lo))
-        all_hi = np.concatenate((b_phi, new_hi)) if two else None
-        order = np.argsort(all_keys, kind="stable")
-        sorted_keys = all_keys[order]
-        keep = np.empty(len(sorted_keys), dtype=bool)
-        keep[:-1] = sorted_keys[:-1] != sorted_keys[1:]
-        keep[-1] = True
-        sel = order[keep]
-        res_keys = sorted_keys[keep]
-        new_lens = np.bincount(res_keys // K, minlength=len(act))
-        start0 = pool.append(
-            all_nid[sel], all_lo[sel], all_hi[sel] if two else None
-        )
-        r_start[act] = start0 + (np.cumsum(new_lens) - new_lens)
-        r_len[act] = new_lens
-        return r_start, r_len, r_vlo, r_vhi
-
-    def sh_pair(nodes):
-        return shs_lo[nodes], shs_hi[nodes] if two else None
-
-    # -- the level loop ------------------------------------------------------
-    sorted_idx = np.argsort(depths, kind="stable")
-    sorted_d = depths[sorted_idx]
-    bounds = np.nonzero(
-        np.concatenate(([True], sorted_d[1:] != sorted_d[:-1]))
-    )[0]
-    level_slices = list(zip(bounds.tolist(), bounds[1:].tolist() + [n]))
-
-    for lo_b, hi_b in level_slices:
-        lvl = sorted_idx[lo_b:hi_b]
-        lvl_op = opc[lvl]
-
-        sub = lvl[lvl_op == OP_VAR]
-        if len(sub):
-            nid = aux[sub]
-            shs_lo[sub] = svar_lo
-            vmh_lo[sub] = ve_lo[nid]
-            if two:
-                shs_hi[sub] = svar_hi
-                vmh_hi[sub] = ve_hi[nid]
-            m = len(sub)
-            start0 = pool.append(
-                nid,
-                np.full(m, here_lo, dtype=U),
-                np.full(m, here_hi, dtype=U) if two else None,
-            )
-            map_start[sub] = start0 + np.arange(m, dtype=np.int64)
-            map_len[sub] = 1
-
-        sub = lvl[lvl_op == OP_LIT]
-        if len(sub):
-            lid = aux[sub]
-            shs_lo[sub] = ls_lo[lid]
-            if two:
-                shs_hi[sub] = ls_hi[lid]
-            # vmh stays 0, map stays empty.
-
-        sub = lvl[lvl_op == OP_LAM]
-        if len(sub):
-            body = left[sub]
-            binders = aux[sub]
-            starts, lens, vlo, vhi, found, pos_lo, pos_hi = remove_binder(
-                body, binders
-            )
-            map_start[sub] = starts
-            map_len[sub] = lens
-            vmh_lo[sub] = vlo
-            if two:
-                vmh_hi[sub] = vhi
-            maybe_lo = np.where(found, pos_lo, none_lo)
-            maybe_hi = np.where(found, pos_hi, none_hi) if two else None
-            s_lo, s_hi = chain(
-                "slam",
-                [
-                    (sizes[sub].astype(U), None),
-                    (maybe_lo, maybe_hi),
-                    sh_pair(body),
-                ],
-            )
-            shs_lo[sub] = s_lo
-            if two:
-                shs_hi[sub] = s_hi
-
-        sub = lvl[lvl_op == OP_APP]
-        if len(sub):
-            fn = left[sub]
-            arg = right[sub]
-            left_bigger = map_len[fn] >= map_len[arg]
-            big = np.where(left_bigger, fn, arg)
-            small = np.where(left_bigger, arg, fn)
-            starts, lens, vlo, vhi = merge_maps(
-                map_start[big],
-                map_len[big],
-                vmh_lo[big],
-                vmh_hi[big] if two else None,
-                map_start[small],
-                map_len[small],
-                sizes[sub],
-            )
-            map_start[sub] = starts
-            map_len[sub] = lens
-            vmh_lo[sub] = vlo
-            if two:
-                vmh_hi[sub] = vhi
-            flag_lo = np.where(left_bigger, true_lo, false_lo)
-            flag_hi = (
-                np.where(left_bigger, true_hi, false_hi) if two else None
-            )
-            s_lo, s_hi = chain(
-                "sapp",
-                [
-                    (sizes[sub].astype(U), None),
-                    (flag_lo, flag_hi),
-                    sh_pair(fn),
-                    sh_pair(arg),
-                ],
-            )
-            shs_lo[sub] = s_lo
-            if two:
-                shs_hi[sub] = s_hi
-
-        sub = lvl[lvl_op == OP_LET]
-        if len(sub):
-            bound = left[sub]
-            body = right[sub]
-            binders = aux[sub]
-            # Binder scopes over the body only: remove it there first,
-            # then size-compare against the bound map (tree order).
-            b_starts, b_lens, b_vlo, b_vhi, found, pos_lo, pos_hi = (
-                remove_binder(body, binders)
-            )
-            left_bigger = map_len[bound] >= b_lens
-            big_start = np.where(left_bigger, map_start[bound], b_starts)
-            big_len = np.where(left_bigger, map_len[bound], b_lens)
-            big_vlo = np.where(left_bigger, vmh_lo[bound], b_vlo)
-            big_vhi = (
-                np.where(left_bigger, vmh_hi[bound], b_vhi) if two else None
-            )
-            small_start = np.where(left_bigger, b_starts, map_start[bound])
-            small_len = np.where(left_bigger, b_lens, map_len[bound])
-            starts, lens, vlo, vhi = merge_maps(
-                big_start,
-                big_len,
-                big_vlo,
-                big_vhi,
-                small_start,
-                small_len,
-                sizes[sub],
-            )
-            map_start[sub] = starts
-            map_len[sub] = lens
-            vmh_lo[sub] = vlo
-            if two:
-                vmh_hi[sub] = vhi
-            maybe_lo = np.where(found, pos_lo, none_lo)
-            maybe_hi = np.where(found, pos_hi, none_hi) if two else None
-            flag_lo = np.where(left_bigger, true_lo, false_lo)
-            flag_hi = (
-                np.where(left_bigger, true_hi, false_hi) if two else None
-            )
-            s_lo, s_hi = chain(
-                "slet",
-                [
-                    (sizes[sub].astype(U), None),
-                    (maybe_lo, maybe_hi),
-                    (flag_lo, flag_hi),
-                    sh_pair(bound),
-                    sh_pair(body),
-                ],
-            )
-            shs_lo[sub] = s_lo
-            if two:
-                shs_hi[sub] = s_hi
-
-    # -- tops ----------------------------------------------------------------
-    t_lo, t_hi = chain(
-        "top",
-        [(shs_lo, shs_hi), (vmh_lo, vmh_hi)],
+    name_h = folded([combiners.hash_name(name) for name in arena.names])
+    lit_s = folded([slit_hash(combiners, value) for value in arena.literals])
+    here, svar, none, true, false = folded(
+        [
+            pt_here_hash(combiners),
+            svar_hash(combiners),
+            combiners.NONE_HASH,
+            combiners.TRUE_HASH,
+            combiners.FALSE_HASH,
+        ]
     )
-    if not two:
-        return t_lo.tolist()
-    return [(h << 64) | l for h, l in zip(t_hi.tolist(), t_lo.tolist())]
+    entry1 = mix(salt("entry"), name_h)  # entry chains after the name
+    var_entry = fold(mix(entry1, here))  # entry(name, PTHere)
+
+    # -- per-node state, leaf rows written once --------------------------------
+    shs = np.zeros(n, dtype=U)
+    vmh = np.zeros(n, dtype=U)
+    map_start = np.zeros(n, dtype=I64)
+    map_len = np.zeros(n, dtype=I64)
+    var = np.nonzero(opc == OP_VAR)[0]
+    lit = np.nonzero(opc == OP_LIT)[0]
+    shs[var] = svar
+    vmh[var] = var_entry[aux[var]]
+    map_start[var] = append(aux[var], here, np.ones(len(var), dtype=I64))
+    map_len[var] = 1
+    shs[lit] = lit_s[aux[lit]]
+
+    # -- interior rows sorted by (depth, kind), Lam < Let < App ----------------
+    key = depths * 8 + np.array([0, 1, 2, 4, 3], dtype=I64)[opc]
+    rows = np.argsort(key)[len(var) + len(lit) :]
+    key = key[rows]
+    kind = opc[rows]
+    lc, rc, binder = left[rows], right[rows], aux[rows]
+    is_let = kind == OP_LET
+    # Per row: the map its binder leaves (Lam body, Let body); a merge's
+    # right side (Let: its body less the binder, parked in the row
+    # itself; App: the argument); the S-hash's step 4 (Let bound, App
+    # argument); the (row, binder) search key; the S-hash and pt_join
+    # chains after their salt and size.
+    body = np.where(is_let, rc, lc)
+    merge_right = np.where(is_let, rows, rc)
+    step4 = np.where(is_let, lc, rc)
+    want = iota[: len(rows)] * K + binder
+    size = sizes[rows].astype(U)
+    s_salts = salt("svar", "slit", "slam", "sapp", "slet")  # by opcode
+    s_chain = mix(s_salts[:, kind], size)
+    join_chain = mix(salt("pt_join"), size)
+    levels = int(key[-1]) // 8 - 1 if len(rows) else 0
+    cuts = np.searchsorted(
+        key, (np.arange(2, levels + 3)[:, None] * 8 + [2, 3, 4]).ravel()
+    ).tolist()
+    no_ids, no_vals = iota[:0], np.empty(0, dtype=U)
+
+    for at in range(0, 3 * levels, 3):
+        # The level's rows: Lam [a, b), Let [b, c), App [c, e).
+        a, b, c, e = cuts[at : at + 4]
+        lvl = rows[a:e]
+        k = c - a
+
+        # -- one binder removal over the Lam and Let bodies ----------------
+        found = np.zeros(k, dtype=bool)
+        maybe = binder_pos = no_vals
+        if k:
+            src = body[a:c]
+            lens, starts = map_len[src], map_start[src]
+            seg, pos, _, total = gather(starts, lens, iota[a:c])
+            if total:
+                keys = seg * K + pool_nid[pos]
+                loc = np.minimum(np.searchsorted(keys, want[a:c]), total - 1)
+                found = keys[loc] == want[a:c]
+                maybe = np.where(found, pool_pos[pos[loc]], none)
+                binder_pos = maybe[found]
+                keep = np.ones(total, dtype=bool)
+                keep[loc[found]] = False
+                pos = pos[keep]
+                lens = lens - found
+                starts = append(pool_nid[pos], pool_pos[pos], lens)
+            else:
+                maybe = np.full(k, none, dtype=U)
+            vmh[lvl[:k]] = vmh[src]
+            map_start[lvl[:k]] = starts
+            map_len[lvl[:k]] = lens
+
+        # -- one small-into-big merge over the Let and App pairs -----------
+        s_total = 0
+        s_nid, s_val, old = no_ids, no_vals, no_vals
+        old_found = found[:0]
+        if e > b:
+            pair = lvl[b - a :]
+            lf, rt = lc[b:e], merge_right[b:e]
+            l_len, r_len = map_len[lf], map_len[rt]
+            left_bigger = l_len >= r_len
+            big = np.where(left_bigger, lf, rt)
+            flag = np.where(left_bigger, true, false)
+            small_len = np.minimum(l_len, r_len)
+            act = np.nonzero(small_len)[0]
+            merged = act + b
+            big_act = big[act]
+            s_seg, s_pos, s_offs, s_total = gather(
+                map_start[np.where(left_bigger, rt, lf)[act]], small_len[act], merged
+            )
+            b_seg, b_pos, _, b_total = gather(
+                map_start[big_act], map_len[big_act], merged
+            )
+            s_nid, s_val = pool_nid[s_pos], pool_pos[s_pos]
+            s_keys = s_seg * K + s_nid
+            b_keys = b_seg * K + pool_nid[b_pos]
+            if b_total:
+                loc = np.minimum(np.searchsorted(b_keys, s_keys), b_total - 1)
+                old_found = b_keys[loc] == s_keys
+                old = np.where(old_found, pool_pos[b_pos[loc]], none)
+            else:
+                old_found = np.zeros(s_total, dtype=bool)
+                old = np.full(s_total, none, dtype=U)
+            step2 = np.concatenate((maybe, flag[c - b :], old))
+        else:
+            step2 = maybe
+
+        # -- one chain: the S-hash per row, pt_join per merged entry -------
+        n_lvl = e - a
+        step3 = shs[lc[a:e]]
+        if e > b:
+            step3[b - a : k] = flag[: c - b]
+            step3 = np.concatenate((step3, s_val))
+            h = np.concatenate((s_chain[:, a:e], join_chain[:, s_seg]), axis=1)
+        else:
+            h = s_chain[:, a:e]
+        h = mix(mix(h, step2), step3)
+        new = fold(h[:, n_lvl:])
+        h = h[:, :n_lvl]
+        if e > b:
+            h[:, b - a :] = mix(h[:, b - a :], shs[step4[b:e]])
+            if c > b:
+                h[:, b - a : k] = mix(h[:, b - a : k], shs[rc[b:c]])
+        shs[lvl] = fold(h)
+
+        # -- one entry chain: new and old positions, removed binders -------
+        n_old = int(old_found.sum())
+        names = np.concatenate((s_nid, s_nid[old_found], binder[a:c][found]))
+        entry = fold(
+            mix(entry1[:, names], np.concatenate((new, old[old_found], binder_pos)))
+        )
+        if e > b:
+            # Each pair aliases its big slice, then the pairs whose small
+            # map is not empty get the merged map.
+            pair_vmh = vmh[big]
+            map_start[pair] = map_start[big]
+            map_len[pair] = np.maximum(l_len, r_len)
+            if s_total:
+                delta = entry[:s_total]
+                delta[old_found] ^= entry[s_total : s_total + n_old]
+                pair_vmh[act] ^= np.bitwise_xor.reduceat(delta, s_offs)
+                keys = np.concatenate((b_keys, s_keys))
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+                last = np.empty(len(keys), dtype=bool)
+                last[:-1] = keys[:-1] != keys[1:]
+                last[-1] = True
+                order = order[last]
+                lens = map_len[big_act] + small_len[act] - np.add.reduceat(
+                    old_found, s_offs
+                )
+                dest = rows[merged]
+                map_start[dest] = append(
+                    np.concatenate((pool_nid[b_pos], s_nid))[order],
+                    np.concatenate((pool_pos[b_pos], new))[order],
+                    lens,
+                )
+                map_len[dest] = lens
+            vmh[pair] = pair_vmh
+        if len(binder_pos):
+            # A removed binder's entry leaves the Lam's map, and the
+            # Let's when its body was the big side.
+            removed = np.zeros(k, dtype=U)
+            removed[found] = entry[s_total + n_old :]
+            if c > b:
+                removed[b - a :][left_bigger[: c - b]] = 0
+            vmh[lvl[:k]] ^= removed
+
+    # -- tops ------------------------------------------------------------------
+    h = mix(mix(salt("top"), shs), vmh)
+    if lanes == 1:
+        return (h[0] & mask_lo).tolist()
+    return [
+        (hi << 64) | lo for hi, lo in zip((h[0] & mask_hi).tolist(), h[1].tolist())
+    ]

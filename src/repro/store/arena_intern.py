@@ -74,6 +74,7 @@ from repro.core.arena import (
     ExprArena,
     arena_hash_any,
     flatten_corpus,
+    resolve_kernel,
 )
 from repro.lang.expr import Expr
 
@@ -95,14 +96,19 @@ def _hash_step(
 ) -> list[int]:
     """Run the kernel over ``arena``; every node's top hash.
 
-    Counts the arena's unique nodes as hashed and the items' remaining
-    tree nodes as skipped by dedup."""
+    An ``auto`` kernel is chosen here by the width rule
+    (:func:`~repro.core.arena.resolve_kernel`) over the items' walked
+    nodes and deepest root.  Counts the arena's unique nodes as hashed
+    and the items' remaining tree nodes as skipped by dedup."""
+    sizes, depths = arena.sizes, arena.depths
+    walked = sum(sizes[root] for root in roots)
+    if kernel == "auto":
+        depth = max((depths[root] for root in roots), default=1)
+        kernel = resolve_kernel(kernel, walked, depth)
     tops = arena_hash_any(arena, store.combiners, kernel=kernel)
     stats = store.stats
     unique_nodes = len(arena)
     stats.hashed_nodes += unique_nodes
-    sizes = arena.sizes
-    walked = sum(sizes[root] for root in roots)
     if walked > unique_nodes:
         stats.memo_skipped_nodes += walked - unique_nodes
     return tops
@@ -114,7 +120,7 @@ def hash_corpus_arena(
     """Root alpha-hashes of ``corpus`` through the arena kernel.
 
     ``kernel`` picks the vectorized or scalar array kernel (``"auto"``
-    prefers vectorized when NumPy is importable).
+    applies the width rule to the items this call compiles).
     """
     root_memo = store._arena_root_memo
     stats = store.stats
