@@ -25,6 +25,15 @@ Mid-workload, the schedule SIGKILLs shard 0's primary.  Hard gates:
    measures replay throughput;
 5. survivors exit 0 on SIGTERM.
 
+With ``--require-arena`` the run also fails unless every shard's share
+of every batch (its items' nodes, read off the reply's ``owners``)
+reaches :data:`repro.core.arena.ARENA_MIN_NODES`: each shard's intern
+then plans ``arena``, leaves the summary memo cold, and journals the
+frames the SIGKILLed node replays from the encoder's own arena pass::
+
+    PYTHONPATH=src python benchmarks/chaos_smoke.py --fault-seed 4242 \
+        --items 690 --batch 230 --require-arena --json-out chaos-arena.json
+
 The fault schedule is pure data expanded from ``--fault-seed``; a
 failing run's log names the seed, so it replays locally byte for byte.
 Writes the chaos cell to ``BENCH_PR8.json`` (failover latency, replay
@@ -42,6 +51,9 @@ import socket
 import subprocess
 import sys
 import time
+
+#: Shard primaries in the spawned cluster (shard 0 is journaled).
+SHARD_COUNT = 2
 
 
 def free_port() -> int:
@@ -130,6 +142,11 @@ def main(argv=None) -> int:
         help="SIGKILL shard 0's primary after this batch "
         "(default: the middle batch)",
     )
+    parser.add_argument(
+        "--require-arena", action="store_true",
+        help="fail unless every shard's share of every batch reaches "
+        "ARENA_MIN_NODES (the batch then plans arena on each shard)",
+    )
     parser.add_argument("--json-out", default="BENCH_PR8.json")
     parser.add_argument("--health-attempts", type=int, default=50)
     parser.add_argument("--health-delay", type=float, default=0.2)
@@ -138,22 +155,21 @@ def main(argv=None) -> int:
     import tempfile
 
     journal_dir = tempfile.mkdtemp(prefix="repro-chaos-journal-")
-    shard_count = 2
     ports = {name: free_port() for name in ("p0", "p1", "r0", "coord")}
     urls = {name: f"http://127.0.0.1:{port}" for name, port in ports.items()}
 
     p0 = spawn([
         "serve", "--host", "127.0.0.1", "--port", str(ports["p0"]),
-        "--shard-id", "0", "--shard-count", str(shard_count),
+        "--shard-id", "0", "--shard-count", str(SHARD_COUNT),
         "--journal", journal_dir,
     ])
     p1 = spawn([
         "serve", "--host", "127.0.0.1", "--port", str(ports["p1"]),
-        "--shard-id", "1", "--shard-count", str(shard_count),
+        "--shard-id", "1", "--shard-count", str(SHARD_COUNT),
     ])
     r0 = spawn([
         "serve", "--host", "127.0.0.1", "--port", str(ports["r0"]),
-        "--shard-id", "0", "--shard-count", str(shard_count),
+        "--shard-id", "0", "--shard-count", str(SHARD_COUNT),
         "--follow", urls["p0"], "--poll-interval", "0.05",
     ])
     coordinator = spawn([
@@ -183,6 +199,7 @@ def main(argv=None) -> int:
 
 def run_gates(args, urls, journal_dir, procs) -> int:
     from repro.api import Session
+    from repro.core.arena import ARENA_MIN_NODES
     from repro.core.hashed import alpha_hash_all
     from repro.lang.sexpr import to_wire
     from repro.service import ServiceClient
@@ -235,6 +252,7 @@ def run_gates(args, urls, journal_dir, procs) -> int:
     r0_client = ServiceClient(urls["r0"], timeout=30.0)
 
     got_hashes = []
+    min_share = None
     barrier_checksum = None
     kill_at = None
     failover_latency_s = None
@@ -242,6 +260,19 @@ def run_gates(args, urls, journal_dir, procs) -> int:
         lo, hi = batch_index * args.batch, (batch_index + 1) * args.batch
         reply = client.intern_wire(docs[lo:hi])
         got_hashes.extend(reply["hashes"])
+        shares = [0] * SHARD_COUNT
+        for owner, expr in zip(reply["owners"], corpus[lo:hi]):
+            shares[owner] += expr.size
+        share = min(shares)
+        min_share = share if min_share is None else min(min_share, share)
+        if args.require_arena and share < ARENA_MIN_NODES:
+            print(
+                f"FAIL: batch {batch_index} gives a shard {share} "
+                f"nodes (shares {shares}), below ARENA_MIN_NODES="
+                f"{ARENA_MIN_NODES}: that shard's intern plans tree",
+                file=sys.stderr,
+            )
+            failures += 1
         if kill_at is not None and failover_latency_s is None:
             failover_latency_s = time.monotonic() - kill_at
         if schedule.kill_after_batch(batch_index) is not None:
@@ -343,7 +374,7 @@ def run_gates(args, urls, journal_dir, procs) -> int:
     restarted = spawn([
         "serve", "--host", "127.0.0.1",
         "--port", str(int(urls["p0"].rsplit(":", 1)[1])),
-        "--shard-id", "0", "--shard-count", "2",
+        "--shard-id", "0", "--shard-count", str(SHARD_COUNT),
         "--journal", journal_dir,
     ])
     procs["shard-0-restarted"] = restarted
@@ -379,6 +410,8 @@ def run_gates(args, urls, journal_dir, procs) -> int:
         "fault_seed": args.fault_seed,
         "items": args.items,
         "batches": batches,
+        "require_arena": args.require_arena,
+        "min_shard_share_nodes": min_share,
         "kill_after_batch": kill_batch,
         "faults_fired": fired,
         "client_counters": client.counters,

@@ -58,6 +58,7 @@ HAVE_NUMPY = _np is not None
 __all__ = [
     "ExprArena",
     "arena_hash",
+    "arena_summaries",
     "arena_hash_vec",
     "arena_hash_any",
     "flatten_corpus",
@@ -131,14 +132,15 @@ def engine_kernel(engine: str) -> str:
 #: (:data:`VEC_MIN_WIDTH`).  The sweep below shows the best arena
 #: kernel ahead of the tree engine at every size it measures (from ~540
 #: nodes of 60-node items, ``Expr`` and wire input; 2-CPU host, NumPy
-#: 2.4), but small interns stay on the tree engine until the journal
-#: stops re-walking arena-interned entries::
+#: 2.4)::
 #:
 #:     PYTHONPATH=src python benchmarks/run_bench.py --cells threshold \
 #:         --repeats 5 --out /tmp/threshold.json
 #:
-#: Override per call with ``engine="arena"`` / ``engine="tree"``.  This
-#: is the **one** auto-engine literal in the repository: the planner
+#: Small requests still plan the tree engine, pending a measurement on
+#: a workload that sends small interns.  Override per call with
+#: ``engine="arena"`` / ``engine="tree"``.  This is the **one**
+#: auto-engine literal in the repository: the planner
 #: re-exports it as :data:`repro.api.plan.ARENA_NODE_THRESHOLD` (the
 #: policy-level name), and every batch entry point resolves ``"auto"``
 #: against it through :func:`resolve_engine` / :func:`plan_corpus_engine`.
@@ -774,6 +776,33 @@ def arena_hash(
     chains, the multi-lane widths go through the same recipes via
     :func:`~repro.core.kernel.combine_chain`.
     """
+    return _arena_pass(arena, combiners, ())[0]
+
+
+def arena_summaries(
+    arena: ExprArena,
+    roots: Sequence[int],
+    combiners: Optional[HashCombiners] = None,
+) -> list[tuple[int, int, dict[str, int]]]:
+    """Each root's hashed e-summary ``(s, v, m)``: structure hash,
+    free-variable-map hash and map (name -> position hash), bit-identical
+    to a tree memo record's.  One scalar :func:`arena_hash` pass in which
+    each root row counts one extra use, so no parent steals its map.
+    """
+    _tops, shs, vmhs, vms = _arena_pass(arena, combiners, roots)
+    names = arena.names
+    return [
+        (shs[row], vmhs[row], {names[nid]: pos for nid, pos in vms[row].items()})
+        for row in roots
+    ]
+
+
+def _arena_pass(
+    arena: ExprArena, combiners: Optional[HashCombiners], keep: Sequence[int]
+) -> tuple[list, list, list, list]:
+    """The scalar pass behind :func:`arena_hash`: ``(tops, shs, vmhs,
+    vms)``.  The maps of the ``keep`` rows survive it; any other map
+    may have been consumed by a parent."""
     if combiners is None:
         combiners = default_combiners()
     n = len(arena.op)
@@ -804,7 +833,8 @@ def arena_hash(
     vms: list = [None] * n
     tops: list = [None] * n
 
-    # Reference counts: how many parents will consume each node's map.
+    # Reference counts: how many parents will consume each node's map,
+    # plus one per kept row, whose map no parent may then steal.
     uses = [0] * n
     for i in indices:
         child = left[i]
@@ -813,6 +843,8 @@ def arena_hash(
         child = right[i]
         if child >= 0:
             uses[child] += 1
+    for row in keep:
+        uses[row] += 1
 
     if combiners._lanes == 1:
         _arena_hash_lane1(
@@ -826,7 +858,7 @@ def arena_hash(
             name_h, var_entry, lit_s, HERE, SVAR, NONE, TRUE, FALSE,
             shs, vmhs, vms, tops, uses,
         )
-    return tops
+    return tops, shs, vmhs, vms
 
 
 def _arena_hash_lane1(

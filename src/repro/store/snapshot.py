@@ -30,6 +30,14 @@ rebuild order; the *file* order is LRU order so recency survives the
 round-trip.  The header checksum is over the exact body bytes --
 truncation or tampering fails loudly as :class:`SnapshotError`.
 
+Summaries come from each canonical tree's memo record (tree interns
+seed one), or, for the trees without one (arena interns leave the memo
+cold), from one scalar arena pass over them all; each record is then
+formatted straight to bytes.  Encoding only reads the memo and the
+stats, so snapshots and deltas leave both as they were.  The loaders
+type-check every record (ints for ``i``/``h``/``z``/``t``/``s``/``v``,
+a str -> int map for ``m``) before the first write.
+
 Sharded layout (v2)
 -------------------
 
@@ -63,8 +71,10 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.core.arena import arena_summaries, flatten_corpus
 from repro.core.combiners import HashCombiners
 from repro.core.kernel import MemoRecord
 from repro.lang.expr import Expr, Lam, Let, Lit, Var
@@ -100,6 +110,10 @@ class SnapshotError(ValueError):
 
 def _checksum(body: bytes) -> str:
     return "sha256:" + hashlib.sha256(body).hexdigest()
+
+
+def _stats_dict(stats) -> dict:
+    return {f.name: getattr(stats, f.name) for f in fields(stats)}
 
 
 def _lit_payload(value: Any) -> list:
@@ -144,67 +158,66 @@ def _node_payload(node: Expr) -> Any:
     return None
 
 
-def _entry_record(entry, rec) -> dict:
-    """One entry + its memoised summary as a plain JSON-ready dict."""
-    return {
-        "i": entry.node_id,
-        "h": entry.hash,
-        "k": entry.kind,
-        "z": entry.size,
-        "c": list(entry.children),
-        "p": _node_payload(entry.expr),
-        "s": rec.s_hash,
-        "v": rec.vm_hash,
-        "m": rec.vm_entries,
-        "t": entry.version,
-    }
+def _summaries(store: "ExprStore", entries: list) -> list[tuple]:
+    """Each entry's hashed e-summary ``(s, v, m)``: structure hash,
+    free-variable-map hash and name -> position-hash map.
 
-
-def _encode_records(records: list[dict]) -> bytes:
-    """JSON-lines encode one run of entry records."""
-    return (
-        "".join(
-            json.dumps(rec, separators=(",", ":"), sort_keys=True) + "\n"
-            for rec in records
-        )
-    ).encode("utf-8")
-
-
-class _MemoBackfill:
-    """Backfill memo records for every entry, observably side-effect free.
-
-    A flush or prune may have dropped some canonical trees' summary
-    records; persisting needs them all.  On enter the user-visible
-    counters and the memo size are captured and every entry's tree is
-    (re)summarised; on exit the counters are restored and only the
-    records the backfill created are dropped -- records that were
-    legitimately warm before the save stay warm.  Summarising only
-    inserts, and a dict keeps insertion order, so those records are the
-    memo's last ``len_after - len_before`` keys: the cost is O(fresh
-    records), not O(memo).
+    A canonical tree's memo record as is; the trees without one (arena
+    interns, flushes, prunes) flattened into one arena and summarised
+    by one scalar pass (:func:`~repro.core.arena.arena_summaries`).
+    Summaries are context-free (Section 3), so the two sources agree
+    bit for bit.  The memo and the stats are only read.
     """
+    memo_get = store._memo.get
+    records = [memo_get(id(entry.expr)) for entry in entries]
+    cold = [entry.expr for entry, rec in zip(entries, records) if rec is None]
+    computed = iter(())
+    if cold:
+        arena, roots = flatten_corpus(cold)
+        computed = iter(arena_summaries(arena, roots, store.combiners))
+    return [
+        next(computed) if rec is None else (rec.s_hash, rec.vm_hash, rec.vm_entries)
+        for rec in records
+    ]
 
-    def __init__(self, store: "ExprStore", entries: list):
-        self.store = store
-        self.entries = entries
 
-    def __enter__(self) -> "_MemoBackfill":
-        store = self.store
-        self.counters = {
-            f.name: getattr(store.stats, f.name) for f in fields(store.stats)
-        }
-        self.memo_len_before = len(store._memo)
-        for entry in sorted(self.entries, key=lambda e: e.node_id):
-            store._hash_tree(entry.expr)
-        for name, value in self.counters.items():
-            setattr(store.stats, name, value)
-        return self
+def _encode_entries(entries: list, summaries: list) -> bytes:
+    """JSON-lines encode one run of entry records, each straight from
+    its entry and its summary ``(s, v, m)``.
 
-    def __exit__(self, *exc_info) -> None:
-        memo = self.store._memo
-        created = len(memo) - self.memo_len_before
-        for key in list(islice(reversed(memo), created)):
-            del memo[key]
+    Each line is the one ``json.dumps(record, separators=(",", ":"),
+    sort_keys=True)`` writes: keys and map entries in sorted order, ints
+    as ``str`` writes them, names through :mod:`json`'s own ASCII
+    escaper, literal payloads through ``json.dumps`` itself.
+    """
+    quoted: dict[str, str] = {}
+    lines = []
+    for entry, (s_hash, vm_hash, vm_entries) in zip(entries, summaries):
+        parts = []
+        for name, pos in sorted(vm_entries.items()):
+            text = quoted.get(name)
+            if text is None:
+                quoted[name] = text = encode_basestring_ascii(name)
+            parts.append(f"{text}:{pos}")
+        kind, node = entry.kind, entry.expr
+        if kind == "App":
+            payload = "null"
+        elif kind == "Lit":
+            payload = json.dumps(
+                _lit_payload(node.value), separators=(",", ":"), sort_keys=True
+            )
+        else:
+            name = node.name if kind == "Var" else node.binder
+            payload = quoted.get(name)
+            if payload is None:
+                quoted[name] = payload = encode_basestring_ascii(name)
+        lines.append(
+            f'{{"c":[{",".join(map(str, entry.children))}],'
+            f'"h":{entry.hash},"i":{entry.node_id},"k":"{kind}",'
+            f'"m":{{{",".join(parts)}}},"p":{payload},"s":{s_hash},'
+            f'"t":{entry.version},"v":{vm_hash},"z":{entry.size}}}\n'
+        )
+    return "".join(lines).encode("utf-8")
 
 
 def snapshot_to_bytes(store: "ExprStore", meta: Optional[dict] = None) -> bytes:
@@ -222,7 +235,12 @@ def snapshot_to_bytes(store: "ExprStore", meta: Optional[dict] = None) -> bytes:
     v2 sharded layout (ids preserved, sections encoded in parallel), a
     flat store the v1 layout.  ``meta`` is an arbitrary JSON-compatible
     dict stored in the header (the Session facade records its backend
-    name there).  The store is left observably unchanged.
+    name there).
+
+    Each entry's summary is its canonical tree's memo record, or comes
+    from the one arena pass over the entries without one (see the
+    module docstring).  The memo and the stats are only read, so the
+    store is left observably unchanged.
     """
     from repro.store.sharded import ShardedExprStore
 
@@ -235,12 +253,7 @@ def _flat_snapshot_to_bytes(
     store: "ExprStore", meta: Optional[dict] = None
 ) -> bytes:
     entries = list(store.entries())  # LRU order, oldest first
-    with _MemoBackfill(store, entries) as backfill:
-        records = [
-            _entry_record(entry, store._memo[id(entry.expr)])
-            for entry in entries
-        ]
-    body = _encode_records(records)
+    body = _encode_entries(entries, _summaries(store, entries))
 
     header = {
         "format": SNAPSHOT_FORMAT,
@@ -250,8 +263,8 @@ def _flat_snapshot_to_bytes(
         "memo_limit": store.memo_limit,
         "next_id": store._next_id,
         "version": store.version,
-        "entries": len(records),
-        "stats": backfill.counters,
+        "entries": len(entries),
+        "stats": _stats_dict(store.stats),
         "meta": meta or {},
         "checksum": _checksum(body),
     }
@@ -261,15 +274,16 @@ def _flat_snapshot_to_bytes(
     return header_bytes + b"\n" + body
 
 
-# repro-lint: allow[lock-blocking] reason=CPU-bound encode fan-out over plain dicts extracted first; a caller's service lock is exactly what keeps that extraction consistent, and the pool tasks touch no locks of their own
+# repro-lint: allow[lock-blocking] reason=CPU-bound encode fan-out over entries and summaries taken first; a caller's service lock is exactly what keeps that extraction consistent, the fields encoded never change after an entry is created, and the pool tasks touch no locks of their own
 def _sharded_snapshot_to_bytes(
     store: "ShardedExprStore", meta: Optional[dict] = None
 ) -> bytes:
     """The native v2 sharded layout (see module docstring).
 
-    Record extraction runs under the store's locks; section encoding --
-    the bulk of the work -- runs as one independent task per shard on a
-    thread pool (see the module docstring's GIL caveat).
+    Entries and their summaries are taken under the store's locks, with
+    one arena pass over every shard's cold entries; section encoding
+    runs as one independent task per shard on a thread pool (see the
+    module docstring's GIL caveat).
     """
     from repro.core.cpus import available_cpus
 
@@ -278,32 +292,25 @@ def _sharded_snapshot_to_bytes(
         for shard in store._shards:
             with shard.lock:
                 shard_entries.append(list(shard.entries.values()))
-        all_entries = [e for entries in shard_entries for e in entries]
-        with _MemoBackfill(store, all_entries) as backfill:
-            shard_records = [
-                [
-                    _entry_record(entry, store._memo[id(entry.expr)])
-                    for entry in entries
-                ]
-                for entries in shard_entries
-            ]
+        summaries = iter(
+            _summaries(store, [e for entries in shard_entries for e in entries])
+        )
+        shard_summaries = [
+            list(islice(summaries, len(entries))) for entries in shard_entries
+        ]
         shard_meta = [
             {
-                "entries": len(records),
+                "entries": len(entries),
                 "next_local": shard.next_local,
-                "stats": {
-                    f.name: getattr(shard.stats, f.name)
-                    for f in fields(shard.stats)
-                },
+                "stats": _stats_dict(shard.stats),
             }
-            for shard, records in zip(store._shards, shard_records)
+            for shard, entries in zip(store._shards, shard_entries)
         ]
+        stats = _stats_dict(store.stats)
 
-    # Encoding works on plain dicts -- no store state -- so it can fan
-    # out without holding any lock.
     n_tasks = max(1, min(store.num_shards, available_cpus()))
     with ThreadPoolExecutor(max_workers=n_tasks) as pool:
-        sections = list(pool.map(_encode_records, shard_records))
+        sections = list(pool.map(_encode_entries, shard_entries, shard_summaries))
     for meta_entry, section in zip(shard_meta, sections):
         meta_entry["bytes"] = len(section)
     body = b"".join(sections)
@@ -318,7 +325,7 @@ def _sharded_snapshot_to_bytes(
         "version": store.version,
         "entries": sum(m["entries"] for m in shard_meta),
         "shards": shard_meta,
-        "stats": backfill.counters,
+        "stats": stats,
         "meta": meta or {},
         "checksum": _checksum(body),
     }
@@ -469,21 +476,44 @@ def _build_exprs(records: list[dict], resolve_base=None) -> dict[int, Expr]:
     return exprs
 
 
+def _check_record_types(rec: dict) -> None:
+    """Refuse a record whose ``i``, ``h``, ``z``, ``t``, ``s`` or ``v``
+    is not an int (bools excluded; ``t`` may be absent) or whose ``m``
+    is not an object mapping str to int: such a record would load, then
+    fail far from the document or leave a memo record of the wrong
+    types."""
+    for key in ("i", "h", "z", "t", "s", "v"):
+        value = rec.get(key, 0 if key == "t" else None)
+        if type(value) is not int:
+            raise SnapshotError(
+                f"malformed snapshot entry: {key!r} is not an integer: "
+                f"{value!r}"
+            )
+    vm_entries = rec.get("m")
+    if not isinstance(vm_entries, dict) or not all(
+        type(name) is str and type(pos) is int
+        for name, pos in vm_entries.items()
+    ):
+        raise SnapshotError(
+            f"malformed snapshot entry: 'm' is not a map of names to "
+            f"integers: {vm_entries!r}"
+        )
+
+
 def _restore_records(store: "ExprStore", records: list[dict], exprs) -> int:
     """Restore every record into ``store`` through its restore step,
     children before parents; return how many were installed (the rest
-    were live already).  Every record's summary and version stamp is
-    checked before the first write, so a malformed one leaves the store
-    untouched."""
+    were live already).  Every record's fields are type-checked before
+    the first write (:func:`_check_record_types`), so a malformed one
+    leaves the store untouched."""
     ordered = sorted(records, key=lambda r: (r["z"], r["i"]))
-    summaries = [
-        MemoRecord(exprs[rec["i"]], rec["s"], dict(rec["m"]), rec["v"], rec["h"])
-        for rec in ordered
-    ]
-    if not all(isinstance(rec.get("t", 0), int) for rec in ordered):
-        raise SnapshotError("malformed snapshot entry: non-integer version stamp")
+    for rec in ordered:
+        _check_record_types(rec)
     installed = 0
-    for rec, summary in zip(ordered, summaries):
+    for rec in ordered:
+        summary = MemoRecord(
+            exprs[rec["i"]], rec["s"], dict(rec["m"]), rec["v"], rec["h"]
+        )
         installed += store._restore(
             rec["i"], rec["k"], rec["z"], tuple(rec["c"]), rec.get("t", 0), summary
         )
@@ -692,6 +722,10 @@ def delta_to_bytes(
     version >= ``since``: a child either rides in the delta (fresh) or
     was live at ``since`` (pinned by its parent's refcount ever since),
     hence present in the receiver's baseline.
+
+    Summaries come from memo records where the fresh entries' canonical
+    trees have them (tree interns) and from one arena pass over the rest
+    (arena interns); the memo and the stats are only read.
     """
     with _memo_lock_of(store):
         if since < 0 or since > store.version:
@@ -703,12 +737,7 @@ def delta_to_bytes(
             (e for e in store.entries() if e.version > since),
             key=lambda e: e.version,
         )
-        with _MemoBackfill(store, fresh):
-            records = [
-                _entry_record(entry, store._memo[id(entry.expr)])
-                for entry in fresh
-            ]
-        body = _encode_records(records)
+        body = _encode_entries(fresh, _summaries(store, fresh))
         header = {
             "format": DELTA_FORMAT,
             "bits": store.combiners.bits,
@@ -716,7 +745,7 @@ def delta_to_bytes(
             "since": since,
             "version": store.version,
             "num_shards": _store_num_shards(store),
-            "entries": len(records),
+            "entries": len(fresh),
             "meta": meta or {},
             "checksum": _checksum(body),
         }

@@ -1,0 +1,282 @@
+"""Byte-level pins on the snapshot and delta codec.
+
+Two walls:
+
+* **Golden digests.**  sha256 digests of ``snapshot_to_bytes`` (flat,
+  sharded and LRU-bounded flat stores) and ``delta_to_bytes`` over one
+  fixed corpus, interned partly with ``engine="tree"`` (warm summary
+  memo) and partly with ``engine="arena"`` (cold memo), at 64 and 128
+  bits.  The digests were taken from the encoder that re-summarised
+  cold entries by tree walk and encoded one ``json.dumps`` dict per
+  record; any byte the codec changes fails here.
+* **Reference encoder.**  An independent encoder kept in this file --
+  each entry's summary from the tree summariser over its canonical
+  expression (no memo), each record through ``json.dumps`` with sorted
+  keys -- against the codec on awkward names and literals, empty maps,
+  three widths, flat and sharded stores, and warm, cold and mixed
+  memos.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from repro.core.combiners import HashCombiners
+from repro.core.kernel import summarise_tree
+from repro.core.position_tree import pt_here_hash
+from repro.core.structure import svar_hash
+from repro.gen.random_exprs import random_expr
+from repro.lang.expr import App, Lam, Let, Lit, Var
+from repro.store import (
+    ExprStore,
+    ShardedExprStore,
+    delta_to_bytes,
+    snapshot_to_bytes,
+)
+
+
+def golden_corpus():
+    """400 items, every 7th a same-object repeat of an earlier one."""
+    rng = random.Random(2024)
+    items = []
+    for i in range(400):
+        if i % 7 == 6:
+            items.append(items[i - 4])
+        else:
+            items.append(
+                random_expr(10 + i % 50, rng=rng, p_let=0.2, p_lit=0.2)
+            )
+    return items
+
+
+def golden_store(layout: str, bits: int):
+    """The golden store and the mid-corpus version its delta starts at.
+
+    Items 0-149 intern on the tree engine (the mid-corpus stamp is
+    taken after item 99), items 150-399 on the arena engine in batches
+    of 50."""
+    combiners = HashCombiners(bits=bits, seed=11)
+    if layout == "sharded":
+        store = ShardedExprStore(combiners, num_shards=4)
+    elif layout == "lru":
+        store = ExprStore(combiners, max_entries=1500, memo_limit=2000)
+    else:
+        store = ExprStore(combiners)
+    items = golden_corpus()
+    store.intern_many(items[:100], engine="tree")
+    mid = store.version
+    store.intern_many(items[100:150], engine="tree")
+    for lo in range(150, 400, 50):
+        store.intern_many(items[lo : lo + 50], engine="arena")
+    return store, mid
+
+
+def golden_digests(layout: str, bits: int) -> dict:
+    store, mid = golden_store(layout, bits)
+    return {
+        "snapshot": hashlib.sha256(snapshot_to_bytes(store)).hexdigest(),
+        "delta": hashlib.sha256(delta_to_bytes(store, mid)).hexdigest(),
+    }
+
+
+#: Flat and sharded stores end with 5,344 entries, the LRU store with
+#: 1,500 of 5,613 created; every delta starts at version 1,572.
+GOLDEN = {
+    ("flat", 64): {
+        "snapshot": "2d44dbc899810e06f0557aa5c6bd9fa10ef079d4c39d01823a5f9e460b227e58",
+        "delta": "4cbfc33ad5e877eeba4a13843f926dfc966bfdfb6e0e90ac24b9f7abf490182b",
+    },
+    ("flat", 128): {
+        "snapshot": "d177df67808cefb60d537148b34a647af12e9c602f8d9d1ee81f6d14dd18663a",
+        "delta": "a5f920f3a46ef6d6a1cfd70c815f01f1f252e34251ec2ca996292bf822c3a82b",
+    },
+    ("sharded", 64): {
+        "snapshot": "d7fd5298686161cadb8074f2a58f391492eaa2c9658763a17d2f7260fb5adfe9",
+        "delta": "23595331f642ef6a20a361c9aabd5702b0d3ee0682e59b308d1f533b65059ea3",
+    },
+    ("sharded", 128): {
+        "snapshot": "e59133aa6742c4925e804682145f28ab9e0a34871c45a24d9ccb2f39d1e759ee",
+        "delta": "42f1fb3016c91dc31e28a7f6cbae372c934a0aa76e3e5b31a8d38e18275678af",
+    },
+    ("lru", 64): {
+        "snapshot": "2b7b9d7022563c923ff6f59ffedd8dfd776c5d4deea63e0d3cc11bfaddbeee42",
+        "delta": "b6cfa96a940010215f3a7805a0740d38a28777300d99eaf68f74ba4be658472e",
+    },
+    ("lru", 128): {
+        "snapshot": "dbedfffc3e264f503bd7134b01c503941488b910dd0ba6bd33344794bf03c17b",
+        "delta": "fdde798d0dcc38a1faa1d3a04a216ebdc952daabe64e0e22294b54bd57c75685",
+    },
+}
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("layout", ["flat", "sharded", "lru"])
+def test_golden_digests(layout, bits):
+    assert golden_digests(layout, bits) == GOLDEN[layout, bits]
+
+
+# -- the reference encoder ----------------------------------------------------
+
+
+def reference_payload(node):
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Lit):
+        value = node.value
+        for tag, kind in (("bool", bool), ("int", int), ("float", float)):
+            if isinstance(value, kind):
+                return [tag, value]
+        return ["str", value]
+    if isinstance(node, (Lam, Let)):
+        return node.binder
+    return None
+
+
+def reference_body(entries, combiners) -> bytes:
+    """Entry records from a memo-free tree summary of each canonical
+    expression, one sorted-key ``json.dumps`` dict per line."""
+    lines = []
+    for entry in entries:
+        s_hash, varmap = summarise_tree(
+            entry.expr,
+            combiners,
+            here=pt_here_hash(combiners),
+            svar=svar_hash(combiners),
+            var_entry_cache={},
+            lit_cache={},
+        )
+        record = {
+            "i": entry.node_id,
+            "h": entry.hash,
+            "k": entry.kind,
+            "z": entry.size,
+            "c": list(entry.children),
+            "p": reference_payload(entry.expr),
+            "s": s_hash,
+            "v": varmap.hash,
+            "m": dict(varmap.entries),
+            "t": entry.version,
+        }
+        lines.append(
+            json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+        )
+    return "".join(lines).encode("utf-8")
+
+
+#: Names JSON must escape: a quote, a backslash, control characters,
+#: a non-ASCII letter and an astral-plane character.
+AWKWARD_NAMES = (
+    'q"uote',
+    "back\\slash",
+    "ctl\x01\x1f\n\t",
+    "λ",
+    "astral\U0001F600",
+    "x",
+)
+
+AWKWARD_LITS = (
+    0,
+    -1,
+    2**70,
+    True,
+    False,
+    0.1,
+    -0.0,
+    1e16,
+    float("inf"),
+    'say "hi"',
+    "line\u2028sep",
+)
+
+
+def awkward_corpus():
+    items = []
+    for i, name in enumerate(AWKWARD_NAMES):
+        other = AWKWARD_NAMES[(i + 1) % len(AWKWARD_NAMES)]
+        items.append(Lam(name, App(Var(name), Var(other))))
+        items.append(Lam(name, Var(name)))  # closed: an empty map
+        items.append(
+            Let(name, Lit(AWKWARD_LITS[i]), App(Var(other), Var(name)))
+        )
+    for value in AWKWARD_LITS:
+        items.append(App(Var(AWKWARD_NAMES[0]), Lit(value)))
+    rng = random.Random(17)
+    for _ in range(6):
+        items.append(
+            random_expr(
+                25, rng=rng, p_let=0.3, p_lit=0.2, free_pool=AWKWARD_NAMES
+            )
+        )
+    return items
+
+
+def wall_items(bits: int):
+    """The awkward corpus; at 8 bits only its first six items (14
+    classes), since a 162-class corpus is bound to collide in 256 hash
+    values (Appendix B)."""
+    items = awkward_corpus()
+    return items[:6] if bits == 8 else items
+
+
+def wall_store(layout: str, bits: int, memo: str):
+    """:func:`wall_items` interned item by item: on the tree engine
+    (``warm``: every canonical tree has a memo record), on the arena
+    engine (``cold``: none has) or alternating (``mixed``)."""
+    combiners = HashCombiners(bits=bits, seed=5)
+    if layout == "sharded":
+        store = ShardedExprStore(combiners, num_shards=2)
+    else:
+        store = ExprStore(combiners)
+    for index, item in enumerate(wall_items(bits)):
+        tree = memo == "warm" or (memo == "mixed" and index % 2 == 0)
+        store.intern_many([item], engine="tree" if tree else "arena")
+    # No class conflated by a collision: each canonical tree is then
+    # the term its hash and memo record were computed from.  (Seed 5
+    # keeps the 8-bit corpus apart; the 64-bit family is the witness.)
+    witness = ExprStore(HashCombiners(bits=64, seed=5))
+    witness.intern_many(wall_items(bits), engine="tree")
+    assert len(store) == len(witness)
+    return store
+
+
+WALL = pytest.mark.parametrize("memo", ["warm", "cold", "mixed"])
+WIDTHS = pytest.mark.parametrize("bits", [8, 64, 128])
+LAYOUTS = pytest.mark.parametrize("layout", ["flat", "sharded"])
+
+
+@WALL
+@WIDTHS
+@LAYOUTS
+def test_snapshot_body_matches_reference(layout, bits, memo):
+    store = wall_store(layout, bits, memo)
+    body = snapshot_to_bytes(store).partition(b"\n")[2]
+    assert body == reference_body(store.entries(), store.combiners)
+
+
+@WALL
+@WIDTHS
+@LAYOUTS
+def test_delta_body_matches_reference(layout, bits, memo):
+    store = wall_store(layout, bits, memo)
+    for since in (0, store.version // 3, store.version - 1):
+        fresh = sorted(
+            (e for e in store.entries() if e.version > since),
+            key=lambda e: e.version,
+        )
+        body = delta_to_bytes(store, since).partition(b"\n")[2]
+        assert body == reference_body(fresh, store.combiners)
+
+
+def test_wall_covers_empty_maps_and_awkward_payloads():
+    store = wall_store("flat", 64, "cold")
+    body = snapshot_to_bytes(store).partition(b"\n")[2].decode("ascii")
+    records = [json.loads(line) for line in body.splitlines()]
+    assert any(rec["m"] == {} and rec["k"] == "Lam" for rec in records)
+    assert {rec["p"] for rec in records if rec["k"] == "Var"} >= set(
+        AWKWARD_NAMES
+    )
+    lits = [rec["p"] for rec in records if rec["k"] == "Lit"]
+    assert ["float", float("inf")] in lits and ["int", 2**70] in lits
+    assert "\\u2028" in body and "\\ud83d\\ude00" in body

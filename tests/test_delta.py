@@ -234,6 +234,41 @@ class TestDeltaValidation:
         with pytest.raises(SnapshotError, match="missing in between"):
             apply_delta_bytes(replica, gap_delta)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("s", "12"), ("v", 1.5), ("m", [["x", 1]]), ("m", {"x": "1"})],
+    )
+    def test_summary_field_of_wrong_type_rejected(self, layout, field, value):
+        """A re-checksummed delta whose biggest record carries a summary
+        field of the wrong type is refused whole: no record applies."""
+        store, replica = self._pair(layout)
+        delta = delta_to_bytes(store, replica.version)
+        head, _, body = delta.partition(b"\n")
+        records = [json.loads(line) for line in body.splitlines()]
+        biggest = max(range(len(records)), key=lambda k: records[k]["z"])
+        records[biggest][field] = value
+        new_body = "".join(
+            json.dumps(rec, separators=(",", ":"), sort_keys=True) + "\n"
+            for rec in records
+        ).encode("utf-8")
+        header = json.loads(head)
+        import hashlib
+
+        header["checksum"] = "sha256:" + hashlib.sha256(new_body).hexdigest()
+        doc = (
+            json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+            + b"\n"
+            + new_body
+        )
+        before = (len(replica), replica.version, content_checksum(replica))
+        with pytest.raises(SnapshotError, match=f"'{field}' is not"):
+            apply_delta_bytes(replica, doc)
+        assert (
+            len(replica), replica.version, content_checksum(replica)
+        ) == before
+        apply_delta_bytes(replica, delta)
+        assert entry_map(replica) == entry_map(store)
+
     def test_present_entry_divergence_rejected(self, layout):
         store, replica = self._pair(layout)
         delta = delta_to_bytes(store, 0)

@@ -510,3 +510,90 @@ class TestBoundedReplay:
             node_id = replica.intern(parse(f"k{i} (m{i} {i})"))
             hashes.add(replica.hash_of(node_id))
             self.assert_lookup_sound(replica, hashes)
+
+
+def mixed_corpus(n, seed=53, size=40):
+    """``n`` items with same-object repeats and alpha-renamed copies."""
+    from repro.gen.random_exprs import alpha_rename
+
+    rng = random.Random(seed)
+    items = []
+    for index in range(n):
+        draw = rng.random()
+        if items and draw < 0.15:
+            items.append(rng.choice(items))
+        elif items and draw < 0.4:
+            items.append(alpha_rename(rng.choice(items), seed=index))
+        else:
+            items.append(random_expr(size, rng=rng, p_let=0.2, p_lit=0.2))
+    return items
+
+
+class TestArenaInternedWindows:
+    """An arena intern leaves the summary memo cold, so its window is
+    journaled from the encoder's own arena pass; it must be the frame a
+    tree intern writes, and replay like one."""
+
+    @pytest.mark.parametrize("num_shards", [None, 2], ids=["flat", "sharded"])
+    def test_arena_windows_equal_tree_windows(self, num_shards):
+        items = mixed_corpus(200)
+        frames = {}
+        for engine in ("tree", "arena"):
+            combiners = HashCombiners(bits=64, seed=7)
+            store = (
+                ExprStore(combiners)
+                if num_shards is None
+                else ShardedExprStore(combiners, num_shards=num_shards)
+            )
+            frames[engine] = []
+            for lo in range(0, len(items), 25):
+                since = store.version
+                store.intern_many(items[lo : lo + 25], engine=engine)
+                frames[engine].append(delta_to_bytes(store, since))
+        assert len(frames["arena"]) == 8
+        assert frames["arena"] == frames["tree"]
+
+    @pytest.mark.parametrize("num_shards", [None, 2], ids=["flat", "sharded"])
+    def test_server_restarts_from_arena_planned_frames(
+        self, tmp_path, num_shards
+    ):
+        from repro.core.hashed import alpha_hash_all
+        from repro.lang.expr import App
+        from repro.lang.sexpr import to_wire
+        from repro.service import ServiceClient
+        from repro.service.server import ReproServer
+
+        directory = str(tmp_path / "wal")
+        shape = {} if num_shards is None else {"num_shards": num_shards}
+        items = mixed_corpus(330, seed=59)
+        with ReproServer(
+            port=0, journal=Journal(directory, fsync=False), **shape
+        ) as server:
+            client = ServiceClient(server.url)
+            ids = []
+            for lo in range(0, len(items), 110):
+                batch = items[lo : lo + 110]
+                assert sum(expr.size for expr in batch) >= 4_000
+                reply = client.intern_wire([to_wire(e) for e in batch])
+                assert reply["plan"]["engine"] == "arena"
+                ids += reply["ids"]
+            checksum = content_checksum(server.session.store)
+
+        with ReproServer(
+            port=0, journal=Journal(directory, fsync=False), **shape
+        ) as restarted:
+            store = restarted.session.store
+            assert restarted.replay_report["applied"] == len(store)
+            assert content_checksum(store) == checksum
+            # Every journaled canonical tree hashes as a pure memo hit.
+            hashed = store.stats.hashed_nodes
+            for node_id in ids:
+                assert store.hash_expr(store.expr_of(node_id)) == (
+                    store.hash_of(node_id)
+                )
+            assert store.stats.hashed_nodes == hashed
+            # And the journaled summaries resume a parent's hash exactly.
+            probe = App(store.expr_of(ids[0]), store.expr_of(ids[-1]))
+            assert store.hash_expr(probe) == (
+                alpha_hash_all(probe, store.combiners).root_hash
+            )

@@ -180,29 +180,49 @@ class TestSnapshotIntegrity:
 
     def test_malformed_record_with_valid_checksum_rejected(self, snap_path):
         # schema breaches that slip past the checksum (e.g. a dangling
-        # child id with a recomputed checksum) must fail as
-        # SnapshotError, not leak a bare KeyError
+        # child id, or a summary field of the wrong type, with a
+        # recomputed checksum) must fail as SnapshotError, not leak a
+        # bare KeyError, load a memo record of the wrong types or fail
+        # later inside an unrelated hash_expr -- in either layout
         import hashlib
 
-        body = (
-            json.dumps(
-                {"i": 0, "h": 1, "k": "App", "z": 3, "c": [998, 999],
-                 "p": None, "s": 1, "v": 1, "m": {}},
-                separators=(",", ":"), sort_keys=True,
-            )
-            + "\n"
-        ).encode("utf-8")
-        header = {
-            "format": "repro-store-snapshot-v1",
-            "bits": 64, "seed": 1, "next_id": 1, "entries": 1,
-            "max_entries": None, "memo_limit": None, "stats": {},
-            "meta": {},
-            "checksum": "sha256:" + hashlib.sha256(body).hexdigest(),
-        }
-        with open(snap_path, "wb") as handle:
-            handle.write(json.dumps(header).encode() + b"\n" + body)
-        with pytest.raises(SnapshotError, match="malformed snapshot entry"):
-            read_snapshot(snap_path)
+        var = {"i": 0, "h": 1, "k": "Var", "z": 1, "c": [], "p": "x",
+               "s": 1, "v": 1, "m": {"x": 1}, "t": 1}
+        records = [
+            {"i": 0, "h": 1, "k": "App", "z": 3, "c": [998, 999],
+             "p": None, "s": 1, "v": 1, "m": {}},
+            {**var, "s": "12"},
+            {**var, "v": 1.5},
+            {**var, "m": [["x", 1]]},
+            {**var, "m": {"x": "1"}},
+        ]
+        for record in records:
+            body = (
+                json.dumps(record, separators=(",", ":"), sort_keys=True)
+                + "\n"
+            ).encode("utf-8")
+            checksum = "sha256:" + hashlib.sha256(body).hexdigest()
+            flat = {
+                "format": "repro-store-snapshot-v1",
+                "bits": 64, "seed": 1, "next_id": 1, "entries": 1,
+                "max_entries": None, "memo_limit": None, "stats": {},
+                "meta": {}, "checksum": checksum,
+            }
+            sharded = {
+                "format": "repro-store-snapshot-v2-sharded",
+                "bits": 64, "seed": 1, "num_shards": 1, "entries": 1,
+                "shards": [{"entries": 1, "next_local": 1,
+                            "bytes": len(body), "stats": {}}],
+                "max_entries": None, "memo_limit": None, "stats": {},
+                "meta": {}, "checksum": checksum,
+            }
+            for header in (flat, sharded):
+                with open(snap_path, "wb") as handle:
+                    handle.write(json.dumps(header).encode() + b"\n" + body)
+                with pytest.raises(
+                    SnapshotError, match="malformed snapshot entry"
+                ):
+                    read_snapshot(snap_path)
 
     def test_header_missing_required_field_rejected(self, snap_path):
         # a well-formed header that lacks e.g. "bits" must fail as
