@@ -24,16 +24,22 @@ keeps every root hash.
 ``--arena-items N`` adds the arena-kernel gate (the PR-4 acceptance
 bar): on an ``N``-item duplicate-free corpus the arena engine must be
 bit-identical to the tree path and >= 2x faster -- a single-process
-gate, so it holds on any host shape.  ``--json-out`` appends the
-measured cells to a JSON trajectory file (see
-``benchmarks/run_bench.py``).
+gate, so it holds on any host shape.  The same cell interns the corpus
+with ``engine="arena"`` into a fresh store and gates the intern table's
+footprint: GC-tracked objects left per canonical entry must stay at or
+below :data:`FOOTPRINT_CEILING` (a count, so the gate gives the same
+result on any host); the time of one full collection afterwards is
+reported only.  ``--json-out`` appends the measured cells to a JSON
+trajectory file (see ``benchmarks/run_bench.py``).
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import tempfile
+import time
 
 from repro.api import Session
 from repro.core.cpus import available_cpus
@@ -54,6 +60,12 @@ ARENA_SMOKE_FLOOR = 2.0
 #: by construction, so it holds on any host shape; it is only skipped
 #: when NumPy is not importable.
 VEC_SMOKE_FLOOR = 2.0
+
+#: The footprint gate: GC-tracked objects an arena bulk intern may leave
+#: per canonical entry.  The columnar intern table keeps no Python
+#: object per class; one per class (two, with a canonical tree) would
+#: be ~1-2.
+FOOTPRINT_CEILING = 0.1
 
 
 def make_corpus(
@@ -194,8 +206,6 @@ def test_arena_matches_tree():
 
 
 def _best_of(fn, repeats: int) -> float:
-    import time
-
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -325,6 +335,37 @@ def arena_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]:
         )
         return 1, cell
     print(f"OK: arena speedup {speedup:.2f}x >= {ARENA_SMOKE_FLOOR:.1f}x floor")
+    return footprint_smoke(corpus, cell)
+
+
+def footprint_smoke(corpus: list[Expr], cell: dict) -> tuple[int, dict]:
+    """Arena-intern ``corpus`` into a fresh store; gate the GC-tracked
+    objects it leaves per canonical entry, and report how long one full
+    collection then takes."""
+    gc.collect()
+    before = len(gc.get_objects())
+    store = ExprStore()
+    store.intern_many(corpus, engine="arena")
+    gc.collect()
+    per_entry = (len(gc.get_objects()) - before) / max(1, len(store))
+    start = time.perf_counter()
+    gc.collect()
+    full_gc_ms = (time.perf_counter() - start) * 1e3
+    cell["entries"] = len(store)
+    cell["tracked_per_entry"] = round(per_entry, 4)
+    cell["max_tracked_per_entry"] = FOOTPRINT_CEILING
+    cell["full_gc_ms"] = round(full_gc_ms, 2)
+    print(
+        f"arena intern: {len(store)} entries, {per_entry:.3f} tracked "
+        f"objects per entry, full collection {full_gc_ms:.1f} ms"
+    )
+    if per_entry > FOOTPRINT_CEILING:
+        print(
+            f"FAIL: {per_entry:.3f} tracked objects per entry above the "
+            f"{FOOTPRINT_CEILING} ceiling"
+        )
+        return 1, cell
+    print(f"OK: {per_entry:.3f} tracked objects per entry <= {FOOTPRINT_CEILING}")
     return 0, cell
 
 

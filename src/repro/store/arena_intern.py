@@ -42,7 +42,8 @@ builds no tree at all.  The kernel is always called as this module's
   by an earlier batch costs one dict probe.  Canonical entries, hashes,
   ids and refcounts come out exactly as the serial path would produce
   for the same arrival order; the summary memo is left cold (see
-  above), and ``hits``/``misses`` count one per root hit and one per
+  above), no class gets a canonical tree (the store builds one on
+  demand), and ``hits``/``misses`` count one per root hit and one per
   unique arena node of the rest, not per subtree occurrence.  The
   arena step returns each root's hash (read from the kernel's per-node
   tops) next to its id, and runs an optional ``check`` on those hashes

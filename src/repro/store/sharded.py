@@ -15,12 +15,14 @@ Layering:
   is keyed by object identity, so striping it would buy nothing under
   the GIL.  (A per-thread memo for free-threaded builds is a recorded
   ROADMAP item.)
-* **Intern table** -- lock-striped.  The table is written only by the
-  flat store's four steps (hit by id, hit-or-add by hash, restore,
-  unlink; see :mod:`repro.store.store`); this class overrides each one
-  only to route it to the owning shard, mint shard-encoded ids, take
-  that shard's lock and count on that shard too.  The collision guard,
-  canonical-node construction and memo seeding are the flat store's.
+* **Intern table** -- lock-striped: each shard holds one
+  :class:`~repro.store.store.InternTable`, the flat store's columnar
+  table, written only by its four steps (hit by id, hit-or-add by hash,
+  restore, unlink; see :mod:`repro.store.store`).  This class only
+  routes each step to the owning shard's table, takes that shard's
+  lock and counts on that shard too; the shard's table mints
+  shard-encoded ids.  The collision guard, tree building and memo
+  seeding are the flat store's.
   No operation ever holds two shard locks at once (cross-shard refcount
   updates take the locks one at a time), so there is no lock ordering
   to get wrong and no deadlock.
@@ -34,7 +36,9 @@ the class *hashes* (the real keys) are bit-identical.
 
 Capacity: ``max_entries`` bounds the whole table; each shard enforces
 ``ceil(max_entries / num_shards)`` with the same refcount-aware LRU
-policy as the flat store.
+policy as the flat store.  Re-sharding (:meth:`to_flat_store`,
+:meth:`from_flat_store`) keeps every class and leaves the bound to the
+next intern, as a bulk intern's overshoot is.
 
 Shard merging: :meth:`merge_store` folds another store (flat or
 sharded -- e.g. one uploaded by a service client) into this one
@@ -53,16 +57,14 @@ directions.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.combiners import HashCombiners
 from repro.store.store import (
     ExprStore,
+    InternTable,
     StoreEntry,
     StoreStats,
-    canonical_node,
-    check_same_class,
     saved_stats,
 )
 from repro.lang.expr import Expr
@@ -75,23 +77,20 @@ DEFAULT_NUM_SHARDS = 8
 class _Shard:
     """One lock-striped slice of the intern table.
 
-    ``entries`` is in LRU order (oldest first) like the flat store's
-    table; ``stats`` counts only this shard's intern-layer events
+    ``table`` holds the classes whose hashes this shard owns, in LRU
+    order like the flat store's, and mints ids ``local * num_shards +
+    index``; ``stats`` counts only this shard's intern-layer events
     (hits / misses / evictions -- the hashing-layer counters live on
     the store, which is where hashing happens).
     """
 
-    __slots__ = ("index", "lock", "entries", "by_hash", "stats", "next_local")
+    __slots__ = ("index", "lock", "table", "stats")
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, num_shards: int):
         self.index = index
         self.lock = threading.Lock()
-        #: node_id -> entry, LRU order (oldest first).
-        self.entries: "OrderedDict[int, StoreEntry]" = OrderedDict()  # guarded-by: lock
-        #: alpha-hash -> node_id (hashes owned by this shard only).
-        self.by_hash: dict[int, int] = {}  # guarded-by: lock
+        self.table = InternTable(stride=num_shards, offset=index)  # guarded-by: lock
         self.stats = StoreStats()  # guarded-by: lock
-        self.next_local = 0  # guarded-by: lock
 
 
 class ShardedExprStore(ExprStore):
@@ -119,54 +118,42 @@ class ShardedExprStore(ExprStore):
             combiners, max_entries=max_entries, memo_limit=memo_limit
         )
         self.num_shards = num_shards
-        self._shards = [_Shard(i) for i in range(num_shards)]
-        # ceil-split the global bound so the shard bounds sum to >= it
-        # (never evicting more aggressively than the flat store would).
-        self._per_shard_max = (
-            None
-            if max_entries is None
-            else max(1, -(-max_entries // num_shards))
-        )
+        self._shards = [_Shard(i, num_shards) for i in range(num_shards)]
         #: Guards the summary memo and intern walks (re-entrant so the
         #: public wrappers can nest).  Shard locks nest strictly inside.
         self._memo_lock = threading.RLock()
-        # The base class's flat containers are unused; drop them so any
-        # code path that still touches them fails loudly instead of
-        # silently splitting the table in two.
-        del self._entries
-        del self._by_hash
+        self._tables = [shard.table for shard in self._shards]
+        # The base class's flat table is unused; drop it so any code
+        # path that still touches it fails loudly instead of silently
+        # splitting the table in two.
+        del self._table
+
+    @property
+    def _per_shard_max(self) -> Optional[int]:
+        """Each shard's bound: the global one ceil-split, so the shard
+        bounds sum to >= it (never evicting more aggressively than the
+        flat store would)."""
+        if self.max_entries is None:
+            return None
+        return max(1, -(-self.max_entries // self.num_shards))
 
     # -- shard routing ---------------------------------------------------------
-
-    def _shard_of_hash(self, hash_value: int) -> _Shard:
-        return self._shards[hash_value % self.num_shards]
 
     def _shard_of_id(self, node_id: int) -> _Shard:
         return self._shards[node_id % self.num_shards]
 
     # -- queries ---------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return sum(len(shard.entries) for shard in self._shards)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._shard_of_id(node_id).entries
-
     def entry(self, node_id: int) -> StoreEntry:
         shard = self._shard_of_id(node_id)
         with shard.lock:
-            entry = shard.entries[node_id]
-            shard.entries.move_to_end(node_id)
-            return entry
-
-    def _get_entry(self, node_id: int) -> Optional[StoreEntry]:
-        return self._shard_of_id(node_id).entries.get(node_id)
-
-    def lookup_hash(self, hash_value: int) -> Optional[int]:
-        return self._shard_of_hash(hash_value).by_hash.get(hash_value)
+            if not shard.table.touch(node_id):
+                raise KeyError(node_id)
+            return shard.table.view(self, node_id)
 
     def entries(self) -> Iterator[StoreEntry]:
-        """All live entries: shard 0's LRU order, then shard 1's, ...
+        """Views of all live entries: shard 0's LRU order, then shard
+        1's, ...
 
         (A single global recency order does not exist in a sharded
         table; each shard preserves its own.)
@@ -174,19 +161,36 @@ class ShardedExprStore(ExprStore):
         snapshot: list[StoreEntry] = []
         for shard in self._shards:
             with shard.lock:
-                snapshot.extend(shard.entries.values())
+                table = shard.table
+                snapshot.extend(table.view(self, node_id) for node_id in table.order)
         return iter(snapshot)
 
     def shard_sizes(self) -> list[int]:
         """Live entry count per shard (occupancy balance diagnostics)."""
-        return [len(shard.entries) for shard in self._shards]
+        return [len(shard.table) for shard in self._shards]
+
+    def _records(self, since: int = -1) -> list[list[tuple]]:
+        """The flat store's column read, one list per shard, each taken
+        under that shard's lock."""
+        records = []
+        for shard in self._shards:
+            with shard.lock:
+                records.append(shard.table.records(since))
+        return records
+
+    def _tree(self, node_id: int) -> Expr:
+        """The flat store's tree lookup under the memo lock: interns and
+        evictions, which change and reuse the rows it reads, hold it too
+        (so do the encoders that call :meth:`_build_trees`)."""
+        with self._memo_lock:
+            return super()._tree(node_id)
 
     def shard_stats(self) -> list[StoreStats]:
         """Per-shard intern-layer counters (hits / misses / evictions).
 
         Invariant: each counter summed over shards equals the same
-        counter on ``self.stats`` -- interning increments both under the
-        owning shard's lock.
+        counter on ``self.stats`` -- every table step increments both,
+        the shard's under its lock.
         """
         return [shard.stats for shard in self._shards]
 
@@ -254,68 +258,53 @@ class ShardedExprStore(ExprStore):
     # -- the table steps, routed to shards -------------------------------------
 
     def _hit_by_id(self, node_id: Optional[int]) -> bool:
-        """The flat store's hit by id under the owning shard's lock,
+        """The table's hit by id in the owning shard, under its lock,
         counted on that shard too."""
         if node_id is None:
             return False
         shard = self._shard_of_id(node_id)
         with shard.lock:
-            if node_id not in shard.entries:
+            if not shard.table.touch(node_id):
                 return False
-            shard.entries.move_to_end(node_id)
             shard.stats.hits += 1
         self.stats.hits += 1
         return True
 
     def _hit_or_add_step(self) -> Callable[..., int]:
-        """The flat store's hit-or-add step in the shard owning ``top``,
-        under its lock; a new class's id is ``local * num_shards +
-        shard``.  The store-global version stamp is safe to bump: every
-        intern walk runs under the store's re-entrant memo lock, so
-        steps are serialised across threads."""
+        """The table's hit-or-add step in the shard owning ``top``, under
+        its lock and counted on that shard; the store's counters and the
+        new class's child references (children live in other shards, one
+        lock at a time) follow after the lock is dropped.  A step made a
+        class iff it bumped the store-global version stamp, which is
+        safe to read: every intern walk runs under the store's
+        re-entrant memo lock, so steps are serialised across threads."""
         shards, num_shards, stats = self._shards, self.num_shards, self.stats
-        get_entry = self._get_entry
+        steps = [
+            shard.table.hit_or_add_step(self, shard.stats, link=False)
+            for shard in shards
+        ]
+        link = self._adjust_refcounts
 
         def hit_or_add(top, kind, size, kid_ids, label, leaf=None) -> int:
             shard = shards[top % num_shards]
+            version = self.version
             with shard.lock:
-                node_id = shard.by_hash.get(top)
-                if node_id is not None:
-                    check_same_class(shard.entries[node_id], top, kind, size)
-                    shard.entries.move_to_end(node_id)
-                    shard.stats.hits += 1
-                    stats.hits += 1
-                    return node_id
-                tree = leaf
-                if tree is None:
-                    tree = canonical_node(
-                        kind, label, [get_entry(kid).expr for kid in kid_ids]
-                    )
-                node_id = shard.next_local * num_shards + shard.index
-                shard.next_local += 1
-                self.version += 1
-                shard.entries[node_id] = StoreEntry(
-                    node_id, top, kind, size, kid_ids, tree, 0, self.version
-                )
-                shard.by_hash[top] = node_id
-                shard.stats.misses += 1
+                node_id = steps[shard.index](top, kind, size, kid_ids, label, leaf)
+            if self.version == version:
+                stats.hits += 1
+            else:
                 stats.misses += 1
-            self._adjust_refcounts(kid_ids, 1)
+                link(kid_ids, 1)
             return node_id
 
         return hit_or_add
 
-    def _install(self, entry: StoreEntry) -> None:
-        """The flat store's restore write in the shard ``entry``'s id
-        encodes, under its lock, advancing that shard's id counter and
-        counting the miss there too."""
-        shard = self._shard_of_id(entry.node_id)
+    def _install(self, node_id, *row) -> None:
+        """The table's restore write in the shard ``node_id`` encodes,
+        under its lock, counting the miss there too."""
+        shard = self._shard_of_id(node_id)
         with shard.lock:
-            shard.entries[entry.node_id] = entry
-            shard.by_hash[entry.hash] = entry.node_id
-            shard.next_local = max(
-                shard.next_local, entry.node_id // self.num_shards + 1
-            )
+            shard.table.insert(node_id, *row)
             shard.stats.misses += 1
         self.stats.misses += 1
 
@@ -331,7 +320,7 @@ class ShardedExprStore(ExprStore):
         self.stats = saved_stats(stats)
         for shard, next_local, saved in zip(self._shards, next_ids, shard_stats):
             with shard.lock:
-                shard.next_local = max(shard.next_local, next_local)
+                shard.table.next_local = max(shard.table.next_local, next_local)
                 shard.stats = saved_stats(saved)
 
     def _adjust_refcounts(self, kid_ids: Iterable[int], delta: int) -> None:
@@ -339,20 +328,18 @@ class ShardedExprStore(ExprStore):
         for kid in kid_ids:
             kid_shard = self._shard_of_id(kid)
             with kid_shard.lock:
-                kid_shard.entries[kid].refcount += delta
+                kid_shard.table.link((kid,), delta)
 
     def _unlink(self, node_id: int) -> None:
-        """The flat store's unlink in the victim's shard, under its lock
-        and counted there too; the children are released after the lock
-        is dropped."""
+        """The table's unlink in the victim's shard, under its lock and
+        counted there too; the children are released after the lock is
+        dropped."""
         shard = self._shard_of_id(node_id)
         with shard.lock:
-            entry = shard.entries.pop(node_id)
-            if shard.by_hash.get(entry.hash) == node_id:
-                del shard.by_hash[entry.hash]
+            released = shard.table.unlink(node_id)
             shard.stats.evictions += 1
         self.stats.evictions += 1
-        self._release(entry)
+        self._release(*released)
 
     # -- eviction --------------------------------------------------------------
 
@@ -363,25 +350,18 @@ class ShardedExprStore(ExprStore):
         # every shard at its bound or holding only pinned entries (plus
         # possibly the protected fresh root), matching the flat store's
         # soft-bound semantics.
-        if self._per_shard_max is None:
+        bound = self._per_shard_max
+        if bound is None:
             return
         progressed = True
         while progressed:
             progressed = False
             for shard in self._shards:
                 while True:
-                    victim = None
                     with shard.lock:
-                        if len(shard.entries) <= self._per_shard_max:
+                        if len(shard.table) <= bound:
                             break
-                        for node_id, entry in shard.entries.items():
-                            if (
-                                entry.refcount == 0
-                                and node_id != protect
-                                and node_id not in self._pinned
-                            ):
-                                victim = node_id
-                                break
+                        victim = shard.table.lru_victim(protect, self._pinned)
                     if victim is None:
                         # Everything left is the protected fresh root
                         # or referenced by a live parent.
@@ -415,20 +395,16 @@ class ShardedExprStore(ExprStore):
     def to_flat_store(self) -> ExprStore:
         """A plain :class:`ExprStore` holding every class of this store.
 
-        Hashing/intern counters are copied over so accounting survives
-        the flattening (the flat re-intern itself is bookkeeping and is
-        not counted).
+        Every class is kept even where this store holds more than
+        ``max_entries`` (each shard rounds its share up): the bound
+        applies from the flat store's next intern.  Hashing/intern
+        counters are copied over so accounting survives the flattening
+        (the flat re-intern itself is bookkeeping and is not counted).
         """
         with self._memo_lock:
-            flat = ExprStore(
-                self.combiners,
-                max_entries=self.max_entries,
-                memo_limit=self.memo_limit,
-            )
-            for entry in sorted(
-                self.entries(), key=lambda e: e.size, reverse=True
-            ):
-                flat.intern(entry.expr)
+            flat = ExprStore(self.combiners, memo_limit=self.memo_limit)
+            flat.merge_store(self)
+            flat.max_entries = self.max_entries
             for name in (
                 "hits",
                 "misses",
@@ -447,20 +423,18 @@ class ShardedExprStore(ExprStore):
         """Re-shard an already-built flat store (e.g. a decoded
         snapshot) without touching ``flat``.
 
-        Accounting starts fresh and consistent: every adopted class is
-        one miss of its owning shard, nothing else (per-shard counters
-        must always sum to the store totals).
+        Every class of ``flat`` is kept, whatever the new shards' bound:
+        it applies from the next intern.  Accounting starts fresh and
+        consistent: every adopted class is one miss of its owning shard,
+        nothing else (per-shard counters must always sum to the store
+        totals).
         """
-        store = cls(
-            flat.combiners,
-            num_shards=num_shards,
-            max_entries=flat.max_entries,
-            memo_limit=flat.memo_limit,
-        )
+        store = cls(flat.combiners, num_shards=num_shards, memo_limit=flat.memo_limit)
         store.merge_store(flat)
+        store.max_entries = flat.max_entries
         for shard in store._shards:
             shard.stats.hits = 0
-            shard.stats.misses = len(shard.entries)
+            shard.stats.misses = len(shard.table)
             shard.stats.evictions = 0
         store.stats = StoreStats(misses=len(store))
         return store

@@ -30,11 +30,14 @@ rebuild order; the *file* order is LRU order so recency survives the
 round-trip.  The header checksum is over the exact body bytes --
 truncation or tampering fails loudly as :class:`SnapshotError`.
 
-Summaries come from each canonical tree's memo record (tree interns
-seed one), or, for the trees without one (arena interns leave the memo
-cold), from one scalar arena pass over them all; each record is then
-formatted straight to bytes.  Encoding only reads the memo and the
-stats, so snapshots and deltas leave both as they were.  The loaders
+Encoders read the intern table's columns (one record tuple per class
+written, no entry view).  Summaries come from each canonical tree's memo
+record (tree interns seed one), or, for the classes without one (arena
+interns leave the memo cold and store no tree), from one scalar arena
+pass over their canonical trees, built for that pass only; each record
+is then formatted straight to bytes.  Encoding only reads the table, the
+memo and the stats, so snapshots and deltas leave all three as they
+were.  The loaders
 type-check every record (ints for ``i``/``h``/``z``/``t``/``s``/``v``,
 a str -> int map for ``m``) before the first write.
 
@@ -72,12 +75,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.arena import arena_summaries, flatten_corpus
 from repro.core.combiners import HashCombiners
 from repro.core.kernel import MemoRecord
-from repro.lang.expr import Expr, Lam, Let, Lit, Var
+from repro.lang.expr import Expr
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.sharded import ShardedExprStore
@@ -147,43 +151,50 @@ def _decode_lit(payload: Any):
     return value
 
 
-def _node_payload(node: Expr) -> Any:
-    """The ``p`` field of one entry record."""
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Lit):
-        return _lit_payload(node.value)
-    if isinstance(node, (Lam, Let)):
-        return node.binder
-    return None
+def _payload(kind: str, label: Any) -> Any:
+    """The ``p`` field of one entry record, from its label column."""
+    return _lit_payload(label) if kind == "Lit" else label
 
 
-def _summaries(store: "ExprStore", entries: list) -> list[tuple]:
-    """Each entry's hashed e-summary ``(s, v, m)``: structure hash,
+def _summaries(store: "ExprStore", records: list) -> list[tuple]:
+    """Each record's hashed e-summary ``(s, v, m)``: structure hash,
     free-variable-map hash and name -> position-hash map.
 
-    A canonical tree's memo record as is; the trees without one (arena
-    interns, flushes, prunes) flattened into one arena and summarised
-    by one scalar pass (:func:`~repro.core.arena.arena_summaries`).
-    Summaries are context-free (Section 3), so the two sources agree
-    bit for bit.  The memo and the stats are only read.
+    ``records`` are :meth:`~repro.store.store.InternTable.records` rows.
+    A canonical tree's memo record as is; the classes without one (arena
+    interns, flushes, prunes) have their canonical trees flattened into
+    one arena and summarised by one scalar pass
+    (:func:`~repro.core.arena.arena_summaries`).  Trees the table lacks
+    are built for that flatten only and dropped with the arena
+    (:meth:`~repro.store.ExprStore._build_trees`).  Summaries are
+    context-free (Section 3), so the two sources agree bit for bit.  The
+    table, the memo and the stats are only read; a sharded store's
+    caller holds its memo lock.
     """
     memo_get = store._memo.get
-    records = [memo_get(id(entry.expr)) for entry in entries]
-    cold = [entry.expr for entry, rec in zip(entries, records) if rec is None]
-    computed = iter(())
+    summaries: list = []
+    for rec in records:
+        memo_rec = None if rec[7] is None else memo_get(id(rec[7]))
+        summaries.append(
+            None
+            if memo_rec is None
+            else (memo_rec.s_hash, memo_rec.vm_hash, memo_rec.vm_entries)
+        )
+    cold = [index for index, summary in enumerate(summaries) if summary is None]
     if cold:
-        arena, roots = flatten_corpus(cold)
-        computed = iter(arena_summaries(arena, roots, store.combiners))
-    return [
-        next(computed) if rec is None else (rec.s_hash, rec.vm_hash, rec.vm_entries)
-        for rec in records
-    ]
+        trees = store._build_trees([records[index][0] for index in cold], keep=False)
+        arena, roots = flatten_corpus(trees)
+        del trees
+        computed = arena_summaries(arena, roots, store.combiners)
+        for index, summary in zip(cold, computed):
+            summaries[index] = summary
+    return summaries
 
 
-def _encode_entries(entries: list, summaries: list) -> bytes:
+def _encode_entries(records: list, summaries: list) -> bytes:
     """JSON-lines encode one run of entry records, each straight from
-    its entry and its summary ``(s, v, m)``.
+    its table record ``(node_id, hash, kind, size, kids, label, version,
+    tree)`` and its summary ``(s, v, m)``.
 
     Each line is the one ``json.dumps(record, separators=(",", ":"),
     sort_keys=True)`` writes: keys and map entries in sorted order, ints
@@ -192,30 +203,29 @@ def _encode_entries(entries: list, summaries: list) -> bytes:
     """
     quoted: dict[str, str] = {}
     lines = []
-    for entry, (s_hash, vm_hash, vm_entries) in zip(entries, summaries):
+    for record, (s_hash, vm_hash, vm_entries) in zip(records, summaries):
+        node_id, top, kind, size, kids, label, version, _tree = record
         parts = []
         for name, pos in sorted(vm_entries.items()):
             text = quoted.get(name)
             if text is None:
                 quoted[name] = text = encode_basestring_ascii(name)
             parts.append(f"{text}:{pos}")
-        kind, node = entry.kind, entry.expr
         if kind == "App":
             payload = "null"
         elif kind == "Lit":
             payload = json.dumps(
-                _lit_payload(node.value), separators=(",", ":"), sort_keys=True
+                _lit_payload(label), separators=(",", ":"), sort_keys=True
             )
         else:
-            name = node.name if kind == "Var" else node.binder
-            payload = quoted.get(name)
+            payload = quoted.get(label)
             if payload is None:
-                quoted[name] = payload = encode_basestring_ascii(name)
+                quoted[label] = payload = encode_basestring_ascii(label)
         lines.append(
-            f'{{"c":[{",".join(map(str, entry.children))}],'
-            f'"h":{entry.hash},"i":{entry.node_id},"k":"{kind}",'
+            f'{{"c":[{",".join(map(str, kids))}],'
+            f'"h":{top},"i":{node_id},"k":"{kind}",'
             f'"m":{{{",".join(parts)}}},"p":{payload},"s":{s_hash},'
-            f'"t":{entry.version},"v":{vm_hash},"z":{entry.size}}}\n'
+            f'"t":{version},"v":{vm_hash},"z":{size}}}\n'
         )
     return "".join(lines).encode("utf-8")
 
@@ -239,8 +249,8 @@ def snapshot_to_bytes(store: "ExprStore", meta: Optional[dict] = None) -> bytes:
 
     Each entry's summary is its canonical tree's memo record, or comes
     from the one arena pass over the entries without one (see the
-    module docstring).  The memo and the stats are only read, so the
-    store is left observably unchanged.
+    module docstring).  The table, the memo and the stats are only
+    read, so the store is left observably unchanged.
     """
     from repro.store.sharded import ShardedExprStore
 
@@ -252,8 +262,8 @@ def snapshot_to_bytes(store: "ExprStore", meta: Optional[dict] = None) -> bytes:
 def _flat_snapshot_to_bytes(
     store: "ExprStore", meta: Optional[dict] = None
 ) -> bytes:
-    entries = list(store.entries())  # LRU order, oldest first
-    body = _encode_entries(entries, _summaries(store, entries))
+    [records] = store._records()  # LRU order, oldest first
+    body = _encode_entries(records, _summaries(store, records))
 
     header = {
         "format": SNAPSHOT_FORMAT,
@@ -261,9 +271,9 @@ def _flat_snapshot_to_bytes(
         "seed": store.combiners.seed,
         "max_entries": store.max_entries,
         "memo_limit": store.memo_limit,
-        "next_id": store._next_id,
+        "next_id": store._table.next_local,
         "version": store.version,
-        "entries": len(entries),
+        "entries": len(records),
         "stats": _stats_dict(store.stats),
         "meta": meta or {},
         "checksum": _checksum(body),
@@ -274,43 +284,41 @@ def _flat_snapshot_to_bytes(
     return header_bytes + b"\n" + body
 
 
-# repro-lint: allow[lock-blocking] reason=CPU-bound encode fan-out over entries and summaries taken first; a caller's service lock is exactly what keeps that extraction consistent, the fields encoded never change after an entry is created, and the pool tasks touch no locks of their own
+# repro-lint: allow[lock-blocking] reason=CPU-bound encode fan-out over records and summaries taken first; a caller's service lock is exactly what keeps that extraction consistent, the record tuples encoded never change, and the pool tasks touch no locks of their own
 def _sharded_snapshot_to_bytes(
     store: "ShardedExprStore", meta: Optional[dict] = None
 ) -> bytes:
     """The native v2 sharded layout (see module docstring).
 
-    Entries and their summaries are taken under the store's locks, with
-    one arena pass over every shard's cold entries; section encoding
-    runs as one independent task per shard on a thread pool (see the
-    module docstring's GIL caveat).
+    Each shard's records (its column rows, as tuples) and their
+    summaries are taken under the store's locks, with one arena pass
+    over every shard's cold entries; section encoding runs as one
+    independent task per shard on a thread pool (see the module
+    docstring's GIL caveat).
     """
     from repro.core.cpus import available_cpus
 
     with store._memo_lock:
-        shard_entries: list[list] = []
-        for shard in store._shards:
-            with shard.lock:
-                shard_entries.append(list(shard.entries.values()))
+        shard_records = store._records()
         summaries = iter(
-            _summaries(store, [e for entries in shard_entries for e in entries])
+            _summaries(store, [rec for records in shard_records for rec in records])
         )
         shard_summaries = [
-            list(islice(summaries, len(entries))) for entries in shard_entries
+            list(islice(summaries, len(records))) for records in shard_records
         ]
         shard_meta = [
             {
-                "entries": len(entries),
-                "next_local": shard.next_local,
+                "entries": len(records),
+                "next_local": shard.table.next_local,
                 "stats": _stats_dict(shard.stats),
             }
-            for shard, entries in zip(store._shards, shard_entries)
+            for shard, records in zip(store._shards, shard_records)
         ]
         stats = _stats_dict(store.stats)
 
     n_tasks = max(1, min(store.num_shards, available_cpus()))
     with ThreadPoolExecutor(max_workers=n_tasks) as pool:
-        sections = list(pool.map(_encode_entries, shard_entries, shard_summaries))
+        sections = list(pool.map(_encode_entries, shard_records, shard_summaries))
     for meta_entry, section in zip(shard_meta, sections):
         meta_entry["bytes"] = len(section)
     body = b"".join(sections)
@@ -344,20 +352,15 @@ def content_checksum(store: "ExprStore") -> str:
     crash anyway.  This is the equality a journal-recovered store is
     gated on: ``content_checksum(recovered) ==
     content_checksum(pre_crash)``.  Exposed over HTTP as
-    ``GET /v1/health?checksum=1``.
+    ``GET /v1/health?checksum=1``.  Reads the table's columns; builds no
+    entry view and no tree.
     """
     digest = hashlib.sha256()
-    entries = sorted(store.entries(), key=lambda e: e.node_id)
-    for entry in entries:
-        record = [
-            entry.node_id,
-            entry.hash,
-            entry.kind,
-            entry.size,
-            list(entry.children),
-            _node_payload(entry.expr),
-            entry.version,
-        ]
+    records = sorted(
+        (rec for records in store._records() for rec in records), key=itemgetter(0)
+    )
+    for node_id, top, kind, size, kids, label, version, _tree in records:
+        record = [node_id, top, kind, size, list(kids), _payload(kind, label), version]
         digest.update(
             json.dumps(
                 record, separators=(",", ":"), sort_keys=True
@@ -723,9 +726,10 @@ def delta_to_bytes(
     was live at ``since`` (pinned by its parent's refcount ever since),
     hence present in the receiver's baseline.
 
-    Summaries come from memo records where the fresh entries' canonical
-    trees have them (tree interns) and from one arena pass over the rest
-    (arena interns); the memo and the stats are only read.
+    The fresh entries come from a scan of the version column.  Summaries
+    come from memo records where the fresh entries' canonical trees have
+    them (tree interns) and from one arena pass over the rest (arena
+    interns); the table, the memo and the stats are only read.
     """
     with _memo_lock_of(store):
         if since < 0 or since > store.version:
@@ -734,8 +738,8 @@ def delta_to_bytes(
                 f"(version {store.version})"
             )
         fresh = sorted(
-            (e for e in store.entries() if e.version > since),
-            key=lambda e: e.version,
+            (rec for records in store._records(since) for rec in records),
+            key=itemgetter(6),
         )
         body = _encode_entries(fresh, _summaries(store, fresh))
         header = {
@@ -820,8 +824,7 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
         records = _parse_records(body, header["entries"])
 
         def _resolve_base(node_id: int) -> Optional[Expr]:
-            entry = store._get_entry(node_id)
-            return None if entry is None else entry.expr
+            return store._tree(node_id) if node_id in store else None
 
         try:
             exprs = _build_exprs(records, resolve_base=_resolve_base)

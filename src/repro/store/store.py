@@ -6,10 +6,10 @@ alpha-equivalent -- exactly the key a content-addressed store needs.
 :class:`ExprStore` builds on that in two layers:
 
 * **Canonical entries.**  Interning an expression assigns every
-  alpha-equivalence class of its subexpressions one integer node id and
-  one canonical representative tree whose children are themselves
-  canonical (a maximally-shared DAG).  ``\\x. x+7`` and ``\\y. y+7``
-  intern to the same id.
+  alpha-equivalence class of its subexpressions one integer node id.
+  ``\\x. x+7`` and ``\\y. y+7`` intern to the same id.  Each class has a
+  canonical representative tree whose children are themselves canonical
+  (a maximally-shared DAG), built on demand (see below).
 
 * **Summary memo.**  Hashing is memoised per subtree *object*: the store
   remembers each node's hashed e-summary (structure hash, free-variable
@@ -28,17 +28,43 @@ loud :class:`StoreCollisionError` instead of silent conflation.  The
 guard is one function, :func:`check_same_class`, and every intern path
 reaches it through the one hit-or-add step.
 
-This module owns the intern table.  Every write goes through one of
-four :class:`ExprStore` steps, each written against the flat table:
-hit by id (:meth:`~ExprStore._hit_by_id`), hit-or-add by hash
-(:meth:`~ExprStore._hit_or_add_step`, bound once per batch), restore an
-entry with a known id (:meth:`~ExprStore._restore`, for the snapshot and
-delta loaders) and unlink an eviction victim
-(:meth:`~ExprStore._unlink`).  The tree walk, the arena bulk intern
-(:mod:`repro.store.arena_intern`), the loaders
-(:mod:`repro.store.snapshot`) and the eviction loops all call them;
-:class:`~repro.store.sharded.ShardedExprStore` overrides them only for
-shard routing, shard-encoded ids, shard locks and per-shard counters.
+This module owns the intern table, :class:`InternTable`.  It keeps its
+classes in per-class columns, not one Python object per class: plain
+lists of hashes, kinds, sizes, child ids, labels (:func:`node_label`),
+version stamps, refcounts and optional canonical trees, indexed by row.
+An ``OrderedDict`` maps each live id to its row in LRU order, and a dict
+maps each alpha-hash to its id.  A class interned without a tree leaves
+no GC-tracked object behind, so a large table costs the collector
+nothing.  An evicted class's row is cleared and reused.
+
+* **Trees on demand.**  The arena bulk intern stores no tree.
+  :meth:`ExprStore.expr_of` (and :attr:`StoreEntry.expr`) build a
+  class's tree from the columns, children first, reusing every subtree
+  already built, and keep it in the tree column.  The tree walk
+  (:meth:`ExprStore.intern`) builds its trees at once: a leaf class
+  adopts the caller's node, an interior one gets a canonical tree whose
+  memo record makes re-interning it free.  The loaders keep the trees
+  they rebuild.  Encoders that need trees the table lacks build them
+  only for their own pass (:meth:`ExprStore._build_trees`).
+* **Views.**  :class:`StoreEntry` is a read-only view of one class's
+  columns, built when :meth:`~ExprStore.entry` or
+  :meth:`~ExprStore.entries` asks for it.  Readers that walk the whole
+  table (the snapshot and delta encoders, the content checksum) read the
+  columns instead (:meth:`ExprStore._records`).
+
+Every write goes through one of four steps, each written once against
+the table: hit by id (:meth:`InternTable.touch`, through
+:meth:`~ExprStore._hit_by_id`), hit-or-add by hash
+(:meth:`InternTable.hit_or_add_step`, a closure bound once per batch),
+restore an entry with a known id (:meth:`InternTable.insert`, through
+:meth:`~ExprStore._restore`, for the snapshot and delta loaders) and
+unlink an eviction victim (:meth:`InternTable.unlink`).  The tree walk,
+the arena bulk intern (:mod:`repro.store.arena_intern`), the loaders
+(:mod:`repro.store.snapshot`) and the eviction loops all call them.
+The flat store has one table;
+:class:`~repro.store.sharded.ShardedExprStore` has one per shard and
+adds only shard routing, shard-encoded ids, shard locks and per-shard
+counters.
 
 Two capacity modes:
 
@@ -136,42 +162,64 @@ class StoreStats(StatsDictMixin):
         return self.hashed_nodes
 
 
-@dataclass
 class StoreEntry:
-    """One canonical node: an alpha-equivalence class representative.
+    """One canonical node: a read-only view of an alpha-equivalence
+    class's columns in the intern table.
 
-    ``children`` are node ids of canonical children; ``expr`` is the
-    canonical representative tree (its subtrees are the canonical
-    representatives of the child entries, so entries form a DAG).
-    ``refcount`` counts parent entries referencing this one -- the LRU
-    mode only evicts entries with ``refcount == 0``.  ``version`` is the
-    store's monotonic intern stamp at creation time: entry ``version``
-    values are unique and strictly increasing in creation order, which
-    is what incremental snapshot deltas
+    :meth:`ExprStore.entry` and :meth:`ExprStore.entries` build views;
+    the fields are the columns' values at that moment, and assigning one
+    raises ``AttributeError``.  ``children`` are node ids of canonical
+    children; ``expr`` is the canonical representative tree (its subtrees
+    are the canonical representatives of the child entries, so entries
+    form a DAG), built from the columns on first request and kept by the
+    store.  ``refcount`` counts parent entries referencing this one --
+    the LRU mode only evicts entries with ``refcount == 0``.  ``version``
+    is the store's monotonic intern stamp at creation time: entry
+    ``version`` values are unique and strictly increasing in creation
+    order, which is what incremental snapshot deltas
     (:func:`repro.store.snapshot.delta_to_bytes`) select on.
     """
 
-    node_id: int
-    hash: int
-    kind: str
-    size: int
-    children: tuple[int, ...]
-    expr: Expr
-    refcount: int = 0
-    version: int = 0
+    __slots__ = (
+        "node_id", "hash", "kind", "size", "children", "refcount", "version", "_store"
+    )
+
+    def __init__(self, store: "ExprStore", *fields) -> None:
+        """``fields``: node_id, hash, kind, size, children, refcount and
+        version, read from the columns."""
+        for name, value in zip(self.__slots__, (*fields, store)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"StoreEntry is a read-only view; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"StoreEntry is a read-only view; cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
+        return f"StoreEntry({shown})"
+
+    @property
+    def expr(self) -> Expr:
+        """The class's canonical tree (``KeyError`` once it is evicted)."""
+        return self._store._tree(self.node_id)
 
 
-def check_same_class(entry: StoreEntry, top: int, kind: str, size: int) -> None:
-    """The collision guard: an intern hit on ``entry`` by the alpha-hash
-    ``top`` must have the entry's kind and size.
+def check_same_class(
+    have_kind: str, have_size: int, top: int, kind: str, size: int
+) -> None:
+    """The collision guard: an intern hit by the alpha-hash ``top`` on a
+    class whose kind and size columns read ``have_kind`` and
+    ``have_size`` must have that kind and size.
 
     The one copy of this check; a mismatch is a hash collision between
     two terms that are not alpha-equivalent, and raises
     :class:`StoreCollisionError` instead of conflating them."""
-    if entry.kind != kind or entry.size != size:
+    if have_kind != kind or have_size != size:
         raise StoreCollisionError(
-            f"alpha-hash 0x{top:x} maps both a {entry.kind} of "
-            f"size {entry.size} and a {kind} of size {size}"
+            f"alpha-hash 0x{top:x} maps both a {have_kind} of "
+            f"size {have_size} and a {kind} of size {size}"
         )
 
 
@@ -213,6 +261,210 @@ def saved_stats(saved: dict) -> StoreStats:
     return StoreStats(
         **{f.name: saved[f.name] for f in fields(StoreStats) if f.name in saved}
     )
+
+
+class InternTable:
+    """One intern table: canonical classes kept in per-class columns.
+
+    Row ``r`` holds one class: ``hashes[r]``, ``kinds[r]``, ``sizes[r]``,
+    ``kids[r]`` (child ids), ``labels[r]`` (:func:`node_label`),
+    ``versions[r]``, ``refcounts[r]`` and ``trees[r]`` (the canonical
+    tree, ``None`` until built).  ``order`` maps each live id to its row
+    in LRU order (oldest first); ``by_hash`` maps an alpha-hash to its
+    id.  Rows of evicted classes are cleared and listed in ``free`` for
+    reuse, so a bounded table's columns stay near its bound; new rows
+    come in chunks of an eighth of the table.  A class created here gets
+    id ``next_local * stride + offset``: the flat store's ids count up
+    from 0, shard ``s`` of ``n`` mints ``local * n + s``.
+
+    The four write steps are :meth:`touch`, :meth:`hit_or_add_step`,
+    :meth:`insert` and :meth:`unlink`; :meth:`link` moves refcounts.
+    """
+
+    __slots__ = (
+        "order", "by_hash", "hashes", "kinds", "sizes", "kids", "labels",
+        "versions", "refcounts", "trees", "free", "next_local", "stride", "offset",
+    )
+
+    def __init__(self, stride: int = 1, offset: int = 0):
+        self.order: "OrderedDict[int, int]" = OrderedDict()
+        self.by_hash: dict[int, int] = {}
+        self.hashes: list = []
+        self.kinds: list = []
+        self.sizes: list = []
+        self.kids: list = []
+        self.labels: list = []
+        self.versions: list = []
+        self.refcounts: list[int] = []
+        self.trees: list = []
+        self.free: list[int] = []
+        self.next_local = 0
+        self.stride = stride
+        self.offset = offset
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def _cleared(self) -> tuple[list, ...]:
+        """The columns whose empty rows hold ``None`` (all but refcounts,
+        which hold 0)."""
+        return (
+            self.hashes, self.kinds, self.sizes, self.kids, self.labels,
+            self.versions, self.trees,
+        )
+
+    def _grow(self) -> None:
+        """Add a chunk of empty rows to every column and to ``free``."""
+        start = len(self.hashes)
+        extra = max(64, start >> 3)
+        for column in self._cleared():
+            column.extend([None] * extra)
+        self.refcounts.extend([0] * extra)
+        self.free.extend(range(start + extra - 1, start - 1, -1))
+
+    # -- reads -----------------------------------------------------------------
+
+    def view(self, store: "ExprStore", node_id: int) -> StoreEntry:
+        """A :class:`StoreEntry` of the live class ``node_id``."""
+        row = self.order[node_id]
+        return StoreEntry(
+            store, node_id, self.hashes[row], self.kinds[row], self.sizes[row],
+            self.kids[row], self.refcounts[row], self.versions[row],
+        )
+
+    def records(self, since: int = -1) -> list[tuple]:
+        """``(node_id, hash, kind, size, kids, label, version, tree)`` of
+        every live class in LRU order, or of those whose version is above
+        ``since``: a scan of the version column, one tuple per class
+        selected."""
+        hashes, kinds, sizes, kids = self.hashes, self.kinds, self.sizes, self.kids
+        labels, versions, trees = self.labels, self.versions, self.trees
+        return [
+            (node_id, hashes[row], kinds[row], sizes[row], kids[row], labels[row],
+             versions[row], trees[row])
+            for node_id, row in self.order.items()
+            if versions[row] > since
+        ]
+
+    def lru_victim(self, protect: Optional[int], pinned) -> Optional[int]:
+        """The least-recently-used class that may be evicted: no live
+        parent, not ``protect`` and not pinned; ``None`` if there is none."""
+        refcounts = self.refcounts
+        for node_id, row in self.order.items():
+            if refcounts[row] == 0 and node_id != protect and node_id not in pinned:
+                return node_id
+        return None
+
+    # -- the write steps -------------------------------------------------------
+
+    def touch(self, node_id: Optional[int]) -> bool:
+        """The hit by id: move a live ``node_id`` to the LRU end and
+        return ``True``; ``False`` for ``None`` or an id not live here."""
+        order = self.order
+        if node_id is None or node_id not in order:
+            return False
+        order.move_to_end(node_id)
+        return True
+
+    def hit_or_add_step(
+        self, store: "ExprStore", stats: StoreStats, link: bool = True
+    ) -> Callable[..., int]:
+        """The hit-or-add step by hash, bound once per batch over local
+        column references.
+
+        Returns ``hit_or_add(top, kind, size, kid_ids, label, leaf=None)``
+        -> class id.  A hit on a class already keyed by ``top`` passes
+        :func:`check_same_class` against the kind and size columns,
+        touches its recency and counts one hit on ``stats``.  A miss
+        writes a new row from ``kid_ids`` and ``label`` with
+        ``store.version`` bumped as its stamp, adopts ``leaf`` as its tree
+        when the caller has one (a Var/Lit node of the tree walk), and
+        counts one miss.  ``link`` adds the children's references here;
+        a shard leaves that to its store, as its children live in other
+        shards.
+        """
+        order, by_hash, free = self.order, self.by_hash, self.free
+        hashes, kinds, sizes, kids = self.hashes, self.kinds, self.sizes, self.kids
+        labels, versions, refcounts = self.labels, self.versions, self.refcounts
+        trees, stride, offset = self.trees, self.stride, self.offset
+        find, touch, take_row, grow = by_hash.get, order.move_to_end, free.pop, self._grow
+
+        def hit_or_add(top, kind, size, kid_ids, label, leaf=None) -> int:
+            node_id = find(top)
+            if node_id is not None:
+                row = order[node_id]
+                check_same_class(kinds[row], sizes[row], top, kind, size)
+                touch(node_id)
+                stats.hits += 1
+                return node_id
+            if not free:
+                grow()
+            row = take_row()
+            node_id = self.next_local * stride + offset
+            self.next_local += 1
+            store.version = version = store.version + 1
+            hashes[row] = top
+            kinds[row] = kind
+            sizes[row] = size
+            kids[row] = kid_ids
+            labels[row] = label
+            versions[row] = version
+            trees[row] = leaf
+            order[node_id] = row
+            by_hash[top] = node_id
+            if link:
+                for kid in kid_ids:
+                    refcounts[order[kid]] += 1
+            stats.misses += 1
+            return node_id
+
+        return hit_or_add
+
+    def insert(
+        self, node_id: int, top: int, kind: str, size: int,
+        kid_ids: tuple[int, ...], label, tree: Expr, version: int,
+    ) -> None:
+        """The restore step's write: a new row for ``node_id``, its hash
+        mapped to it, the id counter moved past it.  References to the
+        children are the caller's (:meth:`link`)."""
+        if not self.free:
+            self._grow()
+        row = self.free.pop()
+        self.hashes[row] = top
+        self.kinds[row] = kind
+        self.sizes[row] = size
+        self.kids[row] = kid_ids
+        self.labels[row] = label
+        self.versions[row] = version
+        self.trees[row] = tree
+        self.order[node_id] = row
+        self.by_hash[top] = node_id
+        self.next_local = max(
+            self.next_local, (node_id - self.offset) // self.stride + 1
+        )
+
+    def unlink(self, node_id: int) -> tuple[tuple[int, ...], Optional[Expr]]:
+        """Drop the live class ``node_id``; return its child ids and tree.
+
+        Its hash is unmapped only while the mapping names it: a replayed
+        store can hold an evicted-then-recreated class under two ids, and
+        the newer one keeps the mapping.  The row is cleared and freed."""
+        row = self.order.pop(node_id)
+        top = self.hashes[row]
+        if self.by_hash.get(top) == node_id:
+            del self.by_hash[top]
+        released = self.kids[row], self.trees[row]
+        for column in self._cleared():
+            column[row] = None
+        self.refcounts[row] = 0
+        self.free.append(row)
+        return released
+
+    def link(self, kid_ids: Iterable[int], delta: int) -> None:
+        """Add ``delta`` to the refcount of each live class in ``kid_ids``."""
+        order, refcounts = self.order, self.refcounts
+        for kid in kid_ids:
+            refcounts[order[kid]] += delta
 
 
 class ExprStore:
@@ -275,13 +527,14 @@ class ExprStore:
         #: and re-hashing; one-shot, never kept by stores with a
         #: ``memo_limit``.
         self._arena_compile_cache: Optional[tuple] = None
-        #: node_id -> entry, in LRU order (oldest first).
-        self._entries: "OrderedDict[int, StoreEntry]" = OrderedDict()
-        #: alpha-hash -> node_id.
-        self._by_hash: dict[int, int] = {}
+        #: The intern table, and the list of every table of this store:
+        #: the class with hash ``h`` and id ``i`` lives in the table
+        #: ``_tables[h % len(_tables)] == _tables[i % len(_tables)]`` (the
+        #: sharded store keeps one table per shard).
+        self._table = InternTable()
+        self._tables = [self._table]
         #: node_id -> pin count; pinned classes are never LRU victims.
         self._pinned: dict[int, int] = {}
-        self._next_id = 0
         #: Monotonic intern stamp: +1 per canonical entry ever created
         #: (never reused, never decremented -- evictions leave gaps).
         #: ``delta_to_bytes(store, since)`` ships exactly the live
@@ -293,19 +546,21 @@ class ExprStore:
 
     def __len__(self) -> int:
         """Number of live canonical entries."""
-        return len(self._entries)
+        return sum(map(len, self._tables))
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._entries
+        return node_id in self._table_of(node_id).order
 
     def entry(self, node_id: int) -> StoreEntry:
-        """The canonical entry for ``node_id`` (touches LRU recency)."""
-        entry = self._entries[node_id]
-        self._entries.move_to_end(node_id)
-        return entry
+        """A view of the canonical entry ``node_id`` (touches LRU recency)."""
+        table = self._table
+        if not table.touch(node_id):
+            raise KeyError(node_id)
+        return table.view(self, node_id)
 
     def expr_of(self, node_id: int) -> Expr:
-        """Canonical representative tree of the class ``node_id``."""
+        """Canonical representative tree of the class ``node_id``: built
+        from the columns on the first request, then kept."""
         return self.entry(node_id).expr
 
     def hash_of(self, node_id: int) -> int:
@@ -318,11 +573,77 @@ class ExprStore:
 
     def lookup_hash(self, hash_value: int) -> Optional[int]:
         """Node id of the class with this alpha-hash, if interned."""
-        return self._by_hash.get(hash_value)
+        tables = self._tables
+        return tables[hash_value % len(tables)].by_hash.get(hash_value)
 
     def entries(self) -> Iterator[StoreEntry]:
-        """All live entries, least-recently-used first."""
-        return iter(list(self._entries.values()))
+        """Views of all live entries, least-recently-used first."""
+        table = self._table
+        return iter([table.view(self, node_id) for node_id in table.order])
+
+    # -- the columns, read ------------------------------------------------------
+
+    def _table_of(self, node_id: int) -> InternTable:
+        """The table that holds (or would hold) the class ``node_id``."""
+        tables = self._tables
+        return tables[node_id % len(tables)]
+
+    def _records(self, since: int = -1) -> list[list[tuple]]:
+        """Per table, :meth:`InternTable.records` in LRU order: every
+        live class, or those created after the version stamp ``since``."""
+        return [self._table.records(since)]
+
+    def _tree(self, node_id: int) -> Expr:
+        """The canonical tree of the live class ``node_id``: the tree
+        column's, or built from the columns and kept there."""
+        table = self._table_of(node_id)
+        tree = table.trees[table.order[node_id]]
+        if tree is None:
+            tree = self._build_trees([node_id], keep=True)[0]
+        return tree
+
+    def _build_trees(self, node_ids: Sequence[int], keep: bool) -> list[Expr]:
+        """The canonical tree of each live class in ``node_ids``.
+
+        A class whose tree column is empty is built from its kind, label
+        and children's trees by one iterative walk, children first, that
+        reuses every tree already built or kept, so the result is one
+        shared DAG.  ``keep`` stores each built tree in the tree column;
+        without it the trees are the caller's alone (the encoders'
+        transient trees) and the table is only read."""
+        tables = self._tables
+        count = len(tables)
+        built: dict[int, Expr] = {}
+        for root in node_ids:
+            stack = [root]
+            while stack:
+                node_id = stack[-1]
+                if node_id in built:
+                    stack.pop()
+                    continue
+                table = tables[node_id % count]
+                row = table.order[node_id]
+                tree = table.trees[row]
+                if tree is None:
+                    kid_ids = table.kids[row]
+                    kids = []
+                    for kid in kid_ids:
+                        kid_tree = built.get(kid)
+                        if kid_tree is None:
+                            kid_table = tables[kid % count]
+                            kid_tree = kid_table.trees[kid_table.order[kid]]
+                        if kid_tree is None:
+                            stack.append(kid)
+                        else:
+                            kids.append(kid_tree)
+                    if len(kids) < len(kid_ids):
+                        continue  # back here once the missing children are built
+                    tree = canonical_node(table.kinds[row], table.labels[row], kids)
+                    if keep:
+                        table.trees[row] = tree
+                built[node_id] = tree
+                stack.pop()
+        return [built[node_id] for node_id in node_ids]
 
     # -- pinning ---------------------------------------------------------------
 
@@ -671,12 +992,9 @@ class ExprStore:
     # -- the intern table's write steps ----------------------------------------
     #
     # Nothing outside this module and repro.store.sharded writes the
-    # table; every write is one of the steps below.  The sharded store
-    # overrides each one only for routing, ids, locks and counters.
-
-    def _get_entry(self, node_id: int) -> Optional[StoreEntry]:
-        """The live entry ``node_id`` or ``None``, without LRU side effects."""
-        return self._entries.get(node_id)
+    # table; every write is one of InternTable's steps, reached through
+    # the methods below.  The sharded store overrides each one only for
+    # routing, ids, locks and counters.
 
     def _hit_by_id(self, node_id: Optional[int]) -> bool:
         """The intern hit by id: if ``node_id`` names a live class,
@@ -687,52 +1005,18 @@ class ExprStore:
         item (:mod:`repro.store.arena_intern`).  ``None`` (never
         interned) and evicted ids miss.
         """
-        entries = self._entries
-        if node_id is None or node_id not in entries:
+        if not self._table.touch(node_id):
             return False
-        entries.move_to_end(node_id)
         self.stats.hits += 1
         return True
 
     def _hit_or_add_step(self) -> Callable[..., int]:
-        """The hit-or-add step by hash, bound once per batch.
-
-        Returns ``hit_or_add(top, kind, size, kid_ids, label, leaf=None)``
-        -> class id.  A hit on a class already keyed by ``top`` passes
-        :func:`check_same_class`, touches its recency and counts one
-        hit.  A miss creates the class from ``kid_ids`` (its children's
-        ids) and ``label`` (see :func:`canonical_node`), or adopts
-        ``leaf`` as a Var/Lit class's canonical tree when the caller
-        has one, and counts one miss.  Binding once keeps the tree walk
-        and the arena resolve loop off per-row attribute lookups.
-        """
-        entries, by_hash, stats = self._entries, self._by_hash, self.stats
-
-        def hit_or_add(top, kind, size, kid_ids, label, leaf=None) -> int:
-            node_id = by_hash.get(top)
-            if node_id is not None:
-                check_same_class(entries[node_id], top, kind, size)
-                entries.move_to_end(node_id)
-                stats.hits += 1
-                return node_id
-            tree = leaf
-            if tree is None:
-                tree = canonical_node(
-                    kind, label, [entries[kid].expr for kid in kid_ids]
-                )
-            node_id = self._next_id
-            self._next_id = node_id + 1
-            self.version += 1
-            entries[node_id] = StoreEntry(
-                node_id, top, kind, size, kid_ids, tree, 0, self.version
-            )
-            by_hash[top] = node_id
-            for kid in kid_ids:
-                entries[kid].refcount += 1
-            stats.misses += 1
-            return node_id
-
-        return hit_or_add
+        """The hit-or-add step by hash, bound once per batch:
+        ``hit_or_add(top, kind, size, kid_ids, label, leaf=None)`` -> class
+        id (see :meth:`InternTable.hit_or_add_step`).  Binding once keeps
+        the tree walk and the arena resolve loop off per-row attribute
+        lookups."""
+        return self._table.hit_or_add_step(self, self.stats)
 
     def _intern_one(
         self,
@@ -743,9 +1027,10 @@ class ExprStore:
     ) -> int:
         """One tree node through the hit-or-add step.  A leaf class it
         creates adopts ``node`` itself, which already has its memo
-        record; an interior one gets its canonical tree's record seeded
-        from ``rec`` (the canonical tree is made of canonical subtrees,
-        so hashing it later can be a pure memo hit)."""
+        record; an interior one gets its canonical tree built at once,
+        with the tree's record seeded from ``rec`` (the canonical tree is
+        made of canonical subtrees, so hashing it later can be a pure
+        memo hit)."""
         version = self.version
         node_id = hit_or_add(
             rec.top,
@@ -756,10 +1041,13 @@ class ExprStore:
             None if kid_ids else node,
         )
         if kid_ids and self.version != version:  # a class was created
-            canonical = self._get_entry(node_id).expr
             self._seed_memo(
                 MemoRecord(
-                    canonical, rec.s_hash, dict(rec.vm_entries), rec.vm_hash, rec.top
+                    self._tree(node_id),
+                    rec.s_hash,
+                    dict(rec.vm_entries),
+                    rec.vm_hash,
+                    rec.top,
                 ),
                 node_id,
             )
@@ -788,10 +1076,15 @@ class ExprStore:
         hash, kind or size raises
         :class:`~repro.store.snapshot.SnapshotError`: the document does
         not describe this store."""
-        present = self._get_entry(node_id)
-        if present is None:
+        table = self._table_of(node_id)
+        row = table.order.get(node_id)
+        if row is None:
             return False
-        if (present.hash, present.kind, present.size) != (hash_value, kind, size):
+        if (table.hashes[row], table.kinds[row], table.sizes[row]) != (
+            hash_value,
+            kind,
+            size,
+        ):
             from repro.store.snapshot import SnapshotError
 
             raise SnapshotError(
@@ -825,25 +1118,23 @@ class ExprStore:
         if self._holds(node_id, summary.top, kind, size):
             return False
         for kid in kid_ids:
-            if self._get_entry(kid) is None:
+            if kid not in self:
                 raise KeyError(kid)
         version_after = max(self.version, version)
         self._adjust_refcounts(kid_ids, 1)
+        tree = summary.node
         self._install(
-            StoreEntry(
-                node_id, summary.top, kind, size, kid_ids, summary.node, 0, version
-            )
+            node_id, summary.top, kind, size, kid_ids, node_label(tree), tree, version
         )
         self.version = version_after
         self._seed_memo(summary, node_id)
         return True
 
-    def _install(self, entry: StoreEntry) -> None:
-        """Restore's table write: insert ``entry``, map its hash to it,
-        move the id counter past it and count one miss."""
-        self._entries[entry.node_id] = entry
-        self._by_hash[entry.hash] = entry.node_id
-        self._next_id = max(self._next_id, entry.node_id + 1)
+    def _install(self, node_id: int, *row) -> None:
+        """Restore's table write (:meth:`InternTable.insert` with ``row``:
+        hash, kind, size, child ids, label, tree and version), counted as
+        one miss."""
+        self._table.insert(node_id, *row)
         self.stats.misses += 1
 
     def _restore_counters(
@@ -860,32 +1151,26 @@ class ExprStore:
         past every restored id.  ``shard_stats`` is for sharded stores.
         """
         self.stats = saved_stats(stats)
+        table = self._table
         for next_id in next_ids:
-            self._next_id = max(self._next_id, next_id)
+            table.next_local = max(table.next_local, next_id)
 
     def _adjust_refcounts(self, kid_ids: Iterable[int], delta: int) -> None:
         """Add ``delta`` to the refcount of each live child in ``kid_ids``."""
-        entries = self._entries
-        for kid in kid_ids:
-            entries[kid].refcount += delta
+        self._table.link(kid_ids, delta)
 
     def _unlink(self, node_id: int) -> None:
-        """Drop the eviction victim ``node_id`` from the table.
-
-        Its hash is unmapped only while the mapping names the victim: a
-        replayed store can hold an evicted-then-recreated class under
-        two ids, and the newer one keeps the mapping."""
-        entry = self._entries.pop(node_id)
-        if self._by_hash.get(entry.hash) == node_id:
-            del self._by_hash[entry.hash]
+        """Drop the eviction victim ``node_id`` from the table
+        (:meth:`InternTable.unlink`) and count one eviction."""
+        released = self._table.unlink(node_id)
         self.stats.evictions += 1
-        self._release(entry)
+        self._release(*released)
 
-    def _release(self, entry: StoreEntry) -> None:
+    def _release(self, kid_ids: tuple[int, ...], tree: Optional[Expr]) -> None:
         """An unlinked entry's last step: its children lose a reference
-        and its canonical tree's memo record forgets the id."""
-        self._adjust_refcounts(entry.children, -1)
-        rec = self._memo.get(id(entry.expr))
+        and its canonical tree's memo record, if any, forgets the id."""
+        self._adjust_refcounts(kid_ids, -1)
+        rec = None if tree is None else self._memo.get(id(tree))
         if rec is not None:
             rec.node_id = None
 
@@ -894,16 +1179,9 @@ class ExprStore:
     def _evict_if_needed(self, protect: Optional[int] = None) -> None:
         if self.max_entries is None:
             return
-        while len(self._entries) > self.max_entries:
-            victim = None
-            for node_id, entry in self._entries.items():
-                if (
-                    entry.refcount == 0
-                    and node_id != protect
-                    and node_id not in self._pinned
-                ):
-                    victim = node_id
-                    break
+        table = self._table
+        while len(table) > self.max_entries:
+            victim = table.lru_victim(protect, self._pinned)
             if victim is None:
                 # Every remaining entry is either the protected fresh root,
                 # pinned by a session, or referenced by a live parent; the

@@ -234,6 +234,41 @@ class TestSnapshots:
         assert flat.hash_corpus(corpus) == hashes
         assert len(flat) == len(store)
 
+    @staticmethod
+    def bounded_over_its_share():
+        """A bounded store holding more classes than ``max_entries``:
+        each of its 4 shards keeps ceil(50 / 4) = 13."""
+        store = ShardedExprStore(num_shards=4, max_entries=50)
+        rng = random.Random(5)
+        for _ in range(30):
+            store.intern(random_expr(12, rng=rng))
+        assert len(store) == 52
+        return store
+
+    def test_flattening_a_bounded_store_keeps_every_class(self):
+        store = self.bounded_over_its_share()
+        hashes = [entry.hash for entry in store.entries()]
+        flat = store.to_flat_store()
+        assert len(flat) == 52
+        assert flat.max_entries == 50
+        assert all(flat.lookup_hash(value) is not None for value in hashes)
+        flat.intern(random_expr(12, seed=1))  # the bound applies from here
+        assert len(flat) <= 50
+
+    def test_resharding_a_bounded_snapshot_keeps_every_class(self, tmp_path):
+        store = self.bounded_over_its_share()
+        hashes = [entry.hash for entry in store.entries()]
+        path = str(tmp_path / "bounded.snap")
+        store.save(path)
+        for num_shards in (2, 4):
+            restored = ShardedExprStore.load(path, num_shards=num_shards)
+            assert restored.num_shards == num_shards
+            assert restored.max_entries == 50
+            assert len(restored) == 52
+            assert all(restored.lookup_hash(value) is not None for value in hashes)
+            per_shard = restored.shard_stats()
+            assert sum(s.misses for s in per_shard) == restored.stats.misses
+
     def test_loaded_stats_are_consistent(self, tmp_path):
         store = ShardedExprStore(num_shards=4)
         store.intern_many(mixed_corpus(30))

@@ -7,8 +7,14 @@ invariants live in one place.  A module outside the owners fails this
 test if it
 
 * stores into, deletes from, or calls a mutator (``move_to_end``,
-  ``pop``, ...) on ``_entries``, ``_by_hash``, or a shard's ``entries``
-  or ``by_hash``;
+  ``pop``, ...) on ``_entries``, ``_by_hash``, ``_table``, or a shard's
+  ``entries``, ``by_hash`` or ``table``;
+* does the same to one of a table's containers (``order``, ``by_hash``,
+  ``free``) or columns (``hashes``, ``kinds``, ``sizes``, ``kids``,
+  ``labels``, ``versions``, ``refcounts``, ``trees``), reached through a
+  receiver that names a table or through a local bound to one;
+* calls one of the table's write steps (``touch``, ``insert``,
+  ``unlink``, ``link``, ...) on a table;
 * assigns ``_next_id`` or ``next_local``;
 * changes an entry's ``refcount``.
 
@@ -22,10 +28,40 @@ import repro
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 OWNERS = {"store/store.py", "store/sharded.py"}
-TABLE_ATTRS = {"_entries", "_by_hash"}
-SHARD_TABLE_ATTRS = {"entries", "by_hash"}
+TABLE_ATTRS = {"_entries", "_by_hash", "_table"}
+SHARD_TABLE_ATTRS = {"entries", "by_hash", "table"}
+#: An InternTable's containers and columns.
+COLUMN_ATTRS = {
+    "order",
+    "by_hash",
+    "free",
+    "hashes",
+    "kinds",
+    "sizes",
+    "kids",
+    "labels",
+    "versions",
+    "refcounts",
+    "trees",
+}
 COUNTER_ATTRS = {"_next_id", "next_local", "refcount"}
-MUTATORS = {"move_to_end", "pop", "popitem", "clear", "update", "setdefault"}
+MUTATORS = {
+    "move_to_end",
+    "pop",
+    "popitem",
+    "clear",
+    "update",
+    "setdefault",
+    "append",
+    "extend",
+    # InternTable's write steps and helpers
+    "touch",
+    "hit_or_add_step",
+    "insert",
+    "unlink",
+    "link",
+    "_grow",
+}
 
 
 def modules():
@@ -33,15 +69,24 @@ def modules():
         yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
 
 
-def is_table(node) -> bool:
-    """``X._entries`` / ``X._by_hash``, or ``entries`` / ``by_hash`` on a
-    receiver that names a shard (``shard``, ``kid_shard``,
-    ``store._shard_of_id(kid)``, ...)."""
+def is_table(node, aliases=frozenset()) -> bool:
+    """``X._entries`` / ``X._by_hash`` / ``X._table``; ``entries`` /
+    ``by_hash`` / ``table`` on a receiver that names a shard (``shard``,
+    ``kid_shard``, ``store._shard_of_id(kid)``, ...); or a table column
+    on a receiver that names a table (``table``, ``store._table``,
+    ``shard.table``, ``store._table_of(kid)``, ...) or is a local in
+    ``aliases``."""
     if not isinstance(node, ast.Attribute):
         return False
     if node.attr in TABLE_ATTRS:
         return True
-    return node.attr in SHARD_TABLE_ATTRS and "shard" in ast.unparse(node.value).lower()
+    receiver = node.value
+    if node.attr in SHARD_TABLE_ATTRS and "shard" in ast.unparse(receiver).lower():
+        return True
+    return node.attr in COLUMN_ATTRS and (
+        "table" in ast.unparse(receiver).lower()
+        or (isinstance(receiver, ast.Name) and receiver.id in aliases)
+    )
 
 
 def flat_targets(target):
@@ -55,20 +100,25 @@ def flat_targets(target):
 
 
 def table_aliases(tree) -> set:
-    """Local names bound straight to a table (``entries = store._entries``,
-    also inside tuple assignments)."""
-    aliases = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            pairs = [(target, node.value)]
-            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
-                pairs = list(zip(target.elts, node.value.elts))
-            for name, value in pairs:
-                if isinstance(name, ast.Name) and is_table(value):
-                    aliases.add(name.id)
-    return aliases
+    """Local names bound straight to a table or a column (``entries =
+    store._entries``, ``t = store._table``, ``kinds = t.kinds``, also
+    inside tuple assignments), to a fixpoint."""
+    aliases: set = set()
+    while True:
+        found = set(aliases)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = list(zip(target.elts, node.value.elts))
+                for name, value in pairs:
+                    if isinstance(name, ast.Name) and is_table(value, aliases):
+                        found.add(name.id)
+        if found == aliases:
+            return aliases
+        aliases = found
 
 
 def table_writes(tree):
@@ -76,7 +126,9 @@ def table_writes(tree):
     aliases = table_aliases(tree)
 
     def table(node) -> bool:
-        return is_table(node) or (isinstance(node, ast.Name) and node.id in aliases)
+        return is_table(node, aliases) or (
+            isinstance(node, ast.Name) and node.id in aliases
+        )
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -101,7 +153,7 @@ def table_writes(tree):
                 if isinstance(sub, ast.Subscript) and table(sub.value):
                     yield node.lineno, ast.unparse(sub)
                 elif isinstance(sub, ast.Attribute) and (
-                    sub.attr in COUNTER_ATTRS or is_table(sub)
+                    sub.attr in COUNTER_ATTRS or is_table(sub, aliases)
                 ):
                     yield node.lineno, ast.unparse(sub)
 
