@@ -17,13 +17,17 @@ The gate:
 3. hashes it through the HTTP client and **hard-fails on any bit** of
    divergence from the local path (``alpha_hash_all`` and a local
    ``Session``);
-4. interns the corpus remotely, downloads the server snapshot, and
+4. sends the same corpus both ways the server reads a corpus -- the
+   client's arena body (``hash_corpus``, ``intern_many``) and JSON wire
+   documents (``hash_wire``, and ``intern_wire`` on a second spawned
+   server) -- and hard-fails unless the hashes and the ids agree;
+5. interns the corpus remotely, downloads the server snapshot, and
    checks the restored store serves the same hashes with the same entry
    count (stats conservation);
-5. uploads a disjoint local store and checks the merge grew the server
+6. uploads a disjoint local store and checks the merge grew the server
    by exactly the new classes;
-6. with ``--spawn``: SIGTERMs the server and requires a clean exit 0
-   within a bounded wait -- no leaked listeners, ever.
+7. SIGTERMs every server it spawned and requires a clean exit 0 within
+   a bounded wait -- no leaked listeners, ever.
 
 Exit code 0 = all gates hold; 1 = divergence (with a diff summary).
 """
@@ -105,32 +109,40 @@ def main(argv=None) -> int:
     parser.add_argument("--health-delay", type=float, default=0.2)
     args = parser.parse_args(argv)
 
-    child = None
+    children = []
     if args.spawn:
         port = free_port()
-        child = spawn_server(port)
+        children.append(spawn_server(port))
         args.url = f"http://127.0.0.1:{port}"
-        print(f"service_smoke: spawned repro serve pid={child.pid} on {args.url}")
+        print(f"service_smoke: spawned repro serve pid={children[0].pid} on {args.url}")
+    twin_port = free_port()
+    children.append(spawn_server(twin_port))
+    args.twin_url = f"http://127.0.0.1:{twin_port}"
+    print(f"service_smoke: spawned JSON twin pid={children[-1].pid} on {args.twin_url}")
 
     try:
-        return run_gates(args, child)
+        return run_gates(args, children)
     except BaseException:
-        # A gate blew up (not just failed): don't leak the child.
-        if child is not None and child.poll() is None:
-            child.kill()
-            child.wait(timeout=10)
+        # A gate blew up (not just failed): don't leak the children.
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+                child.wait(timeout=10)
         raise
 
 
-def run_gates(args, child) -> int:
+def run_gates(args, children) -> int:
     from repro.api import Session
     from repro.core.hashed import alpha_hash_all
+    from repro.lang.sexpr import to_wire
     from repro.service import ServiceClient
     from repro.store import snapshot_from_bytes
 
     client = ServiceClient(args.url, timeout=300.0)
     health = wait_for_health(client, args.health_attempts, args.health_delay)
     print(f"service_smoke: server healthy {health}")
+    twin = ServiceClient(args.twin_url, timeout=300.0)
+    wait_for_health(twin, args.health_attempts, args.health_delay)
 
     corpus = build_corpus(args.items, seed=args.seed)
     total_nodes = sum(e.size for e in corpus)
@@ -158,8 +170,38 @@ def run_gates(args, child) -> int:
         failures += 1
     print(f"service_smoke: remote hash bit-identity ok ({remote_s:.2f}s)")
 
+    # Arena body vs JSON documents: the same corpus sent both ways must
+    # hash alike, and intern to the same ids on twin servers.
+    docs = [to_wire(e) for e in corpus]
+    failures_before = failures
+    t0 = time.perf_counter()
+    json_hashes = client.hash_wire(docs)["hashes"]
+    json_s = time.perf_counter() - t0
+    if json_hashes != remote:
+        bad = sum(1 for a, b in zip(json_hashes, remote) if a != b)
+        print(
+            f"FAIL: JSON-body hashes diverge from arena-body hashes on "
+            f"{bad}/{len(corpus)} items",
+            file=sys.stderr,
+        )
+        failures += 1
+    ids = client.intern_many(corpus)
+    json_reply = twin.intern_wire(docs)
+    if json_reply["ids"] != ids or json_reply["hashes"] != reference:
+        bad = sum(1 for a, b in zip(json_reply["ids"], ids) if a != b)
+        print(
+            f"FAIL: JSON-body intern on the twin diverges from the arena "
+            f"body's: {bad}/{len(corpus)} ids differ",
+            file=sys.stderr,
+        )
+        failures += 1
+    if failures == failures_before:
+        print(
+            f"service_smoke: arena body == JSON body ok (hash {remote_s:.2f}s "
+            f"vs {json_s:.2f}s, {len(set(ids))} distinct ids)"
+        )
+
     # Snapshot download: the warm server store must serve the corpus.
-    client.intern_many(corpus)
     entries_remote = client.stats()["entries"]
     store, header = snapshot_from_bytes(client.fetch_snapshot())
     if len(store) != entries_remote:
@@ -202,7 +244,7 @@ def run_gates(args, child) -> int:
 
     # Clean shutdown: SIGTERM must produce exit 0 within a bounded
     # wait -- a hung or non-zero exit means a leaked listener in CI.
-    if child is not None:
+    for child in children:
         child.send_signal(signal.SIGTERM)
         try:
             returncode = child.wait(timeout=15)

@@ -9,14 +9,21 @@ alpha-hashes are canonical and uniform -- exactly like
 :class:`~repro.store.ShardedExprStore` stripes in-process, lifted to
 whole processes:
 
-* ``/v1/hash`` fans contiguous corpus chunks out to the live shards
-  concurrently.  Hashing is stateless and bit-identical on every node
-  (same combiner family), so a chunk whose shard dies mid-request is
-  simply replayed on another live shard.
+* ``/v1/hash`` and ``/v1/intern`` take either corpus body a node takes
+  (JSON documents or a ``repro-arena-v1`` body, see
+  :mod:`repro.service.arena_body`) and compile it once into one arena
+  and its roots, as a node does.  Every shard call then carries an
+  arena body holding only the closure of that call's roots, renumbered
+  (:func:`~repro.service.arena_body.closure_arena`).
+
+* ``/v1/hash`` splits the roots into contiguous chunks and fans them
+  out to the live shards concurrently.  Hashing is stateless and
+  bit-identical on every node (same combiner family), so a chunk whose
+  shard dies mid-request is simply replayed on another live shard.
 
 * ``/v1/intern`` is two-phase: hash first (fan-out as above), then
-  group items by owning shard (``root_hash % shard_count``) and send
-  each group to its owner.  Ownership is not negotiable -- if the
+  group the roots by owning shard (``root_hash % shard_count``) and
+  send each group to its owner.  Ownership is not negotiable -- if the
   owner is down the coordinator answers **503 naming that shard**
   rather than silently interning the class somewhere it does not
   belong.  Returned ids are shard-local; the reply carries ``owners``
@@ -66,13 +73,25 @@ from typing import Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.cluster.topology import ClusterTopology
+from repro.core.arena import ExprArena
 from repro.core.combiners import HashCombiners
+from repro.service.arena_body import closure_arena, encode_body
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import _Handler, _RequestError
+from repro.service.server import (
+    _decode_corpus,
+    _Handler,
+    _request_hints,
+    _RequestError,
+)
 from repro.store import snapshot_from_bytes, snapshot_to_bytes
 from repro.store.store import ExprStore
 
 __all__ = ["ClusterCoordinator", "cluster"]
+
+
+def _shard_body(arena: ExprArena, roots: list[int], hints: dict) -> bytes:
+    """The arena body one shard call carries: the closure of ``roots``."""
+    return encode_body(*closure_arena(arena, roots), hints)
 
 
 class _ShardNode:
@@ -199,22 +218,14 @@ class _CoordinatorHandler(_Handler):
         self.coordinator.count_request()
         self._send(200, data, "application/octet-stream")
 
-    def _wire_payload(self) -> tuple[list, dict]:
-        payload = self._read_json()
-        docs = payload.get("exprs")
-        if not isinstance(docs, list):
-            raise _RequestError(400, "body must carry an 'exprs' list")
-        hints = {
-            name: payload[name]
-            for name in ("backend", "engine", "bits", "seed")
-            if payload.get(name) is not None
-        }
-        return docs, hints
+    def _compiled_corpus(self) -> tuple[ExprArena, list[int], dict]:
+        """The corpus body, either kind, as ``(arena, roots, hints)``."""
+        payload, arena, roots = _decode_corpus(self._read_corpus())
+        return arena, roots, _request_hints(payload)
 
     def _post_hash(self) -> None:
-        docs, hints = self._wire_payload()
         coordinator = self.coordinator
-        hashes, fanout = coordinator.hash_wire(docs, hints)
+        hashes, fanout = coordinator.hash_compiled(*self._compiled_corpus())
         coordinator.count_request()
         self._send_json(
             200,
@@ -230,9 +241,8 @@ class _CoordinatorHandler(_Handler):
         )
 
     def _post_intern(self) -> None:
-        docs, hints = self._wire_payload()
         coordinator = self.coordinator
-        ids, hashes, owners = coordinator.intern_wire(docs, hints)
+        ids, hashes, owners = coordinator.intern_compiled(*self._compiled_corpus())
         coordinator.count_request()
         self._send_json(
             200,
@@ -603,16 +613,19 @@ class ClusterCoordinator:
 
     # -- hashing: stateless, re-routable ---------------------------------------
 
-    def hash_wire(self, docs: list, hints: Optional[dict] = None):
-        """Root hashes of wire documents, fanned across live shards.
+    def hash_compiled(
+        self, arena: ExprArena, roots: list[int], hints: Optional[dict] = None
+    ):
+        """Root hashes of a compiled corpus, fanned across live shards.
 
-        Returns ``(hashes, fanout)`` where ``fanout`` is the number of
-        chunks dispatched.  Any shard can hash any chunk (bit-identical
+        The roots are split into contiguous chunks, one per live node,
+        and each chunk travels as an arena body of its closure.  Returns
+        ``(hashes, fanout)`` where ``fanout`` is the number of chunks
+        dispatched.  Any shard can hash any chunk (bit-identical
         combiners everywhere), so a chunk only fails when *no* shard is
         reachable -- then a 503 says so.
         """
-        hints = dict(hints or {})
-        if not docs:
+        if not roots:
             return [], 0
         deadline_at = self._deadline()
         now = time.monotonic()
@@ -622,19 +635,21 @@ class ClusterCoordinator:
         ]
         if not preferred:
             preferred = list(range(len(self.nodes)))
-        chunks = min(len(preferred), len(docs))
+        chunks = min(len(preferred), len(roots))
         bounds = [
-            (len(docs) * i // chunks, len(docs) * (i + 1) // chunks)
+            (len(roots) * i // chunks, len(roots) * (i + 1) // chunks)
             for i in range(chunks)
         ]
         futures = [
             self._pool.submit(
-                self._hash_chunk, docs[lo:hi], hints, preferred[i],
+                self._hash_chunk,
+                _shard_body(arena, roots[lo:hi], hints),
+                preferred[i],
                 deadline_at,
             )
             for i, (lo, hi) in enumerate(bounds)
         ]
-        hashes: list = [None] * len(docs)
+        hashes: list = [None] * len(roots)
         failure: Optional[_RequestError] = None
         for (lo, hi), future in zip(bounds, futures):
             try:
@@ -647,11 +662,11 @@ class ClusterCoordinator:
         return hashes, chunks
 
     def _hash_chunk(
-        self, docs: list, hints: dict, preferred: int,
+        self, body: bytes, preferred: int,
         deadline_at: Optional[float] = None,
     ) -> list:
-        """One chunk on the preferred node, failing over round-robin
-        across *every* node (replicas hash bit-identically)."""
+        """One chunk's arena body on the preferred node, failing over
+        round-robin across *every* node (replicas hash bit-identically)."""
         order = self.nodes[preferred:] + self.nodes[:preferred]
         attempted = []
         # First pass sticks to nodes believed up; the second probes the
@@ -676,9 +691,7 @@ class ClusterCoordinator:
                     continue
                 attempted.append(node)
                 try:
-                    reply = self._call(
-                        node, lambda c: c.hash_wire(docs, hints)
-                    )
+                    reply = self._call(node, lambda c: c.hash_wire(body))
                     return reply["hashes"]
                 except ServiceError as exc:
                     if not self._is_liveness_failure(exc):
@@ -696,29 +709,34 @@ class ClusterCoordinator:
 
     # -- interning: ownership is not negotiable --------------------------------
 
-    def intern_wire(self, docs: list, hints: Optional[dict] = None):
+    def intern_compiled(
+        self, arena: ExprArena, roots: list[int], hints: Optional[dict] = None
+    ):
         """Two-phase intern: hash everywhere, write at the owner.
 
-        Returns ``(ids, hashes, owners)`` aligned with ``docs``; ids
+        The roots are grouped by the shard owning their hash, and each
+        group travels to its owner as an arena body of its closure.
+        Returns ``(ids, hashes, owners)`` aligned with ``roots``; ids
         are shard-local (``(owners[i], ids[i])`` is globally unique).
         A dead *owner* is a hard 503 naming the shard -- its keys
         cannot be interned anywhere else.
         """
-        hints = dict(hints or {})
         deadline_at = self._deadline()
-        hashes, _fanout = self.hash_wire(docs, hints)
+        hashes, _fanout = self.hash_compiled(arena, roots, hints)
         groups: dict[int, list[int]] = {}
         for index, digest in enumerate(hashes):
             groups.setdefault(self.topology.owner_of(digest), []).append(index)
         futures = {
             owner: self._pool.submit(
-                self._intern_group, owner, [docs[i] for i in indices], hints,
+                self._intern_group,
+                owner,
+                _shard_body(arena, [roots[i] for i in indices], hints),
                 deadline_at,
             )
             for owner, indices in groups.items()
         }
-        ids: list = [None] * len(docs)
-        owners: list = [None] * len(docs)
+        ids: list = [None] * len(roots)
+        owners: list = [None] * len(roots)
         failure: Optional[_RequestError] = None
         for owner, indices in groups.items():
             try:
@@ -810,7 +828,7 @@ class ClusterCoordinator:
         return node
 
     def _intern_group(
-        self, owner: int, docs: list, hints: dict,
+        self, owner: int, body: bytes,
         deadline_at: Optional[float] = None,
     ) -> list:
         group = self.groups[owner]
@@ -822,7 +840,7 @@ class ClusterCoordinator:
             )
         node = self._write_target(group)
         try:
-            reply = self._call(node, lambda c: c.intern_wire(docs, hints))
+            reply = self._call(node, lambda c: c.intern_wire(body))
         except ServiceError as exc:
             if self._is_liveness_failure(exc):
                 raise _RequestError(

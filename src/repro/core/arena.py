@@ -246,6 +246,10 @@ class ExprArena:
         Section 4.8 is ``sizes[i]``; ``depths`` orders the vectorized
         kernel's levels).
 
+    The columns are ``array`` objects of signed ints: ``"q"`` here, and
+    ``"i"`` for ``left``/``right``/``aux`` in an arena decoded from a
+    request body (:func:`repro.service.arena_body.decode_body`).
+
     Structurally identical subtrees share one index, so the arena is a
     maximally-shared DAG over *syntactic* classes (finer than the
     store's alpha-classes: two alpha-equivalent-but-renamed subtrees
@@ -1370,7 +1374,7 @@ def arena_hash_vec(
 
     opc = np.frombuffer(arena.op, dtype=np.uint8)
     left, right, aux, sizes, depths = (
-        np.frombuffer(col, dtype=I64)
+        np.asarray(col, dtype=I64)
         for col in (arena.left, arena.right, arena.aux, arena.sizes, arena.depths)
     )
     K = len(arena.names) + 1  # (row, name id) sort-key stride

@@ -10,7 +10,9 @@ pipeline on the wire:
   ``urllib`` client mirroring the session surface: ``hash_corpus`` /
   ``intern_many`` / ``stats`` / snapshot download & upload.
 
-Expressions travel as the flat postorder documents of
+Corpora travel as a compiled arena's columns
+(:mod:`repro.service.arena_body`, what ``hash_corpus`` and
+``intern_many`` send) or as the flat postorder JSON documents of
 :func:`repro.lang.sexpr.to_wire`; whole stores travel as the existing
 versioned snapshot wire format (:func:`repro.store.snapshot_to_bytes`
 / ``snapshot_from_bytes``), so a corpus interned once on a server can

@@ -12,10 +12,15 @@ Mirrors the session surface over HTTP/JSON::
 
     client.push_snapshot(local_session)    # merge local classes upstream
 
-Expressions are shipped as flat postorder wire documents
-(:func:`repro.lang.sexpr.to_wire`): iterative encoding, so deep binder
-chains survive, and the server re-hashes from the tree -- the client
-needs no combiner state at all.  Stores travel as the versioned
+:meth:`ServiceClient.hash_corpus` and :meth:`~ServiceClient.intern_many`
+flatten their corpus into one :class:`~repro.core.arena.ExprArena`
+(identity and structural dedup, as a local session does) and send its
+columns as a ``repro-arena-v1`` body (:mod:`repro.service.arena_body`):
+no JSON value per node on either side, and the server hashes the arena
+as it arrives -- the client needs no combiner state at all.  Session
+calls, and :meth:`~ServiceClient.hash_wire` / :meth:`~ServiceClient.intern_wire`
+given documents, send the flat postorder JSON documents of
+:func:`repro.lang.sexpr.to_wire` instead.  Stores travel as the versioned
 snapshot format; :meth:`push_snapshot` accepts raw bytes, a store, or
 a session and merging preserves hashes bit-for-bit.
 
@@ -55,8 +60,10 @@ import time
 from typing import Iterable, Optional, Sequence, Union
 from urllib.parse import urlsplit
 
+from repro.core.arena import ExprArena
 from repro.lang.expr import Expr
 from repro.lang.sexpr import to_wire
+from repro.service.arena_body import ARENA_CONTENT_TYPE, encode_body
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -324,11 +331,17 @@ class ServiceClient:
         _status, data, _ctype = self._request(method, path, body)
         return json.loads(data)
 
+    def _post_corpus(self, path: str, body: bytes):
+        """POST a ``repro-arena-v1`` body; the decoded JSON reply."""
+        _status, data, _ctype = self._request("POST", path, body, ARENA_CONTENT_TYPE)
+        return json.loads(data)
+
     @staticmethod
-    def _corpus_payload(exprs: Iterable[Expr], hints: dict) -> dict:
-        payload = {"exprs": [to_wire(e) for e in exprs]}
-        payload.update({k: v for k, v in hints.items() if v is not None})
-        return payload
+    def _corpus_payload(exprs: Iterable[Expr], hints: dict) -> bytes:
+        """``exprs`` flattened into one arena, as a ``repro-arena-v1``
+        body carrying ``hints`` (those not ``None``)."""
+        arena = ExprArena()
+        return encode_body(arena, arena.flatten(exprs), hints)
 
     # -- the session surface, remotely -----------------------------------------
 
@@ -360,8 +373,7 @@ class ServiceClient:
         request.  ``with_plan=True`` also returns the server's resolved
         :class:`~repro.api.plan.ExecutionPlan` as a dict.
         """
-        reply = self._json(
-            "POST",
+        reply = self._post_corpus(
             "/v1/hash",
             self._corpus_payload(exprs, {"backend": backend, "engine": engine}),
         )
@@ -376,8 +388,8 @@ class ServiceClient:
         engine: Optional[str] = None,
     ) -> list[int]:
         """Intern ``exprs`` into the server store; returns node ids."""
-        reply = self._json(
-            "POST", "/v1/intern", self._corpus_payload(exprs, {"engine": engine})
+        reply = self._post_corpus(
+            "/v1/intern", self._corpus_payload(exprs, {"engine": engine})
         )
         return reply["ids"]
 
@@ -397,7 +409,9 @@ class ServiceClient:
         Stream edits with :meth:`session_edit`; the server holds the
         trees.
         """
-        payload = self._corpus_payload(exprs, {"ttl": ttl})
+        payload: dict = {"exprs": [to_wire(e) for e in exprs]}
+        if ttl is not None:
+            payload["ttl"] = ttl
         return self._json("POST", "/v1/session/open", payload)
 
     def session_edit(
@@ -442,22 +456,35 @@ class ServiceClient:
 
     # -- wire-level passthrough (coordinator fan-out) --------------------------
 
-    def hash_wire(self, docs: list, hints: Optional[dict] = None) -> dict:
-        """POST already-encoded wire documents to ``/v1/hash``.
-
-        The cluster coordinator relays client documents shard-ward
-        without a decode/re-encode round trip; returns the full reply
+    def hash_wire(
+        self, docs: Union[list, bytes], hints: Optional[dict] = None
+    ) -> dict:
+        """POST an already-encoded corpus to ``/v1/hash``; the full reply
         (``hashes`` + ``plan``).
-        """
-        payload = {"exprs": list(docs)}
-        payload.update(hints or {})
-        return self._json("POST", "/v1/hash", payload)
 
-    def intern_wire(self, docs: list, hints: Optional[dict] = None) -> dict:
-        """POST already-encoded wire documents to ``/v1/intern``."""
+        ``docs`` is a list of wire documents, sent as a JSON body with
+        ``hints`` as its keys, or the bytes of a ``repro-arena-v1`` body
+        (:func:`~repro.service.arena_body.encode_body`), whose header
+        carries the hints.  The cluster coordinator sends each shard its
+        share as an arena body.
+        """
+        return self._post_wire("/v1/hash", docs, hints)
+
+    def intern_wire(
+        self, docs: Union[list, bytes], hints: Optional[dict] = None
+    ) -> dict:
+        """POST an already-encoded corpus to ``/v1/intern`` (documents or
+        an arena body, as :meth:`hash_wire`)."""
+        return self._post_wire("/v1/intern", docs, hints)
+
+    def _post_wire(self, path: str, docs, hints: Optional[dict]) -> dict:
+        if isinstance(docs, (bytes, bytearray)):
+            if hints:
+                raise TypeError("an arena body carries its hints in its header")
+            return self._post_corpus(path, bytes(docs))
         payload = {"exprs": list(docs)}
         payload.update(hints or {})
-        return self._json("POST", "/v1/intern", payload)
+        return self._json("POST", path, payload)
 
     # -- snapshots over the wire -----------------------------------------------
 

@@ -1,7 +1,7 @@
 """The snapshot-wire HTTP server behind ``repro serve``.
 
 Stdlib only (``http.server`` + ``json``): one
-:class:`~repro.api.Session` served over five JSON/bytes endpoints,
+:class:`~repro.api.Session` served over JSON/bytes endpoints,
 versioned under ``/v1``:
 
 ===========================  ==================================================
@@ -9,7 +9,7 @@ versioned under ``/v1``:
 ``GET  /v1/stats``           :meth:`Session.stats` (entries, hit rates, shards)
 ``GET  /v1/metrics``         operational metrics: uptime, request count,
                              hit/miss rates, shard occupancy, engine/kernel
-``POST /v1/hash``            ``{"exprs": [wire...], hints...}`` ->
+``POST /v1/hash``            a corpus body (below) ->
                              ``{"hashes": [...], "plan": {...}}``
 ``POST /v1/intern``          same body -> ``{"ids": [...], "hashes": [...]}``
 ``GET  /v1/snapshot``        the store as versioned snapshot bytes ("save")
@@ -42,27 +42,38 @@ Shard-identity and follower nodes open sessions in hash-only mode
 one-writer id space both forbid local interning, and incremental
 hashing needs none of it.
 
-Expressions ride as the flat postorder documents of
-:func:`repro.lang.sexpr.to_wire`; stores ride as the existing
-checksummed snapshot format (:func:`repro.store.snapshot_to_bytes` /
-``snapshot_from_bytes``) -- a sharded server store produces the v2
-sharded layout, a flat one the v1 layout, and clients can load either.
+A corpus body is either JSON, ``{"exprs": [wire...], hints...}`` with
+the flat postorder documents of :func:`repro.lang.sexpr.to_wire`, or,
+on ``/v1/hash`` and ``/v1/intern`` with ``Content-Type:
+application/x-repro-arena-v1``, a compiled arena's columns with the
+hints in its header (:mod:`repro.service.arena_body`, which
+:class:`~repro.service.client.ServiceClient` sends from
+``hash_corpus`` and ``intern_many``).  Session bodies are JSON.
+Stores ride as the existing checksummed snapshot format
+(:func:`repro.store.snapshot_to_bytes` / ``snapshot_from_bytes``) -- a
+sharded server store produces the v2 sharded layout, a flat one the v1
+layout, and clients can load either.
 Hash/intern hints (``backend`` / ``engine`` / ``bits`` / ``seed``)
 are lowered into a :class:`~repro.api.request.HashRequest` server-side,
 so a remote call and a local call run the *same* plan and return
 bit-identical hashes; the resolved plan is echoed in the response for
 inspectability.  Any other body key is ignored.
 
-Ingest: ``_decode_corpus`` decodes each document once, before the
-service lock.  For ``/v1/hash`` and ``/v1/intern`` requests the store
-serves, it compiles the documents straight into a fresh
-:class:`~repro.core.arena.ExprArena`
-(:meth:`~repro.core.arena.ExprArena.extend_wire`), and the request
+Ingest: ``_decode_corpus`` turns a corpus body into one fresh
+:class:`~repro.core.arena.ExprArena` and its roots, before the service
+lock: JSON documents compile straight into it
+(:meth:`~repro.core.arena.ExprArena.extend_wire`), and an arena body is
+validated in one pass and taken as is
+(:func:`~repro.service.arena_body.decode_body`); no JSON value is
+parsed per node.  A malformed body of either kind answers 400 before
+the store is touched.  For requests the store serves, the request
 carries ``(arena, roots)``: an arena plan hashes and interns them with
 the store's arena step and builds no ``Expr`` tree, so nothing of the
 request outlives it; a tree plan rebuilds the items from the arena in
-one pass.  A backend with its own pass, session open and session edit
-decode to trees (:func:`~repro.lang.sexpr.from_wire`).
+one pass.  A backend with its own pass and session open get one
+unshared tree per item (:func:`~repro.service.arena_body.unshared_items`,
+the trees :func:`~repro.lang.sexpr.from_wire` builds); session edit
+decodes its one document with ``from_wire``.
 
 Concurrency: the listener is a ``ThreadingHTTPServer`` (slow clients
 don't starve the accept loop), while store-touching work is serialised
@@ -102,6 +113,13 @@ from repro.core.arena import (
     resolve_kernel,
 )
 from repro.lang.sexpr import SexprError, from_wire
+from repro.service.arena_body import (
+    ARENA_CONTENT_TYPE,
+    MAX_BODY_BYTES,
+    ArenaBodyError,
+    decode_body,
+    unshared_items,
+)
 from repro.store import (
     Journal,
     SnapshotError,
@@ -114,11 +132,6 @@ from repro.store import (
 
 __all__ = ["ReproServer", "serve"]
 
-#: Cap on request bodies (snapshot uploads included): a stray client
-#: must not be able to balloon the server's memory.  Generous -- a
-#: million-node corpus is a few tens of MB on the wire.
-MAX_BODY_BYTES = 256 * 1024 * 1024
-
 
 class _RequestError(Exception):
     """A client error carrying its HTTP status."""
@@ -128,40 +141,47 @@ class _RequestError(Exception):
         self.status = status
 
 
-def _decode_corpus(payload: dict, to_arena: bool = False):
-    """Decode the body's ``exprs`` wire documents, each once.
+def _decode_corpus(body) -> tuple[dict, ExprArena, list[int]]:
+    """A corpus body as ``(payload, arena, roots)``: one fresh
+    :class:`~repro.core.arena.ExprArena` and one root row per item, with
+    no tree built.
 
-    Returns a list of trees, or with ``to_arena`` the pair ``(arena,
-    roots)``: the documents compiled into a fresh
-    :class:`~repro.core.arena.ExprArena`, with no tree built.
+    ``body`` is a parsed JSON object, whose ``exprs`` wire documents
+    compile into the arena and which is its own payload, or the bytes of
+    a ``repro-arena-v1`` body, decoded and validated, whose header is
+    the payload.  Either way the payload carries the hints.
     """
-    exprs_wire = payload.get("exprs")
-    if not isinstance(exprs_wire, list):
-        raise _RequestError(400, "body must carry an 'exprs' list")
+    if isinstance(body, dict):
+        exprs_wire = body.get("exprs")
+        if not isinstance(exprs_wire, list):
+            raise _RequestError(400, "body must carry an 'exprs' list")
+        arena = ExprArena()
+        try:
+            return body, arena, arena.extend_wire(exprs_wire)
+        except SexprError as exc:
+            raise _RequestError(400, f"malformed expression: {exc}") from None
     try:
-        if to_arena:
-            arena = ExprArena()
-            return arena, arena.extend_wire(exprs_wire)
-        return [from_wire(doc) for doc in exprs_wire]
-    except SexprError as exc:
-        raise _RequestError(400, f"malformed expression: {exc}") from None
+        return decode_body(body)
+    except ArenaBodyError as exc:
+        raise _RequestError(400, f"malformed arena body: {exc}") from None
 
 
-def _corpus_request(request_type, payload: dict, session: Session):
-    """Lower a ``/v1/hash`` or ``/v1/intern`` body into a request.
+def _corpus_request(request_type, body, session: Session):
+    """Lower a ``/v1/hash`` or ``/v1/intern`` body (either kind, see
+    :func:`_decode_corpus`) into a request.
 
-    A request the store serves is compiled straight into an arena
+    A request the store serves carries the arena
     (:meth:`~repro.api.request.HashRequest.compiled`).  A backend that
-    runs its own pass gets trees from :func:`from_wire`: such a backend
+    runs its own pass gets one unshared tree per item: such a backend
     may key values by node identity (``debruijn`` does), which the
     shared subtrees of an arena rebuild would break.
     """
+    payload, arena, roots = _decode_corpus(body)
     hints = _request_hints(payload)
     backend = resolve_backend(session, hints.get("backend"))
     if store_serves(session, request_type.kind, backend):
-        arena, roots = _decode_corpus(payload, to_arena=True)
         return request_type.compiled(arena, roots, **hints)
-    return request_type(_decode_corpus(payload), **hints)
+    return request_type(unshared_items(arena, roots), **hints)
 
 
 def _request_hints(payload: dict) -> dict:
@@ -207,6 +227,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # rfile.read(-1) would wait for the client to close.
+            raise _RequestError(400, f"negative Content-Length {length}")
         if length > MAX_BODY_BYTES:
             raise _RequestError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         return self.rfile.read(length)
@@ -214,11 +237,19 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_json(self) -> dict:
         try:
             payload = json.loads(self._read_body())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise _RequestError(400, f"malformed JSON body: {exc}") from None
         if not isinstance(payload, dict):
             raise _RequestError(400, "body must be a JSON object")
         return payload
+
+    def _read_corpus(self):
+        """A ``/v1/hash`` or ``/v1/intern`` body: the bytes of an arena
+        body when its ``Content-Type`` says so, else a JSON object."""
+        ctype = self.headers.get("Content-Type", "")
+        if ctype.partition(";")[0].strip().lower() == ARENA_CONTENT_TYPE:
+            return self._read_body()
+        return self._read_json()
 
     def _dispatch(self, handler) -> None:
         try:
@@ -422,9 +453,8 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _post_hash(self) -> None:
-        payload = self._read_json()
         service = self.service
-        request = _corpus_request(HashRequest, payload, service.session)
+        request = _corpus_request(HashRequest, self._read_corpus(), service.session)
         with service.lock:
             plan = service.session.plan(request)
             hashes = service.session.execute(request, plan=plan)
@@ -432,9 +462,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, {"hashes": hashes, "plan": plan.as_dict()})
 
     def _post_intern(self) -> None:
-        payload = self._read_json()
         service = self.service
-        request = _corpus_request(InternRequest, payload, service.session)
+        request = _corpus_request(InternRequest, self._read_corpus(), service.session)
         store = service.session.store
         if store is None:
             raise _RequestError(409, "this server runs without a store")
@@ -491,8 +520,8 @@ class _Handler(BaseHTTPRequestHandler):
     # -- streaming edit sessions -----------------------------------------------
 
     def _post_session_open(self) -> None:
-        payload = self._read_json()
-        corpus = _decode_corpus(payload)
+        payload, arena, roots = _decode_corpus(self._read_json())
+        corpus = unshared_items(arena, roots)
         hints = _request_hints(payload)
         ttl = payload.get("ttl")
         service = self.service

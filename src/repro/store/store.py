@@ -50,7 +50,9 @@ nothing.  An evicted class's row is cleared and reused.
   columns, built when :meth:`~ExprStore.entry` or
   :meth:`~ExprStore.entries` asks for it.  Readers that walk the whole
   table (the snapshot and delta encoders, the content checksum) read the
-  columns instead (:meth:`ExprStore._records`).
+  columns instead (:meth:`ExprStore._records`).  A delta's fresh classes
+  come from an id log in version order, so selecting them costs the
+  window, not the table.
 
 Every write goes through one of four steps, each written once against
 the table: hit by id (:meth:`InternTable.touch`, through
@@ -84,6 +86,7 @@ in-memory state and do not survive snapshots.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -277,6 +280,14 @@ class InternTable:
     id ``next_local * stride + offset``: the flat store's ids count up
     from 0, shard ``s`` of ``n`` mints ``local * n + s``.
 
+    ``log_versions`` and ``log_ids`` log the classes in version order,
+    for :meth:`records` to select a window by bisection.  The first such
+    read builds the log from the live classes; from then on each class
+    created or restored is appended.  A restore out of version order, or
+    evicted classes making up most of the log (``log_dead`` counts them),
+    drop it (``None``) until the next read rebuilds it, so it never
+    outgrows the live classes and costs nothing where no delta is read.
+
     The four write steps are :meth:`touch`, :meth:`hit_or_add_step`,
     :meth:`insert` and :meth:`unlink`; :meth:`link` moves refcounts.
     """
@@ -284,6 +295,7 @@ class InternTable:
     __slots__ = (
         "order", "by_hash", "hashes", "kinds", "sizes", "kids", "labels",
         "versions", "refcounts", "trees", "free", "next_local", "stride", "offset",
+        "log_versions", "log_ids", "log_dead",
     )
 
     def __init__(self, stride: int = 1, offset: int = 0):
@@ -301,9 +313,22 @@ class InternTable:
         self.next_local = 0
         self.stride = stride
         self.offset = offset
+        self.log_versions: Optional[list[int]] = None
+        self.log_ids: Optional[list[int]] = None
+        self.log_dead = 0
 
     def __len__(self) -> int:
         return len(self.order)
+
+    def _start_log(self) -> None:
+        """Build the id log from the live classes, in version order."""
+        versions = self.versions
+        live = sorted(
+            zip([versions[row] for row in self.order.values()], self.order)
+        )
+        self.log_versions = [version for version, _ in live]
+        self.log_ids = [node_id for _, node_id in live]
+        self.log_dead = 0
 
     def _cleared(self) -> tuple[list, ...]:
         """The columns whose empty rows hold ``None`` (all but refcounts,
@@ -334,15 +359,41 @@ class InternTable:
 
     def records(self, since: int = -1) -> list[tuple]:
         """``(node_id, hash, kind, size, kids, label, version, tree)`` of
-        every live class in LRU order, or of those whose version is above
-        ``since``: a scan of the version column, one tuple per class
-        selected."""
+        every live class in LRU order, or, for ``since >= 0``, of those
+        whose version is above ``since`` in version order: the id log's
+        tail past ``since``, so the cost is the window's, not the
+        table's.  Classes that share a version keep their LRU order."""
+        if since < 0:
+            return self._scan(self.order.items(), since)
+        if self.log_ids is None:
+            self._start_log()
+        start = bisect_right(self.log_versions, since)
+        order, versions = self.order, self.versions
+        window = []
+        for version, node_id in zip(
+            self.log_versions[start:], self.log_ids[start:]
+        ):
+            row = order.get(node_id)
+            # An evicted class, or an older entry of one restored again.
+            if row is not None and versions[row] == version:
+                window.append((node_id, row))
+        picked = self._scan(window, since)
+        if any(a[6] == b[6] for a, b in zip(picked, picked[1:])):
+            # Rare (two sources stamped independently): order by version,
+            # then LRU, off the whole table.
+            scanned = self._scan(self.order.items(), since)
+            return sorted(scanned, key=lambda record: record[6])
+        return picked
+
+    def _scan(self, rows: Iterable[tuple[int, int]], since: int) -> list[tuple]:
+        """The :meth:`records` tuple of each ``(node_id, row)`` whose
+        version is above ``since``."""
         hashes, kinds, sizes, kids = self.hashes, self.kinds, self.sizes, self.kids
         labels, versions, trees = self.labels, self.versions, self.trees
         return [
             (node_id, hashes[row], kinds[row], sizes[row], kids[row], labels[row],
              versions[row], trees[row])
-            for node_id, row in self.order.items()
+            for node_id, row in rows
             if versions[row] > since
         ]
 
@@ -412,6 +463,10 @@ class InternTable:
             trees[row] = leaf
             order[node_id] = row
             by_hash[top] = node_id
+            log = self.log_ids
+            if log is not None:
+                log.append(node_id)
+                self.log_versions.append(version)
             if link:
                 for kid in kid_ids:
                     refcounts[order[kid]] += 1
@@ -442,6 +497,13 @@ class InternTable:
         self.next_local = max(
             self.next_local, (node_id - self.offset) // self.stride + 1
         )
+        log = self.log_ids
+        if log is not None:
+            if log and version < self.log_versions[-1]:
+                self.log_ids = self.log_versions = None
+            else:
+                log.append(node_id)
+                self.log_versions.append(version)
 
     def unlink(self, node_id: int) -> tuple[tuple[int, ...], Optional[Expr]]:
         """Drop the live class ``node_id``; return its child ids and tree.
@@ -458,6 +520,10 @@ class InternTable:
             column[row] = None
         self.refcounts[row] = 0
         self.free.append(row)
+        if self.log_ids is not None:
+            self.log_dead += 1
+            if self.log_dead > 64 and 2 * self.log_dead > len(self.log_ids):
+                self.log_ids = self.log_versions = None
         return released
 
     def link(self, kid_ids: Iterable[int], delta: int) -> None:

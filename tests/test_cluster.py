@@ -19,6 +19,7 @@ from repro.gen.random_exprs import random_expr
 from repro.lang.sexpr import to_wire
 from repro.service import ReproServer, ServiceClient, ServiceError
 from repro.store import snapshot_from_bytes
+from test_service import json_body
 
 
 def mixed_corpus(n_items, seed=13, size=40):
@@ -149,14 +150,12 @@ class TestClusterRouting:
         bit-identical; ``bits`` / ``seed`` pins reach the shards."""
         coordinator, _nodes, _reply = cluster
         client = ServiceClient(coordinator.url, retries=0)
-        payload = client._corpus_payload(corpus, {"workers": 4, "mode": "spawn"})
+        payload = json_body(corpus, {"workers": 4, "mode": "spawn"})
         reply = client._json("POST", "/v1/hash", payload)
         assert reply["hashes"] == expected
         assert not {"workers", "mode", "executor"} & set(reply["plan"])
         with pytest.raises(ServiceError) as excinfo:
-            client._json(
-                "POST", "/v1/hash", client._corpus_payload(corpus, {"bits": 32})
-            )
+            client._json("POST", "/v1/hash", json_body(corpus, {"bits": 32}))
         assert excinfo.value.status == 400
 
     def test_intern_reply_shape(self, cluster, corpus, expected):

@@ -200,3 +200,115 @@ class TestViews:
             store.intern(parse(f"f{index} (g{index} x{index})"))
         assert len(store) <= 8 + 5
         assert len(store._table.hashes) < 100
+
+
+def tables_of(store):
+    return store._tables if isinstance(store, ShardedExprStore) else [store._table]
+
+
+def full_scan(table, since):
+    """The oracle: every live class whose version is above ``since``, read
+    off the whole table in LRU order, then put in version order (a stable
+    sort, so classes sharing a version keep their LRU order)."""
+    records = [
+        (node_id, table.hashes[row], table.kinds[row], table.sizes[row],
+         table.kids[row], table.labels[row], table.versions[row], table.trees[row])
+        for node_id, row in table.order.items()
+        if table.versions[row] > since
+    ]
+    return sorted(records, key=lambda record: record[6])
+
+
+def check_selection(store):
+    """The delta's fresh-entry selection equals the full scan at every
+    version boundary, and the id log stays proportional to the table."""
+    for table in tables_of(store):
+        for since in range(store.version + 1):
+            assert table.records(since) == full_scan(table, since), since
+        assert len(table.log_ids) <= 2 * len(table) + 65
+
+
+class TestDeltaSelection:
+    """``InternTable.records(since)`` reads the id log's window, not the
+    whole table, and selects exactly what the full scan selects."""
+
+    @pytest.mark.parametrize("make_store", SHAPES)
+    def test_no_log_until_a_delta_is_read(self, make_store):
+        store = make_store()
+        store.intern_many(corpus(30, seed=2), engine="arena")
+        assert all(table.log_ids is None for table in tables_of(store))
+        delta_to_bytes(store, store.version // 2)
+        store.intern_many(corpus(10, seed=3), engine="tree")
+        check_selection(store)
+
+    @pytest.mark.parametrize("make_store", SHAPES)
+    def test_batches_on_both_engines(self, make_store):
+        store = make_store()
+        items = corpus(40, seed=3)
+        store.intern_many(items[:20], engine="tree")
+        check_selection(store)  # the log starts here, then grows
+        store.intern_many(items[20:], engine="arena")
+        store.intern_many(corpus(10, seed=4), engine="tree")
+        check_selection(store)
+
+    @pytest.mark.parametrize(
+        "make_store",
+        [
+            pytest.param(lambda: ExprStore(max_entries=60), id="flat"),
+            pytest.param(
+                lambda: ShardedExprStore(num_shards=4, max_entries=60), id="sharded"
+            ),
+        ],
+    )
+    def test_bounded_store_with_evicted_and_recreated_classes(self, make_store):
+        store = make_store()
+        items = corpus(30, seed=5)
+        delta_to_bytes(store, 0)  # log every class from the start
+        for round_ in range(4):
+            # Re-interning evicted classes re-creates them under new ids.
+            store.intern_many(items, engine="arena" if round_ % 2 else "tree")
+            store.intern_many(corpus(10, seed=100 + round_), engine="arena")
+        assert store.stats.evictions > 0
+        check_selection(store)
+
+    @pytest.mark.parametrize("make_store", SHAPES)
+    def test_snapshot_loaded_and_delta_fed(self, make_store):
+        from repro.store import apply_delta_bytes, snapshot_from_bytes
+
+        primary = make_store()
+        primary.intern_many(corpus(25, seed=6), engine="arena")
+        replica, _header = snapshot_from_bytes(snapshot_to_bytes(primary))
+        loaded_at = replica.version
+        # The loader restores in LRU order, not version order.
+        check_selection(replica)
+        for seed in (7, 8):
+            since = primary.version
+            primary.intern_many(corpus(10, seed=seed), engine="tree")
+            apply_delta_bytes(replica, delta_to_bytes(primary, since))
+        assert replica.version > loaded_at
+        check_selection(replica)
+        # A window reaching back before the load, byte for byte.
+        for since in (0, loaded_at // 2, loaded_at, replica.version):
+            assert delta_to_bytes(replica, since) == delta_to_bytes(primary, since)
+
+    def test_classes_sharing_a_version_keep_their_lru_order(self):
+        from repro.store.store import InternTable
+
+        # Restores arrive out of version order and may share a version
+        # (two sources stamping independently); some are touched, some
+        # evicted and restored again.
+        rng = random.Random(12)
+        table = InternTable()
+        versions = [rng.randrange(1, 9) for _ in range(80)]
+        for node_id, version in enumerate(versions):
+            if node_id == 10:
+                table.records(0)  # start the log; the next restores drop it
+            table.insert(node_id, 7919 * node_id, "Var", 1, (), f"v{node_id}", None, version)
+        for node_id in rng.sample(range(80), 20):
+            table.touch(node_id)
+        for node_id in rng.sample(range(80), 12):
+            table.unlink(node_id)
+            if node_id % 2:
+                table.insert(node_id, 7919 * node_id, "Var", 1, (), "w", None, versions[node_id])
+        for since in range(10):
+            assert table.records(since) == full_scan(table, since), since

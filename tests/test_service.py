@@ -34,6 +34,11 @@ def echoed(plan) -> dict:
     return json.loads(json.dumps(plan.as_dict()))
 
 
+def json_body(exprs, hints: dict) -> dict:
+    """A JSON corpus body: the wire documents, with ``hints`` as keys."""
+    return {"exprs": [to_wire(e) for e in exprs], **hints}
+
+
 def mixed_corpus(n_items: int, seed: int = 13, size: int = 40):
     rng = random.Random(seed)
     corpus = []
@@ -236,19 +241,15 @@ class TestServerHardening:
         """Bodies from clients that still send ``workers`` / ``mode``
         answer 200, bit-identical to a body without them."""
         legacy = {"workers": 5000, "mode": "spawn"}
-        reply = client._json(
-            "POST", "/v1/hash", client._corpus_payload(corpus, legacy)
-        )
+        reply = client._json("POST", "/v1/hash", json_body(corpus, legacy))
         assert reply["hashes"] == expected
         assert not {"workers", "mode", "executor"} & set(reply["plan"])
-        reply = client._json(
-            "POST", "/v1/intern", client._corpus_payload(corpus, legacy)
-        )
+        reply = client._json("POST", "/v1/intern", json_body(corpus, legacy))
         assert reply["hashes"] == expected
         assert not {"workers", "mode", "executor"} & set(reply["plan"])
         assert reply["ids"] == client.intern_many(corpus)
         opened = client._json(
-            "POST", "/v1/session/open", client._corpus_payload(corpus, legacy)
+            "POST", "/v1/session/open", json_body(corpus, legacy)
         )
         assert opened["roots"] == expected
         assert not {"workers", "mode", "executor"} & set(opened["plan"])
@@ -320,7 +321,7 @@ class TestWireToArena:
 
     def test_tree_hint_answers_as_before(self, client, big):
         reply = client._json(
-            "POST", "/v1/hash", client._corpus_payload(big, {"engine": "tree"})
+            "POST", "/v1/hash", json_body(big, {"engine": "tree"})
         )
         local = Session()
         request = HashRequest(big, engine="tree")
@@ -343,7 +344,7 @@ class TestWireToArena:
         reply = client._json(
             "POST",
             "/v1/hash",
-            client._corpus_payload(big, {"backend": "debruijn"}),
+            json_body(big, {"backend": "debruijn"}),
         )
         assert reply["hashes"] == [backend.hash_all(e).root_hash for e in big]
         request = HashRequest(big, backend="debruijn")
@@ -368,7 +369,7 @@ class TestWireToArena:
     @pytest.mark.parametrize("path", ["/v1/hash", "/v1/intern"])
     @pytest.mark.parametrize("pin", [{"bits": 32}, {"seed": 7}])
     def test_mismatched_pins_answer_400(self, server, client, big, path, pin):
-        payload = client._corpus_payload(big, pin)
+        payload = json_body(big, pin)
         with pytest.raises(ServiceError) as excinfo:
             client._json("POST", path, payload)
         assert excinfo.value.status == 400

@@ -37,6 +37,7 @@ from repro.core.varmap import HashedVarMap
 from repro.gen.random_exprs import alpha_rename, random_expr
 from repro.lang.traversal import preorder_with_paths, replace_at
 from repro.service import ReproServer, ServiceClient, ServiceError
+from test_service import json_body
 
 
 def build_corpus(n_items, seed=17, size=90):
@@ -417,7 +418,7 @@ class TestSessionWireProtocol:
         client = ServiceClient(server.url)
 
         def open_with(hints):
-            payload = ServiceClient._corpus_payload(corpus, hints)
+            payload = json_body(corpus, hints)
             return client._json("POST", "/v1/session/open", payload)
 
         try:

@@ -10,12 +10,13 @@ test if it
   ``pop``, ...) on ``_entries``, ``_by_hash``, ``_table``, or a shard's
   ``entries``, ``by_hash`` or ``table``;
 * does the same to one of a table's containers (``order``, ``by_hash``,
-  ``free``) or columns (``hashes``, ``kinds``, ``sizes``, ``kids``,
-  ``labels``, ``versions``, ``refcounts``, ``trees``), reached through a
-  receiver that names a table or through a local bound to one;
+  ``free``), columns (``hashes``, ``kinds``, ``sizes``, ``kids``,
+  ``labels``, ``versions``, ``refcounts``, ``trees``) or id log
+  (``log_versions``, ``log_ids``), reached through a receiver that names
+  a table or through a local bound to one;
 * calls one of the table's write steps (``touch``, ``insert``,
   ``unlink``, ``link``, ...) on a table;
-* assigns ``_next_id`` or ``next_local``;
+* assigns ``_next_id``, ``next_local`` or ``log_dead``;
 * changes an entry's ``refcount``.
 
 ``StoreCollisionError`` is raised at exactly one site: the guard.
@@ -43,8 +44,10 @@ COLUMN_ATTRS = {
     "versions",
     "refcounts",
     "trees",
+    "log_versions",
+    "log_ids",
 }
-COUNTER_ATTRS = {"_next_id", "next_local", "refcount"}
+COUNTER_ATTRS = {"_next_id", "next_local", "refcount", "log_dead"}
 MUTATORS = {
     "move_to_end",
     "pop",
