@@ -28,8 +28,9 @@ Mid-workload, the schedule SIGKILLs shard 0's primary.  Hard gates:
 With ``--require-arena`` the run also fails unless every shard's share
 of every batch (its items' nodes, read off the reply's ``owners``)
 reaches :data:`repro.core.arena.ARENA_MIN_NODES`: each shard's intern
-then plans ``arena``, leaves the summary memo cold, and journals the
-frames the SIGKILLed node replays from the encoder's own arena pass::
+then plans ``arena`` and leaves the summary memo cold, and the
+SIGKILLed node replays class-column frames whose summaries and hashes
+its own arena pass recomputes::
 
     PYTHONPATH=src python benchmarks/chaos_smoke.py --fault-seed 4242 \
         --items 690 --batch 230 --require-arena --json-out chaos-arena.json
@@ -37,7 +38,8 @@ frames the SIGKILLed node replays from the encoder's own arena pass::
 The fault schedule is pure data expanded from ``--fault-seed``; a
 failing run's log names the seed, so it replays locally byte for byte.
 Writes the chaos cell to ``BENCH_PR8.json`` (failover latency, replay
-throughput, zero-loss booleans).  Exit 0 = all gates hold.
+throughput, the killed primary's journal frame bytes, zero-loss
+booleans).  Exit 0 = all gates hold.
 """
 
 from __future__ import annotations
@@ -359,8 +361,10 @@ def run_gates(args, urls, journal_dir, procs) -> int:
     # In-driver replay mirrors the serve boot path (default session
     # shape) and gives exact replay-throughput numbers.
     replay_session = Session()
+    journal = Journal(journal_dir)
+    journal_bytes = sum(os.path.getsize(path) for path in journal.segments())
     t0 = time.perf_counter()
-    replay_report = Journal(journal_dir).replay(replay_session.store)
+    replay_report = journal.replay(replay_session.store)
     replay_s = time.perf_counter() - t0
     replay_checksum = content_checksum(replay_session.store)
     replay_session.close()
@@ -425,6 +429,7 @@ def run_gates(args, urls, journal_dir, procs) -> int:
         "replay_entries_per_s": round(
             replay_report["applied"] / max(replay_s, 1e-9), 1
         ),
+        "journal_bytes": journal_bytes,
         "promotions": domains["promotions"],
         "breaker_opens": domains["breaker_opens"],
         "gates": {

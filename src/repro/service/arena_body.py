@@ -30,14 +30,14 @@ is.  Rows may repeat: duplicates hash alike and intern as hits.
 from __future__ import annotations
 
 import json
-import sys
 from array import array
 from itertools import compress, count
 from typing import Sequence
 
-from repro.core.arena import OP_APP, OP_LAM, OP_LET, OP_LIT, OP_VAR, ExprArena
+from repro.core.arena import OP_APP, OP_KINDS, OP_LAM, OP_LET, OP_LIT, OP_VAR, ExprArena
+from repro.core.columns import I32, check_literals, check_names, column_bytes, read_column
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
-from repro.lang.sexpr import SexprError, literal_value, to_sexpr
+from repro.lang.sexpr import to_sexpr
 
 __all__ = [
     "ARENA_CONTENT_TYPE",
@@ -68,31 +68,8 @@ MAX_BODY_BYTES = 256 * 1024 * 1024
 #: it a 101-row chain of ``App(r, r)`` would describe 2**100 nodes.
 MAX_ITEM_NODES = MAX_BODY_BYTES // 6
 
-#: An array typecode of 4-byte signed ints, and whether this host must
-#: swap them to and from little-endian.
-_I32 = next(code for code in "ilh" if array(code).itemsize == 4)
-_SWAP = sys.byteorder == "big"
-
-_KINDS = ("Var", "Lit", "Lam", "App", "Let")
-
-
 class ArenaBodyError(ValueError):
     """A body that is not a well-formed ``repro-arena-v1`` corpus."""
-
-
-def _int32_bytes(values) -> bytes:
-    column = array(_I32, values)
-    if _SWAP:  # pragma: no cover - little-endian hosts
-        column.byteswap()
-    return column.tobytes()
-
-
-def _int32_column(data: bytes, start: int, n: int) -> array:
-    column = array(_I32)
-    column.frombytes(data[start : start + 4 * n])
-    if _SWAP:  # pragma: no cover - little-endian hosts
-        column.byteswap()
-    return column
 
 
 def encode_body(
@@ -118,10 +95,10 @@ def encode_body(
             json.dumps(header, separators=(",", ":"), sort_keys=True).encode(),
             b"\n",
             bytes(arena.op),
-            _int32_bytes(arena.left),
-            _int32_bytes(arena.right),
-            _int32_bytes(arena.aux),
-            _int32_bytes(roots),
+            column_bytes(I32, arena.left),
+            column_bytes(I32, arena.right),
+            column_bytes(I32, arena.aux),
+            column_bytes(I32, roots),
         )
     )
 
@@ -169,15 +146,15 @@ def decode_body(data: bytes) -> tuple[dict, ExprArena, list[int]]:
         raise ArenaBodyError(
             f"body is {len(data)} bytes, its header declares {expected}"
         )
-    names = _names(header.get("names"))
-    literals = _literals(header.get("literals"))
+    names = check_names(header.get("names"), ArenaBodyError)
+    literals = check_literals(header.get("literals"), ArenaBodyError)
 
     op = bytes(data[start : start + rows])
     columns = [
-        _int32_column(data, start + offset * rows, rows) for offset in (1, 5, 9)
+        read_column(I32, data, start + offset * rows, rows) for offset in (1, 5, 9)
     ]
     left, right, aux = (column.tolist() for column in columns)
-    roots = _int32_column(data, start + 13 * rows, n_roots).tolist()
+    roots = read_column(I32, data, start + 13 * rows, n_roots).tolist()
     sizes, depths = _check_rows(op, left, right, aux, len(names), len(literals))
     _check_reach(roots, left, right, sizes)
 
@@ -187,33 +164,6 @@ def decode_body(data: bytes) -> tuple[dict, ExprArena, list[int]]:
     arena.sizes, arena.depths = array("q", sizes), array("q", depths)
     arena.names, arena.literals = names, literals
     return header, arena, roots
-
-
-def _names(names) -> list[str]:
-    if not isinstance(names, list):
-        raise ArenaBodyError("'names' must be a list")
-    for name in names:
-        if type(name) is not str or not name:
-            raise ArenaBodyError(f"malformed name {name!r}")
-    if len(set(names)) != len(names):
-        seen: set[str] = set()
-        twice = next(name for name in names if name in seen or seen.add(name))
-        raise ArenaBodyError(f"name {twice!r} is listed twice")
-    return names
-
-
-def _literals(entries) -> list:
-    if not isinstance(entries, list):
-        raise ArenaBodyError("'literals' must be a list")
-    values = []
-    for entry in entries:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ArenaBodyError(f"malformed literal {entry!r}")
-        try:
-            values.append(literal_value(["c", *entry]))
-        except SexprError as exc:
-            raise ArenaBodyError(str(exc)) from None
-    return values
 
 
 def _table(*ops: int) -> bytes:
@@ -242,7 +192,7 @@ def _check_rows(op, left, right, aux, n_names, n_lits):
                 if table[op[i]] and not low <= x <= high
             )
             raise ArenaBodyError(
-                f"row {i}: {_KINDS[op[i]]} with aux {aux[i]}, outside {low}..{high}"
+                f"row {i}: {OP_KINDS[op[i]]} with aux {aux[i]}, outside {low}..{high}"
             )
     sizes = [1] * n
     depths = [1] * n
@@ -275,7 +225,7 @@ def _check_rows(op, left, right, aux, n_names, n_lits):
 def _bad_children(i: int, opc: int, lo: int, hi: int) -> ArenaBodyError:
     expected = ("-1, -1", "-1, -1", f"a row below {i}, -1")
     return ArenaBodyError(
-        f"row {i}: {_KINDS[opc]} with children {lo}, {hi}; expected "
+        f"row {i}: {OP_KINDS[opc]} with children {lo}, {hi}; expected "
         + (expected[opc] if opc < OP_APP else f"two rows below {i}")
     )
 

@@ -15,8 +15,11 @@ versioned under ``/v1``:
 ``GET  /v1/snapshot``        the store as versioned snapshot bytes ("save")
 ``POST /v1/snapshot``        upload snapshot bytes, merge into the store
                              ("load"); returns the id remapping size
-``GET  /v1/snapshot/delta``  ``?since=V``: entries interned after store
-                             version ``V`` as delta bytes (replica catch-up)
+``GET  /v1/snapshot/delta``  ``?since=V``: the classes interned after store
+                             version ``V`` as a ``repro-store-delta-v2``
+                             frame, class columns with no summaries
+                             (replica catch-up; the receiver recomputes
+                             the summaries and checks every hash)
 ``POST /v1/session/open``    upload a corpus, open a streaming edit session
                              (:class:`~repro.api.stream.StreamSession`);
                              returns the session id + root hashes + plan.

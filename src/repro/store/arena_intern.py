@@ -69,6 +69,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.arena import (
     OP_APP,
+    OP_KINDS,
     OP_LAM,
     OP_LET,
     OP_VAR,
@@ -88,9 +89,6 @@ __all__ = [
     "intern_arena",
     "intern_corpus_arena",
 ]
-
-_KIND_OF_OP = ("Var", "Lit", "Lam", "App", "Let")
-
 
 def _hash_step(
     store: "ExprStore", arena: ExprArena, roots: Sequence[int], kernel: str
@@ -277,6 +275,6 @@ def _resolve(store: "ExprStore", arena: ExprArena, tops: list[int]) -> list[int]
             label = names[aux[i]]
         else:
             kid_ids, label = (), literals[aux[i]]
-        class_id[i] = hit_or_add(tops[i], _KIND_OF_OP[opc], sizes[i], kid_ids, label)
+        class_id[i] = hit_or_add(tops[i], OP_KINDS[opc], sizes[i], kid_ids, label)
 
     return class_id

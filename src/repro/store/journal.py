@@ -5,8 +5,8 @@ frames, each frame holding one incremental snapshot delta
 (:func:`repro.store.delta_to_bytes`).  A server that appends the delta
 of every intern batch *before acknowledging it* can be SIGKILLed at any
 instant and recover its exact pre-crash store by replaying the journal
-on boot -- the ``repro-store-delta-v1`` version stamps give every frame
-a natural, gap-checked position in the store's history.
+on boot -- the delta's version stamps give every frame a natural,
+gap-checked position in the store's history.
 
 Directory layout::
 
@@ -22,18 +22,36 @@ Frame layout (binary, back to back inside a segment)::
     digest   sha256(payload)             32 bytes
     payload  delta_to_bytes() document    `length` bytes
 
+The payload is a ``repro-store-delta-v2`` document: a JSON header line,
+then the window's classes as little-endian columns, with no summaries
+(see :mod:`repro.store.snapshot`).  Replay recomputes every class's
+summary and hash and refuses a frame whose hashes differ.  Journals of
+``repro-store-delta-v1`` frames, written before, still replay.
+
 Guarantees:
 
 * **Durability before acknowledgement.**  :meth:`Journal.append_delta`
-  flushes and ``fsync``\\ s the segment before returning; callers ack
+  writes and ``fsync``\\ s the frame before returning; callers ack
   only after it returns.
+* **A failed append leaves no frame behind.**  When the write, flush or
+  fsync of a frame raises (a full disk), the segment is truncated back
+  to the last acknowledged frame and fsync'd before the ``OSError``
+  propagates, so the next append follows that frame -- and carries the
+  failed window, since its default window starts at the last journaled
+  version.  If the truncation fails too, the journal drops its handle
+  and every later append raises :class:`JournalError`; replay then
+  recovers the partial frame as a torn tail.
 * **Torn tails truncate, corruption fails loudly.**  A crash mid-write
-  leaves a partial final frame; :meth:`replay` detects it (short read
-  or digest mismatch *at the tail of the last segment*), truncates the
-  file back to the last good frame and continues.  The same damage
-  anywhere else -- a bad digest mid-segment, a torn frame in a
-  non-final segment, segments replayed out of order (a version gap) --
-  is not a crash artefact and raises :class:`JournalError`.
+  leaves a partial final frame; :meth:`replay` truncates the file back
+  to the last good frame and continues.  A bad frame is a torn tail
+  only when it runs to the end of the last segment -- a partial header,
+  a payload shorter than its declared length, a digest mismatch on a
+  frame whose declared extent ends exactly at EOF, or zero bytes
+  through EOF -- and no intact frame starts after it.  Any other damage
+  -- a bad frame with bytes after it, a torn frame in a non-final
+  segment, segments replayed out of order (a version gap) -- is not a
+  crash artefact: :class:`JournalError` is raised and the file is left
+  as it was.
 * **Idempotent replay.**  Frames are deltas, and
   :func:`repro.store.apply_delta_bytes` verifies-and-skips entries the
   store already holds, so duplicated frames and overlapping windows
@@ -82,6 +100,38 @@ def _frame_bytes(payload: bytes) -> bytes:
         + hashlib.sha256(payload).digest()
         + payload
     )
+
+
+def _parse_frame(data: bytes, offset: int) -> tuple[bytes, int, Optional[str]]:
+    """The frame at ``data[offset:]``: ``(payload, end, reason)``, where
+    ``end`` is the offset its header declares it ends at (``len(data)``
+    for a partial header, -1 for a bad magic) and ``reason`` says why it
+    is bad, or is ``None`` for an intact frame."""
+    head = data[offset : offset + _FRAME_HEADER_BYTES]
+    if len(head) < _FRAME_HEADER_BYTES:
+        return b"", len(data), "partial frame header"
+    if not head.startswith(FRAME_MAGIC):
+        return b"", -1, "bad frame magic"
+    start = offset + _FRAME_HEADER_BYTES
+    end = start + int.from_bytes(head[4:12], "big")
+    payload = data[start:end]
+    if end > len(data):
+        return payload, end, "frame shorter than its declared length"
+    if hashlib.sha256(payload).digest() != head[12:44]:
+        return payload, end, "frame digest mismatch"
+    return payload, end, None
+
+
+def _intact_frame_after(data: bytes, offset: int) -> bool:
+    """Whether an intact frame starts at or after ``offset``: a bad frame
+    followed by one is damage, not a torn write (say, a length field
+    changed so that the frame seems to run to EOF)."""
+    at = data.find(FRAME_MAGIC, offset)
+    while at >= 0:
+        if _parse_frame(data, at)[2] is None:
+            return True
+        at = data.find(FRAME_MAGIC, at + 1)
+    return False
 
 
 def _delta_header(payload: bytes) -> dict:
@@ -149,6 +199,9 @@ class Journal:
         #: replay() has verified (and possibly truncated) its tail.
         self._tail_verified = False
         self._closed = False
+        #: Why appends are refused, once a failed append could not be
+        #: undone (:meth:`_undo_partial_frame`); ``None`` while healthy.
+        self._broken: Optional[str] = None
         #: Guards the open-segment state (``_handle``/``_seq``/``_size``)
         #: and segment-file scans.  Appends rotate segments while
         #: :meth:`gc` lists, re-reads and unlinks them, and a service
@@ -210,8 +263,12 @@ class Journal:
             # corruption on the next recovery.  A new segment is always
             # safe.
             self._seq = self._seq_of(existing[-1]) + 1
-        path = self._segment_path(self._seq)
-        self._handle = open(path, "ab")
+        self._open_segment()
+
+    def _open_segment(self) -> None:
+        """Open segment ``_seq`` for appending, unbuffered: a failed
+        write leaves nothing buffered to land after the undo."""
+        self._handle = open(self._segment_path(self._seq), "ab", buffering=0)
         self._size = self._handle.tell()
         if self._size == 0:
             _fsync_dir(self.directory)
@@ -220,30 +277,70 @@ class Journal:
         if self._size < self.max_segment_bytes:
             return
         self._handle.close()
+        self._handle = None
         self._seq += 1
-        self._handle = open(self._segment_path(self._seq), "ab")
-        self._size = self._handle.tell()
-        _fsync_dir(self.directory)
+        self._open_segment()
+
+    def _write_frame(self, frame: bytes) -> None:
+        """Write ``frame`` at the segment's end and make it durable; on
+        an ``OSError`` cut the segment back to its last acknowledged
+        frame (:meth:`_undo_partial_frame`) and re-raise."""
+        handle = self._handle
+        try:
+            view = memoryview(frame)
+            while view:
+                view = view[handle.write(view) :]
+            handle.flush()
+            if self.fsync:
+                os.fsync(handle.fileno())
+        except OSError:
+            self._undo_partial_frame()
+            raise
+
+    def _undo_partial_frame(self) -> None:
+        """Truncate the open segment back to ``_size`` and fsync it, so
+        the next frame follows the last acknowledged one.  If that fails
+        too, drop the handle and refuse every later append."""
+        handle = self._handle
+        try:
+            handle.truncate(self._size)
+            if self.fsync:
+                os.fsync(handle.fileno())
+        except OSError as exc:
+            self._handle = None
+            self._broken = (
+                f"a failed append left a partial frame in "
+                f"{os.path.basename(self._segment_path(self._seq))} that "
+                f"could not be cut off ({exc}); replay recovers it as a "
+                "torn tail"
+            )
+            try:
+                handle.close()
+            except OSError:
+                pass
 
     # repro-lint: allow[lock-blocking] reason=fsync-before-ack: callers hold the service lock across the append on purpose; the client ack must not outrun the durable journal write, or a crash acks data that was never persisted
     def append_bytes(self, payload: bytes) -> dict:
         """Append one already-encoded delta document as a frame.
 
-        Durable (flushed + fsync'd) before returning.  Returns the
+        Durable (written + fsync'd) before returning.  Returns the
         delta's header.  Used directly by follower nodes: the delta
-        bytes fetched from a primary journal verbatim.
+        bytes fetched from a primary journal verbatim.  A write, flush
+        or fsync that fails raises its ``OSError`` after the segment is
+        cut back to the previous frame, so the next append follows the
+        last acknowledged frame; if the cut fails too, this and every
+        later append raise :class:`JournalError`.
         """
         if self._closed:
             raise JournalError("journal is closed")
         header = _delta_header(payload)
         with self._mutex:
+            if self._broken is not None:
+                raise JournalError(f"journal refuses appends: {self._broken}")
             self._open_for_append()
             self._rotate_if_needed()
             frame = _frame_bytes(payload)
-            self._handle.write(frame)
-            self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
+            self._write_frame(frame)
             self._size += len(frame)
             self.version = max(self.version, header["version"])
         return header
@@ -269,39 +366,34 @@ class Journal:
 
         Returns ``(payloads, torn_offset)``: ``torn_offset`` is the
         byte offset of a torn tail to truncate at (only ever non-None
-        when ``tolerate_torn_tail``), a crash artefact.  Damage that is
-        not a tail -- in the middle of the file, or in a segment that
-        is not the journal's last -- raises :class:`JournalError`.
+        when ``tolerate_torn_tail``), a crash artefact.  A bad frame is
+        a torn tail only when it runs to the end of the file -- a
+        partial header, a payload shorter than its declared length, a
+        digest mismatch on a frame that ends exactly at EOF, or nothing
+        but zero bytes through EOF -- and no intact frame starts after
+        it (a torn write is the last one).  Any other damage, or any bad
+        frame in a segment that is not the journal's last, raises
+        :class:`JournalError`.
         """
         with open(path, "rb") as handle:
             data = handle.read()
         payloads: list[bytes] = []
         offset = 0
         while offset < len(data):
-            torn_reason = None
-            head = data[offset : offset + _FRAME_HEADER_BYTES]
-            if len(head) < _FRAME_HEADER_BYTES:
-                torn_reason = "partial frame header"
-            elif not head.startswith(FRAME_MAGIC):
-                torn_reason = "bad frame magic"
-            else:
-                length = int.from_bytes(head[4:12], "big")
-                digest = head[12:44]
-                start = offset + _FRAME_HEADER_BYTES
-                payload = data[start : start + length]
-                if len(payload) < length:
-                    torn_reason = "frame shorter than its declared length"
-                elif hashlib.sha256(payload).digest() != digest:
-                    torn_reason = "frame digest mismatch"
-            if torn_reason is None:
+            payload, end, reason = _parse_frame(data, offset)
+            if reason is None:
                 payloads.append(payload)
-                offset = start + length
+                offset = end
                 continue
-            if tolerate_torn_tail:
+            if (
+                tolerate_torn_tail
+                and (end >= len(data) or data.count(0, offset) == len(data) - offset)
+                and not _intact_frame_after(data, offset + 1)
+            ):
                 return payloads, offset
             raise JournalError(
                 f"corrupt frame in {os.path.basename(path)} at byte "
-                f"{offset}: {torn_reason} (not the journal tail, so not "
+                f"{offset}: {reason} (not the journal tail, so not "
                 "a crash artefact -- refusing to guess)"
             )
         return payloads, None

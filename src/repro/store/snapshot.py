@@ -30,16 +30,66 @@ rebuild order; the *file* order is LRU order so recency survives the
 round-trip.  The header checksum is over the exact body bytes --
 truncation or tampering fails loudly as :class:`SnapshotError`.
 
-Encoders read the intern table's columns (one record tuple per class
-written, no entry view).  Summaries come from each canonical tree's memo
-record (tree interns seed one), or, for the classes without one (arena
-interns leave the memo cold and store no tree), from one scalar arena
-pass over their canonical trees, built for that pass only; each record
-is then formatted straight to bytes.  Encoding only reads the table, the
-memo and the stats, so snapshots and deltas leave all three as they
-were.  The loaders
+The snapshot encoders read the intern table's columns (one record tuple
+per class written, no entry view).  Summaries come from each canonical
+tree's memo record (tree interns seed one), or, for the classes without
+one (arena interns leave the memo cold and store no tree), from one
+scalar arena pass over their canonical trees, built for that pass only;
+each record is then formatted straight to bytes.  Encoding only reads
+the table, the memo and the stats, so snapshots and deltas leave all
+three as they were.  The loaders
 type-check every record (ints for ``i``/``h``/``z``/``t``/``s``/``v``,
 a str -> int map for ``m``) before the first write.
+
+Deltas (``repro-store-delta-v2``)
+---------------------------------
+
+A delta ships the live classes created after a version stamp ``since``
+(:func:`delta_to_bytes`); it is what journal frames hold and what
+``/v1/snapshot/delta`` serves.  One JSON header line, then one
+little-endian column per field, each ``rows`` long, rows in version
+order::
+
+    {"format": "repro-store-delta-v2", "bits": 64, "seed": ..,
+     "since": S, "version": V, "rows": N, "num_shards": null | K,
+     "names": [..], "literals": [[tag, value], ..], "meta": {..},
+     "checksum": "sha256:<hex of the body bytes>"}
+    id       N x int64
+    hash     N x uint64 (up to 64 bits), or N x 2 x uint64 (low word first)
+    version  N x int64
+    size     N x int64
+    kind     N x uint8   (the arena's OP_VAR..OP_LET)
+    first    N x int64   (first child id, -1 when absent)
+    second   N x int64   (second child id, -1 when absent)
+    label    N x int64   (a names index for Var/Lam/Let, a literals
+                          index for Lit, -1 for App)
+
+``names`` and ``literals`` are the arena body's tables
+(:mod:`repro.core.columns`).  A delta carries no summaries: the paper's
+e-summaries are compositional and the hash is a function of them, so
+the receiver recomputes both.  The sender only reads the table's id log
+into columns -- no memo record, tree or summary pass.
+
+:func:`apply_delta_bytes` refuses a frame whole, before the first write,
+when the header is not a JSON object with the tag; a count is not a
+non-negative ``int``; ``bits``, ``seed`` or ``num_shards`` differ from
+the store's, or ``since`` is ahead of it; the body length or checksum is
+wrong; a kind is outside 0-4, a label index is out of range for its
+kind, or a row's children do not match its kind; an id is negative or
+repeats; a version is outside ``(since, version]``; a child id names
+neither a row nor a live class; a size is not 1 plus its children's
+sizes; or an id is live with other content.  It then skips the rows the
+store holds, rebuilds the others' canonical trees (a live child reuses
+the store's tree), runs one arena pass for every new row's ``(s, v, m)``
+and hash, refuses the frame if a hash differs from the hash column --
+two terms that are not alpha-equivalent are never merged on trust --
+and installs the rows children first, each with its recomputed memo
+record, so restored canonical trees hash as pure memo hits.
+
+Legacy ``repro-store-delta-v1`` frames (the snapshot's JSON-lines
+records with ``t`` stamps, under a header with ``entries``) still load:
+their rows take the same checks, and each record's ``s``, ``v`` and
+``m`` must equal the recomputed ones.
 
 Sharded layout (v2)
 -------------------
@@ -73,13 +123,21 @@ import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
-from itertools import islice
+from itertools import count, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.core.arena import arena_summaries, flatten_corpus
+from repro.core.arena import (
+    OP_KINDS,
+    OP_LET,
+    _arena_pass,
+    arena_summaries,
+    flatten_corpus,
+)
+from repro.core.columns import check_literals, check_names, column_bytes, read_column
 from repro.core.combiners import HashCombiners
+from repro.core.hashed import lit_cache_key
 from repro.core.kernel import MemoRecord
 from repro.lang.expr import Expr
 
@@ -99,11 +157,26 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "SHARDED_SNAPSHOT_FORMAT",
     "DELTA_FORMAT",
+    "DELTA_V1_FORMAT",
 ]
 
 SNAPSHOT_FORMAT = "repro-store-snapshot-v1"
 SHARDED_SNAPSHOT_FORMAT = "repro-store-snapshot-v2-sharded"
-DELTA_FORMAT = "repro-store-delta-v1"
+DELTA_FORMAT = "repro-store-delta-v2"
+#: The legacy delta layout: still read, no longer written.
+DELTA_V1_FORMAT = "repro-store-delta-v1"
+
+#: The arena's ``OP_*`` code of each kind, and the child count of each
+#: code.
+_OP_OF_KIND = {kind: op for op, kind in enumerate(OP_KINDS)}
+_ARITY = (0, 0, 1, 2, 2)
+
+#: A delta-v2 body's columns in order (``array`` typecodes; ``"Q"`` is
+#: the hash, one or two words a row), and the bytes of a row but for
+#: its hash words.
+_V2_COLUMNS = ("q", "Q", "q", "q", "B", "q", "q", "q")
+_ROW_BYTES = 6 * 8 + 1
+_WORD = (1 << 64) - 1
 
 _LIT_TAGS = {"int": int, "float": float, "bool": bool, "str": str}
 
@@ -433,7 +506,7 @@ def _parse_records(body: bytes, expected: Any) -> list[dict]:
     return records
 
 
-def _build_exprs(records: list[dict], resolve_base=None) -> dict[int, Expr]:
+def _build_exprs(records: list[dict]) -> dict[int, Expr]:
     """Rebuild every record's canonical tree, bottom-up.
 
     Ascending *size* order (ties broken by id for determinism) is valid
@@ -441,30 +514,17 @@ def _build_exprs(records: list[dict], resolve_base=None) -> dict[int, Expr]:
     For v1's ascending ids this coincides with the historical order.
     A document naming one id twice is refused here, before any loader
     writes to a store.
-
-    ``resolve_base`` (delta application) resolves child ids that are not
-    among ``records`` themselves -- they then refer to canonical entries
-    the receiving store already holds; ``None`` from the resolver is a
-    malformed/inapplicable delta and fails loudly.
     """
     from repro.store.store import canonical_node
 
     exprs: dict[int, Expr] = {}
 
     def _kid(c: int) -> Expr:
-        # The receiving store's canonical child object wins over a copy
-        # rebuilt from this document: parents must reference the store's
-        # canonical subtree objects, or the maximally-shared DAG (and
-        # the memo's object-identity keys) would silently fork.
-        node = resolve_base(c) if resolve_base is not None else None
-        if node is None:
-            node = exprs.get(c)
+        node = exprs.get(c)
         if node is None:
             raise SnapshotError(
                 f"malformed snapshot entry: references unknown child id "
-                f"{c} (not in this document"
-                + ("" if resolve_base is None else " or the store")
-                + ")"
+                f"{c} (not in this document)"
             )
         return node
 
@@ -472,7 +532,7 @@ def _build_exprs(records: list[dict], resolve_base=None) -> dict[int, Expr]:
         kind, payload = rec["k"], rec["p"]
         if rec["i"] in exprs:
             raise SnapshotError(f"entry id {rec['i']} appears twice")
-        if kind not in ("Var", "Lit", "Lam", "App", "Let"):
+        if kind not in _OP_OF_KIND:
             raise SnapshotError(f"unknown entry kind {kind!r}")
         label = _decode_lit(payload) if kind == "Lit" else payload
         exprs[rec["i"]] = canonical_node(kind, label, [_kid(c) for c in rec["c"]])
@@ -668,27 +728,22 @@ def read_snapshot(path: str) -> tuple["ExprStore", dict]:
 
 # -- incremental snapshot deltas -----------------------------------------------
 #
-# A delta is the journal of canonical entries interned since a version
-# stamp: the same header-line + JSON-lines layout as a full snapshot
-# (entry schema unchanged, ``t`` is each entry's creation stamp), but
-# the body holds only the live entries with ``version > since`` and the
-# header records the ``(since, version]`` window it covers::
-#
-#     {"format": "repro-store-delta-v1", "bits": .., "seed": ..,
-#      "since": S, "version": V, "num_shards": null | K,
-#      "entries": N, "meta": {..}, "checksum": "sha256:..."}
+# A delta ships the live classes created after a version stamp ``since``
+# (each class's ``version`` is its creation stamp), in version order,
+# with the ``(since, version]`` window in its header.  The module
+# docstring gives the v2 layout and the receiver's checks.
 #
 # Deltas assume a shared id space: the receiver started from a full
 # snapshot of the same store (node ids are preserved by both the v1 and
-# v2 layouts), so child ids that predate ``since`` resolve against the
-# receiver's own table.  That makes replica catch-up O(new entries)
-# instead of O(store) -- the whole point.  Application is idempotent:
-# entries the receiver already holds are verified (same hash/kind/size)
-# and skipped, so overlapping deltas are safe to replay.  A document
-# naming one id twice is refused whole.  Deltas carry no evictions, so
-# a replica can hold a class the primary evicted and later re-created
-# under a new id: both ids stay live, the newest id takes the hash
-# mapping, and evicting the stale one leaves that mapping alone.
+# v2 snapshot layouts), so child ids that predate ``since`` resolve
+# against the receiver's own table.  That makes replica catch-up O(new
+# entries) instead of O(store) -- the whole point.  Application is
+# idempotent: entries the receiver already holds are verified (same
+# hash/kind/size) and skipped, so overlapping deltas are safe to
+# replay.  Deltas carry no evictions, so a replica can hold a class the
+# primary evicted and later re-created under a new id: both ids stay
+# live, the newest id takes the hash mapping, and evicting the stale
+# one leaves that mapping alone.
 
 
 # lint: returns-lock ShardedExprStore._memo_lock
@@ -707,10 +762,28 @@ def _store_num_shards(store: "ExprStore") -> Optional[int]:
     return store.num_shards if isinstance(store, ShardedExprStore) else None
 
 
+def _hash_words(bits: int) -> int:
+    """uint64 words per hash in a delta-v2 body."""
+    return 1 if bits <= 64 else 2
+
+
+def _lit_index(literals: dict, values: list, value: Any) -> int:
+    """``value``'s index in a frame's literal table, added if new; keyed
+    like the kernels' literal caches, so ``1``, ``1.0``, ``True`` and
+    ``-0.0``/``0.0`` stay apart."""
+    key = lit_cache_key(value)
+    index = literals.get(key)
+    if index is None:
+        index = literals[key] = len(values)
+        values.append(value)
+    return index
+
+
 def delta_to_bytes(
     store: "ExprStore", since: int, meta: Optional[dict] = None
 ) -> bytes:
-    """Serialise the live entries interned after version ``since``.
+    """Serialise the live classes created after version ``since`` as a
+    ``repro-store-delta-v2`` frame (see the module docstring).
 
     ``since`` is a version stamp previously observed on this store (a
     replica's ``store.version`` after loading a full snapshot or an
@@ -719,17 +792,17 @@ def delta_to_bytes(
     breach (the caller tracked a *different* store) and raises
     :class:`SnapshotError`.
 
-    Entries created after ``since`` and evicted again before this call
+    Classes created after ``since`` and evicted again before this call
     are simply absent -- the receiver never needed them.  Children of
-    every shipped entry are guaranteed resolvable on a receiver at
+    every shipped class are guaranteed resolvable on a receiver at
     version >= ``since``: a child either rides in the delta (fresh) or
     was live at ``since`` (pinned by its parent's refcount ever since),
     hence present in the receiver's baseline.
 
-    The fresh entries come from a scan of the version column.  Summaries
-    come from memo records where the fresh entries' canonical trees have
-    them (tree interns) and from one arena pass over the rest (arena
-    interns); the table, the memo and the stats are only read.
+    The window is the table's id log past ``since``, read into columns
+    one comprehension each: no memo record is read, no tree is built and
+    no summary is computed -- the receiver recomputes those.  The table,
+    the memo and the stats are only read.
     """
     with _memo_lock_of(store):
         if since < 0 or since > store.version:
@@ -741,18 +814,47 @@ def delta_to_bytes(
             (rec for records in store._records(since) for rec in records),
             key=itemgetter(6),
         )
-        body = _encode_entries(fresh, _summaries(store, fresh))
-        header = {
-            "format": DELTA_FORMAT,
-            "bits": store.combiners.bits,
-            "seed": store.combiners.seed,
-            "since": since,
-            "version": store.version,
-            "num_shards": _store_num_shards(store),
-            "entries": len(fresh),
-            "meta": meta or {},
-            "checksum": _checksum(body),
-        }
+        version = store.version
+        num_shards = _store_num_shards(store)
+    bits = store.combiners.bits
+    names: dict[str, int] = {}
+    literals: dict[tuple, int] = {}
+    lit_values: list = []
+    labels = [
+        -1 if kind == "App"
+        else _lit_index(literals, lit_values, label) if kind == "Lit"
+        else names.setdefault(label, len(names))
+        for _id, _top, kind, _size, _kids, label, _version, _tree in fresh
+    ]
+    tops = [rec[1] for rec in fresh]
+    if _hash_words(bits) == 2:
+        tops = [word for top in tops for word in (top & _WORD, top >> 64)]
+    kids = [rec[4] for rec in fresh]
+    body = b"".join(
+        (
+            column_bytes("q", [rec[0] for rec in fresh]),
+            column_bytes("Q", tops),
+            column_bytes("q", [rec[6] for rec in fresh]),
+            column_bytes("q", [rec[3] for rec in fresh]),
+            bytes([_OP_OF_KIND[rec[2]] for rec in fresh]),
+            column_bytes("q", [pair[0] if pair else -1 for pair in kids]),
+            column_bytes("q", [pair[1] if len(pair) == 2 else -1 for pair in kids]),
+            column_bytes("q", labels),
+        )
+    )
+    header = {
+        "format": DELTA_FORMAT,
+        "bits": bits,
+        "seed": store.combiners.seed,
+        "since": since,
+        "version": version,
+        "num_shards": num_shards,
+        "rows": len(fresh),
+        "names": list(names),
+        "literals": [_lit_payload(value) for value in lit_values],
+        "meta": meta or {},
+        "checksum": _checksum(body),
+    }
     header_bytes = json.dumps(
         header, separators=(",", ":"), sort_keys=True
     ).encode("utf-8")
@@ -760,17 +862,21 @@ def delta_to_bytes(
 
 
 def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
-    """Apply a :func:`delta_to_bytes` document to ``store``; return
-    ``{"applied": .., "skipped": .., "version": ..}``.
+    """Apply a delta frame to ``store``; return ``{"applied": ..,
+    "skipped": .., "version": ..}``.
 
-    ``store`` must share the delta's combiner family, store shape
-    (``num_shards``) and id space (it was restored from a snapshot of
-    the emitting store), and must have reached the delta's ``since``
-    stamp -- a gap means missing entries and fails loudly.  Entries the
-    store already holds are verified and skipped (idempotent replay);
-    truncated, tampered or schema-breaching documents raise
-    :class:`SnapshotError` without partial application of the broken
-    record's subtree.
+    Reads ``repro-store-delta-v2`` (what :func:`delta_to_bytes` writes)
+    and the legacy ``repro-store-delta-v1``.  ``store`` must share the
+    delta's combiner family, store shape (``num_shards``) and id space
+    (it was restored from a snapshot of the emitting store), and must
+    have reached the delta's ``since`` stamp -- a gap means missing
+    classes and fails loudly.  Classes the store already holds are
+    verified and skipped (idempotent replay).  Every other class's
+    summary and hash are recomputed by one arena pass, and a hash that
+    differs from the frame's refuses the frame (see the module
+    docstring for every check).  A refused frame raises
+    :class:`SnapshotError` before the first write, so the store is left
+    untouched.
     """
     newline = data.find(b"\n")
     if newline < 0:
@@ -779,23 +885,48 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
         header_line, body = data[:newline], data[newline + 1 :]
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SnapshotError(f"unreadable delta header: {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != DELTA_FORMAT:
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt not in (DELTA_FORMAT, DELTA_V1_FORMAT):
         raise SnapshotError(
-            f"not a {DELTA_FORMAT} document: {header_line[:80]!r}"
+            f"not a {DELTA_FORMAT} / {DELTA_V1_FORMAT} document: "
+            f"{header_line[:80]!r}"
         )
-    if header.get("checksum") != _checksum(body):
-        raise SnapshotError("delta body does not match header checksum")
-    missing_fields = [
-        key
-        for key in ("bits", "seed", "since", "version", "entries")
-        if key not in header
-    ]
-    if missing_fields:
-        raise SnapshotError(
-            f"delta header is missing required field(s): {missing_fields}"
-        )
+    since, version = _check_delta_header(store, header, fmt)
+    if fmt == DELTA_FORMAT:
+        rows, claimed = _decode_v2(header, body, store.combiners.bits), None
+    else:
+        rows, claimed = _decode_v1(header, body)
+
+    with _memo_lock_of(store):
+        if since > store.version:
+            raise SnapshotError(
+                f"delta starts at version {since} but the store "
+                f"is at {store.version}: entries are missing in between -- "
+                "catch up with an older delta or a full snapshot"
+            )
+        applied = _apply_rows(store, since, version, rows, claimed)
+        store.version = max(store.version, version)
+        return {
+            "applied": applied,
+            "skipped": len(rows[0]) - applied,
+            "version": store.version,
+        }
+
+
+def _check_delta_header(store: "ExprStore", header: dict, fmt: str) -> tuple:
+    """Refuse a header whose counts are not non-negative ints or whose
+    combiner family or store shape differ from ``store``'s; return
+    ``(since, version)``."""
+    count_key = "rows" if fmt == DELTA_FORMAT else "entries"
+    for key in ("bits", "seed", "since", "version", count_key):
+        value = header.get(key)
+        if type(value) is not int or value < 0:
+            raise SnapshotError(
+                f"delta header field {key!r} must be a non-negative "
+                f"integer, got {value!r}"
+            )
     if (
         header["bits"] != store.combiners.bits
         or header["seed"] != store.combiners.seed
@@ -806,54 +937,226 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
             f"(bits={store.combiners.bits}, seed={store.combiners.seed})"
         )
     num_shards = header.get("num_shards")
-    if num_shards != _store_num_shards(store):
+    expected = _store_num_shards(store)
+    if (num_shards is not None and type(num_shards) is not int) or (
+        num_shards != expected
+    ):
         raise SnapshotError(
-            f"delta store shape (num_shards={num_shards}) disagrees with "
-            f"the receiving store's "
-            f"(num_shards={_store_num_shards(store)}); deltas share the "
-            "emitter's id space and only apply to the matching shape"
+            f"delta store shape (num_shards={num_shards!r}) disagrees with "
+            f"the receiving store's (num_shards={expected}); deltas share "
+            "the emitter's id space and only apply to the matching shape"
         )
+    return header["since"], header["version"]
 
-    with _memo_lock_of(store):
-        if header["since"] > store.version:
+
+def _decode_v2(header: dict, body: bytes, bits: int) -> tuple[list, ...]:
+    """A delta-v2 body's rows as ``(ids, tops, kinds, sizes, kids,
+    labels, versions)``, once its length, checksum, kinds, labels and
+    child counts are checked."""
+    rows, words = header["rows"], _hash_words(bits)
+    expected = rows * (_ROW_BYTES + 8 * words)
+    if len(body) != expected:
+        raise SnapshotError(
+            f"delta body is {len(body)} bytes, its header declares {expected}"
+        )
+    if header.get("checksum") != _checksum(body):
+        raise SnapshotError("delta body does not match header checksum")
+    names = check_names(header.get("names"), SnapshotError)
+    literals = check_literals(header.get("literals"), SnapshotError)
+
+    columns: list = []
+    start = 0
+    for typecode in _V2_COLUMNS:
+        n = rows * words if typecode == "Q" else rows
+        if typecode == "B":
+            columns.append(body[start : start + n])
+            start += n
+        else:
+            columns.append(read_column(typecode, body, start, n).tolist())
+            start += 8 * n
+    ids, tops, versions, sizes, ops, firsts, seconds, label_ix = columns
+    if words == 2:
+        tops = [lo | hi << 64 for lo, hi in zip(tops[0::2], tops[1::2])]
+    if ops and max(ops) > OP_LET:
+        index = next(i for i, op in enumerate(ops) if op > OP_LET)
+        raise SnapshotError(f"row {index}: unknown kind code {ops[index]}")
+
+    kids: list[tuple] = []
+    labels: list = []
+    tables = (names, literals, names, None, names)
+    for index, op, first, second, aux in zip(count(), ops, firsts, seconds, label_ix):
+        arity = _ARITY[op]
+        if (first != -1) != (arity > 0) or (second != -1) != (arity == 2):
             raise SnapshotError(
-                f"delta starts at version {header['since']} but the store "
-                f"is at {store.version}: entries are missing in between -- "
-                "catch up with an older delta or a full snapshot"
+                f"row {index}: {OP_KINDS[op]} with children {first}, {second}; "
+                f"a {OP_KINDS[op]} has {arity}"
             )
-        records = _parse_records(body, header["entries"])
+        kids.append(() if arity == 0 else (first,) if arity == 1 else (first, second))
+        table = tables[op]
+        if table is None:
+            if aux != -1:
+                raise SnapshotError(f"row {index}: App with label {aux}, not -1")
+            labels.append(None)
+        elif 0 <= aux < len(table):
+            labels.append(table[aux])
+        else:
+            raise SnapshotError(
+                f"row {index}: {OP_KINDS[op]} with label {aux}, outside "
+                f"0..{len(table) - 1}"
+            )
+    return ids, tops, [OP_KINDS[op] for op in ops], sizes, kids, labels, versions
 
-        def _resolve_base(node_id: int) -> Optional[Expr]:
-            return store._tree(node_id) if node_id in store else None
 
-        try:
-            exprs = _build_exprs(records, resolve_base=_resolve_base)
-            # All-or-nothing: every restore failure mode is checked
-            # *before* the first store write, so a breaching delta
-            # (schema hole, repeated id, entry disagreeing with the
-            # store) leaves the store untouched instead of half-applied
-            # -- journal replay interrupted partway must never strand a
-            # prefix of one frame.
-            for rec in records:
-                missing = [
-                    key
-                    for key in ("i", "h", "k", "z", "c", "t", "s", "v", "m")
-                    if key not in rec
-                ]
-                if missing:
-                    raise SnapshotError(
-                        f"delta entry is missing field(s) {missing}: "
-                        f"{rec!r}"
-                    )
-                store._holds(rec["i"], rec["h"], rec["k"], rec["z"])
-            applied = _restore_records(store, records, exprs)
-        except SnapshotError:
-            raise
-        except (KeyError, IndexError, TypeError, AttributeError) as exc:
-            raise SnapshotError(f"malformed delta entry: {exc!r}") from exc
-        store.version = max(store.version, header["version"])
-        return {
-            "applied": applied,
-            "skipped": len(records) - applied,
-            "version": store.version,
-        }
+def _decode_v1(header: dict, body: bytes) -> tuple[tuple[list, ...], list]:
+    """A legacy delta-v1 body's rows, as :func:`_decode_v2` gives them,
+    and each row's claimed summary ``(s, v, m)``, once every record's
+    fields are type-checked."""
+    if header.get("checksum") != _checksum(body):
+        raise SnapshotError("delta body does not match header checksum")
+    records = _parse_records(body, header["entries"])
+    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
+    ids, tops, kinds, sizes, kids, labels, versions = columns
+    claimed = []
+    for rec in records:
+        missing = [
+            key
+            for key in ("i", "h", "k", "z", "c", "p", "t", "s", "v", "m")
+            if not isinstance(rec, dict) or key not in rec
+        ]
+        if missing:
+            raise SnapshotError(
+                f"delta entry is missing field(s) {missing}: {rec!r}"
+            )
+        _check_record_types(rec)
+        kind, children, payload = rec["k"], rec["c"], rec["p"]
+        if kind not in _OP_OF_KIND:
+            raise SnapshotError(f"unknown entry kind {kind!r}")
+        if not isinstance(children, list) or not all(
+            type(kid) is int for kid in children
+        ):
+            raise SnapshotError(f"entry {rec['i']}: 'c' is not a list of ids")
+        if len(children) != _ARITY[_OP_OF_KIND[kind]]:
+            raise SnapshotError(
+                f"entry {rec['i']}: a {kind} with {len(children)} children"
+            )
+        if kind == "Lit":
+            label = _decode_lit(payload)
+        elif kind == "App":
+            if payload is not None:
+                raise SnapshotError(f"entry {rec['i']}: App with payload {payload!r}")
+            label = None
+        elif type(payload) is str and payload:
+            label = payload
+        else:
+            raise SnapshotError(f"entry {rec['i']}: malformed name {payload!r}")
+        ids.append(rec["i"])
+        tops.append(rec["h"])
+        kinds.append(kind)
+        sizes.append(rec["z"])
+        kids.append(tuple(children))
+        labels.append(label)
+        versions.append(rec["t"])
+        claimed.append((rec["s"], rec["v"], rec["m"]))
+    return columns, claimed
+
+
+def _apply_rows(
+    store: "ExprStore",
+    since: int,
+    version: int,
+    rows: tuple[list, ...],
+    claimed: Optional[list] = None,
+) -> int:
+    """Check a decoded frame's rows against each other and ``store``,
+    recompute each new class's summary and hash, and install the rows;
+    return how many were installed (the rest were live already).
+
+    Refuses, before the first write: an id that is negative or repeats;
+    a version outside ``(since, version]``; a child id that names
+    neither a row nor a live class; a size that is not 1 plus its
+    children's; a live id with other content (:meth:`_holds`); a
+    recomputed hash that differs from the row's; and, for legacy rows,
+    a claimed summary (``claimed``) that differs from the recomputed
+    one."""
+    ids, tops, kinds, sizes, kids, labels, versions = rows
+    at: dict[int, int] = {}
+    for index, node_id in enumerate(ids):
+        if node_id < 0:
+            raise SnapshotError(f"row {index}: negative id {node_id}")
+        if at.setdefault(node_id, index) != index:
+            raise SnapshotError(f"entry id {node_id} appears twice")
+    for index, stamp in enumerate(versions):
+        if not since < stamp <= version:
+            raise SnapshotError(
+                f"row {index}: version {stamp} is outside the frame's "
+                f"window ({since}, {version}]"
+            )
+    for index, pair in enumerate(kids):
+        total = 1
+        for kid in pair:
+            row = at.get(kid)
+            size = sizes[row] if row is not None else store._live_size(kid)
+            if size is None:
+                raise SnapshotError(
+                    f"row {index}: child id {kid} names neither a row of "
+                    "this frame nor a live class"
+                )
+            total += size
+        if total != sizes[index]:
+            raise SnapshotError(
+                f"row {index}: size {sizes[index]}, but 1 plus its "
+                f"children's sizes is {total}"
+            )
+    new = [
+        index
+        for index in range(len(ids))
+        if not store._holds(ids[index], tops[index], kinds[index], sizes[index])
+    ]
+    # Children first: a child is strictly smaller than its parent.
+    new.sort(key=lambda index: (sizes[index], ids[index]))
+
+    from repro.store.store import canonical_node
+
+    # The receiving store's canonical child object wins over a copy
+    # rebuilt from this frame: parents must reference the store's
+    # canonical subtrees, or the maximally-shared DAG (and the memo's
+    # object-identity keys) would silently fork.  A live child is a
+    # held row or no row at all; any other child is built before its
+    # parent.
+    built: dict[int, Expr] = {}
+    for index in new:
+        built[ids[index]] = canonical_node(
+            kinds[index],
+            labels[index],
+            [store._tree(kid) if kid in store else built[kid] for kid in kids[index]],
+        )
+    if not new:
+        return 0
+    trees = [built[ids[index]] for index in new]
+    arena, roots = flatten_corpus(trees)
+    got, shs, vmhs, vms = _arena_pass(arena, store.combiners, roots)
+    names = arena.names
+    summaries = []
+    for index, tree, root in zip(new, trees, roots):
+        if got[root] != tops[index]:
+            raise SnapshotError(
+                f"row {index}: entry {ids[index]} hashes to {got[root]:#x}, "
+                f"not the frame's {tops[index]:#x}"
+            )
+        vm_entries = {names[nid]: pos for nid, pos in vms[root].items()}
+        if claimed is not None and claimed[index] != (
+            shs[root], vmhs[root], vm_entries
+        ):
+            raise SnapshotError(
+                f"entry {ids[index]}: its summary (s, v, m) differs from "
+                "the one its tree recomputes to"
+            )
+        summaries.append(
+            MemoRecord(tree, shs[root], vm_entries, vmhs[root], tops[index])
+        )
+    for index, summary in zip(new, summaries):
+        store._restore(
+            ids[index], kinds[index], sizes[index], kids[index], versions[index],
+            summary,
+        )
+    return len(new)

@@ -1160,6 +1160,13 @@ class ExprStore:
             )
         return True
 
+    def _live_size(self, node_id: int) -> Optional[int]:
+        """The size of the live class ``node_id``, or ``None`` if it is
+        not live; no LRU touch."""
+        table = self._table_of(node_id)
+        row = table.order.get(node_id)
+        return None if row is None else table.sizes[row]
+
     def _restore(
         self,
         node_id: int,

@@ -400,12 +400,12 @@ class TestCoordinator:
 
 
 def _body(header: dict, op: bytes, left, right, aux, roots) -> bytes:
-    from repro.service.arena_body import _int32_bytes
+    from repro.core.columns import I32, column_bytes
 
     line = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
     return b"".join(
-        (line, b"\n", op, _int32_bytes(left), _int32_bytes(right),
-         _int32_bytes(aux), _int32_bytes(roots))
+        (line, b"\n", op, column_bytes(I32, left), column_bytes(I32, right),
+         column_bytes(I32, aux), column_bytes(I32, roots))
     )
 
 

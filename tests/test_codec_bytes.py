@@ -1,25 +1,33 @@
 """Byte-level pins on the snapshot and delta codec.
 
-Two walls:
+Three walls:
 
 * **Golden digests.**  sha256 digests of ``snapshot_to_bytes`` (flat,
   sharded and LRU-bounded flat stores) and ``delta_to_bytes`` over one
   fixed corpus, interned partly with ``engine="tree"`` (warm summary
   memo) and partly with ``engine="arena"`` (cold memo), at 64 and 128
-  bits.  The digests were taken from the encoder that re-summarised
-  cold entries by tree walk and encoded one ``json.dumps`` dict per
-  record; any byte the codec changes fails here.
-* **Reference encoder.**  An independent encoder kept in this file --
-  each entry's summary from the tree summariser over its canonical
-  expression (no memo), each record through ``json.dumps`` with sorted
-  keys -- against the codec on awkward names and literals, empty maps,
-  three widths, flat and sharded stores, and warm, cold and mixed
-  memos.
+  bits.  The snapshot digests were taken from the encoder that
+  re-summarised cold entries by tree walk and encoded one ``json.dumps``
+  dict per record; the delta digests are of ``repro-store-delta-v2``
+  frames, which carry no summaries.  Any byte the codec changes fails
+  here.
+* **Reference encoders.**  Independent encoders kept in this file: the
+  snapshot's JSON-lines records (each entry's summary from the tree
+  summariser over its canonical expression, no memo; each record
+  through ``json.dumps`` with sorted keys) and the delta-v2 columns
+  (one ``struct.pack`` per value), against the codec on awkward names
+  and literals, empty maps, three widths, flat and sharded stores, and
+  warm, cold and mixed memos.
+* **Legacy delta-v1 frames.**  :func:`reference_delta_v1` writes the
+  ``repro-store-delta-v1`` frames earlier releases journaled; it
+  reproduces their golden digests byte for byte, so the tests that feed
+  old frames to the reader use it as the old writer.
 """
 
 import hashlib
 import json
 import random
+import struct
 
 import pytest
 
@@ -86,28 +94,40 @@ def golden_digests(layout: str, bits: int) -> dict:
 GOLDEN = {
     ("flat", 64): {
         "snapshot": "2d44dbc899810e06f0557aa5c6bd9fa10ef079d4c39d01823a5f9e460b227e58",
-        "delta": "4cbfc33ad5e877eeba4a13843f926dfc966bfdfb6e0e90ac24b9f7abf490182b",
+        "delta": "4bdee88b093957ed3fe4c3405832771931006dafc95721a4e3d57cf30f24c5a0",
     },
     ("flat", 128): {
         "snapshot": "d177df67808cefb60d537148b34a647af12e9c602f8d9d1ee81f6d14dd18663a",
-        "delta": "a5f920f3a46ef6d6a1cfd70c815f01f1f252e34251ec2ca996292bf822c3a82b",
+        "delta": "e66a23c26e81a3571b0b34af4fd959af02a989b13b32ea49fcafc198bc47f3d7",
     },
     ("sharded", 64): {
         "snapshot": "d7fd5298686161cadb8074f2a58f391492eaa2c9658763a17d2f7260fb5adfe9",
-        "delta": "23595331f642ef6a20a361c9aabd5702b0d3ee0682e59b308d1f533b65059ea3",
+        "delta": "6e0a7e5b12f2d258f74c856f7fbc09167dcd22dea8fb0de490d0118a51dc2c6f",
     },
     ("sharded", 128): {
         "snapshot": "e59133aa6742c4925e804682145f28ab9e0a34871c45a24d9ccb2f39d1e759ee",
-        "delta": "42f1fb3016c91dc31e28a7f6cbae372c934a0aa76e3e5b31a8d38e18275678af",
+        "delta": "d698db19343c66feaa67b32137fb9fdd64d6195126ee18038a48497233eeb9a6",
     },
     ("lru", 64): {
         "snapshot": "2b7b9d7022563c923ff6f59ffedd8dfd776c5d4deea63e0d3cc11bfaddbeee42",
-        "delta": "b6cfa96a940010215f3a7805a0740d38a28777300d99eaf68f74ba4be658472e",
+        "delta": "181f533fd526822ea586227701d5883ef5c077579bbd736e4cc4501e97b2ae7f",
     },
     ("lru", 128): {
         "snapshot": "dbedfffc3e264f503bd7134b01c503941488b910dd0ba6bd33344794bf03c17b",
-        "delta": "fdde798d0dcc38a1faa1d3a04a216ebdc952daabe64e0e22294b54bd57c75685",
+        "delta": "601d5b20eae2fb6a84191862ac55ca90849aef9ae57eeffb4ab897f8cf74e739",
     },
+}
+
+#: The ``repro-store-delta-v1`` digests of the same deltas, pinned while
+#: v1 was the written format (604 KB for the flat 64-bit delta, against
+#: 216 KB as v2).
+LEGACY_DELTA_V1 = {
+    ("flat", 64): "4cbfc33ad5e877eeba4a13843f926dfc966bfdfb6e0e90ac24b9f7abf490182b",
+    ("flat", 128): "a5f920f3a46ef6d6a1cfd70c815f01f1f252e34251ec2ca996292bf822c3a82b",
+    ("sharded", 64): "23595331f642ef6a20a361c9aabd5702b0d3ee0682e59b308d1f533b65059ea3",
+    ("sharded", 128): "42f1fb3016c91dc31e28a7f6cbae372c934a0aa76e3e5b31a8d38e18275678af",
+    ("lru", 64): "b6cfa96a940010215f3a7805a0740d38a28777300d99eaf68f74ba4be658472e",
+    ("lru", 128): "fdde798d0dcc38a1faa1d3a04a216ebdc952daabe64e0e22294b54bd57c75685",
 }
 
 
@@ -115,6 +135,14 @@ GOLDEN = {
 @pytest.mark.parametrize("layout", ["flat", "sharded", "lru"])
 def test_golden_digests(layout, bits):
     assert golden_digests(layout, bits) == GOLDEN[layout, bits]
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("layout", ["flat", "sharded", "lru"])
+def test_reference_v1_writer_reproduces_legacy_goldens(layout, bits):
+    store, mid = golden_store(layout, bits)
+    digest = hashlib.sha256(reference_delta_v1(store, mid)).hexdigest()
+    assert digest == LEGACY_DELTA_V1[layout, bits]
 
 
 # -- the reference encoder ----------------------------------------------------
@@ -163,6 +191,132 @@ def reference_body(entries, combiners) -> bytes:
             json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
         )
     return "".join(lines).encode("utf-8")
+
+
+def _window(store, since):
+    """The entries a delta from ``since`` ships, in version order."""
+    return sorted(
+        (entry for entry in store.entries() if entry.version > since),
+        key=lambda entry: entry.version,
+    )
+
+
+def _num_shards(store):
+    return store.num_shards if isinstance(store, ShardedExprStore) else None
+
+
+def _document(header: dict, body: bytes) -> bytes:
+    header = dict(header, checksum="sha256:" + hashlib.sha256(body).hexdigest())
+    line = json.dumps(header, separators=(",", ":"), sort_keys=True)
+    return line.encode("utf-8") + b"\n" + body
+
+
+def reference_delta_v1(store, since, meta=None) -> bytes:
+    """A ``repro-store-delta-v1`` document of the window after ``since``:
+    the legacy header over :func:`reference_body`'s records."""
+    fresh = _window(store, since)
+    header = {
+        "format": "repro-store-delta-v1",
+        "bits": store.combiners.bits,
+        "seed": store.combiners.seed,
+        "since": since,
+        "version": store.version,
+        "num_shards": _num_shards(store),
+        "entries": len(fresh),
+        "meta": meta or {},
+    }
+    return _document(header, reference_body(fresh, store.combiners))
+
+
+#: The delta-v2 body's columns in order, each with its ``struct`` code.
+V2_COLUMNS = (
+    ("id", "q"),
+    ("hash", "Q"),
+    ("version", "q"),
+    ("size", "q"),
+    ("kind", "B"),
+    ("first", "q"),
+    ("second", "q"),
+    ("label", "q"),
+)
+KIND_CODES = {"Var": 0, "Lit": 1, "Lam": 2, "App": 3, "Let": 4}
+
+
+def _hash_words(top: int, bits: int) -> list:
+    return [top] if bits <= 64 else [top & (2**64 - 1), top >> 64]
+
+
+def reference_delta_v2(store, since, meta=None) -> bytes:
+    """A ``repro-store-delta-v2`` document of the window after ``since``,
+    one ``struct.pack`` per value, names and literals in first-use order
+    over the rows."""
+    fresh = _window(store, since)
+    bits = store.combiners.bits
+    names, literals = [], []
+    columns = {name: [] for name, _code in V2_COLUMNS}
+    for entry in fresh:
+        payload = reference_payload(entry.expr)
+        if entry.kind == "App":
+            label = -1
+        elif entry.kind == "Lit":
+            key = [payload[0], repr(payload[1])]  # repr keeps -0.0 apart
+            keys = [[tag, repr(value)] for tag, value in literals]
+            if key not in keys:
+                literals.append(payload)
+                keys.append(key)
+            label = keys.index(key)
+        else:
+            if payload not in names:
+                names.append(payload)
+            label = names.index(payload)
+        kids = list(entry.children) + [-1, -1]
+        columns["id"].append(entry.node_id)
+        columns["hash"] += _hash_words(entry.hash, bits)
+        columns["version"].append(entry.version)
+        columns["size"].append(entry.size)
+        columns["kind"].append(KIND_CODES[entry.kind])
+        columns["first"].append(kids[0])
+        columns["second"].append(kids[1])
+        columns["label"].append(label)
+    header = {
+        "format": "repro-store-delta-v2",
+        "bits": bits,
+        "seed": store.combiners.seed,
+        "since": since,
+        "version": store.version,
+        "num_shards": _num_shards(store),
+        "rows": len(fresh),
+        "names": names,
+        "literals": literals,
+        "meta": meta or {},
+    }
+    return join_frame(header, columns)
+
+
+def split_frame(doc: bytes):
+    """A delta-v2 document's ``(header, columns)``, each column a list."""
+    line, _, body = doc.partition(b"\n")
+    header = json.loads(line)
+    rows = header["rows"]
+    words = 1 if header["bits"] <= 64 else 2
+    columns, start = {}, 0
+    for name, code in V2_COLUMNS:
+        n = rows * words if name == "hash" else rows
+        width = n * struct.calcsize(code)
+        columns[name] = list(struct.unpack(f"<{n}{code}", body[start : start + width]))
+        start += width
+    assert start == len(body)
+    return header, columns
+
+
+def join_frame(header: dict, columns: dict) -> bytes:
+    """A delta-v2 document from ``columns``: ``rows`` taken from the id
+    column and the checksum recomputed."""
+    body = b"".join(
+        struct.pack(f"<{len(columns[name])}{code}", *columns[name])
+        for name, code in V2_COLUMNS
+    )
+    return _document(dict(header, rows=len(columns["id"])), body)
 
 
 #: Names JSON must escape: a quote, a backslash, control characters,
@@ -261,12 +415,7 @@ def test_snapshot_body_matches_reference(layout, bits, memo):
 def test_delta_body_matches_reference(layout, bits, memo):
     store = wall_store(layout, bits, memo)
     for since in (0, store.version // 3, store.version - 1):
-        fresh = sorted(
-            (e for e in store.entries() if e.version > since),
-            key=lambda e: e.version,
-        )
-        body = delta_to_bytes(store, since).partition(b"\n")[2]
-        assert body == reference_body(fresh, store.combiners)
+        assert delta_to_bytes(store, since) == reference_delta_v2(store, since)
 
 
 def test_wall_covers_empty_maps_and_awkward_payloads():

@@ -1,10 +1,13 @@
-"""Tests for incremental snapshot deltas (ISSUE 7).
+"""Tests for incremental snapshot deltas.
 
 A delta ships only the canonical entries interned after a version
 stamp; applied to a replica seeded from a full snapshot it must
 reproduce the source store bit-identically -- same classes, same
 hashes, same ids -- while being idempotent under replay and loud about
-truncation, tampering and mismatched stores.
+truncation, tampering and mismatched stores.  The receiver recomputes
+every class's summary and hash, so a frame that would install a class
+under another term's hash is refused whole (the fuzz wall below), and
+legacy ``repro-store-delta-v1`` frames take the same checks.
 """
 
 import json
@@ -25,6 +28,7 @@ from repro.store import (
     snapshot_from_bytes,
     snapshot_to_bytes,
 )
+from test_codec_bytes import reference_delta_v1
 
 
 def corpus(n, seed=29, size=30):
@@ -239,10 +243,11 @@ class TestDeltaValidation:
         [("s", "12"), ("v", 1.5), ("m", [["x", 1]]), ("m", {"x": "1"})],
     )
     def test_summary_field_of_wrong_type_rejected(self, layout, field, value):
-        """A re-checksummed delta whose biggest record carries a summary
-        field of the wrong type is refused whole: no record applies."""
+        """A re-checksummed legacy delta whose biggest record carries a
+        summary field of the wrong type is refused whole: no record
+        applies."""
         store, replica = self._pair(layout)
-        delta = delta_to_bytes(store, replica.version)
+        delta = reference_delta_v1(store, replica.version)
         head, _, body = delta.partition(b"\n")
         records = [json.loads(line) for line in body.splitlines()]
         biggest = max(range(len(records)), key=lambda k: records[k]["z"])
@@ -271,7 +276,7 @@ class TestDeltaValidation:
 
     def test_present_entry_divergence_rejected(self, layout):
         store, replica = self._pair(layout)
-        delta = delta_to_bytes(store, 0)
+        delta = reference_delta_v1(store, 0)
         head, _, body = delta.partition(b"\n")
         lines = body.decode("utf-8").splitlines()
         rec = json.loads(lines[0])
@@ -316,12 +321,12 @@ def repeat_record(doc: bytes, index: int) -> bytes:
 
 class TestRepeatedIds:
     def test_delta_naming_one_id_twice_is_refused_whole(self, layout):
-        """All-or-nothing: a document repeating an id (the second copy
-        with another hash) applies nothing, not a prefix."""
+        """All-or-nothing: a legacy document repeating an id (the second
+        copy with another hash) applies nothing, not a prefix."""
         store = make_store(layout)
         for expr in corpus(10):
             store.intern(expr)
-        delta = delta_to_bytes(store, 0)
+        delta = reference_delta_v1(store, 0)
         replica = make_store(layout)
         before = (
             len(replica),
@@ -398,8 +403,8 @@ class _TouchCountingMemo(dict):
 
 class TestMemoBackfillCost:
     def test_delta_touches_only_the_fresh_records(self):
-        """A journaled intern encodes a delta; its memo backfill must
-        cost O(fresh entries), not O(summary memo)."""
+        """A journaled intern encodes a delta, which reads no memo record
+        and leaves the memo as it was."""
         store = ExprStore()
         for expr in corpus(1700, seed=41):
             store.hash_expr(expr)
@@ -410,7 +415,257 @@ class TestMemoBackfillCost:
         store.intern_many([fresh], engine="arena")  # leaves the memo cold
         store._memo = _TouchCountingMemo(store._memo)
         data = delta_to_bytes(store, since)
-        assert json.loads(data.split(b"\n", 1)[0])["entries"] >= 1
-        assert store._memo.touched <= fresh.size
+        assert json.loads(data.split(b"\n", 1)[0])["rows"] >= 1
+        assert store._memo.touched == 0  # a frame carries no summaries
         assert store._memo == warm
         assert all(store._memo[key] is rec for key, rec in warm.items())
+
+
+# -- every class's hash is checked -----------------------------------------------
+
+
+def _frame_with(doc: bytes, **changes) -> bytes:
+    """``doc`` (delta-v2) with its largest row's columns changed."""
+    from test_codec_bytes import join_frame, split_frame
+
+    header, columns = split_frame(doc)
+    row = max(range(header["rows"]), key=lambda r: columns["size"][r])
+    for name, value in changes.items():
+        columns[name][row] = value
+    return join_frame(header, columns)
+
+
+def _v1_with(doc: bytes, **changes) -> bytes:
+    """``doc`` (delta-v1) with its largest record's fields changed and
+    the checksum recomputed."""
+    import hashlib
+
+    head, _, body = doc.partition(b"\n")
+    records = [json.loads(line) for line in body.splitlines()]
+    biggest = max(records, key=lambda rec: rec["z"])
+    biggest.update(changes)
+    new_body = "".join(
+        json.dumps(rec, separators=(",", ":"), sort_keys=True) + "\n"
+        for rec in records
+    ).encode("utf-8")
+    header = dict(
+        json.loads(head), checksum="sha256:" + hashlib.sha256(new_body).hexdigest()
+    )
+    return json.dumps(header, separators=(",", ":"), sort_keys=True).encode() + (
+        b"\n" + new_body
+    )
+
+
+def _state(store):
+    return len(store), store.version, content_checksum(store)
+
+
+class TestNoSilentMerge:
+    """A frame that would install ``\\y. f y 2`` under the hash of
+    ``\\y. g y 3`` is refused whole, in either format: the replica's
+    intern of the second term must never return the first's class."""
+
+    F, G = r"\y. f y 2", r"\y. g y 3"
+
+    def _pair(self):
+        from repro.lang.parser import parse
+
+        primary = make_store("flat")
+        primary.intern(parse(self.F))
+        other = make_store("flat")
+        g_hash = other.hash_of(other.intern(parse(self.G)))
+        return primary, g_hash
+
+    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    def test_another_terms_hash_is_refused(self, fmt):
+        from repro.lang.alpha import alpha_equivalent
+        from repro.lang.parser import parse
+
+        primary, g_hash = self._pair()
+        doc = (
+            _frame_with(delta_to_bytes(primary, 0), hash=g_hash)
+            if fmt == "v2"
+            else _v1_with(reference_delta_v1(primary, 0), h=g_hash)
+        )
+        replica = make_store("flat")
+        with pytest.raises(SnapshotError, match="hashes to"):
+            apply_delta_bytes(replica, doc)
+        assert _state(replica) == (0, 0, content_checksum(make_store("flat")))
+        node_id = replica.intern(parse(self.G))
+        assert alpha_equivalent(replica.expr_of(node_id), parse(self.G))
+
+    @pytest.mark.parametrize("field", ["h", "s", "v", "m"])
+    def test_legacy_summary_or_hash_change_is_refused(self, field):
+        primary, _g_hash = self._pair()
+        doc = reference_delta_v1(primary, 0)
+        records = [json.loads(line) for line in doc.partition(b"\n")[2].splitlines()]
+        biggest = max(records, key=lambda rec: rec["z"])
+        value = (
+            {**biggest["m"], "y": 1} if field == "m" else biggest[field] ^ 1
+        )
+        replica = make_store("flat")
+        with pytest.raises(SnapshotError, match="hashes to|summary"):
+            apply_delta_bytes(replica, _v1_with(doc, **{field: value}))
+        assert len(replica) == 0 and replica.version == 0
+        apply_delta_bytes(replica, doc)
+        assert entry_map(replica) == entry_map(primary)
+
+
+class _Feed:
+    """Stands in for a follower's primary: serves one fixed frame."""
+
+    doc = b""
+
+    def fetch_delta(self, since):
+        return self.doc
+
+
+def _fuzz_cases(frame: bytes, primary, since: int, seed: int = 2024):
+    """``(name, doc)`` mutations of the delta-v2 ``frame`` (window
+    ``(since, primary.version]``), each of which must be refused whole.
+
+    Byte flips (checksum recomputed) hit the columns the receiver can
+    check against content: hash, size, kind, children, and the labels
+    of Var and Lit rows.  An id, a version stamp or a binder's name can
+    be rewritten into another valid frame (a binder's name does not
+    change the alpha-hash), so those get the domain cases only."""
+    from test_codec_bytes import V2_COLUMNS, join_frame, split_frame
+
+    rng = random.Random(seed)
+    header, columns = split_frame(frame)
+    rows = header["rows"]
+    head_len = frame.index(b"\n") + 1
+    words = 1 if header["bits"] <= 64 else 2
+    cases = []
+
+    # Truncation at every column boundary, inside the header, at random.
+    boundary = head_len
+    for name, code in V2_COLUMNS:
+        boundary += len(columns[name]) * (1 if code == "B" else 8)
+        if boundary < len(frame):
+            cases.append((f"cut@{name}", frame[:boundary]))
+    cases.append(("cut@header", frame[: head_len // 2]))
+    cases.append(("cut@newline", frame[: head_len - 1]))
+    for _ in range(6):
+        cut = rng.randrange(head_len, len(frame))
+        cases.append((f"cut@{cut}", frame[:cut]))
+
+    def mutated(edits):
+        cols = {name: list(values) for name, values in columns.items()}
+        for (name, row), value in edits.items():
+            cols[name][row] = value
+        return join_frame(header, cols)
+
+    def flip(value, bits, signed):
+        value = (value & (1 << 64) - 1) ^ 1 << rng.randrange(bits)
+        if signed and value >= 1 << 63:
+            value -= 1 << 64
+        return value
+
+    checkable = [r for r in range(rows) if columns["kind"][r] in (0, 1)]
+    for _ in range(40):
+        name = rng.choice(["hash", "size", "kind", "first", "second", "label"])
+        row = rng.choice(checkable if name == "label" else range(rows))
+        if name == "hash":
+            index = row * words + rng.randrange(words)
+            value = flip(columns["hash"][index], 64, False)
+            cols = {n: list(v) for n, v in columns.items()}
+            cols["hash"][index] = value
+            cases.append((f"flip hash[{row}]", join_frame(header, cols)))
+            continue
+        bits = 8 if name == "kind" else 64
+        value = flip(columns[name][row], bits, name != "kind")
+        cases.append((f"flip {name}[{row}]", mutated({(name, row): value})))
+
+    top = max(range(rows), key=lambda r: columns["size"][r])
+    leaf = next(r for r in range(rows) if columns["kind"][r] == 0)
+    held = next(iter(primary.entries()))
+    cases += [
+        ("hash of a live class", mutated({("hash", top * words): held.hash})),
+        ("size off by one", mutated({("size", top): columns["size"][top] + 1})),
+        ("unknown child", mutated({("first", top): 10**9})),
+        ("kind 5", mutated({("kind", leaf): 5})),
+        ("label past names", mutated({("label", leaf): len(header["names"])})),
+        ("Var with a child", mutated({("first", leaf): columns["id"][top]})),
+        ("version at since", mutated({("version", top): since})),
+        ("version past header", mutated({("version", top): primary.version + 1})),
+        ("negative id", mutated({("id", top): -5})),
+    ]
+    twice = {name: list(values) for name, values in columns.items()}
+    for name in twice:
+        if name == "hash":
+            twice[name] += columns[name][top * words : (top + 1) * words]
+        else:
+            twice[name].append(columns[name][top])
+    cases.append(("id given twice", join_frame(header, twice)))
+    return cases
+
+
+class TestFrameFuzzWall:
+    """Seeded mutations of one delta-v2 frame, each refused whole through
+    ``apply_delta_bytes``, ``Journal.replay`` and a follower's
+    ``sync_once``: ``store.version``, ``len(store)`` and the content
+    checksum are as before each refusal, and the intact frame then
+    applies through all three."""
+
+    @staticmethod
+    def _primary():
+        """The primary, the frame up to a mid stamp, and that stamp."""
+        store = make_store("flat")
+        for expr in corpus(12, seed=61):
+            store.intern(expr)
+        first, since = delta_to_bytes(store, 0), store.version
+        for expr in corpus(12, seed=62):
+            store.intern(expr)
+        return store, first, since
+
+    def test_every_case_is_refused_whole(self, tmp_path):
+        from repro.service.server import ReproServer
+        from repro.store import Journal, JournalError
+        from repro.store.journal import _frame_bytes
+
+        primary, first, since = self._primary()
+        frame = delta_to_bytes(primary, since)
+        cases = _fuzz_cases(frame, primary, since)
+        assert len(cases) > 60
+
+        replica = make_store("flat")
+        apply_delta_bytes(replica, first)
+        before = _state(replica)
+        follower = ReproServer(port=0, follow="http://127.0.0.1:9", bits=64, seed=7)
+        feed = _Feed()
+        try:
+            follower._follower.client = feed
+            apply_delta_bytes(follower.session.store, first)
+            follower_before = _state(follower.session.store)
+            for index, (name, doc) in enumerate(cases):
+                with pytest.raises(SnapshotError):
+                    apply_delta_bytes(replica, doc)
+                assert _state(replica) == before, name
+
+                wal = tmp_path / f"wal{index}"
+                wal.mkdir()
+                (wal / "journal-00000001.wal").write_bytes(
+                    _frame_bytes(first) + _frame_bytes(doc)
+                )
+                with pytest.raises((SnapshotError, JournalError)):
+                    Journal(str(wal), fsync=False).replay(replica)
+                assert _state(replica) == before, name
+
+                feed.doc = doc
+                with pytest.raises(SnapshotError):
+                    follower.sync_from_primary()
+                assert _state(follower.session.store) == follower_before, name
+
+            feed.doc = frame
+            assert follower.sync_from_primary()["applied"] > 0
+            assert content_checksum(follower.session.store) == content_checksum(primary)
+        finally:
+            follower.close()
+        wal = tmp_path / "intact"
+        wal.mkdir()
+        (wal / "journal-00000001.wal").write_bytes(
+            _frame_bytes(first) + _frame_bytes(frame)
+        )
+        Journal(str(wal), fsync=False).replay(replica)
+        assert content_checksum(replica) == content_checksum(primary)

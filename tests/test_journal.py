@@ -1,4 +1,4 @@
-"""Tests for the write-ahead journal (ISSUE 8).
+"""Tests for the write-ahead journal.
 
 The journal's contract: every acknowledged intern batch is a
 checksummed delta frame on disk, and any crash -- mid-frame, mid-apply,
@@ -8,6 +8,7 @@ tests compare a recovered store's content fingerprint against the
 original; corruption that is *not* a crash artefact must fail loudly.
 """
 
+import errno
 import json
 import os
 import random
@@ -208,77 +209,52 @@ class TestCrashMidApply:
     """apply_delta_bytes is all-or-nothing per frame: a frame that
     cannot fully apply must leave the store untouched."""
 
-    def _delta_with_bad_record(self, mutate):
+    def _delta_with_bad_record(self, source, mutate):
+        """``source``'s delta from 0 with its middle row changed by
+        ``mutate(columns, row)``; the checksum is recomputed so the
+        *row validation* layer is what must catch it."""
+        from test_codec_bytes import join_frame, split_frame
+
+        header, columns = split_frame(delta_to_bytes(source, 0))
+        mutate(columns, header["rows"] // 2)
+        return join_frame(header, columns)
+
+    def test_malformed_record_leaves_store_untouched(self):
         source = make_store()
         for expr in corpus(8, seed=77):
             source.intern(expr)
-        data = delta_to_bytes(source, 0)
-        header_line, body = data.split(b"\n", 1)
-        header = json.loads(header_line)
-        lines = body.rstrip(b"\n").split(b"\n")
-        records = [json.loads(line) for line in lines]
-        mutate(records)
-        new_body = b"\n".join(
-            json.dumps(r, separators=(",", ":")).encode() for r in records
-        )
-        # Recompute the body checksum so the outer envelope stays valid
-        # and the *record validation* layer is what must catch it.
-        import hashlib
-
-        header["checksum"] = "sha256:" + hashlib.sha256(new_body).hexdigest()
-        return (
-            json.dumps(header, separators=(",", ":")).encode()
-            + b"\n"
-            + new_body
-            + b"\n"
-        )
-
-    def test_malformed_record_leaves_store_untouched(self):
         data = self._delta_with_bad_record(
-            lambda records: records[len(records) // 2].pop("h")
+            source, lambda columns, row: columns["kind"].__setitem__(row, 9)
         )
         target = make_store()
         for expr in corpus(3, seed=5):
             target.intern(expr)
         before = content_checksum(target)
         version = target.version
-        with pytest.raises(SnapshotError):
+        with pytest.raises(SnapshotError, match="unknown kind"):
             apply_delta_bytes(target, data)
         assert content_checksum(target) == before
         assert target.version == version
 
     def test_conflicting_record_leaves_store_untouched(self):
-        """A record disagreeing with an entry the store already holds
+        """A row disagreeing with an entry the store already holds
         (split-brain artefact) is rejected before any mutation."""
         source = make_store()
         items = corpus(6, seed=7)
         for expr in items:
             source.intern(expr)
-        data = delta_to_bytes(source, 0)
-        header_line, body = data.split(b"\n", 1)
-        records = [json.loads(line) for line in body.rstrip(b"\n").split(b"\n")]
-        # Target already holds the same classes; corrupt one record's
-        # kind so it conflicts with the existing entry.
+        # Target already holds the same classes; corrupt one row's hash
+        # so it conflicts with the existing entry.
         target = make_store()
         for expr in items:
             target.intern(expr)
-        victim = records[len(records) // 2]
-        victim["k"] = victim["k"] + "_x"
-        import hashlib
-
-        new_body = b"\n".join(
-            json.dumps(r, separators=(",", ":")).encode() for r in records
-        )
-        header = json.loads(header_line)
-        header["checksum"] = "sha256:" + hashlib.sha256(new_body).hexdigest()
-        data = (
-            json.dumps(header, separators=(",", ":")).encode()
-            + b"\n"
-            + new_body
-            + b"\n"
+        data = self._delta_with_bad_record(
+            source, lambda columns, row: columns["hash"].__setitem__(
+                row, columns["hash"][row] ^ 1
+            )
         )
         before = content_checksum(target)
-        with pytest.raises(SnapshotError):
+        with pytest.raises(SnapshotError, match="disagrees"):
             apply_delta_bytes(target, data)
         assert content_checksum(target) == before
 
@@ -530,9 +506,10 @@ def mixed_corpus(n, seed=53, size=40):
 
 
 class TestArenaInternedWindows:
-    """An arena intern leaves the summary memo cold, so its window is
-    journaled from the encoder's own arena pass; it must be the frame a
-    tree intern writes, and replay like one."""
+    """An arena intern leaves the summary memo cold; its window must be
+    the frame a tree intern writes, and replay like one -- the replaying
+    store's own arena pass recomputes the summaries, so its canonical
+    trees hash as pure memo hits."""
 
     @pytest.mark.parametrize("num_shards", [None, 2], ids=["flat", "sharded"])
     def test_arena_windows_equal_tree_windows(self, num_shards):
@@ -597,3 +574,172 @@ class TestArenaInternedWindows:
             assert store.hash_expr(probe) == (
                 alpha_hash_all(probe, store.combiners).root_hash
             )
+
+
+def small_journal(tmp_path, frames=3):
+    """One segment of ``frames`` small frames; ``(directory, path,
+    extents, acked)`` with each frame's ``(start, end)`` byte extent and
+    the version each append acknowledged."""
+    directory = str(tmp_path / "wal")
+    journal = Journal(directory, fsync=False)
+    store = make_store()
+    acked = []
+    for index in range(frames):
+        store.intern(parse(f"f{index} (\\y. g y {index})"))
+        acked.append(journal.append_delta(store)["version"])
+    journal.close()
+    [path] = journal.segments()
+    data = open(path, "rb").read()
+    extents, offset = [], 0
+    while offset < len(data):
+        end = offset + 44 + int.from_bytes(data[offset + 4 : offset + 12], "big")
+        extents.append((offset, end))
+        offset = end
+    return directory, path, extents, acked
+
+
+class TestTailRule:
+    """Only damage that runs to the end of the last segment is a torn
+    tail; damage with an intact frame after it raises and leaves the
+    file as it was, so no acknowledged frame is truncated away."""
+
+    def test_a_flip_in_any_frame_but_the_last_raises(self, tmp_path):
+        directory, path, extents, _acked = small_journal(tmp_path)
+        data = open(path, "rb").read()
+        for start, end in extents[:-1]:
+            for position in range(start, end):
+                damaged = bytearray(data)
+                damaged[position] ^= 0x40
+                open(path, "wb").write(bytes(damaged))
+                with pytest.raises(JournalError, match="corrupt frame"):
+                    Journal(directory, fsync=False).replay(make_store())
+                assert open(path, "rb").read() == bytes(damaged), position
+
+    def test_a_cut_last_frame_recovers_the_prefix_at_every_offset(self, tmp_path):
+        directory, path, extents, acked = small_journal(tmp_path)
+        data = open(path, "rb").read()
+        start, end = extents[-1]
+        prefix = make_store()
+        for payload in (data[s + 44 : e] for s, e in extents[:-1]):
+            apply_delta_bytes(prefix, payload)
+        for cut in range(start, end):
+            open(path, "wb").write(data[:cut])
+            store = make_store()
+            report = Journal(directory, fsync=False).replay(store)
+            assert report["truncated_bytes"] == cut - start, cut
+            assert store.version == acked[-2]
+            assert content_checksum(store) == content_checksum(prefix)
+            assert os.path.getsize(path) == start
+
+    def test_a_zero_filled_or_mismatched_tail_is_torn(self, tmp_path):
+        directory, path, extents, acked = small_journal(tmp_path)
+        data = open(path, "rb").read()
+        start, end = extents[-1]
+        damaged = bytearray(data)
+        damaged[end - 1] ^= 1  # digest mismatch on the frame ending at EOF
+        for tail in (bytes(damaged), data[:start] + bytes(end - start)):
+            open(path, "wb").write(tail)
+            store = make_store()
+            report = Journal(directory, fsync=False).replay(store)
+            assert report["truncated_bytes"] == end - start
+            assert store.version == acked[-2]
+
+
+class _HalfWrite:
+    """A segment handle whose first write stops halfway with ENOSPC."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.failed = False
+
+    def write(self, data):
+        if not self.failed:
+            self.failed = True
+            self.handle.write(bytes(data[: len(data) // 2]))
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+
+class TestFailedAppend:
+    def test_a_half_written_frame_is_cut_off_before_the_next(self, tmp_path):
+        directory = str(tmp_path / "wal")
+        journal = Journal(directory, fsync=False)
+        store = make_store()
+        items = corpus(9, seed=17)
+        acked = []
+        for expr in items[:3]:
+            store.intern(expr)
+        acked.append(journal.append_delta(store)["version"])
+        journal._handle = _HalfWrite(journal._handle)
+        for expr in items[3:6]:
+            store.intern(expr)
+        with pytest.raises(OSError, match="No space"):
+            journal.append_delta(store)
+        for expr in items[6:]:
+            store.intern(expr)
+        acked.append(journal.append_delta(store)["version"])
+        journal.close()
+        recovered = make_store()
+        report = Journal(directory, fsync=False).replay(recovered)
+        assert report["truncated_bytes"] == 0
+        assert report["frames"] == 2
+        assert recovered.version == acked[-1] == store.version
+        assert content_checksum(recovered) == content_checksum(store)
+
+    def test_an_undo_that_fails_refuses_later_appends(self, tmp_path):
+        directory = str(tmp_path / "wal")
+        journal = Journal(directory, fsync=False)
+        store = make_store()
+        store.intern(corpus(1, seed=19)[0])
+        acked = journal.append_delta(store)["version"]
+
+        class _Stuck(_HalfWrite):
+            def truncate(self, size):
+                raise OSError(errno.EIO, "I/O error")
+
+        journal._handle = _Stuck(journal._handle)
+        store.intern(corpus(1, seed=20)[0])
+        with pytest.raises(OSError, match="No space"):
+            journal.append_delta(store)
+        with pytest.raises(JournalError, match="refuses appends"):
+            journal.append_delta(store)
+        journal.close()
+        recovered = make_store()
+        report = Journal(directory, fsync=False).replay(recovered)
+        assert report["truncated_bytes"] > 0  # the half frame, a torn tail
+        assert recovered.version == acked
+
+
+class TestLegacyFrames:
+    """Journals written before the column frames hold delta-v1 frames;
+    they replay to the store a v2 journal of the same batches gives."""
+
+    def test_v1_and_v2_journals_replay_alike(self, tmp_path):
+        from test_codec_bytes import reference_delta_v1
+
+        directories = {fmt: str(tmp_path / fmt) for fmt in ("v1", "v2")}
+        journals = {fmt: Journal(d, fsync=False) for fmt, d in directories.items()}
+        store = make_store()
+        items = mixed_corpus(60, seed=23)
+        for lo in range(0, len(items), 15):
+            since = journals["v2"].version
+            store.intern_many(items[lo : lo + 15], engine="arena" if lo % 2 else "tree")
+            journals["v2"].append_delta(store)
+            journals["v1"].append_bytes(
+                reference_delta_v1(store, since, meta={"journal": True})
+            )
+        for journal in journals.values():
+            journal.close()
+        checksums = {}
+        for fmt, directory in directories.items():
+            recovered = make_store()
+            Journal(directory, fsync=False).replay(recovered)
+            checksums[fmt] = content_checksum(recovered)
+            hashed = recovered.stats.hashed_nodes
+            for entry in list(recovered.entries()):
+                assert recovered.hash_expr(entry.expr) == entry.hash
+            assert recovered.stats.hashed_nodes == hashed
+        assert checksums["v1"] == checksums["v2"] == content_checksum(store)
