@@ -29,8 +29,13 @@ with ``engine="arena"`` into a fresh store and gates the intern table's
 footprint: GC-tracked objects left per canonical entry must stay at or
 below :data:`FOOTPRINT_CEILING` (a count, so the gate gives the same
 result on any host); the time of one full collection afterwards is
-reported only.  ``--json-out`` appends the measured cells to a JSON
-trajectory file (see ``benchmarks/run_bench.py``).
+reported only.  ``--native-items N`` adds the native-kernel gate: on
+the same kind of corpus the native arena kernel must hash the arena
+bit-identically to the scalar kernel and >= 2x faster (the kernels
+alone; the tree walk's time is reported); without the native library
+the cell reports the scalar time and skips the gate.  ``--json-out``
+appends the measured cells to a JSON trajectory file (see
+``benchmarks/run_bench.py``).
 """
 
 from __future__ import annotations
@@ -55,11 +60,11 @@ DUP_FRACTION = 0.6
 #: factor on the smoke corpus (PR-4 acceptance bar).
 ARENA_SMOKE_FLOOR = 2.0
 
-#: The vec gate: the vectorized kernel must beat the scalar kernel by
-#: this factor on the same arena (PR-6 acceptance bar).  Single-threaded
-#: by construction, so it holds on any host shape; it is only skipped
-#: when NumPy is not importable.
-VEC_SMOKE_FLOOR = 2.0
+#: The native gate: the native kernel must beat the scalar kernel by
+#: this factor on the same arena.  Single-threaded by construction, so
+#: it holds on any host shape; it is only skipped when the native
+#: library did not load.
+NATIVE_SMOKE_FLOOR = 2.0
 
 #: The footprint gate: GC-tracked objects an arena bulk intern may leave
 #: per canonical entry.  The columnar intern table keeps no Python
@@ -369,58 +374,67 @@ def footprint_smoke(corpus: list[Expr], cell: dict) -> tuple[int, dict]:
     return 0, cell
 
 
-def vec_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]:
-    """Vectorized vs scalar arena kernel: bit-identity always, >= 2x gate.
+def native_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]:
+    """Native vs scalar arena kernel: bit-identity always, >= 2x gate.
 
     Both kernels hash the *same* flattened arena (flatten cost is
-    excluded -- the cell times the kernels alone).  Without NumPy the
-    cell reports the scalar time and skips the gate honestly.
+    excluded -- the cell times the kernels alone); the tree walk over
+    the corpus is reported next to them.  Without the native library
+    the cell reports the scalar time and skips the gate honestly.
     """
-    from repro.core.arena import HAVE_NUMPY, arena_hash_any, flatten_corpus
+    from repro.core import native
+    from repro.core.arena import arena_hash, flatten_corpus
+    from repro.core.combiners import default_combiners
 
     corpus = make_corpus(n_items, item_size, dup_fraction=0.0, seed=99)
     total_nodes = sum(e.size for e in corpus)
     arena, _roots = flatten_corpus(corpus)
-    scalar_time = _best_of(
-        lambda: arena_hash_any(arena, kernel="scalar"), repeats
+    combiners = default_combiners()
+    scalar_time = _best_of(lambda: arena_hash(arena, combiners), repeats)
+    tree_time = _best_of(
+        lambda: ExprStore().hash_corpus(corpus, engine="tree"), repeats
     )
     cell = {
         "items": n_items,
         "nodes": total_nodes,
         "unique_arena_nodes": len(arena),
-        "numpy": HAVE_NUMPY,
+        "native": native.LIB is not None,
         "scalar_s": round(scalar_time, 4),
+        "tree_s": round(tree_time, 4),
     }
     print(
-        f"vec corpus: {n_items} items, {total_nodes} nodes "
+        f"native corpus: {n_items} items, {total_nodes} nodes "
         f"({len(arena)} unique arena nodes)"
     )
-    if not HAVE_NUMPY:
-        print("SKIP: NumPy not importable -- scalar time reported, not gated")
+    if native.LIB is None:
+        print(
+            f"SKIP: native kernel not loaded ({native.REASON}) -- "
+            "scalar time reported, not gated"
+        )
         return 0, cell
-    vec_time = _best_of(lambda: arena_hash_any(arena, kernel="vec"), repeats)
-    speedup = scalar_time / vec_time if vec_time else float("inf")
-    cell["vec_s"] = round(vec_time, 4)
+    native_time = _best_of(lambda: native.native_tops(arena, combiners), repeats)
+    speedup = scalar_time / native_time if native_time else float("inf")
+    cell["native_s"] = round(native_time, 4)
     cell["speedup"] = round(speedup, 3)
-    cell["required_speedup"] = VEC_SMOKE_FLOOR
-    cell["identical"] = arena_hash_any(arena, kernel="vec") == arena_hash_any(
-        arena, kernel="scalar"
+    cell["required_speedup"] = NATIVE_SMOKE_FLOOR
+    cell["identical"] = native.native_tops(arena, combiners) == arena_hash(
+        arena, combiners
     )
     print(
-        f"scalar {scalar_time * 1e3:8.1f} ms   "
-        f"vec {vec_time * 1e3:8.1f} ms   ({speedup:.2f}x)"
+        f"tree {tree_time * 1e3:8.1f} ms   scalar {scalar_time * 1e3:8.1f} ms   "
+        f"native {native_time * 1e3:8.1f} ms   ({speedup:.2f}x over scalar)"
     )
     if not cell["identical"]:
-        print("FAIL: vectorized kernel hashes diverge from the scalar kernel")
+        print("FAIL: native kernel hashes diverge from the scalar kernel")
         return 1, cell
-    print(f"vec hashes bit-identical to the scalar kernel over {n_items} items")
-    if speedup < VEC_SMOKE_FLOOR:
+    print(f"native hashes bit-identical to the scalar kernel over {n_items} items")
+    if speedup < NATIVE_SMOKE_FLOOR:
         print(
-            f"FAIL: vec speedup {speedup:.2f}x below the "
-            f"{VEC_SMOKE_FLOOR:.1f}x floor"
+            f"FAIL: native speedup {speedup:.2f}x below the "
+            f"{NATIVE_SMOKE_FLOOR:.1f}x floor"
         )
         return 1, cell
-    print(f"OK: vec speedup {speedup:.2f}x >= {VEC_SMOKE_FLOOR:.1f}x floor")
+    print(f"OK: native speedup {speedup:.2f}x >= {NATIVE_SMOKE_FLOOR:.1f}x floor")
     return 0, cell
 
 
@@ -449,16 +463,16 @@ def main(argv=None) -> int:
         help="nodes per item for the arena cell",
     )
     parser.add_argument(
-        "--vec-items",
+        "--native-items",
         type=int,
         default=0,
-        help="corpus items for the vec-kernel gate (0 disables the cell)",
+        help="corpus items for the native-kernel gate (0 disables the cell)",
     )
     parser.add_argument(
-        "--vec-item-size",
+        "--native-item-size",
         type=int,
         default=60,
-        help="nodes per item for the vec cell",
+        help="nodes per item for the native cell",
     )
     parser.add_argument(
         "--json-out",
@@ -482,12 +496,12 @@ def main(argv=None) -> int:
         )
         status = status or arena_status
         record["arena"] = cell
-    if args.vec_items:
-        vec_status, cell = vec_smoke(
-            args.vec_items, args.vec_item_size, args.repeats
+    if args.native_items:
+        native_status, cell = native_smoke(
+            args.native_items, args.native_item_size, args.repeats
         )
-        status = status or vec_status
-        record["vec"] = cell
+        status = status or native_status
+        record["native"] = cell
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
             json.dump(record, handle, indent=2, sort_keys=True)

@@ -17,11 +17,12 @@ Cells:
                   (:mod:`repro.core.arena`) on a duplicate-free 600k-node
                   corpus: compile + kernel wall-clock, bit-identity,
                   dedup ratio.
-* ``vec``      -- the vectorized vs the scalar arena kernel on the same
+* ``native``   -- the native vs the scalar arena kernel on the same
                   flattened arena (flatten cost excluded: this cell
-                  times the kernels alone), bit-identity checked; the
-                  smoke gate (``bench_store.py --smoke``) asserts >= 2x
-                  when NumPy is importable.
+                  times the kernels alone), next to the tree walk over
+                  the corpus, bit-identity checked; the smoke gate
+                  (``bench_store.py --smoke --native-items N``) asserts
+                  >= 2x when the native library loaded.
 * ``sharded``  -- flat vs lock-striped sharded interning of one corpus:
                   wall-clock, shard occupancy balance, and the
                   hits+misses conservation invariant.
@@ -30,18 +31,18 @@ Cells:
                   vs through a ``repro cluster serve`` coordinator
                   fronting two shard nodes (all on localhost), with
                   bit-identity and folded-stats conservation checked.
-* ``threshold`` -- the sweep behind ``ARENA_MIN_NODES`` and
-                  ``VEC_MIN_WIDTH``: tree vs the scalar and the vec
-                  arena kernel per corpus (~500 to ~32k nodes of
-                  60-node items, plus ``let`` and left-skewed ``App``
-                  chains of 4k-8k nodes), for ``Expr`` input and for
-                  wire input (the server's path: compile, then the
-                  forced engine), and each arena kernel alone; median
-                  of ``--repeats`` fresh-store runs each, with every
-                  row's walked nodes per level.  It prints two
-                  crossovers: by nodes, from tree to the best arena
-                  kernel, and by walked nodes per level, from the
-                  scalar to the vec kernel.  Not in the default set::
+* ``threshold`` -- the sweep behind ``ARENA_MIN_NODES``: the tree
+                  engine vs the arena engine on the scalar and on the
+                  native kernel, per corpus (one 60-node item up to
+                  ~32k nodes of them, plus ``let`` and left-skewed
+                  ``App`` chains of 4k-8k nodes), hashing and
+                  interning, for ``Expr`` input and for wire input (the
+                  server's path: compile, then the forced engine), and
+                  each arena kernel alone; median of ``--repeats``
+                  fresh-store runs each.  It prints the crossovers by
+                  nodes from tree to the arena engine on the kernel
+                  that runs (native when its library loaded).  Not in
+                  the default set::
 
                       PYTHONPATH=src python benchmarks/run_bench.py \
                           --cells threshold --repeats 5 --out /tmp/threshold.json
@@ -59,6 +60,7 @@ file from a 1-CPU container is never misread as a regression against a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -144,34 +146,54 @@ def arena_cell(n_items: int, item_size: int, repeats: int) -> dict:
     }
 
 
-def vec_cell(n_items: int, item_size: int, repeats: int) -> dict:
-    """Vectorized vs scalar arena kernel, same arena, flatten excluded.
+@contextlib.contextmanager
+def arena_kernel(name: str):
+    """Run the arena engine on kernel ``name`` for the block: the
+    scalar one by hiding the native library, the native one as loaded."""
+    from repro.core import native
 
-    The level-batched NumPy kernel and the Python scalar loop hash the
-    *same* :class:`ExprArena`, so the ratio is a pure kernel speedup --
-    single-threaded, hence meaningful on any host shape (no
-    ``cpu_bound`` caveat applies).  Without NumPy only the scalar side
-    runs and the record says so (``"numpy": false``).
+    loaded = native.LIB
+    if name == "scalar":
+        native.LIB = None
+    try:
+        yield
+    finally:
+        native.LIB = loaded
+
+
+def native_cell(n_items: int, item_size: int, repeats: int) -> dict:
+    """Native vs scalar arena kernel, same arena, flatten excluded, and
+    the tree walk over the corpus.
+
+    Both kernels hash the *same* :class:`ExprArena`, so their ratio is
+    a pure kernel speedup -- single-threaded, hence meaningful on any
+    host shape.  Without the native library only the scalar side runs
+    and the record says so (``"native": false``).
     """
-    from repro.core.arena import HAVE_NUMPY, arena_hash_any, flatten_corpus
+    from repro.core import native
+    from repro.core.arena import arena_hash, flatten_corpus
+    from repro.core.combiners import default_combiners
 
     corpus = make_corpus(n_items, item_size, dup_fraction=0.0, seed=99)
     nodes = sum(e.size for e in corpus)
     arena, _roots = flatten_corpus(corpus)
-    scalar_s = _best_of(lambda: arena_hash_any(arena, kernel="scalar"), repeats)
+    combiners = default_combiners()
+    scalar_s = _best_of(lambda: arena_hash(arena, combiners), repeats)
+    tree_s = _best_of(lambda: ExprStore().hash_corpus(corpus, engine="tree"), repeats)
     cell = {
         "items": n_items,
         "nodes": nodes,
         "unique_arena_nodes": len(arena),
-        "numpy": HAVE_NUMPY,
+        "native": native.LIB is not None,
         "scalar_s": round(scalar_s, 4),
+        "tree_s": round(tree_s, 4),
     }
-    if HAVE_NUMPY:
-        vec_s = _best_of(lambda: arena_hash_any(arena, kernel="vec"), repeats)
-        cell["vec_s"] = round(vec_s, 4)
-        cell["vec_speedup"] = round(scalar_s / vec_s, 3) if vec_s else None
-        cell["identical"] = arena_hash_any(arena, kernel="vec") == arena_hash_any(
-            arena, kernel="scalar"
+    if native.LIB is not None:
+        native_s = _best_of(lambda: native.native_tops(arena, combiners), repeats)
+        cell["native_s"] = round(native_s, 4)
+        cell["native_speedup"] = round(scalar_s / native_s, 3) if native_s else None
+        cell["identical"] = native.native_tops(arena, combiners) == arena_hash(
+            arena, combiners
         )
     return cell
 
@@ -291,34 +313,32 @@ def _app_chain(depth: int):
 
 
 def threshold_cell(sizes: list[int], item_size: int, repeats: int) -> dict:
-    """Tree vs the two arena kernels per corpus, ``Expr`` and wire input.
+    """Tree vs the arena engine on each kernel, per corpus: hashing and
+    interning, ``Expr`` and wire input.
 
     Rows are ``make_corpus`` corpora of about ``sizes`` nodes
     (``item_size``-node items) plus deep, thin ones: a ``let`` chain and
     a left-skewed ``App`` chain of ~4k and ~8k nodes each, one item per
-    corpus.  Per row, with ``tree``, ``arena-scalar`` and ``arena-vec``
-    forced: ``ExprStore().hash_corpus`` (``Expr`` input), and what
-    ``/v1/hash`` runs per request (compile the documents with
+    corpus.  Per row and engine (``tree``, and ``arena`` on the
+    ``scalar`` and on the ``native`` kernel): ``ExprStore().hash_corpus``
+    and ``intern_many`` (``Expr`` input), and what ``/v1/hash`` and
+    ``/v1/intern`` run per request (compile the documents with
     ``extend_wire``, then execute the compiled request on a fresh
-    session).  Also each arena kernel alone on the compiled arena, the
-    walked nodes per level (total nodes over the deepest item's depth;
-    the width rule's input) and the kernel ``auto`` picks.  Medians,
-    in ms.  Two crossovers: by nodes, from tree to the best arena
-    kernel; by width, from the scalar to the vec kernel alone.
+    session).  Also each arena kernel alone on the compiled arena.
+    Medians, in ms.  The crossovers are by nodes, from tree to the
+    arena engine on the kernel that runs.
     """
     import statistics
 
-    from repro.api import HashRequest, Session
-    from repro.core.arena import (
-        HAVE_NUMPY,
-        ExprArena,
-        arena_hash_any,
-        flatten_corpus,
-        resolve_kernel,
-    )
+    from repro.api import HashRequest, InternRequest, Session
+    from repro.core import native
+    from repro.core.arena import ExprArena, arena_hash, flatten_corpus
+    from repro.core.combiners import default_combiners
     from repro.lang.sexpr import to_wire
 
-    engines = ("tree", "scalar", "vec") if HAVE_NUMPY else ("tree", "scalar")
+    kernels = ("scalar", "native") if native.LIB is not None else ("scalar",)
+    runs_on = native.kernel()
+    combiners = default_combiners()
 
     def median_ms(fn) -> float:
         runs = []
@@ -328,14 +348,17 @@ def threshold_cell(sizes: list[int], item_size: int, repeats: int) -> dict:
             runs.append(time.perf_counter() - start)
         return round(1000 * statistics.median(runs), 2)
 
-    def engine_name(engine: str) -> str:
-        return engine if engine == "tree" else f"arena-{engine}"
-
-    def wire_run(docs, engine):
+    def wire_run(request_type, docs, engine):
         arena = ExprArena()
         roots = arena.extend_wire(docs)
-        request = HashRequest.compiled(arena, roots, engine=engine_name(engine))
-        return Session().execute(request)
+        return Session().execute(request_type.compiled(arena, roots, engine=engine))
+
+    def arena_only(engine, fn):
+        # ``engine`` is "tree" or a kernel name; a kernel runs the arena.
+        if engine == "tree":
+            return fn("tree")
+        with arena_kernel(engine):
+            return fn("arena")
 
     corpora = [
         (
@@ -354,71 +377,62 @@ def threshold_cell(sizes: list[int], item_size: int, repeats: int) -> dict:
     for shape, corpus in corpora:
         docs = [to_wire(expr) for expr in corpus]
         expected = ExprStore().hash_corpus(corpus, engine="tree")
-        nodes = sum(expr.size for expr in corpus)
-        depth = max(expr.depth for expr in corpus)
+        expected_ids = ExprStore().intern_many(corpus, engine="tree")
         arena, _roots = flatten_corpus(corpus)
         row = {
             "shape": shape,
-            "nodes": nodes,
+            "nodes": sum(expr.size for expr in corpus),
             "items": len(corpus),
-            "depth": depth,
             "unique_rows": len(arena),
-            "walked_per_level": round(nodes / depth, 1),
-            "auto_kernel": resolve_kernel("auto", nodes, depth),
         }
-        for engine in engines:
-            if wire_run(docs, engine) != expected:
-                raise AssertionError(
-                    f"wire {engine} hashes diverged on a {nodes}-node {shape}"
-                )
-            row[f"expr_{engine}_ms"] = median_ms(
-                lambda: ExprStore().hash_corpus(corpus, engine=engine_name(engine))
+        for engine in ("tree", *kernels):
+            if arena_only(engine, lambda e: wire_run(HashRequest, docs, e)) != expected:
+                raise AssertionError(f"wire {engine} hashes diverged on a {shape}")
+            if arena_only(engine, lambda e: wire_run(InternRequest, docs, e)) != expected_ids:
+                raise AssertionError(f"wire {engine} ids diverged on a {shape}")
+            row[f"expr_{engine}_ms"] = median_ms(lambda: arena_only(
+                engine, lambda e: ExprStore().hash_corpus(corpus, engine=e)
+            ))
+            row[f"wire_{engine}_ms"] = median_ms(lambda: arena_only(
+                engine, lambda e: wire_run(HashRequest, docs, e)
+            ))
+            row[f"expr_intern_{engine}_ms"] = median_ms(lambda: arena_only(
+                engine, lambda e: ExprStore().intern_many(corpus, engine=e)
+            ))
+            row[f"wire_intern_{engine}_ms"] = median_ms(lambda: arena_only(
+                engine, lambda e: wire_run(InternRequest, docs, e)
+            ))
+        row["kernel_scalar_ms"] = median_ms(lambda: arena_hash(arena, combiners))
+        if native.LIB is not None:
+            row["kernel_native_ms"] = median_ms(
+                lambda: native.native_tops(arena, combiners)
             )
-            row[f"wire_{engine}_ms"] = median_ms(lambda: wire_run(docs, engine))
-            if engine != "tree":
-                row[f"kernel_{engine}_ms"] = median_ms(
-                    lambda: arena_hash_any(arena, kernel=engine)
-                )
         rows.append(row)
         print(f"  {json.dumps(row)}")
 
-    def crossover(ordered, wins, measure):
-        # The smallest measure from which ``wins`` holds at every larger one.
+    def crossover(source):
+        # The smallest corpus from which the arena engine wins at every
+        # larger one.
         point = None
-        for row in reversed(ordered):
-            if not wins(row):
+        for row in sorted(rows, key=lambda row: row["nodes"], reverse=True):
+            if not row[f"{source}_{runs_on}_ms"] < row[f"{source}_tree_ms"]:
                 break
-            point = row[measure]
+            point = row["nodes"]
         return point
 
-    by_nodes = sorted(rows, key=lambda row: row["nodes"])
-    arenas = engines[1:]
-
-    def arena_wins(source):
-        return lambda row: min(row[f"{source}_{k}_ms"] for k in arenas) < row[
-            f"{source}_tree_ms"
-        ]
-
-    vec_width = None
-    if HAVE_NUMPY:
-        vec_width = crossover(
-            sorted(rows, key=lambda row: row["walked_per_level"]),
-            lambda row: row["kernel_vec_ms"] < row["kernel_scalar_ms"],
-            "walked_per_level",
-        )
     return {
         "item_size": item_size,
         "repeats": repeats,
+        "kernel": runs_on,
         "rows": rows,
         "crossover_nodes": {
-            source: crossover(by_nodes, arena_wins(source), "nodes")
-            for source in ("expr", "wire")
+            source: crossover(source)
+            for source in ("expr", "wire", "expr_intern", "wire_intern")
         },
-        "crossover_width": vec_width,
     }
 
 
-ALL_CELLS = ("store", "arena", "vec", "sharded", "cluster", "threshold")
+ALL_CELLS = ("store", "arena", "native", "sharded", "cluster", "threshold")
 DEFAULT_CELLS = ALL_CELLS[:-1]
 
 
@@ -459,8 +473,8 @@ def main(argv=None) -> int:
         shard_shape = (1_000, 120)
         cluster_shape = (1_000, 60)
         threshold_sizes = [
-            500, 1_000, 1_500, 2_000, 2_500, 3_000, 4_000, 5_000, 6_000,
-            8_000, 12_000, 16_000, 24_000, 32_000,
+            60, 120, 250, 500, 1_000, 1_500, 2_000, 2_500, 3_000, 4_000,
+            5_000, 6_000, 8_000, 12_000, 16_000, 24_000, 32_000,
         ]
 
     record = {
@@ -487,10 +501,10 @@ def main(argv=None) -> int:
         record["cells"]["arena"] = arena_cell(*arena_shape, args.repeats)
         print(f"  {json.dumps(record['cells']['arena'])}")
 
-    if "vec" in cells:
-        print(f"vec cell ({arena_shape[0]} items x {arena_shape[1]} nodes)...")
-        record["cells"]["vec"] = vec_cell(*arena_shape, args.repeats)
-        print(f"  {json.dumps(record['cells']['vec'])}")
+    if "native" in cells:
+        print(f"native cell ({arena_shape[0]} items x {arena_shape[1]} nodes)...")
+        record["cells"]["native"] = native_cell(*arena_shape, args.repeats)
+        print(f"  {json.dumps(record['cells']['native'])}")
 
     if "sharded" in cells:
         print(
@@ -518,12 +532,8 @@ def main(argv=None) -> int:
         )
         cell = record["cells"]["threshold"]
         print(
-            "  crossover tree -> best arena kernel (nodes): "
+            f"  crossover tree -> arena on the {cell['kernel']} kernel (nodes): "
             f"{json.dumps(cell['crossover_nodes'])}"
-        )
-        print(
-            "  crossover scalar -> vec kernel (walked nodes per level): "
-            f"{cell['crossover_width']}"
         )
 
     with open(out_path, "w", encoding="utf-8") as handle:
@@ -533,8 +543,8 @@ def main(argv=None) -> int:
     if not record["cells"].get("arena", {"identical": True})["identical"]:
         print("FAIL: arena kernel hashes diverged from the tree path")
         return 1
-    if not record["cells"].get("vec", {}).get("identical", True):
-        print("FAIL: vectorized kernel hashes diverged from the scalar kernel")
+    if not record["cells"].get("native", {}).get("identical", True):
+        print("FAIL: native kernel hashes diverged from the scalar kernel")
         return 1
     if not record["cells"].get("sharded", {"stats_conserved": True})[
         "stats_conserved"

@@ -7,9 +7,6 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    package_data={"repro": ["py.typed"]},
-    # the core is stdlib-only; numpy unlocks the vectorized arena
-    # kernel (engine="arena-vec" / the "auto" fast path)
-    extras_require={"vec": ["numpy"]},
+    package_data={"repro": ["py.typed", "core/*.c"]},
     entry_points={"console_scripts": ["repro-alpha-hash=repro.cli:main"]},
 )

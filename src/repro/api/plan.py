@@ -3,8 +3,8 @@
 The :class:`Planner` turns a declarative :class:`~repro.api.request.
 HashRequest` / :class:`~repro.api.request.InternRequest` plus a
 :class:`~repro.api.session.Session` into an :class:`ExecutionPlan` --
-every decision (backend, store routing, tree vs arena engine, arena
-kernel) is made **here, once**, and the result is a frozen record the
+every decision (backend, store routing, tree vs arena engine) is made
+**here, once**, and the result is a frozen record the
 caller can inspect, log, or ship over the wire before anything runs::
 
     plan = session.plan(HashRequest(corpus))
@@ -24,12 +24,10 @@ batch entry points consult the same constant through
 :func:`repro.core.arena.plan_corpus_engine`, so a forced ``engine=``
 and an ``auto`` decision can never disagree between layers.
 
-An arena plan's ``auto`` kernel follows the width rule of
-:func:`repro.core.arena.resolve_kernel`: vectorized from
-:data:`repro.core.arena.VEC_MIN_WIDTH` walked nodes per level (total
-nodes over the deepest item's depth), scalar below it.  The plan's
-kernel is the one that runs: execution passes it down on the ``Expr``
-path as on the compiled one.
+An arena plan records the kernel that will run, which no request
+chooses: ``"native"`` when the C kernel's library loaded at import
+(:mod:`repro.core.native`), else ``"scalar"``, with a reason line that
+says why.
 """
 
 from __future__ import annotations
@@ -37,15 +35,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core import arena as arena_core
-from repro.core.arena import (
-    ARENA_MIN_NODES,
-    VEC_MIN_WIDTH,
-    engine_family,
-    engine_kernel,
-    resolve_engine,
-    resolve_kernel,
-)
+from repro.core import native
+from repro.core.arena import ARENA_MIN_NODES, resolve_engine
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.backends import HasherBackend
@@ -88,7 +79,7 @@ class ExecutionPlan:
     bits: int  #: combiner width the job will run at
     seed: int  #: combiner seed the job will run at
     num_shards: Optional[int] = None  #: sharded-store fan-in, if any
-    kernel: Optional[str] = None  #: ``"vec"``/``"scalar"`` (arena only)
+    kernel: Optional[str] = None  #: ``"native"``/``"scalar"`` (arena only)
     reasons: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
@@ -205,29 +196,13 @@ class Planner:
             engine = resolve_engine(engine_hint, total_nodes)
             reasons.append(f"engine {engine!r} forced by the request")
 
-        # The arena family additionally picks its kernel, by the width
-        # rule.  Forcing the vectorized kernel on a NumPy-less
-        # interpreter is a planning error (fail before anything runs);
-        # ``auto`` records which way it went and why.
+        # An arena plan records the kernel that runs, and why it is not
+        # the native one.
         kernel: Optional[str] = None
-        if engine_family(engine) == "arena":
-            kernel_hint = engine_kernel(engine)
-            depth = max(request.depth, 1)
-            try:
-                kernel = resolve_kernel(kernel_hint, total_nodes, depth)
-            except ValueError as exc:
-                raise PlanError(str(exc)) from None
-            if kernel_hint != "auto":
-                reasons.append(f"arena kernel {kernel!r} forced by the engine hint")
-            elif not arena_core.HAVE_NUMPY:
-                reasons.append("arena kernel -> scalar: NumPy missing, scalar fallback")
-            else:
-                width = total_nodes / depth
-                reasons.append(
-                    f"arena kernel -> {kernel}: {width:.0f} walked nodes per "
-                    f"level {'>=' if kernel == 'vec' else '<'} width "
-                    f"threshold {VEC_MIN_WIDTH}"
-                )
+        if engine == "arena":
+            kernel = native.kernel()
+            if kernel == "scalar":
+                reasons.append(f"arena kernel -> scalar: {native.REASON}")
 
         num_shards = getattr(store, "num_shards", None)
         return ExecutionPlan(

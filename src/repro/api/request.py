@@ -30,16 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
+from repro.api.plan import PlanError
 from repro.core.arena import ENGINE_CHOICES, ExprArena
 from repro.lang.expr import Expr
 
 __all__ = ["HashRequest", "InternRequest", "ENGINES"]
 
 #: Accepted ``engine`` hints (``None`` defers to the session default).
-#: One tuple with the kernel layer (``repro.core.arena``): the arena
-#: family splits into ``"arena"`` (kernel auto-picked), ``"arena-vec"``
-#: (force the vectorized kernel) and ``"arena-scalar"`` (force the
-#: pure-Python kernel).
+#: One tuple with the kernel layer (``repro.core.arena``).
 ENGINES = ENGINE_CHOICES
 
 
@@ -66,8 +64,8 @@ class HashRequest:
         Unified-registry backend name; ``None`` means the session's.
     engine:
         Corpus strategy hint (:data:`ENGINES`): ``"auto"`` / ``"tree"``
-        / ``"arena"`` / ``"arena-vec"`` / ``"arena-scalar"``; ``None``
-        defers to the session default.
+        / ``"arena"``; ``None`` defers to the session default.  Any
+        other name is a :class:`~repro.api.plan.PlanError`.
     bits / seed:
         Determinism hints: when set, planning fails loudly unless the
         executing session's combiner family matches -- a request built
@@ -129,8 +127,8 @@ class HashRequest:
 
     def _validate(self) -> None:
         if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
+            raise PlanError(
+                f"engine must be one of {', '.join(ENGINES)}, got {self.engine!r}"
             )
         if self.bits is not None and self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
@@ -149,16 +147,6 @@ class HashRequest:
         arena, roots = self.compiled_corpus
         sizes = arena.sizes
         return sum(sizes[root] for root in roots)
-
-    @property
-    def depth(self) -> int:
-        """Height of the deepest item (``Expr.depth``, or the arena's
-        depth column); 0 for an empty corpus."""
-        if self.compiled_corpus is None:
-            return max((expr.depth for expr in self.exprs), default=0)
-        arena, roots = self.compiled_corpus
-        depths = arena.depths
-        return max((depths[root] for root in roots), default=0)
 
     def hints(self) -> dict:
         """The non-default hints, for logging and wire encoding."""

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Optional, Union
 from repro.api.backends import HasherBackend, get_backend
 from repro.api.plan import ExecutionPlan, Planner
 from repro.api.request import HashRequest, InternRequest
-from repro.core.arena import ENGINE_CHOICES, engine_family, flatten_corpus
+from repro.core.arena import ENGINE_CHOICES, flatten_corpus
 from repro.core.combiners import DEFAULT_SEED, HashCombiners
 from repro.core.hashed import AlphaHashes
 from repro.lang.expr import Expr
@@ -183,19 +183,16 @@ class Session:
         if plan is None:
             plan = self.plan(request)
         compiled = request.compiled_corpus
-        on_arena = compiled is not None and engine_family(plan.engine) == "arena"
-        # The kernel the plan records is the one that runs: the Expr
-        # path gets the engine name pinned to it.
-        engine = plan.engine if plan.kernel is None else f"arena-{plan.kernel}"
+        on_arena = compiled is not None and plan.engine == "arena"
         if plan.kind == "intern":
             store = self._require_store("intern requests")
             if on_arena:
-                return store.intern_arena(*compiled, kernel=plan.kernel)[0]
-            return store.intern_many(request.items(), engine=engine)
+                return store.intern_arena(*compiled)[0]
+            return store.intern_many(request.items(), engine=plan.engine)
         if plan.store_backed:
             if on_arena:
-                return self.store.hash_arena(*compiled, kernel=plan.kernel)
-            return self.store.hash_corpus(request.items(), engine=engine)
+                return self.store.hash_arena(*compiled)
+            return self.store.hash_corpus(request.items(), engine=plan.engine)
         backend = get_backend(plan.backend)
         return [
             backend.hash_all(e, self.combiners).root_hash for e in request.exprs
@@ -220,11 +217,11 @@ class Session:
         if plan is None:
             plan = self.plan(request)
         store = self._require_store("intern requests")
-        if engine_family(plan.engine) == "arena":
+        if plan.engine == "arena":
             arena, roots = request.compiled_corpus or flatten_corpus(
                 request.exprs
             )
-            return store.intern_arena(arena, roots, kernel=plan.kernel, check=check)
+            return store.intern_arena(arena, roots, check=check)
         items = request.items()
         if check is None:
             ids = store.intern_many(items, engine=plan.engine)

@@ -226,9 +226,8 @@ def _run_hash(rest: Sequence[str]) -> int:
         "--engine",
         choices=ENGINE_CHOICES,
         default="auto",
-        help="corpus hashing strategy: tree walking, the arena kernel "
-        "(arena-vec forces the vectorized kernel, arena-scalar the "
-        "pure-Python one), or size-based auto selection",
+        help="corpus hashing strategy: tree walking, the arena kernel, "
+        "or size-based auto selection",
     )
     args = parser.parse_args(rest)
 

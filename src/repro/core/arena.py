@@ -1,4 +1,4 @@
-"""Arena-compiled corpora: post-order struct-of-arrays + an array-speed kernel.
+"""Arena-compiled corpora: post-order struct-of-arrays + a native kernel.
 
 The serial hashing paths walk a Python object graph: every node costs
 attribute lookups, a tuple push/pop on an explicit stack, and dict-keyed
@@ -9,8 +9,8 @@ This module *compiles* a corpus once into an :class:`ExprArena`:
 * **Post-order struct-of-arrays.**  One flat index space; node ``i``'s
   children always sit at indices ``< i``.  Per node the arena stores an
   opcode (``op``), child indices (``left``/``right``), an interned
-  name/literal id (``aux``), and the subtree's ``sizes``/``depths`` --
-  six contiguous arrays instead of a tree of objects.
+  name/literal id (``aux``), and the subtree's size (``sizes``) --
+  five contiguous arrays instead of a tree of objects.
 
 * **Flatten-time deduplication.**  Structurally identical subtrees
   collapse to one arena node while flattening (alpha-hash summaries are
@@ -19,13 +19,17 @@ This module *compiles* a corpus once into an :class:`ExprArena`:
   benchmark corpus compiles to ~41% unique nodes -- and every duplicate
   is work the kernel never does.
 
-* **An iterative single-pass kernel.**  :func:`arena_hash` runs the
+* **One single-pass kernel, two tiers.**  :func:`arena_hash` runs the
   paper's Section 5 algorithm over the arrays: integer-indexed memo
   lists instead of ``id()``-keyed dicts, no recursion, no per-node
   memo-record snapshots, and (at the default single-lane widths) the
-  splitmix64 combiner chains inlined into the loop.  Hashes are
-  **bit-identical** to :func:`repro.core.hashed.alpha_hash_all` -- the
-  test wall checks this on adversarial corpora at several widths.
+  splitmix64 combiner chains inlined into the loop.
+  :func:`arena_hash_any` runs the same pass in C
+  (``arena_kernel.c``, built and loaded by :mod:`repro.core.native` when
+  this module is imported) and falls back to :func:`arena_hash` when no
+  library loaded.  Hashes are **bit-identical** to
+  :func:`repro.core.hashed.alpha_hash_all` -- the test wall checks both
+  tiers on adversarial corpora at every width.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Optional, Sequence
 
+from repro.core import native
 from repro.core.combiners import (
     _GOLDEN,
     _M0,
@@ -42,34 +47,21 @@ from repro.core.combiners import (
     default_combiners,
 )
 from repro.core.kernel import combine_chain
+from repro.core.native import ArenaKernelError
 from repro.core.position_tree import pt_here_hash
 from repro.core.structure import slit_hash, svar_hash
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
 from repro.lang.sexpr import WIRE_FORMAT, SexprError, literal_value
 
-try:  # NumPy is an optional extra (``repro[vec]``): the vectorized
-    import numpy as _np  # kernel needs it, everything else falls back.
-except ImportError:  # pragma: no cover - exercised via the no-numpy CI leg
-    _np = None
-
-#: True when the vectorized kernel is available in this interpreter.
-HAVE_NUMPY = _np is not None
-
 __all__ = [
     "ExprArena",
+    "ArenaKernelError",
     "arena_hash",
     "arena_summaries",
-    "arena_hash_vec",
     "arena_hash_any",
     "flatten_corpus",
     "ARENA_MIN_NODES",
-    "VEC_MIN_WIDTH",
-    "ARENA_ENGINES",
     "ENGINE_CHOICES",
-    "HAVE_NUMPY",
-    "engine_family",
-    "engine_kernel",
-    "resolve_kernel",
     "resolve_engine",
     "plan_corpus_engine",
     "OP_VAR",
@@ -94,48 +86,17 @@ def _foreign_node(node: object) -> TypeError:
     )
 
 
-#: Engine names that select the arena family.  ``"arena"`` lets the
-#: kernel auto-pick (:func:`resolve_kernel`'s width rule, scalar without
-#: NumPy); the suffixed forms force one kernel -- ``arena-vec``
-#: errors without NumPy, ``arena-scalar`` exists mostly so benchmarks
-#: and the differential wall can pin the fallback.
-ARENA_ENGINES = ("arena", "arena-vec", "arena-scalar")
-
 #: Every value accepted where an ``engine`` is requested (CLI, requests,
-#: session config).  One tuple so the choice lists cannot drift.
-ENGINE_CHOICES = ("auto", "tree") + ARENA_ENGINES
-
-
-def engine_family(engine: str) -> str:
-    """Collapse an engine name to its family: ``"arena"`` or ``"tree"``.
-
-    Call sites that only care *which pipeline* runs (the store's batch
-    gates, the planner) compare against the family, so ``arena-vec``
-    and ``arena-scalar`` route exactly like ``arena``.
-    """
-    return "arena" if engine in ARENA_ENGINES else engine
-
-
-def engine_kernel(engine: str) -> str:
-    """The kernel request carried by an engine name.
-
-    ``"auto"`` for the bare families (:func:`resolve_kernel` then
-    applies the width rule), ``"vec"``/``"scalar"`` for the pinned
-    forms.
-    """
-    if engine == "arena-vec":
-        return "vec"
-    if engine == "arena-scalar":
-        return "scalar"
-    return "auto"
+#: session config).  One tuple so the choice lists cannot drift.  The
+#: arena engine has one kernel: native when its library loaded, scalar
+#: otherwise (:func:`arena_hash_any`).
+ENGINE_CHOICES = ("auto", "tree", "arena")
 
 
 #: Corpus size (total nodes) from which ``engine="auto"`` picks the
-#: arena; the arena's kernel is then chosen by width
-#: (:data:`VEC_MIN_WIDTH`).  The sweep below shows the best arena
-#: kernel ahead of the tree engine at every size it measures (from ~540
-#: nodes of 60-node items, ``Expr`` and wire input; 2-CPU host, NumPy
-#: 2.4)::
+#: arena.  The sweep below puts the arena on the native kernel ahead of
+#: the tree engine at every size it measures, down to one 60-node item,
+#: for hashing and for interning, ``Expr`` and wire input (2-CPU host)::
 #:
 #:     PYTHONPATH=src python benchmarks/run_bench.py --cells threshold \
 #:         --repeats 5 --out /tmp/threshold.json
@@ -148,54 +109,6 @@ def engine_kernel(engine: str) -> str:
 #: policy-level name), and every batch entry point resolves ``"auto"``
 #: against it through :func:`resolve_engine` / :func:`plan_corpus_engine`.
 ARENA_MIN_NODES = 4_000
-
-#: Walked nodes per level from which the ``auto`` arena kernel is the
-#: vectorized one (the width rule, applied by :func:`resolve_kernel`).
-#: A corpus' walked nodes per level is its total node count divided by
-#: the depth of its deepest root.  The vectorized kernel pays a fixed
-#: number of NumPy calls per level and the scalar kernel a fixed cost
-#: per node, so on deep, thin corpora the scalar kernel wins by ~20x (a
-#: ``let`` chain of 4k-8k nodes walks two nodes per level: scalar 12-31
-#: ms, vec 330-680 ms for the kernel alone), and on wide ones the
-#: vectorized kernel does (~1k walked nodes per level, 35k nodes: 15 ms
-#: against 54-75).  Set just above the crossover of the kernels alone that
-#: the same sweep measures: two runs put it at 79 and at 94 walked nodes
-#: per level of 60-node items, and scalar still wins at 66 (2-CPU host,
-#: NumPy 2.4).  ``service`` requests walk 131-176 nodes per level and
-#: ``corpus`` batches ~1,400.
-VEC_MIN_WIDTH = 100
-
-
-def resolve_kernel(
-    kernel: str = "auto", nodes: Optional[int] = None, depth: int = 1
-) -> str:
-    """Normalise a kernel request to ``"vec"`` or ``"scalar"``.
-
-    The one place the ``auto`` kernel is chosen: the planner and the
-    store's arena steps both call it.  ``"auto"`` picks the vectorized
-    kernel when NumPy imported and the corpus -- ``nodes`` walked nodes,
-    ``depth`` the height of its deepest root -- has at least
-    :data:`VEC_MIN_WIDTH` walked nodes per level; without ``nodes`` the
-    shape is unknown and counts as wide.  Forcing ``"vec"`` without
-    NumPy is an error rather than a silent fallback (the caller asked
-    for a specific performance envelope).
-    """
-    if kernel == "auto":
-        if HAVE_NUMPY and (nodes is None or nodes >= VEC_MIN_WIDTH * depth):
-            return "vec"
-        return "scalar"
-    if kernel == "vec":
-        if not HAVE_NUMPY:
-            raise ValueError(
-                "kernel 'vec' (engine 'arena-vec') requires NumPy; "
-                "install the repro[vec] extra or use 'arena-scalar'"
-            )
-        return "vec"
-    if kernel == "scalar":
-        return "scalar"
-    raise ValueError(
-        f"kernel must be 'auto', 'vec' or 'scalar', got {kernel!r}"
-    )
 
 
 def resolve_engine(
@@ -210,7 +123,7 @@ def resolve_engine(
     if engine == "auto":
         limit = ARENA_MIN_NODES if threshold is None else threshold
         return "arena" if total_nodes >= limit else "tree"
-    if engine == "tree" or engine in ARENA_ENGINES:
+    if engine in ENGINE_CHOICES:
         return engine
     raise ValueError(
         f"engine must be one of {', '.join(ENGINE_CHOICES)}, got {engine!r}"
@@ -244,10 +157,8 @@ class ExprArena:
     ``aux[i]``
         Interned id: a ``names`` index for Var occurrences and Lam/Let
         binders, a ``literals`` index for Lit, ``-1`` for App.
-    ``sizes[i]`` / ``depths[i]``
-        Node count and height of the subtree (the structure tag of
-        Section 4.8 is ``sizes[i]``; ``depths`` orders the vectorized
-        kernel's levels).
+    ``sizes[i]``
+        Node count of the subtree (the structure tag of Section 4.8).
 
     The columns are ``array`` objects of signed ints: ``"q"`` here, and
     ``"i"`` for ``left``/``right``/``aux`` in an arena decoded from a
@@ -268,7 +179,6 @@ class ExprArena:
         "right",
         "aux",
         "sizes",
-        "depths",
         "names",
         "literals",
         "_name_ids",
@@ -282,7 +192,6 @@ class ExprArena:
         self.right = array("q")
         self.aux = array("q")
         self.sizes = array("q")
-        self.depths = array("q")
         self.names: list[str] = []
         self.literals: list = []
         self._name_ids: dict[str, int] = {}
@@ -305,7 +214,7 @@ class ExprArena:
                 len(self.op)
                 + sum(
                     arr.itemsize * len(arr)
-                    for arr in (self.left, self.right, self.aux, self.sizes, self.depths)
+                    for arr in (self.left, self.right, self.aux, self.sizes)
                 )
             ),
         }
@@ -356,7 +265,7 @@ class ExprArena:
         n_names0 = len(self.names)
         n_lits0 = len(self.literals)
 
-        buffers: tuple[list[int], ...] = ([], [], [], [], [], [])
+        buffers: tuple[list[int], ...] = ([], [], [], [], [])
         roots: list[int] = []
         try:
             walk(source, roots, *buffers)
@@ -376,17 +285,16 @@ class ExprArena:
             }
             raise
 
-        op_b, left_b, right_b, aux_b, sizes_b, depths_b = buffers
+        op_b, left_b, right_b, aux_b, sizes_b = buffers
         self.op.extend(op_b)
         self.left.extend(left_b)
         self.right.extend(right_b)
         self.aux.extend(aux_b)
         self.sizes.extend(sizes_b)
-        self.depths.extend(depths_b)
         return roots
 
     def _flatten_walk(
-        self, exprs, roots, op_b, left_b, right_b, aux_b, sizes_b, depths_b
+        self, exprs, roots, op_b, left_b, right_b, aux_b, sizes_b
     ) -> None:
         """The flatten loop proper, writing into the column buffers.
 
@@ -442,7 +350,6 @@ class ExprArena:
                             right_b.append(-1)
                             aux_b.append(nid)
                             sizes_b.append(node.size)
-                            depths_b.append(node.depth)
                     elif opc == OP_APP:
                         arg = opop()
                         fn = opop()
@@ -456,7 +363,6 @@ class ExprArena:
                             right_b.append(arg)
                             aux_b.append(-1)
                             sizes_b.append(node.size)
-                            depths_b.append(node.depth)
                     else:
                         body = opop()
                         bound = opop()
@@ -475,7 +381,6 @@ class ExprArena:
                             right_b.append(body)
                             aux_b.append(nid)
                             sizes_b.append(node.size)
-                            depths_b.append(node.depth)
                     memo[node] = idx
                     opush(idx)
                 elif cls is Var:
@@ -494,7 +399,6 @@ class ExprArena:
                         right_b.append(-1)
                         aux_b.append(nid)
                         sizes_b.append(1)
-                        depths_b.append(1)
                     opush(idx)
                 elif cls is Lam:
                     idx = memo_get(node)
@@ -536,21 +440,20 @@ class ExprArena:
                         right_b.append(-1)
                         aux_b.append(lid)
                         sizes_b.append(1)
-                        depths_b.append(1)
                     opush(idx)
                 else:
                     raise _foreign_node(node)
             roots.append(opop())
 
     def _wire_walk(
-        self, docs, roots, op_b, left_b, right_b, aux_b, sizes_b, depths_b
+        self, docs, roots, op_b, left_b, right_b, aux_b, sizes_b
     ) -> None:
         """The wire compile loop, writing into the column buffers.
 
         Entries arrive children-first, so an operand stack of
-        ``(index, size, depth)`` triples stands in for the tree: each
-        operator pops its operands, derives its size and depth from
-        theirs and pushes its own row.  Keys, leaf tables and row order
+        ``(index, size)`` pairs stands in for the tree: each operator
+        pops its operands, derives its size from theirs and pushes its
+        own row.  Keys, leaf tables and row order
         are :meth:`_flatten_walk`'s; the checks and messages are
         :func:`~repro.lang.sexpr.from_wire`'s.
         """
@@ -568,7 +471,7 @@ class ExprArena:
             post = doc.get("post")
             if not isinstance(post, list) or not post:
                 raise SexprError("missing postorder node list")
-            stack: list[tuple[int, int, int]] = []
+            stack: list[tuple[int, int]] = []
             push, pop = stack.append, stack.pop
             for entry in post:
                 if not isinstance(entry, list) or not entry:
@@ -597,8 +500,7 @@ class ExprArena:
                         right_b.append(-1)
                         aux_b.append(nid)
                         sizes_b.append(1)
-                        depths_b.append(1)
-                    push((idx, 1, 1))
+                    push((idx, 1))
                 elif tag == "l":
                     if (
                         len(entry) != 2
@@ -607,13 +509,12 @@ class ExprArena:
                         or not stack
                     ):
                         raise SexprError(f"malformed lambda entry {entry!r}")
-                    body, body_size, body_depth = pop()
+                    body, body_size = pop()
                     nid = name_ids.get(binder)
                     if nid is None:
                         name_ids[binder] = nid = len(names)
                         names.append(binder)
                     size = 1 + body_size
-                    depth = 1 + body_depth
                     key = (OP_LAM, nid, body)
                     idx = struct_get(key)
                     if idx is None:
@@ -624,17 +525,15 @@ class ExprArena:
                         right_b.append(-1)
                         aux_b.append(nid)
                         sizes_b.append(size)
-                        depths_b.append(depth)
-                    push((idx, size, depth))
+                    push((idx, size))
                 elif tag == "a":
                     if len(stack) < 2:
                         raise SexprError(
                             "application entry with too few operands"
                         )
-                    arg, arg_size, arg_depth = pop()
-                    fn, fn_size, fn_depth = pop()
+                    arg, arg_size = pop()
+                    fn, fn_size = pop()
                     size = 1 + fn_size + arg_size
-                    depth = 1 + (fn_depth if fn_depth > arg_depth else arg_depth)
                     key = (OP_APP, fn, arg)
                     idx = struct_get(key)
                     if idx is None:
@@ -645,8 +544,7 @@ class ExprArena:
                         right_b.append(arg)
                         aux_b.append(-1)
                         sizes_b.append(size)
-                        depths_b.append(depth)
-                    push((idx, size, depth))
+                    push((idx, size))
                 elif tag == "t":
                     if (
                         len(entry) != 2
@@ -655,16 +553,13 @@ class ExprArena:
                         or len(stack) < 2
                     ):
                         raise SexprError(f"malformed let entry {entry!r}")
-                    body, body_size, body_depth = pop()
-                    bound, bound_size, bound_depth = pop()
+                    body, body_size = pop()
+                    bound, bound_size = pop()
                     nid = name_ids.get(binder)
                     if nid is None:
                         name_ids[binder] = nid = len(names)
                         names.append(binder)
                     size = 1 + bound_size + body_size
-                    depth = 1 + (
-                        bound_depth if bound_depth > body_depth else body_depth
-                    )
                     key = (OP_LET, nid, bound, body)
                     idx = struct_get(key)
                     if idx is None:
@@ -675,8 +570,7 @@ class ExprArena:
                         right_b.append(body)
                         aux_b.append(nid)
                         sizes_b.append(size)
-                        depths_b.append(depth)
-                    push((idx, size, depth))
+                    push((idx, size))
                 elif tag == "c":
                     value = literal_value(entry)
                     lkey = lit_cache_key(value)
@@ -694,8 +588,7 @@ class ExprArena:
                         right_b.append(-1)
                         aux_b.append(lid)
                         sizes_b.append(1)
-                        depths_b.append(1)
-                    push((idx, 1, 1))
+                    push((idx, 1))
                 else:
                     raise SexprError(f"unknown entry tag {tag!r}")
             if len(stack) != 1:
@@ -1241,331 +1134,16 @@ def _arena_hash_generic(
 def arena_hash_any(
     arena: ExprArena,
     combiners: Optional[HashCombiners] = None,
-    kernel: str = "auto",
 ) -> list[int]:
-    """Run the arena kernel named by ``kernel`` (``auto``/``vec``/``scalar``).
+    """Every node's top hash, as :func:`arena_hash` computes it: one
+    call into the native kernel when its library loaded
+    (:func:`repro.core.native.kernel`), else the scalar pass.
 
-    With no roots to size, ``auto`` applies the width rule to the arena
-    itself: its rows per level.
+    The native pass checks every row first and raises
+    :class:`ArenaKernelError` for a malformed arena.
     """
-    if kernel == "auto" and len(arena):
-        kernel = resolve_kernel(kernel, len(arena), max(arena.depths))
-    if resolve_kernel(kernel) == "vec":
-        return arena_hash_vec(arena, combiners)
-    return arena_hash(arena, combiners)
-
-
-def arena_hash_vec(
-    arena: ExprArena,
-    combiners: Optional[HashCombiners] = None,
-) -> list[int]:
-    """Vectorized arena kernel: the same pass, level-by-level in NumPy.
-
-    ``depths`` orders the arena into levels (a node's children are
-    strictly shallower), so one level's combiner chains run as a few
-    ``uint64`` array operations instead of per-node Python bytecode.
-    The level's cost is a fixed number of NumPy calls, whatever kinds
-    it holds, plus a small per-row term:
-
-    * **Sorted slices.**  The interior rows are sorted once by
-      ``(depth, kind)`` with Lam < Let < App, so each level is one
-      contiguous slice whose Lam+Let rows and Let+App rows are
-      sub-slices.  The leaf rows (all at depth 1) are written once
-      before the loop.
-    * **One binder removal** per level over the Lam and Let bodies, as
-      a batched ``searchsorted`` over their concatenated maps.
-    * **One merge** per level over the Let and App pairs: Lemma 6.1's
-      small-into-big merge as one stable sort + last-wins dedup, the
-      ``entry`` hashes of the removed binders and of every merged name's
-      new and old position computed in one chain, and the map-hash
-      deltas folded with ``bitwise_xor.reduceat``.
-    * **One S-hash chain** per level with a salt per row (``slam``,
-      ``slet`` or ``sapp``): steps 1-3 over every row, step 4 over
-      Let+App, step 5 over Let.  Its steps run in the same arrays as the
-      merge's ``pt_join`` chain, and every chain's first absorb (salt,
-      then size or name) is computed once, before the loop.
-
-    The free-variable maps live in one append-only columnar pool -- per
-    node a ``(start, len)`` slice of ``(name_id, pos)`` rows sorted by
-    name id -- and are never mutated in place.
-
-    Bit-identical to :func:`arena_hash` (and hence to the tree paths)
-    at every width.  A value is only ever absorbed as ``lo ^ hi`` of
-    its 64-bit words (see
-    :meth:`~repro.core.combiners.HashCombiners.combine`), so the kernel
-    carries that folded word alone; chains of two lanes (widths above
-    64 bits) run both lanes as the rows of one array, and only the
-    final ``top`` chain splits its output back into words.
-
-    Trade-off: the pool is append-only, so peak memory is the total map
-    traffic (the O(n log n) merge bound) rather than the scalar
-    kernel's live-map footprint.  Same signature and result contract as
-    :func:`arena_hash`; requires NumPy.
-    """
-    if _np is None:  # pragma: no cover - vec callers gate on HAVE_NUMPY
-        raise RuntimeError(
-            "arena_hash_vec requires NumPy; install the repro[vec] extra "
-            "or call arena_hash (the scalar kernel)"
-        )
-    np = _np
     if combiners is None:
         combiners = default_combiners()
-    n = len(arena.op)
-    if n == 0:
-        return []
-
-    U, I64 = np.uint64, np.int64
-    lanes, salts = combiners._lanes, combiners._salts
-    G, M0, M1 = U(_GOLDEN), U(_M0), U(_M1)
-    C30, C27, C31 = U(30), U(27), U(31)
-    mask_lo = U(combiners.mask & _MASK64)
-    mask_hi = U((combiners.mask >> 64) & _MASK64)
-
-    def mix(h, v):
-        # One splitmix64 absorb step; h is (lanes, k), v broadcasts.
-        x = (h ^ v) + G
-        x = (x ^ (x >> C30)) * M0
-        x = (x ^ (x >> C27)) * M1
-        return x ^ (x >> C31)
-
-    def salt(*salt_names):
-        # (lanes, len(salt_names)) chain starts.
-        return np.array(
-            [[salts[s][lane] for s in salt_names] for lane in range(lanes)],
-            dtype=U,
-        )
-
-    def fold(h):
-        # A finished chain's b-bit output, as the folded word lo ^ hi.
-        return h[0] & mask_lo if lanes == 1 else h[1] ^ (h[0] & mask_hi)
-
-    def folded(values):
-        if lanes == 2:
-            values = [(v & _MASK64) ^ (v >> 64) for v in values]
-        return np.array(values, dtype=U)
-
-    iota = np.arange(max(n, 1024), dtype=I64)
-
-    def gather(starts, lens, ids):
-        """Pool positions of the concatenated slices: ``(seg, pos,
-        offs, total)``, with the ``ids`` entry of each entry's slice and
-        each slice's flat offset."""
-        nonlocal iota
-        ends = np.cumsum(lens)
-        total = int(ends[-1]) if len(ends) else 0
-        if total > len(iota):
-            iota = np.arange(2 * total, dtype=I64)
-        offs = ends - lens
-        pos = np.repeat(starts - offs, lens) + iota[:total]
-        return np.repeat(ids, lens), pos, offs, total
-
-    pool_nid = np.empty(max(1024, 2 * n), dtype=I64)
-    pool_pos = np.empty(len(pool_nid), dtype=U)
-    pool_used = 0
-
-    def append(nid, pos, lens):
-        """Append maps to the pool; the start of each of ``lens``' slices."""
-        nonlocal pool_nid, pool_pos, pool_used
-        start, pool_used = pool_used, pool_used + len(nid)
-        if pool_used > len(pool_nid):
-            cap = max(2 * len(pool_nid), pool_used)
-            pool_nid = np.concatenate((pool_nid[:start], np.empty(cap - start, I64)))
-            pool_pos = np.concatenate((pool_pos[:start], np.empty(cap - start, U)))
-        pool_nid[start:pool_used] = nid
-        pool_pos[start:pool_used] = pos
-        return start + np.cumsum(lens) - lens
-
-    opc = np.frombuffer(arena.op, dtype=np.uint8)
-    left, right, aux, sizes, depths = (
-        np.asarray(col, dtype=I64)
-        for col in (arena.left, arena.right, arena.aux, arena.sizes, arena.depths)
-    )
-    K = len(arena.names) + 1  # (row, name id) sort-key stride
-
-    # -- leaf tables (Python-speed, but per unique name/literal only) --------
-    name_h = folded([combiners.hash_name(name) for name in arena.names])
-    lit_s = folded([slit_hash(combiners, value) for value in arena.literals])
-    here, svar, none, true, false = folded(
-        [
-            pt_here_hash(combiners),
-            svar_hash(combiners),
-            combiners.NONE_HASH,
-            combiners.TRUE_HASH,
-            combiners.FALSE_HASH,
-        ]
-    )
-    entry1 = mix(salt("entry"), name_h)  # entry chains after the name
-    var_entry = fold(mix(entry1, here))  # entry(name, PTHere)
-
-    # -- per-node state, leaf rows written once --------------------------------
-    shs = np.zeros(n, dtype=U)
-    vmh = np.zeros(n, dtype=U)
-    map_start = np.zeros(n, dtype=I64)
-    map_len = np.zeros(n, dtype=I64)
-    var = np.nonzero(opc == OP_VAR)[0]
-    lit = np.nonzero(opc == OP_LIT)[0]
-    shs[var] = svar
-    vmh[var] = var_entry[aux[var]]
-    map_start[var] = append(aux[var], here, np.ones(len(var), dtype=I64))
-    map_len[var] = 1
-    shs[lit] = lit_s[aux[lit]]
-
-    # -- interior rows sorted by (depth, kind), Lam < Let < App ----------------
-    key = depths * 8 + np.array([0, 1, 2, 4, 3], dtype=I64)[opc]
-    rows = np.argsort(key)[len(var) + len(lit) :]
-    key = key[rows]
-    kind = opc[rows]
-    lc, rc, binder = left[rows], right[rows], aux[rows]
-    is_let = kind == OP_LET
-    # Per row: the map its binder leaves (Lam body, Let body); a merge's
-    # right side (Let: its body less the binder, parked in the row
-    # itself; App: the argument); the S-hash's step 4 (Let bound, App
-    # argument); the (row, binder) search key; the S-hash and pt_join
-    # chains after their salt and size.
-    body = np.where(is_let, rc, lc)
-    merge_right = np.where(is_let, rows, rc)
-    step4 = np.where(is_let, lc, rc)
-    want = iota[: len(rows)] * K + binder
-    size = sizes[rows].astype(U)
-    s_salts = salt("svar", "slit", "slam", "sapp", "slet")  # by opcode
-    s_chain = mix(s_salts[:, kind], size)
-    join_chain = mix(salt("pt_join"), size)
-    levels = int(key[-1]) // 8 - 1 if len(rows) else 0
-    cuts = np.searchsorted(
-        key, (np.arange(2, levels + 3)[:, None] * 8 + [2, 3, 4]).ravel()
-    ).tolist()
-    no_ids, no_vals = iota[:0], np.empty(0, dtype=U)
-
-    for at in range(0, 3 * levels, 3):
-        # The level's rows: Lam [a, b), Let [b, c), App [c, e).
-        a, b, c, e = cuts[at : at + 4]
-        lvl = rows[a:e]
-        k = c - a
-
-        # -- one binder removal over the Lam and Let bodies ----------------
-        found = np.zeros(k, dtype=bool)
-        maybe = binder_pos = no_vals
-        if k:
-            src = body[a:c]
-            lens, starts = map_len[src], map_start[src]
-            seg, pos, _, total = gather(starts, lens, iota[a:c])
-            if total:
-                keys = seg * K + pool_nid[pos]
-                loc = np.minimum(np.searchsorted(keys, want[a:c]), total - 1)
-                found = keys[loc] == want[a:c]
-                maybe = np.where(found, pool_pos[pos[loc]], none)
-                binder_pos = maybe[found]
-                keep = np.ones(total, dtype=bool)
-                keep[loc[found]] = False
-                pos = pos[keep]
-                lens = lens - found
-                starts = append(pool_nid[pos], pool_pos[pos], lens)
-            else:
-                maybe = np.full(k, none, dtype=U)
-            vmh[lvl[:k]] = vmh[src]
-            map_start[lvl[:k]] = starts
-            map_len[lvl[:k]] = lens
-
-        # -- one small-into-big merge over the Let and App pairs -----------
-        s_total = 0
-        s_nid, s_val, old = no_ids, no_vals, no_vals
-        old_found = found[:0]
-        if e > b:
-            pair = lvl[b - a :]
-            lf, rt = lc[b:e], merge_right[b:e]
-            l_len, r_len = map_len[lf], map_len[rt]
-            left_bigger = l_len >= r_len
-            big = np.where(left_bigger, lf, rt)
-            flag = np.where(left_bigger, true, false)
-            small_len = np.minimum(l_len, r_len)
-            act = np.nonzero(small_len)[0]
-            merged = act + b
-            big_act = big[act]
-            s_seg, s_pos, s_offs, s_total = gather(
-                map_start[np.where(left_bigger, rt, lf)[act]], small_len[act], merged
-            )
-            b_seg, b_pos, _, b_total = gather(
-                map_start[big_act], map_len[big_act], merged
-            )
-            s_nid, s_val = pool_nid[s_pos], pool_pos[s_pos]
-            s_keys = s_seg * K + s_nid
-            b_keys = b_seg * K + pool_nid[b_pos]
-            if b_total:
-                loc = np.minimum(np.searchsorted(b_keys, s_keys), b_total - 1)
-                old_found = b_keys[loc] == s_keys
-                old = np.where(old_found, pool_pos[b_pos[loc]], none)
-            else:
-                old_found = np.zeros(s_total, dtype=bool)
-                old = np.full(s_total, none, dtype=U)
-            step2 = np.concatenate((maybe, flag[c - b :], old))
-        else:
-            step2 = maybe
-
-        # -- one chain: the S-hash per row, pt_join per merged entry -------
-        n_lvl = e - a
-        step3 = shs[lc[a:e]]
-        if e > b:
-            step3[b - a : k] = flag[: c - b]
-            step3 = np.concatenate((step3, s_val))
-            h = np.concatenate((s_chain[:, a:e], join_chain[:, s_seg]), axis=1)
-        else:
-            h = s_chain[:, a:e]
-        h = mix(mix(h, step2), step3)
-        new = fold(h[:, n_lvl:])
-        h = h[:, :n_lvl]
-        if e > b:
-            h[:, b - a :] = mix(h[:, b - a :], shs[step4[b:e]])
-            if c > b:
-                h[:, b - a : k] = mix(h[:, b - a : k], shs[rc[b:c]])
-        shs[lvl] = fold(h)
-
-        # -- one entry chain: new and old positions, removed binders -------
-        n_old = int(old_found.sum())
-        names = np.concatenate((s_nid, s_nid[old_found], binder[a:c][found]))
-        entry = fold(
-            mix(entry1[:, names], np.concatenate((new, old[old_found], binder_pos)))
-        )
-        if e > b:
-            # Each pair aliases its big slice, then the pairs whose small
-            # map is not empty get the merged map.
-            pair_vmh = vmh[big]
-            map_start[pair] = map_start[big]
-            map_len[pair] = np.maximum(l_len, r_len)
-            if s_total:
-                delta = entry[:s_total]
-                delta[old_found] ^= entry[s_total : s_total + n_old]
-                pair_vmh[act] ^= np.bitwise_xor.reduceat(delta, s_offs)
-                keys = np.concatenate((b_keys, s_keys))
-                order = np.argsort(keys, kind="stable")
-                keys = keys[order]
-                last = np.empty(len(keys), dtype=bool)
-                last[:-1] = keys[:-1] != keys[1:]
-                last[-1] = True
-                order = order[last]
-                lens = map_len[big_act] + small_len[act] - np.add.reduceat(
-                    old_found, s_offs
-                )
-                dest = rows[merged]
-                map_start[dest] = append(
-                    np.concatenate((pool_nid[b_pos], s_nid))[order],
-                    np.concatenate((pool_pos[b_pos], new))[order],
-                    lens,
-                )
-                map_len[dest] = lens
-            vmh[pair] = pair_vmh
-        if len(binder_pos):
-            # A removed binder's entry leaves the Lam's map, and the
-            # Let's when its body was the big side.
-            removed = np.zeros(k, dtype=U)
-            removed[found] = entry[s_total + n_old :]
-            if c > b:
-                removed[b - a :][left_bigger[: c - b]] = 0
-            vmh[lvl[:k]] ^= removed
-
-    # -- tops ------------------------------------------------------------------
-    h = mix(mix(salt("top"), shs), vmh)
-    if lanes == 1:
-        return (h[0] & mask_lo).tolist()
-    return [
-        (hi << 64) | lo for hi, lo in zip((h[0] & mask_hi).tolist(), h[1].tolist())
-    ]
+    if native.LIB is None:
+        return arena_hash(arena, combiners)
+    return native.native_tops(arena, combiners)

@@ -21,8 +21,7 @@ tags are those of the wire documents (``int``/``float``/``bool``/
 ``str``), read by the same :func:`~repro.lang.sexpr.literal_value`.
 
 :func:`decode_body` trusts nothing: stdlib checks over the columns and
-one pass over the rows recompute each row's size and depth from its
-children (see its docstring for the rules), so a body it accepts is an
+one pass over the rows recompute each row's size from its children (see its docstring for the rules), so a body it accepts is an
 arena the kernels, the intern step and the tree rebuilds can take as
 is.  Rows may repeat: duplicates hash alike and intern as hits.
 """
@@ -122,7 +121,7 @@ def decode_body(data: bytes) -> tuple[dict, ExprArena, list[int]]:
       (the intern step interns every row);
     * the items' total tree size exceeds :data:`MAX_ITEM_NODES`.
 
-    Sizes and depths are recomputed, children first.  The arena carries
+    Sizes are recomputed, children first.  The arena carries
     no structural index, so it is read, not extended.
     """
     end = data.find(b"\n")
@@ -155,13 +154,13 @@ def decode_body(data: bytes) -> tuple[dict, ExprArena, list[int]]:
     ]
     left, right, aux = (column.tolist() for column in columns)
     roots = read_column(I32, data, start + 13 * rows, n_roots).tolist()
-    sizes, depths = _check_rows(op, left, right, aux, len(names), len(literals))
+    sizes = _check_rows(op, left, right, aux, len(names), len(literals))
     _check_reach(roots, left, right, sizes)
 
     arena = ExprArena()
     arena.op = bytearray(op)
     arena.left, arena.right, arena.aux = columns
-    arena.sizes, arena.depths = array("q", sizes), array("q", depths)
+    arena.sizes = array("q", sizes)
     arena.names, arena.literals = names, literals
     return header, arena, roots
 
@@ -175,7 +174,7 @@ _NAMED, _IS_LIT, _IS_APP = _table(OP_VAR, OP_LAM, OP_LET), _table(OP_LIT), _tabl
 
 
 def _check_rows(op, left, right, aux, n_names, n_lits):
-    """Each row's shape, children first; ``(sizes, depths)``."""
+    """Each row's shape, children first; the rows' sizes."""
     n = len(op)
     if n and max(op) > OP_LET:
         i = next(i for i, opc in enumerate(op) if opc > OP_LET)
@@ -195,7 +194,6 @@ def _check_rows(op, left, right, aux, n_names, n_lits):
                 f"row {i}: {OP_KINDS[op[i]]} with aux {aux[i]}, outside {low}..{high}"
             )
     sizes = [1] * n
-    depths = [1] * n
     # Literal opcodes keep this loop tight: 2 is OP_LAM, 3 and 4 are
     # OP_APP and OP_LET, 0 and 1 the leaves.
     for i, opc, lo, hi in zip(count(), op, left, right):
@@ -208,18 +206,14 @@ def _check_rows(op, left, right, aux, n_names, n_lits):
                     f"row {i}: subtree of {size} nodes exceeds {MAX_ITEM_NODES}"
                 )
             sizes[i] = size
-            a = depths[lo]
-            b = depths[hi]
-            depths[i] = (a if a > b else b) + 1
         elif opc == 2:
             if not 0 <= lo < i or hi != -1:
                 raise _bad_children(i, opc, lo, hi)
             # Below the cap plus the row count: only a binary row doubles.
             sizes[i] = sizes[lo] + 1
-            depths[i] = depths[lo] + 1
         elif lo != -1 or hi != -1:
             raise _bad_children(i, opc, lo, hi)
-    return sizes, depths
+    return sizes
 
 
 def _bad_children(i: int, opc: int, lo: int, hi: int) -> ArenaBodyError:
@@ -266,12 +260,11 @@ def closure_arena(
     renumber = [-1] * (len(mask) + 1)
     name_ids: dict[int, int] = {}
     lit_ids: dict[int, int] = {}
-    op_b, left_b, right_b, aux_b, sizes_b, depths_b = [], [], [], [], [], []
+    op_b, left_b, right_b, aux_b, sizes_b = [], [], [], [], []
     columns = zip(
-        count(), mask, arena.op, arena.left, arena.right, arena.aux,
-        arena.sizes, arena.depths,
+        count(), mask, arena.op, arena.left, arena.right, arena.aux, arena.sizes
     )
-    for i, kept, opc, lo, hi, x, size, depth in columns:
+    for i, kept, opc, lo, hi, x, size in columns:
         if not kept:
             continue
         renumber[i] = len(op_b)
@@ -284,11 +277,10 @@ def closure_arena(
         right_b.append(renumber[hi])
         aux_b.append(x)
         sizes_b.append(size)
-        depths_b.append(depth)
     out = ExprArena()
     out.op = bytearray(op_b)
     out.left, out.right, out.aux = array("q", left_b), array("q", right_b), array("q", aux_b)
-    out.sizes, out.depths = array("q", sizes_b), array("q", depths_b)
+    out.sizes = array("q", sizes_b)
     out.names = [arena.names[k] for k in name_ids]
     out.literals = [arena.literals[k] for k in lit_ids]
     return out, [renumber[root] for root in roots]

@@ -109,12 +109,8 @@ from repro.api import HashRequest, InternRequest, PlanError, Session
 from repro.api.plan import resolve_backend, store_serves
 from repro.api.stream import StreamSession
 from repro.core.incremental import PathError
-from repro.core.arena import (
-    ENGINE_CHOICES,
-    ExprArena,
-    engine_kernel,
-    resolve_kernel,
-)
+from repro.core import native
+from repro.core.arena import ENGINE_CHOICES, ExprArena
 from repro.lang.sexpr import SexprError, from_wire
 from repro.service.arena_body import (
     ARENA_CONTENT_TYPE,
@@ -358,18 +354,13 @@ class _Handler(BaseHTTPRequestHandler):
         memo_hits = store_stats.get("memo_hits", 0)
         hashed = store_stats.get("hashed_nodes", 0)
         probes = hits + misses
-        engine = stats.get("engine", "auto")
-        try:
-            kernel = resolve_kernel(engine_kernel(engine))
-        except ValueError:
-            kernel = "unavailable"
         body = {
             "ok": True,
             "uptime_s": round(time.monotonic() - service.started_at, 3),
             "requests_served": service.requests_served,
             "backend": stats.get("backend"),
-            "engine": engine,
-            "kernel": kernel,
+            "engine": stats.get("engine", "auto"),
+            "kernel": native.kernel(),
             "shard_id": service.shard_id,
             "shard_count": service.shard_count,
             "sessions": sessions_block,

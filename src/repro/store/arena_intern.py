@@ -17,7 +17,7 @@ builds no tree at all.  The kernel is always called as this module's
 * :func:`hash_corpus_arena` -- batch hashing of trees.  Items the store
   already knows (per-object summary memo, or the arena root cache from
   an earlier batch) are answered locally; the rest are compiled into one
-  arena and hashed by the array kernel.  Hashes are bit-identical to the
+  arena and hashed by the arena kernel.  Hashes are bit-identical to the
   tree path; what changes is the cache discipline -- the arena path does
   **not** snapshot a per-object memo record for every interior node
   (that one-dict-copy-per-node cost is precisely what it avoids).
@@ -76,7 +76,6 @@ from repro.core.arena import (
     ExprArena,
     arena_hash_any,
     flatten_corpus,
-    resolve_kernel,
 )
 from repro.lang.expr import Expr
 
@@ -91,20 +90,15 @@ __all__ = [
 ]
 
 def _hash_step(
-    store: "ExprStore", arena: ExprArena, roots: Sequence[int], kernel: str
+    store: "ExprStore", arena: ExprArena, roots: Sequence[int]
 ) -> list[int]:
     """Run the kernel over ``arena``; every node's top hash.
 
-    An ``auto`` kernel is chosen here by the width rule
-    (:func:`~repro.core.arena.resolve_kernel`) over the items' walked
-    nodes and deepest root.  Counts the arena's unique nodes as hashed
-    and the items' remaining tree nodes as skipped by dedup."""
-    sizes, depths = arena.sizes, arena.depths
+    Counts the arena's unique nodes as hashed and the items' remaining
+    tree nodes as skipped by dedup."""
+    sizes = arena.sizes
     walked = sum(sizes[root] for root in roots)
-    if kernel == "auto":
-        depth = max((depths[root] for root in roots), default=1)
-        kernel = resolve_kernel(kernel, walked, depth)
-    tops = arena_hash_any(arena, store.combiners, kernel=kernel)
+    tops = arena_hash_any(arena, store.combiners)
     stats = store.stats
     unique_nodes = len(arena)
     stats.hashed_nodes += unique_nodes
@@ -113,14 +107,8 @@ def _hash_step(
     return tops
 
 
-def hash_corpus_arena(
-    store: "ExprStore", corpus: Sequence[Expr], kernel: str = "auto"
-) -> list[int]:
-    """Root alpha-hashes of ``corpus`` through the arena kernel.
-
-    ``kernel`` picks the vectorized or scalar array kernel (``"auto"``
-    applies the width rule to the items this call compiles).
-    """
+def hash_corpus_arena(store: "ExprStore", corpus: Sequence[Expr]) -> list[int]:
+    """Root alpha-hashes of ``corpus`` through the arena kernel."""
     root_memo = store._arena_root_memo
     stats = store.stats
     results: list = [None] * len(corpus)
@@ -142,7 +130,7 @@ def hash_corpus_arena(
 
     if pending:
         arena, roots = flatten_corpus(pending)
-        tops = _hash_step(store, arena, roots, kernel)
+        tops = _hash_step(store, arena, roots)
         for expr, root, index in zip(pending, roots, pending_at):
             top = tops[root]
             root_memo[id(expr)] = (expr, top, None)
@@ -157,19 +145,14 @@ def hash_corpus_arena(
 
 
 def hash_arena(
-    store: "ExprStore",
-    arena: ExprArena,
-    roots: Sequence[int],
-    kernel: str = "auto",
+    store: "ExprStore", arena: ExprArena, roots: Sequence[int]
 ) -> list[int]:
     """Root alpha-hashes of an already-compiled corpus (the arena step)."""
-    tops = _hash_step(store, arena, roots, kernel)
+    tops = _hash_step(store, arena, roots)
     return [tops[root] for root in roots]
 
 
-def intern_corpus_arena(
-    store: "ExprStore", corpus: Sequence[Expr], kernel: str = "auto"
-) -> list[int]:
+def intern_corpus_arena(store: "ExprStore", corpus: Sequence[Expr]) -> list[int]:
     """Intern ``corpus`` via one arena pass (flat or sharded stores).
 
     Root hits first (a tree-memo or root-cache record naming a live
@@ -207,7 +190,7 @@ def intern_corpus_arena(
             arena, _items, roots, tops = cached
         else:
             arena, roots = flatten_corpus(rest)
-            tops = _hash_step(store, arena, roots, kernel)
+            tops = _hash_step(store, arena, roots)
         class_id = _resolve(store, arena, tops)
         for expr, root, index in zip(rest, roots, rest_at):
             node_id = class_id[root]
@@ -222,7 +205,6 @@ def intern_arena(
     store: "ExprStore",
     arena: ExprArena,
     roots: Sequence[int],
-    kernel: str = "auto",
     check: Optional[Callable[[list[int]], None]] = None,
 ) -> tuple[list[int], list[int]]:
     """Intern an already-compiled corpus (the arena step).
@@ -231,7 +213,7 @@ def intern_arena(
     given, receives the root hashes before anything is interned and
     refuses the batch by raising.
     """
-    tops = _hash_step(store, arena, roots, kernel)
+    tops = _hash_step(store, arena, roots)
     hashes = [tops[root] for root in roots]
     if check is not None:
         check(hashes)

@@ -208,9 +208,9 @@ class ShardedExprStore(ExprStore):
         with self._memo_lock:
             return super().hash_corpus(exprs, engine=engine)
 
-    def hash_arena(self, arena, roots, kernel: str = "auto") -> list[int]:
+    def hash_arena(self, arena, roots) -> list[int]:
         with self._memo_lock:
-            return super().hash_arena(arena, roots, kernel=kernel)
+            return super().hash_arena(arena, roots)
 
     def cached_summary(self, node: Expr):
         """The flat lookup under the memo lock.  The map it hands out is
@@ -241,9 +241,9 @@ class ShardedExprStore(ExprStore):
         with self._memo_lock:
             return super().intern_many(exprs, engine=engine)
 
-    def intern_arena(self, arena, roots, kernel: str = "auto", check=None):
+    def intern_arena(self, arena, roots, check=None):
         with self._memo_lock:
-            return super().intern_arena(arena, roots, kernel=kernel, check=check)
+            return super().intern_arena(arena, roots, check=check)
 
     def intern(self, expr: Expr) -> int:
         """Intern ``expr`` (same contract as the flat store).

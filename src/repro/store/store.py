@@ -91,12 +91,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from repro.core.arena import (
-    ExprArena,
-    engine_family,
-    engine_kernel,
-    plan_corpus_engine,
-)
+from repro.core.arena import ExprArena, plan_corpus_engine
 from repro.core.combiners import HashCombiners, default_combiners
 from repro.core.hashed import AlphaHashes
 from repro.core.kernel import MemoRecord, summarise_tree
@@ -836,23 +831,19 @@ class ExprStore:
         through the memoised summariser; ``"arena"`` compiles the corpus
         into a post-order array arena and runs the array kernel
         (bit-identical hashes, no per-node memo warming -- see
-        :mod:`repro.store.arena_intern`), with ``"arena-vec"`` /
-        ``"arena-scalar"`` forcing the vectorized or scalar kernel;
-        ``"auto"`` (default) takes the arena above the planner's one
+        :mod:`repro.store.arena_intern`); ``"auto"`` (default) takes the arena above the planner's one
         threshold constant (:data:`repro.api.plan.ARENA_NODE_THRESHOLD`,
         resolved through :func:`repro.core.arena.plan_corpus_engine`).
         """
         corpus = exprs if isinstance(exprs, list) else list(exprs)
         planned = plan_corpus_engine(engine, corpus) if corpus else engine
-        if corpus and engine_family(planned) == "arena":
+        if corpus and planned == "arena":
             from repro.store.arena_intern import hash_corpus_arena
 
-            return hash_corpus_arena(self, corpus, kernel=engine_kernel(planned))
+            return hash_corpus_arena(self, corpus)
         return [self.hash_expr(e) for e in corpus]
 
-    def hash_arena(
-        self, arena: ExprArena, roots: Sequence[int], kernel: str = "auto"
-    ) -> list[int]:
+    def hash_arena(self, arena: ExprArena, roots: Sequence[int]) -> list[int]:
         """Root alpha-hashes of a corpus already compiled into ``arena``
         (one index per item in ``roots``), through the arena kernel.
 
@@ -863,7 +854,7 @@ class ExprStore:
         """
         from repro.store.arena_intern import hash_arena
 
-        return hash_arena(self, arena, roots, kernel=kernel)
+        return hash_arena(self, arena, roots)
 
     def hashes(self, expr: Expr) -> AlphaHashes:
         """An :class:`AlphaHashes` view over ``expr`` computed through the
@@ -1008,17 +999,16 @@ class ExprStore:
         """
         corpus = exprs if isinstance(exprs, list) else list(exprs)
         planned = plan_corpus_engine(engine, corpus) if corpus else engine
-        if corpus and engine_family(planned) == "arena":
+        if corpus and planned == "arena":
             from repro.store.arena_intern import intern_corpus_arena
 
-            return intern_corpus_arena(self, corpus, kernel=engine_kernel(planned))
+            return intern_corpus_arena(self, corpus)
         return [self.intern(e) for e in corpus]
 
     def intern_arena(
         self,
         arena: ExprArena,
         roots: Sequence[int],
-        kernel: str = "auto",
         check: Optional[Callable[[list[int]], None]] = None,
     ) -> tuple[list[int], list[int]]:
         """Intern a corpus already compiled into ``arena``; return
@@ -1032,7 +1022,7 @@ class ExprStore:
         """
         from repro.store.arena_intern import intern_arena
 
-        return intern_arena(self, arena, roots, kernel=kernel, check=check)
+        return intern_arena(self, arena, roots, check=check)
 
     def merge_store(self, other: "ExprStore") -> dict[int, int]:
         """Fold every canonical class of ``other`` into this store.

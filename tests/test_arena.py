@@ -296,7 +296,6 @@ def arena_state(arena: ExprArena) -> tuple:
         arena.right.tolist(),
         arena.aux.tolist(),
         arena.sizes.tolist(),
-        arena.depths.tolist(),
         list(arena.names),
         [lit_cache_key(value) for value in arena.literals],
         dict(arena._struct),

@@ -94,7 +94,7 @@ def json_arena(corpus) -> tuple[ExprArena, list]:
 
 def assert_same_arena(a: ExprArena, b: ExprArena) -> None:
     assert bytes(a.op) == bytes(b.op)
-    for column in ("left", "right", "aux", "sizes", "depths"):
+    for column in ("left", "right", "aux", "sizes"):
         assert list(getattr(a, column)) == list(getattr(b, column)), column
     assert a.names == b.names
     assert [(type(v), repr(v)) for v in a.literals] == [
@@ -239,7 +239,7 @@ class TestLiveEquality:
             reply = client.hash_wire(docs)
             assert hashes == reply["hashes"] == expected
             assert plan == reply["plan"]
-            for engine in ("tree", "arena-scalar"):
+            for engine in ("tree", "arena"):
                 assert client.hash_corpus(corpus, engine=engine) == expected
 
     @pytest.mark.parametrize("store", STORES, ids=STORE_IDS)
@@ -323,7 +323,7 @@ def doubled(arena: ExprArena, roots) -> tuple[ExprArena, list]:
     for column in ("left", "right"):
         values = list(getattr(arena, column))
         getattr(out, column).extend(values + [c + n if c >= 0 else -1 for c in values])
-    for column in ("aux", "sizes", "depths"):
+    for column in ("aux", "sizes"):
         getattr(out, column).extend(list(getattr(arena, column)) * 2)
     out.names, out.literals = list(arena.names), list(arena.literals)
     return out, list(roots) + [root + n for root in roots]

@@ -1,53 +1,43 @@
-"""Vectorized arena kernel wall.
+"""Native arena kernel wall: bit-identity against the scalar kernel.
 
-The contract has three legs, each pinned here:
+The module and class names predate the native kernel (they named the
+NumPy kernel it replaced); they stay so the wall's test ids stay
+stable.  The native library's own mechanics -- the loader, its cache
+and fallback, names, malformed arenas -- are in ``test_arena_native``.
 
-* **Differential wall** -- :func:`repro.core.arena.arena_hash_vec` is
+* **Differential wall** -- :func:`repro.core.native.native_tops` is
   bit-identical to the scalar kernel (and through it to
   ``alpha_hash_all``) at every combiner width, on mixed/adversarial/
-  depth-5000 corpora, and on levels of every mix of kinds (the kernel
-  slices each level by kind).
-* **Width rule** -- ``auto`` runs the vectorized kernel only on corpora
-  with at least ``VEC_MIN_WIDTH`` walked nodes per level, and the
-  kernel a plan records is the one that runs.
-* **No-NumPy fallback** -- ``kernel="auto"`` degrades to the scalar
-  kernel, and forcing ``vec`` fails loudly (``ValueError`` at the kernel
-  layer, :class:`~repro.api.PlanError` at the planner).
+  depth-5000 corpora, and on the shape cases the level-by-level NumPy
+  kernel needed: levels of one kind or every kind, unused and shadowed
+  binders, ``let x = x in x``, and an arena grown by two compiles.
+* **Scalar fallback** -- without the library ``arena_hash_any`` is the
+  scalar pass, and a plan records ``kernel="scalar"`` and why.
+* **Engine surface** -- ``auto``, ``tree`` and ``arena``; the old
+  kernel-pinning names are refused with the choices listed.
 """
-
-import dataclasses
-import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.api import HashRequest, InternRequest, PlanError, Session
-from repro.core import arena as arena_mod
+from repro.api import HashRequest, PlanError, Session
+from repro.api.request import ENGINES
+from repro.core import native
 from repro.core.arena import (
-    ARENA_ENGINES,
-    ARENA_MIN_NODES,
     ENGINE_CHOICES,
-    HAVE_NUMPY,
     OP_APP,
     OP_LAM,
     OP_LET,
-    VEC_MIN_WIDTH,
     ExprArena,
     arena_hash,
     arena_hash_any,
-    arena_hash_vec,
-    engine_family,
-    engine_kernel,
     flatten_corpus,
-    resolve_kernel,
 )
-from repro.core.combiners import HashCombiners
-from repro.gen.random_exprs import random_expr
+from repro.core.combiners import HashCombiners, default_combiners
 from repro.lang.expr import App, Lam, Let, Lit, Var
 from repro.lang.sexpr import to_wire
 from repro.store import ExprStore
-from repro.store import arena_intern
 
 from strategies import exprs
 from test_arena import (
@@ -60,20 +50,28 @@ from test_arena import (
     tree_hashes,
 )
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="vec kernel needs NumPy")
+needs_native = pytest.mark.skipif(
+    native.LIB is None, reason=f"native kernel not loaded: {native.REASON}"
+)
 
 WIDTHS = [8, 16, 32, 64, 96, 128]
 
+OLD_ENGINES = ["arena-vec", "arena-scalar"]
 
-def vec_root_hashes(corpus, combiners=None):
+
+def native_hashes(arena, combiners=None):
+    return native.native_tops(arena, combiners or default_combiners())
+
+
+def native_root_hashes(corpus, combiners=None):
     arena, roots = flatten_corpus(corpus)
-    tops = arena_hash_vec(arena, combiners)
+    tops = native_hashes(arena, combiners)
     return [tops[r] for r in roots]
 
 
-@needs_numpy
+@needs_native
 class TestVecDifferential:
-    """Bit-identity of the vectorized kernel against the scalar oracle."""
+    """Bit-identity of the native kernel against the scalar oracle."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -87,10 +85,10 @@ class TestVecDifferential:
     def test_every_width_matches_scalar(self, flat, bits):
         arena, _roots = flat
         combiners = HashCombiners(bits=bits)
-        assert arena_hash_vec(arena, combiners) == arena_hash(arena, combiners)
+        assert native_hashes(arena, combiners) == arena_hash(arena, combiners)
 
     def test_tree_oracle(self, corpus):
-        assert vec_root_hashes(corpus) == tree_hashes(corpus)
+        assert native_root_hashes(corpus) == tree_hashes(corpus)
 
     def test_depth_5000_chains(self):
         corpus = [
@@ -99,53 +97,68 @@ class TestVecDifferential:
             lam_chain(DEPTH_DEEP),
             let_chain(DEPTH_DEEP),
         ]
-        arena, roots = flatten_corpus(corpus)
-        assert arena_hash_vec(arena) == arena_hash(arena)
+        arena, _roots = flatten_corpus(corpus)
+        for bits in WIDTHS:
+            combiners = HashCombiners(bits=bits)
+            assert native_hashes(arena, combiners) == arena_hash(arena, combiners)
 
     def test_adversarial_corpus(self):
         corpus = mixed_corpus(120, seed=31, size=120)
-        assert vec_root_hashes(corpus) == tree_hashes(corpus)
+        for bits in WIDTHS:
+            combiners = HashCombiners(bits=bits)
+            assert native_root_hashes(corpus, combiners) == tree_hashes(
+                corpus, combiners
+            ), bits
 
     def test_empty_and_tiny_corpora(self):
-        from repro.lang.expr import Lit, Var
-
-        assert arena_hash_vec(flatten_corpus([])[0]) == []
+        assert native_hashes(flatten_corpus([])[0]) == []
         for item in (Var("x"), Lit(7)):
-            assert vec_root_hashes([item]) == tree_hashes([item])
+            assert native_root_hashes([item]) == tree_hashes([item])
+
+
+def row_depths(arena):
+    """Each row's height, from the child columns."""
+    depths: list[int] = []
+    for lo, hi in zip(arena.left, arena.right):
+        depth = 1
+        for child in (lo, hi):
+            if child >= 0:
+                depth = max(depth, depths[child] + 1)
+        depths.append(depth)
+    return depths
 
 
 def level_kinds(arena):
     """Interior depth -> the set of kinds at that depth."""
     names = {OP_LAM: "Lam", OP_LET: "Let", OP_APP: "App"}
     levels: dict[int, set] = {}
-    for opc, depth in zip(arena.op, arena.depths):
+    for opc, depth in zip(arena.op, row_depths(arena)):
         if opc in names:
             levels.setdefault(depth, set()).add(names[opc])
     return levels
 
 
-def assert_vec_wall(arena, roots, corpus):
-    """vec == scalar on every row at every width, and the roots equal
-    the tree oracle."""
+def assert_native_wall(arena, roots, corpus):
+    """native == scalar on every row at every width, and the roots
+    equal the tree oracle."""
     for bits in WIDTHS:
         combiners = HashCombiners(bits=bits)
-        tops = arena_hash_vec(arena, combiners)
+        tops = native_hashes(arena, combiners)
         assert tops == arena_hash(arena, combiners), bits
         assert [tops[r] for r in roots] == tree_hashes(corpus, combiners), bits
 
 
-@needs_numpy
+@needs_native
 class TestLevelMix:
-    """Levels of every mix of kinds: the vec kernel sorts each level's
-    rows Lam < Let < App and works on the Lam+Let and Let+App slices,
-    so a slicing bug shows only on some mixes."""
+    """Shape cases: levels of one kind or of every kind, unused and
+    shadowed binders, ``let x = x in x``, and arenas grown twice."""
 
     @given(st.lists(exprs(), min_size=1, max_size=8))
     def test_packed_corpora_match_scalar(self, corpus):
         arena, _roots = flatten_corpus(corpus)
-        for bits in (8, 64, 128):
+        for bits in (8, 64, 96, 128):
             combiners = HashCombiners(bits=bits)
-            assert arena_hash_vec(arena, combiners) == arena_hash(arena, combiners)
+            assert native_hashes(arena, combiners) == arena_hash(arena, combiners)
 
     @pytest.mark.parametrize(
         "corpus,kinds",
@@ -178,7 +191,7 @@ class TestLevelMix:
     def test_single_kind_and_lam_app_levels(self, corpus, kinds):
         arena, roots = flatten_corpus(corpus)
         assert list(level_kinds(arena).values()) == kinds
-        assert_vec_wall(arena, roots, corpus)
+        assert_native_wall(arena, roots, corpus)
 
     def test_every_mix_in_one_level(self):
         corpus = [
@@ -189,7 +202,7 @@ class TestLevelMix:
         ]
         arena, roots = flatten_corpus(corpus)
         assert level_kinds(arena)[3] == {"Lam", "Let", "App"}
-        assert_vec_wall(arena, roots, corpus)
+        assert_native_wall(arena, roots, corpus)
 
     @pytest.mark.parametrize(
         "expr",
@@ -203,7 +216,7 @@ class TestLevelMix:
     def test_unused_binders(self, expr):
         corpus = [expr, App(expr, expr)]
         arena, roots = flatten_corpus(corpus)
-        assert_vec_wall(arena, roots, corpus)
+        assert_native_wall(arena, roots, corpus)
 
     def test_let_x_is_x_in_x(self):
         corpus = [
@@ -212,7 +225,7 @@ class TestLevelMix:
             Let("x", Let("x", Var("x"), Var("x")), Var("x")),
         ]
         arena, roots = flatten_corpus(corpus)
-        assert_vec_wall(arena, roots, corpus)
+        assert_native_wall(arena, roots, corpus)
 
     def test_shadowed_binders(self):
         corpus = [
@@ -222,7 +235,7 @@ class TestLevelMix:
             Lam("x", Let("x", Var("x"), Lam("x", App(Var("x"), Var("y"))))),
         ]
         arena, roots = flatten_corpus(corpus)
-        assert_vec_wall(arena, roots, corpus)
+        assert_native_wall(arena, roots, corpus)
 
     def test_arena_grown_by_two_compiles(self):
         first = mixed_corpus(30, seed=7)
@@ -230,181 +243,80 @@ class TestLevelMix:
         arena = ExprArena()
         roots = arena.flatten(first)
         roots += arena.extend_wire([to_wire(expr) for expr in second])
-        assert_vec_wall(arena, roots, first + second)
-
-
-def wire_request(cls, expr_corpus, **hints):
-    arena = ExprArena()
-    roots = arena.extend_wire([to_wire(expr) for expr in expr_corpus])
-    return cls.compiled(arena, roots, **hints)
+        assert_native_wall(arena, roots, first + second)
 
 
 @pytest.fixture
-def kernel_spy(monkeypatch):
-    """Record the kernel every arena step hands the dispatcher."""
-    seen = []
-    real = arena_intern.arena_hash_any
-
-    def spy(arena, combiners=None, kernel="auto"):
-        seen.append(kernel)
-        return real(arena, combiners, kernel=kernel)
-
-    monkeypatch.setattr(arena_intern, "arena_hash_any", spy)
-    return seen
-
-
-class TestWidthRule:
-    """``auto`` picks vec only from VEC_MIN_WIDTH walked nodes per level."""
-
-    CHAINS = {
-        "let_chain": let_chain(DEPTH_DEEP),
-        "left_skewed_app": left_skewed_app(DEPTH_DEEP),
-    }
-
-    @staticmethod
-    def wide_corpus():
-        rng = random.Random(2024)
-        return [
-            random_expr(rng.randint(30, 90), rng=rng, p_let=0.3) for _ in range(100)
-        ]
-
-    def test_resolve_kernel_by_width(self, monkeypatch):
-        monkeypatch.setattr(arena_mod, "HAVE_NUMPY", True)
-        assert resolve_kernel("auto", VEC_MIN_WIDTH * 40, 40) == "vec"
-        assert resolve_kernel("auto", VEC_MIN_WIDTH * 40 - 1, 40) == "scalar"
-        assert resolve_kernel("auto") == "vec"  # unknown shape counts as wide
-        assert resolve_kernel("scalar", 10**6, 1) == "scalar"
-        assert resolve_kernel("vec", 1, 10**6) == "vec"
-
-    @pytest.mark.parametrize("name", sorted(CHAINS))
-    def test_deep_chains_plan_scalar(self, name, kernel_spy):
-        chain = self.CHAINS[name]
-        assert chain.size >= ARENA_MIN_NODES
-        want = tree_hashes([chain])
-        with Session() as session:
-            for request in (
-                HashRequest([chain]),
-                wire_request(HashRequest, [chain]),
-                InternRequest([chain]),
-            ):
-                plan = session.plan(request)
-                assert (plan.engine, plan.kernel) == ("arena", "scalar")
-                if HAVE_NUMPY:
-                    assert any(
-                        f"< width threshold {VEC_MIN_WIDTH}" in r for r in plan.reasons
-                    )
-                result = session.execute(request, plan=plan)
-                if request.kind == "hash":
-                    assert result == want
-        assert kernel_spy and set(kernel_spy) == {"scalar"}
-
-    @pytest.mark.parametrize("name", sorted(CHAINS))
-    def test_store_auto_path_applies_the_rule(self, name, kernel_spy):
-        chain = self.CHAINS[name]
-        assert ExprStore().hash_corpus([chain]) == tree_hashes([chain])
-        assert ExprStore().hash_corpus([chain], engine="arena") == tree_hashes([chain])
-        assert kernel_spy == ["scalar", "scalar"]
-
-    @needs_numpy
-    def test_wide_request_plans_vec(self, kernel_spy):
-        corpus = self.wide_corpus()
-        assert sum(e.size for e in corpus) >= ARENA_MIN_NODES
-        with Session() as session:
-            for request in (HashRequest(corpus), wire_request(HashRequest, corpus)):
-                plan = session.plan(request)
-                assert (plan.engine, plan.kernel) == ("arena", "vec")
-                assert any(
-                    f">= width threshold {VEC_MIN_WIDTH}" in r for r in plan.reasons
-                )
-                assert session.execute(request, plan=plan) == tree_hashes(corpus)
-        assert kernel_spy == ["vec", "vec"]
-
-    @needs_numpy
-    def test_plan_kernel_is_the_one_that_runs(self, kernel_spy):
-        # A forced plan reaches the Expr path's store call too.
-        corpus = self.wide_corpus()
-        with Session() as session:
-            for kernel in ("scalar", "vec"):
-                request = HashRequest(corpus, engine="arena")
-                plan = dataclasses.replace(session.plan(request), kernel=kernel)
-                session.store.clear_memo()
-                assert session.execute(request, plan=plan) == tree_hashes(corpus)
-        assert kernel_spy == ["scalar", "vec"]
+def no_native(monkeypatch):
+    """This process as if the library had not loaded."""
+    monkeypatch.setattr(native, "LIB", None)
+    monkeypatch.setattr(native, "REASON", "no C compiler (cc) on PATH")
 
 
 class TestScalarFallback:
-    """Behaviour of every layer when NumPy is (simulated) absent."""
+    """Every layer without the native library, and the old engine
+    names that once forced a kernel."""
 
-    def test_resolve_kernel_auto_degrades(self, monkeypatch):
-        monkeypatch.setattr(arena_mod, "HAVE_NUMPY", False)
-        assert resolve_kernel("auto") == "scalar"
+    def test_forced_vec_is_an_error(self):
+        for engine in OLD_ENGINES:
+            with pytest.raises(PlanError, match="engine must be one of auto, tree, arena"):
+                HashRequest(mixed_corpus(4, seed=1), engine=engine)
 
-    def test_forced_vec_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(arena_mod, "HAVE_NUMPY", False)
-        with pytest.raises(ValueError, match="requires NumPy"):
-            resolve_kernel("vec")
-
-    def test_arena_hash_any_auto_falls_back(self, monkeypatch):
+    def test_arena_hash_any_auto_falls_back(self, no_native, monkeypatch):
         corpus = mixed_corpus(40, seed=3)
-        arena, roots = flatten_corpus(corpus)
-        reference = arena_hash(arena)
-        monkeypatch.setattr(arena_mod, "HAVE_NUMPY", False)
-        assert arena_hash_any(arena, kernel="auto") == reference
+        arena, _roots = flatten_corpus(corpus)
 
-    def test_planner_rejects_forced_vec(self, monkeypatch):
-        monkeypatch.setattr(arena_mod, "HAVE_NUMPY", False)
-        with Session() as session:
-            with pytest.raises(PlanError, match="requires NumPy"):
-                session.plan(
-                    HashRequest(mixed_corpus(4, seed=1), engine="arena-vec")
-                )
+        def refuse(*args):
+            raise AssertionError("the native entry ran without a library")
 
-    def test_planner_auto_reason_records_fallback(self, monkeypatch):
-        monkeypatch.setattr(arena_mod, "HAVE_NUMPY", False)
+        monkeypatch.setattr(native, "native_tops", refuse)
+        assert native.kernel() == "scalar"
+        assert arena_hash_any(arena) == arena_hash(arena)
+
+    def test_planner_rejects_forced_vec(self):
         with Session() as session:
-            plan = session.plan(
-                HashRequest(mixed_corpus(4, seed=1), engine="arena")
-            )
-        assert plan.kernel == "scalar"
-        assert any("scalar fallback" in reason for reason in plan.reasons)
+            for engine in OLD_ENGINES:
+                with pytest.raises(PlanError, match=engine):
+                    session.plan(HashRequest(mixed_corpus(4, seed=1), engine=engine))
+
+    def test_planner_auto_reason_records_fallback(self, no_native):
+        corpus = mixed_corpus(4, seed=1)
+        request = HashRequest(corpus, engine="arena")
+        with Session() as session:
+            plan = session.plan(request)
+            assert plan.kernel == "scalar"
+            assert "arena kernel -> scalar: no C compiler (cc) on PATH" in plan.reasons
+            assert session.execute(request, plan=plan) == tree_hashes(corpus)
+
 
 class TestEngineSurface:
-    """The engine/kernel naming layer the API and CLI share."""
+    """The engine names the API and CLI share."""
 
     def test_engine_choices_cover_the_family(self):
-        assert set(ARENA_ENGINES) == {"arena", "arena-vec", "arena-scalar"}
-        assert set(ARENA_ENGINES) < set(ENGINE_CHOICES)
-        assert "tree" in ENGINE_CHOICES and "auto" in ENGINE_CHOICES
-
-    @pytest.mark.parametrize(
-        "engine,family,kernel",
-        [
-            ("arena", "arena", "auto"),
-            ("arena-vec", "arena", "vec"),
-            ("arena-scalar", "arena", "scalar"),
-            ("tree", "tree", "auto"),
-        ],
-    )
-    def test_family_and_kernel_split(self, engine, family, kernel):
-        assert engine_family(engine) == family
-        assert engine_kernel(engine) == kernel
+        assert ENGINE_CHOICES == ENGINES == ("auto", "tree", "arena")
 
     def test_session_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine must be one of"):
-            Session(engine="arena-warp")
+        for engine in ["arena-warp", *OLD_ENGINES]:
+            with pytest.raises(ValueError, match="engine must be one of"):
+                Session(engine=engine)
 
-    @needs_numpy
     def test_store_accepts_kernel_engines(self):
         corpus = mixed_corpus(60, seed=13)
-        store = ExprStore()
-        want = [store.hash_expr(e) for e in corpus]
-        for engine in ARENA_ENGINES:
+        want = [ExprStore().hash_expr(e) for e in corpus]
+        for engine in ENGINE_CHOICES:
             assert ExprStore().hash_corpus(corpus, engine=engine) == want
+        for engine in OLD_ENGINES:
+            with pytest.raises(ValueError, match="engine must be one of"):
+                ExprStore().hash_corpus(corpus, engine=engine)
 
-    @needs_numpy
-    def test_forced_kernels_agree_through_the_session(self):
+    @needs_native
+    def test_forced_kernels_agree_through_the_session(self, monkeypatch):
         corpus = mixed_corpus(60, seed=13)
         with Session() as session:
-            vec = session.execute(HashRequest(corpus, engine="arena-vec"))
-            scalar = session.execute(HashRequest(corpus, engine="arena-scalar"))
-        assert vec == scalar
+            request = HashRequest(corpus, engine="arena")
+            assert session.plan(request).kernel == "native"
+            with_native = session.execute(request)
+        monkeypatch.setattr(native, "LIB", None)
+        with Session() as session:
+            assert session.plan(request).kernel == "scalar"
+            assert session.execute(request) == with_native == tree_hashes(corpus)

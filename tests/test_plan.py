@@ -201,7 +201,7 @@ class TestCompiledRequests:
         session = Session()
         assert session.plan(compiled) == session.plan(plain)
 
-    @pytest.mark.parametrize("engine", ["tree", "arena", "arena-scalar"])
+    @pytest.mark.parametrize("engine", ["tree", "arena", "auto"])
     def test_hash_is_bit_identical(self, corpus, expected, engine):
         request = HashRequest.compiled(*compile_wire(corpus), engine=engine)
         assert Session().execute(request) == expected

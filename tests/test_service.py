@@ -19,6 +19,7 @@ from repro.api import (
     Session,
     get_backend,
 )
+from repro.core import native
 from repro.core.arena import ExprArena
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
@@ -310,7 +311,7 @@ class TestWireToArena:
     def test_store_keeps_no_request_objects(self, server, client, big):
         client.hash_corpus(big)
         client.intern_many(big)
-        client.hash_corpus(big, engine="arena-scalar")
+        client.hash_corpus(big, engine="arena")
         store = server.session.store
         assert store._arena_root_memo == {}
         assert store._arena_compile_cache is None
@@ -394,6 +395,15 @@ class TestErrorHandling:
             client.hash_corpus(corpus[:2], backend="warp")
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("engine", ["arena-vec", "arena-scalar"])
+    def test_kernel_pinning_engine_400(self, client, corpus, engine):
+        for send in (client.hash_corpus, client.intern_many):
+            with pytest.raises(
+                ServiceError, match="PlanError: engine must be one of auto, tree, arena"
+            ) as excinfo:
+                send(corpus[:2], engine=engine)
+            assert excinfo.value.status == 400
+
     def test_storeless_server_409_on_snapshot(self):
         with ReproServer(port=0, use_store=False) as server:
             client = ServiceClient(server.url)
@@ -416,7 +426,7 @@ class TestMetricsEndpoint:
         assert metrics["uptime_s"] >= 0
         assert metrics["requests_served"] >= 2
         assert metrics["backend"] == "ours"
-        assert metrics["kernel"] in ("vec", "scalar")
+        assert metrics["kernel"] == native.kernel()
         assert metrics["shard_id"] is None and metrics["shard_count"] is None
         store = metrics["store"]
         assert store["entries"] > 0
