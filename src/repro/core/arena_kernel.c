@@ -397,7 +397,6 @@ static int run(Pass *p, int64_t n, const uint8_t *op, const void *left,
                uint64_t *out_lo, uint64_t *out_hi, int64_t *bad_row)
 {
     const Ctx *c = &p->c;
-    const uint64_t none = consts[C_NONE];
     int64_t i;
     for (i = 0; i < n; i++) {
         int opc = op[i];
@@ -433,7 +432,7 @@ static int run(Pass *p, int64_t n, const uint8_t *op, const void *left,
             if (found)
                 vh ^= entry(p, nid, pos);
             h = absorb(c, start(c, S_LAM), tag);
-            h = absorb(c, h, found ? pos : none);
+            h = absorb(c, h, found ? pos : p->none);
             s = finish(c, absorb(c, h, shs[body]));
         } else if (opc == OP_APP) {
             int64_t fn = column(left, widths & 1, i);
@@ -488,7 +487,7 @@ static int run(Pass *p, int64_t n, const uint8_t *op, const void *left,
                 release(p, bound);
             }
             h = absorb(c, start(c, S_LET), tag);
-            h = absorb(c, h, found ? pos : none);
+            h = absorb(c, h, found ? pos : p->none);
             h = absorb(c, h, left_bigger ? consts[C_TRUE] : consts[C_FALSE]);
             h = absorb(c, h, shs[bound]);
             s = finish(c, absorb(c, h, shs[body]));

@@ -195,8 +195,6 @@ def native_tops(arena, combiners: HashCombiners) -> list[int]:
         return []
     rows = [_int_column(arena.left), _int_column(arena.right), _int_column(arena.aux)]
     sizes = _int_column(arena.sizes, (8,))
-    if any(len(column) != n for column in (*rows, sizes)):
-        raise ArenaKernelError(f"arena columns differ in length from its {n} rows")
     widths = sum(1 << k for k, column in enumerate(rows) if column.itemsize == 8)
 
     names = arena.names
@@ -228,9 +226,11 @@ def native_tops(arena, combiners: HashCombiners) -> list[int]:
 
     # Exported views pin the columns: another thread resizing one while
     # the call runs without the GIL gets a BufferError, not a dangling
-    # pointer.
+    # pointer.  Their lengths are checked once pinned.
     pins = [memoryview(column) for column in (*rows, sizes)]
     try:
+        if any(len(pin) != n for pin in pins):
+            raise ArenaKernelError(f"arena columns differ in length from its {n} rows")
         status = LIB.repro_arena_tops(
             n, op, at(rows[0]), at(rows[1]), at(rows[2]), widths,
             at(sizes),

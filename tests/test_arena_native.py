@@ -265,7 +265,8 @@ def test_build_then_cache_hit(fresh, monkeypatch):
     assert again is not None and why is None
 
 
-def assert_scalar_answers(lib, caplog, reason: str):
+def assert_fell_back(lib, caplog, reason: str):
+    """No library, and one ``repro`` warning that gives ``reason``."""
     assert lib is None
     warnings = [r for r in caplog.records if r.name == "repro"]
     assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
@@ -281,7 +282,7 @@ def test_failing_build_falls_back_with_one_warning(fresh, tmp_path, monkeypatch,
     monkeypatch.setenv("PATH", str(bin_dir))
     with caplog.at_level(logging.WARNING, logger="repro"):
         lib, why = native.load(fresh)
-    assert_scalar_answers(lib, caplog, "no such luck")
+    assert_fell_back(lib, caplog, "no such luck")
     assert "status 1" in why and built(fresh) == [] and os.listdir(fresh) == []
     # The scalar kernel answers, with the same hashes.
     monkeypatch.setattr(native, "LIB", lib)
@@ -295,7 +296,7 @@ def test_no_compiler_falls_back(fresh, tmp_path, monkeypatch, caplog):
     monkeypatch.setenv("PATH", str(tmp_path))
     with caplog.at_level(logging.WARNING, logger="repro"):
         lib, why = native.load(fresh)
-    assert_scalar_answers(lib, caplog, "no C compiler (cc) on PATH")
+    assert_fell_back(lib, caplog, "no C compiler (cc) on PATH")
     assert why == "no C compiler (cc) on PATH"
 
 
@@ -305,7 +306,7 @@ def test_writable_cache_directory_is_not_loaded_from(fresh, mode, monkeypatch, c
     monkeypatch.setattr(subprocess, "run", pytest.fail)
     with caplog.at_level(logging.WARNING, logger="repro"):
         lib, why = native.load(fresh)
-    assert_scalar_answers(lib, caplog, "group- or world-writable")
+    assert_fell_back(lib, caplog, "group- or world-writable")
     assert built(fresh) == []
 
 
@@ -315,7 +316,7 @@ def test_cache_directory_of_another_user_is_not_loaded_from(fresh, monkeypatch, 
     monkeypatch.setattr(subprocess, "run", pytest.fail)
     with caplog.at_level(logging.WARNING, logger="repro"):
         lib, why = native.load(fresh)
-    assert_scalar_answers(lib, caplog, f"owned by uid {uid}")
+    assert_fell_back(lib, caplog, f"owned by uid {uid}")
 
 
 @needs_native
@@ -325,7 +326,7 @@ def test_writable_cached_library_is_not_loaded(fresh, caplog):
     os.chmod(os.path.join(fresh, name), 0o666)
     with caplog.at_level(logging.WARNING, logger="repro"):
         lib, why = native.load(fresh)
-    assert_scalar_answers(lib, caplog, "group- or world-writable")
+    assert_fell_back(lib, caplog, "group- or world-writable")
 
 
 def test_cache_dir_follows_xdg_then_home(monkeypatch, tmp_path):

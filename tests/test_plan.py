@@ -26,6 +26,7 @@ from repro.api import (
     get_backend,
 )
 from repro.api.backends import _ALIASES, load_entry_point_backends
+from repro.core import native
 from repro.core.arena import ARENA_MIN_NODES, ExprArena, plan_corpus_engine
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
@@ -201,8 +202,14 @@ class TestCompiledRequests:
         session = Session()
         assert session.plan(compiled) == session.plan(plain)
 
-    @pytest.mark.parametrize("engine", ["tree", "arena", "auto"])
-    def test_hash_is_bit_identical(self, corpus, expected, engine):
+    @pytest.mark.parametrize(
+        "engine,scalar",
+        [("tree", False), ("arena", False), ("arena", True)],
+        ids=["tree", "arena", "arena-scalar"],
+    )
+    def test_hash_is_bit_identical(self, corpus, expected, engine, scalar, monkeypatch):
+        if scalar:  # the arena engine without the native library
+            monkeypatch.setattr(native, "LIB", None)
         request = HashRequest.compiled(*compile_wire(corpus), engine=engine)
         assert Session().execute(request) == expected
         assert Session(num_shards=3).execute(request) == expected
