@@ -1,8 +1,8 @@
 """Unified benchmark runner: one command, one trajectory file.
 
 Runs the store and corpus cells and writes a ``BENCH_PR6.json``
-trajectory record -- corpus sizes, wall-clock times, cache hit rates,
-shard balance -- so the perf history of the repo is a
+trajectory record -- corpus sizes, wall-clock times, cache hit rates
+-- so the perf history of the repo is a
 sequence of committed, machine-readable records instead of numbers in
 PR descriptions::
 
@@ -23,9 +23,6 @@ Cells:
                   the corpus, bit-identity checked; the smoke gate
                   (``bench_store.py --smoke --native-items N``) asserts
                   >= 2x when the native library loaded.
-* ``sharded``  -- flat vs lock-striped sharded interning of one corpus:
-                  wall-clock, shard occupancy balance, and the
-                  hits+misses conservation invariant.
 * ``cluster``  -- coordinator-routing overhead: the same corpus hashed
                   against one directly-addressed ``repro serve`` node
                   vs through a ``repro cluster serve`` coordinator
@@ -73,7 +70,7 @@ from bench_store import make_corpus  # noqa: E402  (sibling module)
 
 from repro.core.cpus import available_cpus  # noqa: E402
 from repro.core.hashed import alpha_hash_all  # noqa: E402
-from repro.store import ExprStore, ShardedExprStore  # noqa: E402
+from repro.store import ExprStore  # noqa: E402
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -196,40 +193,6 @@ def native_cell(n_items: int, item_size: int, repeats: int) -> dict:
             arena, combiners
         )
     return cell
-
-
-def sharded_cell(
-    n_items: int, item_size: int, num_shards: int, repeats: int
-) -> dict:
-    corpus = make_corpus(n_items, item_size, seed=7)
-    nodes = sum(e.size for e in corpus)
-    flat_s = _best_of(lambda: ExprStore().intern_many(corpus), repeats)
-    sharded_s = _best_of(
-        lambda: ShardedExprStore(num_shards=num_shards).intern_many(corpus),
-        repeats,
-    )
-    probe = ShardedExprStore(num_shards=num_shards)
-    probe.intern_many(corpus)
-    per_shard = probe.shard_stats()
-    sizes = probe.shard_sizes()
-    balance = (max(sizes) / (sum(sizes) / len(sizes))) if sum(sizes) else 1.0
-    return {
-        "items": n_items,
-        "nodes": nodes,
-        "num_shards": num_shards,
-        "flat_intern_s": round(flat_s, 4),
-        "sharded_intern_s": round(sharded_s, 4),
-        "striping_overhead": (
-            round(sharded_s / flat_s, 3) if flat_s else None
-        ),
-        "entries": len(probe),
-        "shard_sizes": sizes,
-        "max_over_mean_occupancy": round(balance, 3),
-        "stats_conserved": (
-            sum(s.hits for s in per_shard) == probe.stats.hits
-            and sum(s.misses for s in per_shard) == probe.stats.misses
-        ),
-    }
 
 
 def cluster_cell(n_items: int, item_size: int, repeats: int) -> dict:
@@ -432,7 +395,7 @@ def threshold_cell(sizes: list[int], item_size: int, repeats: int) -> dict:
     }
 
 
-ALL_CELLS = ("store", "arena", "native", "sharded", "cluster", "threshold")
+ALL_CELLS = ("store", "arena", "native", "cluster", "threshold")
 DEFAULT_CELLS = ALL_CELLS[:-1]
 
 
@@ -464,13 +427,11 @@ def main(argv=None) -> int:
     if args.quick:
         store_shape = (40, 200)
         arena_shape = (1500, 60)
-        shard_shape = (300, 120)
         cluster_shape = (300, 60)
         threshold_sizes = [500, 2_000, 4_000, 8_000, 16_000]
     else:
         store_shape = (60, 400)
         arena_shape = (10_000, 60)
-        shard_shape = (1_000, 120)
         cluster_shape = (1_000, 60)
         threshold_sizes = [
             60, 120, 250, 500, 1_000, 1_500, 2_000, 2_500, 3_000, 4_000,
@@ -506,15 +467,6 @@ def main(argv=None) -> int:
         record["cells"]["native"] = native_cell(*arena_shape, args.repeats)
         print(f"  {json.dumps(record['cells']['native'])}")
 
-    if "sharded" in cells:
-        print(
-            f"sharded cell ({shard_shape[0]} items x {shard_shape[1]} nodes)..."
-        )
-        record["cells"]["sharded"] = sharded_cell(
-            *shard_shape, 8, args.repeats
-        )
-        print(f"  {json.dumps(record['cells']['sharded'])}")
-
     if "cluster" in cells:
         print(
             f"cluster cell ({cluster_shape[0]} items x "
@@ -545,11 +497,6 @@ def main(argv=None) -> int:
         return 1
     if not record["cells"].get("native", {}).get("identical", True):
         print("FAIL: native kernel hashes diverged from the scalar kernel")
-        return 1
-    if not record["cells"].get("sharded", {"stats_conserved": True})[
-        "stats_conserved"
-    ]:
-        print("FAIL: sharded stats not conserved across shards")
         return 1
     cluster_record = record["cells"].get("cluster")
     if cluster_record is not None:

@@ -60,7 +60,7 @@ class AsyncSession:
     private session that :meth:`close` tears down::
 
         AsyncSession(session)                  # borrow
-        AsyncSession(num_shards=4)             # own
+        AsyncSession(max_entries=10_000)       # own
     """
 
     def __init__(

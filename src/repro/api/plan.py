@@ -78,7 +78,6 @@ class ExecutionPlan:
     total_nodes: int  #: total AST nodes across the corpus
     bits: int  #: combiner width the job will run at
     seed: int  #: combiner seed the job will run at
-    num_shards: Optional[int] = None  #: sharded-store fan-in, if any
     kernel: Optional[str] = None  #: ``"native"``/``"scalar"`` (arena only)
     reasons: tuple[str, ...] = ()
 
@@ -204,7 +203,6 @@ class Planner:
             if kernel == "scalar":
                 reasons.append(f"arena kernel -> scalar: {native.REASON}")
 
-        num_shards = getattr(store, "num_shards", None)
         return ExecutionPlan(
             kind=request.kind,
             backend=backend.name,
@@ -214,7 +212,6 @@ class Planner:
             total_nodes=total_nodes,
             bits=combiners.bits,
             seed=combiners.seed,
-            num_shards=num_shards,
             kernel=kernel,
             reasons=tuple(reasons),
         )

@@ -44,7 +44,7 @@ from repro.core.arena import ENGINE_CHOICES, flatten_corpus
 from repro.core.combiners import DEFAULT_SEED, HashCombiners
 from repro.core.hashed import AlphaHashes
 from repro.lang.expr import Expr
-from repro.store import ExprStore, ShardedExprStore, read_snapshot
+from repro.store import ExprStore, read_snapshot
 
 __all__ = ["Session", "SessionConfig", "SessionError"]
 
@@ -63,11 +63,9 @@ class SessionConfig:
     intern/save/load become unavailable.  ``max_entries``/``memo_limit``
     configure the store's LRU-bounded mode.
 
-    ``num_shards`` (when set) backs the session with a lock-striped
-    :class:`~repro.store.ShardedExprStore`; ``engine`` picks the corpus
-    hashing strategy (``"auto"`` compiles large corpora into an array
-    arena, ``"tree"``/``"arena"`` force a path -- see the README's
-    "Arena kernel" section).
+    ``engine`` picks the corpus hashing strategy (``"auto"`` compiles
+    large corpora into an array arena, ``"tree"``/``"arena"`` force a
+    path -- see the README's "Arena kernel" section).
     """
 
     backend: str = "ours"
@@ -76,7 +74,6 @@ class SessionConfig:
     use_store: bool = True
     max_entries: Optional[int] = None
     memo_limit: Optional[int] = None
-    num_shards: Optional[int] = None
     engine: str = "auto"
 
     @property
@@ -117,19 +114,11 @@ class Session:
         )
         self.store: Optional[ExprStore] = None
         if config.use_store:
-            if config.num_shards is not None:
-                self.store = ShardedExprStore(
-                    self.combiners,
-                    num_shards=config.num_shards,
-                    max_entries=config.max_entries,
-                    memo_limit=config.memo_limit,
-                )
-            else:
-                self.store = ExprStore(
-                    self.combiners,
-                    max_entries=config.max_entries,
-                    memo_limit=config.memo_limit,
-                )
+            self.store = ExprStore(
+                self.combiners,
+                max_entries=config.max_entries,
+                memo_limit=config.memo_limit,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover
         store = f"{len(self.store)} entries" if self.store else "no store"
@@ -339,9 +328,6 @@ class Session:
         if self.store is not None:
             out["entries"] = len(self.store)
             out["store"] = self.store.stats.as_dict()
-            if isinstance(self.store, ShardedExprStore):
-                out["num_shards"] = self.store.num_shards
-                out["shard_sizes"] = self.store.shard_sizes()
         out["engine"] = self.config.engine
         return out
 
@@ -386,13 +372,6 @@ class Session:
         :meth:`from_snapshot_bytes`."""
         meta = header.get("meta") or {}
         saved_config = meta.get("config") or {}
-        if isinstance(store, ShardedExprStore):
-            # Native v2 sharded snapshot: adopted directly below --
-            # original node ids, per-shard recency and counters all
-            # survive.
-            num_shards: Optional[int] = store.num_shards
-        else:
-            num_shards = (meta.get("sharded") or {}).get("num_shards")
         config = SessionConfig(
             backend=backend or meta.get("backend", "ours"),
             bits=header["bits"],
@@ -400,19 +379,9 @@ class Session:
             use_store=True,
             max_entries=header.get("max_entries"),
             memo_limit=header.get("memo_limit"),
-            num_shards=num_shards,
             engine=saved_config.get("engine", "auto"),
         )
         session = cls(config)
-        if num_shards is not None and not isinstance(store, ShardedExprStore):
-            # A v1 snapshot written by a pre-v2 sharded store: re-shard
-            # the decoded flat table (node ids are re-assigned, classes
-            # survive).
-            session.store = ShardedExprStore.from_flat_store(
-                store, num_shards
-            )
-            session.combiners = session.store.combiners
-            return session
         # Adopt the restored store wholesale (same combiner family: the
         # snapshot header is the source of bits and seed).
         session.store = store

@@ -21,12 +21,11 @@ a one-time O(item) annotation build, bit-identical; ``EditReport.built``
 and ``report()["built_items"]`` count those cold builds.
 
 Eviction safety: the session **pins** its classes in the shared store
-(:meth:`~repro.store.ExprStore.pin`), so an LRU-bounded or sharded
-store serving other traffic cannot evict a session's corpus roots or
-edit classes mid-stream.  Pinning is guarded: on a bounded store a
-class can be evicted between interning and pinning (bulk interning
-enforces the LRU bound at batch end, and concurrent writers evict at
-will on a sharded store), in which case the session falls back to
+(:meth:`~repro.store.ExprStore.pin`), so an LRU-bounded store serving
+other traffic cannot evict a session's corpus roots or edit classes
+mid-stream.  Pinning is guarded: on a bounded store a class can be
+evicted between interning and pinning (bulk interning enforces the LRU
+bound at batch end), in which case the session falls back to
 recompute-and-repin instead of raising -- ``repins`` in the report
 counts those recoveries.
 
@@ -208,10 +207,9 @@ class StreamSession:
 
         On a bounded store, bulk interning enforces the LRU bound at
         batch end -- so a root interned early in the batch may be gone
-        by pin time -- and on a sharded store concurrent writers can
-        evict between our intern and our pin.  Re-interning protects
-        the fresh root until we pin it, so the loop terminates (in
-        practice in one round; the bound guards pathological races).
+        by pin time.  Re-interning protects the fresh root until we pin
+        it, so the loop terminates (in practice in one round; the bound
+        guards pathological churn).
         """
         assert self.store is not None
         for _ in range(8):

@@ -297,12 +297,6 @@ def _run_session(rest: Sequence[str]) -> int:
         default="auto",
         help="corpus hashing strategy (see README: Arena kernel)",
     )
-    parser.add_argument(
-        "--num-shards",
-        type=int,
-        default=None,
-        help="back the session with a lock-striped sharded store",
-    )
     parser.add_argument("--load", metavar="PATH", help="start from a snapshot")
     parser.add_argument("--save", metavar="PATH", help="snapshot when done")
     parser.add_argument(
@@ -339,12 +333,11 @@ def _run_session(rest: Sequence[str]) -> int:
     if args.stream and args.check:
         parser.error("--check does not combine with --stream")
     if args.url and (
-        args.load or args.save or args.no_store or args.num_shards
-        or args.max_entries is not None
+        args.load or args.save or args.no_store or args.max_entries is not None
     ):
         parser.error(
             "--url runs the session server-side; drop the local store flags "
-            "(--load/--save/--no-store/--max-entries/--num-shards)"
+            "(--load/--save/--no-store/--max-entries)"
         )
     if args.no_store and args.save:
         parser.error("--save needs a store; drop --no-store")
@@ -357,11 +350,10 @@ def _run_session(rest: Sequence[str]) -> int:
         or args.bits != 64
         or args.seed is not None
         or args.max_entries is not None
-        or args.num_shards is not None
     ):
         parser.error(
             "--load takes bits/seed/store shape from the snapshot; drop "
-            "--bits/--seed/--no-store/--max-entries/--num-shards"
+            "--bits/--seed/--no-store/--max-entries"
         )
 
     from repro.api import Session
@@ -379,7 +371,6 @@ def _run_session(rest: Sequence[str]) -> int:
             seed=args.seed,
             use_store=not args.no_store,
             max_entries=args.max_entries,
-            num_shards=args.num_shards,
             engine=args.engine,
         )
 

@@ -1,8 +1,8 @@
 """Distributed hash cluster: coordinator + shard nodes.
 
-The in-process story so far scales the alpha-hash store across cores
-(:class:`~repro.store.ShardedExprStore`); this package scales it
-across *processes and hosts* with the same partitioning invariant:
+One process serialises its store's writers, so this package scales
+the alpha-hash store across *processes and hosts*, partitioned by the
+paper's own invariant -- alpha-hashes are canonical and uniform:
 
 * **Shard nodes** are ordinary ``repro serve`` servers started with
   ``--shard-id i --shard-count n``.  Each owns the equivalence classes

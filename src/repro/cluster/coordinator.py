@@ -4,10 +4,8 @@ A :class:`ClusterCoordinator` speaks the same ``/v1`` wire protocol as
 a single :class:`~repro.service.server.ReproServer`, so any client
 (:class:`~repro.service.client.ServiceClient`, ``RemoteSession``, curl)
 can point at a coordinator instead of a node and see *one* logical
-store.  Behind it, work is partitioned by the paper's own invariant --
-alpha-hashes are canonical and uniform -- exactly like
-:class:`~repro.store.ShardedExprStore` stripes in-process, lifted to
-whole processes:
+store.  Behind it, work is partitioned across whole processes by the
+paper's own invariant -- alpha-hashes are canonical and uniform:
 
 * ``/v1/hash`` and ``/v1/intern`` take either corpus body a node takes
   (JSON documents or a ``repro-arena-v1`` body, see

@@ -2,9 +2,7 @@
 
 The cluster partitions the *class space*, not the corpus: an
 equivalence class belongs to exactly one shard, decided by its root
-alpha-hash modulo the shard count -- the same key
-:class:`~repro.store.ShardedExprStore` stripes on in-process, lifted
-to whole nodes.  Because alpha-hashes are uniform by construction
+alpha-hash modulo the shard count.  Because alpha-hashes are uniform by construction
 (that is the paper's point), the modulus balances shards without any
 placement metadata: ownership is a pure function of the hash, so every
 coordinator, node and replica computes the same answer independently.

@@ -47,7 +47,7 @@ from repro.core.combiners import (
     default_combiners,
 )
 from repro.core.kernel import combine_chain
-from repro.core.native import ArenaKernelError
+from repro.core.native import _FAILURES, ArenaKernelError
 from repro.core.position_tree import pt_here_hash
 from repro.core.structure import slit_hash, svar_hash
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
@@ -674,9 +674,41 @@ def arena_hash(
     Bit-identical to :func:`~repro.core.hashed.alpha_hash_all` at every
     width; the single-lane fast path below inlines the splitmix64
     chains, the multi-lane widths go through the same recipes via
-    :func:`~repro.core.kernel.combine_chain`.
+    :func:`~repro.core.kernel.combine_chain`.  Checks every row first,
+    as the native pass does (:func:`_check_rows`).
     """
+    _check_rows(arena)
     return _arena_pass(arena, combiners, ())[0]
+
+
+def _check_rows(arena: ExprArena) -> None:
+    """The C ``check_rows`` for the scalar pass: refuse what the native
+    pass refuses, with its text -- columns of unequal length, or a row
+    whose opcode is above ``OP_LET``, whose ``left`` is not a row below
+    it for Lam, App and Let (-1 otherwise), whose ``right`` is not a row
+    below it for App and Let (-1 otherwise), or whose ``aux`` lies
+    outside the literals for Lit or the names for Var, Lam and Let.
+    Raises :class:`ArenaKernelError` naming the first bad row."""
+    op, left, right, aux = arena.op, arena.left, arena.right, arena.aux
+    n = len(op)
+    if n and any(len(column) != n for column in (left, right, aux, arena.sizes)):
+        raise ArenaKernelError(f"arena columns differ in length from its {n} rows")
+    n_names, n_lits = len(arena.names), len(arena.literals)
+    for i, opc, lo, hi, x in zip(range(n), op, left, right, aux):
+        # The C file's ST_OPCODE, ST_CHILD and ST_AUX, in its order.
+        if opc > OP_LET:
+            failure = 1
+        elif not (0 <= lo < i if opc >= OP_LAM else lo == -1) or not (
+            0 <= hi < i if opc >= OP_APP else hi == -1
+        ):
+            failure = 2
+        elif not (
+            0 <= x < n_lits if opc == OP_LIT else opc == OP_APP or 0 <= x < n_names
+        ):
+            failure = 3
+        else:
+            continue
+        raise ArenaKernelError(f"row {i}: {_FAILURES[failure]}")
 
 
 def arena_summaries(
@@ -1139,7 +1171,7 @@ def arena_hash_any(
     call into the native kernel when its library loaded
     (:func:`repro.core.native.kernel`), else the scalar pass.
 
-    The native pass checks every row first and raises
+    Either pass checks every row first and raises
     :class:`ArenaKernelError` for a malformed arena.
     """
     if combiners is None:

@@ -4,8 +4,7 @@
 over-subscribes thread pools inside containers and batch schedulers
 that pin the process to a subset (cgroup cpusets, ``taskset``,
 Kubernetes CPU limits expressed as affinity).  Everything in this
-repository that sizes a pool (the snapshot codec's per-shard threads)
-or records a benchmark's host shape goes through
+repository that records a benchmark's host shape goes through
 :func:`available_cpus` instead, so the policy lives in exactly one
 place.
 """

@@ -54,8 +54,8 @@ _log = logging.getLogger("repro")
 
 
 class ArenaKernelError(ValueError):
-    """An arena the native kernel refuses: a row whose opcode, children
-    or ``aux`` are out of range, or columns of unequal length."""
+    """An arena the kernels refuse: a row whose opcode, children or
+    ``aux`` are out of range, or columns of unequal length."""
 
 
 def cache_dir() -> str:

@@ -64,7 +64,7 @@ RULES: dict[str, str] = {
 class Finding:
     """One diagnostic: a rule violated at a site.
 
-    ``path`` is relative to the source root (``repro/store/sharded.py``)
+    ``path`` is relative to the source root (``repro/store/journal.py``)
     so witness records from any checkout compare equal.  ``context`` is
     the enclosing function's qualname when there is one.
     """

@@ -265,7 +265,7 @@ class LockAnalysis:
                 out.add(fn.classname)
             return out
         if isinstance(expr, ast.Subscript):
-            # elements of self._shards etc. -- element types are stored
+            # elements of a list attribute -- element types are stored
             # directly as the attr's type by the collector
             return self._expr_types(expr.value, fn, local_types)
         if isinstance(expr, ast.IfExp):

@@ -8,9 +8,8 @@ lines of AST walking produce a lock-order graph precise enough to be
 cross-checked against runtime observations.
 
 Lock labels are short and globally unique by construction:
-``ClassName.attr`` for instance locks (``ShardedExprStore._memo_lock``,
-``_Shard.lock``, ``Journal._mutex``) and ``modulebasename.NAME`` for
-module globals.
+``ClassName.attr`` for instance locks (``ReproServer.lock``,
+``Journal._mutex``) and ``modulebasename.NAME`` for module globals.
 """
 
 from __future__ import annotations
@@ -108,8 +107,8 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    path: str  # source-root-relative, e.g. "repro/store/sharded.py"
-    modname: str  # dotted, e.g. "repro.store.sharded"
+    path: str  # source-root-relative, e.g. "repro/store/journal.py"
+    modname: str  # dotted, e.g. "repro.store.journal"
     tree: ast.Module
     pragmas: FilePragmas
     classes: dict = field(default_factory=dict)
@@ -208,7 +207,7 @@ def _infer_attr_type(value: ast.AST, param_anns: dict) -> list[str]:
     if isinstance(value, ast.Name):
         return param_anns.get(value.id, [])
     if isinstance(value, (ast.List, ast.ListComp, ast.DictComp, ast.Dict)):
-        # element types: [_Shard(...) for _ in ...] / [C(), C()]
+        # element types: [C(...) for _ in ...] / [C(), C()]
         elts = []
         if isinstance(value, ast.ListComp):
             elts = [value.elt]

@@ -29,8 +29,8 @@ any line, including continuation lines):
 ``# lint: returns A|B``  /  ``# lint: returns-lock <label>``
     Type hints for the analyzer where inference cannot follow the
     code: a registry factory returning one of several classes, or a
-    helper returning a lock object (``_memo_lock_of``).  ``returns``
-    names classes; ``returns-lock`` names the lock's graph label.
+    helper returning a lock object.  ``returns`` names classes;
+    ``returns-lock`` names the lock's graph label.
 """
 
 from __future__ import annotations

@@ -529,10 +529,9 @@ class ServiceClient:
     def pull_session(self):
         """A local warm :class:`~repro.api.Session` over the server store.
 
-        Goes through :meth:`Session.from_snapshot_bytes`, so a sharded
-        server store arrives as a sharded local store with its config
-        (shard count, saved defaults) intact -- exactly like
-        :meth:`Session.load` on a snapshot file.
+        Goes through :meth:`Session.from_snapshot_bytes`, so the server
+        store arrives with its config (store bound, saved defaults)
+        intact -- exactly like :meth:`Session.load` on a snapshot file.
         """
         from repro.api import Session
 

@@ -6,9 +6,9 @@ versioned under ``/v1``:
 
 ===========================  ==================================================
 ``GET  /v1/health``          liveness + combiner family + store shape
-``GET  /v1/stats``           :meth:`Session.stats` (entries, hit rates, shards)
+``GET  /v1/stats``           :meth:`Session.stats` (entries, hit rates)
 ``GET  /v1/metrics``         operational metrics: uptime, request count,
-                             hit/miss rates, shard occupancy, engine/kernel
+                             hit/miss rates, engine/kernel
 ``POST /v1/hash``            a corpus body (below) ->
                              ``{"hashes": [...], "plan": {...}}``
 ``POST /v1/intern``          same body -> ``{"ids": [...], "hashes": [...]}``
@@ -53,9 +53,7 @@ hints in its header (:mod:`repro.service.arena_body`, which
 :class:`~repro.service.client.ServiceClient` sends from
 ``hash_corpus`` and ``intern_many``).  Session bodies are JSON.
 Stores ride as the existing checksummed snapshot format
-(:func:`repro.store.snapshot_to_bytes` / ``snapshot_from_bytes``) -- a
-sharded server store produces the v2 sharded layout, a flat one the v1
-layout, and clients can load either.
+(:func:`repro.store.snapshot_to_bytes` / ``snapshot_from_bytes``).
 Hash/intern hints (``backend`` / ``engine`` / ``bits`` / ``seed``)
 are lowered into a :class:`~repro.api.request.HashRequest` server-side,
 so a remote call and a local call run the *same* plan and return
@@ -380,8 +378,6 @@ class _Handler(BaseHTTPRequestHandler):
                     if (memo_hits + hashed)
                     else None
                 ),
-                "num_shards": stats.get("num_shards"),
-                "shard_occupancy": stats.get("shard_sizes"),
             }
         self._send_json(200, body)
 
@@ -717,7 +713,7 @@ class ReproServer:
     Usable embedded (tests spin one up on an ephemeral port) or via the
     ``repro serve`` CLI::
 
-        with ReproServer(port=0, num_shards=4) as server:
+        with ReproServer(port=0, max_entries=50_000) as server:
             client = ServiceClient(server.url)
             client.hash_corpus(corpus)
 
@@ -1124,12 +1120,6 @@ def serve(argv=None) -> int:
         "--engine", choices=ENGINE_CHOICES, default=None
     )
     parser.add_argument(
-        "--num-shards",
-        type=int,
-        default=None,
-        help="back the server with a lock-striped sharded store",
-    )
-    parser.add_argument(
         "--load", metavar="PATH", help="warm-start from a store snapshot"
     )
     parser.add_argument(
@@ -1207,26 +1197,21 @@ def serve(argv=None) -> int:
         checkpoint_bytes = journal.load_checkpoint_bytes()
 
     if checkpoint_bytes is not None:
-        if args.bits != 64 or args.seed is not None or args.num_shards is not None:
+        if args.bits != 64 or args.seed is not None:
             parser.error(
                 "--journal takes bits/seed/store shape from its checkpoint; "
-                "drop --bits/--seed/--num-shards"
+                "drop --bits/--seed"
             )
         session = Session.from_snapshot_bytes(checkpoint_bytes, backend=args.backend)
     elif args.load:
-        if args.bits != 64 or args.seed is not None or args.num_shards is not None:
+        if args.bits != 64 or args.seed is not None:
             parser.error(
                 "--load takes bits/seed/store shape from the snapshot; "
-                "drop --bits/--seed/--num-shards"
+                "drop --bits/--seed"
             )
         session = Session.load(args.load, backend=args.backend)
     else:
-        session = Session(
-            backend=args.backend,
-            bits=args.bits,
-            seed=args.seed,
-            num_shards=args.num_shards,
-        )
+        session = Session(backend=args.backend, bits=args.bits, seed=args.seed)
     if args.engine is not None:
         # The engine is not store shape: an explicit --engine overrides
         # a snapshot's saved default rather than being ignored.

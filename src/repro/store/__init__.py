@@ -7,11 +7,9 @@ hashed once.  See :mod:`repro.store.store` for the design notes.
 """
 
 from repro.store.arena_intern import hash_corpus_arena, intern_corpus_arena
-from repro.store.sharded import DEFAULT_NUM_SHARDS, ShardedExprStore
 from repro.store.journal import Journal, JournalError
 from repro.store.snapshot import (
     DELTA_FORMAT,
-    SHARDED_SNAPSHOT_FORMAT,
     SNAPSHOT_FORMAT,
     SnapshotError,
     apply_delta_bytes,
@@ -31,14 +29,11 @@ from repro.store.store import (
 
 __all__ = [
     "ExprStore",
-    "ShardedExprStore",
-    "DEFAULT_NUM_SHARDS",
     "StoreCollisionError",
     "StoreEntry",
     "StoreStats",
     "SnapshotError",
     "SNAPSHOT_FORMAT",
-    "SHARDED_SNAPSHOT_FORMAT",
     "DELTA_FORMAT",
     "read_snapshot",
     "write_snapshot",

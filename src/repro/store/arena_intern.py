@@ -50,8 +50,7 @@ builds no tree at all.  The kernel is always called as this module's
   before anything is interned -- a cluster shard refuses foreign keys
   there.  The resolve loop writes nothing itself: every row goes
   through the store's one hit-or-add step, bound once per batch (see
-  :mod:`repro.store.store`), so flat and sharded stores share the loop
-  and the collision guard.
+  :mod:`repro.store.store`), which holds the collision guard.
   LRU-bounded stores enforce their bound once at the end of the batch
   -- mid-batch eviction could invalidate the arena's child-class
   links -- so the table may transiently exceed ``max_entries``.
@@ -59,7 +58,6 @@ builds no tree at all.  The kernel is always called as this module's
 Both paths fold their work into ``store.stats`` so delegated hashing
 stays visible: ``hashed_nodes`` counts unique arena nodes summarised,
 ``memo_skipped_nodes`` counts the nodes compile-time dedup avoided.
-Callers hold a sharded store's memo lock (its public wrappers take it).
 """
 
 from __future__ import annotations
@@ -153,7 +151,7 @@ def hash_arena(
 
 
 def intern_corpus_arena(store: "ExprStore", corpus: Sequence[Expr]) -> list[int]:
-    """Intern ``corpus`` via one arena pass (flat or sharded stores).
+    """Intern ``corpus`` via one arena pass.
 
     Root hits first (a tree-memo or root-cache record naming a live
     class); the rest come from the hash pass's compile when it is

@@ -51,7 +51,7 @@ little-endian column per field, each ``rows`` long, rows in version
 order::
 
     {"format": "repro-store-delta-v2", "bits": 64, "seed": ..,
-     "since": S, "version": V, "rows": N, "num_shards": null | K,
+     "since": S, "version": V, "rows": N, "num_shards": null,
      "names": [..], "literals": [[tag, value], ..], "meta": {..},
      "checksum": "sha256:<hex of the body bytes>"}
     id       N x int64
@@ -65,20 +65,23 @@ order::
                           index for Lit, -1 for App)
 
 ``names`` and ``literals`` are the arena body's tables
-(:mod:`repro.core.columns`).  A delta carries no summaries: the paper's
-e-summaries are compositional and the hash is a function of them, so
-the receiver recomputes both.  The sender only reads the table's id log
-into columns -- no memo record, tree or summary pass.
+(:mod:`repro.core.columns`).  ``num_shards`` is always ``null``; a frame
+where it is not came from an in-process sharded store, which this
+package no longer has, and its shard-encoded ids mean nothing here.  A
+delta carries no summaries: the paper's e-summaries are compositional
+and the hash is a function of them, so the receiver recomputes both.
+The sender only reads the table's id log into columns -- no memo
+record, tree or summary pass.
 
 :func:`apply_delta_bytes` refuses a frame whole, before the first write,
 when the header is not a JSON object with the tag; a count is not a
-non-negative ``int``; ``bits``, ``seed`` or ``num_shards`` differ from
-the store's, or ``since`` is ahead of it; the body length or checksum is
-wrong; a kind is outside 0-4, a label index is out of range for its
-kind, or a row's children do not match its kind; an id is negative or
-repeats; a version is outside ``(since, version]``; a child id names
-neither a row nor a live class; a size is not 1 plus its children's
-sizes; or an id is live with other content.  It then skips the rows the
+non-negative ``int``; ``bits`` or ``seed`` differ from the store's,
+``num_shards`` is not ``null``, or ``since`` is ahead of it; the body
+length or checksum is wrong; a kind is outside 0-4, a label index is
+out of range for its kind, or a row's children do not match its kind;
+an id is negative or repeats; a version is outside ``(since,
+version]``; a child id names neither a row nor a live class; a size is
+not 1 plus its children's sizes; or an id is live with other content.  It then skips the rows the
 store holds, rebuilds the others' canonical trees (a live child reuses
 the store's tree), runs one arena pass for every new row's ``(s, v, m)``
 and hash, refuses the frame if a hash differs from the hash column --
@@ -90,40 +93,14 @@ Legacy ``repro-store-delta-v1`` frames (the snapshot's JSON-lines
 records with ``t`` stamps, under a header with ``entries``) still load:
 their rows take the same checks, and each record's ``s``, ``v`` and
 ``m`` must equal the recomputed ones.
-
-Sharded layout (v2)
--------------------
-
-A :class:`~repro.store.sharded.ShardedExprStore` snapshots natively as
-``repro-store-snapshot-v2-sharded``: the same header-line + JSON-lines
-body, but the body is the concatenation of one *section per shard*
-(entry schema unchanged, each section in its shard's LRU order) and the
-header carries ``num_shards`` plus per-shard metadata::
-
-    {"format": "repro-store-snapshot-v2-sharded", ..., "num_shards": K,
-     "shards": [{"entries": N, "next_local": L, "bytes": B,
-                 "stats": {..}}, ...], "checksum": "sha256:..."}
-
-Unlike the v1 flatten-and-re-shard path, the v2 layout **preserves
-node ids** (shard-encoded: ``id % num_shards`` is the owning shard),
-per-shard LRU recency and per-shard counters, and the sections are
-encoded/decoded as one independent task per shard on a thread pool
-(JSON work holds the GIL on classic builds, where this is mostly
-structural; free-threaded builds get real overlap).  Sharded ids are not
-ascending parent-over-child, so the rebuild orders records by subtree
-*size* -- every child is strictly smaller than its parent, making
-ascending size a valid bottom-up order.  Flat v1 snapshots remain
-readable (and loadable into sharded stores, re-sharding classes as
-before); :func:`snapshot_from_bytes` dispatches on the format tag.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
-from itertools import count, islice
+from itertools import count
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Optional
@@ -142,7 +119,6 @@ from repro.core.kernel import MemoRecord
 from repro.lang.expr import Expr
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.store.sharded import ShardedExprStore
     from repro.store.store import ExprStore
 
 __all__ = [
@@ -155,13 +131,11 @@ __all__ = [
     "apply_delta_bytes",
     "content_checksum",
     "SNAPSHOT_FORMAT",
-    "SHARDED_SNAPSHOT_FORMAT",
     "DELTA_FORMAT",
     "DELTA_V1_FORMAT",
 ]
 
 SNAPSHOT_FORMAT = "repro-store-snapshot-v1"
-SHARDED_SNAPSHOT_FORMAT = "repro-store-snapshot-v2-sharded"
 DELTA_FORMAT = "repro-store-delta-v2"
 #: The legacy delta layout: still read, no longer written.
 DELTA_V1_FORMAT = "repro-store-delta-v1"
@@ -241,8 +215,7 @@ def _summaries(store: "ExprStore", records: list) -> list[tuple]:
     are built for that flatten only and dropped with the arena
     (:meth:`~repro.store.ExprStore._build_trees`).  Summaries are
     context-free (Section 3), so the two sources agree bit for bit.  The
-    table, the memo and the stats are only read; a sharded store's
-    caller holds its memo lock.
+    table, the memo and the stats are only read.
     """
     memo_get = store._memo.get
     summaries: list = []
@@ -313,29 +286,15 @@ def snapshot_to_bytes(store: "ExprStore", meta: Optional[dict] = None) -> bytes:
     arbitrarily deep expressions serialise without recursion (unlike
     pickling the trees).
 
-    Dispatches on the store's shape: a
-    :class:`~repro.store.sharded.ShardedExprStore` produces the native
-    v2 sharded layout (ids preserved, sections encoded in parallel), a
-    flat store the v1 layout.  ``meta`` is an arbitrary JSON-compatible
-    dict stored in the header (the Session facade records its backend
-    name there).
+    ``meta`` is an arbitrary JSON-compatible dict stored in the header
+    (the Session facade records its backend name there).
 
     Each entry's summary is its canonical tree's memo record, or comes
     from the one arena pass over the entries without one (see the
     module docstring).  The table, the memo and the stats are only
     read, so the store is left observably unchanged.
     """
-    from repro.store.sharded import ShardedExprStore
-
-    if isinstance(store, ShardedExprStore):
-        return _sharded_snapshot_to_bytes(store, meta)
-    return _flat_snapshot_to_bytes(store, meta)
-
-
-def _flat_snapshot_to_bytes(
-    store: "ExprStore", meta: Optional[dict] = None
-) -> bytes:
-    [records] = store._records()  # LRU order, oldest first
+    records = store._records()  # LRU order, oldest first
     body = _encode_entries(records, _summaries(store, records))
 
     header = {
@@ -344,69 +303,10 @@ def _flat_snapshot_to_bytes(
         "seed": store.combiners.seed,
         "max_entries": store.max_entries,
         "memo_limit": store.memo_limit,
-        "next_id": store._table.next_local,
+        "next_id": store._table.next_id,
         "version": store.version,
         "entries": len(records),
         "stats": _stats_dict(store.stats),
-        "meta": meta or {},
-        "checksum": _checksum(body),
-    }
-    header_bytes = json.dumps(
-        header, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
-    return header_bytes + b"\n" + body
-
-
-# repro-lint: allow[lock-blocking] reason=CPU-bound encode fan-out over records and summaries taken first; a caller's service lock is exactly what keeps that extraction consistent, the record tuples encoded never change, and the pool tasks touch no locks of their own
-def _sharded_snapshot_to_bytes(
-    store: "ShardedExprStore", meta: Optional[dict] = None
-) -> bytes:
-    """The native v2 sharded layout (see module docstring).
-
-    Each shard's records (its column rows, as tuples) and their
-    summaries are taken under the store's locks, with one arena pass
-    over every shard's cold entries; section encoding runs as one
-    independent task per shard on a thread pool (see the module
-    docstring's GIL caveat).
-    """
-    from repro.core.cpus import available_cpus
-
-    with store._memo_lock:
-        shard_records = store._records()
-        summaries = iter(
-            _summaries(store, [rec for records in shard_records for rec in records])
-        )
-        shard_summaries = [
-            list(islice(summaries, len(records))) for records in shard_records
-        ]
-        shard_meta = [
-            {
-                "entries": len(records),
-                "next_local": shard.table.next_local,
-                "stats": _stats_dict(shard.stats),
-            }
-            for shard, records in zip(store._shards, shard_records)
-        ]
-        stats = _stats_dict(store.stats)
-
-    n_tasks = max(1, min(store.num_shards, available_cpus()))
-    with ThreadPoolExecutor(max_workers=n_tasks) as pool:
-        sections = list(pool.map(_encode_entries, shard_records, shard_summaries))
-    for meta_entry, section in zip(shard_meta, sections):
-        meta_entry["bytes"] = len(section)
-    body = b"".join(sections)
-
-    header = {
-        "format": SHARDED_SNAPSHOT_FORMAT,
-        "bits": store.combiners.bits,
-        "seed": store.combiners.seed,
-        "max_entries": store.max_entries,
-        "memo_limit": store.memo_limit,
-        "num_shards": store.num_shards,
-        "version": store.version,
-        "entries": sum(m["entries"] for m in shard_meta),
-        "shards": shard_meta,
-        "stats": stats,
         "meta": meta or {},
         "checksum": _checksum(body),
     }
@@ -429,9 +329,7 @@ def content_checksum(store: "ExprStore") -> str:
     entry view and no tree.
     """
     digest = hashlib.sha256()
-    records = sorted(
-        (rec for records in store._records() for rec in records), key=itemgetter(0)
-    )
+    records = sorted(store._records(), key=itemgetter(0))
     for node_id, top, kind, size, kids, label, version, _tree in records:
         record = [node_id, top, kind, size, list(kids), _payload(kind, label), version]
         digest.update(
@@ -459,16 +357,14 @@ def snapshot_from_bytes(data: bytes) -> tuple["ExprStore", dict]:
     """Rebuild a store from :func:`snapshot_to_bytes` output; return
     ``(store, header)``.
 
-    Dispatches on the header's format tag: a v1 document rebuilds a
-    flat :class:`~repro.store.store.ExprStore`, a v2 sharded document a
-    :class:`~repro.store.sharded.ShardedExprStore` with its original
-    node ids, per-shard recency and counters.  Either way the restored
-    store matches the saved one bit-identically: intern table, LRU
-    recency, memo records of every canonical tree, and the saved stats
-    counters all survive.  Hashing a restored canonical representative
-    is a pure memo hit; a re-parsed copy of a saved expression is
-    summarised once (the memo is per-object) and then resolves to its
-    existing class.
+    The restored store matches the saved one bit-identically: intern
+    table, node ids, LRU recency, memo records of every canonical tree,
+    and the saved stats counters all survive.  Hashing a restored
+    canonical representative is a pure memo hit; a re-parsed copy of a
+    saved expression is summarised once (the memo is per-object) and
+    then resolves to its existing class.  A document with any other
+    format tag, ``repro-store-snapshot-v2-sharded`` included, is refused
+    with :class:`SnapshotError`.
     """
     newline = data.find(b"\n")
     if newline < 0:
@@ -480,16 +376,45 @@ def snapshot_from_bytes(data: bytes) -> tuple["ExprStore", dict]:
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"unreadable snapshot header: {exc}") from None
     fmt = header.get("format") if isinstance(header, dict) else None
-    if fmt not in (SNAPSHOT_FORMAT, SHARDED_SNAPSHOT_FORMAT):
-        raise SnapshotError(
-            f"not a {SNAPSHOT_FORMAT} / {SHARDED_SNAPSHOT_FORMAT} file: "
-            f"{header_line[:80]!r}"
-        )
+    if fmt != SNAPSHOT_FORMAT:
+        raise SnapshotError(f"not a {SNAPSHOT_FORMAT} file: {header_line[:80]!r}")
     if header.get("checksum") != _checksum(body):
         raise SnapshotError("snapshot body does not match header checksum")
-    if fmt == SHARDED_SNAPSHOT_FORMAT:
-        return _sharded_snapshot_from_bytes(header, body)
-    return _flat_snapshot_from_bytes(header, body)
+    missing_fields = [
+        key
+        for key in ("bits", "seed", "next_id", "entries")
+        if key not in header
+    ]
+    if missing_fields:
+        raise SnapshotError(
+            f"snapshot header is missing required field(s): {missing_fields}"
+        )
+
+    records = _parse_records(body, header.get("entries"))
+
+    from repro.store.store import ExprStore
+
+    store = ExprStore(
+        HashCombiners(bits=header["bits"], seed=header["seed"]),
+        max_entries=header.get("max_entries"),
+        memo_limit=header.get("memo_limit"),
+    )
+
+    # Schema breaches that slip past the checksum (buggy writer,
+    # hand-edited file with a recomputed checksum) must still fail as
+    # SnapshotError, not leak a bare KeyError/TypeError from the rebuild.
+    try:
+        _restore_records(store, records, _build_exprs(records))
+        _restore_recency(store, records)
+        store._restore_counters(header.get("stats", {}), header["next_id"])
+    except SnapshotError:
+        raise
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise SnapshotError(
+            f"malformed snapshot entry: {exc!r}"
+        ) from exc
+    store.version = max(store.version, header.get("version", 0))
+    return store, header
 
 
 def _parse_records(body: bytes, expected: Any) -> list[dict]:
@@ -509,9 +434,8 @@ def _parse_records(body: bytes, expected: Any) -> list[dict]:
 def _build_exprs(records: list[dict]) -> dict[int, Expr]:
     """Rebuild every record's canonical tree, bottom-up.
 
-    Ascending *size* order (ties broken by id for determinism) is valid
-    for both layouts: every child is strictly smaller than its parent.
-    For v1's ascending ids this coincides with the historical order.
+    Ascending *size* order (ties broken by id for determinism) is valid:
+    every child is strictly smaller than its parent.
     A document naming one id twice is refused here, before any loader
     writes to a store.
     """
@@ -591,132 +515,6 @@ def _restore_recency(store: "ExprStore", records: list[dict]) -> None:
         store._hit_by_id(rec["i"])
 
 
-def _flat_snapshot_from_bytes(
-    header: dict, body: bytes
-) -> tuple["ExprStore", dict]:
-    from repro.store.store import ExprStore
-
-    missing_fields = [
-        key
-        for key in ("bits", "seed", "next_id", "entries")
-        if key not in header
-    ]
-    if missing_fields:
-        raise SnapshotError(
-            f"snapshot header is missing required field(s): {missing_fields}"
-        )
-
-    records = _parse_records(body, header.get("entries"))
-
-    store = ExprStore(
-        HashCombiners(bits=header["bits"], seed=header["seed"]),
-        max_entries=header.get("max_entries"),
-        memo_limit=header.get("memo_limit"),
-    )
-
-    # Schema breaches that slip past the checksum (buggy writer,
-    # hand-edited file with a recomputed checksum) must still fail as
-    # SnapshotError, not leak a bare KeyError/TypeError from the rebuild.
-    try:
-        _restore_records(store, records, _build_exprs(records))
-        _restore_recency(store, records)
-        store._restore_counters(header.get("stats", {}), [header["next_id"]])
-    except SnapshotError:
-        raise
-    except (KeyError, IndexError, TypeError, AttributeError) as exc:
-        raise SnapshotError(
-            f"malformed snapshot entry: {exc!r}"
-        ) from exc
-    store.version = max(store.version, header.get("version", 0))
-    return store, header
-
-
-def _sharded_snapshot_from_bytes(
-    header: dict, body: bytes
-) -> tuple["ShardedExprStore", dict]:
-    """Decode the v2 sharded layout; node ids and recency survive."""
-    from repro.core.cpus import available_cpus
-    from repro.store.sharded import ShardedExprStore
-
-    missing_fields = [
-        key
-        for key in ("bits", "seed", "num_shards", "entries", "shards")
-        if key not in header
-    ]
-    if missing_fields:
-        raise SnapshotError(
-            f"snapshot header is missing required field(s): {missing_fields}"
-        )
-    shard_meta = header["shards"]
-    num_shards = header["num_shards"]
-    if not isinstance(shard_meta, list) or len(shard_meta) != num_shards:
-        raise SnapshotError(
-            f"header lists {len(shard_meta)} shard section(s) for "
-            f"num_shards={num_shards}"
-        )
-
-    # Split the body into per-shard sections by the recorded byte runs,
-    # then parse them in parallel (mirror of the writer's fan-out).
-    sections: list[bytes] = []
-    cursor = 0
-    try:
-        for meta_entry in shard_meta:
-            run = meta_entry["bytes"]
-            sections.append(body[cursor : cursor + run])
-            cursor += run
-    except (KeyError, TypeError) as exc:
-        raise SnapshotError(f"malformed shard metadata: {exc!r}") from exc
-    if cursor != len(body):
-        raise SnapshotError(
-            f"shard sections cover {cursor} bytes, body holds {len(body)}"
-        )
-    n_tasks = max(1, min(num_shards, available_cpus()))
-    with ThreadPoolExecutor(max_workers=n_tasks) as pool:
-        shard_records = list(
-            pool.map(
-                _parse_records,
-                sections,
-                [m.get("entries") for m in shard_meta],
-            )
-        )
-
-    store = ShardedExprStore(
-        HashCombiners(bits=header["bits"], seed=header["seed"]),
-        num_shards=num_shards,
-        max_entries=header.get("max_entries"),
-        memo_limit=header.get("memo_limit"),
-    )
-    records = [rec for section in shard_records for rec in section]
-    if len(records) != header["entries"]:
-        raise SnapshotError(
-            f"snapshot holds {len(records)} entries, header says "
-            f"{header['entries']}"
-        )
-
-    try:
-        for index, section in enumerate(shard_records):
-            for rec in section:
-                if rec["i"] % num_shards != index:
-                    raise SnapshotError(
-                        f"node id {rec['i']} landed in shard section "
-                        f"{index} (ids encode their shard)"
-                    )
-        _restore_records(store, records, _build_exprs(records))
-        # Each section is its shard's LRU order.
-        _restore_recency(store, records)
-        store._restore_counters(
-            header.get("stats", {}),
-            [meta_entry.get("next_local", 0) for meta_entry in shard_meta],
-            [meta_entry.get("stats", {}) for meta_entry in shard_meta],
-        )
-    except SnapshotError:
-        raise
-    except (KeyError, IndexError, TypeError, AttributeError) as exc:
-        raise SnapshotError(f"malformed snapshot entry: {exc!r}") from exc
-    store.version = max(store.version, header.get("version", 0))
-    return store, header
-
-
 def read_snapshot(path: str) -> tuple["ExprStore", dict]:
     """Rebuild a store saved with :func:`write_snapshot`; return
     ``(store, header)``.  A thin file wrapper over
@@ -734,8 +532,7 @@ def read_snapshot(path: str) -> tuple["ExprStore", dict]:
 # docstring gives the v2 layout and the receiver's checks.
 #
 # Deltas assume a shared id space: the receiver started from a full
-# snapshot of the same store (node ids are preserved by both the v1 and
-# v2 snapshot layouts), so child ids that predate ``since`` resolve
+# snapshot of the same store (snapshots preserve node ids), so child ids that predate ``since`` resolve
 # against the receiver's own table.  That makes replica catch-up O(new
 # entries) instead of O(store) -- the whole point.  Application is
 # idempotent: entries the receiver already holds are verified (same
@@ -744,22 +541,6 @@ def read_snapshot(path: str) -> tuple["ExprStore", dict]:
 # primary evicted and later re-created under a new id: both ids stay
 # live, the newest id takes the hash mapping, and evicting the stale
 # one leaves that mapping alone.
-
-
-# lint: returns-lock ShardedExprStore._memo_lock
-def _memo_lock_of(store: "ExprStore"):
-    """The store's memo lock when it has one (sharded stores), else a
-    no-op context -- delta emission/application must be atomic against
-    concurrent interns."""
-    import contextlib
-
-    return getattr(store, "_memo_lock", None) or contextlib.nullcontext()
-
-
-def _store_num_shards(store: "ExprStore") -> Optional[int]:
-    from repro.store.sharded import ShardedExprStore
-
-    return store.num_shards if isinstance(store, ShardedExprStore) else None
 
 
 def _hash_words(bits: int) -> int:
@@ -804,18 +585,12 @@ def delta_to_bytes(
     no summary is computed -- the receiver recomputes those.  The table,
     the memo and the stats are only read.
     """
-    with _memo_lock_of(store):
-        if since < 0 or since > store.version:
-            raise SnapshotError(
-                f"delta since={since} is outside this store's history "
-                f"(version {store.version})"
-            )
-        fresh = sorted(
-            (rec for records in store._records(since) for rec in records),
-            key=itemgetter(6),
+    if since < 0 or since > store.version:
+        raise SnapshotError(
+            f"delta since={since} is outside this store's history "
+            f"(version {store.version})"
         )
-        version = store.version
-        num_shards = _store_num_shards(store)
+    fresh = store._records(since)
     bits = store.combiners.bits
     names: dict[str, int] = {}
     literals: dict[tuple, int] = {}
@@ -847,8 +622,8 @@ def delta_to_bytes(
         "bits": bits,
         "seed": store.combiners.seed,
         "since": since,
-        "version": version,
-        "num_shards": num_shards,
+        "version": store.version,
+        "num_shards": None,
         "rows": len(fresh),
         "names": list(names),
         "literals": [_lit_payload(value) for value in lit_values],
@@ -867,8 +642,8 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
 
     Reads ``repro-store-delta-v2`` (what :func:`delta_to_bytes` writes)
     and the legacy ``repro-store-delta-v1``.  ``store`` must share the
-    delta's combiner family, store shape (``num_shards``) and id space
-    (it was restored from a snapshot of the emitting store), and must
+    delta's combiner family and id space (it was restored from a
+    snapshot of the emitting store), and must
     have reached the delta's ``since`` stamp -- a gap means missing
     classes and fails loudly.  Classes the store already holds are
     verified and skipped (idempotent replay).  Every other class's
@@ -899,26 +674,25 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
     else:
         rows, claimed = _decode_v1(header, body)
 
-    with _memo_lock_of(store):
-        if since > store.version:
-            raise SnapshotError(
-                f"delta starts at version {since} but the store "
-                f"is at {store.version}: entries are missing in between -- "
-                "catch up with an older delta or a full snapshot"
-            )
-        applied = _apply_rows(store, since, version, rows, claimed)
-        store.version = max(store.version, version)
-        return {
-            "applied": applied,
-            "skipped": len(rows[0]) - applied,
-            "version": store.version,
-        }
+    if since > store.version:
+        raise SnapshotError(
+            f"delta starts at version {since} but the store "
+            f"is at {store.version}: entries are missing in between -- "
+            "catch up with an older delta or a full snapshot"
+        )
+    applied = _apply_rows(store, since, version, rows, claimed)
+    store.version = max(store.version, version)
+    return {
+        "applied": applied,
+        "skipped": len(rows[0]) - applied,
+        "version": store.version,
+    }
 
 
 def _check_delta_header(store: "ExprStore", header: dict, fmt: str) -> tuple:
-    """Refuse a header whose counts are not non-negative ints or whose
-    combiner family or store shape differ from ``store``'s; return
-    ``(since, version)``."""
+    """Refuse a header whose counts are not non-negative ints, whose
+    combiner family differs from ``store``'s or whose ``num_shards`` is
+    not ``null``; return ``(since, version)``."""
     count_key = "rows" if fmt == DELTA_FORMAT else "entries"
     for key in ("bits", "seed", "since", "version", count_key):
         value = header.get(key)
@@ -937,14 +711,10 @@ def _check_delta_header(store: "ExprStore", header: dict, fmt: str) -> tuple:
             f"(bits={store.combiners.bits}, seed={store.combiners.seed})"
         )
     num_shards = header.get("num_shards")
-    expected = _store_num_shards(store)
-    if (num_shards is not None and type(num_shards) is not int) or (
-        num_shards != expected
-    ):
+    if num_shards is not None:
         raise SnapshotError(
-            f"delta store shape (num_shards={num_shards!r}) disagrees with "
-            f"the receiving store's (num_shards={expected}); deltas share "
-            "the emitter's id space and only apply to the matching shape"
+            f"delta from a sharded store (num_shards={num_shards!r}): its "
+            "shard-encoded ids mean nothing to this store"
         )
     return header["since"], header["version"]
 

@@ -62,11 +62,9 @@ restore an entry with a known id (:meth:`InternTable.insert`, through
 :meth:`~ExprStore._restore`, for the snapshot and delta loaders) and
 unlink an eviction victim (:meth:`InternTable.unlink`).  The tree walk,
 the arena bulk intern (:mod:`repro.store.arena_intern`), the loaders
-(:mod:`repro.store.snapshot`) and the eviction loops all call them.
-The flat store has one table;
-:class:`~repro.store.sharded.ShardedExprStore` has one per shard and
-adds only shard routing, shard-encoded ids, shard locks and per-shard
-counters.
+(:mod:`repro.store.snapshot`) and the eviction loop all call them.
+A store has one table and mints ids counting up from 0.  Scaling out is
+separate processes, each with its own store (:mod:`repro.cluster`).
 
 Two capacity modes:
 
@@ -272,8 +270,7 @@ class InternTable:
     id.  Rows of evicted classes are cleared and listed in ``free`` for
     reuse, so a bounded table's columns stay near its bound; new rows
     come in chunks of an eighth of the table.  A class created here gets
-    id ``next_local * stride + offset``: the flat store's ids count up
-    from 0, shard ``s`` of ``n`` mints ``local * n + s``.
+    id ``next_id``, so ids count up from 0.
 
     ``log_versions`` and ``log_ids`` log the classes in version order,
     for :meth:`records` to select a window by bisection.  The first such
@@ -289,11 +286,11 @@ class InternTable:
 
     __slots__ = (
         "order", "by_hash", "hashes", "kinds", "sizes", "kids", "labels",
-        "versions", "refcounts", "trees", "free", "next_local", "stride", "offset",
+        "versions", "refcounts", "trees", "free", "next_id",
         "log_versions", "log_ids", "log_dead",
     )
 
-    def __init__(self, stride: int = 1, offset: int = 0):
+    def __init__(self):
         self.order: "OrderedDict[int, int]" = OrderedDict()
         self.by_hash: dict[int, int] = {}
         self.hashes: list = []
@@ -305,9 +302,7 @@ class InternTable:
         self.refcounts: list[int] = []
         self.trees: list = []
         self.free: list[int] = []
-        self.next_local = 0
-        self.stride = stride
-        self.offset = offset
+        self.next_id = 0
         self.log_versions: Optional[list[int]] = None
         self.log_ids: Optional[list[int]] = None
         self.log_dead = 0
@@ -412,27 +407,23 @@ class InternTable:
         order.move_to_end(node_id)
         return True
 
-    def hit_or_add_step(
-        self, store: "ExprStore", stats: StoreStats, link: bool = True
-    ) -> Callable[..., int]:
+    def hit_or_add_step(self, store: "ExprStore") -> Callable[..., int]:
         """The hit-or-add step by hash, bound once per batch over local
         column references.
 
         Returns ``hit_or_add(top, kind, size, kid_ids, label, leaf=None)``
         -> class id.  A hit on a class already keyed by ``top`` passes
         :func:`check_same_class` against the kind and size columns,
-        touches its recency and counts one hit on ``stats``.  A miss
+        touches its recency and counts one hit on ``store.stats``.  A miss
         writes a new row from ``kid_ids`` and ``label`` with
         ``store.version`` bumped as its stamp, adopts ``leaf`` as its tree
-        when the caller has one (a Var/Lit node of the tree walk), and
-        counts one miss.  ``link`` adds the children's references here;
-        a shard leaves that to its store, as its children live in other
-        shards.
+        when the caller has one (a Var/Lit node of the tree walk), adds
+        one reference to each child, and counts one miss.
         """
         order, by_hash, free = self.order, self.by_hash, self.free
         hashes, kinds, sizes, kids = self.hashes, self.kinds, self.sizes, self.kids
         labels, versions, refcounts = self.labels, self.versions, self.refcounts
-        trees, stride, offset = self.trees, self.stride, self.offset
+        trees, stats = self.trees, store.stats
         find, touch, take_row, grow = by_hash.get, order.move_to_end, free.pop, self._grow
 
         def hit_or_add(top, kind, size, kid_ids, label, leaf=None) -> int:
@@ -446,8 +437,8 @@ class InternTable:
             if not free:
                 grow()
             row = take_row()
-            node_id = self.next_local * stride + offset
-            self.next_local += 1
+            node_id = self.next_id
+            self.next_id = node_id + 1
             store.version = version = store.version + 1
             hashes[row] = top
             kinds[row] = kind
@@ -462,9 +453,8 @@ class InternTable:
             if log is not None:
                 log.append(node_id)
                 self.log_versions.append(version)
-            if link:
-                for kid in kid_ids:
-                    refcounts[order[kid]] += 1
+            for kid in kid_ids:
+                refcounts[order[kid]] += 1
             stats.misses += 1
             return node_id
 
@@ -489,9 +479,7 @@ class InternTable:
         self.trees[row] = tree
         self.order[node_id] = row
         self.by_hash[top] = node_id
-        self.next_local = max(
-            self.next_local, (node_id - self.offset) // self.stride + 1
-        )
+        self.next_id = max(self.next_id, node_id + 1)
         log = self.log_ids
         if log is not None:
             if log and version < self.log_versions[-1]:
@@ -588,12 +576,8 @@ class ExprStore:
         #: and re-hashing; one-shot, never kept by stores with a
         #: ``memo_limit``.
         self._arena_compile_cache: Optional[tuple] = None
-        #: The intern table, and the list of every table of this store:
-        #: the class with hash ``h`` and id ``i`` lives in the table
-        #: ``_tables[h % len(_tables)] == _tables[i % len(_tables)]`` (the
-        #: sharded store keeps one table per shard).
+        #: The intern table.
         self._table = InternTable()
-        self._tables = [self._table]
         #: node_id -> pin count; pinned classes are never LRU victims.
         self._pinned: dict[int, int] = {}
         #: Monotonic intern stamp: +1 per canonical entry ever created
@@ -607,10 +591,10 @@ class ExprStore:
 
     def __len__(self) -> int:
         """Number of live canonical entries."""
-        return sum(map(len, self._tables))
+        return len(self._table)
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._table_of(node_id).order
+        return node_id in self._table.order
 
     def entry(self, node_id: int) -> StoreEntry:
         """A view of the canonical entry ``node_id`` (touches LRU recency)."""
@@ -634,8 +618,7 @@ class ExprStore:
 
     def lookup_hash(self, hash_value: int) -> Optional[int]:
         """Node id of the class with this alpha-hash, if interned."""
-        tables = self._tables
-        return tables[hash_value % len(tables)].by_hash.get(hash_value)
+        return self._table.by_hash.get(hash_value)
 
     def entries(self) -> Iterator[StoreEntry]:
         """Views of all live entries, least-recently-used first."""
@@ -644,20 +627,16 @@ class ExprStore:
 
     # -- the columns, read ------------------------------------------------------
 
-    def _table_of(self, node_id: int) -> InternTable:
-        """The table that holds (or would hold) the class ``node_id``."""
-        tables = self._tables
-        return tables[node_id % len(tables)]
-
-    def _records(self, since: int = -1) -> list[list[tuple]]:
-        """Per table, :meth:`InternTable.records` in LRU order: every
-        live class, or those created after the version stamp ``since``."""
-        return [self._table.records(since)]
+    def _records(self, since: int = -1) -> list[tuple]:
+        """:meth:`InternTable.records`: every live class in LRU order,
+        or those created after the version stamp ``since`` in version
+        order."""
+        return self._table.records(since)
 
     def _tree(self, node_id: int) -> Expr:
         """The canonical tree of the live class ``node_id``: the tree
         column's, or built from the columns and kept there."""
-        table = self._table_of(node_id)
+        table = self._table
         tree = table.trees[table.order[node_id]]
         if tree is None:
             tree = self._build_trees([node_id], keep=True)[0]
@@ -672,8 +651,8 @@ class ExprStore:
         shared DAG.  ``keep`` stores each built tree in the tree column;
         without it the trees are the caller's alone (the encoders'
         transient trees) and the table is only read."""
-        tables = self._tables
-        count = len(tables)
+        table = self._table
+        order, trees = table.order, table.trees
         built: dict[int, Expr] = {}
         for root in node_ids:
             stack = [root]
@@ -682,17 +661,15 @@ class ExprStore:
                 if node_id in built:
                     stack.pop()
                     continue
-                table = tables[node_id % count]
-                row = table.order[node_id]
-                tree = table.trees[row]
+                row = order[node_id]
+                tree = trees[row]
                 if tree is None:
                     kid_ids = table.kids[row]
                     kids = []
                     for kid in kid_ids:
                         kid_tree = built.get(kid)
                         if kid_tree is None:
-                            kid_table = tables[kid % count]
-                            kid_tree = kid_table.trees[kid_table.order[kid]]
+                            kid_tree = trees[order[kid]]
                         if kid_tree is None:
                             stack.append(kid)
                         else:
@@ -701,7 +678,7 @@ class ExprStore:
                         continue  # back here once the missing children are built
                     tree = canonical_node(table.kinds[row], table.labels[row], kids)
                     if keep:
-                        table.trees[row] = tree
+                        trees[row] = tree
                 built[node_id] = tree
                 stack.pop()
         return [built[node_id] for node_id in node_ids]
@@ -1031,11 +1008,8 @@ class ExprStore:
         Interning the canonical representatives largest-first lets the
         smaller classes resolve as memo/intern hits inside the larger
         trees; hashes are preserved bit-for-bit, ids are re-assigned by
-        this store.  ``other`` is not modified.  (The sharded store
-        inherits this as-is -- ``self.intern`` is the override point
-        that routes every class through its lock-striped shards; the
-        service's snapshot-upload endpoint merges client stores through
-        it.)
+        this store.  ``other`` is not modified.  (The service's
+        snapshot-upload endpoint merges client stores through it.)
         """
         self.resolve_combiners(other.combiners)
         mapping: dict[int, int] = {}
@@ -1047,10 +1021,8 @@ class ExprStore:
 
     # -- the intern table's write steps ----------------------------------------
     #
-    # Nothing outside this module and repro.store.sharded writes the
-    # table; every write is one of InternTable's steps, reached through
-    # the methods below.  The sharded store overrides each one only for
-    # routing, ids, locks and counters.
+    # Nothing outside this module writes the table; every write is one
+    # of InternTable's steps, reached through the methods below.
 
     def _hit_by_id(self, node_id: Optional[int]) -> bool:
         """The intern hit by id: if ``node_id`` names a live class,
@@ -1072,7 +1044,7 @@ class ExprStore:
         id (see :meth:`InternTable.hit_or_add_step`).  Binding once keeps
         the tree walk and the arena resolve loop off per-row attribute
         lookups."""
-        return self._table.hit_or_add_step(self, self.stats)
+        return self._table.hit_or_add_step(self)
 
     def _intern_one(
         self,
@@ -1132,7 +1104,7 @@ class ExprStore:
         hash, kind or size raises
         :class:`~repro.store.snapshot.SnapshotError`: the document does
         not describe this store."""
-        table = self._table_of(node_id)
+        table = self._table
         row = table.order.get(node_id)
         if row is None:
             return False
@@ -1153,7 +1125,7 @@ class ExprStore:
     def _live_size(self, node_id: int) -> Optional[int]:
         """The size of the live class ``node_id``, or ``None`` if it is
         not live; no LRU touch."""
-        table = self._table_of(node_id)
+        table = self._table
         row = table.order.get(node_id)
         return None if row is None else table.sizes[row]
 
@@ -1183,44 +1155,27 @@ class ExprStore:
         for kid in kid_ids:
             if kid not in self:
                 raise KeyError(kid)
-        version_after = max(self.version, version)
-        self._adjust_refcounts(kid_ids, 1)
+        table = self._table
+        table.link(kid_ids, 1)
         tree = summary.node
-        self._install(
+        table.insert(
             node_id, summary.top, kind, size, kid_ids, node_label(tree), tree, version
         )
-        self.version = version_after
+        self.stats.misses += 1
+        self.version = max(self.version, version)
         self._seed_memo(summary, node_id)
         return True
 
-    def _install(self, node_id: int, *row) -> None:
-        """Restore's table write (:meth:`InternTable.insert` with ``row``:
-        hash, kind, size, child ids, label, tree and version), counted as
-        one miss."""
-        self._table.insert(node_id, *row)
-        self.stats.misses += 1
-
-    def _restore_counters(
-        self,
-        stats: dict,
-        next_ids: Sequence[int],
-        shard_stats: Sequence[dict] = (),
-    ) -> None:
+    def _restore_counters(self, stats: dict, next_id: int) -> None:
         """Adopt a loaded snapshot's saved counters.
 
-        ``stats`` replaces the store's counters.  ``next_ids`` holds
-        each table's saved id counter (the flat store has one table);
-        a counter only ever advances, since restoring already moved it
-        past every restored id.  ``shard_stats`` is for sharded stores.
+        ``stats`` replaces the store's counters.  ``next_id`` is the
+        saved id counter; the counter only ever advances, since restoring
+        already moved it past every restored id.
         """
         self.stats = saved_stats(stats)
         table = self._table
-        for next_id in next_ids:
-            table.next_local = max(table.next_local, next_id)
-
-    def _adjust_refcounts(self, kid_ids: Iterable[int], delta: int) -> None:
-        """Add ``delta`` to the refcount of each live child in ``kid_ids``."""
-        self._table.link(kid_ids, delta)
+        table.next_id = max(table.next_id, next_id)
 
     def _unlink(self, node_id: int) -> None:
         """Drop the eviction victim ``node_id`` from the table
@@ -1232,7 +1187,7 @@ class ExprStore:
     def _release(self, kid_ids: tuple[int, ...], tree: Optional[Expr]) -> None:
         """An unlinked entry's last step: its children lose a reference
         and its canonical tree's memo record, if any, forgets the id."""
-        self._adjust_refcounts(kid_ids, -1)
+        self._table.link(kid_ids, -1)
         rec = None if tree is None else self._memo.get(id(tree))
         if rec is not None:
             rec.node_id = None

@@ -34,7 +34,7 @@ from repro.gen.adversarial import adversarial_pair
 from repro.gen.random_exprs import alpha_rename, random_expr
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
 from repro.lang.sexpr import from_wire, to_wire
-from repro.store import ExprStore, ShardedExprStore
+from repro.store import ExprStore
 
 from strategies import exprs
 
@@ -486,15 +486,12 @@ class TestStoreIntegration:
             batches.append(batch)
         return batches
 
-    @pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
-    def test_intern_after_hash_reuses_compile_across_batches(
-        self, sharded, monkeypatch
-    ):
+    @pytest.mark.parametrize("make", [ExprStore], ids=["flat"])
+    def test_intern_after_hash_reuses_compile_across_batches(self, make, monkeypatch):
         """Hash then intern each of several batches, some items repeating
         earlier batches: intern never re-flattens or re-hashes, and ids
-        match the tree engine fed the same sequence (by class on a
-        sharded store, whose ids encode the shard)."""
-        store = ShardedExprStore(num_shards=4) if sharded else ExprStore()
+        match the tree engine fed the same sequence."""
+        store = make()
         tree = ExprStore()
         flattens = []
         flatten = ExprArena.flatten
@@ -514,8 +511,7 @@ class TestStoreIntegration:
             tree_ids = tree.intern_many(batch, engine="tree")
             assert [store.hash_of(i) for i in ids] == hashes
             assert [tree.hash_of(i) for i in tree_ids] == hashes
-            if not sharded:
-                assert ids == tree_ids
+            assert ids == tree_ids
         assert len(store) == len(tree)
 
     @pytest.mark.parametrize(
@@ -540,11 +536,11 @@ class TestStoreIntegration:
         assert ids == tree.intern_many(order(corpus), engine="tree")
         assert len(store) == len(tree)
 
-    @pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
-    def test_repeated_items_are_root_hits(self, corpus, sharded):
+    @pytest.mark.parametrize("make", [ExprStore], ids=["flat"])
+    def test_repeated_items_are_root_hits(self, corpus, make):
         """An item interned before as the same object is one hit, as in
         the serial path: no compile, no descent, no new entry."""
-        store = ShardedExprStore(num_shards=4) if sharded else ExprStore()
+        store = make()
         tree = ExprStore()
         ids = store.intern_many(corpus, engine="arena")
         tree_ids = tree.intern_many(corpus, engine="tree")
@@ -555,8 +551,6 @@ class TestStoreIntegration:
             assert stats.hits == start["hits"] + 50
             assert stats.misses == start["misses"]
             assert stats.hashed_nodes == start["hashed_nodes"]
-        if sharded:
-            assert sum(s.hits for s in store.shard_stats()) == store.stats.hits
 
     def test_intern_many_engines_agree(self, corpus):
         by_tree = ExprStore().intern_many(corpus, engine="tree")
@@ -578,43 +572,6 @@ class TestStoreIntegration:
         ids = bounded.intern_many(corpus, engine="arena")
         assert len(ids) == len(corpus)
         assert len(bounded) <= 64
-
-    def test_sharded_store_hash_corpus_arena(self, corpus):
-        sharded = ShardedExprStore(num_shards=4)
-        assert (
-            sharded.hash_corpus(corpus, engine="arena")
-            == ExprStore().hash_corpus(corpus, engine="tree")
-        )
-
-    def test_concurrent_parallel_calls_on_shared_sharded_store(self, corpus):
-        """The arena path takes the sharded store's memo lock: several
-        threads hashing through one store must not corrupt it."""
-        import threading
-
-        serial = ExprStore().hash_corpus(corpus, engine="tree")
-        store = ShardedExprStore(num_shards=4)
-        outputs: dict[int, list] = {}
-
-        def run(slot):
-            outputs[slot] = store.hash_corpus(corpus, engine="arena")
-
-        threads = [threading.Thread(target=run, args=(t,)) for t in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(outputs[t] == serial for t in range(3))
-
-    def test_sharded_intern_stays_lock_striped(self, corpus):
-        """Sharded ids encode the shard, so compare classes by hash:
-        same classes, same per-item resolution as the flat tree path."""
-        sharded = ShardedExprStore(num_shards=4)
-        flat = ExprStore()
-        sharded_ids = sharded.intern_many(corpus, engine="arena")
-        flat_ids = flat.intern_many(corpus, engine="tree")
-        assert [sharded.hash_of(i) for i in sharded_ids] == [
-            flat.hash_of(i) for i in flat_ids
-        ]
 
     def test_session_engine_plumbing(self, corpus):
         ref = Session(engine="tree").hash_corpus(corpus)

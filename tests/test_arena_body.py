@@ -5,8 +5,8 @@
   on a Hypothesis wall and on hand-picked degenerate corpora.
 * Live servers: ``hash_corpus`` and ``intern_many`` (arena bodies) give
   the hashes, ids, stats and content of ``hash_wire`` and
-  ``intern_wire`` (JSON documents), on flat, sharded and bounded stores
-  and through a 2-shard coordinator; every other path a JSON body
+  ``intern_wire`` (JSON documents), on flat and bounded stores and
+  through a 2-shard coordinator; every other path a JSON body
   serves (tree plans, own-pass backends, pins, store-less servers,
   foreign keys) answers alike.
 * Fuzz wall: seeded truncations, byte flips and one broken rule at a
@@ -222,8 +222,8 @@ def corpus():
 
 #: Store shapes for the intern equality walls, and overlapping batches
 #: (the second repeats classes of the first, the third all of them).
-STORES = [{}, {"num_shards": 4}, {"max_entries": 300}]
-STORE_IDS = ["flat", "sharded", "bounded"]
+STORES = [{}, {"max_entries": 300}]
+STORE_IDS = ["flat", "bounded"]
 BATCHES = [(0, 60), (40, 150), (0, 150)]
 
 
@@ -332,8 +332,8 @@ def doubled(arena: ExprArena, roots) -> tuple[ExprArena, list]:
 class TestCoordinator:
     @pytest.fixture(
         scope="class",
-        params=[{}, {"bits": 8}, {"bits": 128}, {"num_shards": 4}, {"max_entries": 300}],
-        ids=["flat", "8-bit", "128-bit", "sharded", "bounded"],
+        params=[{}, {"bits": 8}, {"bits": 128}, {"max_entries": 300}],
+        ids=["flat", "8-bit", "128-bit", "bounded"],
     )
     def cluster(self, request):
         groups = [

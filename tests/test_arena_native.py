@@ -8,10 +8,12 @@ kernel; this module covers what only the native tier has:
   to encode, and the service answers 400 without touching its store.
 * **Columns**: body-decoded arenas (int32 ``left``/``right``/``aux``)
   hash and intern through the store's arena steps.
-* **Malformed arenas** handed straight to the native entry raise
-  :class:`~repro.core.arena.ArenaKernelError`; a seeded wall of
-  one-cell mutations is refused or hashed exactly as the scalar pass
-  hashes it, and the process survives every case.
+* **Malformed arenas** handed straight to the native entry or to the
+  scalar :func:`~repro.core.arena.arena_hash` raise
+  :class:`~repro.core.arena.ArenaKernelError` with the same text; a
+  seeded wall of one-cell mutations is refused by both tiers alike or
+  hashed by both as the unchecked scalar pass hashes it, and the
+  process survives every case.
 * **The loader**: a build in a fresh cache directory, a cache hit, a
   failing build or no compiler (one warning, the scalar kernel
   answers), and cache directories or files another user could write.
@@ -40,6 +42,7 @@ from repro.core.arena import (
     OP_LIT,
     ArenaKernelError,
     ExprArena,
+    _arena_pass,
     arena_hash,
     arena_hash_any,
     flatten_corpus,
@@ -62,6 +65,18 @@ REPO = Path(__file__).resolve().parent.parent
 
 def native_tops(arena, bits=64):
     return native.native_tops(arena, HashCombiners(bits=bits))
+
+
+#: The two kernel tiers that refuse malformed arenas: the native entry,
+#: and the scalar pass ``arena_hash_any`` runs without the library.
+TIERS = [pytest.param("native", marks=needs_native), "scalar"]
+
+
+def tier_tops(tier, arena, combiners=None):
+    combiners = combiners or HashCombiners()
+    if tier == "native":
+        return native.native_tops(arena, combiners)
+    return arena_hash(arena, combiners)
 
 
 # -- names ---------------------------------------------------------------------
@@ -152,21 +167,24 @@ def copy_arena(arena: ExprArena) -> ExprArena:
     return out
 
 
-@needs_native
+MALFORMED = [
+    ("child-at-row", "left", OP_APP, "row", "child index not below its row"),
+    ("child-above-row", "right", OP_LET, "row+1", "child index not below its row"),
+    ("missing-child", "left", OP_LAM, -1, "child index not below its row"),
+    ("negative-child", "left", OP_APP, -2, "child index not below its row"),
+    ("aux-past-names", "aux", OP_LAM, "names", "aux outside the names or literals"),
+    ("aux-past-literals", "aux", OP_LIT, "literals", "aux outside the names or literals"),
+    ("opcode", "op", OP_APP, 7, "unknown opcode"),
+]
+
+
 @pytest.mark.parametrize(
-    "column,row_of,value,message",
-    [
-        ("left", OP_APP, "row", "child index not below its row"),
-        ("right", OP_LET, "row+1", "child index not below its row"),
-        ("left", OP_LAM, -1, "child index not below its row"),
-        ("aux", OP_LAM, "names", "aux outside the names or literals"),
-        ("aux", OP_LIT, "literals", "aux outside the names or literals"),
-        ("op", OP_APP, 7, "unknown opcode"),
-    ],
-    ids=["child-at-row", "child-above-row", "missing-child", "aux-past-names",
-         "aux-past-literals", "opcode"],
+    "tier,column,row_of,value,message",
+    # The native cases keep their ids from before the scalar tier checked.
+    [pytest.param("native", *case, id=name, marks=needs_native) for name, *case in MALFORMED]
+    + [pytest.param("scalar", *case, id=f"scalar-{name}") for name, *case in MALFORMED],
 )
-def test_malformed_arena_raises_a_typed_error(column, row_of, value, message):
+def test_malformed_arena_raises_a_typed_error(tier, column, row_of, value, message):
     arena = copy_arena(small_arena())
     row = list(arena.op).index(row_of)
     value = {
@@ -177,16 +195,16 @@ def test_malformed_arena_raises_a_typed_error(column, row_of, value, message):
     }.get(value, value)
     getattr(arena, column)[row] = value
     with pytest.raises(ArenaKernelError, match=f"row {row}: {message}"):
-        native_tops(arena)
-    assert native_tops(small_arena()) == arena_hash(small_arena())
+        tier_tops(tier, arena)
+    assert tier_tops(tier, small_arena()) == arena_hash(small_arena())
 
 
-@needs_native
-def test_columns_of_unequal_length_are_refused():
+@pytest.mark.parametrize("tier", TIERS)
+def test_columns_of_unequal_length_are_refused(tier):
     arena = copy_arena(small_arena())
     arena.sizes.pop()
     with pytest.raises(ArenaKernelError, match="differ in length"):
-        native_tops(arena)
+        tier_tops(tier, arena)
 
 
 def well_formed(arena: ExprArena) -> bool:
@@ -208,8 +226,11 @@ def well_formed(arena: ExprArena) -> bool:
     return True
 
 
-@needs_native
-def test_mutation_wall_refused_or_identical():
+@pytest.mark.parametrize("tier", TIERS)
+def test_mutation_wall_refused_or_identical(tier):
+    """Each tier hashes a well-formed mutant as the unchecked scalar
+    pass does and refuses every other one; the native tier's refusal
+    text is the scalar tier's."""
     base = flatten_corpus(mixed_corpus(12, seed=5, size=20))[0]
     rng = random.Random(2024)
     refused = 0
@@ -224,13 +245,17 @@ def test_mutation_wall_refused_or_identical():
         if well_formed(arena):
             for bits in (16, 128):
                 combiners = HashCombiners(bits=bits)
-                assert native.native_tops(arena, combiners) == arena_hash(
-                    arena, combiners
-                ), case
+                assert tier_tops(tier, arena, combiners) == _arena_pass(
+                    arena, combiners, ()
+                )[0], case
         else:
             refused += 1
-            with pytest.raises(ArenaKernelError):
-                native_tops(arena)
+            with pytest.raises(ArenaKernelError, match=r"^row \d+: ") as raised:
+                tier_tops(tier, arena)
+            if tier == "native":
+                with pytest.raises(ArenaKernelError) as scalar:
+                    arena_hash(arena)
+                assert str(scalar.value) == str(raised.value), case
     assert refused > 100
 
 

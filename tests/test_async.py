@@ -212,8 +212,8 @@ class TestCancellation:
 
 class TestLifecycle:
     def test_owned_session_closes_with_wrapper(self):
-        asession = AsyncSession(num_shards=2)
-        assert asession.session.store.num_shards == 2
+        asession = AsyncSession(max_entries=2)
+        assert asession.session.store.max_entries == 2
         asyncio.run(asession.hash_async(parse("a b")))
         asession.close()
         asession.close()  # idempotent
@@ -221,7 +221,7 @@ class TestLifecycle:
 
     def test_borrow_xor_kwargs(self):
         with pytest.raises(TypeError, match="not both"):
-            AsyncSession(Session(), num_shards=2)
+            AsyncSession(Session(), max_entries=2)
 
     def test_max_in_flight_validated(self):
         with pytest.raises(ValueError, match="max_in_flight"):

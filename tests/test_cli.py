@@ -111,6 +111,8 @@ class TestHashCommand:
             ["hash", "{f}", "--parallel-mode", "spawn"],
             ["session", "{f}", "--workers", "2"],
             ["serve", "--workers", "2"],
+            ["session", "{f}", "--num-shards", "4"],
+            ["serve", "--num-shards", "4"],
         ],
     )
     def test_removed_fanout_flags_exit_2(self, capsys, expr_file, argv):

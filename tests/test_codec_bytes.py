@@ -2,11 +2,10 @@
 
 Three walls:
 
-* **Golden digests.**  sha256 digests of ``snapshot_to_bytes`` (flat,
-  sharded and LRU-bounded flat stores) and ``delta_to_bytes`` over one
-  fixed corpus, interned partly with ``engine="tree"`` (warm summary
-  memo) and partly with ``engine="arena"`` (cold memo), at 64 and 128
-  bits.  The snapshot digests were taken from the encoder that
+* **Golden digests.**  sha256 digests of ``snapshot_to_bytes`` (flat
+  and LRU-bounded stores) and ``delta_to_bytes`` over one fixed corpus,
+  interned partly with ``engine="tree"`` (warm summary memo) and partly
+  with ``engine="arena"`` (cold memo), at 64 and 128 bits.  The snapshot digests were taken from the encoder that
   re-summarised cold entries by tree walk and encoded one ``json.dumps``
   dict per record; the delta digests are of ``repro-store-delta-v2``
   frames, which carry no summaries.  Any byte the codec changes fails
@@ -16,8 +15,8 @@ Three walls:
   summariser over its canonical expression, no memo; each record
   through ``json.dumps`` with sorted keys) and the delta-v2 columns
   (one ``struct.pack`` per value), against the codec on awkward names
-  and literals, empty maps, three widths, flat and sharded stores, and
-  warm, cold and mixed memos.
+  and literals, empty maps, three widths, and warm, cold and mixed
+  memos.
 * **Legacy delta-v1 frames.**  :func:`reference_delta_v1` writes the
   ``repro-store-delta-v1`` frames earlier releases journaled; it
   reproduces their golden digests byte for byte, so the tests that feed
@@ -39,7 +38,6 @@ from repro.gen.random_exprs import random_expr
 from repro.lang.expr import App, Lam, Let, Lit, Var
 from repro.store import (
     ExprStore,
-    ShardedExprStore,
     delta_to_bytes,
     snapshot_to_bytes,
 )
@@ -66,9 +64,7 @@ def golden_store(layout: str, bits: int):
     taken after item 99), items 150-399 on the arena engine in batches
     of 50."""
     combiners = HashCombiners(bits=bits, seed=11)
-    if layout == "sharded":
-        store = ShardedExprStore(combiners, num_shards=4)
-    elif layout == "lru":
+    if layout == "lru":
         store = ExprStore(combiners, max_entries=1500, memo_limit=2000)
     else:
         store = ExprStore(combiners)
@@ -89,7 +85,7 @@ def golden_digests(layout: str, bits: int) -> dict:
     }
 
 
-#: Flat and sharded stores end with 5,344 entries, the LRU store with
+#: The flat store ends with 5,344 entries, the LRU store with
 #: 1,500 of 5,613 created; every delta starts at version 1,572.
 GOLDEN = {
     ("flat", 64): {
@@ -99,14 +95,6 @@ GOLDEN = {
     ("flat", 128): {
         "snapshot": "d177df67808cefb60d537148b34a647af12e9c602f8d9d1ee81f6d14dd18663a",
         "delta": "e66a23c26e81a3571b0b34af4fd959af02a989b13b32ea49fcafc198bc47f3d7",
-    },
-    ("sharded", 64): {
-        "snapshot": "d7fd5298686161cadb8074f2a58f391492eaa2c9658763a17d2f7260fb5adfe9",
-        "delta": "6e0a7e5b12f2d258f74c856f7fbc09167dcd22dea8fb0de490d0118a51dc2c6f",
-    },
-    ("sharded", 128): {
-        "snapshot": "e59133aa6742c4925e804682145f28ab9e0a34871c45a24d9ccb2f39d1e759ee",
-        "delta": "d698db19343c66feaa67b32137fb9fdd64d6195126ee18038a48497233eeb9a6",
     },
     ("lru", 64): {
         "snapshot": "2b7b9d7022563c923ff6f59ffedd8dfd776c5d4deea63e0d3cc11bfaddbeee42",
@@ -124,21 +112,19 @@ GOLDEN = {
 LEGACY_DELTA_V1 = {
     ("flat", 64): "4cbfc33ad5e877eeba4a13843f926dfc966bfdfb6e0e90ac24b9f7abf490182b",
     ("flat", 128): "a5f920f3a46ef6d6a1cfd70c815f01f1f252e34251ec2ca996292bf822c3a82b",
-    ("sharded", 64): "23595331f642ef6a20a361c9aabd5702b0d3ee0682e59b308d1f533b65059ea3",
-    ("sharded", 128): "42f1fb3016c91dc31e28a7f6cbae372c934a0aa76e3e5b31a8d38e18275678af",
     ("lru", 64): "b6cfa96a940010215f3a7805a0740d38a28777300d99eaf68f74ba4be658472e",
     ("lru", 128): "fdde798d0dcc38a1faa1d3a04a216ebdc952daabe64e0e22294b54bd57c75685",
 }
 
 
 @pytest.mark.parametrize("bits", [64, 128])
-@pytest.mark.parametrize("layout", ["flat", "sharded", "lru"])
+@pytest.mark.parametrize("layout", ["flat", "lru"])
 def test_golden_digests(layout, bits):
     assert golden_digests(layout, bits) == GOLDEN[layout, bits]
 
 
 @pytest.mark.parametrize("bits", [64, 128])
-@pytest.mark.parametrize("layout", ["flat", "sharded", "lru"])
+@pytest.mark.parametrize("layout", ["flat", "lru"])
 def test_reference_v1_writer_reproduces_legacy_goldens(layout, bits):
     store, mid = golden_store(layout, bits)
     digest = hashlib.sha256(reference_delta_v1(store, mid)).hexdigest()
@@ -201,10 +187,6 @@ def _window(store, since):
     )
 
 
-def _num_shards(store):
-    return store.num_shards if isinstance(store, ShardedExprStore) else None
-
-
 def _document(header: dict, body: bytes) -> bytes:
     header = dict(header, checksum="sha256:" + hashlib.sha256(body).hexdigest())
     line = json.dumps(header, separators=(",", ":"), sort_keys=True)
@@ -221,7 +203,7 @@ def reference_delta_v1(store, since, meta=None) -> bytes:
         "seed": store.combiners.seed,
         "since": since,
         "version": store.version,
-        "num_shards": _num_shards(store),
+        "num_shards": None,
         "entries": len(fresh),
         "meta": meta or {},
     }
@@ -284,7 +266,7 @@ def reference_delta_v2(store, since, meta=None) -> bytes:
         "seed": store.combiners.seed,
         "since": since,
         "version": store.version,
-        "num_shards": _num_shards(store),
+        "num_shards": None,
         "rows": len(fresh),
         "names": names,
         "literals": literals,
@@ -375,14 +357,12 @@ def wall_items(bits: int):
 
 
 def wall_store(layout: str, bits: int, memo: str):
-    """:func:`wall_items` interned item by item: on the tree engine
-    (``warm``: every canonical tree has a memo record), on the arena
-    engine (``cold``: none has) or alternating (``mixed``)."""
+    """:func:`wall_items` interned item by item into a ``layout`` store
+    (``flat``, the one layout there is): on the tree engine (``warm``:
+    every canonical tree has a memo record), on the arena engine
+    (``cold``: none has) or alternating (``mixed``)."""
     combiners = HashCombiners(bits=bits, seed=5)
-    if layout == "sharded":
-        store = ShardedExprStore(combiners, num_shards=2)
-    else:
-        store = ExprStore(combiners)
+    store = ExprStore(combiners)
     for index, item in enumerate(wall_items(bits)):
         tree = memo == "warm" or (memo == "mixed" and index % 2 == 0)
         store.intern_many([item], engine="tree" if tree else "arena")
@@ -397,7 +377,8 @@ def wall_store(layout: str, bits: int, memo: str):
 
 WALL = pytest.mark.parametrize("memo", ["warm", "cold", "mixed"])
 WIDTHS = pytest.mark.parametrize("bits", [8, 64, 128])
-LAYOUTS = pytest.mark.parametrize("layout", ["flat", "sharded"])
+#: One layout; the parameter keeps the wall's test ids.
+LAYOUTS = pytest.mark.parametrize("layout", ["flat"])
 
 
 @WALL

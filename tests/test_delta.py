@@ -20,7 +20,6 @@ from repro.gen.random_exprs import random_expr
 from repro.store import (
     DELTA_FORMAT,
     ExprStore,
-    ShardedExprStore,
     SnapshotError,
     apply_delta_bytes,
     content_checksum,
@@ -37,10 +36,8 @@ def corpus(n, seed=29, size=30):
 
 
 def make_store(layout: str):
-    combiners = HashCombiners(bits=64, seed=7)
-    if layout == "sharded":
-        return ShardedExprStore(combiners, num_shards=4)
-    return ExprStore(combiners)
+    """An empty store of ``layout``: ``flat``, the one layout there is."""
+    return ExprStore(HashCombiners(bits=64, seed=7))
 
 
 def entry_map(store):
@@ -48,7 +45,8 @@ def entry_map(store):
             for e in store.entries()}
 
 
-@pytest.fixture(params=["flat", "sharded"])
+#: One layout; the parameter keeps the delta tests' ids.
+@pytest.fixture(params=["flat"])
 def layout(request):
     return request.param
 
@@ -212,24 +210,26 @@ class TestDeltaValidation:
     def test_combiner_mismatch_rejected(self, layout):
         store, _replica = self._pair(layout)
         delta = delta_to_bytes(store, 0)
-        other = (
-            ShardedExprStore(HashCombiners(bits=64, seed=99), num_shards=4)
-            if layout == "sharded"
-            else ExprStore(HashCombiners(bits=64, seed=99))
-        )
+        other = ExprStore(HashCombiners(bits=64, seed=99))
         with pytest.raises(SnapshotError, match="seed"):
             apply_delta_bytes(other, delta)
 
     def test_store_shape_mismatch_rejected(self, layout):
-        store, _replica = self._pair(layout)
-        delta = delta_to_bytes(store, 0)
-        other = (
-            ExprStore(HashCombiners(bits=64, seed=7))
-            if layout == "sharded"
-            else ShardedExprStore(HashCombiners(bits=64, seed=7), num_shards=4)
-        )
-        with pytest.raises(SnapshotError, match="shard"):
-            apply_delta_bytes(other, delta)
+        """A frame whose header names shards came from an in-process
+        sharded store: its ids are shard-encoded, so it is refused before
+        any write."""
+        store, replica = self._pair(layout)
+        head, _, body = delta_to_bytes(store, replica.version).partition(b"\n")
+        header = json.loads(head)
+        assert header["num_shards"] is None
+        header["num_shards"] = 4
+        edited = json.dumps(header, separators=(",", ":"), sort_keys=True)
+        before = content_checksum(replica), replica.version
+        with pytest.raises(SnapshotError, match="sharded store"):
+            apply_delta_bytes(replica, edited.encode("utf-8") + b"\n" + body)
+        assert (content_checksum(replica), replica.version) == before
+        apply_delta_bytes(replica, head + b"\n" + body)
+        assert entry_map(replica) == entry_map(store)
 
     def test_gap_rejected(self, layout):
         store, replica = self._pair(layout)
@@ -372,8 +372,7 @@ class TestDeltaAccounting:
             store.intern(expr)
         replica = ExprStore(HashCombiners(bits=64, seed=7))
         report = apply_delta_bytes(replica, delta_to_bytes(store, 0))
-        # Applied entries are accounted as misses: counters stay
-        # conserved (sum of shard counters == store totals elsewhere).
+        # Applied entries are accounted as misses.
         assert replica.stats.misses == report["applied"]
 
     def test_format_constant_in_header(self):

@@ -20,7 +20,6 @@ from repro.service import ReproServer, ServiceClient
 from repro.store import (
     ExprStore,
     Journal,
-    ShardedExprStore,
     content_checksum,
     delta_to_bytes,
     snapshot_to_bytes,
@@ -29,10 +28,7 @@ from repro.store import (
 #: Tracked objects a table may leave per class it holds.
 MAX_TRACKED_PER_ENTRY = 0.1
 
-SHAPES = [
-    pytest.param(ExprStore, id="flat"),
-    pytest.param(lambda: ShardedExprStore(num_shards=4), id="sharded"),
-]
+SHAPES = [pytest.param(ExprStore, id="flat")]
 
 
 def corpus(n_items, seed=17, size=40):
@@ -46,16 +42,9 @@ def tracked_objects() -> int:
 
 
 def live_trees(store):
-    tables = (
-        [shard.table for shard in store._shards]
-        if isinstance(store, ShardedExprStore)
-        else [store._table]
-    )
+    table = store._table
     return [
-        table.trees[row]
-        for table in tables
-        for row in table.order.values()
-        if table.trees[row] is not None
+        table.trees[row] for row in table.order.values() if table.trees[row] is not None
     ]
 
 
@@ -202,10 +191,6 @@ class TestViews:
         assert len(store._table.hashes) < 100
 
 
-def tables_of(store):
-    return store._tables if isinstance(store, ShardedExprStore) else [store._table]
-
-
 def full_scan(table, since):
     """The oracle: every live class whose version is above ``since``, read
     off the whole table in LRU order, then put in version order (a stable
@@ -222,10 +207,10 @@ def full_scan(table, since):
 def check_selection(store):
     """The delta's fresh-entry selection equals the full scan at every
     version boundary, and the id log stays proportional to the table."""
-    for table in tables_of(store):
-        for since in range(store.version + 1):
-            assert table.records(since) == full_scan(table, since), since
-        assert len(table.log_ids) <= 2 * len(table) + 65
+    table = store._table
+    for since in range(store.version + 1):
+        assert table.records(since) == full_scan(table, since), since
+    assert len(table.log_ids) <= 2 * len(table) + 65
 
 
 class TestDeltaSelection:
@@ -236,7 +221,7 @@ class TestDeltaSelection:
     def test_no_log_until_a_delta_is_read(self, make_store):
         store = make_store()
         store.intern_many(corpus(30, seed=2), engine="arena")
-        assert all(table.log_ids is None for table in tables_of(store))
+        assert store._table.log_ids is None
         delta_to_bytes(store, store.version // 2)
         store.intern_many(corpus(10, seed=3), engine="tree")
         check_selection(store)
@@ -252,13 +237,7 @@ class TestDeltaSelection:
         check_selection(store)
 
     @pytest.mark.parametrize(
-        "make_store",
-        [
-            pytest.param(lambda: ExprStore(max_entries=60), id="flat"),
-            pytest.param(
-                lambda: ShardedExprStore(num_shards=4, max_entries=60), id="sharded"
-            ),
-        ],
+        "make_store", [pytest.param(lambda: ExprStore(max_entries=60), id="flat")]
     )
     def test_bounded_store_with_evicted_and_recreated_classes(self, make_store):
         store = make_store()

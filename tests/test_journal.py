@@ -21,7 +21,6 @@ from repro.lang.parser import parse
 from repro.store import (
     ExprStore,
     Journal,
-    ShardedExprStore,
     JournalError,
     SnapshotError,
     apply_delta_bytes,
@@ -446,23 +445,17 @@ class TestBoundedReplay:
     class the primary evicted, next to the id that re-created it."""
 
     @staticmethod
-    def make(shape):
-        if shape == "flat":
-            return ExprStore(max_entries=6)
-        return ShardedExprStore(num_shards=2, max_entries=6)
-
-    @staticmethod
     def assert_lookup_sound(store, hashes):
         live = {entry.node_id: entry.hash for entry in store.entries()}
         for hash_value in hashes:
             found = store.lookup_hash(hash_value)
             assert found is None or live.get(found) == hash_value
 
-    @pytest.mark.parametrize("shape", ["flat", "sharded"])
-    def test_replayed_store_interns_past_a_recreated_class(self, tmp_path, shape):
+    @pytest.mark.parametrize("make", [lambda: ExprStore(max_entries=6)], ids=["flat"])
+    def test_replayed_store_interns_past_a_recreated_class(self, tmp_path, make):
         directory = str(tmp_path / "wal")
         journal = Journal(directory, fsync=False)
-        primary = self.make(shape)
+        primary = make()
 
         def intern(text):
             node_id = primary.intern(parse(text))
@@ -476,7 +469,7 @@ class TestBoundedReplay:
         journal.close()
         assert recreated != first
 
-        replica = self.make(shape)
+        replica = make()
         Journal(directory, fsync=False).replay(replica)
         assert first in replica and recreated in replica
         assert replica.lookup_hash(primary.hash_of(recreated)) == recreated
@@ -511,17 +504,12 @@ class TestArenaInternedWindows:
     store's own arena pass recomputes the summaries, so its canonical
     trees hash as pure memo hits."""
 
-    @pytest.mark.parametrize("num_shards", [None, 2], ids=["flat", "sharded"])
-    def test_arena_windows_equal_tree_windows(self, num_shards):
+    @pytest.mark.parametrize("make", [ExprStore], ids=["flat"])
+    def test_arena_windows_equal_tree_windows(self, make):
         items = mixed_corpus(200)
         frames = {}
         for engine in ("tree", "arena"):
-            combiners = HashCombiners(bits=64, seed=7)
-            store = (
-                ExprStore(combiners)
-                if num_shards is None
-                else ShardedExprStore(combiners, num_shards=num_shards)
-            )
+            store = make(HashCombiners(bits=64, seed=7))
             frames[engine] = []
             for lo in range(0, len(items), 25):
                 since = store.version
@@ -530,10 +518,8 @@ class TestArenaInternedWindows:
         assert len(frames["arena"]) == 8
         assert frames["arena"] == frames["tree"]
 
-    @pytest.mark.parametrize("num_shards", [None, 2], ids=["flat", "sharded"])
-    def test_server_restarts_from_arena_planned_frames(
-        self, tmp_path, num_shards
-    ):
+    @pytest.mark.parametrize("shape", [{}], ids=["flat"])
+    def test_server_restarts_from_arena_planned_frames(self, tmp_path, shape):
         from repro.core.hashed import alpha_hash_all
         from repro.lang.expr import App
         from repro.lang.sexpr import to_wire
@@ -541,7 +527,6 @@ class TestArenaInternedWindows:
         from repro.service.server import ReproServer
 
         directory = str(tmp_path / "wal")
-        shape = {} if num_shards is None else {"num_shards": num_shards}
         items = mixed_corpus(330, seed=59)
         with ReproServer(
             port=0, journal=Journal(directory, fsync=False), **shape

@@ -2,9 +2,10 @@
 
 Fixture snippets are written into a throwaway ``repro/``-shaped tree so
 kernel/wire scoping applies, then analyzed with the real pipeline; the
-witness tests drive actual :class:`ShardedExprStore` locks under
-:mod:`repro.testing.lockcheck` and cross-check the record against the
-static lock-order graph of the installed source tree.
+witness tests drive the actual locks of a journaled
+:class:`~repro.service.ReproServer` under :mod:`repro.testing.lockcheck`
+and cross-check the record against the static lock-order graph of the
+installed source tree.
 """
 
 from __future__ import annotations
@@ -306,9 +307,10 @@ def test_repo_is_clean(repo_result):
     )
 
 
-def test_repo_lock_graph_has_the_memo_shard_edge(repo_result):
+def test_repo_lock_graph_has_the_server_journal_edge(repo_result):
+    """An intern appends its journal frame under the service lock."""
     edges = set(repo_result.edges)
-    assert ("ShardedExprStore._memo_lock", "_Shard.lock") in edges
+    assert ("ReproServer.lock", "Journal._mutex") in edges
 
 
 def test_every_repo_pragma_has_a_reason(repo_result):
@@ -320,29 +322,29 @@ def test_every_repo_pragma_has_a_reason(repo_result):
 # -- runtime witness -----------------------------------------------------------
 
 
-def test_witness_round_trip_on_sharded_store(tmp_path, repo_result):
+def test_witness_round_trip_on_journaled_server(tmp_path, repo_result):
     from repro.lang.parser import parse
-    from repro.store.sharded import ShardedExprStore
+    from repro.service import ReproServer, ServiceClient
     from repro.testing import lockcheck
 
     recorder = lockcheck.install()
     try:
-        store = ShardedExprStore(num_shards=4)
-        corpus = [
-            parse("a b"),
-            parse("let t = a + b in t * t"),
-            parse("f (g x)"),
-        ]
-        store.intern_many(corpus)
+        with ReproServer(port=0, journal=str(tmp_path / "wal")) as server:
+            corpus = [
+                parse("a b"),
+                parse("let t = a + b in t * t"),
+                parse("f (g x)"),
+            ]
+            ServiceClient(server.url).intern_many(corpus)
     finally:
         lockcheck.uninstall()
 
     out = tmp_path / "witness.json"
     doc = lockcheck.dump(str(out), recorder)
     assert doc["format"] == "repro-lockcheck-v1"
-    assert doc["sites"], "interning must acquire labeled store locks"
+    assert doc["sites"], "interning must acquire labeled server locks"
     assert any(
-        path == "repro/store/sharded.py" for path, _line in doc["sites"]
+        path == "repro/service/server.py" for path, _line in doc["sites"]
     )
 
     result = analyze(default_root(), witness=doc)
@@ -377,7 +379,7 @@ def test_witness_gap_edge_is_detected(repo_result):
 def test_witness_gap_site_is_detected():
     witness = {
         "format": "repro-lockcheck-v1",
-        "sites": [["repro/store/sharded.py", 2]],
+        "sites": [["repro/store/store.py", 2]],
         "edges": [],
     }
     result = analyze(default_root(), witness=witness)

@@ -127,6 +127,8 @@ class TestPlanner:
             InternRequest(corpus, mode="thread")
         with pytest.raises(TypeError):
             Session().hash_corpus(corpus, workers=2)
+        with pytest.raises(TypeError, match="num_shards"):
+            Session(num_shards=4)
 
     def test_non_store_backend_stays_serial(self, corpus):
         plan = Session(backend="debruijn").plan(HashRequest(corpus))
@@ -149,10 +151,6 @@ class TestPlanner:
     def test_unknown_backend_is_a_plan_error(self, corpus):
         with pytest.raises(PlanError, match="unknown backend"):
             Session().plan(HashRequest(corpus, backend="warp"))
-
-    def test_sharded_session_plan_reports_shards(self, corpus):
-        plan = Session(num_shards=4).plan(HashRequest(corpus))
-        assert plan.num_shards == 4
 
 
 class TestExecuteBitIdentity:
@@ -212,7 +210,6 @@ class TestCompiledRequests:
             monkeypatch.setattr(native, "LIB", None)
         request = HashRequest.compiled(*compile_wire(corpus), engine=engine)
         assert Session().execute(request) == expected
-        assert Session(num_shards=3).execute(request) == expected
 
     @pytest.mark.parametrize("engine", ["tree", "arena"])
     def test_intern_lands_on_the_same_ids(self, corpus, expected, engine):

@@ -27,7 +27,7 @@ from repro.lang.parser import parse
 from repro.lang.sexpr import SexprError, from_wire, to_wire
 from repro.lang.traversal import preorder
 from repro.service import ReproServer, ServiceClient, ServiceError
-from repro.store import ShardedExprStore, snapshot_from_bytes
+from repro.store import snapshot_from_bytes
 
 
 def echoed(plan) -> dict:
@@ -180,25 +180,7 @@ class TestSnapshotEndpoints:
         assert excinfo.value.status == 400
 
 
-class TestShardedServer:
-    def test_sharded_store_serves_v2_snapshots(self, corpus, expected):
-        with ReproServer(port=0, num_shards=4) as server:
-            client = ServiceClient(server.url)
-            ids = client.intern_many(corpus)
-            data = client.fetch_snapshot()
-            store, header = snapshot_from_bytes(data)
-            assert header["format"] == "repro-store-snapshot-v2-sharded"
-            assert isinstance(store, ShardedExprStore)
-            assert store.num_shards == 4
-            # Native layout preserves the server's node ids.
-            assert store.intern_many(corpus) == ids
-            assert store.hash_corpus(corpus) == expected
-            # pull_session adopts the sharded store with its config.
-            local = client.pull_session()
-            assert isinstance(local.store, ShardedExprStore)
-            assert local.config.num_shards == 4
-            assert local.hash_corpus(corpus) == expected
-
+class TestBoundedServer:
     def test_entry_bounded_server_intern_stays_clean(self, corpus):
         """A capacity-bounded store evicting mid-batch must not turn the
         intern endpoint into a KeyError/400."""
@@ -433,15 +415,7 @@ class TestMetricsEndpoint:
         assert store["version"] == store["entries"]  # eviction-free store
         assert 0 <= store["intern_hit_rate"] <= 1
         assert store["counters"]["misses"] == store["entries"]
-
-    def test_sharded_store_occupancy(self, corpus):
-        with ReproServer(port=0, num_shards=4) as server:
-            client = ServiceClient(server.url)
-            client.intern_many(corpus[:30])
-            store = client.metrics()["store"]
-            assert store["num_shards"] == 4
-            assert len(store["shard_occupancy"]) == 4
-            assert sum(store["shard_occupancy"]) == store["entries"]
+        assert not {"num_shards", "shard_occupancy"} & set(store)
 
 
 class TestClientRetry:

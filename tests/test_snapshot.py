@@ -15,11 +15,10 @@ from repro.cli import main
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
 from repro.lang.alpha import alpha_equivalent
-from repro.lang.expr import Lit
+from repro.lang.expr import App, Lit, Var
 from repro.lang.parser import parse
 from repro.store import (
     ExprStore,
-    ShardedExprStore,
     SnapshotError,
     content_checksum,
     read_snapshot,
@@ -56,6 +55,19 @@ class TestStoreRoundTrip:
         before = len(loaded.store)
         loaded.intern_many(corpus)
         assert len(loaded.store) == before
+
+    def test_deep_entries_snapshot_iteratively(self, snap_path):
+        """A depth-2000 canonical chain saves and loads: the encoder and
+        the loader stay iterative."""
+        deep = Var("x")
+        for _ in range(2000):
+            deep = App(Var("f"), deep)
+        store = ExprStore()
+        node_id = store.intern(deep)
+        store.save(snap_path)
+        restored = ExprStore.load(snap_path)
+        assert restored.intern(deep) == node_id
+        assert restored.hash_of(node_id) == store.hash_of(node_id)
 
     def test_canonical_trees_survive(self, snap_path):
         store = ExprStore()
@@ -183,7 +195,8 @@ class TestSnapshotIntegrity:
         # child id, or a summary field of the wrong type, with a
         # recomputed checksum) must fail as SnapshotError, not leak a
         # bare KeyError, load a memo record of the wrong types or fail
-        # later inside an unrelated hash_expr -- in either layout
+        # later inside an unrelated hash_expr.  The same records under a
+        # v2 sharded header are refused for their format tag.
         import hashlib
 
         var = {"i": 0, "h": 1, "k": "Var", "z": 1, "c": [], "p": "x",
@@ -216,13 +229,16 @@ class TestSnapshotIntegrity:
                 "max_entries": None, "memo_limit": None, "stats": {},
                 "meta": {}, "checksum": checksum,
             }
-            for header in (flat, sharded):
+            for header, refusal in (
+                (flat, "malformed snapshot entry"),
+                (sharded, "not a repro-store-snapshot-v1 file"),
+            ):
                 with open(snap_path, "wb") as handle:
                     handle.write(json.dumps(header).encode() + b"\n" + body)
-                with pytest.raises(
-                    SnapshotError, match="malformed snapshot entry"
-                ):
+                with pytest.raises(SnapshotError, match=refusal):
                     read_snapshot(snap_path)
+                with pytest.raises(SnapshotError, match=refusal):
+                    Session.load(snap_path)
 
     def test_header_missing_required_field_rejected(self, snap_path):
         # a well-formed header that lacks e.g. "bits" must fail as
@@ -240,9 +256,8 @@ class TestSnapshotIntegrity:
 
 
 def repeat_record(data: bytes, index: int) -> bytes:
-    """A snapshot with body record ``index`` repeated, its hash flipped:
-    appended to the record's own shard section in the sharded layout,
-    with every count, byte run and checksum recomputed."""
+    """A snapshot with body record ``index`` repeated, its hash flipped,
+    with the entry count and checksum recomputed."""
     import hashlib
 
     head, _, body = data.partition(b"\n")
@@ -251,14 +266,7 @@ def repeat_record(data: bytes, index: int) -> bytes:
     rec = json.loads(lines[index])
     rec["h"] ^= 1
     copy = json.dumps(rec, separators=(",", ":"), sort_keys=True) + "\n"
-    if "shards" in header:
-        section = rec["i"] % header["num_shards"]
-        end = sum(m["entries"] for m in header["shards"][: section + 1])
-        lines.insert(end, copy)
-        header["shards"][section]["entries"] += 1
-        header["shards"][section]["bytes"] += len(copy.encode("utf-8"))
-    else:
-        lines.append(copy)
+    lines.append(copy)
     new_body = "".join(lines).encode("utf-8")
     header["entries"] += 1
     header["checksum"] = "sha256:" + hashlib.sha256(new_body).hexdigest()
@@ -270,11 +278,11 @@ def repeat_record(data: bytes, index: int) -> bytes:
 
 
 class TestRepeatedIds:
-    @pytest.mark.parametrize("layout", ["flat", "sharded"])
-    def test_snapshot_naming_one_id_twice_is_refused(self, layout):
+    @pytest.mark.parametrize("make", [ExprStore], ids=["flat"])
+    def test_snapshot_naming_one_id_twice_is_refused(self, make):
         """Loading such a file used to succeed with ``lookup_hash(h)``
         naming an entry that carries ``h ^ 1``."""
-        store = ExprStore() if layout == "flat" else ShardedExprStore(num_shards=4)
+        store = make()
         for seed in range(12):
             store.intern(random_expr(15, seed=seed, p_let=0.2, p_lit=0.2))
         data = snapshot_to_bytes(store)
@@ -315,20 +323,6 @@ class TestSessionLoad:
         loaded = Session.load(snap_path)
         assert loaded.combiners.bits == 32
         assert loaded.hash(parse(r"\y. y + 7")) == value
-
-    def test_sharded_session_snapshot_round_trip(self, snap_path):
-        corpus = [
-            random_expr(50, seed=i, p_let=0.25, p_lit=0.15) for i in range(30)
-        ]
-        corpus += corpus[:10]
-        session = Session(num_shards=4)
-        hashes = session.hash_corpus(corpus)
-        session.intern_many(corpus)
-        session.save(snap_path)
-        restored = Session.load(snap_path)
-        assert isinstance(restored.store, ShardedExprStore)
-        assert restored.store.num_shards == 4
-        assert restored.hash_corpus(corpus) == hashes
 
 
 class TestLegacyFanoutConfig:

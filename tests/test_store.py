@@ -14,7 +14,7 @@ from repro.lang.expr import App, Lam, Lit, Var, syntactic_eq
 from repro.lang.names import uniquify_binders
 from repro.lang.parser import parse
 from repro.lang.pretty import pretty
-from repro.store import ExprStore, ShardedExprStore, StoreCollisionError, StoreStats
+from repro.store import ExprStore, StoreCollisionError, StoreStats
 
 
 def p(text: str):
@@ -266,19 +266,16 @@ class TestCollisionGuard:
                 return var
         raise AssertionError(f"no variable hashes to 0x{target:x}")
 
-    @pytest.mark.parametrize("shape", ["flat", "sharded"])
+    @pytest.mark.parametrize("make", [ExprStore], ids=["flat"])
     @pytest.mark.parametrize("path", ["intern", "intern_many", "intern_arena"])
-    def test_collision_raises_on_every_intern_path(self, shape, path):
+    def test_collision_raises_on_every_intern_path(self, make, path):
         """At 8 bits a Var can share the alpha-hash of ``\\x. x``: every
         intern path reaches the one guard and raises the same text."""
         from repro.core.arena import ExprArena
         from repro.lang.sexpr import to_wire
 
         combiners = HashCombiners(bits=8, seed=1)
-        if shape == "flat":
-            store = ExprStore(combiners)
-        else:
-            store = ShardedExprStore(combiners, num_shards=4)
+        store = make(combiners)
         top = store.hash_of(store.intern(parse(r"\x. x")))
         var = self.colliding_var(combiners, top)
         with pytest.raises(StoreCollisionError) as raised:
@@ -292,6 +289,40 @@ class TestCollisionGuard:
         assert str(raised.value) == (
             f"alpha-hash 0x{top:x} maps both a Lam of size 2 and a Var of size 1"
         )
+
+
+class TestMerge:
+    """``merge_store`` folds another store's classes into this one (the
+    snapshot-upload endpoint and the coordinator's stats merge use it)."""
+
+    @staticmethod
+    def source():
+        items = [random_expr(40, seed=s, p_let=0.3, p_lit=0.1) for s in range(40)]
+        items += [alpha_rename(item, seed=s) for s, item in enumerate(items[:10])]
+        store = ExprStore()
+        store.intern_many(items)
+        return store
+
+    def test_mapping_preserves_hashes(self):
+        other = self.source()
+        store = ExprStore()
+        store.intern(random_expr(40, seed=7, p_let=0.3, p_lit=0.1))
+        mapping = store.merge_store(other)
+        assert set(mapping) == {entry.node_id for entry in other.entries()}
+        for entry in other.entries():
+            assert store.hash_of(mapping[entry.node_id]) == entry.hash
+        assert len(store) == len(other)
+
+    def test_second_merge_changes_nothing(self):
+        other, store = self.source(), ExprStore()
+        mapping = store.merge_store(other)
+        before = len(store), store.version
+        assert store.merge_store(other) == mapping
+        assert (len(store), store.version) == before
+
+    def test_mismatched_combiners_refused(self):
+        with pytest.raises(ValueError, match="disagree"):
+            ExprStore().merge_store(ExprStore(HashCombiners(bits=32)))
 
 
 class TestStatsShape:

@@ -2,7 +2,7 @@
 
 The differential wall: every streamed edit's root hash must be
 bit-identical to a from-scratch ``alpha_hash_all`` of the edited tree,
-across flat, LRU-bounded and sharded stores -- plus the warm open
+across flat and LRU-bounded stores -- plus the warm open
 (first edits read the summary memo open filled, and are O(spine); the
 cold build is only a fallback), the frozen memo records that warm
 reads share, the eviction safety that makes that true under pressure
@@ -72,8 +72,6 @@ def seeded_edits(stream_exprs, n_edits, seed=23, max_repl=12):
 STORE_CONFIGS = [
     pytest.param({}, id="flat"),
     pytest.param({"max_entries": 60, "memo_limit": 300}, id="lru-bounded"),
-    pytest.param({"num_shards": 4}, id="sharded"),
-    pytest.param({"num_shards": 4, "max_entries": 48}, id="sharded-bounded"),
 ]
 
 #: The configurations no bound flushes the summary memo on: open must

@@ -1,4 +1,4 @@
-"""The intern table has one owner: ``store/store.py`` and ``store/sharded.py``.
+"""The intern table has one owner: ``store/store.py``.
 
 An AST scan over the ``repro`` source tree.  Every other module reads
 the table only; writes go through the store's steps (hit by id,
@@ -7,8 +7,7 @@ invariants live in one place.  A module outside the owners fails this
 test if it
 
 * stores into, deletes from, or calls a mutator (``move_to_end``,
-  ``pop``, ...) on ``_entries``, ``_by_hash``, ``_table``, or a shard's
-  ``entries``, ``by_hash`` or ``table``;
+  ``pop``, ...) on ``_entries``, ``_by_hash`` or ``_table``;
 * does the same to one of a table's containers (``order``, ``by_hash``,
   ``free``), columns (``hashes``, ``kinds``, ``sizes``, ``kids``,
   ``labels``, ``versions``, ``refcounts``, ``trees``) or id log
@@ -16,7 +15,7 @@ test if it
   a table or through a local bound to one;
 * calls one of the table's write steps (``touch``, ``insert``,
   ``unlink``, ``link``, ...) on a table;
-* assigns ``_next_id``, ``next_local`` or ``log_dead``;
+* assigns ``_next_id``, ``next_id`` or ``log_dead``;
 * changes an entry's ``refcount``.
 
 ``StoreCollisionError`` is raised at exactly one site: the guard.
@@ -28,9 +27,8 @@ import pathlib
 import repro
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
-OWNERS = {"store/store.py", "store/sharded.py"}
+OWNERS = {"store/store.py"}
 TABLE_ATTRS = {"_entries", "_by_hash", "_table"}
-SHARD_TABLE_ATTRS = {"entries", "by_hash", "table"}
 #: An InternTable's containers and columns.
 COLUMN_ATTRS = {
     "order",
@@ -47,7 +45,7 @@ COLUMN_ATTRS = {
     "log_versions",
     "log_ids",
 }
-COUNTER_ATTRS = {"_next_id", "next_local", "refcount", "log_dead"}
+COUNTER_ATTRS = {"_next_id", "next_id", "refcount", "log_dead"}
 MUTATORS = {
     "move_to_end",
     "pop",
@@ -73,19 +71,14 @@ def modules():
 
 
 def is_table(node, aliases=frozenset()) -> bool:
-    """``X._entries`` / ``X._by_hash`` / ``X._table``; ``entries`` /
-    ``by_hash`` / ``table`` on a receiver that names a shard (``shard``,
-    ``kid_shard``, ``store._shard_of_id(kid)``, ...); or a table column
-    on a receiver that names a table (``table``, ``store._table``,
-    ``shard.table``, ``store._table_of(kid)``, ...) or is a local in
-    ``aliases``."""
+    """``X._entries`` / ``X._by_hash`` / ``X._table``; or a table column
+    on a receiver that names a table (``table``, ``store._table``, ...)
+    or is a local in ``aliases``."""
     if not isinstance(node, ast.Attribute):
         return False
     if node.attr in TABLE_ATTRS:
         return True
     receiver = node.value
-    if node.attr in SHARD_TABLE_ATTRS and "shard" in ast.unparse(receiver).lower():
-        return True
     return node.attr in COLUMN_ATTRS and (
         "table" in ast.unparse(receiver).lower()
         or (isinstance(receiver, ast.Name) and receiver.id in aliases)
