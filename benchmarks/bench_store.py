@@ -33,7 +33,10 @@ reported only.  ``--native-items N`` adds the native-kernel gate: on
 the same kind of corpus the native arena kernel must hash the arena
 bit-identically to the scalar kernel and >= 2x faster (the kernels
 alone; the tree walk's time is reported); without the native library
-the cell reports the scalar time and skips the gate.  ``--json-out``
+the cell reports the scalar time and skips the gate.  The same cell
+times the native compile walk against the Python walk on its corpus:
+``flatten`` must build the identical arena state >= 2x faster, and
+without the compile library that half reports SKIP.  ``--json-out``
 appends the measured cells to a JSON trajectory file (see
 ``benchmarks/run_bench.py``).
 """
@@ -65,6 +68,10 @@ ARENA_SMOKE_FLOOR = 2.0
 #: it holds on any host shape; it is only skipped when the native
 #: library did not load.
 NATIVE_SMOKE_FLOOR = 2.0
+
+#: The compile gate: the native walk must beat the Python walk by this
+#: factor flattening the native cell's corpus into a fresh arena.
+FLATTEN_SMOKE_FLOOR = 2.0
 
 #: The footprint gate: GC-tracked objects an arena bulk intern may leave
 #: per canonical entry.  The columnar intern table keeps no Python
@@ -374,13 +381,72 @@ def footprint_smoke(corpus: list[Expr], cell: dict) -> tuple[int, dict]:
     return 0, cell
 
 
+def flatten_smoke(corpus, repeats: int, cell: dict) -> int:
+    """Native vs Python compile walk on ``corpus``: the same arena state
+    always, and >= 2x; SKIP without the compile library."""
+    from repro.core import native
+    from repro.core.arena import ExprArena
+    from repro.core.hashed import lit_cache_key
+
+    def state(arena):
+        return (
+            bytes(arena.op), arena.left.tolist(), arena.right.tolist(),
+            arena.aux.tolist(), arena.sizes.tolist(), arena.names,
+            [lit_cache_key(value) for value in arena.literals],
+            arena._name_ids, arena._lit_ids,
+        )
+
+    def compile_with(walk):
+        arena = ExprArena()
+        return arena, arena._compile(walk, corpus)
+
+    def result(walk):
+        arena, roots = compile_with(walk)
+        return roots, state(arena)
+
+    python_time = _best_of(lambda: compile_with(ExprArena._flatten_walk), repeats)
+    cell["flatten_python_s"] = round(python_time, 4)
+    if native.FLATTEN is None:
+        print(
+            "SKIP: native compile walk not loaded "
+            f"({native.REASONS.get('arena_flatten')}) -- Python walk "
+            f"{python_time * 1e3:.1f} ms reported, not gated"
+        )
+        return 0
+    native_time = _best_of(lambda: compile_with(native.native_flatten), repeats)
+    speedup = python_time / native_time if native_time else float("inf")
+    cell["flatten_native_s"] = round(native_time, 4)
+    cell["flatten_speedup"] = round(speedup, 3)
+    cell["flatten_required_speedup"] = FLATTEN_SMOKE_FLOOR
+    cell["flatten_identical"] = result(native.native_flatten) == result(
+        ExprArena._flatten_walk
+    )
+    print(
+        f"flatten: python {python_time * 1e3:8.1f} ms   native "
+        f"{native_time * 1e3:8.1f} ms   ({speedup:.2f}x over the Python walk)"
+    )
+    if not cell["flatten_identical"]:
+        print("FAIL: the native compile walk builds another arena than the Python walk")
+        return 1
+    print("native compile walk builds the Python walk's arena state")
+    if speedup < FLATTEN_SMOKE_FLOOR:
+        print(
+            f"FAIL: native compile speedup {speedup:.2f}x below the "
+            f"{FLATTEN_SMOKE_FLOOR:.1f}x floor"
+        )
+        return 1
+    print(f"OK: native compile speedup {speedup:.2f}x >= {FLATTEN_SMOKE_FLOOR:.1f}x floor")
+    return 0
+
+
 def native_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]:
     """Native vs scalar arena kernel: bit-identity always, >= 2x gate.
 
     Both kernels hash the *same* flattened arena (flatten cost is
     excluded -- the cell times the kernels alone); the tree walk over
     the corpus is reported next to them.  Without the native library
-    the cell reports the scalar time and skips the gate honestly.
+    the cell reports the scalar time and skips the gate honestly.  The
+    compile walks are gated first (:func:`flatten_smoke`).
     """
     from repro.core import native
     from repro.core.arena import arena_hash, flatten_corpus
@@ -406,12 +472,13 @@ def native_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]
         f"native corpus: {n_items} items, {total_nodes} nodes "
         f"({len(arena)} unique arena nodes)"
     )
+    status = flatten_smoke(corpus, repeats, cell)
     if native.LIB is None:
         print(
-            f"SKIP: native kernel not loaded ({native.REASON}) -- "
+            f"SKIP: native kernel not loaded ({native.REASONS.get('arena_kernel')}) -- "
             "scalar time reported, not gated"
         )
-        return 0, cell
+        return status, cell
     native_time = _best_of(lambda: native.native_tops(arena, combiners), repeats)
     speedup = scalar_time / native_time if native_time else float("inf")
     cell["native_s"] = round(native_time, 4)
@@ -435,7 +502,7 @@ def native_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]
         )
         return 1, cell
     print(f"OK: native speedup {speedup:.2f}x >= {NATIVE_SMOKE_FLOOR:.1f}x floor")
-    return 0, cell
+    return status, cell
 
 
 def main(argv=None) -> int:

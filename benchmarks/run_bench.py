@@ -146,16 +146,18 @@ def arena_cell(n_items: int, item_size: int, repeats: int) -> dict:
 @contextlib.contextmanager
 def arena_kernel(name: str):
     """Run the arena engine on kernel ``name`` for the block: the
-    scalar one by hiding the native library, the native one as loaded."""
+    scalar one by hiding both native libraries (as on a host without a
+    compiler, where flatten runs the Python walk too), the native one as
+    loaded."""
     from repro.core import native
 
-    loaded = native.LIB
+    loaded = native.LIB, native.FLATTEN
     if name == "scalar":
-        native.LIB = None
+        native.LIB = native.FLATTEN = None
     try:
         yield
     finally:
-        native.LIB = loaded
+        native.LIB, native.FLATTEN = loaded
 
 
 def native_cell(n_items: int, item_size: int, repeats: int) -> dict:

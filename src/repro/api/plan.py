@@ -201,7 +201,9 @@ class Planner:
         if engine == "arena":
             kernel = native.kernel()
             if kernel == "scalar":
-                reasons.append(f"arena kernel -> scalar: {native.REASON}")
+                reasons.append(
+                    f"arena kernel -> scalar: {native.REASONS.get('arena_kernel')}"
+                )
 
         return ExecutionPlan(
             kind=request.kind,

@@ -19,6 +19,12 @@ This module *compiles* a corpus once into an :class:`ExprArena`:
   benchmark corpus compiles to ~41% unique nodes -- and every duplicate
   is work the kernel never does.
 
+* **One compile walk, two tiers.**  :meth:`ExprArena.flatten` runs the
+  walk in C (``arena_flatten.c``, built against the interpreter's
+  headers and loaded by :mod:`repro.core.native`) when its library
+  loaded, and :meth:`ExprArena._flatten_walk` otherwise.  Both build the
+  same arena, byte for byte; the Python walk is the oracle.
+
 * **One single-pass kernel, two tiers.**  :func:`arena_hash` runs the
   paper's Section 5 algorithm over the arrays: integer-indexed memo
   lists instead of ``id()``-keyed dicts, no recursion, no per-node
@@ -170,7 +176,10 @@ class ExprArena:
     keep distinct arena nodes and collapse later, at intern time).
 
     Instances grow append-only through :meth:`flatten` and may be reused
-    across corpora.
+    across corpora.  The name and literal tables persist with their
+    dicts; the structural index does not: each compile derives it from
+    the rows already there (none, for a fresh arena) and drops it when
+    it returns.
     """
 
     __slots__ = (
@@ -183,7 +192,6 @@ class ExprArena:
         "literals",
         "_name_ids",
         "_lit_ids",
-        "_struct",
     )
 
     def __init__(self) -> None:
@@ -196,7 +204,6 @@ class ExprArena:
         self.literals: list = []
         self._name_ids: dict[str, int] = {}
         self._lit_ids: dict[tuple, int] = {}
-        self._struct: dict = {}
 
     # -- queries -------------------------------------------------------------
 
@@ -229,11 +236,14 @@ class ExprArena:
         structural identity against everything already in the arena, and
         by leaf-table interning of names and literal values.  The walk
         is iterative and pops each node once (see :meth:`_flatten_walk`),
-        so degenerate depth-50k chains compile fine.  A failed flatten
+        so degenerate depth-50k chains compile fine.  It runs in C when
+        the compile library loaded (:func:`repro.core.native.compile_tier`)
+        and in Python otherwise, to the same arena.  A failed flatten
         (a foreign node kind) raises ``TypeError`` and leaves the arena
         exactly as it was (see :meth:`_compile`).
         """
-        return self._compile(self._flatten_walk, exprs)
+        walk = ExprArena._flatten_walk if native.FLATTEN is None else native.native_flatten
+        return self._compile(walk, exprs)
 
     def extend_wire(self, docs: Iterable) -> list[int]:
         """Compile ``repro-expr-v1`` wire documents straight into the
@@ -248,55 +258,65 @@ class ExprArena:
         does, with the same :class:`~repro.lang.sexpr.SexprError` text,
         and a rejected call leaves the arena as it was.
         """
-        return self._compile(self._wire_walk, docs)
+        return self._compile(ExprArena._wire_walk, docs)
 
     def _compile(self, walk, source) -> list[int]:
         """Run one compile ``walk`` over ``source``: flush or roll back.
 
-        The walk writes the new rows into plain-list column buffers
-        (list appends are cheaper than ``array`` ones), flushed into the
-        arrays once at the end, while it writes the structural index
-        and leaf tables inline -- so on error those tables are rolled
-        back, and the arena is left exactly as it was, safe to keep
-        using.
+        ``walk(self, source, roots)`` appends a root index per item to
+        ``roots`` and returns the new rows' five columns, flushed into
+        the arrays here, while it writes the leaf tables inline -- so on
+        error, in the walk or in the flush (a ``size`` that is not an
+        int), the columns and those tables are rolled back, and the
+        arena is left exactly as it was, safe to keep using.
         """
-        struct = self._struct
+        columns = (self.op, self.left, self.right, self.aux, self.sizes)
         count0 = len(self.op)
         n_names0 = len(self.names)
         n_lits0 = len(self.literals)
-
-        buffers: tuple[list[int], ...] = ([], [], [], [], [])
         roots: list[int] = []
         try:
-            walk(source, roots, *buffers)
+            for column, new in zip(columns, walk(self, source, roots)):
+                column.extend(new)
         except BaseException:
-            # The buffered columns are simply dropped; the tables would
-            # otherwise point at rows that never get flushed.
+            # The tables would otherwise name entries no row uses.
             from repro.core.hashed import lit_cache_key
 
+            for column in columns:
+                del column[count0:]
             for name in self.names[n_names0:]:
                 del self._name_ids[name]
             del self.names[n_names0:]
             for value in self.literals[n_lits0:]:
                 del self._lit_ids[lit_cache_key(value)]
             del self.literals[n_lits0:]
-            self._struct = {
-                key: idx for key, idx in struct.items() if idx < count0
-            }
             raise
-
-        op_b, left_b, right_b, aux_b, sizes_b = buffers
-        self.op.extend(op_b)
-        self.left.extend(left_b)
-        self.right.extend(right_b)
-        self.aux.extend(aux_b)
-        self.sizes.extend(sizes_b)
         return roots
 
-    def _flatten_walk(
-        self, exprs, roots, op_b, left_b, right_b, aux_b, sizes_b
-    ) -> None:
-        """The flatten loop proper, writing into the column buffers.
+    def _struct_index(self) -> dict:
+        """The structural index of the rows already in the arena, as the
+        walks key it: a Var row by ``nid * 8``, a Lit row by ``lid * 8 +
+        1``, and Lam, App and Let rows by ``(op, nid, body)``, ``(op, fn,
+        arg)`` and ``(op, nid, bound, body)``.  A key's first row wins."""
+        struct: dict = {}
+        for i, opc, lo, hi, x in zip(
+            range(len(self.op)), self.op, self.left, self.right, self.aux
+        ):
+            if opc == OP_VAR:
+                key = x * 8
+            elif opc == OP_LIT:
+                key = x * 8 + 1
+            elif opc == OP_LAM:
+                key = (OP_LAM, x, lo)
+            elif opc == OP_APP:
+                key = (OP_APP, lo, hi)
+            else:
+                key = (OP_LET, x, lo, hi)
+            struct.setdefault(key, i)
+        return struct
+
+    def _flatten_walk(self, exprs, roots) -> tuple[list[int], ...]:
+        """The flatten loop proper: the new rows' columns, as lists.
 
         Each node is popped once.  A leaf resolves where it is popped;
         an interior node pushes an ``(opcode, node)`` exit marker below
@@ -304,13 +324,14 @@ class ExprArena:
         operand stack, as :meth:`_wire_walk` does.  ``memo`` maps interior
         node objects already compiled in this call to their index (nodes
         hash by identity), so a shared object is walked once.  The type
-        is checked before a node is hashed.  Mutates the structural index
-        and leaf tables inline; :meth:`_compile` owns the flush-or-rollback
-        around it.
+        is checked before a node is hashed.  Mutates the leaf tables
+        inline; :meth:`_compile` owns the flush-or-rollback around it.
+        ``arena_flatten.c`` is this loop in C.
         """
         from repro.core.hashed import lit_cache_key
 
-        struct = self._struct
+        op_b, left_b, right_b, aux_b, sizes_b = columns = ([], [], [], [], [])
+        struct = self._struct_index()
         struct_get = struct.get
         name_ids, names = self._name_ids, self.names
         lit_ids, literals = self._lit_ids, self.literals
@@ -444,11 +465,10 @@ class ExprArena:
                 else:
                     raise _foreign_node(node)
             roots.append(opop())
+        return columns
 
-    def _wire_walk(
-        self, docs, roots, op_b, left_b, right_b, aux_b, sizes_b
-    ) -> None:
-        """The wire compile loop, writing into the column buffers.
+    def _wire_walk(self, docs, roots) -> tuple[list[int], ...]:
+        """The wire compile loop: the new rows' columns, as lists.
 
         Entries arrive children-first, so an operand stack of
         ``(index, size)`` pairs stands in for the tree: each operator
@@ -459,7 +479,8 @@ class ExprArena:
         """
         from repro.core.hashed import lit_cache_key
 
-        struct = self._struct
+        op_b, left_b, right_b, aux_b, sizes_b = columns = ([], [], [], [], [])
+        struct = self._struct_index()
         struct_get = struct.get
         name_ids, names = self._name_ids, self.names
         lit_ids, literals = self._lit_ids, self.literals
@@ -594,6 +615,7 @@ class ExprArena:
             if len(stack) != 1:
                 raise SexprError("unbalanced postorder stream")
             roots.append(stack[0][0])
+        return columns
 
     # -- decompilation -------------------------------------------------------
 

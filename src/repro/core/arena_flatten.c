@@ -1,0 +1,891 @@
+/*
+ * The native arena compile: ExprArena._flatten_walk of repro.core.arena,
+ * in C over the Expr objects through the CPython C API.
+ *
+ * repro.core.native builds this file against the running interpreter's
+ * headers and opens it with ctypes.PyDLL, so repro_flatten runs with
+ * the GIL held; ExprArena.flatten calls it whenever it loaded, and the
+ * Python walk stays the fallback and the oracle.  It builds the Python
+ * walk's arena, row for row:
+ *
+ *   - exact type checks: a node whose type is not one of the five node
+ *     classes (a subclass of App included) is foreign, and raises the
+ *     error repro.core.arena._foreign_node builds;
+ *   - the same push order (an interior node's exit marker below its
+ *     children, fn above arg, bound above body), so rows come out in the
+ *     same post-order;
+ *   - structural dedup on the same keys, (op, aux, left, right) with an
+ *     absent field -1, against the arena's rows and the new ones;
+ *   - identity dedup of interior objects that can be reached twice: one
+ *     held by more than one reference when the walk meets it, or a root.
+ *     An object with one reference is reached only through its one
+ *     parent, which is walked once, so the 2**50-node doubling DAG still
+ *     compiles to 52 rows while most nodes skip the identity table;
+ *   - a Var's name interned when it is popped and a binder at its exit,
+ *     straight into the arena's name table and dict;
+ *   - literals keyed by the lit_cache_key function the caller passes,
+ *     called once per distinct literal object;
+ *   - the size of an interior row read from node.size, when the row is
+ *     new.
+ *
+ * The stack is explicit, so a depth-50k chain compiles.  The structural
+ * table holds an int32 row index and 32 hash bits per slot and compares
+ * a candidate against the row itself; Var and Lit rows are found by name
+ * or literal id in a dense array.
+ *
+ * Every object whose pointer the walk keeps -- on the stack, as an
+ * identity key, or a name or value being interned -- is held by a
+ * strong reference until the walk lets it go: lit_cache_key and a name's
+ * __hash__ or __eq__ run Python code, and Python code can let another
+ * thread run.  Other threads keep running, too, as they do during the
+ * Python walk: once per switch interval (sys.getswitchinterval) the walk
+ * releases and retakes the GIL, and a thread that has waited a whole
+ * interval for it then takes it.  Releasing more often would wake the
+ * waiter before its wait times out, so it would never ask for the GIL.  Every buffer is freed on every exit; a failed allocation
+ * raises MemoryError, and any error raised by Python code propagates.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <structmember.h>
+#include <stdint.h>
+#include <string.h>
+#include <time.h>
+
+enum { OP_VAR, OP_LIT, OP_LAM, OP_APP, OP_LET };
+
+/* Nodes popped between two looks at the clock. */
+#define TICKS 4096
+
+/* A stack item: an owned node reference, entering or exiting, and an
+ * exit marker's opcode in the bits above these flags. */
+#define F_EXIT 1u
+#define F_SHARED 2u
+
+typedef struct {
+    PyObject *node;
+    uint32_t flags;
+} Item;
+
+/* A row's structural key; op NO_KEY marks a row no key can name. */
+#define NO_KEY 0xFF
+
+typedef struct {
+    int32_t left, right, aux;
+    uint8_t op;
+} Row;
+
+/* A structural table slot: a row index and 32 bits of its key's hash. */
+#define EMPTY UINT32_MAX
+
+typedef struct {
+    uint32_t row;
+    uint32_t tag;
+} Slot;
+
+/* An identity table slot: an owned object reference and its id. */
+typedef struct {
+    PyObject *key;
+    int32_t val;
+} Ref;
+
+typedef struct {
+    Ref *slot;
+    size_t cap, len;
+} Refs;
+
+/* Slot offsets of the node classes' __slots__ members. */
+typedef struct {
+    PyTypeObject *var, *lit, *lam, *app, *let;
+    Py_ssize_t var_name, lit_value, lam_binder, lam_body, app_fn, app_arg,
+        let_binder, let_bound, let_body, size;
+} Layout;
+
+typedef struct {
+    Layout at;
+    PyObject *names, *name_ids, *literals, *lit_ids, *lit_key, *foreign;
+    Row *rows;          /* every row's key, the arena's then the new ones */
+    size_t n_rows, cap_rows, count0;
+    int64_t *sizes;     /* the new rows' sizes */
+    size_t cap_sizes;
+    Slot *table;        /* Lam, App and Let rows, and stray leaf rows */
+    size_t cap_table, len_table;
+    int32_t *var_row;   /* Var row by name id, -1 if none */
+    size_t n_var;
+    int32_t *lit_row;   /* Lit row by literal id, -1 if none */
+    size_t n_lit;
+    int stray_leaves;   /* some arena leaf row's aux is past its table */
+    Refs memo;          /* interior object -> row */
+    Refs lits;          /* literal value object -> literal id */
+    Item *stack;
+    size_t sp, cap_stack;
+    int32_t *operands;
+    size_t n_operands, cap_operands;
+} Walk;
+
+/* A node's slot value (borrowed), or NULL with the AttributeError an
+ * unset slot raises. */
+static PyObject *slot(PyObject *node, Py_ssize_t offset, const char *attr)
+{
+    PyObject *value = *(PyObject **)((char *)node + offset);
+    if (!value) {
+        value = PyObject_GetAttrString(node, attr);
+        Py_XDECREF(value);
+    }
+    return value;
+}
+
+/* Room for `need` elements of `size` bytes in *buf; 0 after MemoryError. */
+static int grow(void **buf, size_t *cap, size_t need, size_t size)
+{
+    size_t cap2 = *cap ? *cap : 64;
+    void *block;
+    if (need <= *cap)
+        return 1;
+    while (cap2 < need)
+        cap2 *= 2;
+    if (cap2 > PY_SSIZE_T_MAX / size) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    block = PyMem_Realloc(*buf, cap2 * size);
+    if (!block) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    *buf = block;
+    *cap = cap2;
+    return 1;
+}
+
+/* A dense id -> row array covering `need` ids, new ones -1. */
+static int grow_dense(int32_t **dense, size_t *n, size_t need)
+{
+    size_t cap = *n, old = *n;
+    if (need <= *n)
+        return 1;
+    if (!grow((void **)dense, &cap, need, sizeof(int32_t)))
+        return 0;
+    memset(*dense + old, 0xFF, (cap - old) * sizeof(int32_t));
+    *n = cap;
+    return 1;
+}
+
+/* -- the identity tables --------------------------------------------------- */
+
+static size_t ref_home(const PyObject *key, size_t mask)
+{
+    uint64_t h = (uint64_t)(uintptr_t)key * 0x9E3779B97F4A7C15ULL;
+    return (size_t)(h ^ (h >> 29)) & mask;
+}
+
+static Ref *ref_probe(const Refs *t, const PyObject *key)
+{
+    size_t mask = t->cap - 1, i = ref_home(key, mask);
+    while (t->slot[i].key && t->slot[i].key != key)
+        i = (i + 1) & mask;
+    return &t->slot[i];
+}
+
+/* The id stored for key, or -1. */
+static int32_t refs_get(const Refs *t, const PyObject *key)
+{
+    const Ref *r;
+    if (!t->len)
+        return -1;
+    r = ref_probe(t, key);
+    return r->key ? r->val : -1;
+}
+
+/* Store key -> val, taking over the caller's reference to key; 0 after
+ * MemoryError (the reference is released then). */
+static int refs_put(Refs *t, PyObject *key, int32_t val)
+{
+    Ref *r;
+    if ((t->len + 1) * 2 > t->cap) {
+        size_t cap = t->cap ? t->cap * 2 : 256, j;
+        Refs out;
+        out.slot = PyMem_Calloc(cap, sizeof(Ref));
+        if (!out.slot) {
+            Py_DECREF(key);
+            PyErr_NoMemory();
+            return 0;
+        }
+        out.cap = cap;
+        out.len = t->len;
+        for (j = 0; j < t->cap; j++)
+            if (t->slot[j].key)
+                *ref_probe(&out, t->slot[j].key) = t->slot[j];
+        PyMem_Free(t->slot);
+        *t = out;
+    }
+    r = ref_probe(t, key);
+    if (r->key) {
+        Py_DECREF(key);
+    } else {
+        r->key = key;
+        t->len++;
+    }
+    r->val = val;
+    return 1;
+}
+
+static void refs_free(Refs *t)
+{
+    size_t j;
+    for (j = 0; j < t->cap; j++)
+        Py_XDECREF(t->slot[j].key);
+    PyMem_Free(t->slot);
+    t->slot = NULL;
+    t->cap = t->len = 0;
+}
+
+/* -- the structural table -------------------------------------------------- */
+
+static uint64_t key_hash(uint8_t op, int32_t aux, int32_t left, int32_t right)
+{
+    uint64_t h = (uint64_t)(uint32_t)left * 0x9E3779B97F4A7C15ULL;
+    h ^= (uint64_t)(uint32_t)right * 0xC2B2AE3D27D4EB4FULL;
+    h ^= ((uint64_t)(uint32_t)aux << 3 | op) * 0x165667B19E3779F9ULL;
+    h ^= h >> 32;
+    h *= 0xBF58476D1CE4E5B9ULL;
+    return h ^ (h >> 29);
+}
+
+static uint64_t row_hash(const Row *r)
+{
+    return key_hash(r->op, r->aux, r->left, r->right);
+}
+
+/* The slot holding the key's row, or the free slot ending its run. */
+static Slot *table_probe(const Walk *w, uint8_t op, int32_t aux, int32_t left,
+                         int32_t right, uint64_t h)
+{
+    size_t mask = w->cap_table - 1, i = (size_t)h & mask;
+    uint32_t tag = (uint32_t)(h >> 32);
+    for (;; i = (i + 1) & mask) {
+        Slot *s = &w->table[i];
+        const Row *r;
+        if (s->row == EMPTY)
+            return s;
+        if (s->tag != tag)
+            continue;
+        r = &w->rows[s->row];
+        if (r->op == op && r->aux == aux && r->left == left && r->right == right)
+            return s;
+    }
+}
+
+/* Room for one more table entry at under half load; 0 after MemoryError. */
+static int table_reserve(Walk *w)
+{
+    size_t cap, j, mask;
+    Slot *out;
+    if ((w->len_table + 1) * 2 <= w->cap_table)
+        return 1;
+    cap = w->cap_table ? w->cap_table * 2 : 4096;
+    out = PyMem_Malloc(cap * sizeof(Slot));
+    if (!out) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    memset(out, 0xFF, cap * sizeof(Slot));
+    mask = cap - 1;
+    for (j = 0; j < w->cap_table; j++) {
+        uint32_t row = w->table[j].row;
+        if (row != EMPTY) {
+            uint64_t h = row_hash(&w->rows[row]);
+            size_t i = (size_t)h & mask;
+            while (out[i].row != EMPTY)
+                i = (i + 1) & mask;
+            out[i].row = row;
+            out[i].tag = (uint32_t)(h >> 32);
+        }
+    }
+    PyMem_Free(w->table);
+    w->table = out;
+    w->cap_table = cap;
+    return 1;
+}
+
+/* Enter row `row` (already in rows) unless its key is there: first wins. */
+static int table_add(Walk *w, uint32_t row)
+{
+    const Row *r = &w->rows[row];
+    uint64_t h = row_hash(r);
+    Slot *s;
+    if (!table_reserve(w))
+        return 0;
+    s = table_probe(w, r->op, r->aux, r->left, r->right, h);
+    if (s->row == EMPTY) {
+        s->row = row;
+        s->tag = (uint32_t)(h >> 32);
+        w->len_table++;
+    }
+    return 1;
+}
+
+/* The row index the next new row gets; -1 after an error. */
+static int64_t new_row(Walk *w, uint8_t op, int32_t aux, int32_t left,
+                       int32_t right, int64_t size)
+{
+    size_t k = w->n_rows;
+    if (k >= INT32_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "arena rows exceed 2**31 - 1");
+        return -1;
+    }
+    if (!grow((void **)&w->rows, &w->cap_rows, k + 1, sizeof(Row))
+        || !grow((void **)&w->sizes, &w->cap_sizes, k + 1 - w->count0,
+                 sizeof(int64_t)))
+        return -1;
+    w->rows[k].op = op;
+    w->rows[k].aux = aux;
+    w->rows[k].left = left;
+    w->rows[k].right = right;
+    w->sizes[k - w->count0] = size;
+    w->n_rows = k + 1;
+    return (int64_t)k;
+}
+
+/* The row of a Lam, App or Let key, added with node.size if new. */
+static int64_t interior_row(Walk *w, uint8_t op, int32_t aux, int32_t left,
+                            int32_t right, PyObject *node)
+{
+    uint64_t h = key_hash(op, aux, left, right);
+    PyObject *size_obj;
+    int64_t row, size;
+    Slot *s;
+    if (!table_reserve(w))
+        return -1;
+    s = table_probe(w, op, aux, left, right, h);
+    if (s->row != EMPTY)
+        return s->row;
+    size_obj = slot(node, w->at.size, "size");
+    if (!size_obj)
+        return -1;
+    /* A non-int size runs __index__: Python code, so hold it. */
+    Py_INCREF(size_obj);
+    size = PyLong_AsLongLong(size_obj);
+    Py_DECREF(size_obj);
+    if (size == -1 && PyErr_Occurred())
+        return -1;
+    row = new_row(w, op, aux, left, right, size);
+    if (row < 0)
+        return -1;
+    /* The probe above ran no Python code: the slot is still free. */
+    s->row = (uint32_t)row;
+    s->tag = (uint32_t)(h >> 32);
+    w->len_table++;
+    return row;
+}
+
+/* The row of a Var or Lit key, added if new. */
+static int64_t leaf_row(Walk *w, uint8_t op, int32_t id)
+{
+    int32_t *dense = op == OP_VAR ? w->var_row : w->lit_row;
+    int64_t row = dense[id];
+    if (row >= 0)
+        return row;
+    if (w->stray_leaves) {
+        Slot *s;
+        if (!table_reserve(w))
+            return -1;
+        s = table_probe(w, op, id, -1, -1, key_hash(op, id, -1, -1));
+        if (s->row != EMPTY)
+            return dense[id] = (int32_t)s->row;
+    }
+    row = new_row(w, op, id, -1, -1, 1);
+    if (row >= 0)
+        dense[id] = (int32_t)row;
+    return row;
+}
+
+/* -- the leaf tables ------------------------------------------------------- */
+
+/* An id read from the arena's name or literal dict. */
+static int32_t table_id(PyObject *value)
+{
+    Py_ssize_t id = PyLong_AsSsize_t(value);
+    if (id == -1 && PyErr_Occurred())
+        return -1;
+    if (id < 0 || id >= INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "arena table id out of range");
+        return -1;
+    }
+    return (int32_t)id;
+}
+
+/* Append key -> len(list) to the dict and value to the list, as the
+ * Python walk does; the new id, or -1 after an error. */
+static int32_t table_append(PyObject *ids, PyObject *key, PyObject *list,
+                            PyObject *value)
+{
+    Py_ssize_t id = PyList_GET_SIZE(list);
+    PyObject *boxed;
+    int failed;
+    if (id >= INT32_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "arena table exceeds 2**31 - 1");
+        return -1;
+    }
+    boxed = PyLong_FromSsize_t(id);
+    if (!boxed)
+        return -1;
+    failed = PyDict_SetItem(ids, key, boxed) < 0;
+    Py_DECREF(boxed);
+    if (failed || PyList_Append(list, value) < 0)
+        return -1;
+    return (int32_t)id;
+}
+
+/* The name id of `name` (held by the caller), interned if new. */
+static int32_t intern_name(Walk *w, PyObject *name)
+{
+    PyObject *got = PyDict_GetItemWithError(w->name_ids, name);
+    int32_t id;
+    if (got)
+        id = table_id(got);
+    else if (PyErr_Occurred())
+        return -1;
+    else
+        id = table_append(w->name_ids, name, w->names, name);
+    if (id < 0 || !grow_dense(&w->var_row, &w->n_var, (size_t)id + 1))
+        return -1;
+    return id;
+}
+
+/* The literal id of `value` (held by the caller), interned if new. */
+static int32_t intern_literal(Walk *w, PyObject *value)
+{
+    int32_t id = refs_get(&w->lits, value);
+    PyObject *key, *got;
+    if (id >= 0)
+        return id;
+    key = PyObject_CallOneArg(w->lit_key, value);
+    if (!key)
+        return -1;
+    got = PyDict_GetItemWithError(w->lit_ids, key);
+    if (got)
+        id = table_id(got);
+    else if (PyErr_Occurred())
+        id = -1;
+    else
+        id = table_append(w->lit_ids, key, w->literals, value);
+    Py_DECREF(key);
+    if (id < 0 || !grow_dense(&w->lit_row, &w->n_lit, (size_t)id + 1))
+        return -1;
+    Py_INCREF(value);
+    if (!refs_put(&w->lits, value, id))
+        return -1;
+    return id;
+}
+
+/* -- the stacks ------------------------------------------------------------ */
+
+/* Push node, taking over the caller's reference; 0 after MemoryError
+ * (the reference is released then). */
+static int push(Walk *w, PyObject *node, uint32_t flags)
+{
+    if (!grow((void **)&w->stack, &w->cap_stack, w->sp + 1, sizeof(Item))) {
+        Py_DECREF(node);
+        return 0;
+    }
+    w->stack[w->sp].node = node;
+    w->stack[w->sp].flags = flags;
+    w->sp++;
+    return 1;
+}
+
+/* Push a child read from its parent's slot, with a reference of its own. */
+static int push_child(Walk *w, PyObject *child)
+{
+    uint32_t flags = Py_REFCNT(child) > 1 ? F_SHARED : 0;
+    Py_INCREF(child);
+    return push(w, child, flags);
+}
+
+static int push_operand(Walk *w, int64_t row)
+{
+    if (!grow((void **)&w->operands, &w->cap_operands, w->n_operands + 1,
+              sizeof(int32_t)))
+        return 0;
+    w->operands[w->n_operands++] = (int32_t)row;
+    return 1;
+}
+
+static int32_t pop_operand(Walk *w)
+{
+    return w->operands[--w->n_operands];
+}
+
+/* -- setup ----------------------------------------------------------------- */
+
+/* The offset of cls.attr, a __slots__ member holding an object. */
+static int slot_offset(PyObject *cls, const char *attr, Py_ssize_t *out)
+{
+    PyObject *descr = PyObject_GetAttrString(cls, attr);
+    int ok;
+    if (!descr)
+        return 0;
+    ok = Py_IS_TYPE(descr, &PyMemberDescr_Type)
+         && ((PyMemberDescrObject *)descr)->d_member->type == T_OBJECT_EX;
+    if (ok)
+        *out = ((PyMemberDescrObject *)descr)->d_member->offset;
+    Py_DECREF(descr);
+    if (!ok)
+        PyErr_Format(PyExc_TypeError, "%s.%s is not an object slot",
+                     ((PyTypeObject *)cls)->tp_name, attr);
+    return ok;
+}
+
+/* The five classes (Var, Lit, Lam, App, Let) and their slot offsets. */
+static int read_layout(Layout *at, PyObject *classes)
+{
+    PyObject *var, *lit, *lam, *app, *let;
+    if (!PyTuple_Check(classes) || PyTuple_GET_SIZE(classes) != 5) {
+        PyErr_SetString(PyExc_TypeError, "expected the five node classes");
+        return 0;
+    }
+    var = PyTuple_GET_ITEM(classes, 0);
+    lit = PyTuple_GET_ITEM(classes, 1);
+    lam = PyTuple_GET_ITEM(classes, 2);
+    app = PyTuple_GET_ITEM(classes, 3);
+    let = PyTuple_GET_ITEM(classes, 4);
+    if (!PyType_Check(var) || !PyType_Check(lit) || !PyType_Check(lam)
+        || !PyType_Check(app) || !PyType_Check(let)) {
+        PyErr_SetString(PyExc_TypeError, "expected the five node classes");
+        return 0;
+    }
+    at->var = (PyTypeObject *)var;
+    at->lit = (PyTypeObject *)lit;
+    at->lam = (PyTypeObject *)lam;
+    at->app = (PyTypeObject *)app;
+    at->let = (PyTypeObject *)let;
+    return slot_offset(var, "name", &at->var_name)
+           && slot_offset(lit, "value", &at->lit_value)
+           && slot_offset(lam, "binder", &at->lam_binder)
+           && slot_offset(lam, "body", &at->lam_body)
+           && slot_offset(app, "fn", &at->app_fn)
+           && slot_offset(app, "arg", &at->app_arg)
+           && slot_offset(let, "binder", &at->let_binder)
+           && slot_offset(let, "bound", &at->let_bound)
+           && slot_offset(let, "body", &at->let_body)
+           && slot_offset(var, "size", &at->size);
+}
+
+/* The structural index of the arena's rows: each row's key, as the
+ * Python walk derives it, with the first row of each key winning.  The
+ * columns are the arena's op bytes and its left, right and aux as int64
+ * buffers. */
+static int index_rows(Walk *w, PyObject *op_obj, PyObject *left_obj,
+                      PyObject *right_obj, PyObject *aux_obj)
+{
+    Py_buffer views[4];
+    PyObject *objs[4] = {op_obj, left_obj, right_obj, aux_obj};
+    int n_views = 0, ok = 0;
+    size_t n, i, n_names = (size_t)PyList_GET_SIZE(w->names),
+                 n_lits = (size_t)PyList_GET_SIZE(w->literals);
+    const uint8_t *op;
+    const int64_t *left, *right, *aux;
+
+    for (; n_views < 4; n_views++)
+        if (PyObject_GetBuffer(objs[n_views], &views[n_views], PyBUF_SIMPLE) < 0)
+            goto done;
+    n = (size_t)views[0].len;
+    for (i = 1; i < 4; i++)
+        if ((size_t)views[i].len != n * sizeof(int64_t)) {
+            PyErr_Format(PyExc_ValueError,
+                         "arena columns differ in length from its %zu rows", n);
+            goto done;
+        }
+    if (n >= INT32_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "arena rows exceed 2**31 - 1");
+        goto done;
+    }
+    if (!grow((void **)&w->rows, &w->cap_rows, n + 1, sizeof(Row))
+        || !grow_dense(&w->var_row, &w->n_var, n_names + 1)
+        || !grow_dense(&w->lit_row, &w->n_lit, n_lits + 1))
+        goto done;
+    op = views[0].buf;
+    left = views[1].buf;
+    right = views[2].buf;
+    aux = views[3].buf;
+    for (i = 0; i < n; i++) {
+        Row *r = &w->rows[i];
+        int64_t lo = left[i], hi = right[i], x = aux[i];
+        r->op = op[i] > OP_LET ? OP_LET : op[i];
+        r->aux = r->op == OP_APP ? -1 : (int32_t)x;
+        r->left = r->op < OP_LAM ? -1 : (int32_t)lo;
+        r->right = r->op < OP_APP ? -1 : (int32_t)hi;
+        if ((r->op != OP_APP && (x < 0 || x >= INT32_MAX))
+            || (r->op >= OP_LAM && (lo < -1 || lo >= INT32_MAX))
+            || (r->op >= OP_APP && (hi < -1 || hi >= INT32_MAX))) {
+            r->op = NO_KEY; /* holds a value no new key holds */
+            continue;
+        }
+        if (r->op == OP_VAR && (size_t)x < n_names) {
+            if (w->var_row[x] < 0)
+                w->var_row[x] = (int32_t)i;
+        } else if (r->op == OP_LIT && (size_t)x < n_lits) {
+            if (w->lit_row[x] < 0)
+                w->lit_row[x] = (int32_t)i;
+        } else {
+            if (r->op <= OP_LIT)
+                w->stray_leaves = 1;
+            if (!table_add(w, (uint32_t)i))
+                goto done;
+        }
+    }
+    w->n_rows = w->count0 = n;
+    ok = 1;
+done:
+    while (n_views--)
+        PyBuffer_Release(&views[n_views]);
+    return ok;
+}
+
+static void walk_free(Walk *w)
+{
+    while (w->sp)
+        Py_DECREF(w->stack[--w->sp].node);
+    refs_free(&w->memo);
+    refs_free(&w->lits);
+    PyMem_Free(w->stack);
+    PyMem_Free(w->operands);
+    PyMem_Free(w->rows);
+    PyMem_Free(w->sizes);
+    PyMem_Free(w->table);
+    PyMem_Free(w->var_row);
+    PyMem_Free(w->lit_row);
+}
+
+static double seconds(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
+
+static void raise_foreign(Walk *w, PyObject *node)
+{
+    PyObject *exc = PyObject_CallOneArg(w->foreign, node);
+    if (exc) {
+        PyErr_SetObject((PyObject *)Py_TYPE(exc), exc);
+        Py_DECREF(exc);
+    }
+}
+
+/* -- the walk -------------------------------------------------------------- */
+
+/* Pop and compile one stack item; 0 after an error. */
+static int step(Walk *w)
+{
+    Item item = w->stack[--w->sp];
+    PyObject *node = item.node, *a, *b, *name;
+    PyTypeObject *type = Py_TYPE(node);
+    const Layout *at = &w->at;
+    int64_t row;
+    int32_t id, x, y;
+    uint8_t op;
+
+    if (item.flags & F_EXIT) {
+        /* The opcode pushed with the marker: the node's class may have
+         * been reassigned since, to one of the same layout. */
+        op = (uint8_t)(item.flags >> 2);
+        y = pop_operand(w);
+        if (op == OP_APP) {
+            x = pop_operand(w);
+            row = interior_row(w, OP_APP, -1, x, y, node);
+        } else {
+            x = op == OP_LAM ? -1 : pop_operand(w);
+            name = slot(node, op == OP_LAM ? at->lam_binder : at->let_binder,
+                        "binder");
+            if (!name)
+                goto fail;
+            Py_INCREF(name);
+            id = intern_name(w, name);
+            Py_DECREF(name);
+            if (id < 0)
+                goto fail;
+            row = op == OP_LAM ? interior_row(w, OP_LAM, id, y, -1, node)
+                               : interior_row(w, OP_LET, id, x, y, node);
+        }
+        if (row < 0 || !push_operand(w, row))
+            goto fail;
+        if (item.flags & F_SHARED)
+            return refs_put(&w->memo, node, (int32_t)row);
+        Py_DECREF(node);
+        return 1;
+    }
+
+    if (type == at->var) {
+        name = slot(node, at->var_name, "name");
+        if (!name)
+            goto fail;
+        Py_INCREF(name);
+        id = intern_name(w, name);
+        Py_DECREF(name);
+        row = id < 0 ? -1 : leaf_row(w, OP_VAR, id);
+    } else if (type == at->lam || type == at->app || type == at->let) {
+        if (item.flags & F_SHARED) {
+            row = refs_get(&w->memo, node);
+            if (row >= 0)
+                goto leave;
+        }
+        /* Children are read as the Python walk reads them: the second
+         * (pushed first) before the first. */
+        if (type == at->lam) {
+            op = OP_LAM;
+            a = NULL;
+            b = slot(node, at->lam_body, "body");
+        } else if (type == at->app) {
+            op = OP_APP;
+            b = slot(node, at->app_arg, "arg");
+            a = b ? slot(node, at->app_fn, "fn") : NULL;
+        } else {
+            op = OP_LET;
+            b = slot(node, at->let_body, "body");
+            a = b ? slot(node, at->let_bound, "bound") : NULL;
+        }
+        if (!b || (!a && op != OP_LAM))
+            goto fail;
+        /* The exit marker takes over the popped reference. */
+        if (!push(w, node, item.flags | F_EXIT | (uint32_t)op << 2))
+            return 0;
+        return push_child(w, b) && (!a || push_child(w, a));
+    } else if (type == at->lit) {
+        a = slot(node, at->lit_value, "value");
+        if (!a)
+            goto fail;
+        Py_INCREF(a);
+        id = intern_literal(w, a);
+        Py_DECREF(a);
+        row = id < 0 ? -1 : leaf_row(w, OP_LIT, id);
+    } else {
+        raise_foreign(w, node);
+        goto fail;
+    }
+    if (row < 0)
+        goto fail;
+leave:
+    Py_DECREF(node);
+    return push_operand(w, row);
+fail:
+    Py_DECREF(node);
+    return 0;
+}
+
+/* The new rows as (op, left, right, aux, sizes), one bytes object per
+ * column: one byte or one native int64 per row. */
+static PyObject *new_columns(const Walk *w)
+{
+    size_t n = w->n_rows - w->count0, k, c;
+    PyObject *out = PyTuple_New(5);
+    if (!out)
+        return NULL;
+    for (c = 0; c < 5; c++) {
+        PyObject *col = PyBytes_FromStringAndSize(
+            NULL, (Py_ssize_t)(c ? n * sizeof(int64_t) : n));
+        char *at;
+        if (!col) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(out, c, col);
+        at = PyBytes_AS_STRING(col);
+        for (k = 0; k < n; k++) {
+            const Row *r = &w->rows[w->count0 + k];
+            if (c == 0)
+                at[k] = (char)r->op;
+            else
+                ((int64_t *)at)[k] = c == 1 ? r->left : c == 2 ? r->right
+                                   : c == 3 ? r->aux : w->sizes[k];
+        }
+    }
+    return out;
+}
+
+/*
+ * Compile the roots `exprs` yields into new rows after the arena's
+ * rows (op_obj, left_obj, right_obj, aux_obj: bytes-like, the three
+ * int64), interning names and literals into the arena's tables.  Each
+ * root's row index is appended to the list `roots`.  Returns the new
+ * rows (new_columns).  `helpers` is (the five node classes,
+ * lit_cache_key, _foreign_node, the switch interval in seconds).
+ */
+PyObject *repro_flatten(PyObject *exprs, PyObject *roots, PyObject *names,
+                        PyObject *name_ids, PyObject *literals,
+                        PyObject *lit_ids, PyObject *op_obj,
+                        PyObject *left_obj, PyObject *right_obj,
+                        PyObject *aux_obj, PyObject *helpers)
+{
+    Walk w;
+    PyObject *it = NULL, *root, *out = NULL, *boxed;
+    unsigned ticks = 0;
+    double interval, release_at;
+    size_t k;
+
+    memset(&w, 0, sizeof w);
+    if (!PyList_Check(roots) || !PyList_Check(names) || !PyDict_Check(name_ids)
+        || !PyList_Check(literals) || !PyDict_Check(lit_ids)
+        || !PyTuple_Check(helpers) || PyTuple_GET_SIZE(helpers) != 4) {
+        PyErr_SetString(PyExc_TypeError, "repro_flatten: bad arguments");
+        return NULL;
+    }
+    w.names = names;
+    w.name_ids = name_ids;
+    w.literals = literals;
+    w.lit_ids = lit_ids;
+    w.lit_key = PyTuple_GET_ITEM(helpers, 1);
+    w.foreign = PyTuple_GET_ITEM(helpers, 2);
+    interval = PyFloat_AsDouble(PyTuple_GET_ITEM(helpers, 3));
+    if (interval == -1.0 && PyErr_Occurred())
+        return NULL;
+    release_at = seconds() + interval;
+    if (!read_layout(&w.at, PyTuple_GET_ITEM(helpers, 0))
+        || !index_rows(&w, op_obj, left_obj, right_obj, aux_obj))
+        goto done;
+    it = PyObject_GetIter(exprs);
+    if (!it)
+        goto done;
+    while ((root = PyIter_Next(it))) {
+        PyTypeObject *type = Py_TYPE(root);
+        /* Roots are checked before anything hashes them. */
+        if (type != w.at.var && type != w.at.lit && type != w.at.lam
+            && type != w.at.app && type != w.at.let) {
+            raise_foreign(&w, root);
+            Py_DECREF(root);
+            goto done;
+        }
+        if (!push(&w, root, F_SHARED))
+            goto done;
+        while (w.sp) {
+            if (!step(&w))
+                goto done;
+            if (++ticks == TICKS) {
+                ticks = 0;
+                if (seconds() >= release_at) {
+                    Py_BEGIN_ALLOW_THREADS
+                    Py_END_ALLOW_THREADS
+                    if (PyErr_CheckSignals() < 0)
+                        goto done;
+                    release_at = seconds() + interval;
+                }
+            }
+        }
+        boxed = PyLong_FromLong(pop_operand(&w));
+        if (!boxed)
+            goto done;
+        k = PyList_Append(roots, boxed) < 0;
+        Py_DECREF(boxed);
+        if (k)
+            goto done;
+    }
+    if (PyErr_Occurred())
+        goto done;
+
+    out = new_columns(&w);
+done:
+    Py_XDECREF(it);
+    walk_free(&w);
+    return out;
+}

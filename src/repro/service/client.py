@@ -17,7 +17,10 @@ flatten their corpus into one :class:`~repro.core.arena.ExprArena`
 (identity and structural dedup, as a local session does) and send its
 columns as a ``repro-arena-v1`` body (:mod:`repro.service.arena_body`):
 no JSON value per node on either side, and the server hashes the arena
-as it arrives -- the client needs no combiner state at all.  Session
+as it arrives -- the client needs no combiner state at all.  The
+flatten runs the native compile walk when its library loaded (the
+Python walk otherwise, to the same bytes), so building the body costs
+the client little next to the round trip.  Session
 calls, and :meth:`~ServiceClient.hash_wire` / :meth:`~ServiceClient.intern_wire`
 given documents, send the flat postorder JSON documents of
 :func:`repro.lang.sexpr.to_wire` instead.  Stores travel as the versioned
@@ -338,8 +341,9 @@ class ServiceClient:
 
     @staticmethod
     def _corpus_payload(exprs: Iterable[Expr], hints: dict) -> bytes:
-        """``exprs`` flattened into one arena, as a ``repro-arena-v1``
-        body carrying ``hints`` (those not ``None``)."""
+        """``exprs`` flattened into one arena (:meth:`ExprArena.flatten
+        <repro.core.arena.ExprArena.flatten>`, native when loaded), as a
+        ``repro-arena-v1`` body carrying ``hints`` (those not ``None``)."""
         arena = ExprArena()
         return encode_body(arena, arena.flatten(exprs), hints)
 

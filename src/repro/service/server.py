@@ -95,6 +95,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 import uuid
@@ -119,6 +120,7 @@ from repro.service.arena_body import (
 )
 from repro.store import (
     Journal,
+    JournalError,
     SnapshotError,
     apply_delta_bytes,
     content_checksum,
@@ -1190,10 +1192,22 @@ def serve(argv=None) -> int:
     if args.checkpoint_every and not args.journal:
         parser.error("--checkpoint-every needs --journal")
 
+    def refuse(path: str, exc: Exception) -> int:
+        # A store or journal the loaders refuse ends start-up with one
+        # line; replay runs before the listener exists, so no port is
+        # bound.
+        if journal is not None:
+            journal.close()
+        print(f"repro serve: {path}: {exc}", file=sys.stderr)
+        return 1
+
     journal = None
     checkpoint_bytes = None
     if args.journal:
-        journal = Journal(args.journal)
+        try:
+            journal = Journal(args.journal)
+        except JournalError as exc:
+            return refuse(args.journal, exc)
         checkpoint_bytes = journal.load_checkpoint_bytes()
 
     if checkpoint_bytes is not None:
@@ -1202,34 +1216,44 @@ def serve(argv=None) -> int:
                 "--journal takes bits/seed/store shape from its checkpoint; "
                 "drop --bits/--seed"
             )
-        session = Session.from_snapshot_bytes(checkpoint_bytes, backend=args.backend)
+        try:
+            session = Session.from_snapshot_bytes(checkpoint_bytes, backend=args.backend)
+        except SnapshotError as exc:
+            return refuse(journal.checkpoint_path, exc)
     elif args.load:
         if args.bits != 64 or args.seed is not None:
             parser.error(
                 "--load takes bits/seed/store shape from the snapshot; "
                 "drop --bits/--seed"
             )
-        session = Session.load(args.load, backend=args.backend)
+        try:
+            session = Session.load(args.load, backend=args.backend)
+        except SnapshotError as exc:
+            return refuse(args.load, exc)
     else:
         session = Session(backend=args.backend, bits=args.bits, seed=args.seed)
     if args.engine is not None:
         # The engine is not store shape: an explicit --engine overrides
         # a snapshot's saved default rather than being ignored.
         session.config = replace(session.config, engine=args.engine)
-    server = ReproServer(
-        session,
-        host=args.host,
-        port=args.port,
-        verbose=args.verbose,
-        shard_id=args.shard_id,
-        shard_count=args.shard_count,
-        journal=journal,
-        checkpoint_every=args.checkpoint_every,
-        follow=args.follow,
-        poll_interval=args.poll_interval,
-        max_sessions=args.max_sessions,
-        session_ttl=args.session_ttl,
-    )
+    try:
+        server = ReproServer(
+            session,
+            host=args.host,
+            port=args.port,
+            verbose=args.verbose,
+            shard_id=args.shard_id,
+            shard_count=args.shard_count,
+            journal=journal,
+            checkpoint_every=args.checkpoint_every,
+            follow=args.follow,
+            poll_interval=args.poll_interval,
+            max_sessions=args.max_sessions,
+            session_ttl=args.session_ttl,
+        )
+    except (SnapshotError, JournalError) as exc:
+        session.close()
+        return refuse(args.journal, exc)
     entries = len(session.store) if session.store is not None else 0
     shard = (
         f", shard {args.shard_id}/{args.shard_count}"

@@ -8,7 +8,8 @@ combiner width.  This wall pins that contract on adversarial corpora
 (deep chains, heavy sharing, shadowed binders, a depth-5000 degenerate
 case), plus the arena's own mechanics: flatten-time dedup,
 ``flatten -> rebuild_many`` round-trips, incremental flattening, and
-``extend_wire`` compiling wire documents into the same columns.
+``extend_wire`` compiling wire documents into the same columns.  The
+flatten classes run on both compile walks, native and Python.
 """
 
 import json
@@ -20,6 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.api import HashRequest, Session
+from repro.core import native
 from repro.core.arena import (
     ARENA_MIN_NODES,
     ExprArena,
@@ -176,8 +178,19 @@ class TestDifferential:
         assert len(set(hashes)) == len(corpus)
 
 
+class PythonWalk:
+    """Runs a compile test class on the Python walk: ``flatten`` runs it
+    whenever the native compile library did not load."""
+
+    @pytest.fixture(autouse=True)
+    def python_walk(self, monkeypatch):
+        monkeypatch.setattr(native, "FLATTEN", None)
+
+
 class TestFlatten:
-    """The compile step's own invariants."""
+    """The compile step's own invariants, on the walk ``flatten`` runs
+    (native when its library loaded; :class:`TestFlattenPythonWalk` runs
+    the Python walk)."""
 
     def test_dedup_collapses_structural_repeats(self):
         shared = random_expr(40, seed=2)
@@ -287,9 +300,14 @@ class TestFlatten:
         assert arena_state(via_tree) == arena_state(via_wire)
 
 
+class TestFlattenPythonWalk(PythonWalk, TestFlatten):
+    """:class:`TestFlatten` on the Python walk."""
+
+
 def arena_state(arena: ExprArena) -> tuple:
     """Everything an arena holds, literals keyed by type and float bits
-    (``0.0 == -0.0`` and ``1 == True`` would hide a conflation)."""
+    (``0.0 == -0.0`` and ``1 == True`` would hide a conflation).  The
+    columns determine the structural index a compile derives."""
     return (
         bytes(arena.op),
         arena.left.tolist(),
@@ -298,7 +316,6 @@ def arena_state(arena: ExprArena) -> tuple:
         arena.sizes.tolist(),
         list(arena.names),
         [lit_cache_key(value) for value in arena.literals],
-        dict(arena._struct),
         dict(arena._name_ids),
         dict(arena._lit_ids),
     )
@@ -306,7 +323,9 @@ def arena_state(arena: ExprArena) -> tuple:
 
 class TestExtendWire:
     """Wire documents compile straight into the columns ``from_wire``
-    then ``flatten`` would build, and hash like ``alpha_hash_all``."""
+    then ``flatten`` would build, and hash like ``alpha_hash_all``; the
+    ``flatten`` side runs the walk ``flatten`` runs
+    (:class:`TestExtendWirePythonWalk` runs the Python walk)."""
 
     @staticmethod
     def both(docs, via_tree=None, via_wire=None):
@@ -329,9 +348,13 @@ class TestExtendWire:
     def test_mixed_corpus_at_every_width(self, bits):
         self.assert_hashes(mixed_corpus(150, seed=bits, size=40), widths=(bits,))
 
-    @given(st.lists(exprs(max_size=40), min_size=1, max_size=6))
-    def test_random_corpora(self, corpus):
-        self.assert_hashes(corpus)
+    def test_random_corpora(self):
+        # An inner property, so each subclass runs its own executor.
+        @given(st.lists(exprs(max_size=40), min_size=1, max_size=6))
+        def check(corpus):
+            self.assert_hashes(corpus)
+
+        check()
 
     def test_depth_5000_chains(self):
         corpus = [
@@ -395,6 +418,10 @@ class TestExtendWire:
         twice = arena.rebuild_many([roots[0], roots[0]])
         assert twice[0] is twice[1]
         assert arena.rebuild_many([]) == []
+
+
+class TestExtendWirePythonWalk(PythonWalk, TestExtendWire):
+    """:class:`TestExtendWire` with ``flatten`` on the Python walk."""
 
 
 class TestRoundTrip:

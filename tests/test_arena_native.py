@@ -1,7 +1,7 @@
-"""The native arena kernel's own mechanics.
+"""The native arena libraries' own mechanics.
 
 ``test_arena_vec`` holds the bit-identity wall against the scalar
-kernel; this module covers what only the native tier has:
+kernel; this module covers what only the native tiers have:
 
 * **Names** hashed in C equal ``HashCombiners.hash_name`` for
   non-ASCII, astral and NUL-holding names; a lone surrogate still fails
@@ -14,10 +14,17 @@ kernel; this module covers what only the native tier has:
   seeded wall of one-cell mutations is refused by both tiers alike or
   hashed by both as the unchecked scalar pass hashes it, and the
   process survives every case.
-* **The loader**: a build in a fresh cache directory, a cache hit, a
-  failing build or no compiler (one warning, the scalar kernel
-  answers), and cache directories or files another user could write.
-* **Packaging**: the C source ships next to its loader.
+* **The native compile walk** builds the Python walk's arena state on
+  a seeded differential wall (``corpus``-shaped and let-heavy batches,
+  literal spellings, odd names, a depth-50k chain, repeated and shared
+  roots, foreign nodes anywhere), leaks no reference, and lets other
+  threads run.
+* **The loader**: both libraries built in a fresh cache directory, a
+  cache hit, a failing build or no compiler (one warning naming both,
+  the scalar kernel and the Python walk answer), a build without
+  ``Python.h`` (the kernel stays native), cache directories or files
+  another user could write, and the pruning of stale builds.
+* **Packaging**: the C sources ship next to their loader.
 """
 
 from __future__ import annotations
@@ -27,7 +34,11 @@ import fnmatch
 import logging
 import os
 import random
+import struct
 import subprocess
+import sys
+import threading
+import time
 from array import array
 from pathlib import Path
 
@@ -48,16 +59,22 @@ from repro.core.arena import (
     flatten_corpus,
 )
 from repro.core.combiners import HashCombiners
-from repro.lang.expr import App, Lam, Let, Lit, Var
+from repro.gen.random_exprs import alpha_rename, random_expr
+from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
 from repro.service import ReproServer, ServiceClient
 from repro.service.arena_body import decode_body, encode_body
 from repro.store import ExprStore
 
-from test_arena import mixed_corpus, tree_hashes
+from test_arena import arena_state, mixed_corpus, tree_hashes
 from test_arena_body import post_raw
 
 needs_native = pytest.mark.skipif(
-    native.LIB is None, reason=f"native kernel not loaded: {native.REASON}"
+    native.LIB is None,
+    reason=f"native kernel not loaded: {native.REASONS.get('arena_kernel')}",
+)
+needs_native_walk = pytest.mark.skipif(
+    native.FLATTEN is None,
+    reason=f"native compile walk not loaded: {native.REASONS.get('arena_flatten')}",
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -259,6 +276,299 @@ def test_mutation_wall_refused_or_identical(tier):
     assert refused > 100
 
 
+# -- the compile walk ----------------------------------------------------------
+
+
+def walk_both(corpus, grown=()):
+    """Each tier's ``(roots, arena state)`` for ``corpus``, flattened into
+    an arena the same tier first grew by ``grown``; or each tier's
+    ``(error type and text, arena state)`` when the compile raises."""
+    out = []
+    for walk in (native.native_flatten, ExprArena._flatten_walk):
+        arena = ExprArena()
+        for batch in grown:
+            arena._compile(walk, batch)
+        try:
+            result = arena._compile(walk, corpus)
+        except Exception as exc:  # the tiers must raise alike
+            result = (type(exc), str(exc))
+        out.append((result, arena_state(arena)))
+    return out
+
+
+def assert_same_arena(corpus, grown=()):
+    native_side, python_side = walk_both(corpus, grown)
+    assert native_side == python_side
+    return native_side
+
+
+def corpus_batch(rng: random.Random, n_items: int) -> list[Expr]:
+    """A ``corpus``-workload-shaped batch: let-heavy 30-90-node items, a
+    quarter repeated as the same object, a quarter alpha-renamed."""
+    batch: list[Expr] = []
+    for _ in range(n_items):
+        roll = rng.random()
+        if batch and roll < 0.25:
+            batch.append(rng.choice(batch))
+        elif batch and roll < 0.5:
+            batch.append(alpha_rename(rng.choice(batch), seed=rng.randrange(1 << 20)))
+        else:
+            batch.append(
+                random_expr(
+                    rng.randint(30, 90),
+                    rng=rng,
+                    shape=rng.choice(("balanced", "unbalanced")),
+                    p_let=0.35,
+                    p_lit=0.1,
+                )
+            )
+    return batch
+
+
+def nan(payload: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000000 | payload))[0]
+
+
+#: Literal values a value-keyed table would conflate, or that stress the
+#: key: signed zeros, NaN payloads, bool/int/float spellings of one, ints
+#: past 64 bits, and strings holding NUL or astral characters.
+EDGE_LITERALS = [
+    -0.0, 0.0, nan(1), nan(2), nan(1 << 51), True, 1, 1.0, False, 0,
+    2**63, 2**64 + 1, -(2**70), "", "a\x00b", "\U0001F600", "1",
+]
+
+def copy_value(value):
+    """An equal literal value in a new object where one can be made."""
+    if type(value) is float:
+        return struct.unpack("<d", struct.pack("<d", value))[0]
+    if type(value) is int:
+        return int(str(value))
+    if type(value) is str:
+        return "".join(["", value])
+    return value
+
+
+ODD_BINDERS = ["λx", "名前", "é", "\U0001d4b3", "a\x00b", "x"]
+
+
+class Foreign:
+    """Not an expression node."""
+
+
+class SubApp(App):
+    """An App subclass: foreign to both walks' exact type checks."""
+
+    __slots__ = ()
+
+
+@needs_native_walk
+@pytest.mark.parametrize("seed", [1, 7, 13])
+def test_corpus_batches_compile_alike(seed):
+    rng = random.Random(seed)
+    batches = [corpus_batch(rng, 300) for _ in range(3)]
+    assert_same_arena(batches[0])
+    # Into arenas already holding rows: the derived structural index.
+    assert_same_arena(batches[2], grown=batches[:2])
+    arena, fresh_roots = flatten_corpus(batches[2])
+    tops = arena_hash_any(arena)
+    assert [tops[r] for r in fresh_roots] == tree_hashes(batches[2])
+
+
+@needs_native_walk
+@pytest.mark.parametrize("seed", [2, 3])
+def test_let_heavy_corpora_compile_alike(seed):
+    rng = random.Random(seed)
+    corpus = [
+        random_expr(rng.randint(1, 120), rng=rng, p_let=0.6, p_lit=0.2)
+        for _ in range(200)
+    ]
+    assert_same_arena(corpus)
+    assert_same_arena(corpus[100:], grown=[corpus[:150]])
+
+
+@needs_native_walk
+def test_literal_edge_cases_compile_alike():
+    # A second object per value, so the per-object key cache and the
+    # key table are both exercised.
+    values = EDGE_LITERALS + [copy_value(v) for v in EDGE_LITERALS]
+    corpus = [Lit(v) for v in values]
+    corpus += [App(Lit(a), Lit(b)) for a, b in zip(values, reversed(values))]
+    corpus += [Let("k", Lit(v), App(Var("k"), Lit(v))) for v in values]
+    assert_same_arena(corpus)
+    arena, roots = flatten_corpus(corpus)
+    assert len(arena.literals) == len(EDGE_LITERALS)
+    tops = arena_hash_any(arena)
+    assert [tops[r] for r in roots] == tree_hashes(corpus)
+
+
+@needs_native_walk
+def test_odd_names_compile_alike():
+    corpus = [Lam(name, App(Var(name), Var("y"))) for name in ODD_BINDERS]
+    corpus += [Let(a, Var(b), Lam(b, Var(a))) for a, b in zip(ODD_BINDERS, ODD_BINDERS[1:])]
+    assert_same_arena(corpus)
+
+
+@needs_native_walk
+def test_depth_50k_chains_compile_alike():
+    lam: Expr = Var("v0")
+    app: Expr = Var("x")
+    let: Expr = Var("x0")
+    for i in range(50_000):
+        lam = Lam(f"v{i % 7}", lam)
+        app = App(app, Lit(i % 3))
+        let = Let(f"x{i % 5}", Var(f"x{(i + 1) % 5}"), let)
+    assert_same_arena([lam, app, let])
+    arena, roots = flatten_corpus([lam, app, let])
+    assert [arena.sizes[r] for r in roots] == [lam.size, app.size, let.size]
+
+
+@needs_native_walk
+def test_repeated_and_shared_roots_compile_alike():
+    shared = random_expr(40, seed=2, p_let=0.3, p_lit=0.2)
+    outer = App(shared, Lam("z", shared))
+    corpus = [shared, outer, shared, outer.fn, Lam("z", shared), outer]
+    assert_same_arena(corpus)
+    arena, roots = flatten_corpus(corpus)
+    assert roots[0] == roots[2] == roots[3] and roots[1] == roots[5]
+    # The doubling DAG: 2**50 tree nodes, 52 objects, 52 rows.
+    dag: Expr = Lam("a", Var("a"))
+    for _ in range(50):
+        dag = App(dag, dag)
+    arena, (root,) = flatten_corpus([dag])
+    assert len(arena) == 52 and arena.sizes[root] == dag.size
+
+
+@needs_native_walk
+@pytest.mark.parametrize("seed", range(6))
+def test_foreign_nodes_raise_alike_and_roll_back(seed):
+    """A foreign object or an App subclass at a random place: both tiers
+    raise the same TypeError and leave the same (unchanged) arena."""
+    rng = random.Random(seed)
+    grown = [corpus_batch(rng, 40)]
+    corpus = corpus_batch(rng, 40)
+    cls = (Foreign, SubApp)[seed % 2]
+    bad = Foreign() if cls is Foreign else SubApp(Var("f"), Lit(2.5))
+    if seed % 3 == 0:
+        corpus.insert(rng.randrange(len(corpus) + 1), bad)
+    else:
+        parents = [e for e in corpus if isinstance(e, App) and e is not corpus[0]]
+        parent = rng.choice(parents)
+        parent.arg = bad
+    error, state = assert_same_arena(corpus, grown)
+    assert error == (TypeError, f"cannot flatten non-expression node of type {cls.__name__}")
+    before = ExprArena()
+    before.flatten(grown[0])
+    assert state == arena_state(before)
+
+
+@needs_native_walk
+def test_a_size_that_is_not_an_int_rolls_back_alike():
+    """The Python walk meets the bad size in the flush, the native walk
+    while reading it: either way the same TypeError, and the arena is
+    left as it was."""
+    rng = random.Random(8)
+    grown = [corpus_batch(rng, 30)]
+    corpus = corpus_batch(rng, 30)
+    bad = Lam("q", App(Var("fresh_name"), Lit(0.25)))
+    corpus.insert(rng.randrange(len(corpus)), App(Var("f"), bad))
+    bad.size = "three"
+    error, state = assert_same_arena(corpus, grown)
+    assert error[0] is TypeError
+    before = ExprArena()
+    before.flatten(grown[0])
+    assert state == arena_state(before)
+
+
+@needs_native_walk
+def test_no_reference_leaks():
+    """200 compiles, half of them failing on a foreign root, leave every
+    input node, name and literal value with the references it had."""
+    names = ["".join(("nm", str(i))) for i in range(4)]
+    values = [float(i) + 0.5 for i in range(3)] + [2**80 + 7, "".join(("s", "\x00"))]
+    leaf = Lit(values[0])
+    inner = App(Var(names[0]), leaf)
+    corpus = [
+        Lam(names[1], App(inner, Var(names[1]))),
+        Let(names[2], Lit(values[1]), App(inner, Lit(values[2]))),
+        inner,
+        App(Lit(values[3]), Lam(names[3], Lit(values[4]))),
+    ]
+    watched = [*corpus, inner, leaf, *names, *values]
+    before = [sys.getrefcount(obj) for obj in watched]
+    for call in range(200):
+        arena = ExprArena()
+        if call % 2:
+            arena.flatten(corpus)
+        else:
+            with pytest.raises(TypeError):
+                arena.flatten([*corpus, Foreign()])
+        del arena
+    assert [sys.getrefcount(obj) for obj in watched] == before
+
+
+@needs_native_walk
+def test_other_threads_run_during_a_long_compile():
+    rng = random.Random(5)
+    corpus = [random_expr(100, rng=rng, p_let=0.3, p_lit=0.1) for _ in range(3000)]
+    assert sum(e.size for e in corpus) >= 300_000
+    resumed: list[float] = []
+    stop = threading.Event()
+
+    def counter():
+        last = time.perf_counter()
+        while not stop.is_set():
+            now = time.perf_counter()
+            if now - last > 1e-3:  # it had been waiting for the GIL
+                resumed.append(now)
+            last = now
+
+    thread = threading.Thread(target=counter)
+    thread.start()
+    try:
+        time.sleep(0.05)
+        start = time.perf_counter()
+        ExprArena().flatten(corpus)
+        end = time.perf_counter()
+    finally:
+        stop.set()
+        thread.join()
+    # A switch just before the call or just after it returns resumes the
+    # counter inside the window at most twice.
+    assert sum(start < t < end for t in resumed) >= 3
+
+
+@needs_native_walk
+def test_concurrent_compiles_build_their_own_arenas():
+    """Four threads compile their own corpora at once, with a short
+    switch interval so the walks hand the GIL back and forth: each
+    arena equals the Python walk's."""
+    rng = random.Random(11)
+    corpora = [corpus_batch(rng, 150) for _ in range(4)]
+    expected = []
+    for corpus in corpora:
+        arena = ExprArena()
+        expected.append((arena._compile(ExprArena._flatten_walk, corpus), arena_state(arena)))
+    results: list = [None] * len(corpora)
+
+    def work(k):
+        for _ in range(5):
+            arena = ExprArena()
+            results[k] = (arena.flatten(corpora[k]), arena_state(arena))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(corpora))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+
+
 # -- the loader ----------------------------------------------------------------
 
 
@@ -274,28 +584,36 @@ def built(directory: str) -> list[str]:
     return sorted(n for n in os.listdir(directory) if n.endswith(".so"))
 
 
+LIBRARIES = ("arena_kernel", "arena_flatten")
+
+
 @needs_native
+@needs_native_walk
 def test_build_then_cache_hit(fresh, monkeypatch):
-    lib, why = native.load(fresh)
-    assert lib is not None and why is None
-    assert len(built(fresh)) == 1 and not [
-        n for n in os.listdir(fresh) if n.startswith(".arena_kernel-")
-    ]
+    lib, flatten, why = native.load(fresh)
+    assert lib is not None and flatten is not None and why == {}
+    assert [name.split("-")[0] for name in built(fresh)] == sorted(LIBRARIES)
+    assert not [n for n in os.listdir(fresh) if n.startswith(".")]
 
     def no_compile(*args, **kwargs):
         raise AssertionError("a cache hit compiled")
 
     monkeypatch.setattr(subprocess, "run", no_compile)
-    again, why = native.load(fresh)
-    assert again is not None and why is None
+    again, flatten, why = native.load(fresh)
+    assert again is not None and flatten is not None and why == {}
 
 
-def assert_fell_back(lib, caplog, reason: str):
-    """No library, and one ``repro`` warning that gives ``reason``."""
-    assert lib is None
+def assert_fell_back(loaded, caplog, reason: str, libraries=LIBRARIES):
+    """The named libraries did not load, and one ``repro`` warning names
+    each of them with ``reason``."""
+    lib, flatten, why = loaded
+    assert (lib is None, flatten is None) == tuple(n in libraries for n in LIBRARIES)
+    assert sorted(why) == sorted(libraries)
     warnings = [r for r in caplog.records if r.name == "repro"]
     assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
-    assert reason in warnings[0].getMessage()
+    message = warnings[0].getMessage()
+    assert all(f"{name} (" in message for name in libraries)
+    assert message.count(reason) == len(libraries)
 
 
 def test_failing_build_falls_back_with_one_warning(fresh, tmp_path, monkeypatch, caplog):
@@ -306,11 +624,14 @@ def test_failing_build_falls_back_with_one_warning(fresh, tmp_path, monkeypatch,
     fake.chmod(0o755)
     monkeypatch.setenv("PATH", str(bin_dir))
     with caplog.at_level(logging.WARNING, logger="repro"):
-        lib, why = native.load(fresh)
-    assert_fell_back(lib, caplog, "no such luck")
-    assert "status 1" in why and built(fresh) == [] and os.listdir(fresh) == []
-    # The scalar kernel answers, with the same hashes.
-    monkeypatch.setattr(native, "LIB", lib)
+        loaded = native.load(fresh)
+    assert_fell_back(loaded, caplog, "no such luck")
+    assert all("status 1" in why for why in loaded[2].values())
+    assert built(fresh) == [] and os.listdir(fresh) == []
+    # The scalar kernel and the Python walk answer, with the same hashes.
+    monkeypatch.setattr(native, "LIB", loaded[0])
+    monkeypatch.setattr(native, "FLATTEN", loaded[1])
+    assert (native.kernel(), native.compile_tier()) == ("scalar", "python")
     arena, roots = flatten_corpus(mixed_corpus(30, seed=9))
     assert [arena_hash_any(arena)[r] for r in roots] == tree_hashes(
         mixed_corpus(30, seed=9)
@@ -320,9 +641,36 @@ def test_failing_build_falls_back_with_one_warning(fresh, tmp_path, monkeypatch,
 def test_no_compiler_falls_back(fresh, tmp_path, monkeypatch, caplog):
     monkeypatch.setenv("PATH", str(tmp_path))
     with caplog.at_level(logging.WARNING, logger="repro"):
-        lib, why = native.load(fresh)
-    assert_fell_back(lib, caplog, "no C compiler (cc) on PATH")
-    assert why == "no C compiler (cc) on PATH"
+        loaded = native.load(fresh)
+    assert_fell_back(loaded, caplog, "no C compiler (cc) on PATH")
+    assert set(loaded[2].values()) == {"no C compiler (cc) on PATH"}
+
+
+@needs_native
+def test_build_without_python_headers_keeps_the_native_kernel(
+    fresh, tmp_path, monkeypatch, caplog
+):
+    monkeypatch.setattr(native, "PY_INCLUDE", str(tmp_path))
+    with caplog.at_level(logging.WARNING, logger="repro"):
+        loaded = native.load(fresh)
+    assert_fell_back(loaded, caplog, f"no Python.h in {tmp_path}", ("arena_flatten",))
+    assert [name.split("-")[0] for name in built(fresh)] == ["arena_kernel"]
+    # The kernel stays native; flatten runs the Python walk.
+    monkeypatch.setattr(native, "LIB", loaded[0])
+    monkeypatch.setattr(native, "FLATTEN", loaded[1])
+    walked = []
+    python_walk = ExprArena._flatten_walk
+
+    def spy(arena, exprs, roots):
+        walked.append(len(exprs))
+        return python_walk(arena, exprs, roots)
+
+    monkeypatch.setattr(ExprArena, "_flatten_walk", spy)
+    corpus = mixed_corpus(30, seed=10)
+    arena, roots = flatten_corpus(corpus)
+    assert walked == [30]
+    assert (native.kernel(), native.compile_tier()) == ("native", "python")
+    assert [native_tops(arena)[r] for r in roots] == tree_hashes(corpus)
 
 
 @pytest.mark.parametrize("mode", [0o770, 0o707, 0o777])
@@ -330,8 +678,8 @@ def test_writable_cache_directory_is_not_loaded_from(fresh, mode, monkeypatch, c
     os.chmod(fresh, mode)
     monkeypatch.setattr(subprocess, "run", pytest.fail)
     with caplog.at_level(logging.WARNING, logger="repro"):
-        lib, why = native.load(fresh)
-    assert_fell_back(lib, caplog, "group- or world-writable")
+        loaded = native.load(fresh)
+    assert_fell_back(loaded, caplog, "group- or world-writable")
     assert built(fresh) == []
 
 
@@ -340,18 +688,57 @@ def test_cache_directory_of_another_user_is_not_loaded_from(fresh, monkeypatch, 
     monkeypatch.setattr(os, "getuid", lambda: uid + 1)
     monkeypatch.setattr(subprocess, "run", pytest.fail)
     with caplog.at_level(logging.WARNING, logger="repro"):
-        lib, why = native.load(fresh)
-    assert_fell_back(lib, caplog, f"owned by uid {uid}")
+        loaded = native.load(fresh)
+    assert_fell_back(loaded, caplog, f"owned by uid {uid}")
 
 
 @needs_native
+@needs_native_walk
 def test_writable_cached_library_is_not_loaded(fresh, caplog):
-    assert native.load(fresh)[0] is not None
-    (name,) = built(fresh)
-    os.chmod(os.path.join(fresh, name), 0o666)
+    assert native.load(fresh)[2] == {}
+    for name in built(fresh):
+        os.chmod(os.path.join(fresh, name), 0o666)
     with caplog.at_level(logging.WARNING, logger="repro"):
-        lib, why = native.load(fresh)
-    assert_fell_back(lib, caplog, "group- or world-writable")
+        loaded = native.load(fresh)
+    assert_fell_back(loaded, caplog, "group- or world-writable")
+
+
+@needs_native
+@needs_native_walk
+def test_stale_builds_are_pruned_after_a_build(fresh):
+    """After a build, this user's builds of a library last loaded more
+    than a week ago go; a recent one (another checkout's), another
+    name and a symlink stay, and the current builds load."""
+    day = 24 * 3600
+    now = time.time()
+
+    def plant(name: str, age_days: float) -> str:
+        path = os.path.join(fresh, name)
+        with open(path, "wb") as handle:
+            handle.write(b"stale")
+        os.utime(path, (now - age_days * day, now - age_days * day))
+        return name
+
+    stale = [plant(f"{stem}-{'0' * 24}.so", 8) for stem in LIBRARIES]
+    recent = [plant(f"{stem}-{'1' * 24}.so", 1) for stem in LIBRARIES]
+    other = plant(f"other_kernel-{'0' * 24}.so", 30)
+    link = f"arena_kernel-{'2' * 24}.so"
+    os.symlink(other, os.path.join(fresh, link))
+    os.utime(os.path.join(fresh, link), (now - 30 * day, now - 30 * day), follow_symlinks=False)
+
+    lib, flatten, why = native.load(fresh)
+    assert lib is not None and flatten is not None and why == {}
+    left = set(os.listdir(fresh))
+    assert not left & set(stale)
+    assert {*recent, other, link} <= left
+    assert len(left) == len(recent) + 2 + len(LIBRARIES)
+    # A load refreshes the current builds' mtimes; a cache hit prunes
+    # nothing.
+    current = sorted(left - {*recent, other, link})
+    assert all(os.stat(os.path.join(fresh, n)).st_mtime >= now - 60 for n in current)
+    plant(stale[0], 8)
+    assert native.load(fresh)[2] == {}
+    assert stale[0] in os.listdir(fresh)
 
 
 def test_cache_dir_follows_xdg_then_home(monkeypatch, tmp_path):
@@ -374,9 +761,10 @@ def package_data_globs() -> list[str]:
 
 
 def test_the_c_source_ships_next_to_its_loader():
-    source = Path(native.SOURCE)
-    assert source.is_file()
-    assert source.parent == Path(native.__file__).resolve().parent
     package = Path(repro.__file__).resolve().parent
-    relative = source.resolve().relative_to(package).as_posix()
-    assert any(fnmatch.fnmatch(relative, glob) for glob in package_data_globs())
+    for path in (native.SOURCE, native.FLATTEN_SOURCE):
+        source = Path(path)
+        assert source.is_file()
+        assert source.parent == Path(native.__file__).resolve().parent
+        relative = source.resolve().relative_to(package).as_posix()
+        assert any(fnmatch.fnmatch(relative, glob) for glob in package_data_globs())

@@ -51,7 +51,7 @@ from test_arena import (
 )
 
 needs_native = pytest.mark.skipif(
-    native.LIB is None, reason=f"native kernel not loaded: {native.REASON}"
+    native.LIB is None, reason=f"native kernel not loaded: {native.REASONS.get('arena_kernel')}"
 )
 
 WIDTHS = [8, 16, 32, 64, 96, 128]
@@ -248,9 +248,11 @@ class TestLevelMix:
 
 @pytest.fixture
 def no_native(monkeypatch):
-    """This process as if the library had not loaded."""
+    """This process as if neither library had loaded."""
+    why = "no C compiler (cc) on PATH"
     monkeypatch.setattr(native, "LIB", None)
-    monkeypatch.setattr(native, "REASON", "no C compiler (cc) on PATH")
+    monkeypatch.setattr(native, "FLATTEN", None)
+    monkeypatch.setattr(native, "REASONS", {"arena_kernel": why, "arena_flatten": why})
 
 
 class TestScalarFallback:

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+from repro.store.journal import _frame_bytes
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture()
@@ -120,6 +128,52 @@ class TestHashCommand:
             main([arg.format(f=expr_file) for arg in argv])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestServeRefusals:
+    """A store or journal ``repro serve`` cannot load ends start-up with
+    one line on stderr and exit status 1, before any port is bound."""
+
+    @staticmethod
+    def serve(*args: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=SRC)
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    def assert_refused(self, result, path, reason: str):
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        # Without a compiler the import also warns that the native
+        # libraries did not load.
+        (line,) = [
+            line for line in result.stderr.splitlines()
+            if not line.startswith("native arena libraries unavailable")
+        ]
+        assert line.startswith(f"repro serve: {path}: ") and reason in line
+        assert result.stdout == ""
+
+    def test_unreadable_checkpoint(self, tmp_path):
+        (tmp_path / "checkpoint.snap").write_bytes(b"garbage")
+        result = self.serve("--journal", str(tmp_path))
+        self.assert_refused(
+            result, tmp_path / "checkpoint.snap", "unreadable snapshot header"
+        )
+
+    def test_unreadable_load_file(self, tmp_path):
+        path = tmp_path / "store.snap"
+        path.write_bytes(b"garbage")
+        result = self.serve("--load", str(path))
+        self.assert_refused(result, path, "unreadable snapshot header")
+
+    def test_journal_that_does_not_replay(self, tmp_path):
+        (tmp_path / "journal-00000001.wal").write_bytes(_frame_bytes(b"garbage"))
+        result = self.serve("--journal", str(tmp_path))
+        self.assert_refused(result, tmp_path, "frame payload has no delta header")
 
 
 class TestClassesCommand:
