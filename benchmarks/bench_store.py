@@ -393,7 +393,6 @@ def flatten_smoke(corpus, repeats: int, cell: dict) -> int:
             bytes(arena.op), arena.left.tolist(), arena.right.tolist(),
             arena.aux.tolist(), arena.sizes.tolist(), arena.names,
             [lit_cache_key(value) for value in arena.literals],
-            arena._name_ids, arena._lit_ids,
         )
 
     def compile_with(walk):

@@ -25,15 +25,14 @@ Mid-workload, the schedule SIGKILLs shard 0's primary.  Hard gates:
    measures replay throughput;
 5. survivors exit 0 on SIGTERM.
 
-With ``--require-arena`` the run also fails unless every shard's share
-of every batch (its items' nodes, read off the reply's ``owners``)
-reaches :data:`repro.core.arena.ARENA_MIN_NODES`: each shard's intern
-then plans ``arena`` and leaves the summary memo cold, and the
-SIGKILLed node replays class-column frames whose summaries and hashes
-its own arena pass recomputes::
+Every shard intern plans ``arena`` and leaves the summary memo cold,
+so the SIGKILLed node replays class-column frames whose summaries and
+hashes its own arena pass recomputes.  The record keeps the smallest
+share of a batch any shard got (its items' nodes, read off the reply's
+``owners``); CI also runs larger batches::
 
     PYTHONPATH=src python benchmarks/chaos_smoke.py --fault-seed 4242 \
-        --items 690 --batch 230 --require-arena --json-out chaos-arena.json
+        --items 690 --batch 230 --json-out chaos-arena.json
 
 The fault schedule is pure data expanded from ``--fault-seed``; a
 failing run's log names the seed, so it replays locally byte for byte.
@@ -144,11 +143,6 @@ def main(argv=None) -> int:
         help="SIGKILL shard 0's primary after this batch "
         "(default: the middle batch)",
     )
-    parser.add_argument(
-        "--require-arena", action="store_true",
-        help="fail unless every shard's share of every batch reaches "
-        "ARENA_MIN_NODES (the batch then plans arena on each shard)",
-    )
     parser.add_argument("--json-out", default="BENCH_PR8.json")
     parser.add_argument("--health-attempts", type=int, default=50)
     parser.add_argument("--health-delay", type=float, default=0.2)
@@ -201,7 +195,6 @@ def main(argv=None) -> int:
 
 def run_gates(args, urls, journal_dir, procs) -> int:
     from repro.api import Session
-    from repro.core.arena import ARENA_MIN_NODES
     from repro.core.hashed import alpha_hash_all
     from repro.lang.sexpr import to_wire
     from repro.service import ServiceClient
@@ -267,14 +260,6 @@ def run_gates(args, urls, journal_dir, procs) -> int:
             shares[owner] += expr.size
         share = min(shares)
         min_share = share if min_share is None else min(min_share, share)
-        if args.require_arena and share < ARENA_MIN_NODES:
-            print(
-                f"FAIL: batch {batch_index} gives a shard {share} "
-                f"nodes (shares {shares}), below ARENA_MIN_NODES="
-                f"{ARENA_MIN_NODES}: that shard's intern plans tree",
-                file=sys.stderr,
-            )
-            failures += 1
         if kill_at is not None and failover_latency_s is None:
             failover_latency_s = time.monotonic() - kill_at
         if schedule.kill_after_batch(batch_index) is not None:
@@ -414,7 +399,6 @@ def run_gates(args, urls, journal_dir, procs) -> int:
         "fault_seed": args.fault_seed,
         "items": args.items,
         "batches": batches,
-        "require_arena": args.require_arena,
         "min_shard_share_nodes": min_share,
         "kill_after_batch": kill_batch,
         "faults_fired": fired,

@@ -28,18 +28,21 @@ Cells:
                   vs through a ``repro cluster serve`` coordinator
                   fronting two shard nodes (all on localhost), with
                   bit-identity and folded-stats conservation checked.
-* ``threshold`` -- the sweep behind ``ARENA_MIN_NODES``: the tree
-                  engine vs the arena engine on the scalar and on the
-                  native kernel, per corpus (one 60-node item up to
-                  ~32k nodes of them, plus ``let`` and left-skewed
-                  ``App`` chains of 4k-8k nodes), hashing and
-                  interning, for ``Expr`` input and for wire input (the
-                  server's path: compile, then the forced engine), and
-                  each arena kernel alone; median of ``--repeats``
-                  fresh-store runs each.  It prints the crossovers by
-                  nodes from tree to the arena engine on the kernel
-                  that runs (native when its library loaded).  Not in
-                  the default set::
+* ``threshold`` -- the measurement behind the planner's one engine
+                  rule (a store-served corpus runs on the arena unless
+                  ``tree`` is pinned): the tree engine vs the arena
+                  engine on each tier (scalar, the native kernel with
+                  the Python compile walk, all native), per corpus (one
+                  60-node item up to ~32k nodes of them, plus ``let``
+                  and left-skewed ``App`` chains of 4k-8k nodes),
+                  hashing and interning, for ``Expr`` input and for wire
+                  input (lowered as the server lowers a body), and each
+                  arena kernel alone; median of ``--repeats`` fresh-store
+                  runs each.  Plus one warm-store row, the one case the
+                  tree engine wins: re-hashing a 3k-node item with one
+                  deep leaf replaced.  It prints, per tier, the smallest
+                  corpus from which the arena wins at every larger one.
+                  Not in the default set::
 
                       PYTHONPATH=src python benchmarks/run_bench.py \
                           --cells threshold --repeats 5 --out /tmp/threshold.json
@@ -145,15 +148,18 @@ def arena_cell(n_items: int, item_size: int, repeats: int) -> dict:
 
 @contextlib.contextmanager
 def arena_kernel(name: str):
-    """Run the arena engine on kernel ``name`` for the block: the
-    scalar one by hiding both native libraries (as on a host without a
-    compiler, where flatten runs the Python walk too), the native one as
-    loaded."""
+    """Run the arena engine on tier ``name`` for the block: ``scalar``
+    hides both native libraries (a host without a compiler, where
+    flatten runs the Python walk too), ``native_pywalk`` hides only the
+    compile library (a host with ``cc`` but no ``Python.h``), and
+    ``native`` runs them as loaded."""
     from repro.core import native
 
     loaded = native.LIB, native.FLATTEN
     if name == "scalar":
         native.LIB = native.FLATTEN = None
+    elif name == "native_pywalk":
+        native.FLATTEN = None
     try:
         yield
     finally:
@@ -278,48 +284,61 @@ def _app_chain(depth: int):
 
 
 def threshold_cell(sizes: list[int], item_size: int, repeats: int) -> dict:
-    """Tree vs the arena engine on each kernel, per corpus: hashing and
-    interning, ``Expr`` and wire input.
+    """Tree vs the arena engine on each tier, per corpus: hashing and
+    interning, ``Expr`` and wire input; the measurement behind the
+    planner's one engine rule.
 
     Rows are ``make_corpus`` corpora of about ``sizes`` nodes
     (``item_size``-node items) plus deep, thin ones: a ``let`` chain and
     a left-skewed ``App`` chain of ~4k and ~8k nodes each, one item per
-    corpus.  Per row and engine (``tree``, and ``arena`` on the
-    ``scalar`` and on the ``native`` kernel): ``ExprStore().hash_corpus``
-    and ``intern_many`` (``Expr`` input), and what ``/v1/hash`` and
-    ``/v1/intern`` run per request (compile the documents with
-    ``extend_wire``, then execute the compiled request on a fresh
-    session).  Also each arena kernel alone on the compiled arena.
-    Medians, in ms.  The crossovers are by nodes, from tree to the
-    arena engine on the kernel that runs.
+    corpus.  Per row and engine (``tree``, and ``arena`` on each tier of
+    :func:`arena_kernel` that loaded): ``ExprStore().hash_corpus`` and
+    ``intern_many`` (``Expr`` input), and what ``/v1/hash`` and
+    ``/v1/intern`` run per request (lower the documents as the server
+    does -- compiled with ``extend_wire`` for the arena, unshared trees
+    for a ``tree`` pin -- then execute on a fresh session).  Also each
+    arena kernel alone on the compiled arena.  Medians, in ms.
+
+    ``warm_edit`` is the one case the tree engine wins: on a store that
+    already hashed a 3k-node item, re-hash a copy with one leaf at depth
+    >= 3 replaced (the spine above it new, the rest shared), so the tree
+    engine's per-object memo holds all but the spine while the arena
+    compiles the whole copy.  Median over 40 edits.
     """
     import statistics
 
     from repro.api import HashRequest, InternRequest, Session
     from repro.core import native
-    from repro.core.arena import ExprArena, arena_hash, flatten_corpus
+    from repro.core.arena import arena_hash, flatten_corpus
     from repro.core.combiners import default_combiners
+    from repro.gen.random_exprs import random_expr
+    from repro.lang.expr import Var
     from repro.lang.sexpr import to_wire
+    from repro.lang.traversal import preorder_with_paths, replace_at
+    from repro.service.server import _corpus_request
 
-    kernels = ("scalar", "native") if native.LIB is not None else ("scalar",)
-    runs_on = native.kernel()
+    tiers = ["scalar"]
+    if native.LIB is not None:
+        tiers.append("native_pywalk")
+        if native.FLATTEN is not None:
+            tiers.append("native")
     combiners = default_combiners()
 
-    def median_ms(fn) -> float:
+    def median_ms(fn, rounds=repeats) -> float:
         runs = []
-        for _ in range(repeats):
+        for _ in range(rounds):
             start = time.perf_counter()
             fn()
             runs.append(time.perf_counter() - start)
         return round(1000 * statistics.median(runs), 2)
 
     def wire_run(request_type, docs, engine):
-        arena = ExprArena()
-        roots = arena.extend_wire(docs)
-        return Session().execute(request_type.compiled(arena, roots, engine=engine))
+        session = Session()
+        body = {"exprs": docs, "engine": engine}
+        return session.execute(_corpus_request(request_type, body, session))
 
     def arena_only(engine, fn):
-        # ``engine`` is "tree" or a kernel name; a kernel runs the arena.
+        # ``engine`` is "tree" or a tier name; a tier runs the arena.
         if engine == "tree":
             return fn("tree")
         with arena_kernel(engine):
@@ -350,7 +369,7 @@ def threshold_cell(sizes: list[int], item_size: int, repeats: int) -> dict:
             "items": len(corpus),
             "unique_rows": len(arena),
         }
-        for engine in ("tree", *kernels):
+        for engine in ("tree", *tiers):
             if arena_only(engine, lambda e: wire_run(HashRequest, docs, e)) != expected:
                 raise AssertionError(f"wire {engine} hashes diverged on a {shape}")
             if arena_only(engine, lambda e: wire_run(InternRequest, docs, e)) != expected_ids:
@@ -375,12 +394,35 @@ def threshold_cell(sizes: list[int], item_size: int, repeats: int) -> dict:
         rows.append(row)
         print(f"  {json.dumps(row)}")
 
-    def crossover(source):
+    item = random_expr(3_000, seed=3_000, p_let=0.3, p_lit=0.1)
+    deep_leaves = [
+        path for path, node in preorder_with_paths(item)
+        if len(path) >= 3 and not node.children()
+    ]
+    edits = [
+        replace_at(item, deep_leaves[k * len(deep_leaves) // 40], Var(f"edit{k}"))
+        for k in range(40)
+    ]
+
+    def warm_rehash_ms(engine) -> float:
+        store = ExprStore()
+        arena_only(engine, lambda e: store.hash_corpus([item], engine=e))
+        pending = iter(edits)
+        return median_ms(lambda: arena_only(
+            engine, lambda e: store.hash_corpus([next(pending)], engine=e)
+        ), len(edits))
+
+    warm_edit = {"nodes": item.size, "edits": len(edits)}
+    for engine in ("tree", *tiers):
+        warm_edit[f"expr_{engine}_ms"] = warm_rehash_ms(engine)
+    print(f"  warm_edit {json.dumps(warm_edit)}")
+
+    def crossover(source, tier):
         # The smallest corpus from which the arena engine wins at every
         # larger one.
         point = None
         for row in sorted(rows, key=lambda row: row["nodes"], reverse=True):
-            if not row[f"{source}_{runs_on}_ms"] < row[f"{source}_tree_ms"]:
+            if not row[f"{source}_{tier}_ms"] < row[f"{source}_tree_ms"]:
                 break
             point = row["nodes"]
         return point
@@ -388,11 +430,15 @@ def threshold_cell(sizes: list[int], item_size: int, repeats: int) -> dict:
     return {
         "item_size": item_size,
         "repeats": repeats,
-        "kernel": runs_on,
+        "tiers": tiers,
         "rows": rows,
+        "warm_edit": warm_edit,
         "crossover_nodes": {
-            source: crossover(source)
-            for source in ("expr", "wire", "expr_intern", "wire_intern")
+            tier: {
+                source: crossover(source, tier)
+                for source in ("expr", "wire", "expr_intern", "wire_intern")
+            }
+            for tier in tiers
         },
     }
 
@@ -486,8 +532,8 @@ def main(argv=None) -> int:
         )
         cell = record["cells"]["threshold"]
         print(
-            f"  crossover tree -> arena on the {cell['kernel']} kernel (nodes): "
-            f"{json.dumps(cell['crossover_nodes'])}"
+            "  smallest corpus from which the arena wins at every larger one "
+            f"(nodes, per tier): {json.dumps(cell['crossover_nodes'])}"
         )
 
     with open(out_path, "w", encoding="utf-8") as handle:

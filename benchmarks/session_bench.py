@@ -253,8 +253,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        # 4 x 8192 nodes: still above the planner's arena threshold, so
-        # an open that leaves the memo cold shows in first_touch_3x.
+        # 4 x 8192 nodes: an "auto" plan runs the arena, so an open
+        # that left the memo cold would show in first_touch_3x.
         args.items = min(args.items, 4)
         args.item_size = min(args.item_size, 8192)
         args.edits = min(args.edits, 40)

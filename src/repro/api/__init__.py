@@ -13,8 +13,9 @@ behind one facade:
   determinism and resource hints.
 * the planner (:mod:`repro.api.plan`) -- resolves a request against a
   session into an inspectable :class:`ExecutionPlan` (tree vs arena
-  engine and kernel, backend, store routing), absorbing the
-  ``engine="auto"`` heuristic behind one threshold constant.
+  engine and kernel, backend, store routing) by one engine rule: a
+  corpus the store serves runs on the arena unless ``engine="tree"``
+  is pinned.
 * :meth:`Session.execute` runs the plan on one serial path through the
   store; results are bit-identical across engines.
 * :class:`AsyncSession` (:mod:`repro.api.aio`) -- the asyncio front
@@ -47,12 +48,7 @@ from repro.api.backends import (
     register_backend,
 )
 from repro.api.executors import AsyncExecutor
-from repro.api.plan import (
-    ARENA_NODE_THRESHOLD,
-    ExecutionPlan,
-    Planner,
-    PlanError,
-)
+from repro.api.plan import ExecutionPlan, PlanError
 from repro.api.remote import RemoteSession, RemoteStreamSession
 from repro.api.request import HashRequest, InternRequest
 from repro.api.session import Session, SessionConfig, SessionError
@@ -80,9 +76,7 @@ __all__ = [
     "HashRequest",
     "InternRequest",
     "ExecutionPlan",
-    "Planner",
     "PlanError",
-    "ARENA_NODE_THRESHOLD",
     "AsyncExecutor",
     # backends
     "HasherBackend",

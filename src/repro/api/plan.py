@@ -1,7 +1,8 @@
 """The planning stage: resolve a request into an inspectable plan.
 
-The :class:`Planner` turns a declarative :class:`~repro.api.request.
-HashRequest` / :class:`~repro.api.request.InternRequest` plus a
+:func:`plan_request` (what :meth:`~repro.api.session.Session.plan`
+runs) turns a declarative :class:`~repro.api.request.HashRequest` /
+:class:`~repro.api.request.InternRequest` plus a
 :class:`~repro.api.session.Session` into an :class:`ExecutionPlan` --
 every decision (backend, store routing, tree vs arena engine) is made
 **here, once**, and the result is a frozen record the
@@ -14,15 +15,18 @@ caller can inspect, log, or ship over the wire before anything runs::
 Engine policy
 -------------
 
-``engine="auto"`` compares the corpus' total node count against
-:data:`ARENA_NODE_THRESHOLD` -- the **one** threshold constant, which
-the planner shares with the low-level ``resolve_engine`` normaliser
-(defined next to the arena kernel as
-:data:`repro.core.arena.ARENA_MIN_NODES`, so the core stays importable
-without this package; there is exactly one literal).  The store's
-batch entry points consult the same constant through
-:func:`repro.core.arena.plan_corpus_engine`, so a forced ``engine=``
-and an ``auto`` decision can never disagree between layers.
+One rule, :func:`arena_serves`: a corpus the store serves runs on the
+arena unless the request or the session pins ``engine="tree"``, and a
+corpus the store does not serve runs its backend's own pass and plans
+``tree``.  The arena is the paper's Section 5 pass over arrays, and on
+fresh input it is at least as fast as the tree engine at every corpus
+size (the ``threshold`` cell of ``benchmarks/run_bench.py``).  The tree
+engine wins only when its per-object memo already holds most of a
+tree, as in a rewrite loop re-hashing edited trees on a warm store:
+pin ``tree`` there, or stream the edits.  The service lowers request
+bodies by the same predicate, and the store's batch entry points map
+``"auto"`` to the arena (:func:`repro.core.arena.resolve_engine`), so
+no layer decides differently.
 
 An arena plan records the kernel that will run, which no request
 chooses: ``"native"`` when the C kernel's library loaded at import
@@ -36,7 +40,6 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core import native
-from repro.core.arena import ARENA_MIN_NODES, resolve_engine
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.backends import HasherBackend
@@ -45,17 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ExecutionPlan",
-    "Planner",
     "PlanError",
-    "ARENA_NODE_THRESHOLD",
+    "arena_serves",
+    "plan_request",
     "resolve_backend",
     "store_serves",
 ]
-
-#: Total corpus nodes at which ``engine="auto"`` switches from the
-#: memoised tree walk to the arena kernel.  This is the planner's one
-#: threshold; every layer's ``auto`` decision resolves against it.
-ARENA_NODE_THRESHOLD = ARENA_MIN_NODES
 
 
 class PlanError(ValueError):
@@ -122,98 +120,88 @@ def store_serves(session: "Session", kind: str, backend: "HasherBackend") -> boo
     return kind == "intern" or backend.store_backed
 
 
-class Planner:
-    """Resolves requests against a session into :class:`ExecutionPlan`s.
+def arena_serves(
+    session: "Session",
+    kind: str,
+    backend: "HasherBackend",
+    engine_hint: Optional[str],
+) -> bool:
+    """The engine rule: does the arena run a ``kind`` request for
+    ``backend`` whose engine hint is ``engine_hint`` (``None``: the
+    session's)?  Yes when the store serves it and neither the request
+    nor the session pins ``"tree"``."""
+    return (
+        store_serves(session, kind, backend)
+        and (engine_hint or session.config.engine) != "tree"
+    )
 
-    Stateless apart from its ``arena_threshold`` (default
-    :data:`ARENA_NODE_THRESHOLD`); a session owns one and consults it
-    from :meth:`~repro.api.session.Session.plan`.  Swap it out to test
-    or tune the policy without touching any execution code::
 
-        session.planner = Planner(arena_threshold=1_000)
-    """
+def plan_request(session: "Session", request: "HashRequest") -> ExecutionPlan:
+    """Resolve ``request`` against ``session`` into an :class:`ExecutionPlan`."""
+    reasons: list[str] = []
+    combiners = session.combiners
 
-    def __init__(self, arena_threshold: int = ARENA_NODE_THRESHOLD):
-        self.arena_threshold = arena_threshold
-
-    def plan(self, session: "Session", request: "HashRequest") -> "ExecutionPlan":
-        reasons: list[str] = []
-        combiners = session.combiners
-
-        # Determinism hints: a request pinned to one hash family must
-        # never silently run under another.
-        if request.bits is not None and request.bits != combiners.bits:
-            raise PlanError(
-                f"request pins bits={request.bits} but the session hashes "
-                f"at {combiners.bits} bits"
-            )
-        if request.seed is not None and request.seed != combiners.seed:
-            raise PlanError(
-                f"request pins seed={request.seed} but the session hashes "
-                f"with seed {combiners.seed}"
-            )
-
-        backend = resolve_backend(session, request.backend)
-        if backend is not session.backend:
-            reasons.append(
-                f"backend {backend.name!r} overrides the session's "
-                f"{session.backend.name!r}"
-            )
-
-        store = session.store
-        store_backed = store_serves(session, request.kind, backend)
-        if request.kind == "intern":
-            if store is None:
-                raise PlanError(
-                    "intern requests need a store; this session was built "
-                    "with use_store=False"
-                )
-        elif not store_backed:
-            if request.compiled_corpus is not None:
-                raise PlanError(
-                    f"backend {backend.name!r} runs its own pass over trees; "
-                    "a compiled corpus runs only on the store-backed path"
-                )
-            reasons.append(
-                f"backend {backend.name!r} runs its own pass, not the store's memo"
-            )
-
-        # The engine hint falls back to the session's configured default.
-        engine_hint = request.engine or session.config.engine
-
-        total_nodes = request.total_nodes
-        if engine_hint == "auto":
-            engine = resolve_engine(
-                engine_hint, total_nodes, threshold=self.arena_threshold
-            )
-            reasons.append(
-                f"auto engine -> {engine}: {total_nodes} nodes "
-                f"{'>=' if engine == 'arena' else '<'} "
-                f"threshold {self.arena_threshold}"
-            )
-        else:
-            engine = resolve_engine(engine_hint, total_nodes)
-            reasons.append(f"engine {engine!r} forced by the request")
-
-        # An arena plan records the kernel that runs, and why it is not
-        # the native one.
-        kernel: Optional[str] = None
-        if engine == "arena":
-            kernel = native.kernel()
-            if kernel == "scalar":
-                reasons.append(
-                    f"arena kernel -> scalar: {native.REASONS.get('arena_kernel')}"
-                )
-
-        return ExecutionPlan(
-            kind=request.kind,
-            backend=backend.name,
-            store_backed=store_backed,
-            engine=engine,
-            corpus_items=len(request),
-            total_nodes=total_nodes,
-            bits=combiners.bits,
-            seed=combiners.seed,
-            kernel=kernel,
-            reasons=tuple(reasons),
+    # Determinism hints: a request pinned to one hash family must
+    # never silently run under another.
+    if request.bits is not None and request.bits != combiners.bits:
+        raise PlanError(
+            f"request pins bits={request.bits} but the session hashes "
+            f"at {combiners.bits} bits"
         )
+    if request.seed is not None and request.seed != combiners.seed:
+        raise PlanError(
+            f"request pins seed={request.seed} but the session hashes "
+            f"with seed {combiners.seed}"
+        )
+
+    backend = resolve_backend(session, request.backend)
+    if backend is not session.backend:
+        reasons.append(
+            f"backend {backend.name!r} overrides the session's "
+            f"{session.backend.name!r}"
+        )
+    if request.kind == "intern" and session.store is None:
+        raise PlanError(
+            "intern requests need a store; this session was built "
+            "with use_store=False"
+        )
+
+    store_backed = store_serves(session, request.kind, backend)
+    on_arena = arena_serves(session, request.kind, backend, request.engine)
+    if not store_backed:
+        reasons.append(
+            f"backend {backend.name!r} runs its own pass, not the store's memo"
+        )
+    elif on_arena:
+        reasons.append("the store serves this corpus: engine arena")
+    else:
+        pinned_by = "request" if request.engine else "session"
+        reasons.append(f"engine 'tree' pinned by the {pinned_by}")
+    if request.compiled_corpus is not None and not on_arena:
+        raise PlanError(
+            "a compiled corpus runs only on the store-backed arena engine "
+            f"({reasons[-1]})"
+        )
+
+    # An arena plan records the kernel that runs, and why it is not
+    # the native one.
+    kernel: Optional[str] = None
+    if on_arena:
+        kernel = native.kernel()
+        if kernel == "scalar":
+            reasons.append(
+                f"arena kernel -> scalar: {native.REASONS.get('arena_kernel')}"
+            )
+
+    return ExecutionPlan(
+        kind=request.kind,
+        backend=backend.name,
+        store_backed=store_backed,
+        engine="arena" if on_arena else "tree",
+        corpus_items=len(request),
+        total_nodes=request.total_nodes,
+        bits=combiners.bits,
+        seed=combiners.seed,
+        kernel=kernel,
+        reasons=tuple(reasons),
+    )

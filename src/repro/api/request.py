@@ -7,9 +7,9 @@ A request carries *intent* only, never call-site execution knobs:
   executing session) and an ``engine`` hint;
 * :class:`InternRequest` -- "intern this corpus", same hints.
 
-``None`` for any hint means "the session's configured default".  A
-:class:`~repro.api.plan.Planner` resolves a request against a session
-into an inspectable :class:`~repro.api.plan.ExecutionPlan`, and
+``None`` for any hint means "the session's configured default".
+:meth:`~repro.api.session.Session.plan` resolves a request against a
+session into an inspectable :class:`~repro.api.plan.ExecutionPlan`, and
 :meth:`~repro.api.session.Session.execute` runs the plan::
 
     request = HashRequest(corpus, engine="auto")
@@ -18,11 +18,12 @@ into an inspectable :class:`~repro.api.plan.ExecutionPlan`, and
 
 Requests are frozen: the same request can be planned against several
 sessions, logged, or shipped over the wire.  The :mod:`repro.service`
-server rebuilds one per HTTP call with :meth:`HashRequest.compiled`:
-the request's wire documents go straight into an
-:class:`~repro.core.arena.ExprArena` (no ``Expr`` trees), which the
-store-backed arena path hashes and interns as is; a plan that needs
-trees gets them rebuilt from the arena (:meth:`HashRequest.items`).
+server builds one per HTTP call.  When the arena runs it
+(:func:`~repro.api.plan.arena_serves`), the request is
+:meth:`HashRequest.compiled`: the request's wire documents go straight
+into an :class:`~repro.core.arena.ExprArena` (no ``Expr`` trees), which
+the store's arena step hashes and interns as is.  Otherwise the server
+lowers the body to trees.
 """
 
 from __future__ import annotations
@@ -107,23 +108,13 @@ class HashRequest:
         root index per item (``roots``), e.g. by
         :meth:`~repro.core.arena.ExprArena.extend_wire`.
 
-        Only the store-backed path runs it (planning fails otherwise):
-        an arena plan hands ``(arena, roots)`` to the store's arena
-        step, and a tree plan rebuilds the items with :meth:`items`.
+        Only the store's arena step runs it: planning fails for a
+        backend with its own pass and for a ``"tree"`` pin, of the
+        request or the session.
         """
         request = cls((), **hints)
         object.__setattr__(request, "compiled_corpus", (arena, tuple(roots)))
         return request
-
-    def items(self) -> list[Expr]:
-        """The corpus as trees, rebuilt from the arena in one pass for
-        a compiled request.  Rebuilt items share structurally identical
-        subtrees, which the store's tree path (summaries depend only on
-        the subtree) takes as is."""
-        if self.compiled_corpus is None:
-            return list(self.exprs)
-        arena, roots = self.compiled_corpus
-        return arena.rebuild_many(roots)
 
     def _validate(self) -> None:
         if self.engine is not None and self.engine not in ENGINES:

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from repro.api.backends import HasherBackend, get_backend
-from repro.api.plan import ExecutionPlan, Planner
+from repro.api.plan import ExecutionPlan, plan_request
 from repro.api.request import HashRequest, InternRequest
 from repro.core.arena import ENGINE_CHOICES, flatten_corpus
 from repro.core.combiners import DEFAULT_SEED, HashCombiners
@@ -63,9 +63,10 @@ class SessionConfig:
     intern/save/load become unavailable.  ``max_entries``/``memo_limit``
     configure the store's LRU-bounded mode.
 
-    ``engine`` picks the corpus hashing strategy (``"auto"`` compiles
-    large corpora into an array arena, ``"tree"``/``"arena"`` force a
-    path -- see the README's "Arena kernel" section).
+    ``engine`` picks the corpus hashing strategy: ``"auto"`` and
+    ``"arena"`` compile a store-served corpus into an array arena,
+    ``"tree"`` pins the memoised tree walk (see the README's "Arena
+    kernel" section).
     """
 
     backend: str = "ours"
@@ -104,10 +105,6 @@ class Session:
                 f"{config.engine!r}"
             )
         self.config = config
-        #: The policy stage of the request -> plan -> execute pipeline;
-        #: swap it (e.g. ``Planner(arena_threshold=...)``) to retune
-        #: decisions without touching execution code.
-        self.planner = Planner()
         self.backend: HasherBackend = get_backend(config.backend)
         self.combiners = HashCombiners(
             bits=config.bits, seed=config.resolved_seed
@@ -151,7 +148,7 @@ class Session:
         """Resolve ``request`` into an inspectable :class:`ExecutionPlan`
         (backend, store routing, engine, kernel) without running
         anything.  See :mod:`repro.api.plan` for the policy."""
-        return self.planner.plan(self, request)
+        return plan_request(self, request)
 
     def execute(
         self, request: HashRequest, plan: Optional[ExecutionPlan] = None
@@ -165,23 +162,21 @@ class Session:
 
         Results are bit-identical across engines -- the plan only
         decides *how* the same pure function is evaluated.  A compiled
-        request (:meth:`HashRequest.compiled`) on an arena plan goes to
-        the store's arena step as is; on a tree plan its items are
-        rebuilt from the arena.
+        request (:meth:`HashRequest.compiled`) goes to the store's arena
+        step as is (it plans nothing else).
         """
         if plan is None:
             plan = self.plan(request)
         compiled = request.compiled_corpus
-        on_arena = compiled is not None and plan.engine == "arena"
         if plan.kind == "intern":
             store = self._require_store("intern requests")
-            if on_arena:
+            if compiled is not None:
                 return store.intern_arena(*compiled)[0]
-            return store.intern_many(request.items(), engine=plan.engine)
+            return store.intern_many(request.exprs, engine=plan.engine)
         if plan.store_backed:
-            if on_arena:
+            if compiled is not None:
                 return self.store.hash_arena(*compiled)
-            return self.store.hash_corpus(request.items(), engine=plan.engine)
+            return self.store.hash_corpus(request.exprs, engine=plan.engine)
         backend = get_backend(plan.backend)
         return [
             backend.hash_all(e, self.combiners).root_hash for e in request.exprs
@@ -211,7 +206,7 @@ class Session:
                 request.exprs
             )
             return store.intern_arena(arena, roots, check=check)
-        items = request.items()
+        items = request.exprs
         if check is None:
             ids = store.intern_many(items, engine=plan.engine)
             return ids, [store.hash_expr(expr) for expr in items]
@@ -300,9 +295,9 @@ class Session:
         (-> list of them), pooling the canonical DAG across the session.
 
         Corpora go through :func:`repro.apps.sharing.share_alpha_corpus`,
-        which batch-interns the whole input -- large corpora take the
-        store's arena bulk-intern fast path.  ``engine`` overrides the
-        session default per call, like :meth:`hash_corpus`."""
+        which batch-interns the whole input on the store's arena
+        bulk-intern fast path unless ``tree`` is pinned.  ``engine``
+        overrides the session default per call, like :meth:`hash_corpus`."""
         from repro.apps.sharing import share_alpha, share_alpha_corpus
 
         if isinstance(exprs, Expr):

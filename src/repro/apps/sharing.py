@@ -154,8 +154,8 @@ def share_alpha_corpus(
     """Batch :func:`share_alpha`: one result per input, one shared pool.
 
     Equivalent to calling :func:`share_alpha` per item against one
-    store, but the corpus is interned in a single batch, so a large
-    corpus takes the store's arena bulk-intern fast path (one compile,
+    store, but the corpus is interned in a single batch, on the store's
+    arena bulk-intern fast path unless ``engine="tree"`` (one compile,
     one kernel pass, duplicates never re-walked) instead of one
     tree walk per item.  The canonical DAG is pooled across items:
     sharing spans the whole corpus, exactly as with a shared store.

@@ -226,8 +226,8 @@ def _run_hash(rest: Sequence[str]) -> int:
         "--engine",
         choices=ENGINE_CHOICES,
         default="auto",
-        help="corpus hashing strategy: tree walking, the arena kernel, "
-        "or size-based auto selection",
+        help="corpus hashing strategy: the arena kernel (auto, arena) "
+        "or the memoised tree walk (tree)",
     )
     args = parser.parse_args(rest)
 

@@ -66,10 +66,8 @@ __all__ = [
     "arena_summaries",
     "arena_hash_any",
     "flatten_corpus",
-    "ARENA_MIN_NODES",
     "ENGINE_CHOICES",
     "resolve_engine",
-    "plan_corpus_engine",
     "OP_VAR",
     "OP_LIT",
     "OP_LAM",
@@ -99,53 +97,29 @@ def _foreign_node(node: object) -> TypeError:
 ENGINE_CHOICES = ("auto", "tree", "arena")
 
 
-#: Corpus size (total nodes) from which ``engine="auto"`` picks the
-#: arena.  The sweep below puts the arena on the native kernel ahead of
-#: the tree engine at every size it measures, down to one 60-node item,
-#: for hashing and for interning, ``Expr`` and wire input (2-CPU host)::
-#:
-#:     PYTHONPATH=src python benchmarks/run_bench.py --cells threshold \
-#:         --repeats 5 --out /tmp/threshold.json
-#:
-#: Small requests still plan the tree engine, pending a measurement on
-#: a workload that sends small interns.  Override per call with
-#: ``engine="arena"`` / ``engine="tree"``.  This is the **one**
-#: auto-engine literal in the repository: the planner
-#: re-exports it as :data:`repro.api.plan.ARENA_NODE_THRESHOLD` (the
-#: policy-level name), and every batch entry point resolves ``"auto"``
-#: against it through :func:`resolve_engine` / :func:`plan_corpus_engine`.
-ARENA_MIN_NODES = 4_000
+def resolve_engine(engine: str) -> str:
+    """Normalise an ``engine`` request to ``"arena"`` or ``"tree"``:
+    ``"auto"`` is the arena, and a name outside :data:`ENGINE_CHOICES`
+    is a ``ValueError``.
 
+    On fresh input the arena is at least as fast as the tree engine at
+    every corpus size on every tier, down to one 60-node item (where the
+    scalar tier ties on ``Expr`` hashing) and faster everywhere else::
 
-def resolve_engine(
-    engine: str, total_nodes: int, threshold: Optional[int] = None
-) -> str:
-    """Normalise an ``engine`` request to ``"arena"`` or ``"tree"``.
+        PYTHONPATH=src python benchmarks/run_bench.py --cells threshold \\
+            --repeats 5 --out /tmp/threshold.json
 
-    ``threshold`` defaults to :data:`ARENA_MIN_NODES`; the planner
-    passes its own (same value unless deliberately retuned) so policy
-    stays swappable in exactly one place.
+    The tree engine wins only on a warm store, re-hashing edited trees
+    whose interior objects its per-object memo already holds: pin
+    ``engine="tree"`` or stream the edits (``Session.open_stream``).
     """
     if engine == "auto":
-        limit = ARENA_MIN_NODES if threshold is None else threshold
-        return "arena" if total_nodes >= limit else "tree"
+        return "arena"
     if engine in ENGINE_CHOICES:
         return engine
     raise ValueError(
         f"engine must be one of {', '.join(ENGINE_CHOICES)}, got {engine!r}"
     )
-
-
-def plan_corpus_engine(engine: str, corpus: Sequence[Expr]) -> str:
-    """The concrete engine for hashing/interning ``corpus``.
-
-    The one shared ``auto`` decision point for the store's batch entry
-    points: total nodes are counted here (``Expr.size`` is O(1) per
-    root) and compared against the single threshold constant, so no
-    call site carries its own size loop or literal."""
-    if engine == "auto":
-        return resolve_engine(engine, sum(expr.size for expr in corpus))
-    return resolve_engine(engine, 0)  # validates the name
 
 
 class ExprArena:
@@ -176,10 +150,10 @@ class ExprArena:
     keep distinct arena nodes and collapse later, at intern time).
 
     Instances grow append-only through :meth:`flatten` and may be reused
-    across corpora.  The name and literal tables persist with their
-    dicts; the structural index does not: each compile derives it from
-    the rows already there (none, for a fresh arena) and drops it when
-    it returns.
+    across corpora, whoever built them (a decoded request body, say).
+    No index persists: each compile derives the structural index from
+    the rows already there and the name and literal maps from the
+    tables (none, for a fresh arena), and drops them when it returns.
     """
 
     __slots__ = (
@@ -190,8 +164,6 @@ class ExprArena:
         "sizes",
         "names",
         "literals",
-        "_name_ids",
-        "_lit_ids",
     )
 
     def __init__(self) -> None:
@@ -202,8 +174,6 @@ class ExprArena:
         self.sizes = array("q")
         self.names: list[str] = []
         self.literals: list = []
-        self._name_ids: dict[str, int] = {}
-        self._lit_ids: dict[tuple, int] = {}
 
     # -- queries -------------------------------------------------------------
 
@@ -280,15 +250,9 @@ class ExprArena:
                 column.extend(new)
         except BaseException:
             # The tables would otherwise name entries no row uses.
-            from repro.core.hashed import lit_cache_key
-
             for column in columns:
                 del column[count0:]
-            for name in self.names[n_names0:]:
-                del self._name_ids[name]
             del self.names[n_names0:]
-            for value in self.literals[n_lits0:]:
-                del self._lit_ids[lit_cache_key(value)]
             del self.literals[n_lits0:]
             raise
         return roots
@@ -315,6 +279,21 @@ class ExprArena:
             struct.setdefault(key, i)
         return struct
 
+    def _leaf_ids(self) -> tuple[dict, dict]:
+        """The name and literal maps of the tables already in the arena,
+        as the walks key them: a name by itself, a literal by
+        :func:`~repro.core.hashed.lit_cache_key`.  An entry's first
+        index wins."""
+        from repro.core.hashed import lit_cache_key
+
+        name_ids: dict = {}
+        for i, name in enumerate(self.names):
+            name_ids.setdefault(name, i)
+        lit_ids: dict = {}
+        for i, value in enumerate(self.literals):
+            lit_ids.setdefault(lit_cache_key(value), i)
+        return name_ids, lit_ids
+
     def _flatten_walk(self, exprs, roots) -> tuple[list[int], ...]:
         """The flatten loop proper: the new rows' columns, as lists.
 
@@ -333,8 +312,8 @@ class ExprArena:
         op_b, left_b, right_b, aux_b, sizes_b = columns = ([], [], [], [], [])
         struct = self._struct_index()
         struct_get = struct.get
-        name_ids, names = self._name_ids, self.names
-        lit_ids, literals = self._lit_ids, self.literals
+        name_ids, lit_ids = self._leaf_ids()
+        names, literals = self.names, self.literals
         memo: dict[Expr, int] = {}
         memo_get = memo.get
         count = len(self.op)
@@ -482,8 +461,8 @@ class ExprArena:
         op_b, left_b, right_b, aux_b, sizes_b = columns = ([], [], [], [], [])
         struct = self._struct_index()
         struct_get = struct.get
-        name_ids, names = self._name_ids, self.names
-        lit_ids, literals = self._lit_ids, self.literals
+        name_ids, lit_ids = self._leaf_ids()
+        names, literals = self.names, self.literals
         count = len(self.op)
 
         for doc in docs:
@@ -617,7 +596,7 @@ class ExprArena:
             roots.append(stack[0][0])
         return columns
 
-    # -- decompilation -------------------------------------------------------
+    # -- reachability --------------------------------------------------------
 
     def closure(self, roots: Iterable[int]) -> bytearray:
         """Byte mask of every arena node reachable from ``roots``."""
@@ -636,37 +615,6 @@ class ExprArena:
             if child >= 0 and not mask[child]:
                 stack.append(child)
         return mask
-
-    def rebuild_many(self, roots: Sequence[int]) -> list[Expr]:
-        """Reconstruct the expression rooted at each index in ``roots``.
-
-        Shared arena nodes come back as shared :class:`Expr` objects (a
-        maximally-shared tree, within and across roots); alpha-hashes
-        are preserved by construction -- the round-trip test wall pins
-        this.  One closure mark and one ascending sweep serve all roots,
-        so the cost is O(arena) however many roots there are.
-        """
-        if not roots:
-            return []
-        mask = self.closure(roots)
-        op, left, right, aux = self.op, self.left, self.right, self.aux
-        names, literals = self.names, self.literals
-        built: list = [None] * (max(roots) + 1)
-        for i in range(len(built)):
-            if not mask[i]:
-                continue
-            opc = op[i]
-            if opc == OP_VAR:
-                built[i] = Var(names[aux[i]])
-            elif opc == OP_LIT:
-                built[i] = Lit(literals[aux[i]])
-            elif opc == OP_LAM:
-                built[i] = Lam(names[aux[i]], built[left[i]])
-            elif opc == OP_APP:
-                built[i] = App(built[left[i]], built[right[i]])
-            else:
-                built[i] = Let(names[aux[i]], built[left[i]], built[right[i]])
-        return [built[i] for i in roots]
 
 
 def flatten_corpus(

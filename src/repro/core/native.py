@@ -376,14 +376,16 @@ def native_flatten(arena, exprs, roots: list) -> tuple:
     compile library: the new rows' ``(op, left, right, aux, sizes)``
     columns, ``bytes`` and four int arrays, each root's row appended to
     ``roots``, and the new names and literals appended to the arena's
-    tables, exactly as the Python walk leaves them.  Raises what the
-    Python walk raises (``TypeError`` for a foreign node)."""
+    tables, exactly as the Python walk leaves them, from the same name
+    and literal maps.  Raises what the Python walk raises
+    (``TypeError`` for a foreign node)."""
     from repro.core.arena import _NODE_TYPES, _foreign_node
     from repro.core.hashed import lit_cache_key
 
     columns = (arena.left, arena.right, arena.aux)
+    name_ids, lit_ids = arena._leaf_ids()
     op, *new = FLATTEN(
-        exprs, roots, arena.names, arena._name_ids, arena.literals, arena._lit_ids,
+        exprs, roots, arena.names, name_ids, arena.literals, lit_ids,
         arena.op, *(_int_column(column, (8,)) for column in columns),
         (_NODE_TYPES, lit_cache_key, _foreign_node, sys.getswitchinterval()),
     )

@@ -22,8 +22,8 @@ tags are those of the wire documents (``int``/``float``/``bool``/
 
 :func:`decode_body` trusts nothing: stdlib checks over the columns and
 one pass over the rows recompute each row's size from its children (see its docstring for the rules), so a body it accepts is an
-arena the kernels, the intern step and the tree rebuilds can take as
-is.  Rows may repeat: duplicates hash alike and intern as hits.
+arena the kernels, the intern step and :func:`unshared_items` can take
+as is.  Rows may repeat: duplicates hash alike and intern as hits.
 """
 
 from __future__ import annotations
@@ -121,8 +121,7 @@ def decode_body(data: bytes) -> tuple[dict, ExprArena, list[int]]:
       (the intern step interns every row);
     * the items' total tree size exceeds :data:`MAX_ITEM_NODES`.
 
-    Sizes are recomputed, children first.  The arena carries
-    no structural index, so it is read, not extended.
+    Sizes are recomputed, children first.
     """
     end = data.find(b"\n")
     if end < 0:
@@ -290,8 +289,10 @@ def unshared_items(arena: ExprArena, roots: Sequence[int]) -> list[Expr]:
     """One tree per root with no node object shared, within an item or
     across items, as :func:`~repro.lang.sexpr.from_wire` builds them.
 
-    For backends that key values by node identity (``debruijn``), which
-    :meth:`~repro.core.arena.ExprArena.rebuild_many`'s shared DAG breaks.
+    The one way back from an arena to trees: the server lowers a
+    request the arena does not run (a ``tree`` pin, or a backend with
+    its own pass, which may key values by node identity as ``debruijn``
+    does) through it.
     """
     op, left, right, aux = arena.op, arena.left, arena.right, arena.aux
     names, literals = arena.names, arena.literals

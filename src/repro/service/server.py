@@ -60,21 +60,22 @@ so a remote call and a local call run the *same* plan and return
 bit-identical hashes; the resolved plan is echoed in the response for
 inspectability.  Any other body key is ignored.
 
-Ingest: ``_decode_corpus`` turns a corpus body into one fresh
-:class:`~repro.core.arena.ExprArena` and its roots, before the service
-lock: JSON documents compile straight into it
+Ingest: ``_decode_corpus`` turns a ``/v1/hash`` or ``/v1/intern`` body
+into one fresh :class:`~repro.core.arena.ExprArena` and its roots,
+before the service lock: JSON documents compile straight into it
 (:meth:`~repro.core.arena.ExprArena.extend_wire`), and an arena body is
 validated in one pass and taken as is
 (:func:`~repro.service.arena_body.decode_body`); no JSON value is
 parsed per node.  A malformed body of either kind answers 400 before
-the store is touched.  For requests the store serves, the request
-carries ``(arena, roots)``: an arena plan hashes and interns them with
-the store's arena step and builds no ``Expr`` tree, so nothing of the
-request outlives it; a tree plan rebuilds the items from the arena in
-one pass.  A backend with its own pass and session open get one
-unshared tree per item (:func:`~repro.service.arena_body.unshared_items`,
-the trees :func:`~repro.lang.sexpr.from_wire` builds); session edit
-decodes its one document with ``from_wire``.
+the store is touched.  When the arena runs the request
+(:func:`~repro.api.plan.arena_serves`, the planner's one engine rule),
+the request carries ``(arena, roots)``, which the store's arena step
+hashes and interns with no ``Expr`` tree built, so nothing of the
+request outlives it.  A ``tree`` pin and a backend with its own pass
+get one unshared tree per item instead
+(:func:`~repro.service.arena_body.unshared_items`, the trees
+:func:`~repro.lang.sexpr.from_wire` builds).  Session open parses its
+documents with ``from_wire``, and session edit its one document.
 
 Concurrency: the listener is a ``ThreadingHTTPServer`` (slow clients
 don't starve the accept loop), while store-touching work is serialised
@@ -105,7 +106,7 @@ from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api import HashRequest, InternRequest, PlanError, Session
-from repro.api.plan import resolve_backend, store_serves
+from repro.api.plan import arena_serves, resolve_backend
 from repro.api.stream import StreamSession
 from repro.core.incremental import PathError
 from repro.core import native
@@ -151,34 +152,44 @@ def _decode_corpus(body) -> tuple[dict, ExprArena, list[int]]:
     the payload.  Either way the payload carries the hints.
     """
     if isinstance(body, dict):
-        exprs_wire = body.get("exprs")
-        if not isinstance(exprs_wire, list):
-            raise _RequestError(400, "body must carry an 'exprs' list")
         arena = ExprArena()
-        try:
-            return body, arena, arena.extend_wire(exprs_wire)
-        except SexprError as exc:
-            raise _RequestError(400, f"malformed expression: {exc}") from None
+        return body, arena, _parse_wire(arena.extend_wire, _wire_docs(body))
     try:
         return decode_body(body)
     except ArenaBodyError as exc:
         raise _RequestError(400, f"malformed arena body: {exc}") from None
 
 
+def _wire_docs(payload: dict) -> list:
+    """A JSON corpus body's ``exprs``: its list of wire documents."""
+    docs = payload.get("exprs")
+    if not isinstance(docs, list):
+        raise _RequestError(400, "body must carry an 'exprs' list")
+    return docs
+
+
+def _parse_wire(parse, source):
+    """``parse(source)``, a malformed document answering 400."""
+    try:
+        return parse(source)
+    except SexprError as exc:
+        raise _RequestError(400, f"malformed expression: {exc}") from None
+
+
 def _corpus_request(request_type, body, session: Session):
     """Lower a ``/v1/hash`` or ``/v1/intern`` body (either kind, see
     :func:`_decode_corpus`) into a request.
 
-    A request the store serves carries the arena
-    (:meth:`~repro.api.request.HashRequest.compiled`).  A backend that
-    runs its own pass gets one unshared tree per item: such a backend
-    may key values by node identity (``debruijn`` does), which the
-    shared subtrees of an arena rebuild would break.
+    A request the arena runs carries the arena
+    (:meth:`~repro.api.request.HashRequest.compiled`).  Any other gets
+    one unshared tree per item: a backend with its own pass may key
+    values by node identity (``debruijn`` does), which shared subtrees
+    would break.
     """
     payload, arena, roots = _decode_corpus(body)
     hints = _request_hints(payload)
     backend = resolve_backend(session, hints.get("backend"))
-    if store_serves(session, request_type.kind, backend):
+    if arena_serves(session, request_type.kind, backend, hints.get("engine")):
         return request_type.compiled(arena, roots, **hints)
     return request_type(unshared_items(arena, roots), **hints)
 
@@ -512,8 +523,8 @@ class _Handler(BaseHTTPRequestHandler):
     # -- streaming edit sessions -----------------------------------------------
 
     def _post_session_open(self) -> None:
-        payload, arena, roots = _decode_corpus(self._read_json())
-        corpus = unshared_items(arena, roots)
+        payload = self._read_json()
+        corpus = [_parse_wire(from_wire, doc) for doc in _wire_docs(payload)]
         hints = _request_hints(payload)
         ttl = payload.get("ttl")
         service = self.service
@@ -550,10 +561,7 @@ class _Handler(BaseHTTPRequestHandler):
         doc = payload.get("expr")
         if doc is None:
             raise _RequestError(400, "body must carry an 'expr' document")
-        try:
-            new_subexpr = from_wire(doc)
-        except SexprError as exc:
-            raise _RequestError(400, f"malformed expression: {exc}") from None
+        new_subexpr = _parse_wire(from_wire, doc)
         service = self.service
         with service.lock:
             state = service.get_session(payload.get("session"))

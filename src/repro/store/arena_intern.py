@@ -1,12 +1,12 @@
-"""Arena-backed fast paths for the expression store (``engine="arena"``).
+"""Arena-backed fast paths for the expression store (the default engine).
 
 Every path here is a *compile* step followed by one *arena step* that
 takes ``(arena, roots)``: an :class:`~repro.core.arena.ExprArena` and
 one root index per corpus item.  The compile is either
 :meth:`~repro.core.arena.ExprArena.flatten` over ``Expr`` trees (the
 ``*_corpus_arena`` entry points, invoked from
-:class:`~repro.store.ExprStore` when a corpus plans as arena,
-:data:`repro.core.arena.ARENA_MIN_NODES`) or
+:class:`~repro.store.ExprStore` for every batch not pinned to
+``engine="tree"``) or
 :meth:`~repro.core.arena.ExprArena.extend_wire` straight from wire
 documents (the service's ``/v1/hash`` and ``/v1/intern``, through
 :meth:`~repro.store.ExprStore.hash_arena` /

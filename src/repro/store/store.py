@@ -89,7 +89,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from repro.core.arena import ExprArena, plan_corpus_engine
+from repro.core.arena import ExprArena, resolve_engine
 from repro.core.combiners import HashCombiners, default_combiners
 from repro.core.hashed import AlphaHashes
 from repro.core.kernel import MemoRecord, summarise_tree
@@ -804,17 +804,15 @@ class ExprStore:
     def hash_corpus(self, exprs: Iterable[Expr], engine: str = "auto") -> list[int]:
         """Batch :meth:`hash_expr`; repeated/overlapping trees hash once.
 
-        ``engine`` picks the batch strategy: ``"tree"`` walks each item
-        through the memoised summariser; ``"arena"`` compiles the corpus
-        into a post-order array arena and runs the array kernel
-        (bit-identical hashes, no per-node memo warming -- see
-        :mod:`repro.store.arena_intern`); ``"auto"`` (default) takes the arena above the planner's one
-        threshold constant (:data:`repro.api.plan.ARENA_NODE_THRESHOLD`,
-        resolved through :func:`repro.core.arena.plan_corpus_engine`).
+        ``engine`` picks the batch strategy: ``"arena"`` and ``"auto"``
+        (default) compile the corpus into a post-order array arena and
+        run the array kernel (bit-identical hashes, no per-node memo
+        warming -- see :mod:`repro.store.arena_intern`); ``"tree"``
+        walks each item through the memoised summariser, which wins
+        only when the memo already holds most of each item.
         """
         corpus = exprs if isinstance(exprs, list) else list(exprs)
-        planned = plan_corpus_engine(engine, corpus) if corpus else engine
-        if corpus and planned == "arena":
+        if resolve_engine(engine) == "arena" and corpus:
             from repro.store.arena_intern import hash_corpus_arena
 
             return hash_corpus_arena(self, corpus)
@@ -961,9 +959,9 @@ class ExprStore:
     def intern_many(self, exprs: Iterable[Expr], engine: str = "auto") -> list[int]:
         """Batch :meth:`intern`: one id per input, duplicates collapse.
 
-        ``engine="arena"`` (or ``"auto"`` above the node threshold)
-        answers items already interned as the same object with one root
-        hit each, as the serial path does, and resolves every unique
+        ``engine="arena"`` (or ``"auto"``, the default) answers items
+        already interned as the same object with one root hit each, as
+        the serial path does, and resolves every unique
         subtree class of the rest against the intern table directly,
         reusing the compile of a :meth:`hash_corpus` call over the same
         items -- same classes, hashes and ids as the serial path.
@@ -973,10 +971,10 @@ class ExprStore:
         their bound once at the end of the batch (arena child links
         need every class live mid-batch), so the table may transiently
         exceed ``max_entries`` by the batch's unique-class count.
+        ``engine="tree"`` interns each item with :meth:`intern`.
         """
         corpus = exprs if isinstance(exprs, list) else list(exprs)
-        planned = plan_corpus_engine(engine, corpus) if corpus else engine
-        if corpus and planned == "arena":
+        if resolve_engine(engine) == "arena" and corpus:
             from repro.store.arena_intern import intern_corpus_arena
 
             return intern_corpus_arena(self, corpus)

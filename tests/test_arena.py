@@ -7,7 +7,7 @@ the corpus.  Its one contract is *bit-identity* with the tree path --
 combiner width.  This wall pins that contract on adversarial corpora
 (deep chains, heavy sharing, shadowed binders, a depth-5000 degenerate
 case), plus the arena's own mechanics: flatten-time dedup,
-``flatten -> rebuild_many`` round-trips, incremental flattening, and
+``flatten -> unshared_items`` round-trips, incremental flattening, and
 ``extend_wire`` compiling wire documents into the same columns.  The
 flatten classes run on both compile walks, native and Python.
 """
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.api import HashRequest, Session
 from repro.core import native
 from repro.core.arena import (
-    ARENA_MIN_NODES,
     ExprArena,
     arena_hash,
     arena_hash_any,
@@ -36,6 +35,12 @@ from repro.gen.adversarial import adversarial_pair
 from repro.gen.random_exprs import alpha_rename, random_expr
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
 from repro.lang.sexpr import from_wire, to_wire
+from repro.service.arena_body import (
+    closure_arena,
+    decode_body,
+    encode_body,
+    unshared_items,
+)
 from repro.store import ExprStore
 
 from strategies import exprs
@@ -299,6 +304,25 @@ class TestFlatten:
         assert tree_roots == wire_roots
         assert arena_state(via_tree) == arena_state(via_wire)
 
+    @pytest.mark.parametrize("source", ["decode_body", "closure_arena"])
+    def test_compiles_into_an_arena_built_elsewhere(self, source):
+        """An arena that no compile built (a decoded request body, a
+        shard's closure) is extended, not duplicated: a compile derives
+        its name and literal maps from the tables, as it derives the
+        structural index from the rows."""
+        corpus = [App(Var("f"), Lit(1)), App(Var("g"), Var("f"))]
+        arena, roots = flatten_corpus(corpus)
+        if source == "decode_body":
+            _header, arena, roots = decode_body(encode_body(arena, roots))
+        else:
+            arena, roots = closure_arena(arena, roots)
+        before = arena_state(arena)
+        assert len(arena) == 5 and arena.names == ["f", "g"]
+        assert arena.flatten(corpus) == roots
+        assert arena_state(arena) == before
+        assert arena.extend_wire([to_wire(expr) for expr in corpus]) == roots
+        assert arena_state(arena) == before
+
 
 class TestFlattenPythonWalk(PythonWalk, TestFlatten):
     """:class:`TestFlatten` on the Python walk."""
@@ -307,7 +331,7 @@ class TestFlattenPythonWalk(PythonWalk, TestFlatten):
 def arena_state(arena: ExprArena) -> tuple:
     """Everything an arena holds, literals keyed by type and float bits
     (``0.0 == -0.0`` and ``1 == True`` would hide a conflation).  The
-    columns determine the structural index a compile derives."""
+    columns and tables determine the indexes a compile derives."""
     return (
         bytes(arena.op),
         arena.left.tolist(),
@@ -316,8 +340,6 @@ def arena_state(arena: ExprArena) -> tuple:
         arena.sizes.tolist(),
         list(arena.names),
         [lit_cache_key(value) for value in arena.literals],
-        dict(arena._name_ids),
-        dict(arena._lit_ids),
     )
 
 
@@ -408,56 +430,33 @@ class TestExtendWire:
         tops = arena_hash_any(arena)
         assert [tops[r] for r in roots] == tree_hashes(more)
 
-    def test_rebuild_many_is_one_shared_pass(self):
-        corpus = mixed_corpus(80, seed=33)
-        arena, roots = self.both([to_wire(expr) for expr in corpus])
-        rebuilt = arena.rebuild_many(roots)
-        assert tree_hashes(rebuilt) == tree_hashes(corpus)
-        assert [e.size for e in rebuilt] == [e.size for e in corpus]
-        # Structurally identical roots come back as one shared object.
-        twice = arena.rebuild_many([roots[0], roots[0]])
-        assert twice[0] is twice[1]
-        assert arena.rebuild_many([]) == []
-
 
 class TestExtendWirePythonWalk(PythonWalk, TestExtendWire):
     """:class:`TestExtendWire` with ``flatten`` on the Python walk."""
 
 
 class TestRoundTrip:
-    """flatten -> rebuild_many preserves alpha-hashes and sharing."""
+    """flatten -> unshared_items preserves alpha-hashes and sizes."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_rebuild_preserves_alpha_hash(self, seed):
         corpus = mixed_corpus(60, seed=seed)
-        arena, roots = flatten_corpus(corpus)
-        for expr, root in zip(corpus, roots):
-            (rebuilt,) = arena.rebuild_many([root])
-            assert (
-                alpha_hash_all(rebuilt).root_hash
-                == alpha_hash_all(expr).root_hash
-            )
-
-    def test_rebuild_is_maximally_shared(self):
-        shared = random_expr(30, seed=4)
-        arena, roots = flatten_corpus([App(shared, shared)])
-        (rebuilt,) = arena.rebuild_many(roots[:1])
-        assert rebuilt.fn is rebuilt.arg
+        rebuilt = unshared_items(*flatten_corpus(corpus))
+        assert tree_hashes(rebuilt) == tree_hashes(corpus)
+        assert [e.size for e in rebuilt] == [e.size for e in corpus]
 
     def test_rebuild_deep_chain(self):
-        arena, roots = flatten_corpus([lam_chain(DEPTH_DEEP)])
-        (rebuilt,) = arena.rebuild_many(roots[:1])
+        (rebuilt,) = unshared_items(*flatten_corpus([lam_chain(DEPTH_DEEP)]))
         assert rebuilt.size == DEPTH_DEEP + 1
 
 
 class TestKernelMechanics:
     def test_resolve_engine(self):
-        assert resolve_engine("auto", ARENA_MIN_NODES) == "arena"
-        assert resolve_engine("auto", ARENA_MIN_NODES - 1) == "tree"
-        assert resolve_engine("arena", 1) == "arena"
-        assert resolve_engine("tree", 10**9) == "tree"
-        with pytest.raises(ValueError):
-            resolve_engine("warp", 100)
+        assert resolve_engine("auto") == "arena"
+        assert resolve_engine("arena") == "arena"
+        assert resolve_engine("tree") == "tree"
+        with pytest.raises(ValueError, match="auto, tree, arena"):
+            resolve_engine("warp")
 
 
 class TestStoreIntegration:

@@ -375,12 +375,8 @@ class TestCoordinator:
         (coord, twin), (nodes, twins) = cluster
         client, twin_client = connect(coord.url), connect(twin.url)
         arena, roots = json_arena(corpus)
-        # A shard's share may fall under the arena threshold while its
-        # doubled share does not, and the tree walk mints ids in another
-        # order: pin the engine.
-        pin = {"engine": "arena"}
-        body = encode_body(arena, roots, pin)
-        twice_body = encode_body(*doubled(arena, roots), pin)
+        body = encode_body(arena, roots)
+        twice_body = encode_body(*doubled(arena, roots))
         plain = client.hash_wire(body)["hashes"]
         assert client.hash_wire(twice_body)["hashes"] == plain * 2
         if nodes[0].session.combiners.bits == 64:

@@ -117,11 +117,11 @@ class TestShardIdentity:
         owned = [e for e, h in zip(corpus, hashes) if h % 2 == 0]
         foreign = next(e for e, h in zip(corpus, hashes) if h % 2 == 1)
         batch = owned + [foreign]
-        assert Session().plan(InternRequest(batch)).engine == engine
+        assert Session().plan(InternRequest(batch, engine=engine)).engine == engine
         with ReproServer(port=0, shard_id=0, shard_count=2) as node:
             client = ServiceClient(node.url, retries=0)
             with pytest.raises(ServiceError) as excinfo:
-                client.intern_many(batch)
+                client.intern_many(batch, engine=engine)
             assert excinfo.value.status == 409
             assert (
                 f"does not own 1 of {len(batch)} items: item {len(owned)} "
@@ -129,7 +129,9 @@ class TestShardIdentity:
             )
             store = node.session.store
             assert len(store) == 0 and store.version == 0
-            assert client.intern_many(owned) == Session().intern_many(owned)
+            assert client.intern_many(owned, engine=engine) == Session().execute(
+                InternRequest(owned, engine=engine)
+            )
 
     def test_health_carries_shard_identity(self, cluster):
         _coordinator, nodes, _reply = cluster

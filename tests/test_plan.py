@@ -13,25 +13,26 @@ import random
 import pytest
 
 from repro.api import (
-    ARENA_NODE_THRESHOLD,
     BACKENDS,
     AsyncExecutor,
     ExecutionPlan,
     HashRequest,
     InternRequest,
     PlanError,
-    Planner,
     Session,
     SessionConfig,
     get_backend,
 )
 from repro.api.backends import _ALIASES, load_entry_point_backends
 from repro.core import native
-from repro.core.arena import ARENA_MIN_NODES, ExprArena, plan_corpus_engine
+from repro.core.arena import ExprArena
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
+from repro.lang.expr import Var
 from repro.lang.parser import parse
 from repro.lang.sexpr import to_wire
+from repro.service.server import _corpus_request
+from repro.store import ExprStore
 
 
 def small_corpus(n_items: int = 40, seed: int = 3):
@@ -82,24 +83,44 @@ class TestRequests:
 
 
 class TestPlanner:
-    def test_auto_engine_consults_the_one_threshold(self, corpus):
-        session = Session()
-        plan = session.plan(HashRequest(corpus))
-        assert plan.engine == "tree"  # tiny corpus
-        # The planner's constant and the arena module's are one value.
-        assert ARENA_NODE_THRESHOLD == ARENA_MIN_NODES
-        session.planner = Planner(arena_threshold=1)
-        replanned = session.plan(HashRequest(corpus))
-        assert replanned.engine == "arena"
-        assert any("threshold 1" in r for r in replanned.reasons)
+    def test_auto_plans_arena_unless_tree_is_pinned(self):
+        """Every size plans arena on ``auto``; only a ``tree`` pin, of
+        the request or the session, plans tree; and the store layer's
+        ``auto`` runs the engine the plan names."""
+        one_node = [Var("x")]
+        big = small_corpus(200, seed=4)
+        assert sum(e.size for e in big) >= 5_000
+        for kind in (HashRequest, InternRequest):
+            for items in (one_node, big):
+                assert Session().plan(kind(items)).engine == "arena"
+                assert Session().plan(kind(items, engine="arena")).engine == "arena"
+                plan = Session().plan(kind(items, engine="tree"))
+                assert plan.engine == "tree" and plan.kernel is None
+                assert "engine 'tree' pinned by the request" in plan.reasons
+                pinned = Session(engine="tree")
+                plan = pinned.plan(kind(items))
+                assert plan.engine == "tree"
+                assert "engine 'tree' pinned by the session" in plan.reasons
+                assert pinned.plan(kind(items, engine="auto")).engine == "arena"
+        # The store layer runs the engine the plan names: the arena
+        # leaves the per-object memo cold, the tree walk fills it.
+        for items in (one_node, big):
+            for engine in ("auto", "tree"):
+                planned = Session().plan(HashRequest(items, engine=engine)).engine
+                hashed, interned = ExprStore(), ExprStore()
+                hashed.hash_corpus(items, engine=engine)
+                interned.intern_many(items, engine=engine)
+                assert bool(hashed._memo) == bool(interned._memo) == (planned == "tree")
 
-    def test_plan_corpus_engine_matches_planner(self, corpus):
-        # The store layer resolves "auto" through the same policy.
-        session = Session()
-        assert (
-            plan_corpus_engine("auto", corpus)
-            == session.plan(HashRequest(corpus)).engine
-        )
+    def test_own_pass_plans_tree_without_a_kernel(self):
+        big = small_corpus(200, seed=4)
+        assert sum(e.size for e in big) > 4_000
+        for engine in (None, "auto", "arena"):
+            plan = Session(backend="debruijn").plan(HashRequest(big, engine=engine))
+            assert (plan.engine, plan.kernel, plan.store_backed) == ("tree", None, False)
+            assert any("its own pass" in r for r in plan.reasons)
+        plan = Session(use_store=False).plan(HashRequest(big))
+        assert (plan.engine, plan.kernel) == ("tree", None)
 
     def test_plan_is_concrete_and_inspectable(self, corpus):
         plan = Session().plan(HashRequest(corpus))
@@ -186,16 +207,27 @@ def compile_wire(corpus):
     return arena, arena.extend_wire([to_wire(expr) for expr in corpus])
 
 
+def lowered(request_type, corpus, session, engine):
+    """``corpus`` as the server lowers a JSON body of its documents
+    pinned to ``engine``: compiled for the arena, else unshared trees."""
+    body = {"exprs": [to_wire(expr) for expr in corpus], "engine": engine}
+    request = _corpus_request(request_type, body, session)
+    assert (request.compiled_corpus is not None) == (engine == "arena")
+    return request
+
+
 class TestCompiledRequests:
-    """Requests over a corpus compiled from wire documents run the same
-    plans, and return the same bits and ids, as ``Expr`` requests."""
+    """Requests lowered from wire documents as the server lowers them
+    run the same plans, and return the same bits and ids, as ``Expr``
+    requests: a compiled corpus on the arena, unshared trees on a
+    ``tree`` pin."""
 
     def test_shape_matches_the_expr_request(self, corpus):
-        compiled = HashRequest.compiled(*compile_wire(corpus), engine="tree")
-        plain = HashRequest(corpus, engine="tree")
+        compiled = HashRequest.compiled(*compile_wire(corpus))
+        plain = HashRequest(corpus)
         assert len(compiled) == len(plain) == len(corpus)
         assert compiled.total_nodes == plain.total_nodes
-        assert compiled.hints() == plain.hints() == {"engine": "tree"}
+        assert compiled.hints() == plain.hints() == {}
         assert compiled.exprs == () and plain.compiled_corpus is None
         session = Session()
         assert session.plan(compiled) == session.plan(plain)
@@ -208,13 +240,14 @@ class TestCompiledRequests:
     def test_hash_is_bit_identical(self, corpus, expected, engine, scalar, monkeypatch):
         if scalar:  # the arena engine without the native library
             monkeypatch.setattr(native, "LIB", None)
-        request = HashRequest.compiled(*compile_wire(corpus), engine=engine)
-        assert Session().execute(request) == expected
+        session = Session()
+        request = lowered(HashRequest, corpus, session, engine)
+        assert session.execute(request) == expected
 
     @pytest.mark.parametrize("engine", ["tree", "arena"])
     def test_intern_lands_on_the_same_ids(self, corpus, expected, engine):
         session = Session()
-        request = InternRequest.compiled(*compile_wire(corpus), engine=engine)
+        request = lowered(InternRequest, corpus, session, engine)
         ids, hashes = session.intern_with_hashes(request)
         assert hashes == expected
         assert ids == Session().execute(InternRequest(corpus, engine=engine))
@@ -225,7 +258,7 @@ class TestCompiledRequests:
     @pytest.mark.parametrize("engine", ["tree", "arena"])
     def test_check_refuses_before_anything_is_interned(self, corpus, engine):
         session = Session()
-        request = InternRequest.compiled(*compile_wire(corpus), engine=engine)
+        request = lowered(InternRequest, corpus, session, engine)
         seen = []
 
         def refuse(hashes):
@@ -236,6 +269,16 @@ class TestCompiledRequests:
             session.intern_with_hashes(request, check=refuse)
         assert seen == [[alpha_hash_all(e).root_hash for e in corpus]]
         assert len(session.store) == 0 and session.store.version == 0
+
+    def test_tree_pins_refuse_compiled_corpora(self, corpus):
+        compiled = compile_wire(corpus)
+        for kind in (HashRequest, InternRequest):
+            with pytest.raises(PlanError, match="pinned by the request"):
+                Session().plan(kind.compiled(*compiled, engine="tree"))
+            with pytest.raises(PlanError, match="pinned by the session"):
+                Session(engine="tree").plan(kind.compiled(*compiled))
+            with pytest.raises(PlanError, match="arena engine"):
+                Session().execute(kind.compiled(*compiled, engine="tree"))
 
     def test_non_store_backends_refuse_compiled_corpora(self, corpus):
         compiled = compile_wire(corpus)

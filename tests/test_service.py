@@ -13,20 +13,19 @@ import time
 import pytest
 
 from repro.api import (
-    ARENA_NODE_THRESHOLD,
     HashRequest,
     InternRequest,
     Session,
     get_backend,
 )
 from repro.core import native
-from repro.core.arena import ExprArena
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
 from repro.lang.parser import parse
 from repro.lang.sexpr import SexprError, from_wire, to_wire
 from repro.lang.traversal import preorder
 from repro.service import ReproServer, ServiceClient, ServiceError
+from repro.service.server import _corpus_request
 from repro.store import snapshot_from_bytes
 
 
@@ -187,32 +186,32 @@ class TestBoundedServer:
         self.check_bounded_intern(corpus)
 
     @pytest.mark.parametrize(
-        "n_items",
-        # 40-node items: below the arena threshold, and the service
-        # workload's request size.
-        [40, 150],
+        "n_items, hints",
+        # 40-node items: the service workload's request size.
+        [(40, {"engine": "tree"}), (150, {})],
         ids=["1600_nodes", "6000_nodes"],
     )
-    def test_entry_bounded_intern_on_either_engine(self, n_items):
-        self.check_bounded_intern(mixed_corpus(n_items))
+    def test_entry_bounded_intern_on_either_engine(self, n_items, hints):
+        self.check_bounded_intern(mixed_corpus(n_items), hints)
 
     @staticmethod
-    def check_bounded_intern(corpus):
+    def check_bounded_intern(corpus, hints=None):
         docs = [to_wire(e) for e in corpus]
         with ReproServer(port=0, max_entries=5) as server:
             client = ServiceClient(server.url)
-            reply = client.intern_wire(docs)
+            reply = client.intern_wire(docs, hints)
             hashes = [alpha_hash_all(e).root_hash for e in corpus]
             assert reply["hashes"] == hashes
             assert client.hash_corpus(corpus) == hashes
         # The oracle is the server's own pipeline run in process.  Under
         # eviction, ids depend on LRU recency, which a tree walk over
-        # shared rebuilt subtrees touches differently from one over
-        # the original objects, so only the arena plan (no tree walk)
-        # also equals interning the ``Expr`` corpus itself.
-        arena = ExprArena()
-        request = InternRequest.compiled(arena, arena.extend_wire(docs))
+        # the unshared trees of a tree pin touches differently from one
+        # over the original objects (items repeat), so only the arena
+        # plan (no tree walk) also equals interning the ``Expr`` corpus
+        # itself.
         oracle = Session(max_entries=5)
+        body = {"exprs": docs, **(hints or {})}
+        request = _corpus_request(InternRequest, body, oracle)
         assert reply["plan"] == echoed(oracle.plan(request))
         assert reply["ids"] == oracle.execute(request)
         if reply["plan"]["engine"] == "arena":
@@ -272,9 +271,7 @@ class TestWireToArena:
 
     @pytest.fixture(scope="class")
     def big(self):
-        corpus = mixed_corpus(150, seed=21)
-        assert sum(e.size for e in corpus) >= ARENA_NODE_THRESHOLD
-        return corpus
+        return mixed_corpus(150, seed=21)
 
     def test_hash_plans_arena_and_matches_the_session(self, client, big):
         hashes, plan = client.hash_corpus(big, with_plan=True)
@@ -333,7 +330,7 @@ class TestWireToArena:
         request = HashRequest(big, backend="debruijn")
         assert reply["plan"] == echoed(Session().plan(request))
 
-    @pytest.mark.parametrize("path", ["/v1/hash", "/v1/intern"])
+    @pytest.mark.parametrize("path", ["/v1/hash", "/v1/intern", "/v1/session/open"])
     def test_malformed_documents_answer_400(self, server, client, path):
         from test_sexpr import wire_cases
 

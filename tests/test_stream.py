@@ -26,7 +26,6 @@ from repro.api import (
     StreamError,
     StreamSession,
 )
-from repro.api.plan import ARENA_NODE_THRESHOLD
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.core.hashed import alpha_hash_all
 from repro.core.incremental import IncrementalHasher, PathError
@@ -139,9 +138,9 @@ class TestWarmOpen:
     def test_first_touch_is_spine_not_item(
         self, config, intern_classes, monkeypatch
     ):
-        # Big enough that an "auto" plan would pick the arena engine,
-        # whose per-root results leave the memo empty.
-        corpus = build_corpus(2, seed=110, size=ARENA_NODE_THRESHOLD // 2 + 1)
+        # An "auto" plan would pick the arena engine, whose per-root
+        # results leave the memo empty; open pins the tree engine.
+        corpus = build_corpus(2, seed=110, size=2_001)
         combined = []
         combine = IncrementalHasher._combine
 
