@@ -85,8 +85,7 @@ class TestRequests:
 class TestPlanner:
     def test_auto_plans_arena_unless_tree_is_pinned(self):
         """Every size plans arena on ``auto``; only a ``tree`` pin, of
-        the request or the session, plans tree; and the store layer's
-        ``auto`` runs the engine the plan names."""
+        the request or the session, plans tree."""
         one_node = [Var("x")]
         big = small_corpus(200, seed=4)
         assert sum(e.size for e in big) >= 5_000
@@ -102,8 +101,12 @@ class TestPlanner:
                 assert plan.engine == "tree"
                 assert "engine 'tree' pinned by the session" in plan.reasons
                 assert pinned.plan(kind(items, engine="auto")).engine == "arena"
-        # The store layer runs the engine the plan names: the arena
-        # leaves the per-object memo cold, the tree walk fills it.
+
+    def test_store_auto_runs_the_planned_engine(self):
+        """The store layer runs the engine the plan names: the arena
+        leaves the per-object memo cold, the tree walk fills it."""
+        one_node = [Var("x")]
+        big = small_corpus(200, seed=4)
         for items in (one_node, big):
             for engine in ("auto", "tree"):
                 planned = Session().plan(HashRequest(items, engine=engine)).engine
