@@ -35,8 +35,10 @@ bit-identically to the scalar kernel and >= 2x faster (the kernels
 alone; the tree walk's time is reported); without the native library
 the cell reports the scalar time and skips the gate.  The same cell
 times the native compile walk against the Python walk on its corpus:
-``flatten`` must build the identical arena state >= 2x faster, and
-without the compile library that half reports SKIP.  ``--json-out``
+``flatten`` must build the identical arena state >= 2x faster, and the
+bulk intern's resolve step in C must leave the Python loop's table
+state, resolving the corpus's arena into a fresh store, >= 3x faster;
+without the compile library those two report SKIP.  ``--json-out``
 appends the measured cells to a JSON trajectory file (see
 ``benchmarks/run_bench.py``).
 """
@@ -72,6 +74,10 @@ NATIVE_SMOKE_FLOOR = 2.0
 #: The compile gate: the native walk must beat the Python walk by this
 #: factor flattening the native cell's corpus into a fresh arena.
 FLATTEN_SMOKE_FLOOR = 2.0
+
+#: The resolve gate: the C resolve step must beat the Python loop by
+#: this factor resolving the native cell's arena into a fresh store.
+RESOLVE_SMOKE_FLOOR = 3.0
 
 #: The footprint gate: GC-tracked objects an arena bulk intern may leave
 #: per canonical entry.  The columnar intern table keeps no Python
@@ -438,6 +444,84 @@ def flatten_smoke(corpus, repeats: int, cell: dict) -> int:
     return 0
 
 
+def resolve_smoke(corpus, repeats: int, cell: dict) -> int:
+    """The C resolve step vs the Python loop on ``corpus``'s arena, each
+    into a fresh store: the same table state always, and >= 3x; SKIP
+    without the compile library."""
+    from repro.core import native
+    from repro.core.arena import arena_hash_any, flatten_corpus
+    from repro.store import arena_intern
+
+    arena, _roots = flatten_corpus(corpus)
+    tops = arena_hash_any(arena)
+
+    def state(store):
+        table = store._table
+        rows = sorted(table.row_of.items())
+        columns = [
+            (table.hashes[row], table.ops[row], table.sizes[row], table.lefts[row],
+             table.rights[row], table.labels[row], table.versions[row],
+             table.stamps[row], table.refcounts[row])
+            for _node_id, row in rows
+        ]
+        return (
+            rows, sorted(table.by_hash.items()), columns, table.free.tolist(),
+            table.next_id, table.clock, store.version, store.stats.as_dict(),
+        )
+
+    def python_loop(store):
+        return arena_intern._resolve_loop(store, arena, tops)
+
+    def c_step(store):
+        return store._resolve_arena(arena, tops)
+
+    def best_into_fresh_stores(step) -> float:
+        # Each store is dropped outside the timed call.
+        best = float("inf")
+        for _ in range(repeats):
+            store = ExprStore()
+            start = time.perf_counter()
+            step(store)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    def outcome(step):
+        store = ExprStore()
+        return list(step(store)), state(store)
+
+    python_time = best_into_fresh_stores(python_loop)
+    cell["resolve_python_s"] = round(python_time, 4)
+    if native.RESOLVE is None:
+        print(
+            "SKIP: native resolve step not loaded "
+            f"({native.REASONS.get('arena_flatten')}) -- Python loop "
+            f"{python_time * 1e3:.1f} ms reported, not gated"
+        )
+        return 0
+    native_time = best_into_fresh_stores(c_step)
+    speedup = python_time / native_time if native_time else float("inf")
+    cell["resolve_native_s"] = round(native_time, 4)
+    cell["resolve_speedup"] = round(speedup, 3)
+    cell["resolve_required_speedup"] = RESOLVE_SMOKE_FLOOR
+    cell["resolve_identical"] = outcome(c_step) == outcome(python_loop)
+    print(
+        f"resolve ({len(arena)} rows): python {python_time * 1e3:8.1f} ms   native "
+        f"{native_time * 1e3:8.1f} ms   ({speedup:.2f}x over the Python loop)"
+    )
+    if not cell["resolve_identical"]:
+        print("FAIL: the C resolve step leaves another table than the Python loop")
+        return 1
+    print("the C resolve step leaves the Python loop's table state")
+    if speedup < RESOLVE_SMOKE_FLOOR:
+        print(
+            f"FAIL: native resolve speedup {speedup:.2f}x below the "
+            f"{RESOLVE_SMOKE_FLOOR:.1f}x floor"
+        )
+        return 1
+    print(f"OK: native resolve speedup {speedup:.2f}x >= {RESOLVE_SMOKE_FLOOR:.1f}x floor")
+    return 0
+
+
 def native_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]:
     """Native vs scalar arena kernel: bit-identity always, >= 2x gate.
 
@@ -445,7 +529,8 @@ def native_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]
     excluded -- the cell times the kernels alone); the tree walk over
     the corpus is reported next to them.  Without the native library
     the cell reports the scalar time and skips the gate honestly.  The
-    compile walks are gated first (:func:`flatten_smoke`).
+    compile walks and the resolve steps are gated first
+    (:func:`flatten_smoke`, :func:`resolve_smoke`).
     """
     from repro.core import native
     from repro.core.arena import arena_hash, flatten_corpus
@@ -472,6 +557,7 @@ def native_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]
         f"({len(arena)} unique arena nodes)"
     )
     status = flatten_smoke(corpus, repeats, cell)
+    status = resolve_smoke(corpus, repeats, cell) or status
     if native.LIB is None:
         print(
             f"SKIP: native kernel not loaded ({native.REASONS.get('arena_kernel')}) -- "

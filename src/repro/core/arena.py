@@ -80,6 +80,9 @@ OP_VAR, OP_LIT, OP_LAM, OP_APP, OP_LET = 0, 1, 2, 3, 4
 #: The kind name (``Expr.kind``) of each opcode, by opcode.
 OP_KINDS = ("Var", "Lit", "Lam", "App", "Let")
 
+#: The opcode of each kind name.
+OP_OF_KIND = {kind: op for op, kind in enumerate(OP_KINDS)}
+
 #: The node classes :meth:`ExprArena.flatten` compiles (exact types).
 _NODE_TYPES = (Var, Lit, Lam, App, Let)
 

@@ -1,12 +1,14 @@
 /*
- * The native arena compile: ExprArena._flatten_walk of repro.core.arena,
- * in C over the Expr objects through the CPython C API.
+ * The compile library: two entry points, in C through the CPython C API.
  *
  * repro.core.native builds this file against the running interpreter's
- * headers and opens it with ctypes.PyDLL, so repro_flatten runs with
- * the GIL held; ExprArena.flatten calls it whenever it loaded, and the
- * Python walk stays the fallback and the oracle.  It builds the Python
- * walk's arena, row for row:
+ * headers and opens it with ctypes.PyDLL, so both entries run with the
+ * GIL held.  Each has a Python twin that stays the fallback and the
+ * oracle (compile tier "python").
+ *
+ * repro_flatten is ExprArena._flatten_walk of repro.core.arena over the
+ * Expr objects; ExprArena.flatten calls it whenever it loaded.  It
+ * builds the Python walk's arena, row for row:
  *
  *   - exact type checks: a node whose type is not one of the five node
  *     classes (a subclass of App included) is foreign, and raises the
@@ -22,7 +24,9 @@
  *     parent, which is walked once, so the 2**50-node doubling DAG still
  *     compiles to 52 rows while most nodes skip the identity table;
  *   - a Var's name interned when it is popped and a binder at its exit,
- *     straight into the arena's name table and dict;
+ *     appended to the arena's name list and to the name -> id dict that
+ *     the caller derives from that list for the one call
+ *     (ExprArena._leaf_ids);
  *   - literals keyed by the lit_cache_key function the caller passes,
  *     called once per distinct literal object;
  *   - the size of an interior row read from node.size, when the row is
@@ -37,12 +41,30 @@
  * identity key, or a name or value being interned -- is held by a
  * strong reference until the walk lets it go: lit_cache_key and a name's
  * __hash__ or __eq__ run Python code, and Python code can let another
- * thread run.  Other threads keep running, too, as they do during the
- * Python walk: once per switch interval (sys.getswitchinterval) the walk
- * releases and retakes the GIL, and a thread that has waited a whole
- * interval for it then takes it.  Releasing more often would wake the
- * waiter before its wait times out, so it would never ask for the GIL.  Every buffer is freed on every exit; a failed allocation
- * raises MemoryError, and any error raised by Python code propagates.
+ * thread run.
+ *
+ * repro_resolve is the resolve step of the store's bulk intern
+ * (repro.store.store.InternTable.resolve_arena; its twin is the loop
+ * repro.store.arena_intern._resolve_loop).  Per arena row, in order, it
+ * probes the table's by_hash dict with the row's top hash: a hit checks
+ * the class's opcode and size and stamps its row; a miss takes the last
+ * freed row or else the next spare one, mints the id and version, writes
+ * every column, maps the id to the row and the hash to the id, and adds
+ * a reference to each child's row.  The dict keys are ints and labels
+ * are only stored, so it runs no Python code; Python reserves the rows
+ * before the call and trims the free list after, and buffer exports pin
+ * the typed columns, so no Python object is resized under it.  On a hit that fails the collision
+ * check it stops at that row, every earlier row written, and Python
+ * raises through the one guard.
+ *
+ * Other threads keep running, too, as they do during the Python twins:
+ * once per switch interval (sys.getswitchinterval) each entry releases
+ * and retakes the GIL, the resolve step at a row boundary, and a thread
+ * that has waited a whole interval for it then takes it.  Releasing more
+ * often would wake the waiter before its wait times out, so it would
+ * never ask for the GIL.  Every buffer is freed on every exit; a failed
+ * allocation raises MemoryError, and any error raised by Python code
+ * propagates.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -54,7 +76,7 @@
 
 enum { OP_VAR, OP_LIT, OP_LAM, OP_APP, OP_LET };
 
-/* Nodes popped between two looks at the clock. */
+/* Nodes popped, or rows resolved, between two looks at the clock. */
 #define TICKS 4096
 
 /* A stack item: an owned node reference, entering or exiting, and an
@@ -888,4 +910,345 @@ done:
     Py_XDECREF(it);
     walk_free(&w);
     return out;
+}
+
+/* -- the resolve step ------------------------------------------------------ */
+
+/* The buffers of one resolve call: the arena's columns, the table's
+ * typed columns, the free list, the class id output and the state. */
+enum {
+    V_OP, V_LEFT, V_RIGHT, V_AUX, V_SIZE,
+    V_T_OP, V_T_LEFT, V_T_RIGHT, V_T_SIZE, V_T_VERSION, V_T_STAMP, V_T_REFCOUNT,
+    V_FREE, V_CLASS_ID, V_STATE, N_VIEWS
+};
+
+/* The state array's fields. */
+enum { S_NEXT_ID, S_VERSION, S_CLOCK, S_SPARE, S_MADE, S_HITS, N_STATE };
+
+typedef struct {
+    PyObject *tops, *names, *literals, *by_hash, *row_of, *hashes, *labels;
+    const uint8_t *op;
+    const int64_t *left, *right, *aux, *size, *free;
+    uint8_t *t_op;
+    int64_t *t_left, *t_right, *t_size, *t_version, *t_stamp, *t_refcount;
+    int64_t *class_id, *row; /* each arena row's class id and table row */
+    Py_ssize_t n, cap, n_free, n_names, n_lits;
+    int64_t spare; /* the first row never taken */
+    int64_t next_id, version, clock, made, hits;
+} Resolve;
+
+/* The outcome of one row. */
+enum { R_ERROR, R_DONE, R_COLLISION };
+
+/* Export obj's buffer into *view, writable if asked; its length in items
+ * of `size` bytes, or -1 after an error. */
+static Py_ssize_t take_view(PyObject *obj, Py_buffer *view, int writable,
+                            Py_ssize_t size, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view, writable ? PyBUF_WRITABLE : PyBUF_SIMPLE) < 0)
+        return -1;
+    if (view->itemsize != size || view->len % size) {
+        PyErr_Format(PyExc_TypeError, "%s: expected items of %zd bytes", what, size);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return view->len / size;
+}
+
+/* Every row's children below it and its aux inside its table, checked
+ * before the first write; 0 after ValueError. */
+static int check_rows(const Resolve *r)
+{
+    Py_ssize_t i, n_names = r->n_names, n_lits = r->n_lits;
+    for (i = 0; i < r->n; i++) {
+        uint8_t op = r->op[i];
+        int64_t x = r->aux[i];
+        const char *why = NULL;
+        if (op > OP_LET)
+            why = "unknown opcode";
+        else if ((op >= OP_LAM && (r->left[i] < 0 || r->left[i] >= i))
+                 || (op >= OP_APP && (r->right[i] < 0 || r->right[i] >= i)))
+            why = "child index not below its row";
+        else if (op == OP_LIT ? (x < 0 || x >= n_lits)
+                 : op != OP_APP && (x < 0 || x >= n_names))
+            why = "aux outside the names or literals";
+        if (why) {
+            PyErr_Format(PyExc_ValueError, "row %zd: %s", i, why);
+            return 0;
+        }
+    }
+    return 1;
+}
+
+/* The table row that row_of maps `id` to; -1 after an error. */
+static int64_t table_row(const Resolve *r, PyObject *id)
+{
+    PyObject *got = PyDict_GetItemWithError(r->row_of, id);
+    long long row;
+    if (!got) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_KeyError, id);
+        return -1;
+    }
+    row = PyLong_AsLongLong(got);
+    if (row == -1 && PyErr_Occurred())
+        return -1;
+    if (row < 0 || row >= r->cap) {
+        PyErr_Format(PyExc_ValueError, "table row %lld out of range", row);
+        return -1;
+    }
+    return row;
+}
+
+/* Add the class of arena row i as a new table row: the last row freed
+ * (from the end of `free`) or else the next spare one, the next id and
+ * version, every column, both maps and a reference to each child.
+ * R_DONE, or R_ERROR with nothing of it written. */
+static int add_row(Resolve *r, Py_ssize_t i, PyObject *top, int64_t *row_out)
+{
+    uint8_t op = r->op[i];
+    PyObject *label, *id = NULL, *row_obj = NULL;
+    int64_t row;
+    row = r->made < r->n_free ? r->free[r->n_free - 1 - r->made]
+                              : r->spare + (r->made - r->n_free);
+    if (row < 0 || row >= r->cap) {
+        PyErr_Format(PyExc_ValueError, "resolve step: row %lld not reserved",
+                     (long long)row);
+        return R_ERROR;
+    }
+    label = op == OP_APP ? Py_None
+            : PyList_GET_ITEM(op == OP_LIT ? r->literals : r->names, r->aux[i]);
+    id = PyLong_FromLongLong(r->next_id);
+    row_obj = PyLong_FromLongLong(row);
+    if (!id || !row_obj || PyDict_SetItem(r->row_of, id, row_obj) < 0)
+        goto fail;
+    if (PyDict_SetItem(r->by_hash, top, id) < 0) {
+        PyObject *type, *value, *trace;
+        PyErr_Fetch(&type, &value, &trace);
+        if (PyDict_DelItem(r->row_of, id) < 0)
+            PyErr_Clear();
+        PyErr_Restore(type, value, trace);
+        goto fail;
+    }
+    Py_DECREF(id);
+    Py_DECREF(row_obj);
+    /* The cleared row holds None in both object columns. */
+    Py_INCREF(top);
+    PyList_SetItem(r->hashes, row, top);
+    Py_INCREF(label);
+    PyList_SetItem(r->labels, row, label);
+    r->t_op[row] = op;
+    r->t_size[row] = r->size[i];
+    r->t_left[row] = op >= OP_LAM ? r->class_id[r->left[i]] : -1;
+    r->t_right[row] = op >= OP_APP ? r->class_id[r->right[i]] : -1;
+    r->t_version[row] = ++r->version;
+    r->t_stamp[row] = r->clock++;
+    if (op >= OP_LAM)
+        r->t_refcount[r->row[r->left[i]]]++;
+    if (op >= OP_APP)
+        r->t_refcount[r->row[r->right[i]]]++;
+    r->next_id++;
+    r->made++;
+    *row_out = row;
+    return R_DONE;
+fail:
+    Py_XDECREF(id);
+    Py_XDECREF(row_obj);
+    return R_ERROR;
+}
+
+/* Resolve arena row i: a hit takes the next stamp, a miss adds a row. */
+static int resolve_row(Resolve *r, Py_ssize_t i)
+{
+    PyObject *top = PyList_GET_ITEM(r->tops, i), *id;
+    int64_t row, class_id;
+    if (!PyLong_CheckExact(top)) {
+        PyErr_Format(PyExc_TypeError, "row %zd: a top hash is not an int", i);
+        return R_ERROR;
+    }
+    /* int keys: the probes and inserts run no Python code. */
+    id = PyDict_GetItemWithError(r->by_hash, top);
+    if (id) {
+        row = table_row(r, id);
+        if (row < 0)
+            return R_ERROR;
+        if (r->t_op[row] != r->op[i] || r->t_size[row] != r->size[i])
+            return R_COLLISION;
+        class_id = PyLong_AsLongLong(id);
+        if (class_id == -1 && PyErr_Occurred())
+            return R_ERROR;
+        r->t_stamp[row] = r->clock++;
+        r->hits++;
+    } else {
+        if (PyErr_Occurred())
+            return R_ERROR;
+        class_id = r->next_id;
+        if (add_row(r, i, top, &row) != R_DONE)
+            return R_ERROR;
+    }
+    r->class_id[i] = class_id;
+    r->row[i] = row;
+    return R_DONE;
+}
+
+/* The lists whose lengths the step relies on still have them (another
+ * thread may have run); 0 after RuntimeError. */
+static int still_sized(const Resolve *r)
+{
+    if (PyList_GET_SIZE(r->tops) == r->n && PyList_GET_SIZE(r->hashes) == r->cap
+        && PyList_GET_SIZE(r->labels) == r->cap && PyList_GET_SIZE(r->names) == r->n_names
+        && PyList_GET_SIZE(r->literals) == r->n_lits)
+        return 1;
+    PyErr_SetString(PyExc_RuntimeError, "resolve step: a list changed size during the call");
+    return 0;
+}
+
+/*
+ * Resolve every arena row against the intern table (the hit-or-add step
+ * of repro.store.store.InternTable, for all rows in order).  `arena` is
+ * (op, left, right, aux, sizes, names, literals): op bytes-like, the
+ * others int64 arrays, then two lists.  `tops` is the list of the rows'
+ * top hashes.  `table` is (by_hash, row_of, hashes, labels, ops, lefts,
+ * rights, sizes, versions, stamps, refcounts, free, class_ids): two
+ * dicts, two lists of the table's length, a bytearray and six int64
+ * arrays of it, the int64 free list (rows taken from its end, then the
+ * spare rows) and an int64 array of one class id per arena row.
+ * `state` is an int64 array (next_id, version, clock, spare, made,
+ * hits), read at the start and written back however the call ends;
+ * spare is the first row never taken.  Returns -1, or the row whose hit
+ * failed the collision check, where the step stopped.
+ */
+PyObject *repro_resolve(PyObject *arena, PyObject *tops, PyObject *table,
+                        PyObject *state_obj, PyObject *interval_obj)
+{
+    Py_buffer views[N_VIEWS];
+    PyObject *objs[N_VIEWS];
+    static const int writable[N_VIEWS] = {0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1};
+    Py_ssize_t lens[N_VIEWS], i, failed = -1;
+    int n_views = 0, status = R_DONE;
+    int64_t *state = NULL;
+    unsigned ticks = 0;
+    double interval, release_at;
+    Resolve r;
+
+    memset(&r, 0, sizeof r);
+    if (!PyTuple_Check(arena) || PyTuple_GET_SIZE(arena) != 7 || !PyList_Check(tops)
+        || !PyTuple_Check(table) || PyTuple_GET_SIZE(table) != 13) {
+        PyErr_SetString(PyExc_TypeError, "repro_resolve: bad arguments");
+        return NULL;
+    }
+    r.tops = tops;
+    r.names = PyTuple_GET_ITEM(arena, 5);
+    r.literals = PyTuple_GET_ITEM(arena, 6);
+    r.by_hash = PyTuple_GET_ITEM(table, 0);
+    r.row_of = PyTuple_GET_ITEM(table, 1);
+    r.hashes = PyTuple_GET_ITEM(table, 2);
+    r.labels = PyTuple_GET_ITEM(table, 3);
+    if (!PyList_Check(r.names) || !PyList_Check(r.literals) || !PyDict_Check(r.by_hash)
+        || !PyDict_Check(r.row_of) || !PyList_Check(r.hashes) || !PyList_Check(r.labels)) {
+        PyErr_SetString(PyExc_TypeError, "repro_resolve: bad arguments");
+        return NULL;
+    }
+    interval = PyFloat_AsDouble(interval_obj);
+    if (interval == -1.0 && PyErr_Occurred())
+        return NULL;
+
+    for (i = 0; i < 5; i++)
+        objs[V_OP + i] = PyTuple_GET_ITEM(arena, i);
+    for (i = 0; i < 7; i++)
+        objs[V_T_OP + i] = PyTuple_GET_ITEM(table, 4 + i);
+    objs[V_FREE] = PyTuple_GET_ITEM(table, 11);
+    objs[V_CLASS_ID] = PyTuple_GET_ITEM(table, 12);
+    objs[V_STATE] = state_obj;
+    /* Exported buffers pin the arrays: nothing resizes them mid-call. */
+    for (; n_views < N_VIEWS; n_views++) {
+        int bytes = n_views == V_OP || n_views == V_T_OP;
+        lens[n_views] = take_view(objs[n_views], &views[n_views], writable[n_views],
+                                  bytes ? 1 : (Py_ssize_t)sizeof(int64_t), "repro_resolve");
+        if (lens[n_views] < 0)
+            goto done;
+    }
+    r.n = lens[V_OP];
+    r.cap = PyList_GET_SIZE(r.hashes);
+    r.n_free = lens[V_FREE];
+    r.n_names = PyList_GET_SIZE(r.names);
+    r.n_lits = PyList_GET_SIZE(r.literals);
+    for (i = V_LEFT; i <= V_SIZE; i++)
+        if (lens[i] != r.n)
+            break;
+    if (i <= V_SIZE || lens[V_CLASS_ID] != r.n || lens[V_STATE] != N_STATE
+        || PyList_GET_SIZE(tops) != r.n) {
+        PyErr_Format(PyExc_ValueError, "arena columns differ in length from its %zd rows", r.n);
+        goto done;
+    }
+    for (i = V_T_OP; i <= V_T_REFCOUNT; i++)
+        if (lens[i] != r.cap)
+            break;
+    if (i <= V_T_REFCOUNT || PyList_GET_SIZE(r.labels) != r.cap) {
+        PyErr_SetString(PyExc_ValueError, "intern table columns differ in length");
+        goto done;
+    }
+    r.op = views[V_OP].buf;
+    r.left = views[V_LEFT].buf;
+    r.right = views[V_RIGHT].buf;
+    r.aux = views[V_AUX].buf;
+    r.size = views[V_SIZE].buf;
+    r.t_op = views[V_T_OP].buf;
+    r.t_left = views[V_T_LEFT].buf;
+    r.t_right = views[V_T_RIGHT].buf;
+    r.t_size = views[V_T_SIZE].buf;
+    r.t_version = views[V_T_VERSION].buf;
+    r.t_stamp = views[V_T_STAMP].buf;
+    r.t_refcount = views[V_T_REFCOUNT].buf;
+    r.free = views[V_FREE].buf;
+    r.class_id = views[V_CLASS_ID].buf;
+    state = views[V_STATE].buf;
+    r.next_id = state[S_NEXT_ID];
+    r.version = state[S_VERSION];
+    r.clock = state[S_CLOCK];
+    r.spare = state[S_SPARE];
+    if (!check_rows(&r))
+        goto done;
+    r.row = PyMem_Malloc((size_t)(r.n ? r.n : 1) * sizeof(int64_t));
+    if (!r.row) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    release_at = seconds() + interval;
+    for (i = 0; i < r.n; i++) {
+        status = resolve_row(&r, i);
+        if (status != R_DONE)
+            break;
+        if (++ticks == TICKS) {
+            ticks = 0;
+            if (seconds() >= release_at) {
+                /* At a row boundary, no borrowed item held. */
+                Py_BEGIN_ALLOW_THREADS
+                Py_END_ALLOW_THREADS
+                if (PyErr_CheckSignals() < 0 || !still_sized(&r)) {
+                    status = R_ERROR;
+                    break;
+                }
+                release_at = seconds() + interval;
+            }
+        }
+    }
+    if (status == R_COLLISION)
+        failed = i;
+done:
+    if (state) {
+        state[S_NEXT_ID] = r.next_id;
+        state[S_VERSION] = r.version;
+        state[S_CLOCK] = r.clock;
+        state[S_SPARE] = r.spare + (r.made > r.n_free ? r.made - r.n_free : 0);
+        state[S_MADE] = r.made;
+        state[S_HITS] = r.hits;
+    }
+    while (n_views--)
+        PyBuffer_Release(&views[n_views]);
+    PyMem_Free(r.row);
+    if (PyErr_Occurred())
+        return NULL;
+    return PyLong_FromSsize_t(failed);
 }

@@ -7,11 +7,14 @@ system ``cc`` into a per-user cache and opens the results:
 * ``arena_kernel.c``, the hashing pass behind :func:`native_tops`, with
   :class:`ctypes.CDLL`, whose calls release the GIL.  It includes only
   C99 headers.
-* ``arena_flatten.c``, the compile walk behind
-  :meth:`ExprArena.flatten <repro.core.arena.ExprArena.flatten>`
-  (:func:`native_flatten`), with :class:`ctypes.PyDLL`, whose calls hold
-  the GIL: it walks ``Expr`` objects through the CPython C API, so it
-  builds against the interpreter's headers (:data:`PY_INCLUDE`).
+* ``arena_flatten.c``, the compile library, with :class:`ctypes.PyDLL`,
+  whose calls hold the GIL.  It has two entry points, both run through
+  the CPython C API, so it builds against the interpreter's headers
+  (:data:`PY_INCLUDE`): the compile walk behind :meth:`ExprArena.flatten
+  <repro.core.arena.ExprArena.flatten>` (:func:`native_flatten`), which
+  walks ``Expr`` objects, and the arena resolve step behind the store's
+  bulk intern (:func:`native_resolve`), which resolves every arena row
+  against the intern table's columns and dicts.
 
 A cache file is named by the sha256 of its source bytes, the compile
 flags and the machine, and the compile library's also by the
@@ -31,11 +34,14 @@ owns or that is group- or world-writable: a planted shared object
 would run as the caller.  Concurrent first imports each build into a
 temp file and ``os.replace`` it into place.
 
-A library that does not build or load is ``None`` (:data:`LIB`,
-:data:`FLATTEN`), and one ``repro`` warning per import names each such
-library and why (:data:`REASONS`).  Without the kernel
+A library that does not build or load is ``None`` (:data:`LIB`, and
+:data:`FLATTEN` and :data:`RESOLVE` for the compile library's two
+entries), and one ``repro`` warning per import names each such library
+and why (:data:`REASONS`).  Without the kernel
 :func:`repro.core.arena.arena_hash_any` runs the scalar pass; without
-the compile library ``flatten`` runs the Python walk.  Each stays the
+the compile library ``flatten`` runs the Python walk and the bulk
+intern the Python resolve loop
+(:func:`repro.store.arena_intern._resolve_loop`).  Each stays the
 oracle its native tier is tested against, and a host without the
 Python headers keeps the native kernel.
 """
@@ -67,11 +73,13 @@ __all__ = [
     "FLATTEN",
     "LIB",
     "REASONS",
+    "RESOLVE",
     "cache_dir",
     "compile_tier",
     "kernel",
     "load",
     "native_flatten",
+    "native_resolve",
     "native_tops",
 ]
 
@@ -98,7 +106,7 @@ PRUNE_AGE = 7 * 24 * 3600
 #: What runs when each library did not load, for the warning.
 _FALLBACKS = {
     "arena_kernel": "the scalar kernel runs",
-    "arena_flatten": "flatten runs the Python walk",
+    "arena_flatten": "flatten and the resolve step run in Python",
 }
 
 _log = logging.getLogger("repro")
@@ -219,24 +227,24 @@ def _kernel_entry(lib: ctypes.CDLL):
     return lib
 
 
-def _flatten_entry(lib: ctypes.PyDLL):
-    entry = lib.repro_flatten
-    entry.argtypes = [ctypes.py_object] * 11
-    entry.restype = ctypes.py_object
-    return entry
+def _compile_entries(lib: ctypes.PyDLL):
+    for entry, arity in ((lib.repro_flatten, 11), (lib.repro_resolve, 5)):
+        entry.argtypes = [ctypes.py_object] * arity
+        entry.restype = ctypes.py_object
+    return lib
 
 
 def load(directory: Optional[str] = None):
     """Build on a cache miss, then open both libraries: ``(kernel,
-    flatten, reasons)``, the kernel's library and the compile walk's
-    entry point, each ``None`` when it did not load, and ``reasons``
-    mapping each library that did not load to why.  One warning names
-    them all."""
+    compile, reasons)``, the kernel's library and the compile library
+    (its ``repro_flatten`` and ``repro_resolve`` entries set up), each
+    ``None`` when it did not load, and ``reasons`` mapping each library
+    that did not load to why.  One warning names them all."""
     directory = directory or cache_dir()
     opened, reasons = [], {}
     for stem, path, python, entry in (
         ("arena_kernel", SOURCE, False, _kernel_entry),
-        ("arena_flatten", FLATTEN_SOURCE, True, _flatten_entry),
+        ("arena_flatten", FLATTEN_SOURCE, True, _compile_entries),
     ):
         try:
             lib, why = _open(directory, stem, path, python)
@@ -255,14 +263,20 @@ def load(directory: Optional[str] = None):
             "native arena libraries unavailable: %s",
             "; ".join(f"{stem} ({_FALLBACKS[stem]}): {why}" for stem, why in reasons.items()),
         )
-    kernel_lib, flatten = opened
-    return kernel_lib, flatten, reasons
+    kernel_lib, compile_lib = opened
+    return kernel_lib, compile_lib, reasons
 
 
-#: The loaded kernel library and the compile walk's entry point, each
-#: ``None`` when it did not load; :data:`REASONS` maps each library that
-#: did not load (``"arena_kernel"``, ``"arena_flatten"``) to why.
-LIB, FLATTEN, REASONS = load()
+#: The loaded kernel library, ``None`` when it did not load;
+#: :data:`REASONS` maps each library that did not load
+#: (``"arena_kernel"``, ``"arena_flatten"``) to why.
+LIB, _COMPILE, REASONS = load()
+
+#: The compile library's entry points, the compile walk and the resolve
+#: step, both ``None`` when it did not load.
+FLATTEN = RESOLVE = None
+if _COMPILE is not None:
+    FLATTEN, RESOLVE = _COMPILE.repro_flatten, _COMPILE.repro_resolve
 
 
 def kernel() -> str:
@@ -271,7 +285,9 @@ def kernel() -> str:
 
 
 def compile_tier() -> str:
-    """The walk ``ExprArena.flatten`` runs: ``"native"`` or ``"python"``."""
+    """The tier of the compile library's two steps, the walk
+    ``ExprArena.flatten`` runs and the bulk intern's resolve step:
+    ``"native"`` or ``"python"``."""
     return "python" if FLATTEN is None else "native"
 
 
@@ -395,4 +411,30 @@ def native_flatten(arena, exprs, roots: list) -> tuple:
     return op, *(
         data if column.typecode == "q" else array(column.typecode, data)
         for column, data in zip((*columns, arena.sizes), new)
+    )
+
+
+def native_resolve(arena, tops: list, table: tuple, state: array) -> int:
+    """The bulk intern's resolve step in one call into the compile
+    library: every row of ``arena``, given its top hash in ``tops``,
+    found in or added to the intern table, as
+    :meth:`repro.store.store.InternTable.resolve_arena` describes.
+
+    ``table`` holds the table's ``by_hash``, ``row_of``, ``hashes``,
+    ``labels``, ``ops``, ``lefts``, ``rights``, ``sizes``, ``versions``,
+    ``stamps``, ``refcounts`` and ``free``, then the int64 array that
+    receives each row's class id.  ``state`` holds ``next_id``, the store
+    version, the clock and the table's first spare row, which the call
+    advances, then the rows it took (from the end of ``free``, then
+    spare ones) and the hits, which it counts from 0; it is written back
+    however the call ends.  Returns -1, or the row
+    whose hit failed the collision guard (nothing of it written).
+    Raises ``ValueError`` for a malformed arena or columns of unequal
+    length, as nothing is written before every column is checked."""
+    columns = (_int_column(column, (8,)) for column in (
+        arena.left, arena.right, arena.aux, arena.sizes,
+    ))
+    return RESOLVE(
+        (arena.op, *columns, arena.names, arena.literals),
+        tops, table, state, sys.getswitchinterval(),
     )

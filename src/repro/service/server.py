@@ -72,10 +72,12 @@ the store is touched.  When the arena runs the request
 the request carries ``(arena, roots)``, which the store's arena step
 hashes and interns with no ``Expr`` tree built, so nothing of the
 request outlives it.  A ``tree`` pin and a backend with its own pass
-get one unshared tree per item instead
-(:func:`~repro.service.arena_body.unshared_items`, the trees
-:func:`~repro.lang.sexpr.from_wire` builds).  Session open parses its
-documents with ``from_wire``, and session edit its one document.
+get one unshared tree per item instead: a JSON body's documents parse
+with :func:`~repro.lang.sexpr.from_wire`, its hints being known before
+any arena is built, and an arena body's rows are rebuilt as the trees
+``from_wire`` would give (:func:`~repro.service.arena_body.unshared_items`).
+Session open parses its documents with ``from_wire``, and session edit
+its one document.
 
 Concurrency: the listener is a ``ThreadingHTTPServer`` (slow clients
 don't starve the accept loop), while store-touching work is serialised
@@ -102,7 +104,7 @@ import time
 import uuid
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api import HashRequest, InternRequest, PlanError, Session
@@ -141,23 +143,36 @@ class _RequestError(Exception):
         self.status = status
 
 
-def _decode_corpus(body) -> tuple[dict, ExprArena, list[int]]:
+def _decode_corpus(
+    body, arena_runs: Callable[[dict], bool]
+) -> tuple[dict, Optional[ExprArena], list]:
     """A corpus body as ``(payload, arena, roots)``: one fresh
     :class:`~repro.core.arena.ExprArena` and one root row per item, with
-    no tree built.
+    no tree built; or, when ``arena_runs(payload)`` is false, ``(payload,
+    None, items)``, one unshared tree per item.
 
-    ``body`` is a parsed JSON object, whose ``exprs`` wire documents
-    compile into the arena and which is its own payload, or the bytes of
-    a ``repro-arena-v1`` body, decoded and validated, whose header is
-    the payload.  Either way the payload carries the hints.
+    ``body`` is a parsed JSON object, which is its own payload, or the
+    bytes of a ``repro-arena-v1`` body, decoded and validated, whose
+    header is the payload.  Either way the payload carries the hints.  A
+    JSON body's hints are known before its ``exprs`` wire documents are
+    read, so they compile into the arena only when it runs them and
+    otherwise parse with :func:`~repro.lang.sexpr.from_wire`; an arena
+    body the arena does not run is rebuilt as trees
+    (:func:`~repro.service.arena_body.unshared_items`).
     """
     if isinstance(body, dict):
+        docs = _wire_docs(body)
+        if not arena_runs(body):
+            return body, None, [_parse_wire(from_wire, doc) for doc in docs]
         arena = ExprArena()
-        return body, arena, _parse_wire(arena.extend_wire, _wire_docs(body))
+        return body, arena, _parse_wire(arena.extend_wire, docs)
     try:
-        return decode_body(body)
+        payload, arena, roots = decode_body(body)
     except ArenaBodyError as exc:
         raise _RequestError(400, f"malformed arena body: {exc}") from None
+    if not arena_runs(payload):
+        return payload, None, unshared_items(arena, roots)
+    return payload, arena, roots
 
 
 def _wire_docs(payload: dict) -> list:
@@ -180,18 +195,23 @@ def _corpus_request(request_type, body, session: Session):
     """Lower a ``/v1/hash`` or ``/v1/intern`` body (either kind, see
     :func:`_decode_corpus`) into a request.
 
-    A request the arena runs carries the arena
-    (:meth:`~repro.api.request.HashRequest.compiled`).  Any other gets
-    one unshared tree per item: a backend with its own pass may key
-    values by node identity (``debruijn`` does), which shared subtrees
-    would break.
+    A request the arena runs (:func:`~repro.api.plan.arena_serves`)
+    carries the arena (:meth:`~repro.api.request.HashRequest.compiled`).
+    Any other gets one unshared tree per item: a backend with its own
+    pass may key values by node identity (``debruijn`` does), which
+    shared subtrees would break.
     """
-    payload, arena, roots = _decode_corpus(body)
+
+    def arena_runs(payload: dict) -> bool:
+        hints = _request_hints(payload)
+        backend = resolve_backend(session, hints.get("backend"))
+        return arena_serves(session, request_type.kind, backend, hints.get("engine"))
+
+    payload, arena, items = _decode_corpus(body, arena_runs)
     hints = _request_hints(payload)
-    backend = resolve_backend(session, hints.get("backend"))
-    if arena_serves(session, request_type.kind, backend, hints.get("engine")):
-        return request_type.compiled(arena, roots, **hints)
-    return request_type(unshared_items(arena, roots), **hints)
+    if arena is None:
+        return request_type(items, **hints)
+    return request_type.compiled(arena, items, **hints)
 
 
 def _request_hints(payload: dict) -> dict:
@@ -372,6 +392,7 @@ class _Handler(BaseHTTPRequestHandler):
             "backend": stats.get("backend"),
             "engine": stats.get("engine", "auto"),
             "kernel": native.kernel(),
+            "compile_tier": native.compile_tier(),
             "shard_id": service.shard_id,
             "shard_count": service.shard_count,
             "sessions": sessions_block,

@@ -48,9 +48,15 @@ builds no tree at all.  The kernel is always called as this module's
   arena step returns each root's hash (read from the kernel's per-node
   tops) next to its id, and runs an optional ``check`` on those hashes
   before anything is interned -- a cluster shard refuses foreign keys
-  there.  The resolve loop writes nothing itself: every row goes
-  through the store's one hit-or-add step, bound once per batch (see
-  :mod:`repro.store.store`), which holds the collision guard.
+  there.  The resolve step writes nothing itself: where the compile
+  library loaded (compile tier ``native``) it is one call of the store's
+  resolve step, which runs every row in C
+  (:meth:`~repro.store.store.InternTable.resolve_arena`); elsewhere
+  :func:`_resolve_loop` sends every row through the store's one
+  hit-or-add step, bound once per batch (see :mod:`repro.store.store`).
+  The loop is the C step's oracle: both leave the same table.  On a
+  collision both stop at the failing row with every earlier row
+  written, and :func:`~repro.store.store.check_same_class` raises.
   LRU-bounded stores enforce their bound once at the end of the batch
   -- mid-batch eviction could invalidate the arena's child-class
   links -- so the table may transiently exceed ``max_entries``.
@@ -65,12 +71,11 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from repro.core import native
 from repro.core.arena import (
     OP_APP,
-    OP_KINDS,
     OP_LAM,
-    OP_LET,
-    OP_VAR,
+    OP_LIT,
     ExprArena,
     arena_hash_any,
     flatten_corpus,
@@ -230,31 +235,32 @@ def _end_batch(store: "ExprStore", last_id: Optional[int]) -> None:
     store._maybe_flush_memo()
 
 
-def _resolve(store: "ExprStore", arena: ExprArena, tops: list[int]) -> list[int]:
-    """Resolve every arena node against the intern table, given its tops;
-    one class id per node.  Post-order rows put children first, so each
-    row's child classes are already resolved."""
+def _resolve(store: "ExprStore", arena: ExprArena, tops: list[int]) -> Sequence[int]:
+    """Resolve every arena row against the intern table, given its tops;
+    one class id per row: the store's resolve step in C where the compile
+    library loaded (compile tier ``native``), else :func:`_resolve_loop`."""
+    if native.RESOLVE is None:
+        return _resolve_loop(store, arena, tops)
+    return store._resolve_arena(arena, tops)
+
+
+def _resolve_loop(store: "ExprStore", arena: ExprArena, tops: list[int]) -> list[int]:
+    """The resolve step in Python, one hit-or-add call per row: the
+    fallback and the oracle of the C step.  Post-order rows put children
+    first, so each row's child classes are already resolved."""
     op = bytes(arena.op)
     left, right = arena.left.tolist(), arena.right.tolist()
     aux, sizes = arena.aux.tolist(), arena.sizes.tolist()
     names, literals = arena.names, arena.literals
-    hit_or_add = store._hit_or_add_step()
+    hit_or_add = store._hit_or_add_step(reserve=len(op))
     class_id = [0] * len(op)
 
     for i in range(len(op)):
         opc = op[i]
-        if opc == OP_APP:
-            kid_ids: tuple[int, ...] = (class_id[left[i]], class_id[right[i]])
-            label = None
-        elif opc == OP_VAR:
-            kid_ids, label = (), names[aux[i]]
-        elif opc == OP_LAM:
-            kid_ids, label = (class_id[left[i]],), names[aux[i]]
-        elif opc == OP_LET:
-            kid_ids = (class_id[left[i]], class_id[right[i]])
-            label = names[aux[i]]
-        else:
-            kid_ids, label = (), literals[aux[i]]
-        class_id[i] = hit_or_add(tops[i], OP_KINDS[opc], sizes[i], kid_ids, label)
+        # Opcodes from OP_LAM up have a first child, from OP_APP a second.
+        first = class_id[left[i]] if opc >= OP_LAM else -1
+        second = class_id[right[i]] if opc >= OP_APP else -1
+        label = None if opc == OP_APP else literals[aux[i]] if opc == OP_LIT else names[aux[i]]
+        class_id[i] = hit_or_add(tops[i], opc, sizes[i], first, second, label)
 
     return class_id

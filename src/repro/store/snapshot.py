@@ -106,8 +106,11 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.arena import (
+    OP_APP,
     OP_KINDS,
     OP_LET,
+    OP_LIT,
+    OP_OF_KIND,
     _arena_pass,
     arena_summaries,
     flatten_corpus,
@@ -140,9 +143,7 @@ DELTA_FORMAT = "repro-store-delta-v2"
 #: The legacy delta layout: still read, no longer written.
 DELTA_V1_FORMAT = "repro-store-delta-v1"
 
-#: The arena's ``OP_*`` code of each kind, and the child count of each
-#: code.
-_OP_OF_KIND = {kind: op for op, kind in enumerate(OP_KINDS)}
+#: The child count of each of the arena's ``OP_*`` codes.
 _ARITY = (0, 0, 1, 2, 2)
 
 #: A delta-v2 body's columns in order (``array`` typecodes; ``"Q"`` is
@@ -456,7 +457,7 @@ def _build_exprs(records: list[dict]) -> dict[int, Expr]:
         kind, payload = rec["k"], rec["p"]
         if rec["i"] in exprs:
             raise SnapshotError(f"entry id {rec['i']} appears twice")
-        if kind not in _OP_OF_KIND:
+        if kind not in OP_OF_KIND:
             raise SnapshotError(f"unknown entry kind {kind!r}")
         label = _decode_lit(payload) if kind == "Lit" else payload
         exprs[rec["i"]] = canonical_node(kind, label, [_kid(c) for c in rec["c"]])
@@ -580,40 +581,48 @@ def delta_to_bytes(
     was live at ``since`` (pinned by its parent's refcount ever since),
     hence present in the receiver's baseline.
 
-    The window is the table's id log past ``since``, read into columns
-    one comprehension each: no memo record is read, no tree is built and
-    no summary is computed -- the receiver recomputes those.  The table,
-    the memo and the stats are only read.
+    The window is the table's id log past ``since``
+    (:meth:`~repro.store.store.InternTable.window`), its rows read out of
+    the table's columns one comprehension each, the child columns as
+    they are: no memo record is read, no tree is built and no summary is
+    computed -- the receiver recomputes those.  The table, the memo and
+    the stats are only read.
     """
     if since < 0 or since > store.version:
         raise SnapshotError(
             f"delta since={since} is outside this store's history "
             f"(version {store.version})"
         )
-    fresh = store._records(since)
-    bits = store.combiners.bits
+    table = store._table
+    window = table.window(since)
+    rows = [row for _id, row in window]
+
+    def column(values) -> list:
+        return [values[row] for row in rows]
+
+    ops = column(table.ops)
     names: dict[str, int] = {}
     literals: dict[tuple, int] = {}
     lit_values: list = []
     labels = [
-        -1 if kind == "App"
-        else _lit_index(literals, lit_values, label) if kind == "Lit"
+        -1 if op == OP_APP
+        else _lit_index(literals, lit_values, label) if op == OP_LIT
         else names.setdefault(label, len(names))
-        for _id, _top, kind, _size, _kids, label, _version, _tree in fresh
+        for op, label in zip(ops, column(table.labels))
     ]
-    tops = [rec[1] for rec in fresh]
+    bits = store.combiners.bits
+    tops = column(table.hashes)
     if _hash_words(bits) == 2:
         tops = [word for top in tops for word in (top & _WORD, top >> 64)]
-    kids = [rec[4] for rec in fresh]
     body = b"".join(
         (
-            column_bytes("q", [rec[0] for rec in fresh]),
+            column_bytes("q", [node_id for node_id, _row in window]),
             column_bytes("Q", tops),
-            column_bytes("q", [rec[6] for rec in fresh]),
-            column_bytes("q", [rec[3] for rec in fresh]),
-            bytes([_OP_OF_KIND[rec[2]] for rec in fresh]),
-            column_bytes("q", [pair[0] if pair else -1 for pair in kids]),
-            column_bytes("q", [pair[1] if len(pair) == 2 else -1 for pair in kids]),
+            column_bytes("q", column(table.versions)),
+            column_bytes("q", column(table.sizes)),
+            bytes(ops),
+            column_bytes("q", column(table.lefts)),
+            column_bytes("q", column(table.rights)),
             column_bytes("q", labels),
         )
     )
@@ -624,7 +633,7 @@ def delta_to_bytes(
         "since": since,
         "version": store.version,
         "num_shards": None,
-        "rows": len(fresh),
+        "rows": len(rows),
         "names": list(names),
         "literals": [_lit_payload(value) for value in lit_values],
         "meta": meta or {},
@@ -799,13 +808,13 @@ def _decode_v1(header: dict, body: bytes) -> tuple[tuple[list, ...], list]:
             )
         _check_record_types(rec)
         kind, children, payload = rec["k"], rec["c"], rec["p"]
-        if kind not in _OP_OF_KIND:
+        if kind not in OP_OF_KIND:
             raise SnapshotError(f"unknown entry kind {kind!r}")
         if not isinstance(children, list) or not all(
             type(kid) is int for kid in children
         ):
             raise SnapshotError(f"entry {rec['i']}: 'c' is not a list of ids")
-        if len(children) != _ARITY[_OP_OF_KIND[kind]]:
+        if len(children) != _ARITY[OP_OF_KIND[kind]]:
             raise SnapshotError(
                 f"entry {rec['i']}: a {kind} with {len(children)} children"
             )

@@ -29,13 +29,16 @@ guard is one function, :func:`check_same_class`, and every intern path
 reaches it through the one hit-or-add step.
 
 This module owns the intern table, :class:`InternTable`.  It keeps its
-classes in per-class columns, not one Python object per class: plain
-lists of hashes, kinds, sizes, child ids, labels (:func:`node_label`),
-version stamps, refcounts and optional canonical trees, indexed by row.
-An ``OrderedDict`` maps each live id to its row in LRU order, and a dict
-maps each alpha-hash to its id.  A class interned without a tree leaves
-no GC-tracked object behind, so a large table costs the collector
-nothing.  An evicted class's row is cleared and reused.
+classes in per-class columns, not one Python object per class: an
+opcode byte per kind, typed int64 arrays of sizes, first and second
+child ids (-1 where absent), version stamps, last-touch stamps and
+refcounts, and lists of hashes, labels (:func:`node_label`) and optional
+canonical trees, indexed by row.  A dict maps each live id to its row
+and another each alpha-hash to its id.  LRU recency is the last-touch
+stamp: live rows sorted by stamp are in LRU order.  A class interned
+without a tree leaves no GC-tracked object behind, so a large table
+costs the collector nothing.  An evicted class's row is cleared and
+reused.
 
 * **Trees on demand.**  The arena bulk intern stores no tree.
   :meth:`ExprStore.expr_of` (and :attr:`StoreEntry.expr`) build a
@@ -54,14 +57,17 @@ nothing.  An evicted class's row is cleared and reused.
   come from an id log in version order, so selecting them costs the
   window, not the table.
 
-Every write goes through one of four steps, each written once against
+Every write goes through one of five steps, each written once against
 the table: hit by id (:meth:`InternTable.touch`, through
 :meth:`~ExprStore._hit_by_id`), hit-or-add by hash
 (:meth:`InternTable.hit_or_add_step`, a closure bound once per batch),
-restore an entry with a known id (:meth:`InternTable.insert`, through
-:meth:`~ExprStore._restore`, for the snapshot and delta loaders) and
-unlink an eviction victim (:meth:`InternTable.unlink`).  The tree walk,
-the arena bulk intern (:mod:`repro.store.arena_intern`), the loaders
+the same for every row of an arena in one call into C
+(:meth:`InternTable.resolve_arena`, through
+:meth:`~ExprStore._resolve_arena`), restore an entry with a known id
+(:meth:`InternTable.insert`, through :meth:`~ExprStore._restore`, for
+the snapshot and delta loaders) and unlink an eviction victim
+(:meth:`InternTable.unlink`).  The tree walk, the arena bulk intern
+(:mod:`repro.store.arena_intern`), the loaders
 (:mod:`repro.store.snapshot`) and the eviction loop all call them.
 A store has one table and mints ids counting up from 0.  Scaling out is
 separate processes, each with its own store (:mod:`repro.cluster`).
@@ -71,8 +77,10 @@ Two capacity modes:
 * **eviction-free** (``max_entries=None``) -- entries live forever;
 * **LRU-bounded** (``max_entries=N``) -- least-recently-used root
   entries are evicted once the table exceeds ``N``; entries still
-  referenced as children of live entries are pinned.  The summary memo
-  is flushed wholesale when it exceeds ``memo_limit`` objects.
+  referenced as children of live entries are pinned.  Victims are found
+  once per batch, by one heap over the stamps
+  (:meth:`InternTable.lru_victims`).  The summary memo is flushed
+  wholesale when it exceeds ``memo_limit`` objects.
 
 Long-lived consumers (the streaming edit sessions of
 :mod:`repro.api.stream`, most notably) can additionally :meth:`~ExprStore.pin`
@@ -84,12 +92,16 @@ in-memory state and do not survive snapshots.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
-from collections import OrderedDict
+from contextlib import closing
 from dataclasses import dataclass, fields
+from heapq import heappop, heappush, heapreplace
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from repro.core.arena import ExprArena, resolve_engine
+from repro.core import native
+from repro.core.arena import OP_KINDS, OP_OF_KIND, ExprArena, resolve_engine
 from repro.core.combiners import HashCombiners, default_combiners
 from repro.core.hashed import AlphaHashes
 from repro.core.kernel import MemoRecord, summarise_tree
@@ -260,17 +272,32 @@ def saved_stats(saved: dict) -> StoreStats:
 
 
 class InternTable:
-    """One intern table: canonical classes kept in per-class columns.
+    """One intern table: canonical classes kept in typed per-class columns.
 
-    Row ``r`` holds one class: ``hashes[r]``, ``kinds[r]``, ``sizes[r]``,
-    ``kids[r]`` (child ids), ``labels[r]`` (:func:`node_label`),
-    ``versions[r]``, ``refcounts[r]`` and ``trees[r]`` (the canonical
-    tree, ``None`` until built).  ``order`` maps each live id to its row
-    in LRU order (oldest first); ``by_hash`` maps an alpha-hash to its
-    id.  Rows of evicted classes are cleared and listed in ``free`` for
-    reuse, so a bounded table's columns stay near its bound; new rows
-    come in chunks of an eighth of the table.  A class created here gets
-    id ``next_id``, so ids count up from 0.
+    Row ``r`` holds one class: ``hashes[r]``, ``ops[r]`` (the arena's
+    ``OP_*`` code of its kind), ``sizes[r]``, ``lefts[r]`` and
+    ``rights[r]`` (its first and second child ids, -1 where absent),
+    ``labels[r]`` (:func:`node_label`), ``versions[r]``, ``stamps[r]``
+    (its last touch), ``refcounts[r]`` and ``trees[r]`` (the canonical
+    tree, ``None`` until built).  ``ops`` is a ``bytearray``; ``sizes``,
+    ``lefts``, ``rights``, ``versions``, ``stamps`` and ``refcounts`` are
+    ``array('q')``; ``hashes``, ``labels`` and ``trees`` are lists.
+    ``hashes`` stays a list because ``by_hash`` keys each hash's int
+    object anyway and the row holds that same object, so 64-bit words
+    would add memory, not save it.
+
+    ``row_of`` maps each live id to its row and ``by_hash`` an alpha-hash
+    to its id; both stay dicts, since a replica's ids can be sparse.
+    Recency is the stamp column: every touch and every new row takes the
+    next value of one counter, ``clock``, so the live rows sorted by
+    stamp are in LRU order, oldest first (:meth:`lru`).  Rows of evicted
+    classes are cleared and listed in ``free`` (``array('q')``) for
+    reuse, so a bounded table's columns stay near its bound.  A new class
+    takes the last row freed, else the first spare row: ``spare`` counts
+    the rows ever taken, the rows from it to the columns' length are
+    unused, and the columns grow by chunks of at least an eighth of the
+    table.  A class created here gets id ``next_id``, so ids count up
+    from 0.
 
     ``log_versions`` and ``log_ids`` log the classes in version order,
     for :meth:`records` to select a window by bisection.  The first such
@@ -280,204 +307,354 @@ class InternTable:
     drop it (``None``) until the next read rebuilds it, so it never
     outgrows the live classes and costs nothing where no delta is read.
 
-    The four write steps are :meth:`touch`, :meth:`hit_or_add_step`,
-    :meth:`insert` and :meth:`unlink`; :meth:`link` moves refcounts.
+    The five write steps are :meth:`touch`, :meth:`hit_or_add_step`,
+    :meth:`resolve_arena`, :meth:`insert` and :meth:`unlink`;
+    :meth:`link` moves refcounts.
     """
 
     __slots__ = (
-        "order", "by_hash", "hashes", "kinds", "sizes", "kids", "labels",
-        "versions", "refcounts", "trees", "free", "next_id",
+        "row_of", "by_hash", "hashes", "ops", "sizes", "lefts", "rights",
+        "labels", "versions", "stamps", "refcounts", "trees", "free",
+        "spare", "next_id", "clock", "unreferenced", "walked",
         "log_versions", "log_ids", "log_dead",
     )
 
     def __init__(self):
-        self.order: "OrderedDict[int, int]" = OrderedDict()
+        self.row_of: dict[int, int] = {}
         self.by_hash: dict[int, int] = {}
         self.hashes: list = []
-        self.kinds: list = []
-        self.sizes: list = []
-        self.kids: list = []
+        self.ops = bytearray()
+        self.sizes = array("q")
+        self.lefts = array("q")
+        self.rights = array("q")
         self.labels: list = []
-        self.versions: list = []
-        self.refcounts: list[int] = []
+        self.versions = array("q")
+        self.stamps = array("q")
+        self.refcounts = array("q")
         self.trees: list = []
-        self.free: list[int] = []
+        self.free = array("q")
+        self.spare = 0
         self.next_id = 0
+        self.clock = 0
+        self.unreferenced: list[tuple[int, int]] = []
+        self.walked = 0
         self.log_versions: Optional[list[int]] = None
         self.log_ids: Optional[list[int]] = None
         self.log_dead = 0
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.row_of)
 
     def _start_log(self) -> None:
         """Build the id log from the live classes, in version order."""
-        versions = self.versions
-        live = sorted(
-            zip([versions[row] for row in self.order.values()], self.order)
-        )
+        versions, row_of = self.versions, self.row_of
+        live = sorted(zip([versions[row] for row in row_of.values()], row_of))
         self.log_versions = [version for version, _ in live]
         self.log_ids = [node_id for _, node_id in live]
         self.log_dead = 0
 
-    def _cleared(self) -> tuple[list, ...]:
-        """The columns whose empty rows hold ``None`` (all but refcounts,
-        which hold 0)."""
-        return (
-            self.hashes, self.kinds, self.sizes, self.kids, self.labels,
-            self.versions, self.trees,
-        )
-
-    def _grow(self) -> None:
-        """Add a chunk of empty rows to every column and to ``free``."""
-        start = len(self.hashes)
-        extra = max(64, start >> 3)
-        for column in self._cleared():
+    def _grow(self, need: int = 0) -> None:
+        """Add a chunk of at least ``need`` spare rows to every column:
+        ``None`` in the object columns, -1 in the child columns, 0 in the
+        others, as a cleared row holds them."""
+        extra = max(64, len(self.hashes) >> 3, need)
+        for column in (self.hashes, self.labels, self.trees):
             column.extend([None] * extra)
-        self.refcounts.extend([0] * extra)
-        self.free.extend(range(start + extra - 1, start - 1, -1))
+        self.ops.extend(bytes(extra))
+        blank = bytes(8 * extra)
+        for typed in (self.sizes, self.versions, self.stamps, self.refcounts):
+            typed.frombytes(blank)
+        absent = array("q", [-1]) * extra
+        self.lefts.extend(absent)
+        self.rights.extend(absent)
+
+    def _reserve(self, rows: int) -> None:
+        """Grow until ``rows`` new classes fit in the free and spare rows."""
+        fit = len(self.free) + len(self.hashes) - self.spare
+        if fit < rows:
+            self._grow(rows - fit)
+
+    def _take_row(self) -> int:
+        """A row for a new class: the last freed, else the first spare."""
+        if self.free:
+            return self.free.pop()
+        row = self.spare
+        if row == len(self.hashes):
+            self._grow()
+        self.spare = row + 1
+        return row
 
     # -- reads -----------------------------------------------------------------
 
+    def children(self, row: int) -> tuple[int, ...]:
+        """The child ids of the class in ``row``, from its child columns."""
+        first, second = self.lefts[row], self.rights[row]
+        if first < 0:
+            return ()
+        return (first,) if second < 0 else (first, second)
+
     def view(self, store: "ExprStore", node_id: int) -> StoreEntry:
         """A :class:`StoreEntry` of the live class ``node_id``."""
-        row = self.order[node_id]
+        row = self.row_of[node_id]
         return StoreEntry(
-            store, node_id, self.hashes[row], self.kinds[row], self.sizes[row],
-            self.kids[row], self.refcounts[row], self.versions[row],
+            store, node_id, self.hashes[row], OP_KINDS[self.ops[row]],
+            self.sizes[row], self.children(row), self.refcounts[row],
+            self.versions[row],
         )
 
-    def records(self, since: int = -1) -> list[tuple]:
-        """``(node_id, hash, kind, size, kids, label, version, tree)`` of
-        every live class in LRU order, or, for ``since >= 0``, of those
-        whose version is above ``since`` in version order: the id log's
-        tail past ``since``, so the cost is the window's, not the
-        table's.  Classes that share a version keep their LRU order."""
+    def lru(self) -> list[tuple[int, int]]:
+        """``(node_id, row)`` of every live class, least recently used
+        first: the live rows sorted by stamp."""
+        stamps, row_of = self.stamps, self.row_of
+        ranked = sorted(zip([stamps[row] for row in row_of.values()], row_of.items()))
+        return [pair for _stamp, pair in ranked]
+
+    def window(self, since: int = -1) -> list[tuple[int, int]]:
+        """``(node_id, row)`` of every live class in LRU order, or, for
+        ``since >= 0``, of those whose version is above ``since`` in
+        version order: the id log's tail past ``since``, so the cost is
+        the window's, not the table's.  Classes that share a version keep
+        their LRU order."""
         if since < 0:
-            return self._scan(self.order.items(), since)
+            return self.lru()
         if self.log_ids is None:
             self._start_log()
         start = bisect_right(self.log_versions, since)
-        order, versions = self.order, self.versions
+        row_of, versions = self.row_of, self.versions
         window = []
-        for version, node_id in zip(
-            self.log_versions[start:], self.log_ids[start:]
-        ):
-            row = order.get(node_id)
+        for version, node_id in zip(self.log_versions[start:], self.log_ids[start:]):
+            row = row_of.get(node_id)
             # An evicted class, or an older entry of one restored again.
             if row is not None and versions[row] == version:
                 window.append((node_id, row))
-        picked = self._scan(window, since)
-        if any(a[6] == b[6] for a, b in zip(picked, picked[1:])):
+        if any(
+            versions[a] == versions[b] for (_, a), (_, b) in zip(window, window[1:])
+        ):
             # Rare (two sources stamped independently): order by version,
             # then LRU, off the whole table.
-            scanned = self._scan(self.order.items(), since)
-            return sorted(scanned, key=lambda record: record[6])
-        return picked
+            return sorted(
+                [pair for pair in self.lru() if versions[pair[1]] > since],
+                key=lambda pair: versions[pair[1]],
+            )
+        return window
 
-    def _scan(self, rows: Iterable[tuple[int, int]], since: int) -> list[tuple]:
-        """The :meth:`records` tuple of each ``(node_id, row)`` whose
-        version is above ``since``."""
-        hashes, kinds, sizes, kids = self.hashes, self.kinds, self.sizes, self.kids
-        labels, versions, trees = self.labels, self.versions, self.trees
+    def records(self, since: int = -1) -> list[tuple]:
+        """``(node_id, hash, kind, size, kids, label, version, tree)`` of
+        each class of :meth:`window`, in its order: the kind as its name,
+        the child ids as a tuple."""
+        hashes, ops, sizes, labels = self.hashes, self.ops, self.sizes, self.labels
+        versions, trees, children = self.versions, self.trees, self.children
         return [
-            (node_id, hashes[row], kinds[row], sizes[row], kids[row], labels[row],
-             versions[row], trees[row])
-            for node_id, row in rows
-            if versions[row] > since
+            (node_id, hashes[row], OP_KINDS[ops[row]], sizes[row], children(row),
+             labels[row], versions[row], trees[row])
+            for node_id, row in self.window(since)
         ]
 
-    def lru_victim(self, protect: Optional[int], pinned) -> Optional[int]:
-        """The least-recently-used class that may be evicted: no live
-        parent, not ``protect`` and not pinned; ``None`` if there is none."""
-        refcounts = self.refcounts
-        for node_id, row in self.order.items():
-            if refcounts[row] == 0 and node_id != protect and node_id not in pinned:
-                return node_id
-        return None
+    def lru_victims(self, protect: Optional[int], pinned) -> Iterator[int]:
+        """The classes the LRU bound may evict, in the order a scan from
+        the least recently used class would find them one at a time: the
+        oldest class with no live parent that is neither ``protect`` nor
+        pinned, then the oldest such class once the caller has unlinked
+        that one, and so on.  The caller closes the generator when it has
+        enough.
+
+        ``unreferenced`` is a heap of ``(stamp, id)`` kept from pass to
+        pass.  It holds every live class with no parent, and entries gone
+        stale: a class since unlinked or given a parent is dropped when it
+        comes up, one touched since is pushed again under its new stamp.
+        Only a pass unlinks classes, so between passes ``row_of`` only
+        grows at its end, and a pass first pushes the classes added since
+        the last one (``row_of`` past ``walked``) that have no parent.  A
+        victim's children that it leaves with none are pushed as it goes,
+        however old they are.  So a pass costs the batch's new classes
+        and its victims, not the table."""
+        row_of, stamps, refcounts = self.row_of, self.stamps, self.refcounts
+        lefts, rights, heap = self.lefts, self.rights, self.unreferenced
+        for node_id in islice(reversed(row_of), len(row_of) - self.walked):
+            row = row_of[node_id]
+            if not refcounts[row]:
+                heappush(heap, (stamps[row], node_id))
+        kept: list[tuple[int, int]] = []
+        kids: tuple[int, ...] = ()
+        try:
+            while heap:
+                stamp, node_id = heap[0]
+                row = row_of.get(node_id)
+                if row is None or refcounts[row]:
+                    heappop(heap)
+                elif stamps[row] != stamp:
+                    heapreplace(heap, (stamps[row], node_id))
+                elif node_id == protect or node_id in pinned:
+                    kept.append(heappop(heap))
+                else:
+                    heappop(heap)
+                    kids = lefts[row], rights[row]
+                    yield node_id
+                    self._push_freed(kids)
+                    kids = ()
+        finally:
+            # The last victim's children, when the caller closed the pass
+            # at it, and the classes passed over.
+            self._push_freed(kids)
+            for pair in kept:
+                heappush(heap, pair)
+            self.walked = len(row_of)
+
+    def _push_freed(self, kids: Iterable[int]) -> None:
+        """Push each live class in ``kids`` left with no parent onto
+        ``unreferenced``."""
+        row_of, refcounts = self.row_of, self.refcounts
+        for kid in kids:
+            row = row_of.get(kid)
+            if row is not None and not refcounts[row]:
+                heappush(self.unreferenced, (self.stamps[row], kid))
 
     # -- the write steps -------------------------------------------------------
 
     def touch(self, node_id: Optional[int]) -> bool:
-        """The hit by id: move a live ``node_id`` to the LRU end and
+        """The hit by id: give a live ``node_id`` the next stamp and
         return ``True``; ``False`` for ``None`` or an id not live here."""
-        order = self.order
-        if node_id is None or node_id not in order:
+        row = self.row_of.get(node_id)
+        if row is None:
             return False
-        order.move_to_end(node_id)
+        self.stamps[row] = self.clock
+        self.clock += 1
         return True
 
-    def hit_or_add_step(self, store: "ExprStore") -> Callable[..., int]:
+    def hit_or_add_step(self, store: "ExprStore", reserve: int = 0) -> Callable[..., int]:
         """The hit-or-add step by hash, bound once per batch over local
-        column references.
+        column references, with room for at least ``reserve`` new classes.
 
-        Returns ``hit_or_add(top, kind, size, kid_ids, label, leaf=None)``
-        -> class id.  A hit on a class already keyed by ``top`` passes
-        :func:`check_same_class` against the kind and size columns,
-        touches its recency and counts one hit on ``store.stats``.  A miss
-        writes a new row from ``kid_ids`` and ``label`` with
-        ``store.version`` bumped as its stamp, adopts ``leaf`` as its tree
-        when the caller has one (a Var/Lit node of the tree walk), adds
-        one reference to each child, and counts one miss.
+        Returns ``hit_or_add(top, op, size, first, second, label,
+        leaf=None)`` -> class id, where ``op`` is the kind's ``OP_*`` code
+        and ``first`` and ``second`` are the child ids, -1 where absent.
+        A hit on a class already keyed by ``top`` passes
+        :func:`check_same_class` against the kind and size columns, takes
+        the next stamp and counts one hit on ``store.stats``.  A miss
+        writes a new row with ``store.version`` bumped as its version and
+        the next stamp, adopts ``leaf`` as its tree when the caller has
+        one (a Var/Lit node of the tree walk), adds one reference to each
+        child, and counts one miss.
         """
-        order, by_hash, free = self.order, self.by_hash, self.free
-        hashes, kinds, sizes, kids = self.hashes, self.kinds, self.sizes, self.kids
-        labels, versions, refcounts = self.labels, self.versions, self.refcounts
-        trees, stats = self.trees, store.stats
-        find, touch, take_row, grow = by_hash.get, order.move_to_end, free.pop, self._grow
+        self._reserve(reserve)
+        row_of, by_hash = self.row_of, self.by_hash
+        hashes, ops, sizes, labels = self.hashes, self.ops, self.sizes, self.labels
+        lefts, rights, versions = self.lefts, self.rights, self.versions
+        stamps, refcounts, trees, stats = self.stamps, self.refcounts, self.trees, store.stats
+        free, kinds, guard = self.free, OP_KINDS, check_same_class
+        find, take_free, grow = by_hash.get, free.pop, self._grow
 
-        def hit_or_add(top, kind, size, kid_ids, label, leaf=None) -> int:
+        def hit_or_add(top, op, size, first, second, label, leaf=None) -> int:
             node_id = find(top)
             if node_id is not None:
-                row = order[node_id]
-                check_same_class(kinds[row], sizes[row], top, kind, size)
-                touch(node_id)
+                row = row_of[node_id]
+                guard(kinds[ops[row]], sizes[row], top, kinds[op], size)
+                stamps[row] = clock = self.clock
+                self.clock = clock + 1
                 stats.hits += 1
                 return node_id
-            if not free:
-                grow()
-            row = take_row()
+            if free:
+                row = take_free()
+            else:  # the first spare row, as _take_row takes it
+                row = self.spare
+                if row == len(hashes):
+                    grow()
+                self.spare = row + 1
+            # First: a size past int64 raises before the class is counted.
+            sizes[row] = size
             node_id = self.next_id
             self.next_id = node_id + 1
             store.version = version = store.version + 1
             hashes[row] = top
-            kinds[row] = kind
-            sizes[row] = size
-            kids[row] = kid_ids
+            ops[row] = op
             labels[row] = label
             versions[row] = version
+            stamps[row] = clock = self.clock
+            self.clock = clock + 1
             trees[row] = leaf
-            order[node_id] = row
+            row_of[node_id] = row
             by_hash[top] = node_id
             log = self.log_ids
             if log is not None:
                 log.append(node_id)
                 self.log_versions.append(version)
-            for kid in kid_ids:
-                refcounts[order[kid]] += 1
+            # A row taken holds -1 in both child columns.
+            if first >= 0:
+                lefts[row] = first
+                refcounts[row_of[first]] += 1
+                if second >= 0:
+                    rights[row] = second
+                    refcounts[row_of[second]] += 1
             stats.misses += 1
             return node_id
 
         return hit_or_add
 
+    def resolve_arena(self, store: "ExprStore", arena: ExprArena, tops: list) -> array:
+        """The hit-or-add step over every row of ``arena``, given each
+        row's top hash, in one call into the compile library
+        (:func:`repro.core.native.native_resolve`); one class id per row.
+
+        Row by row it leaves what :meth:`hit_or_add_step`'s step leaves
+        when the arena loop (:func:`repro.store.arena_intern._resolve_loop`)
+        calls it with the same ``reserve``: the same rows taken, ids,
+        versions, stamps, columns, maps, refcounts, id log and stats.
+        The ids it creates are ``next_id`` onward, in creation order.  On
+        a hit that fails the collision guard the C step stops at that
+        row, every earlier row written, as the loop stops when the guard
+        raises; the guard then raises here, so the text has one source."""
+        op = arena.op
+        self._reserve(len(op))
+        free, stats = self.free, store.stats
+        next_id, version = self.next_id, store.version
+        state = array("q", (next_id, version, self.clock, self.spare, 0, 0))
+        class_ids = array("q", bytes(8 * len(op)))
+        columns = (
+            self.by_hash, self.row_of, self.hashes, self.labels, self.ops,
+            self.lefts, self.rights, self.sizes, self.versions, self.stamps,
+            self.refcounts, free, class_ids,
+        )
+        try:
+            failed = native.native_resolve(arena, tops, columns, state)
+        finally:
+            # Also after an error: the rows written so far stay written.
+            self.next_id, store.version, self.clock, self.spare, made, hits = state
+            if made:
+                del free[max(0, len(free) - made):]
+                if self.log_ids is not None:
+                    self.log_ids.extend(range(next_id, next_id + made))
+                    self.log_versions.extend(range(version + 1, version + made + 1))
+            stats.hits += hits
+            stats.misses += made
+        if failed >= 0:
+            top = tops[failed]
+            row = self.row_of[self.by_hash[top]]
+            check_same_class(
+                OP_KINDS[self.ops[row]], self.sizes[row], top, OP_KINDS[op[failed]],
+                arena.sizes[failed],
+            )
+            raise AssertionError(f"row {failed}: stopped on a hit the guard passes")
+        return class_ids
+
     def insert(
         self, node_id: int, top: int, kind: str, size: int,
         kid_ids: tuple[int, ...], label, tree: Expr, version: int,
     ) -> None:
-        """The restore step's write: a new row for ``node_id``, its hash
-        mapped to it, the id counter moved past it.  References to the
-        children are the caller's (:meth:`link`)."""
-        if not self.free:
-            self._grow()
-        row = self.free.pop()
+        """The restore step's write: a new row for ``node_id`` with the
+        next stamp, its hash mapped to it, the id counter moved past it.
+        References to the children are the caller's (:meth:`link`)."""
+        row = self._take_row()
+        self.sizes[row] = size  # first: a size past int64 raises here
         self.hashes[row] = top
-        self.kinds[row] = kind
-        self.sizes[row] = size
-        self.kids[row] = kid_ids
+        self.ops[row] = OP_OF_KIND[kind]
+        self.lefts[row] = kid_ids[0] if kid_ids else -1
+        self.rights[row] = kid_ids[1] if len(kid_ids) == 2 else -1
         self.labels[row] = label
         self.versions[row] = version
+        self.stamps[row] = self.clock
+        self.clock += 1
         self.trees[row] = tree
-        self.order[node_id] = row
+        self.row_of[node_id] = row
         self.by_hash[top] = node_id
         self.next_id = max(self.next_id, node_id + 1)
         log = self.log_ids
@@ -493,14 +670,15 @@ class InternTable:
 
         Its hash is unmapped only while the mapping names it: a replayed
         store can hold an evicted-then-recreated class under two ids, and
-        the newer one keeps the mapping.  The row is cleared and freed."""
-        row = self.order.pop(node_id)
+        the newer one keeps the mapping.  The row's objects, child columns
+        and refcount are cleared and the row freed."""
+        row = self.row_of.pop(node_id)
         top = self.hashes[row]
         if self.by_hash.get(top) == node_id:
             del self.by_hash[top]
-        released = self.kids[row], self.trees[row]
-        for column in self._cleared():
-            column[row] = None
+        released = self.children(row), self.trees[row]
+        self.hashes[row] = self.labels[row] = self.trees[row] = None
+        self.lefts[row] = self.rights[row] = -1
         self.refcounts[row] = 0
         self.free.append(row)
         if self.log_ids is not None:
@@ -511,9 +689,9 @@ class InternTable:
 
     def link(self, kid_ids: Iterable[int], delta: int) -> None:
         """Add ``delta`` to the refcount of each live class in ``kid_ids``."""
-        order, refcounts = self.order, self.refcounts
+        row_of, refcounts = self.row_of, self.refcounts
         for kid in kid_ids:
-            refcounts[order[kid]] += delta
+            refcounts[row_of[kid]] += delta
 
 
 class ExprStore:
@@ -594,7 +772,7 @@ class ExprStore:
         return len(self._table)
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._table.order
+        return node_id in self._table.row_of
 
     def entry(self, node_id: int) -> StoreEntry:
         """A view of the canonical entry ``node_id`` (touches LRU recency)."""
@@ -623,7 +801,7 @@ class ExprStore:
     def entries(self) -> Iterator[StoreEntry]:
         """Views of all live entries, least-recently-used first."""
         table = self._table
-        return iter([table.view(self, node_id) for node_id in table.order])
+        return iter([table.view(self, node_id) for node_id, _row in table.lru()])
 
     # -- the columns, read ------------------------------------------------------
 
@@ -637,7 +815,7 @@ class ExprStore:
         """The canonical tree of the live class ``node_id``: the tree
         column's, or built from the columns and kept there."""
         table = self._table
-        tree = table.trees[table.order[node_id]]
+        tree = table.trees[table.row_of[node_id]]
         if tree is None:
             tree = self._build_trees([node_id], keep=True)[0]
         return tree
@@ -652,7 +830,7 @@ class ExprStore:
         without it the trees are the caller's alone (the encoders'
         transient trees) and the table is only read."""
         table = self._table
-        order, trees = table.order, table.trees
+        row_of, trees = table.row_of, table.trees
         built: dict[int, Expr] = {}
         for root in node_ids:
             stack = [root]
@@ -661,22 +839,22 @@ class ExprStore:
                 if node_id in built:
                     stack.pop()
                     continue
-                row = order[node_id]
+                row = row_of[node_id]
                 tree = trees[row]
                 if tree is None:
-                    kid_ids = table.kids[row]
+                    kid_ids = table.children(row)
                     kids = []
                     for kid in kid_ids:
                         kid_tree = built.get(kid)
                         if kid_tree is None:
-                            kid_tree = trees[order[kid]]
+                            kid_tree = trees[row_of[kid]]
                         if kid_tree is None:
                             stack.append(kid)
                         else:
                             kids.append(kid_tree)
                     if len(kids) < len(kid_ids):
                         continue  # back here once the missing children are built
-                    tree = canonical_node(table.kinds[row], table.labels[row], kids)
+                    tree = canonical_node(OP_KINDS[table.ops[row]], table.labels[row], kids)
                     if keep:
                         trees[row] = tree
                 built[node_id] = tree
@@ -944,10 +1122,12 @@ class ExprStore:
                 continue
 
             arity = len(node.children())
-            kid_ids = tuple(ids[len(ids) - arity :]) if arity else ()
+            first = second = -1
+            if arity == 2:
+                second = ids.pop()
             if arity:
-                del ids[len(ids) - arity :]
-            rec.node_id = self._intern_one(node, rec, kid_ids, hit_or_add)
+                first = ids.pop()
+            rec.node_id = self._intern_one(node, rec, first, second, hit_or_add)
             ids.append(rec.node_id)
         assert len(ids) == 1
         # Evict only once the whole tree is interned: children created
@@ -1036,37 +1216,47 @@ class ExprStore:
         self.stats.hits += 1
         return True
 
-    def _hit_or_add_step(self) -> Callable[..., int]:
-        """The hit-or-add step by hash, bound once per batch:
-        ``hit_or_add(top, kind, size, kid_ids, label, leaf=None)`` -> class
-        id (see :meth:`InternTable.hit_or_add_step`).  Binding once keeps
-        the tree walk and the arena resolve loop off per-row attribute
-        lookups."""
-        return self._table.hit_or_add_step(self)
+    def _hit_or_add_step(self, reserve: int = 0) -> Callable[..., int]:
+        """The hit-or-add step by hash, bound once per batch with at
+        least ``reserve`` new classes: ``hit_or_add(top, op, size, first,
+        second, label, leaf=None)`` -> class id (see
+        :meth:`InternTable.hit_or_add_step`).  Binding once keeps the tree
+        walk and the arena resolve loop off per-row attribute lookups."""
+        return self._table.hit_or_add_step(self, reserve)
+
+    def _resolve_arena(self, arena: ExprArena, tops: list) -> Sequence[int]:
+        """The hit-or-add step over every row of ``arena`` in one call
+        into C: one class id per row (see
+        :meth:`InternTable.resolve_arena`)."""
+        return self._table.resolve_arena(self, arena, tops)
 
     def _intern_one(
         self,
         node: Expr,
         rec: MemoRecord,
-        kid_ids: tuple[int, ...],
+        first: int,
+        second: int,
         hit_or_add: Callable[..., int],
     ) -> int:
-        """One tree node through the hit-or-add step.  A leaf class it
+        """One tree node, with child class ids ``first`` and ``second``
+        (-1 where absent), through the hit-or-add step.  A leaf class it
         creates adopts ``node`` itself, which already has its memo
         record; an interior one gets its canonical tree built at once,
         with the tree's record seeded from ``rec`` (the canonical tree is
         made of canonical subtrees, so hashing it later can be a pure
         memo hit)."""
         version = self.version
+        leaf = first < 0
         node_id = hit_or_add(
             rec.top,
-            node.kind,
+            OP_OF_KIND[node.kind],
             node.size,
-            kid_ids,
+            first,
+            second,
             node_label(node),
-            None if kid_ids else node,
+            node if leaf else None,
         )
-        if kid_ids and self.version != version:  # a class was created
+        if not leaf and self.version != version:  # a class was created
             self._seed_memo(
                 MemoRecord(
                     self._tree(node_id),
@@ -1103,10 +1293,10 @@ class ExprStore:
         :class:`~repro.store.snapshot.SnapshotError`: the document does
         not describe this store."""
         table = self._table
-        row = table.order.get(node_id)
+        row = table.row_of.get(node_id)
         if row is None:
             return False
-        if (table.hashes[row], table.kinds[row], table.sizes[row]) != (
+        if (table.hashes[row], OP_KINDS[table.ops[row]], table.sizes[row]) != (
             hash_value,
             kind,
             size,
@@ -1124,7 +1314,7 @@ class ExprStore:
         """The size of the live class ``node_id``, or ``None`` if it is
         not live; no LRU touch."""
         table = self._table
-        row = table.order.get(node_id)
+        row = table.row_of.get(node_id)
         return None if row is None else table.sizes[row]
 
     def _restore(
@@ -1193,14 +1383,16 @@ class ExprStore:
     # -- eviction --------------------------------------------------------------
 
     def _evict_if_needed(self, protect: Optional[int] = None) -> None:
-        if self.max_entries is None:
-            return
+        """Unlink LRU victims (:meth:`InternTable.lru_victims`) until the
+        table is back within ``max_entries``.  With no victim left, every
+        remaining entry is the protected fresh root, pinned by a session
+        or referenced by a live parent: the table cannot shrink further
+        without breaking child links."""
         table = self._table
-        while len(table) > self.max_entries:
-            victim = table.lru_victim(protect, self._pinned)
-            if victim is None:
-                # Every remaining entry is either the protected fresh root,
-                # pinned by a session, or referenced by a live parent; the
-                # table cannot shrink further without breaking child links.
-                break
-            self._unlink(victim)
+        if self.max_entries is None or len(table) <= self.max_entries:
+            return
+        with closing(table.lru_victims(protect, self._pinned)) as victims:
+            for victim in victims:
+                self._unlink(victim)
+                if len(table) <= self.max_entries:
+                    break

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.core.arena import OP_KINDS
 from repro.lang.alpha import alpha_equivalent
 from repro.gen.random_exprs import random_expr
 from repro.lang.parser import parse
@@ -44,7 +45,7 @@ def tracked_objects() -> int:
 def live_trees(store):
     table = store._table
     return [
-        table.trees[row] for row in table.order.values() if table.trees[row] is not None
+        table.trees[row] for row in table.row_of.values() if table.trees[row] is not None
     ]
 
 
@@ -182,6 +183,21 @@ class TestViews:
         assert before.refcount == 0
         assert store.entry(leaf).refcount == 1
 
+    def test_a_size_past_int64_is_refused_whole(self):
+        """A class's size lives in an int64 column, as in arena rows and
+        delta frames: a DAG whose size reaches 2**63 raises, and every
+        class interned before it is whole, with no id or version spent."""
+        from repro.lang.expr import App, Lam, Var
+
+        dag = Lam("a", Var("a"))
+        for _ in range(64):
+            dag = App(dag, dag)
+        store = ExprStore()
+        with pytest.raises(OverflowError):
+            store.intern(dag)
+        assert store.stats.misses == len(store) == store._table.next_id == store.version
+        assert store.intern(parse("f x")) == len(store) - 1
+
     def test_evicted_rows_are_reused(self):
         store = ExprStore(max_entries=8)
         for index in range(200):
@@ -192,12 +208,16 @@ class TestViews:
 
 def full_scan(table, since):
     """The oracle: every live class whose version is above ``since``, read
-    off the whole table in LRU order, then put in version order (a stable
-    sort, so classes sharing a version keep their LRU order)."""
+    off the whole table in LRU order (the live rows sorted by stamp), then
+    put in version order (a stable sort, so classes sharing a version keep
+    their LRU order).  Kinds and child tuples come from the opcode and
+    child columns."""
+    lru = sorted(table.row_of.items(), key=lambda pair: table.stamps[pair[1]])
     records = [
-        (node_id, table.hashes[row], table.kinds[row], table.sizes[row],
-         table.kids[row], table.labels[row], table.versions[row], table.trees[row])
-        for node_id, row in table.order.items()
+        (node_id, table.hashes[row], OP_KINDS[table.ops[row]], table.sizes[row],
+         tuple(kid for kid in (table.lefts[row], table.rights[row]) if kid >= 0),
+         table.labels[row], table.versions[row], table.trees[row])
+        for node_id, row in lru
         if table.versions[row] > since
     ]
     return sorted(records, key=lambda record: record[6])
@@ -290,3 +310,74 @@ class TestDeltaSelection:
                 table.insert(node_id, 7919 * node_id, "Var", 1, (), "w", None, versions[node_id])
         for since in range(10):
             assert table.records(since) == full_scan(table, since), since
+
+
+def rescan_victims(table, protect, pinned, bound) -> list:
+    """The oracle: evict by scanning from the least recently used class
+    for each victim, as the table did before it kept an eviction heap."""
+    live = {
+        node_id: [table.stamps[row], table.refcounts[row], table.children(row)]
+        for node_id, row in table.row_of.items()
+    }
+    victims = []
+    while len(live) > bound:
+        victim = next(
+            (
+                node_id
+                for node_id in sorted(live, key=lambda node_id: live[node_id][0])
+                if live[node_id][1] == 0 and node_id != protect and node_id not in pinned
+            ),
+            None,
+        )
+        if victim is None:
+            break
+        for kid in live.pop(victim)[2]:
+            live[kid][1] -= 1
+        victims.append(victim)
+    return victims
+
+
+class TestEvictionOrder:
+    """The eviction heap kept from pass to pass picks the victims a
+    rescan from the oldest class picks, through tree and arena interns,
+    touches, pins and unpins."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_victims_match_a_rescan(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        store = ExprStore(max_entries=60)
+        unlinked: list = []
+        passes: list = []
+        real_unlink, real_evict = store._unlink, store._evict_if_needed
+
+        def unlink(node_id):
+            unlinked.append(node_id)
+            real_unlink(node_id)
+
+        def evict(protect=None):
+            expected = rescan_victims(
+                store._table, protect, store._pinned, store.max_entries
+            )
+            del unlinked[:]
+            real_evict(protect)
+            assert unlinked == expected
+            passes.append(len(expected))
+
+        monkeypatch.setattr(store, "_unlink", unlink)
+        monkeypatch.setattr(store, "_evict_if_needed", evict)
+        pinned: list = []
+        for _step in range(150):
+            roll = rng.random()
+            if roll < 0.4:
+                store.intern(random_expr(rng.randint(1, 12), rng=rng, p_let=0.2, p_lit=0.2))
+            elif roll < 0.6:
+                store.intern_many(corpus(rng.randint(1, 6), seed=rng.randrange(1 << 20), size=8))
+            elif roll < 0.8 and len(store):
+                store.entry(rng.choice([entry.node_id for entry in store.entries()]))
+            elif roll < 0.9 and len(store):
+                node_id = rng.choice([entry.node_id for entry in store.entries()])
+                store.pin(node_id)
+                pinned.append(node_id)
+            elif pinned:
+                store.unpin(pinned.pop(rng.randrange(len(pinned))))
+        assert sum(passes) > 100 and store.stats.evictions == sum(passes)

@@ -330,6 +330,44 @@ class TestWireToArena:
         request = HashRequest(big, backend="debruijn")
         assert reply["plan"] == echoed(Session().plan(request))
 
+    @pytest.mark.parametrize(
+        "kind,hints",
+        [
+            ("hash", {"engine": "tree"}),
+            ("hash", {"backend": "debruijn"}),
+            ("intern", {"engine": "tree"}),
+        ],
+    )
+    def test_a_body_the_arena_does_not_run_builds_no_arena(
+        self, monkeypatch, big, kind, hints
+    ):
+        """A JSON body with a ``tree`` pin or an own-pass backend parses
+        with ``from_wire``: no arena compile, the same answers as the
+        documents' own trees, and the same 400 for a malformed one."""
+        from repro.core.arena import ExprArena
+        from test_sexpr import wire_cases
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("extend_wire ran for a body the arena does not run")
+
+        monkeypatch.setattr(ExprArena, "extend_wire", refuse)
+        request_type = HashRequest if kind == "hash" else InternRequest
+        body = json_body(big, hints)
+        request = _corpus_request(request_type, body, Session())
+        assert [to_wire(e) for e in request.exprs] == body["exprs"]
+        nodes = {id(node) for e in request.exprs for node in preorder(e)}
+        assert len(nodes) == sum(e.size for e in request.exprs)  # nothing shared
+        expected = Session().execute(request_type(big, **hints))
+        assert Session().execute(request) == expected
+        good = to_wire(parse(r"\x. x y"))
+        for doc in wire_cases():
+            with pytest.raises(SexprError) as parsed:
+                from_wire(doc)
+            with pytest.raises(Exception) as refused:
+                _corpus_request(request_type, {"exprs": [good, doc], **hints}, Session())
+            assert refused.value.status == 400
+            assert str(refused.value) == f"malformed expression: {parsed.value}"
+
     @pytest.mark.parametrize("path", ["/v1/hash", "/v1/intern", "/v1/session/open"])
     def test_malformed_documents_answer_400(self, server, client, path):
         from test_sexpr import wire_cases
@@ -406,6 +444,7 @@ class TestMetricsEndpoint:
         assert metrics["requests_served"] >= 2
         assert metrics["backend"] == "ours"
         assert metrics["kernel"] == native.kernel()
+        assert metrics["compile_tier"] == native.compile_tier()
         assert metrics["shard_id"] is None and metrics["shard_count"] is None
         store = metrics["store"]
         assert store["entries"] > 0

@@ -8,14 +8,18 @@ test if it
 
 * stores into, deletes from, or calls a mutator (``move_to_end``,
   ``pop``, ...) on ``_entries``, ``_by_hash`` or ``_table``;
-* does the same to one of a table's containers (``order``, ``by_hash``,
-  ``free``), columns (``hashes``, ``kinds``, ``sizes``, ``kids``,
-  ``labels``, ``versions``, ``refcounts``, ``trees``) or id log
-  (``log_versions``, ``log_ids``), reached through a receiver that names
-  a table or through a local bound to one;
+* does the same to one of a table's containers (``row_of``,
+  ``by_hash``, ``free``), columns (``hashes``, ``ops``, ``sizes``,
+  ``lefts``, ``rights``, ``labels``, ``versions``, ``stamps``,
+  ``refcounts``, ``trees``), eviction heap (``unreferenced``) or id
+  log (``log_versions``, ``log_ids``),
+  reached through a receiver that names a table or through a local bound
+  to one (the names of columns the table no longer has -- ``order``,
+  ``kinds``, ``kids`` -- stay listed);
 * calls one of the table's write steps (``touch``, ``insert``,
-  ``unlink``, ``link``, ...) on a table;
-* assigns ``_next_id``, ``next_id`` or ``log_dead``;
+  ``unlink``, ``link``, ``resolve_arena``, ...) on a table;
+* assigns ``_next_id``, ``next_id``, ``clock``, ``walked`` or
+  ``log_dead``;
 * changes an entry's ``refcount``.
 
 ``StoreCollisionError`` is raised at exactly one site: the guard.
@@ -32,20 +36,26 @@ TABLE_ATTRS = {"_entries", "_by_hash", "_table"}
 #: An InternTable's containers and columns.
 COLUMN_ATTRS = {
     "order",
+    "row_of",
     "by_hash",
     "free",
     "hashes",
     "kinds",
+    "ops",
     "sizes",
     "kids",
+    "lefts",
+    "rights",
     "labels",
     "versions",
+    "stamps",
     "refcounts",
     "trees",
+    "unreferenced",
     "log_versions",
     "log_ids",
 }
-COUNTER_ATTRS = {"_next_id", "next_id", "refcount", "log_dead"}
+COUNTER_ATTRS = {"_next_id", "next_id", "clock", "walked", "refcount", "log_dead"}
 MUTATORS = {
     "move_to_end",
     "pop",
@@ -55,13 +65,17 @@ MUTATORS = {
     "setdefault",
     "append",
     "extend",
+    "frombytes",
+    "fromlist",
     # InternTable's write steps and helpers
     "touch",
     "hit_or_add_step",
+    "resolve_arena",
     "insert",
     "unlink",
     "link",
     "_grow",
+    "_reserve",
 }
 
 
