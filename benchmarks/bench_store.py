@@ -19,7 +19,9 @@ a CI smoke gate::
 
 which fails loudly (exit 1) unless the cold store pass beats the fresh
 passes, the cache hit-rate is > 0, and a session snapshot round-trip
-keeps every root hash.
+keeps every root hash, the store's content checksum, LRU order, id
+counter and stats (it prints the snapshot's bytes and its encode and
+load times).
 
 ``--arena-items N`` adds the arena-kernel gate (the PR-4 acceptance
 bar): on an ``N``-item duplicate-free corpus the arena engine must be
@@ -56,7 +58,7 @@ from repro.core.cpus import available_cpus
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
 from repro.lang.expr import App, Expr
-from repro.store import ExprStore
+from repro.store import ExprStore, content_checksum
 
 #: Fraction of corpus items that repeat or recombine earlier items.
 DUP_FRACTION = 0.6
@@ -284,10 +286,26 @@ def smoke(n_items: int, item_size: int, repeats: int) -> int:
     handle, path = tempfile.mkstemp(suffix=".snap")
     os.close(handle)
     try:
+        start = time.perf_counter()
         session.save(path)
+        encode_ms = (time.perf_counter() - start) * 1e3
+        start = time.perf_counter()
         loaded = Session.load(path)
-        if loaded.store.stats.as_dict() != session.store.stats.as_dict():
+        load_ms = (time.perf_counter() - start) * 1e3
+        saved, restored = session.store, loaded.store
+        if restored.stats.as_dict() != saved.stats.as_dict():
             print("FAIL: snapshot did not round-trip the store stats")
+            ok = False
+        if content_checksum(restored) != content_checksum(saved):
+            print("FAIL: snapshot did not round-trip the store's content")
+            ok = False
+        if [e.node_id for e in restored.entries()] != [
+            e.node_id for e in saved.entries()
+        ]:
+            print("FAIL: snapshot did not round-trip the LRU order")
+            ok = False
+        if restored._table.next_id != saved._table.next_id:
+            print("FAIL: snapshot did not round-trip the id counter")
             ok = False
         if loaded.hash_corpus(corpus) != roots:
             print("FAIL: snapshot reload changed root hashes")
@@ -298,7 +316,8 @@ def smoke(n_items: int, item_size: int, repeats: int) -> int:
         else:
             print(
                 f"snapshot round-trip ok ({os.path.getsize(path)} bytes, "
-                f"{len(loaded.store)} entries)"
+                f"{len(loaded.store)} entries, encode {encode_ms:.1f} ms, "
+                f"load {load_ms:.1f} ms)"
             )
     finally:
         if os.path.exists(path):

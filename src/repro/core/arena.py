@@ -63,7 +63,6 @@ __all__ = [
     "ExprArena",
     "ArenaKernelError",
     "arena_hash",
-    "arena_summaries",
     "arena_hash_any",
     "flatten_corpus",
     "ENGINE_CHOICES",
@@ -682,24 +681,6 @@ def _check_rows(arena: ExprArena) -> None:
         else:
             continue
         raise ArenaKernelError(f"row {i}: {_FAILURES[failure]}")
-
-
-def arena_summaries(
-    arena: ExprArena,
-    roots: Sequence[int],
-    combiners: Optional[HashCombiners] = None,
-) -> list[tuple[int, int, dict[str, int]]]:
-    """Each root's hashed e-summary ``(s, v, m)``: structure hash,
-    free-variable-map hash and map (name -> position hash), bit-identical
-    to a tree memo record's.  One scalar :func:`arena_hash` pass in which
-    each root row counts one extra use, so no parent steals its map.
-    """
-    _tops, shs, vmhs, vms = _arena_pass(arena, combiners, roots)
-    names = arena.names
-    return [
-        (shs[row], vmhs[row], {names[nid]: pos for nid, pos in vms[row].items()})
-        for row in roots
-    ]
 
 
 def _arena_pass(

@@ -28,6 +28,12 @@ then the window's classes as little-endian columns, with no summaries
 summary and hash and refuses a frame whose hashes differ.  Journals of
 ``repro-store-delta-v1`` frames, written before, still replay.
 
+The checkpoint is a ``repro-store-snapshot-v3`` document: the same
+columns over every live class, rows in LRU order, under a header that
+adds the store's shape and counters.  Loading it recomputes and checks
+every hash like a frame; checkpoints written as
+``repro-store-snapshot-v1`` still load, through the same checks.
+
 Guarantees:
 
 * **Durability before acknowledgement.**  :meth:`Journal.append_delta`
@@ -492,7 +498,9 @@ class Journal:
         """Encode a checkpoint snapshot of the store; no disk I/O.
 
         Safe (and intended) to call while holding whatever lock
-        guarantees store consistency.
+        guarantees store consistency: it reads the table's columns only
+        (:func:`repro.store.snapshot_to_bytes`), with no tree, memo
+        record or summary pass.
         """
         meta = dict(meta or {})
         meta.setdefault("journal_checkpoint", True)

@@ -1,59 +1,22 @@
-"""Versioned on-disk snapshots of an :class:`~repro.store.ExprStore`.
+"""Versioned snapshots and deltas of an :class:`~repro.store.ExprStore`.
 
 A snapshot makes a corpus interned once reusable across processes: the
-intern table (canonical entries, child links, LRU recency) and the
-summary memo of every canonical tree are written to a JSON-lines file
-and restored bit-identically.  Re-hashing the same corpus in another
-process yields the same root hashes and lands on the existing classes
-without growing the store.  Note the memo is keyed by Python object
-identity, so freshly *re-parsed* trees are still summarised once before
-their intern lookups hit; only the restored canonical representatives
-themselves (``expr_of``) hash as pure memo hits.
+intern table's live classes, their LRU recency and the store's counters
+are written to one checksummed frame and restored bit-identically.
+Re-hashing the same corpus in another process yields the same root
+hashes and lands on the existing classes without growing the store.  The
+loader rebuilds each class's canonical tree and seeds its memo record,
+so the restored canonical representatives themselves (``expr_of``) hash
+as pure memo hits.  The memo is keyed by Python object identity, so
+freshly *re-parsed* trees are still summarised once before their intern
+lookups hit.
 
-File layout (one JSON document per line)::
+Column frames
+-------------
 
-    {"format": "repro-store-snapshot-v1", "bits": 64, "seed": ..,
-     "max_entries": null, "memo_limit": null, "next_id": N,
-     "entries": K, "stats": {..}, "meta": {..},
-     "checksum": "sha256:<hex of the body bytes>"}
-    {"i": 0, "h": .., "k": "Var", "z": 1, "c": [], "p": "x",
-     "s": .., "v": .., "m": {"x": ..}}
-    ... one line per canonical entry, in LRU order (oldest first) ...
+Snapshots and deltas share one layout: a JSON header line, then one
+little-endian column per field, each ``rows`` long::
 
-Per entry: ``i`` node id, ``h`` alpha-hash, ``k`` kind, ``z`` size,
-``c`` child node ids, ``p`` the node payload (variable name, binder, or
-``["<tag>", value]`` for literals), and the memoised summary (``s``
-structure hash, ``v`` variable-map hash, ``m`` name -> position-hash
-entries).  Children always intern before parents, so child ids are
-strictly smaller than their parent's and ascending-id order is a valid
-rebuild order; the *file* order is LRU order so recency survives the
-round-trip.  The header checksum is over the exact body bytes --
-truncation or tampering fails loudly as :class:`SnapshotError`.
-
-The snapshot encoders read the intern table's columns (one record tuple
-per class written, no entry view).  Summaries come from each canonical
-tree's memo record (tree interns seed one), or, for the classes without
-one (arena interns leave the memo cold and store no tree), from one
-scalar arena pass over their canonical trees, built for that pass only;
-each record is then formatted straight to bytes.  Encoding only reads
-the table, the memo and the stats, so snapshots and deltas leave all
-three as they were.  The loaders
-type-check every record (ints for ``i``/``h``/``z``/``t``/``s``/``v``,
-a str -> int map for ``m``) before the first write.
-
-Deltas (``repro-store-delta-v2``)
----------------------------------
-
-A delta ships the live classes created after a version stamp ``since``
-(:func:`delta_to_bytes`); it is what journal frames hold and what
-``/v1/snapshot/delta`` serves.  One JSON header line, then one
-little-endian column per field, each ``rows`` long, rows in version
-order::
-
-    {"format": "repro-store-delta-v2", "bits": 64, "seed": ..,
-     "since": S, "version": V, "rows": N, "num_shards": null,
-     "names": [..], "literals": [[tag, value], ..], "meta": {..},
-     "checksum": "sha256:<hex of the body bytes>"}
     id       N x int64
     hash     N x uint64 (up to 64 bits), or N x 2 x uint64 (low word first)
     version  N x int64
@@ -64,35 +27,62 @@ order::
     label    N x int64   (a names index for Var/Lam/Let, a literals
                           index for Lit, -1 for App)
 
-``names`` and ``literals`` are the arena body's tables
-(:mod:`repro.core.columns`).  ``num_shards`` is always ``null``; a frame
-where it is not came from an in-process sharded store, which this
-package no longer has, and its shard-encoded ids mean nothing here.  A
-delta carries no summaries: the paper's e-summaries are compositional
-and the hash is a function of them, so the receiver recomputes both.
-The sender only reads the table's id log into columns -- no memo
-record, tree or summary pass.
+Every header holds ``format``, ``bits``, ``seed``, ``version`` (the
+store's version stamp), ``rows``, ``names`` and ``literals`` (the arena
+body's tables, :mod:`repro.core.columns`), ``meta`` (the caller's, such
+as a session's backend name) and ``checksum`` (``"sha256:<hex of the
+body bytes>"``).  A frame carries no summaries: the paper's e-summaries
+are compositional and the hash is a function of them, so the receiver
+recomputes both.  The writer reads the table's columns only -- no memo
+record, tree or summary pass -- and leaves the table, the memo and the
+stats as they were.
 
-:func:`apply_delta_bytes` refuses a frame whole, before the first write,
-when the header is not a JSON object with the tag; a count is not a
-non-negative ``int``; ``bits`` or ``seed`` differ from the store's,
-``num_shards`` is not ``null``, or ``since`` is ahead of it; the body
-length or checksum is wrong; a kind is outside 0-4, a label index is
-out of range for its kind, or a row's children do not match its kind;
-an id is negative or repeats; a version is outside ``(since,
-version]``; a child id names neither a row nor a live class; a size is
-not 1 plus its children's sizes; or an id is live with other content.  It then skips the rows the
-store holds, rebuilds the others' canonical trees (a live child reuses
-the store's tree), runs one arena pass for every new row's ``(s, v, m)``
-and hash, refuses the frame if a hash differs from the hash column --
-two terms that are not alpha-equivalent are never merged on trust --
-and installs the rows children first, each with its recomputed memo
-record, so restored canonical trees hash as pure memo hits.
+* A **snapshot** (``repro-store-snapshot-v3``, :func:`snapshot_to_bytes`)
+  holds every live class, rows in LRU order, oldest first, so the row
+  order carries recency.  Its header adds the store's ``max_entries``,
+  ``memo_limit``, ``next_id`` and ``stats``.
+* A **delta** (``repro-store-delta-v2``, :func:`delta_to_bytes`) holds
+  the live classes created after a version stamp ``since``, rows in
+  version order; it is what journal frames hold and what
+  ``/v1/snapshot/delta`` serves.  Its header adds ``since`` and
+  ``num_shards``, always ``null``: a frame where it is not came from an
+  in-process sharded store, which this package no longer has, and its
+  shard-encoded ids mean nothing here.
 
-Legacy ``repro-store-delta-v1`` frames (the snapshot's JSON-lines
-records with ``t`` stamps, under a header with ``entries``) still load:
-their rows take the same checks, and each record's ``s``, ``v`` and
-``m`` must equal the recomputed ones.
+One install path
+----------------
+
+Each reader first refuses, before the first write, a header that is not
+a JSON object with its tag or has a field of the wrong type or range; a
+body of the wrong length or checksum; and a row whose kind is outside
+0-4, whose label index is out of range for its kind, or whose children
+do not match its kind.  :func:`apply_delta_bytes` also refuses a
+combiner family other than the store's, a ``num_shards`` that is not
+``null`` and a ``since`` ahead of the store; :func:`snapshot_from_bytes`
+builds a fresh store from the header.
+
+Both then install through :func:`_apply_rows`, which refuses the frame
+whole when an id is negative or repeats; a version is outside the
+frame's window (``(since, version]`` for a delta, ``[0, version]`` for a
+snapshot); a child id names neither a row nor a live class; a size is
+not 1 plus its children's sizes; or an id is live with other content.
+It then skips the rows the store holds, rebuilds the others' canonical
+trees (a live child reuses the store's tree), runs one arena pass for
+every new row's ``(s, v, m)`` and hash, refuses the frame if a hash
+differs from the hash column -- two terms that are not alpha-equivalent
+are never merged on trust -- and installs the rows children first, each
+with its recomputed memo record.  A snapshot's ids are then touched in
+row order, which restores recency, and its saved counters adopted.
+
+Legacy ``repro-store-snapshot-v1`` and ``repro-store-delta-v1``
+documents are still read, through the same checks, and no longer
+written.  Their bodies are JSON lines, one record per class (``i`` id,
+``h`` hash, ``k`` kind, ``z`` size, ``c`` child ids, ``p`` payload,
+``t`` version, and the summary: ``s`` structure hash, ``v``
+variable-map hash, ``m`` name -> position hash), under a header that
+counts ``entries`` instead of ``rows``; each record's ``s``, ``v`` and
+``m`` must equal the recomputed ones too.  A snapshot record without
+``t`` (written before version stamps existed) loads with version 0.
 """
 
 from __future__ import annotations
@@ -101,7 +91,6 @@ import hashlib
 import json
 from dataclasses import fields
 from itertools import count
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -112,7 +101,6 @@ from repro.core.arena import (
     OP_LIT,
     OP_OF_KIND,
     _arena_pass,
-    arena_summaries,
     flatten_corpus,
 )
 from repro.core.columns import check_literals, check_names, column_bytes, read_column
@@ -134,11 +122,14 @@ __all__ = [
     "apply_delta_bytes",
     "content_checksum",
     "SNAPSHOT_FORMAT",
+    "SNAPSHOT_V1_FORMAT",
     "DELTA_FORMAT",
     "DELTA_V1_FORMAT",
 ]
 
-SNAPSHOT_FORMAT = "repro-store-snapshot-v1"
+SNAPSHOT_FORMAT = "repro-store-snapshot-v3"
+#: The legacy snapshot layout: still read, no longer written.
+SNAPSHOT_V1_FORMAT = "repro-store-snapshot-v1"
 DELTA_FORMAT = "repro-store-delta-v2"
 #: The legacy delta layout: still read, no longer written.
 DELTA_V1_FORMAT = "repro-store-delta-v1"
@@ -146,12 +137,18 @@ DELTA_V1_FORMAT = "repro-store-delta-v1"
 #: The child count of each of the arena's ``OP_*`` codes.
 _ARITY = (0, 0, 1, 2, 2)
 
-#: A delta-v2 body's columns in order (``array`` typecodes; ``"Q"`` is
+#: A column body's columns in order (``array`` typecodes; ``"Q"`` is
 #: the hash, one or two words a row), and the bytes of a row but for
 #: its hash words.
 _V2_COLUMNS = ("q", "Q", "q", "q", "B", "q", "q", "q")
 _ROW_BYTES = 6 * 8 + 1
 _WORD = (1 << 64) - 1
+
+#: The fields of a legacy record, ``t`` last, and those the table keeps
+#: in int64 columns (as do the child ids, ``c``).
+_V1_FIELDS = ("i", "h", "k", "z", "c", "p", "s", "v", "m", "t")
+_INT64_FIELDS = ("i", "z", "t")
+_INT64 = 1 << 63
 
 _LIT_TAGS = {"int": int, "float": float, "bool": bool, "str": str}
 
@@ -200,121 +197,108 @@ def _decode_lit(payload: Any):
 
 
 def _payload(kind: str, label: Any) -> Any:
-    """The ``p`` field of one entry record, from its label column."""
+    """A class's payload in :func:`content_checksum`, from its label
+    column: the label, or a literal's ``[tag, value]``."""
     return _lit_payload(label) if kind == "Lit" else label
 
 
-def _summaries(store: "ExprStore", records: list) -> list[tuple]:
-    """Each record's hashed e-summary ``(s, v, m)``: structure hash,
-    free-variable-map hash and name -> position-hash map.
+def _hash_words(bits: int) -> int:
+    """uint64 words per hash in a column body."""
+    return 1 if bits <= 64 else 2
 
-    ``records`` are :meth:`~repro.store.store.InternTable.records` rows.
-    A canonical tree's memo record as is; the classes without one (arena
-    interns, flushes, prunes) have their canonical trees flattened into
-    one arena and summarised by one scalar pass
-    (:func:`~repro.core.arena.arena_summaries`).  Trees the table lacks
-    are built for that flatten only and dropped with the arena
-    (:meth:`~repro.store.ExprStore._build_trees`).  Summaries are
-    context-free (Section 3), so the two sources agree bit for bit.  The
-    table, the memo and the stats are only read.
-    """
-    memo_get = store._memo.get
-    summaries: list = []
-    for rec in records:
-        memo_rec = None if rec[7] is None else memo_get(id(rec[7]))
-        summaries.append(
-            None
-            if memo_rec is None
-            else (memo_rec.s_hash, memo_rec.vm_hash, memo_rec.vm_entries)
+
+def _lit_index(literals: dict, values: list, value: Any) -> int:
+    """``value``'s index in a frame's literal table, added if new; keyed
+    like the kernels' literal caches, so ``1``, ``1.0``, ``True`` and
+    ``-0.0``/``0.0`` stay apart."""
+    key = lit_cache_key(value)
+    index = literals.get(key)
+    if index is None:
+        index = literals[key] = len(values)
+        values.append(value)
+    return index
+
+
+def _frame(store: "ExprStore", window: list, header: dict) -> bytes:
+    """A column frame of ``window``'s ``(node_id, row)`` pairs in their
+    order, under ``header`` completed with ``bits``, ``seed``,
+    ``version``, ``rows``, ``names``, ``literals`` and ``checksum``.
+
+    Each column is one comprehension over the table's column, the child
+    columns as they are; the table, the memo and the stats are only
+    read."""
+    table = store._table
+    rows = [row for _id, row in window]
+
+    def column(values) -> list:
+        return [values[row] for row in rows]
+
+    ops = column(table.ops)
+    names: dict[str, int] = {}
+    literals: dict[tuple, int] = {}
+    lit_values: list = []
+    labels = [
+        -1 if op == OP_APP
+        else _lit_index(literals, lit_values, label) if op == OP_LIT
+        else names.setdefault(label, len(names))
+        for op, label in zip(ops, column(table.labels))
+    ]
+    bits = store.combiners.bits
+    tops = column(table.hashes)
+    if _hash_words(bits) == 2:
+        tops = [word for top in tops for word in (top & _WORD, top >> 64)]
+    body = b"".join(
+        (
+            column_bytes("q", [node_id for node_id, _row in window]),
+            column_bytes("Q", tops),
+            column_bytes("q", column(table.versions)),
+            column_bytes("q", column(table.sizes)),
+            bytes(ops),
+            column_bytes("q", column(table.lefts)),
+            column_bytes("q", column(table.rights)),
+            column_bytes("q", labels),
         )
-    cold = [index for index, summary in enumerate(summaries) if summary is None]
-    if cold:
-        trees = store._build_trees([records[index][0] for index in cold], keep=False)
-        arena, roots = flatten_corpus(trees)
-        del trees
-        computed = arena_summaries(arena, roots, store.combiners)
-        for index, summary in zip(cold, computed):
-            summaries[index] = summary
-    return summaries
-
-
-def _encode_entries(records: list, summaries: list) -> bytes:
-    """JSON-lines encode one run of entry records, each straight from
-    its table record ``(node_id, hash, kind, size, kids, label, version,
-    tree)`` and its summary ``(s, v, m)``.
-
-    Each line is the one ``json.dumps(record, separators=(",", ":"),
-    sort_keys=True)`` writes: keys and map entries in sorted order, ints
-    as ``str`` writes them, names through :mod:`json`'s own ASCII
-    escaper, literal payloads through ``json.dumps`` itself.
-    """
-    quoted: dict[str, str] = {}
-    lines = []
-    for record, (s_hash, vm_hash, vm_entries) in zip(records, summaries):
-        node_id, top, kind, size, kids, label, version, _tree = record
-        parts = []
-        for name, pos in sorted(vm_entries.items()):
-            text = quoted.get(name)
-            if text is None:
-                quoted[name] = text = encode_basestring_ascii(name)
-            parts.append(f"{text}:{pos}")
-        if kind == "App":
-            payload = "null"
-        elif kind == "Lit":
-            payload = json.dumps(
-                _lit_payload(label), separators=(",", ":"), sort_keys=True
-            )
-        else:
-            payload = quoted.get(label)
-            if payload is None:
-                quoted[label] = payload = encode_basestring_ascii(label)
-        lines.append(
-            f'{{"c":[{",".join(map(str, kids))}],'
-            f'"h":{top},"i":{node_id},"k":"{kind}",'
-            f'"m":{{{",".join(parts)}}},"p":{payload},"s":{s_hash},'
-            f'"t":{version},"v":{vm_hash},"z":{size}}}\n'
-        )
-    return "".join(lines).encode("utf-8")
-
-
-def snapshot_to_bytes(store: "ExprStore", meta: Optional[dict] = None) -> bytes:
-    """Serialise ``store`` to the snapshot wire format, in memory.
-
-    Exactly the bytes :func:`write_snapshot` would put on disk (header
-    line + body).  Used by the :mod:`repro.service` endpoints to ship
-    stores between machines without touching the
-    filesystem -- the JSON-lines encoding is iteration-only, so
-    arbitrarily deep expressions serialise without recursion (unlike
-    pickling the trees).
-
-    ``meta`` is an arbitrary JSON-compatible dict stored in the header
-    (the Session facade records its backend name there).
-
-    Each entry's summary is its canonical tree's memo record, or comes
-    from the one arena pass over the entries without one (see the
-    module docstring).  The table, the memo and the stats are only
-    read, so the store is left observably unchanged.
-    """
-    records = store._records()  # LRU order, oldest first
-    body = _encode_entries(records, _summaries(store, records))
-
-    header = {
-        "format": SNAPSHOT_FORMAT,
-        "bits": store.combiners.bits,
-        "seed": store.combiners.seed,
-        "max_entries": store.max_entries,
-        "memo_limit": store.memo_limit,
-        "next_id": store._table.next_id,
-        "version": store.version,
-        "entries": len(records),
-        "stats": _stats_dict(store.stats),
-        "meta": meta or {},
-        "checksum": _checksum(body),
-    }
+    )
+    header.update(
+        bits=bits,
+        seed=store.combiners.seed,
+        version=store.version,
+        rows=len(rows),
+        names=list(names),
+        literals=[_lit_payload(value) for value in lit_values],
+        checksum=_checksum(body),
+    )
     header_bytes = json.dumps(
         header, separators=(",", ":"), sort_keys=True
     ).encode("utf-8")
     return header_bytes + b"\n" + body
+
+
+def snapshot_to_bytes(store: "ExprStore", meta: Optional[dict] = None) -> bytes:
+    """Serialise ``store`` to a ``repro-store-snapshot-v3`` frame, in
+    memory: every live class, rows in LRU order (see the module
+    docstring).
+
+    Exactly the bytes :func:`write_snapshot` would put on disk.  Used by
+    the :mod:`repro.service` endpoints and the journal's checkpoints to
+    ship stores without touching the filesystem.  ``meta`` is an
+    arbitrary JSON-compatible dict stored in the header (the Session
+    facade records its backend name there).  The store is left
+    observably unchanged.
+    """
+    table = store._table
+    return _frame(
+        store,
+        table.window(),
+        {
+            "format": SNAPSHOT_FORMAT,
+            "max_entries": store.max_entries,
+            "memo_limit": store.memo_limit,
+            "next_id": table.next_id,
+            "stats": _stats_dict(store.stats),
+            "meta": meta or {},
+        },
+    )
 
 
 def content_checksum(store: "ExprStore") -> str:
@@ -354,166 +338,117 @@ def write_snapshot(
         handle.write(data)
 
 
-def snapshot_from_bytes(data: bytes) -> tuple["ExprStore", dict]:
-    """Rebuild a store from :func:`snapshot_to_bytes` output; return
-    ``(store, header)``.
-
-    The restored store matches the saved one bit-identically: intern
-    table, node ids, LRU recency, memo records of every canonical tree,
-    and the saved stats counters all survive.  Hashing a restored
-    canonical representative is a pure memo hit; a re-parsed copy of a
-    saved expression is summarised once (the memo is per-object) and
-    then resolves to its existing class.  A document with any other
-    format tag, ``repro-store-snapshot-v2-sharded`` included, is refused
-    with :class:`SnapshotError`.
-    """
-    newline = data.find(b"\n")
-    if newline < 0:
-        header_line, body = data, b""
-    else:
-        header_line, body = data[:newline], data[newline + 1 :]
+def _read_header(
+    data: bytes, what: str, formats: tuple[str, ...]
+) -> tuple[dict, bytes]:
+    """``data``'s header and body, once the header is a JSON object
+    tagged with one of ``formats``; ``what`` names the document."""
+    header_line, _newline, body = data.partition(b"\n")
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"unreadable snapshot header: {exc}") from None
-    fmt = header.get("format") if isinstance(header, dict) else None
-    if fmt != SNAPSHOT_FORMAT:
-        raise SnapshotError(f"not a {SNAPSHOT_FORMAT} file: {header_line[:80]!r}")
-    if header.get("checksum") != _checksum(body):
-        raise SnapshotError("snapshot body does not match header checksum")
-    missing_fields = [
-        key
-        for key in ("bits", "seed", "next_id", "entries")
-        if key not in header
-    ]
-    if missing_fields:
+    except (ValueError, RecursionError) as exc:
+        raise SnapshotError(f"unreadable {what} header: {exc}") from None
+    if not isinstance(header, dict) or header.get("format") not in formats:
         raise SnapshotError(
-            f"snapshot header is missing required field(s): {missing_fields}"
+            f"not a {' / '.join(formats)} document: {header_line[:80]!r}"
+        )
+    return header, body
+
+
+def _count(header: dict, key: str, low: int = 0, high: Optional[int] = None) -> None:
+    """Refuse ``header[key]`` unless it is an ``int`` (not a ``bool``) of
+    at least ``low`` and at most ``high``."""
+    value = header.get(key)
+    if type(value) is not int or value < low or (high is not None and value > high):
+        bound = f"in [{low}, {high}]" if high is not None else f">= {low}"
+        raise SnapshotError(
+            f"header field {key!r} must be an integer {bound}, got {value!r}"
         )
 
-    records = _parse_records(body, header.get("entries"))
 
-    from repro.store.store import ExprStore
+def _check_snapshot_header(header: dict, count_key: str, stat_names) -> None:
+    """Refuse a snapshot header that lacks ``bits``, ``seed``,
+    ``next_id`` or ``count_key``, or whose fields are not of their types
+    and ranges: ``bits`` 8-128; ``seed``, ``next_id``, the count and
+    ``version`` (0 when absent) non-negative; ``max_entries`` and
+    ``memo_limit`` ``null`` or at least 1 and 0; ``stats`` an object
+    whose ``stat_names`` keys are non-negative (other keys are
+    ignored); ``meta`` an object."""
+    missing = [
+        key for key in ("bits", "seed", "next_id", count_key) if key not in header
+    ]
+    if missing:
+        raise SnapshotError(
+            f"snapshot header is missing required field(s): {missing}"
+        )
+    _count(header, "bits", 8, 128)
+    for key in ("seed", "next_id", count_key):
+        _count(header, key)
+    if "version" in header:
+        _count(header, "version")
+    for key, low in (("max_entries", 1), ("memo_limit", 0)):
+        if header.get(key) is not None:
+            _count(header, key, low)
+    stats = header.get("stats", {})
+    if not isinstance(stats, dict) or any(
+        type(stats[name]) is not int or stats[name] < 0
+        for name in stat_names
+        if name in stats
+    ):
+        raise SnapshotError(
+            f"header field 'stats' must map counter names to integers >= 0, "
+            f"got {stats!r}"
+        )
+    if not isinstance(header.get("meta", {}), dict):
+        raise SnapshotError(
+            f"header field 'meta' must be an object, got {header['meta']!r}"
+        )
+
+
+def snapshot_from_bytes(data: bytes) -> tuple["ExprStore", dict]:
+    """Rebuild a store from :func:`snapshot_to_bytes` output, or from a
+    legacy ``repro-store-snapshot-v1`` document; return ``(store,
+    header)``.
+
+    The restored store matches the saved one bit-identically: intern
+    table, node ids, version stamps, LRU recency and the saved stats
+    counters all survive, and every canonical tree gets its memo record.
+    Hashing a restored canonical representative is a pure memo hit; a
+    re-parsed copy of a saved expression is summarised once (the memo is
+    per-object) and then resolves to its existing class.  Every class's
+    hash is recomputed and checked (see the module docstring); a
+    document that fails a check, or has any other format tag
+    (``repro-store-snapshot-v2-sharded`` and the deltas included), is
+    refused with :class:`SnapshotError`.
+    """
+    from repro.store.store import ExprStore, StoreStats
+
+    header, body = _read_header(
+        data, "snapshot", (SNAPSHOT_FORMAT, SNAPSHOT_V1_FORMAT)
+    )
+    v3 = header["format"] == SNAPSHOT_FORMAT
+    _check_snapshot_header(
+        header, "rows" if v3 else "entries", [f.name for f in fields(StoreStats)]
+    )
+    if v3:
+        rows, claimed = _decode_v2(header, body, header["bits"]), None
+    else:
+        rows, claimed = _decode_v1(header, body, stamped=False)
 
     store = ExprStore(
         HashCombiners(bits=header["bits"], seed=header["seed"]),
         max_entries=header.get("max_entries"),
         memo_limit=header.get("memo_limit"),
     )
-
-    # Schema breaches that slip past the checksum (buggy writer,
-    # hand-edited file with a recomputed checksum) must still fail as
-    # SnapshotError, not leak a bare KeyError/TypeError from the rebuild.
-    try:
-        _restore_records(store, records, _build_exprs(records))
-        _restore_recency(store, records)
-        store._restore_counters(header.get("stats", {}), header["next_id"])
-    except SnapshotError:
-        raise
-    except (KeyError, IndexError, TypeError, AttributeError) as exc:
-        raise SnapshotError(
-            f"malformed snapshot entry: {exc!r}"
-        ) from exc
-    store.version = max(store.version, header.get("version", 0))
+    version = header.get("version", 0)
+    _apply_rows(store, -1, version, rows, claimed)
+    # Row order is LRU order: touching the ids in it restores recency.
+    # The hits this counts are replaced by the saved counters.
+    for node_id in rows[0]:
+        store._hit_by_id(node_id)
+    store._restore_counters(header.get("stats", {}), header["next_id"])
+    store.version = max(store.version, version)
     return store, header
-
-
-def _parse_records(body: bytes, expected: Any) -> list[dict]:
-    records = []
-    for line in body.splitlines():
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"unreadable snapshot entry: {exc}") from None
-    if len(records) != expected:
-        raise SnapshotError(
-            f"snapshot holds {len(records)} entries, header says {expected}"
-        )
-    return records
-
-
-def _build_exprs(records: list[dict]) -> dict[int, Expr]:
-    """Rebuild every record's canonical tree, bottom-up.
-
-    Ascending *size* order (ties broken by id for determinism) is valid:
-    every child is strictly smaller than its parent.
-    A document naming one id twice is refused here, before any loader
-    writes to a store.
-    """
-    from repro.store.store import canonical_node
-
-    exprs: dict[int, Expr] = {}
-
-    def _kid(c: int) -> Expr:
-        node = exprs.get(c)
-        if node is None:
-            raise SnapshotError(
-                f"malformed snapshot entry: references unknown child id "
-                f"{c} (not in this document)"
-            )
-        return node
-
-    for rec in sorted(records, key=lambda r: (r["z"], r["i"])):
-        kind, payload = rec["k"], rec["p"]
-        if rec["i"] in exprs:
-            raise SnapshotError(f"entry id {rec['i']} appears twice")
-        if kind not in OP_OF_KIND:
-            raise SnapshotError(f"unknown entry kind {kind!r}")
-        label = _decode_lit(payload) if kind == "Lit" else payload
-        exprs[rec["i"]] = canonical_node(kind, label, [_kid(c) for c in rec["c"]])
-    return exprs
-
-
-def _check_record_types(rec: dict) -> None:
-    """Refuse a record whose ``i``, ``h``, ``z``, ``t``, ``s`` or ``v``
-    is not an int (bools excluded; ``t`` may be absent) or whose ``m``
-    is not an object mapping str to int: such a record would load, then
-    fail far from the document or leave a memo record of the wrong
-    types."""
-    for key in ("i", "h", "z", "t", "s", "v"):
-        value = rec.get(key, 0 if key == "t" else None)
-        if type(value) is not int:
-            raise SnapshotError(
-                f"malformed snapshot entry: {key!r} is not an integer: "
-                f"{value!r}"
-            )
-    vm_entries = rec.get("m")
-    if not isinstance(vm_entries, dict) or not all(
-        type(name) is str and type(pos) is int
-        for name, pos in vm_entries.items()
-    ):
-        raise SnapshotError(
-            f"malformed snapshot entry: 'm' is not a map of names to "
-            f"integers: {vm_entries!r}"
-        )
-
-
-def _restore_records(store: "ExprStore", records: list[dict], exprs) -> int:
-    """Restore every record into ``store`` through its restore step,
-    children before parents; return how many were installed (the rest
-    were live already).  Every record's fields are type-checked before
-    the first write (:func:`_check_record_types`), so a malformed one
-    leaves the store untouched."""
-    ordered = sorted(records, key=lambda r: (r["z"], r["i"]))
-    for rec in ordered:
-        _check_record_types(rec)
-    installed = 0
-    for rec in ordered:
-        summary = MemoRecord(
-            exprs[rec["i"]], rec["s"], dict(rec["m"]), rec["v"], rec["h"]
-        )
-        installed += store._restore(
-            rec["i"], rec["k"], rec["z"], tuple(rec["c"]), rec.get("t", 0), summary
-        )
-    return installed
-
-
-def _restore_recency(store: "ExprStore", records: list[dict]) -> None:
-    """Touch every record's id in file order, which is LRU order: the
-    restored recency.  The hits this counts are replaced by the saved
-    counters (:meth:`~repro.store.ExprStore._restore_counters`)."""
-    for rec in records:
-        store._hit_by_id(rec["i"])
 
 
 def read_snapshot(path: str) -> tuple["ExprStore", dict]:
@@ -529,12 +464,11 @@ def read_snapshot(path: str) -> tuple["ExprStore", dict]:
 #
 # A delta ships the live classes created after a version stamp ``since``
 # (each class's ``version`` is its creation stamp), in version order,
-# with the ``(since, version]`` window in its header.  The module
-# docstring gives the v2 layout and the receiver's checks.
+# with the ``(since, version]`` window in its header.
 #
 # Deltas assume a shared id space: the receiver started from a full
-# snapshot of the same store (snapshots preserve node ids), so child ids that predate ``since`` resolve
-# against the receiver's own table.  That makes replica catch-up O(new
+# snapshot of the same store (snapshots preserve node ids), so child ids
+# that predate ``since`` resolve against the receiver's own table.  That makes replica catch-up O(new
 # entries) instead of O(store) -- the whole point.  Application is
 # idempotent: entries the receiver already holds are verified (same
 # hash/kind/size) and skipped, so overlapping deltas are safe to
@@ -542,23 +476,6 @@ def read_snapshot(path: str) -> tuple["ExprStore", dict]:
 # primary evicted and later re-created under a new id: both ids stay
 # live, the newest id takes the hash mapping, and evicting the stale
 # one leaves that mapping alone.
-
-
-def _hash_words(bits: int) -> int:
-    """uint64 words per hash in a delta-v2 body."""
-    return 1 if bits <= 64 else 2
-
-
-def _lit_index(literals: dict, values: list, value: Any) -> int:
-    """``value``'s index in a frame's literal table, added if new; keyed
-    like the kernels' literal caches, so ``1``, ``1.0``, ``True`` and
-    ``-0.0``/``0.0`` stay apart."""
-    key = lit_cache_key(value)
-    index = literals.get(key)
-    if index is None:
-        index = literals[key] = len(values)
-        values.append(value)
-    return index
 
 
 def delta_to_bytes(
@@ -582,67 +499,24 @@ def delta_to_bytes(
     hence present in the receiver's baseline.
 
     The window is the table's id log past ``since``
-    (:meth:`~repro.store.store.InternTable.window`), its rows read out of
-    the table's columns one comprehension each, the child columns as
-    they are: no memo record is read, no tree is built and no summary is
-    computed -- the receiver recomputes those.  The table, the memo and
-    the stats are only read.
+    (:meth:`~repro.store.store.InternTable.window`), so its cost is the
+    window's, not the table's.
     """
     if since < 0 or since > store.version:
         raise SnapshotError(
             f"delta since={since} is outside this store's history "
             f"(version {store.version})"
         )
-    table = store._table
-    window = table.window(since)
-    rows = [row for _id, row in window]
-
-    def column(values) -> list:
-        return [values[row] for row in rows]
-
-    ops = column(table.ops)
-    names: dict[str, int] = {}
-    literals: dict[tuple, int] = {}
-    lit_values: list = []
-    labels = [
-        -1 if op == OP_APP
-        else _lit_index(literals, lit_values, label) if op == OP_LIT
-        else names.setdefault(label, len(names))
-        for op, label in zip(ops, column(table.labels))
-    ]
-    bits = store.combiners.bits
-    tops = column(table.hashes)
-    if _hash_words(bits) == 2:
-        tops = [word for top in tops for word in (top & _WORD, top >> 64)]
-    body = b"".join(
-        (
-            column_bytes("q", [node_id for node_id, _row in window]),
-            column_bytes("Q", tops),
-            column_bytes("q", column(table.versions)),
-            column_bytes("q", column(table.sizes)),
-            bytes(ops),
-            column_bytes("q", column(table.lefts)),
-            column_bytes("q", column(table.rights)),
-            column_bytes("q", labels),
-        )
+    return _frame(
+        store,
+        store._table.window(since),
+        {
+            "format": DELTA_FORMAT,
+            "since": since,
+            "num_shards": None,
+            "meta": meta or {},
+        },
     )
-    header = {
-        "format": DELTA_FORMAT,
-        "bits": bits,
-        "seed": store.combiners.seed,
-        "since": since,
-        "version": store.version,
-        "num_shards": None,
-        "rows": len(rows),
-        "names": list(names),
-        "literals": [_lit_payload(value) for value in lit_values],
-        "meta": meta or {},
-        "checksum": _checksum(body),
-    }
-    header_bytes = json.dumps(
-        header, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
-    return header_bytes + b"\n" + body
 
 
 def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
@@ -662,26 +536,13 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
     :class:`SnapshotError` before the first write, so the store is left
     untouched.
     """
-    newline = data.find(b"\n")
-    if newline < 0:
-        header_line, body = data, b""
-    else:
-        header_line, body = data[:newline], data[newline + 1 :]
-    try:
-        header = json.loads(header_line)
-    except (ValueError, RecursionError) as exc:
-        raise SnapshotError(f"unreadable delta header: {exc}") from None
-    fmt = header.get("format") if isinstance(header, dict) else None
-    if fmt not in (DELTA_FORMAT, DELTA_V1_FORMAT):
-        raise SnapshotError(
-            f"not a {DELTA_FORMAT} / {DELTA_V1_FORMAT} document: "
-            f"{header_line[:80]!r}"
-        )
-    since, version = _check_delta_header(store, header, fmt)
-    if fmt == DELTA_FORMAT:
+    header, body = _read_header(data, "delta", (DELTA_FORMAT, DELTA_V1_FORMAT))
+    v2 = header["format"] == DELTA_FORMAT
+    since, version = _check_delta_header(store, header, "rows" if v2 else "entries")
+    if v2:
         rows, claimed = _decode_v2(header, body, store.combiners.bits), None
     else:
-        rows, claimed = _decode_v1(header, body)
+        rows, claimed = _decode_v1(header, body, stamped=True)
 
     if since > store.version:
         raise SnapshotError(
@@ -698,18 +559,12 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
     }
 
 
-def _check_delta_header(store: "ExprStore", header: dict, fmt: str) -> tuple:
+def _check_delta_header(store: "ExprStore", header: dict, count_key: str) -> tuple:
     """Refuse a header whose counts are not non-negative ints, whose
     combiner family differs from ``store``'s or whose ``num_shards`` is
     not ``null``; return ``(since, version)``."""
-    count_key = "rows" if fmt == DELTA_FORMAT else "entries"
     for key in ("bits", "seed", "since", "version", count_key):
-        value = header.get(key)
-        if type(value) is not int or value < 0:
-            raise SnapshotError(
-                f"delta header field {key!r} must be a non-negative "
-                f"integer, got {value!r}"
-            )
+        _count(header, key)
     if (
         header["bits"] != store.combiners.bits
         or header["seed"] != store.combiners.seed
@@ -729,17 +584,17 @@ def _check_delta_header(store: "ExprStore", header: dict, fmt: str) -> tuple:
 
 
 def _decode_v2(header: dict, body: bytes, bits: int) -> tuple[list, ...]:
-    """A delta-v2 body's rows as ``(ids, tops, kinds, sizes, kids,
-    labels, versions)``, once its length, checksum, kinds, labels and
-    child counts are checked."""
+    """A column body's rows as ``(ids, tops, kinds, sizes, kids, labels,
+    versions)``, once its length, checksum, kinds, labels and child
+    counts are checked."""
     rows, words = header["rows"], _hash_words(bits)
     expected = rows * (_ROW_BYTES + 8 * words)
     if len(body) != expected:
         raise SnapshotError(
-            f"delta body is {len(body)} bytes, its header declares {expected}"
+            f"body is {len(body)} bytes, its header declares {expected}"
         )
     if header.get("checksum") != _checksum(body):
-        raise SnapshotError("delta body does not match header checksum")
+        raise SnapshotError("body does not match header checksum")
     names = check_names(header.get("names"), SnapshotError)
     literals = check_literals(header.get("literals"), SnapshotError)
 
@@ -786,34 +641,78 @@ def _decode_v2(header: dict, body: bytes, bits: int) -> tuple[list, ...]:
     return ids, tops, [OP_KINDS[op] for op in ops], sizes, kids, labels, versions
 
 
-def _decode_v1(header: dict, body: bytes) -> tuple[tuple[list, ...], list]:
-    """A legacy delta-v1 body's rows, as :func:`_decode_v2` gives them,
+def _parse_records(body: bytes, expected: int) -> list:
+    records = []
+    for line in body.splitlines():
+        try:
+            records.append(json.loads(line))
+        except (ValueError, RecursionError) as exc:
+            raise SnapshotError(f"unreadable entry: {exc}") from None
+    if len(records) != expected:
+        raise SnapshotError(
+            f"body holds {len(records)} entries, header says {expected}"
+        )
+    return records
+
+
+def _check_record_types(rec: dict) -> None:
+    """Refuse a record whose ``i``, ``h``, ``z``, ``t``, ``s`` or ``v``
+    is not an int (bools excluded; ``t`` may be absent), whose ``i``,
+    ``z`` or ``t`` does not fit in int64 (the table's columns) or whose
+    ``m`` is not an object mapping str to int."""
+    for key in ("i", "h", "z", "t", "s", "v"):
+        value = rec.get(key, 0 if key == "t" else None)
+        if type(value) is not int:
+            raise SnapshotError(
+                f"malformed snapshot entry: {key!r} is not an integer: "
+                f"{value!r}"
+            )
+        if key in _INT64_FIELDS and not -_INT64 <= value < _INT64:
+            raise SnapshotError(
+                f"malformed snapshot entry: {key!r} does not fit in int64: "
+                f"{value}"
+            )
+    vm_entries = rec.get("m")
+    if not isinstance(vm_entries, dict) or not all(
+        type(name) is str and type(pos) is int
+        for name, pos in vm_entries.items()
+    ):
+        raise SnapshotError(
+            f"malformed snapshot entry: 'm' is not a map of names to "
+            f"integers: {vm_entries!r}"
+        )
+
+
+def _decode_v1(
+    header: dict, body: bytes, stamped: bool
+) -> tuple[tuple[list, ...], list]:
+    """A legacy JSON-lines body's rows, as :func:`_decode_v2` gives them,
     and each row's claimed summary ``(s, v, m)``, once every record's
-    fields are type-checked."""
+    fields are type-checked.  Records of an unstamped (snapshot) body
+    may lack ``t``, which then reads as version 0."""
     if header.get("checksum") != _checksum(body):
-        raise SnapshotError("delta body does not match header checksum")
+        raise SnapshotError("body does not match header checksum")
     records = _parse_records(body, header["entries"])
+    required = _V1_FIELDS if stamped else _V1_FIELDS[:-1]
     columns: tuple[list, ...] = ([], [], [], [], [], [], [])
     ids, tops, kinds, sizes, kids, labels, versions = columns
     claimed = []
     for rec in records:
         missing = [
-            key
-            for key in ("i", "h", "k", "z", "c", "p", "t", "s", "v", "m")
-            if not isinstance(rec, dict) or key not in rec
+            key for key in required if not isinstance(rec, dict) or key not in rec
         ]
         if missing:
             raise SnapshotError(
-                f"delta entry is missing field(s) {missing}: {rec!r}"
+                f"malformed snapshot entry: missing field(s) {missing}: {rec!r}"
             )
         _check_record_types(rec)
         kind, children, payload = rec["k"], rec["c"], rec["p"]
         if kind not in OP_OF_KIND:
             raise SnapshotError(f"unknown entry kind {kind!r}")
         if not isinstance(children, list) or not all(
-            type(kid) is int for kid in children
+            type(kid) is int and -_INT64 <= kid < _INT64 for kid in children
         ):
-            raise SnapshotError(f"entry {rec['i']}: 'c' is not a list of ids")
+            raise SnapshotError(f"entry {rec['i']}: 'c' is not a list of int64 ids")
         if len(children) != _ARITY[OP_OF_KIND[kind]]:
             raise SnapshotError(
                 f"entry {rec['i']}: a {kind} with {len(children)} children"
@@ -834,7 +733,7 @@ def _decode_v1(header: dict, body: bytes) -> tuple[tuple[list, ...], list]:
         sizes.append(rec["z"])
         kids.append(tuple(children))
         labels.append(label)
-        versions.append(rec["t"])
+        versions.append(rec.get("t", 0))
         claimed.append((rec["s"], rec["v"], rec["m"]))
     return columns, claimed
 

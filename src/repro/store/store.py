@@ -47,15 +47,16 @@ reused.
   (:meth:`ExprStore.intern`) builds its trees at once: a leaf class
   adopts the caller's node, an interior one gets a canonical tree whose
   memo record makes re-interning it free.  The loaders keep the trees
-  they rebuild.  Encoders that need trees the table lacks build them
-  only for their own pass (:meth:`ExprStore._build_trees`).
+  they rebuild.  No encoder builds a tree: snapshot and delta frames
+  are the columns themselves.
 * **Views.**  :class:`StoreEntry` is a read-only view of one class's
   columns, built when :meth:`~ExprStore.entry` or
   :meth:`~ExprStore.entries` asks for it.  Readers that walk the whole
-  table (the snapshot and delta encoders, the content checksum) read the
-  columns instead (:meth:`ExprStore._records`).  A delta's fresh classes
-  come from an id log in version order, so selecting them costs the
-  window, not the table.
+  table read the columns instead: the snapshot and delta encoders
+  through :meth:`InternTable.window`, the content checksum through
+  :meth:`ExprStore._records`.  A delta's fresh classes come from an id
+  log in version order, so selecting them costs the window, not the
+  table.
 
 Every write goes through one of five steps, each written once against
 the table: hit by id (:meth:`InternTable.touch`, through
@@ -813,53 +814,32 @@ class ExprStore:
 
     def _tree(self, node_id: int) -> Expr:
         """The canonical tree of the live class ``node_id``: the tree
-        column's, or built from the columns and kept there."""
-        table = self._table
-        tree = table.trees[table.row_of[node_id]]
-        if tree is None:
-            tree = self._build_trees([node_id], keep=True)[0]
-        return tree
-
-    def _build_trees(self, node_ids: Sequence[int], keep: bool) -> list[Expr]:
-        """The canonical tree of each live class in ``node_ids``.
+        column's, or built from the columns and kept there.
 
         A class whose tree column is empty is built from its kind, label
         and children's trees by one iterative walk, children first, that
-        reuses every tree already built or kept, so the result is one
-        shared DAG.  ``keep`` stores each built tree in the tree column;
-        without it the trees are the caller's alone (the encoders'
-        transient trees) and the table is only read."""
+        keeps every tree it builds and reuses every tree already kept, so
+        the trees form one shared DAG."""
         table = self._table
-        row_of, trees = table.row_of, table.trees
-        built: dict[int, Expr] = {}
-        for root in node_ids:
-            stack = [root]
-            while stack:
-                node_id = stack[-1]
-                if node_id in built:
-                    stack.pop()
-                    continue
-                row = row_of[node_id]
-                tree = trees[row]
-                if tree is None:
-                    kid_ids = table.children(row)
-                    kids = []
-                    for kid in kid_ids:
-                        kid_tree = built.get(kid)
-                        if kid_tree is None:
-                            kid_tree = trees[row_of[kid]]
-                        if kid_tree is None:
-                            stack.append(kid)
-                        else:
-                            kids.append(kid_tree)
-                    if len(kids) < len(kid_ids):
-                        continue  # back here once the missing children are built
-                    tree = canonical_node(OP_KINDS[table.ops[row]], table.labels[row], kids)
-                    if keep:
-                        trees[row] = tree
-                built[node_id] = tree
+        row_of, trees, children = table.row_of, table.trees, table.children
+        stack = [node_id]
+        while stack:
+            row = row_of[stack[-1]]
+            if trees[row] is not None:
                 stack.pop()
-        return [built[node_id] for node_id in node_ids]
+                continue
+            kid_ids = children(row)
+            missing = [kid for kid in kid_ids if trees[row_of[kid]] is None]
+            if missing:
+                stack += missing  # back here once they are built
+                continue
+            trees[row] = canonical_node(
+                OP_KINDS[table.ops[row]],
+                table.labels[row],
+                [trees[row_of[kid]] for kid in kid_ids],
+            )
+            stack.pop()
+        return trees[row_of[node_id]]
 
     # -- pinning ---------------------------------------------------------------
 
@@ -1078,10 +1058,11 @@ class ExprStore:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: str, meta: Optional[dict] = None) -> None:
-        """Snapshot this store to ``path`` (intern table + summary memo).
+        """Snapshot this store to ``path``: its classes, LRU recency and
+        counters.
 
         See :mod:`repro.store.snapshot` for the versioned, checksummed
-        JSON-lines format; ``meta`` rides along in the header.
+        column format; ``meta`` rides along in the header.
         """
         from repro.store.snapshot import write_snapshot
 

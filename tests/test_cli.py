@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -169,6 +170,19 @@ class TestServeRefusals:
         path.write_bytes(b"garbage")
         result = self.serve("--load", str(path))
         self.assert_refused(result, path, "unreadable snapshot header")
+
+    def test_load_file_with_a_malformed_header(self, tmp_path):
+        from repro.lang.expr import Var
+        from repro.store import ExprStore, snapshot_to_bytes
+
+        store = ExprStore()
+        store.intern(Var("x"))
+        head, _, body = snapshot_to_bytes(store).partition(b"\n")
+        header = dict(json.loads(head), max_entries=0)
+        path = tmp_path / "store.snap"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        result = self.serve("--load", str(path))
+        self.assert_refused(result, path, "'max_entries' must be an integer >= 1")
 
     def test_journal_that_does_not_replay(self, tmp_path):
         (tmp_path / "journal-00000001.wal").write_bytes(_frame_bytes(b"garbage"))

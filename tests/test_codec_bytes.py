@@ -5,28 +5,30 @@ Three walls:
 * **Golden digests.**  sha256 digests of ``snapshot_to_bytes`` (flat
   and LRU-bounded stores) and ``delta_to_bytes`` over one fixed corpus,
   interned partly with ``engine="tree"`` (warm summary memo) and partly
-  with ``engine="arena"`` (cold memo), at 64 and 128 bits.  The snapshot digests were taken from the encoder that
-  re-summarised cold entries by tree walk and encoded one ``json.dumps``
-  dict per record; the delta digests are of ``repro-store-delta-v2``
-  frames, which carry no summaries.  Any byte the codec changes fails
-  here.
+  with ``engine="arena"`` (cold memo), at 64 and 128 bits.  Both are
+  column frames (``repro-store-snapshot-v3`` and
+  ``repro-store-delta-v2``), which carry no summaries.  Any byte the
+  codec changes fails here.
 * **Reference encoders.**  Independent encoders kept in this file: the
-  snapshot's JSON-lines records (each entry's summary from the tree
-  summariser over its canonical expression, no memo; each record
-  through ``json.dumps`` with sorted keys) and the delta-v2 columns
-  (one ``struct.pack`` per value), against the codec on awkward names
-  and literals, empty maps, three widths, and warm, cold and mixed
-  memos.
-* **Legacy delta-v1 frames.**  :func:`reference_delta_v1` writes the
-  ``repro-store-delta-v1`` frames earlier releases journaled; it
-  reproduces their golden digests byte for byte, so the tests that feed
-  old frames to the reader use it as the old writer.
+  frames' columns (one ``struct.pack`` per value), rows in LRU order
+  for a snapshot and in version order for a delta, against the codec on
+  awkward names and literals, empty maps, three widths, and warm, cold
+  and mixed memos.
+* **Legacy v1 documents.**  :func:`reference_snapshot_v1` and
+  :func:`reference_delta_v1` write the ``repro-store-snapshot-v1`` and
+  ``repro-store-delta-v1`` documents earlier releases wrote: JSON-lines
+  records, each entry's summary from the tree summariser over its
+  canonical expression (no memo), each record through ``json.dumps``
+  with sorted keys.  They reproduce the old golden digests byte for
+  byte, so the tests that feed old documents to the readers use them as
+  the old writers.
 """
 
 import hashlib
 import json
 import random
 import struct
+from dataclasses import fields
 
 import pytest
 
@@ -89,21 +91,31 @@ def golden_digests(layout: str, bits: int) -> dict:
 #: 1,500 of 5,613 created; every delta starts at version 1,572.
 GOLDEN = {
     ("flat", 64): {
-        "snapshot": "2d44dbc899810e06f0557aa5c6bd9fa10ef079d4c39d01823a5f9e460b227e58",
+        "snapshot": "599b30a703b7c9155b86c422bd18af21af42ed76b63ac11a2bab9f8bebe070c6",
         "delta": "4bdee88b093957ed3fe4c3405832771931006dafc95721a4e3d57cf30f24c5a0",
     },
     ("flat", 128): {
-        "snapshot": "d177df67808cefb60d537148b34a647af12e9c602f8d9d1ee81f6d14dd18663a",
+        "snapshot": "84a80a230297af7d77df0996d594bedc17dc5990d950e9e5230b1d8a4af76d22",
         "delta": "e66a23c26e81a3571b0b34af4fd959af02a989b13b32ea49fcafc198bc47f3d7",
     },
     ("lru", 64): {
-        "snapshot": "2b7b9d7022563c923ff6f59ffedd8dfd776c5d4deea63e0d3cc11bfaddbeee42",
+        "snapshot": "fb6e0a8ad21a9f8b5fadd2567f37681dc29bc9e5f1f4d299683405395128a840",
         "delta": "181f533fd526822ea586227701d5883ef5c077579bbd736e4cc4501e97b2ae7f",
     },
     ("lru", 128): {
-        "snapshot": "dbedfffc3e264f503bd7134b01c503941488b910dd0ba6bd33344794bf03c17b",
+        "snapshot": "395ba9708341fada5098ae41e68e395bbbd2d400d0131444774198b0a5201f45",
         "delta": "601d5b20eae2fb6a84191862ac55ca90849aef9ae57eeffb4ab897f8cf74e739",
     },
+}
+
+#: The ``repro-store-snapshot-v1`` digests of the same snapshots, pinned
+#: while v1 was the written format (845 KB for the flat 64-bit snapshot,
+#: against 306 KB as v3).
+LEGACY_SNAPSHOT_V1 = {
+    ("flat", 64): "2d44dbc899810e06f0557aa5c6bd9fa10ef079d4c39d01823a5f9e460b227e58",
+    ("flat", 128): "d177df67808cefb60d537148b34a647af12e9c602f8d9d1ee81f6d14dd18663a",
+    ("lru", 64): "2b7b9d7022563c923ff6f59ffedd8dfd776c5d4deea63e0d3cc11bfaddbeee42",
+    ("lru", 128): "dbedfffc3e264f503bd7134b01c503941488b910dd0ba6bd33344794bf03c17b",
 }
 
 #: The ``repro-store-delta-v1`` digests of the same deltas, pinned while
@@ -129,6 +141,8 @@ def test_reference_v1_writer_reproduces_legacy_goldens(layout, bits):
     store, mid = golden_store(layout, bits)
     digest = hashlib.sha256(reference_delta_v1(store, mid)).hexdigest()
     assert digest == LEGACY_DELTA_V1[layout, bits]
+    digest = hashlib.sha256(reference_snapshot_v1(store)).hexdigest()
+    assert digest == LEGACY_SNAPSHOT_V1[layout, bits]
 
 
 # -- the reference encoder ----------------------------------------------------
@@ -228,15 +242,13 @@ def _hash_words(top: int, bits: int) -> list:
     return [top] if bits <= 64 else [top & (2**64 - 1), top >> 64]
 
 
-def reference_delta_v2(store, since, meta=None) -> bytes:
-    """A ``repro-store-delta-v2`` document of the window after ``since``,
-    one ``struct.pack`` per value, names and literals in first-use order
-    over the rows."""
-    fresh = _window(store, since)
-    bits = store.combiners.bits
+def reference_columns(entries, bits):
+    """``(names, literals, columns)`` of ``entries`` in their order: one
+    list per column, names and literals in first-use order over the
+    rows."""
     names, literals = [], []
     columns = {name: [] for name, _code in V2_COLUMNS}
-    for entry in fresh:
+    for entry in entries:
         payload = reference_payload(entry.expr)
         if entry.kind == "App":
             label = -1
@@ -260,6 +272,14 @@ def reference_delta_v2(store, since, meta=None) -> bytes:
         columns["first"].append(kids[0])
         columns["second"].append(kids[1])
         columns["label"].append(label)
+    return names, literals, columns
+
+
+def reference_delta_v2(store, since, meta=None) -> bytes:
+    """A ``repro-store-delta-v2`` document of the window after ``since``,
+    one ``struct.pack`` per value."""
+    bits = store.combiners.bits
+    names, literals, columns = reference_columns(_window(store, since), bits)
     header = {
         "format": "repro-store-delta-v2",
         "bits": bits,
@@ -267,12 +287,57 @@ def reference_delta_v2(store, since, meta=None) -> bytes:
         "since": since,
         "version": store.version,
         "num_shards": None,
-        "rows": len(fresh),
         "names": names,
         "literals": literals,
         "meta": meta or {},
     }
     return join_frame(header, columns)
+
+
+def _stats(store) -> dict:
+    return {f.name: getattr(store.stats, f.name) for f in fields(store.stats)}
+
+
+def reference_snapshot_v3(store, meta=None) -> bytes:
+    """A ``repro-store-snapshot-v3`` document of ``store``: the delta-v2
+    columns of every live class, rows in LRU order, under the snapshot
+    header."""
+    bits = store.combiners.bits
+    names, literals, columns = reference_columns(list(store.entries()), bits)
+    header = {
+        "format": "repro-store-snapshot-v3",
+        "bits": bits,
+        "seed": store.combiners.seed,
+        "version": store.version,
+        "max_entries": store.max_entries,
+        "memo_limit": store.memo_limit,
+        "next_id": store._table.next_id,
+        "stats": _stats(store),
+        "names": names,
+        "literals": literals,
+        "meta": meta or {},
+    }
+    return join_frame(header, columns)
+
+
+def reference_snapshot_v1(store, meta=None) -> bytes:
+    """A ``repro-store-snapshot-v1`` document of ``store``, as earlier
+    releases wrote it: the legacy header over :func:`reference_body`'s
+    records, in LRU order."""
+    entries = list(store.entries())
+    header = {
+        "format": "repro-store-snapshot-v1",
+        "bits": store.combiners.bits,
+        "seed": store.combiners.seed,
+        "max_entries": store.max_entries,
+        "memo_limit": store.memo_limit,
+        "next_id": store._table.next_id,
+        "version": store.version,
+        "entries": len(entries),
+        "stats": _stats(store),
+        "meta": meta or {},
+    }
+    return _document(header, reference_body(entries, store.combiners))
 
 
 def split_frame(doc: bytes):
@@ -386,8 +451,7 @@ LAYOUTS = pytest.mark.parametrize("layout", ["flat"])
 @LAYOUTS
 def test_snapshot_body_matches_reference(layout, bits, memo):
     store = wall_store(layout, bits, memo)
-    body = snapshot_to_bytes(store).partition(b"\n")[2]
-    assert body == reference_body(store.entries(), store.combiners)
+    assert snapshot_to_bytes(store) == reference_snapshot_v3(store)
 
 
 @WALL
@@ -401,7 +465,7 @@ def test_delta_body_matches_reference(layout, bits, memo):
 
 def test_wall_covers_empty_maps_and_awkward_payloads():
     store = wall_store("flat", 64, "cold")
-    body = snapshot_to_bytes(store).partition(b"\n")[2].decode("ascii")
+    body = reference_snapshot_v1(store).partition(b"\n")[2].decode("ascii")
     records = [json.loads(line) for line in body.splitlines()]
     assert any(rec["m"] == {} and rec["k"] == "Lam" for rec in records)
     assert {rec["p"] for rec in records if rec["k"] == "Var"} >= set(
@@ -410,3 +474,9 @@ def test_wall_covers_empty_maps_and_awkward_payloads():
     lits = [rec["p"] for rec in records if rec["k"] == "Lit"]
     assert ["float", float("inf")] in lits and ["int", 2**70] in lits
     assert "\\u2028" in body and "\\ud83d\\ude00" in body
+    line = snapshot_to_bytes(store).partition(b"\n")[0].decode("ascii")
+    header = json.loads(line)
+    assert set(header["names"]) >= set(AWKWARD_NAMES)
+    assert ["float", float("inf")] in header["literals"]
+    assert ["int", 2**70] in header["literals"]
+    assert "\\u2028" in line and "\\ud83d\\ude00" in line

@@ -134,7 +134,7 @@ class TestSnapshotEndpoints:
         client.intern_many(corpus)
         data = client.fetch_snapshot()
         store, header = snapshot_from_bytes(data)
-        assert header["format"] == "repro-store-snapshot-v1"
+        assert header["format"] == "repro-store-snapshot-v3"
         assert store.hash_corpus(corpus) == expected
 
     def test_pull_session(self, client, corpus, expected):
@@ -171,12 +171,26 @@ class TestSnapshotEndpoints:
         local = Session()
         local.intern_many(corpus[:10])
         reply = client.push_snapshot(snapshot_to_bytes(local.store))
-        assert reply["uploaded_format"] == "repro-store-snapshot-v1"
+        assert reply["uploaded_format"] == "repro-store-snapshot-v3"
 
     def test_bad_snapshot_is_a_client_error(self, client):
         with pytest.raises(ServiceError, match="bad snapshot") as excinfo:
             client.push_snapshot(b"definitely not a snapshot")
         assert excinfo.value.status == 400
+
+    def test_malformed_snapshot_header_is_a_client_error(self, client, corpus):
+        """A header field of the wrong type is a 400, not a 500."""
+        from repro.store import snapshot_to_bytes
+
+        local = Session()
+        local.intern_many(corpus[:10])
+        head, _, body = snapshot_to_bytes(local.store).partition(b"\n")
+        header = dict(json.loads(head), bits="64")
+        entries = client.stats()["entries"]
+        with pytest.raises(ServiceError, match="bad snapshot.*'bits'") as excinfo:
+            client.push_snapshot(json.dumps(header).encode() + b"\n" + body)
+        assert excinfo.value.status == 400
+        assert client.stats()["entries"] == entries
 
 
 class TestBoundedServer:

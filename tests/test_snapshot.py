@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import Session
 from repro.cli import main
+from repro.core.combiners import HashCombiners
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
 from repro.lang.alpha import alpha_equivalent
@@ -21,10 +22,18 @@ from repro.store import (
     ExprStore,
     SnapshotError,
     content_checksum,
+    delta_to_bytes,
     read_snapshot,
     snapshot_from_bytes,
     snapshot_to_bytes,
     write_snapshot,
+)
+from test_codec_bytes import (
+    _document,
+    join_frame,
+    reference_snapshot_v1,
+    split_frame,
+    wall_items,
 )
 
 
@@ -153,14 +162,20 @@ class TestStoreRoundTrip:
 
 
 class TestSnapshotIntegrity:
-    def _saved(self, path):
+    def _saved(self, path, legacy=False):
+        """A small store saved to ``path``; ``legacy`` writes it as the
+        ``repro-store-snapshot-v1`` file earlier releases wrote."""
         store = ExprStore()
         store.intern(random_expr(60, seed=0))
-        store.save(path)
+        if legacy:
+            with open(path, "wb") as handle:
+                handle.write(reference_snapshot_v1(store))
+        else:
+            store.save(path)
         return store
 
     def test_tampered_body_fails_checksum(self, snap_path):
-        self._saved(snap_path)
+        self._saved(snap_path, legacy=True)
         with open(snap_path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         lines[1] = lines[1].replace(":", ";", 1)
@@ -169,20 +184,35 @@ class TestSnapshotIntegrity:
         with pytest.raises(SnapshotError, match="checksum"):
             read_snapshot(snap_path)
 
-    def test_truncated_body_fails(self, snap_path):
+    def test_tampered_v3_body_fails_checksum(self, snap_path):
         self._saved(snap_path)
         with open(snap_path, "rb") as handle:
             data = handle.read()
-        with open(snap_path, "wb") as handle:
-            handle.write(data[: int(len(data) * 0.8)])
-        with pytest.raises(SnapshotError):
-            read_snapshot(snap_path)
+        start = data.index(b"\n") + 1
+        for offset in (start, (start + len(data)) // 2, len(data) - 1):
+            flipped = data[:offset] + bytes([data[offset] ^ 1]) + data[offset + 1 :]
+            with pytest.raises(SnapshotError, match="checksum"):
+                snapshot_from_bytes(flipped)
+
+    def test_truncated_body_fails(self, snap_path):
+        for legacy in (False, True):
+            self._saved(snap_path, legacy)
+            with open(snap_path, "rb") as handle:
+                data = handle.read()
+            with open(snap_path, "wb") as handle:
+                handle.write(data[: int(len(data) * 0.8)])
+            with pytest.raises(SnapshotError):
+                read_snapshot(snap_path)
 
     def test_wrong_format_rejected(self, snap_path):
         with open(snap_path, "w", encoding="utf-8") as handle:
             handle.write('{"format": "something-else"}\n')
         with pytest.raises(SnapshotError, match="not a repro-store-snapshot"):
             read_snapshot(snap_path)
+        # A delta frame shares the snapshot's columns, not its tag.
+        store = self._saved(snap_path)
+        with pytest.raises(SnapshotError, match="not a repro-store-snapshot"):
+            snapshot_from_bytes(delta_to_bytes(store, 0))
 
     def test_garbage_header_rejected(self, snap_path):
         with open(snap_path, "w", encoding="utf-8") as handle:
@@ -208,6 +238,10 @@ class TestSnapshotIntegrity:
             {**var, "v": 1.5},
             {**var, "m": [["x", 1]]},
             {**var, "m": {"x": "1"}},
+            {**var, "i": 2**64},
+            {**var, "t": 2**63},
+            {"i": 1, "h": 1, "k": "Lam", "z": 2, "c": [2**64], "p": "x",
+             "s": 1, "v": 1, "m": {}},
         ]
         for record in records:
             body = (
@@ -230,8 +264,8 @@ class TestSnapshotIntegrity:
                 "meta": {}, "checksum": checksum,
             }
             for header, refusal in (
-                (flat, "malformed snapshot entry"),
-                (sharded, "not a repro-store-snapshot-v1 file"),
+                (flat, "malformed snapshot entry|names neither a row|'c' is not"),
+                (sharded, "not a repro-store-snapshot-v3"),
             ):
                 with open(snap_path, "wb") as handle:
                     handle.write(json.dumps(header).encode() + b"\n" + body)
@@ -240,19 +274,235 @@ class TestSnapshotIntegrity:
                 with pytest.raises(SnapshotError, match=refusal):
                     Session.load(snap_path)
 
+    def test_malformed_v3_row_with_valid_checksum_rejected(self, snap_path):
+        # The v3 twin: rows that slip past the checksum (recomputed) fail
+        # as SnapshotError.
+        store = self._saved(snap_path)
+        header, columns = split_frame(snapshot_to_bytes(store))
+        top = max(range(header["rows"]), key=lambda row: columns["size"][row])
+        leaf = columns["kind"].index(0)
+        for column, row, value, refusal in (
+            ("first", top, 998, "names neither a row"),
+            ("kind", leaf, 7, "unknown kind"),
+            ("label", leaf, len(header["names"]), "outside"),
+            ("first", leaf, columns["id"][top], "a Var has 0"),
+            ("size", top, columns["size"][top] + 1, "1 plus its children"),
+            ("version", top, header["version"] + 1, "window"),
+        ):
+            edited = {name: list(values) for name, values in columns.items()}
+            edited[column][row] = value
+            with open(snap_path, "wb") as handle:
+                handle.write(join_frame(header, edited))
+            with pytest.raises(SnapshotError, match=refusal):
+                read_snapshot(snap_path)
+            with pytest.raises(SnapshotError, match=refusal):
+                Session.load(snap_path)
+
     def test_header_missing_required_field_rejected(self, snap_path):
         # a well-formed header that lacks e.g. "bits" must fail as
         # SnapshotError, not leak a KeyError
         import hashlib
 
-        header = {
-            "format": "repro-store-snapshot-v1",
-            "checksum": "sha256:" + hashlib.sha256(b"").hexdigest(),
-        }
-        with open(snap_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header) + "\n")
-        with pytest.raises(SnapshotError, match="missing required"):
-            read_snapshot(snap_path)
+        for fmt in ("repro-store-snapshot-v1", "repro-store-snapshot-v3"):
+            header = {
+                "format": fmt,
+                "checksum": "sha256:" + hashlib.sha256(b"").hexdigest(),
+            }
+            with open(snap_path, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(header) + "\n")
+            with pytest.raises(SnapshotError, match="missing required"):
+                read_snapshot(snap_path)
+
+
+def with_header(data: bytes, **changes) -> bytes:
+    """``data`` with header fields set to ``changes``; the body, and so
+    the checksum, as they were."""
+    head, _, body = data.partition(b"\n")
+    header = dict(json.loads(head), **changes)
+    return json.dumps(header).encode("utf-8") + b"\n" + body
+
+
+def redo_v1(data: bytes, edit) -> bytes:
+    """A v1 document with ``edit(header, records)`` applied to its parsed
+    header and records, its count and checksum recomputed."""
+    head, _, body = data.partition(b"\n")
+    header = json.loads(head)
+    records = [json.loads(line) for line in body.splitlines()]
+    edit(header, records)
+    new_body = "".join(
+        json.dumps(rec, separators=(",", ":"), sort_keys=True) + "\n"
+        for rec in records
+    ).encode("utf-8")
+    return _document(dict(header, entries=len(records)), new_body)
+
+
+def small_store():
+    store = ExprStore()
+    for seed in range(4):
+        store.intern(random_expr(15, seed=seed, p_let=0.2, p_lit=0.2))
+    return store
+
+
+#: Header fields of the wrong type or range.  Unchecked, the first six
+#: escape as TypeError or ValueError and the last three load, to fail
+#: later far from the document.
+BAD_HEADER_FIELDS = [
+    ("bits", "64"),
+    ("bits", 7),
+    ("seed", None),
+    ("max_entries", "5"),
+    ("max_entries", 0),
+    ("version", "3"),
+    ("max_entries", 2.5),
+    ("memo_limit", "x"),
+    ("stats", {"hits": "many"}),
+]
+
+
+class TestHeaderWall:
+    """Every header field is checked before the store is built, on the
+    v3 and the legacy v1 reader alike."""
+
+    @pytest.mark.parametrize("legacy", [False, True], ids=["v3", "v1"])
+    @pytest.mark.parametrize("field, value", BAD_HEADER_FIELDS)
+    def test_malformed_field_is_refused(self, field, value, legacy):
+        store = small_store()
+        data = reference_snapshot_v1(store) if legacy else snapshot_to_bytes(store)
+        with pytest.raises(SnapshotError, match=field):
+            snapshot_from_bytes(with_header(data, **{field: value}))
+        assert snapshot_from_bytes(data)[0].stats == store.stats
+
+    @pytest.mark.parametrize("legacy", [False, True], ids=["v3", "v1"])
+    def test_unknown_stats_keys_are_ignored(self, legacy):
+        store = small_store()
+        data = reference_snapshot_v1(store) if legacy else snapshot_to_bytes(store)
+        stats = dict(store.stats.as_dict(), hits=3, later_counter="x")
+        loaded, _header = snapshot_from_bytes(with_header(data, stats=stats))
+        assert loaded.stats.hits == 3
+        assert content_checksum(loaded) == content_checksum(store)
+
+
+class TestNoSilentMerge:
+    """A snapshot that would install ``\\y. f y 2`` under the hash of
+    ``\\y. g y 3`` is refused: the loaded store's intern of the second
+    term must never return the first's class.  A reader that takes the
+    file's hashes on trust loads the v1 case cleanly."""
+
+    F, G = r"\y. f y 2", r"\y. g y 3"
+
+    @pytest.mark.parametrize("legacy", [False, True], ids=["v3", "v1"])
+    def test_another_terms_hash_is_refused(self, legacy):
+        primary = ExprStore()
+        primary.intern(parse(self.F))
+        other = ExprStore()
+        g_hash = other.hash_of(other.intern(parse(self.G)))
+        if legacy:
+
+            def forge(_header, records):
+                max(records, key=lambda rec: rec["z"])["h"] = g_hash
+
+            forged = redo_v1(reference_snapshot_v1(primary), forge)
+        else:
+            header, columns = split_frame(snapshot_to_bytes(primary))
+            top = max(range(header["rows"]), key=lambda row: columns["size"][row])
+            columns["hash"][top] = g_hash
+            forged = join_frame(header, columns)
+        with pytest.raises(SnapshotError, match="hashes to"):
+            snapshot_from_bytes(forged)
+
+
+class TestV3FuzzWall:
+    """Mutations of one v3 snapshot, each refused whole with
+    :class:`SnapshotError` (a repeated id: :class:`TestRepeatedIds`)."""
+
+    @staticmethod
+    def _cases(data: bytes):
+        header, columns = split_frame(data)
+        head_len = data.index(b"\n") + 1
+        top = max(range(header["rows"]), key=lambda row: columns["size"][row])
+        flipped = {name: list(values) for name, values in columns.items()}
+        flipped["hash"][top] ^= 1 << 17
+        cases = [("hash flip", join_frame(header, flipped))]
+        boundary = head_len
+        for name, width in (("id", 8), ("hash", 8), ("version", 8), ("size", 8), ("kind", 1)):
+            boundary += width * len(columns[name])
+            cases.append((f"cut in {name}", data[: boundary - 3]))
+        cases.append(("rows one too high", with_header(data, rows=header["rows"] + 1)))
+        return cases
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_every_case_is_refused(self, bits):
+        store = ExprStore(HashCombiners(bits=bits, seed=3))
+        for seed in range(6):
+            store.intern(random_expr(20, seed=seed, p_let=0.2, p_lit=0.2))
+        data = snapshot_to_bytes(store)
+        for name, doc in self._cases(data):
+            with pytest.raises(SnapshotError):
+                snapshot_from_bytes(doc)
+        assert snapshot_to_bytes(snapshot_from_bytes(data)[0]) == data
+
+
+def loaded_state(store) -> tuple:
+    """What a load restores: content, LRU order, stats, id counter,
+    version, shape, and the classes whose canonical tree has a memo
+    record."""
+    table = store._table
+    warm = sorted(
+        node_id
+        for node_id, row in table.row_of.items()
+        if id(table.trees[row]) in store._memo
+    )
+    return (
+        content_checksum(store),
+        [entry.node_id for entry in store.entries()],
+        store.stats.as_dict(),
+        table.next_id,
+        store.version,
+        (store.max_entries, store.memo_limit),
+        warm,
+    )
+
+
+class TestCrossFormat:
+    """A store's legacy v1 file and its v3 file load to the same store."""
+
+    @staticmethod
+    def _store(bits, bound):
+        store = ExprStore(HashCombiners(bits=bits, seed=5), max_entries=bound)
+        for index, item in enumerate(wall_items(bits)):
+            store.intern_many([item], engine="tree" if index % 2 else "arena")
+        if bound is not None:
+            assert store.stats.evictions > 0
+        return store
+
+    @pytest.mark.parametrize("bound", [None, 10], ids=["flat", "lru"])
+    @pytest.mark.parametrize("bits", [8, 64, 128])
+    def test_v1_and_v3_files_load_alike(self, bits, bound):
+        store = self._store(bits, bound)
+        saved = loaded_state(store)[:6]
+        v3 = snapshot_to_bytes(store)
+        from_v1, _ = snapshot_from_bytes(reference_snapshot_v1(store))
+        from_v3, _ = snapshot_from_bytes(v3)
+        state = loaded_state(from_v1)
+        assert state == loaded_state(from_v3)
+        assert state[:6] == saved
+        assert state[6] == sorted(from_v1._table.row_of)  # every tree warm
+        assert snapshot_to_bytes(from_v1) == snapshot_to_bytes(from_v3) == v3
+
+    def test_an_unstamped_v1_file_saves_as_v3_and_reloads(self):
+        store = self._store(64, None)
+
+        def unstamp(header, records):
+            del header["version"]
+            for rec in records:
+                del rec["t"]
+
+        loaded, _ = snapshot_from_bytes(redo_v1(reference_snapshot_v1(store), unstamp))
+        assert loaded.version == 0
+        assert {entry.version for entry in loaded.entries()} == {0}
+        assert [e.hash for e in loaded.entries()] == [e.hash for e in store.entries()]
+        again, _ = snapshot_from_bytes(snapshot_to_bytes(loaded))
+        assert loaded_state(again) == loaded_state(loaded)
 
 
 def repeat_record(data: bytes, index: int) -> bytes:
@@ -285,7 +535,7 @@ class TestRepeatedIds:
         store = make()
         for seed in range(12):
             store.intern(random_expr(15, seed=seed, p_let=0.2, p_lit=0.2))
-        data = snapshot_to_bytes(store)
+        data = reference_snapshot_v1(store)
         before = (
             len(store),
             store.version,
@@ -301,6 +551,25 @@ class TestRepeatedIds:
             store.stats.as_dict(),
             content_checksum(store),
         ) == before
+        assert snapshot_to_bytes(snapshot_from_bytes(data)[0]) == (
+            snapshot_to_bytes(store)
+        )
+
+    @pytest.mark.parametrize("make", [ExprStore], ids=["flat"])
+    def test_v3_snapshot_naming_one_id_twice_is_refused(self, make):
+        store = make()
+        for seed in range(12):
+            store.intern(random_expr(15, seed=seed, p_let=0.2, p_lit=0.2))
+        data = snapshot_to_bytes(store)
+        header, columns = split_frame(data)
+        for index in (0, len(store) // 2, len(store) - 1):
+            twice = {name: list(values) for name, values in columns.items()}
+            for name in twice:
+                if name != "hash":
+                    twice[name].append(columns[name][index])
+            twice["hash"].append(columns["hash"][index] ^ 1)
+            with pytest.raises(SnapshotError, match="twice"):
+                snapshot_from_bytes(join_frame(header, twice))
         assert snapshot_to_bytes(snapshot_from_bytes(data)[0]) == data
 
 
