@@ -30,12 +30,14 @@ gate, so it holds on any host shape.  The same cell interns the corpus
 with ``engine="arena"`` into a fresh store and gates the intern table's
 footprint: GC-tracked objects left per canonical entry must stay at or
 below :data:`FOOTPRINT_CEILING` (a count, so the gate gives the same
-result on any host); the time of one full collection afterwards is
-reported only.  ``--native-items N`` adds the native-kernel gate: on
-the same kind of corpus the native arena kernel must hash the arena
-bit-identically to the scalar kernel and >= 2x faster (the kernels
-alone; the tree walk's time is reported); without the native library
-the cell reports the scalar time and skips the gate.  The same cell
+result on any host), after the intern, after a reload of that store
+from its snapshot bytes and after a merge of it into a fresh store; the
+time of one full collection after the intern is reported only.
+``--native-items N`` adds the native-kernel gate: on the same kind of
+corpus the native arena kernel must hash the arena bit-identically to
+the scalar kernel and >= 2x faster (the kernels alone; the tree walk's
+time is reported); without the native library the cell reports the
+scalar time and skips the gate.  The same cell
 times the native compile walk against the Python walk on its corpus:
 ``flatten`` must build the identical arena state >= 2x faster, and the
 bulk intern's resolve step in C must leave the Python loop's table
@@ -58,7 +60,12 @@ from repro.core.cpus import available_cpus
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
 from repro.lang.expr import App, Expr
-from repro.store import ExprStore, content_checksum
+from repro.store import (
+    ExprStore,
+    content_checksum,
+    snapshot_from_bytes,
+    snapshot_to_bytes,
+)
 
 #: Fraction of corpus items that repeat or recombine earlier items.
 DUP_FRACTION = 0.6
@@ -375,35 +382,69 @@ def arena_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]:
     return footprint_smoke(corpus, cell)
 
 
-def footprint_smoke(corpus: list[Expr], cell: dict) -> tuple[int, dict]:
-    """Arena-intern ``corpus`` into a fresh store; gate the GC-tracked
-    objects it leaves per canonical entry, and report how long one full
-    collection then takes."""
+def _tracked_per_entry(build) -> tuple[ExprStore, float]:
+    """The store ``build()`` returns, and the GC-tracked objects that
+    building it left per canonical entry."""
     gc.collect()
     before = len(gc.get_objects())
-    store = ExprStore()
-    store.intern_many(corpus, engine="arena")
+    store = build()
     gc.collect()
-    per_entry = (len(gc.get_objects()) - before) / max(1, len(store))
+    return store, (len(gc.get_objects()) - before) / max(1, len(store))
+
+
+def footprint_smoke(corpus: list[Expr], cell: dict) -> tuple[int, dict]:
+    """Gate the GC-tracked objects left per canonical entry by an arena
+    intern of ``corpus`` into a fresh store, by that store reloaded
+    through a snapshot and by a fresh store it is merged into; report
+    how long one full collection takes after the intern."""
+
+    def interned() -> ExprStore:
+        fresh = ExprStore()
+        fresh.intern_many(corpus, engine="arena")
+        return fresh
+
+    def merged() -> ExprStore:
+        fresh = ExprStore()
+        fresh.merge_store(store)
+        return fresh
+
+    store, per_entry = _tracked_per_entry(interned)
     start = time.perf_counter()
     gc.collect()
     full_gc_ms = (time.perf_counter() - start) * 1e3
+    data = snapshot_to_bytes(store)
+    _reloaded, reloaded_per_entry = _tracked_per_entry(
+        lambda: snapshot_from_bytes(data)[0]
+    )
+    _merged, merged_per_entry = _tracked_per_entry(merged)
     cell["entries"] = len(store)
     cell["tracked_per_entry"] = round(per_entry, 4)
+    cell["reloaded_tracked_per_entry"] = round(reloaded_per_entry, 4)
+    cell["merged_tracked_per_entry"] = round(merged_per_entry, 4)
     cell["max_tracked_per_entry"] = FOOTPRINT_CEILING
     cell["full_gc_ms"] = round(full_gc_ms, 2)
     print(
         f"arena intern: {len(store)} entries, {per_entry:.3f} tracked "
         f"objects per entry, full collection {full_gc_ms:.1f} ms"
     )
-    if per_entry > FOOTPRINT_CEILING:
-        print(
-            f"FAIL: {per_entry:.3f} tracked objects per entry above the "
-            f"{FOOTPRINT_CEILING} ceiling"
-        )
-        return 1, cell
-    print(f"OK: {per_entry:.3f} tracked objects per entry <= {FOOTPRINT_CEILING}")
-    return 0, cell
+    status = 0
+    for what, value in (
+        ("arena intern", per_entry),
+        ("snapshot reload", reloaded_per_entry),
+        ("merge into a fresh store", merged_per_entry),
+    ):
+        if value > FOOTPRINT_CEILING:
+            print(
+                f"FAIL: {what}: {value:.3f} tracked objects per entry above "
+                f"the {FOOTPRINT_CEILING} ceiling"
+            )
+            status = 1
+        else:
+            print(
+                f"OK: {what}: {value:.3f} tracked objects per entry <= "
+                f"{FOOTPRINT_CEILING}"
+            )
+    return status, cell
 
 
 def flatten_smoke(corpus, repeats: int, cell: dict) -> int:

@@ -18,7 +18,7 @@ workflow behind one object::
     session.plan(request)                     # inspectable ExecutionPlan
     session.execute(request)                  # one serial path
     session.cse(expr); session.share(expr)    # apps, pooled through the store
-    session.save("corpus.snap")               # persist intern table + memo
+    session.save("corpus.snap")               # persist the intern table
     warm = Session.load("corpus.snap")        # ...in another process
 
     Session(backend="debruijn").hashes(expr)  # any Table 1 row or ablation
@@ -37,14 +37,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Union
 
-from repro.api.backends import HasherBackend, get_backend
+from repro.api.backends import HasherBackend, backend_names, get_backend
 from repro.api.plan import ExecutionPlan, plan_request
 from repro.api.request import HashRequest, InternRequest
 from repro.core.arena import ENGINE_CHOICES, flatten_corpus
 from repro.core.combiners import DEFAULT_SEED, HashCombiners
 from repro.core.hashed import AlphaHashes
 from repro.lang.expr import Expr
-from repro.store import ExprStore, read_snapshot
+from repro.store import ExprStore, SnapshotError, read_snapshot
 
 __all__ = ["Session", "SessionConfig", "SessionError"]
 
@@ -340,10 +340,9 @@ class Session:
 
         Root hashes are bit-identical to the saving process, and
         interning lands on the saved node ids without growing the
-        store.  (Re-parsed copies of saved expressions are summarised
-        once -- the memo is per-object -- before resolving to their
-        existing class; the restored canonical representatives hash as
-        pure memo hits.)  ``backend`` overrides the saved backend name.
+        store.  The memo starts cold: an expression, re-parsed or built
+        by ``expr_of``, is summarised once before it resolves to its
+        class.  ``backend`` overrides the saved backend name.
         """
         store, header = read_snapshot(path)
         return cls._adopt_snapshot(store, header, backend)
@@ -364,17 +363,34 @@ class Session:
         cls, store: ExprStore, header: dict, backend: Optional[str]
     ) -> "Session":
         """The one snapshot-adoption path behind :meth:`load` and
-        :meth:`from_snapshot_bytes`."""
+        :meth:`from_snapshot_bytes`; a ``meta`` it cannot adopt raises
+        :class:`SnapshotError`."""
         meta = header.get("meta") or {}
-        saved_config = meta.get("config") or {}
+        saved_config = meta.get("config", {})
+        if not isinstance(saved_config, dict):
+            raise SnapshotError(
+                f"snapshot meta 'config' must be an object, got {saved_config!r}"
+            )
+        engine = saved_config.get("engine", "auto")
+        if engine not in ENGINE_CHOICES:
+            raise SnapshotError(
+                f"snapshot meta config 'engine' must be one of "
+                f"{', '.join(ENGINE_CHOICES)}, got {engine!r}"
+            )
+        if not backend:
+            backend = meta.get("backend", "ours")
+            if backend not in backend_names(include_aliases=True):
+                raise SnapshotError(
+                    f"snapshot meta 'backend' {backend!r} is not registered"
+                )
         config = SessionConfig(
-            backend=backend or meta.get("backend", "ours"),
+            backend=backend,
             bits=header["bits"],
             seed=header["seed"],
             use_store=True,
             max_entries=header.get("max_entries"),
             memo_limit=header.get("memo_limit"),
-            engine=saved_config.get("engine", "auto"),
+            engine=engine,
         )
         session = cls(config)
         # Adopt the restored store wholesale (same combiner family: the

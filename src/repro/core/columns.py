@@ -7,8 +7,8 @@ journal and delta frame (:mod:`repro.store.snapshot`).  Both index
 variable names and literals through two header tables, ``names`` (a
 list of distinct non-empty strings) and ``literals`` (``[tag, value]``
 pairs read by :func:`~repro.lang.sexpr.literal_value`).  The column
-helpers and the table checks below are their one copy; each check
-raises the caller's error type.
+helpers, the table builder and the table checks below are their one
+copy; each check raises the caller's error type.
 """
 
 from __future__ import annotations
@@ -16,9 +16,18 @@ from __future__ import annotations
 import sys
 from array import array
 
+from repro.core.arena import OP_APP, OP_LIT
+from repro.core.hashed import lit_cache_key
 from repro.lang.sexpr import SexprError, literal_value
 
-__all__ = ["I32", "check_literals", "check_names", "column_bytes", "read_column"]
+__all__ = [
+    "I32",
+    "check_literals",
+    "check_names",
+    "column_bytes",
+    "label_indices",
+    "read_column",
+]
 
 #: An array typecode of 4-byte signed ints.
 I32 = next(code for code in "ilh" if array(code).itemsize == 4)
@@ -43,6 +52,24 @@ def read_column(typecode: str, data: bytes, start: int, n: int) -> array:
     if _SWAP:  # pragma: no cover - little-endian hosts
         column.byteswap()
     return column
+
+
+def label_indices(ops, labels) -> tuple[list[int], list[str], list]:
+    """Index each row's label, given its ``OP_*`` code, into a name
+    table and a literal table built here by first occurrence: ``(indices,
+    names, literals)``.  An App row gets -1.  Literals are keyed by
+    :func:`~repro.core.hashed.lit_cache_key`, so ``1``, ``1.0`` and
+    ``True`` (and ``-0.0`` and ``0.0``) stay apart."""
+    names: dict[str, int] = {}
+    literals: dict[tuple, tuple[int, object]] = {}  # key -> (index, value)
+    indices = [
+        -1 if op == OP_APP
+        else literals.setdefault(lit_cache_key(label), (len(literals), label))[0]
+        if op == OP_LIT
+        else names.setdefault(label, len(names))
+        for op, label in zip(ops, labels)
+    ]
+    return indices, list(names), [value for _index, value in literals.values()]
 
 
 def check_names(names, error: type[Exception]) -> list[str]:

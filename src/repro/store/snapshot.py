@@ -4,12 +4,9 @@ A snapshot makes a corpus interned once reusable across processes: the
 intern table's live classes, their LRU recency and the store's counters
 are written to one checksummed frame and restored bit-identically.
 Re-hashing the same corpus in another process yields the same root
-hashes and lands on the existing classes without growing the store.  The
-loader rebuilds each class's canonical tree and seeds its memo record,
-so the restored canonical representatives themselves (``expr_of``) hash
-as pure memo hits.  The memo is keyed by Python object identity, so
-freshly *re-parsed* trees are still summarised once before their intern
-lookups hit.
+hashes and lands on the existing classes without growing the store.  A
+restored store holds what an arena intern leaves: columns, no canonical
+tree (``expr_of`` builds one on request) and a cold memo.
 
 Column frames
 -------------
@@ -65,14 +62,15 @@ Both then install through :func:`_apply_rows`, which refuses the frame
 whole when an id is negative or repeats; a version is outside the
 frame's window (``(since, version]`` for a delta, ``[0, version]`` for a
 snapshot); a child id names neither a row nor a live class; a size is
-not 1 plus its children's sizes; or an id is live with other content.
-It then skips the rows the store holds, rebuilds the others' canonical
-trees (a live child reuses the store's tree), runs one arena pass for
-every new row's ``(s, v, m)`` and hash, refuses the frame if a hash
-differs from the hash column -- two terms that are not alpha-equivalent
-are never merged on trust -- and installs the rows children first, each
-with its recomputed memo record.  A snapshot's ids are then touched in
-row order, which restores recency, and its saved counters adopted.
+below 1 or not 1 plus its children's sizes; or an id is live with other
+content.  It then skips the rows the store holds, reads the others and
+the live classes they reach into one arena, straight from the columns
+(:meth:`~repro.store.store.InternTable.arena`), hashes it with the
+kernel, refuses the frame if a hash differs from the hash column -- two
+terms that are not alpha-equivalent are never merged on trust -- and
+installs the rows children first, with no tree and no memo record.  A
+snapshot's ids are then touched in row order, which restores recency,
+and its saved counters adopted.
 
 Legacy ``repro-store-snapshot-v1`` and ``repro-store-delta-v1``
 documents are still read, through the same checks, and no longer
@@ -81,7 +79,8 @@ written.  Their bodies are JSON lines, one record per class (``i`` id,
 ``t`` version, and the summary: ``s`` structure hash, ``v``
 variable-map hash, ``m`` name -> position hash), under a header that
 counts ``entries`` instead of ``rows``; each record's ``s``, ``v`` and
-``m`` must equal the recomputed ones too.  A snapshot record without
+``m`` must equal the recomputed ones too, so their arena takes the
+scalar pass, which keeps each row's summary.  A snapshot record without
 ``t`` (written before version stamps existed) loads with version 0.
 """
 
@@ -94,20 +93,15 @@ from itertools import count
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.core.arena import (
-    OP_APP,
-    OP_KINDS,
-    OP_LET,
-    OP_LIT,
-    OP_OF_KIND,
-    _arena_pass,
-    flatten_corpus,
+from repro.core.arena import OP_KINDS, OP_LET, OP_OF_KIND, _arena_pass, arena_hash_any
+from repro.core.columns import (
+    check_literals,
+    check_names,
+    column_bytes,
+    label_indices,
+    read_column,
 )
-from repro.core.columns import check_literals, check_names, column_bytes, read_column
 from repro.core.combiners import HashCombiners
-from repro.core.hashed import lit_cache_key
-from repro.core.kernel import MemoRecord
-from repro.lang.expr import Expr
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.store import ExprStore
@@ -207,18 +201,6 @@ def _hash_words(bits: int) -> int:
     return 1 if bits <= 64 else 2
 
 
-def _lit_index(literals: dict, values: list, value: Any) -> int:
-    """``value``'s index in a frame's literal table, added if new; keyed
-    like the kernels' literal caches, so ``1``, ``1.0``, ``True`` and
-    ``-0.0``/``0.0`` stay apart."""
-    key = lit_cache_key(value)
-    index = literals.get(key)
-    if index is None:
-        index = literals[key] = len(values)
-        values.append(value)
-    return index
-
-
 def _frame(store: "ExprStore", window: list, header: dict) -> bytes:
     """A column frame of ``window``'s ``(node_id, row)`` pairs in their
     order, under ``header`` completed with ``bits``, ``seed``,
@@ -234,15 +216,7 @@ def _frame(store: "ExprStore", window: list, header: dict) -> bytes:
         return [values[row] for row in rows]
 
     ops = column(table.ops)
-    names: dict[str, int] = {}
-    literals: dict[tuple, int] = {}
-    lit_values: list = []
-    labels = [
-        -1 if op == OP_APP
-        else _lit_index(literals, lit_values, label) if op == OP_LIT
-        else names.setdefault(label, len(names))
-        for op, label in zip(ops, column(table.labels))
-    ]
+    labels, names, literals = label_indices(ops, column(table.labels))
     bits = store.combiners.bits
     tops = column(table.hashes)
     if _hash_words(bits) == 2:
@@ -264,8 +238,8 @@ def _frame(store: "ExprStore", window: list, header: dict) -> bytes:
         seed=store.combiners.seed,
         version=store.version,
         rows=len(rows),
-        names=list(names),
-        literals=[_lit_payload(value) for value in lit_values],
+        names=names,
+        literals=[_lit_payload(value) for value in literals],
         checksum=_checksum(body),
     )
     header_bytes = json.dumps(
@@ -412,11 +386,10 @@ def snapshot_from_bytes(data: bytes) -> tuple["ExprStore", dict]:
 
     The restored store matches the saved one bit-identically: intern
     table, node ids, version stamps, LRU recency and the saved stats
-    counters all survive, and every canonical tree gets its memo record.
-    Hashing a restored canonical representative is a pure memo hit; a
-    re-parsed copy of a saved expression is summarised once (the memo is
-    per-object) and then resolves to its existing class.  Every class's
-    hash is recomputed and checked (see the module docstring); a
+    counters all survive.  It has no canonical tree and a cold memo, so
+    any expression, a re-parsed copy or ``expr_of``'s tree alike, is
+    summarised once and then resolves to its existing class.  Every
+    class's hash is recomputed and checked (see the module docstring); a
     document that fails a check, or has any other format tag
     (``repro-store-snapshot-v2-sharded`` and the deltas included), is
     refused with :class:`SnapshotError`.
@@ -529,10 +502,10 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
     snapshot of the emitting store), and must
     have reached the delta's ``since`` stamp -- a gap means missing
     classes and fails loudly.  Classes the store already holds are
-    verified and skipped (idempotent replay).  Every other class's
-    summary and hash are recomputed by one arena pass, and a hash that
-    differs from the frame's refuses the frame (see the module
-    docstring for every check).  A refused frame raises
+    verified and skipped (idempotent replay).  Every other class's hash
+    is recomputed by one arena pass, and a hash that differs from the
+    frame's refuses the frame (see the module docstring for every
+    check).  A refused frame raises
     :class:`SnapshotError` before the first write, so the store is left
     untouched.
     """
@@ -584,8 +557,9 @@ def _check_delta_header(store: "ExprStore", header: dict, count_key: str) -> tup
 
 
 def _decode_v2(header: dict, body: bytes, bits: int) -> tuple[list, ...]:
-    """A column body's rows as ``(ids, tops, kinds, sizes, kids, labels,
-    versions)``, once its length, checksum, kinds, labels and child
+    """A column body's rows as the columns ``(ids, tops, ops, sizes,
+    firsts, seconds, labels, versions)``, each label decoded to its name
+    or literal, once the body's length, checksum, kinds, labels and child
     counts are checked."""
     rows, words = header["rows"], _hash_words(bits)
     expected = rows * (_ROW_BYTES + 8 * words)
@@ -615,7 +589,6 @@ def _decode_v2(header: dict, body: bytes, bits: int) -> tuple[list, ...]:
         index = next(i for i, op in enumerate(ops) if op > OP_LET)
         raise SnapshotError(f"row {index}: unknown kind code {ops[index]}")
 
-    kids: list[tuple] = []
     labels: list = []
     tables = (names, literals, names, None, names)
     for index, op, first, second, aux in zip(count(), ops, firsts, seconds, label_ix):
@@ -625,7 +598,6 @@ def _decode_v2(header: dict, body: bytes, bits: int) -> tuple[list, ...]:
                 f"row {index}: {OP_KINDS[op]} with children {first}, {second}; "
                 f"a {OP_KINDS[op]} has {arity}"
             )
-        kids.append(() if arity == 0 else (first,) if arity == 1 else (first, second))
         table = tables[op]
         if table is None:
             if aux != -1:
@@ -638,7 +610,7 @@ def _decode_v2(header: dict, body: bytes, bits: int) -> tuple[list, ...]:
                 f"row {index}: {OP_KINDS[op]} with label {aux}, outside "
                 f"0..{len(table) - 1}"
             )
-    return ids, tops, [OP_KINDS[op] for op in ops], sizes, kids, labels, versions
+    return ids, tops, ops, sizes, firsts, seconds, labels, versions
 
 
 def _parse_records(body: bytes, expected: int) -> list:
@@ -694,8 +666,8 @@ def _decode_v1(
         raise SnapshotError("body does not match header checksum")
     records = _parse_records(body, header["entries"])
     required = _V1_FIELDS if stamped else _V1_FIELDS[:-1]
-    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
-    ids, tops, kinds, sizes, kids, labels, versions = columns
+    columns: tuple[list, ...] = ([], [], [], [], [], [], [], [])
+    ids, tops, ops, sizes, firsts, seconds, labels, versions = columns
     claimed = []
     for rec in records:
         missing = [
@@ -729,9 +701,10 @@ def _decode_v1(
             raise SnapshotError(f"entry {rec['i']}: malformed name {payload!r}")
         ids.append(rec["i"])
         tops.append(rec["h"])
-        kinds.append(kind)
+        ops.append(OP_OF_KIND[kind])
         sizes.append(rec["z"])
-        kids.append(tuple(children))
+        firsts.append(children[0] if children else -1)
+        seconds.append(children[1] if len(children) == 2 else -1)
         labels.append(label)
         versions.append(rec.get("t", 0))
         claimed.append((rec["s"], rec["v"], rec["m"]))
@@ -746,17 +719,23 @@ def _apply_rows(
     claimed: Optional[list] = None,
 ) -> int:
     """Check a decoded frame's rows against each other and ``store``,
-    recompute each new class's summary and hash, and install the rows;
-    return how many were installed (the rest were live already).
+    recompute each new class's hash, and install the rows; return how
+    many were installed (the rest were live already).
 
     Refuses, before the first write: an id that is negative or repeats;
     a version outside ``(since, version]``; a child id that names
-    neither a row nor a live class; a size that is not 1 plus its
-    children's; a live id with other content (:meth:`_holds`); a
-    recomputed hash that differs from the row's; and, for legacy rows,
+    neither a row nor a live class; a size below 1 or not 1 plus its
+    children's; a live id with another hash, kind or size (the frame
+    does not describe this store); a recomputed hash that differs from
+    the row's; and, for legacy rows,
     a claimed summary (``claimed``) that differs from the recomputed
-    one."""
-    ids, tops, kinds, sizes, kids, labels, versions = rows
+    one.  The new rows, children first, and the live classes they reach
+    are one arena read from their columns
+    (:meth:`~repro.store.store.InternTable.arena`), hashed by the kernel
+    (:func:`~repro.core.arena.arena_hash_any`); legacy rows take the
+    scalar pass instead, whose kept maps give each row's summary.  The
+    rows are then installed with no tree and no memo record."""
+    ids, tops, ops, sizes, firsts, seconds, labels, versions = rows
     at: dict[int, int] = {}
     for index, node_id in enumerate(ids):
         if node_id < 0:
@@ -769,72 +748,69 @@ def _apply_rows(
                 f"row {index}: version {stamp} is outside the frame's "
                 f"window ({since}, {version}]"
             )
-    for index, pair in enumerate(kids):
+    table = store._table
+    row_of = table.row_of
+    for index, op, first, second in zip(count(), ops, firsts, seconds):
+        if sizes[index] < 1:
+            raise SnapshotError(f"row {index}: size {sizes[index]} is below 1")
         total = 1
-        for kid in pair:
-            row = at.get(kid)
-            size = sizes[row] if row is not None else store._live_size(kid)
-            if size is None:
+        for kid in (first, second)[: _ARITY[op]]:
+            if kid in at:
+                total += sizes[at[kid]]
+            elif kid in row_of:
+                total += table.sizes[row_of[kid]]
+            else:
                 raise SnapshotError(
                     f"row {index}: child id {kid} names neither a row of "
                     "this frame nor a live class"
                 )
-            total += size
         if total != sizes[index]:
             raise SnapshotError(
                 f"row {index}: size {sizes[index]}, but 1 plus its "
                 f"children's sizes is {total}"
             )
-    new = [
-        index
-        for index in range(len(ids))
-        if not store._holds(ids[index], tops[index], kinds[index], sizes[index])
-    ]
-    # Children first: a child is strictly smaller than its parent.
-    new.sort(key=lambda index: (sizes[index], ids[index]))
-
-    from repro.store.store import canonical_node
-
-    # The receiving store's canonical child object wins over a copy
-    # rebuilt from this frame: parents must reference the store's
-    # canonical subtrees, or the maximally-shared DAG (and the memo's
-    # object-identity keys) would silently fork.  A live child is a
-    # held row or no row at all; any other child is built before its
-    # parent.
-    built: dict[int, Expr] = {}
-    for index in new:
-        built[ids[index]] = canonical_node(
-            kinds[index],
-            labels[index],
-            [store._tree(kid) if kid in store else built[kid] for kid in kids[index]],
-        )
+    new = []
+    for index, node_id in enumerate(ids):
+        row = row_of.get(node_id)
+        if row is None:
+            new.append(index)
+        elif (table.hashes[row], table.ops[row], table.sizes[row]) != (
+            tops[index], ops[index], sizes[index]
+        ):
+            raise SnapshotError(
+                f"entry {node_id} disagrees with the store's existing "
+                "entry (hash/kind/size mismatch): the receiver does not "
+                "mirror the emitting store"
+            )
     if not new:
         return 0
-    trees = [built[ids[index]] for index in new]
-    arena, roots = flatten_corpus(trees)
-    got, shs, vmhs, vms = _arena_pass(arena, store.combiners, roots)
-    names = arena.names
-    summaries = []
-    for index, tree, root in zip(new, trees, roots):
+    # Children first, by (size, id): every size is at least 1, so a
+    # child is strictly smaller than its parent.
+    new.sort(key=ids.__getitem__)
+    new.sort(key=sizes.__getitem__)
+    columns = [[column[index] for index in new] for column in rows]
+    arena, _at = table.arena(
+        [kid for kid in columns[4] + columns[5] if kid in row_of], columns
+    )
+    base = len(arena) - len(new)
+    if claimed is None:
+        got = arena_hash_any(arena, store.combiners)
+    else:
+        got, shs, vmhs, vms = _arena_pass(arena, store.combiners, range(base, len(arena)))
+    for root, index in enumerate(new, base):
         if got[root] != tops[index]:
             raise SnapshotError(
                 f"row {index}: entry {ids[index]} hashes to {got[root]:#x}, "
                 f"not the frame's {tops[index]:#x}"
             )
-        vm_entries = {names[nid]: pos for nid, pos in vms[root].items()}
         if claimed is not None and claimed[index] != (
-            shs[root], vmhs[root], vm_entries
+            shs[root],
+            vmhs[root],
+            {arena.names[nid]: pos for nid, pos in vms[root].items()},
         ):
             raise SnapshotError(
                 f"entry {ids[index]}: its summary (s, v, m) differs from "
                 "the one its tree recomputes to"
             )
-        summaries.append(
-            MemoRecord(tree, shs[root], vm_entries, vmhs[root], tops[index])
-        )
-    for index, summary in zip(new, summaries):
-        store._restore(
-            ids[index], kinds[index], sizes[index], kids[index], versions[index],
-            summary,
-        )
+    store._restore(columns)
     return len(new)

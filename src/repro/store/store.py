@@ -46,9 +46,10 @@ reused.
   already built, and keep it in the tree column.  The tree walk
   (:meth:`ExprStore.intern`) builds its trees at once: a leaf class
   adopts the caller's node, an interior one gets a canonical tree whose
-  memo record makes re-interning it free.  The loaders keep the trees
-  they rebuild.  No encoder builds a tree: snapshot and delta frames
-  are the columns themselves.
+  memo record makes re-interning it free.  Nothing else builds one:
+  snapshot and delta frames are the columns themselves, and the loaders
+  and :meth:`ExprStore.merge_store` check and install classes through
+  an arena built from columns (:meth:`InternTable.arena`).
 * **Views.**  :class:`StoreEntry` is a read-only view of one class's
   columns, built when :meth:`~ExprStore.entry` or
   :meth:`~ExprStore.entries` asks for it.  Readers that walk the whole
@@ -64,9 +65,9 @@ the table: hit by id (:meth:`InternTable.touch`, through
 (:meth:`InternTable.hit_or_add_step`, a closure bound once per batch),
 the same for every row of an arena in one call into C
 (:meth:`InternTable.resolve_arena`, through
-:meth:`~ExprStore._resolve_arena`), restore an entry with a known id
-(:meth:`InternTable.insert`, through :meth:`~ExprStore._restore`, for
-the snapshot and delta loaders) and unlink an eviction victim
+:meth:`~ExprStore._resolve_arena`), restore checked classes with known
+ids (:meth:`InternTable.insert`, through :meth:`~ExprStore._restore`,
+for the snapshot and delta loaders) and unlink an eviction victim
 (:meth:`InternTable.unlink`).  The tree walk, the arena bulk intern
 (:mod:`repro.store.arena_intern`), the loaders
 (:mod:`repro.store.snapshot`) and the eviction loop all call them.
@@ -98,11 +99,12 @@ from bisect import bisect_right
 from contextlib import closing
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush, heapreplace
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core import native
 from repro.core.arena import OP_KINDS, OP_OF_KIND, ExprArena, resolve_engine
+from repro.core.columns import label_indices
 from repro.core.combiners import HashCombiners, default_combiners
 from repro.core.hashed import AlphaHashes
 from repro.core.kernel import MemoRecord, summarise_tree
@@ -244,24 +246,17 @@ def node_label(node: Expr):
     return None
 
 
-def canonical_node(kind: str, label, kids: Sequence[Expr]) -> Expr:
-    """Build a canonical node from its kind, its :func:`node_label` and
-    its children's canonical trees ``kids``.
-
-    The one constructor of canonical trees: the intern steps and the
-    snapshot rebuild both call it.  Raises ``ValueError`` on an unknown
-    kind."""
-    if kind == "App":
-        return App(kids[0], kids[1])
-    if kind == "Var":
-        return Var(label)
-    if kind == "Lam":
-        return Lam(label, kids[0])
-    if kind == "Let":
-        return Let(label, kids[0], kids[1])
-    if kind == "Lit":
-        return Lit(label)
-    raise ValueError(f"unknown node kind {kind!r}")
+#: The one constructor of canonical trees, by opcode: a node from its
+#: :func:`node_label` and its children's canonical trees.
+#: :meth:`ExprStore._tree` builds every class's tree through it, on
+#: demand (the tree walk's intern asks at once).
+_CANONICAL = (
+    lambda label, kids: Var(label),
+    lambda label, kids: Lit(label),
+    lambda label, kids: Lam(label, *kids),
+    lambda label, kids: App(*kids),
+    lambda label, kids: Let(label, *kids),
+)
 
 
 def saved_stats(saved: dict) -> StoreStats:
@@ -309,8 +304,8 @@ class InternTable:
     outgrows the live classes and costs nothing where no delta is read.
 
     The five write steps are :meth:`touch`, :meth:`hit_or_add_step`,
-    :meth:`resolve_arena`, :meth:`insert` and :meth:`unlink`;
-    :meth:`link` moves refcounts.
+    :meth:`resolve_arena`, :meth:`insert` and :meth:`unlink`.
+    :meth:`arena` reads classes into an :class:`~repro.core.arena.ExprArena`.
     """
 
     __slots__ = (
@@ -637,34 +632,89 @@ class InternTable:
             raise AssertionError(f"row {failed}: stopped on a hit the guard passes")
         return class_ids
 
-    def insert(
-        self, node_id: int, top: int, kind: str, size: int,
-        kid_ids: tuple[int, ...], label, tree: Expr, version: int,
-    ) -> None:
-        """The restore step's write: a new row for ``node_id`` with the
-        next stamp, its hash mapped to it, the id counter moved past it.
-        References to the children are the caller's (:meth:`link`)."""
-        row = self._take_row()
-        self.sizes[row] = size  # first: a size past int64 raises here
-        self.hashes[row] = top
-        self.ops[row] = OP_OF_KIND[kind]
-        self.lefts[row] = kid_ids[0] if kid_ids else -1
-        self.rights[row] = kid_ids[1] if len(kid_ids) == 2 else -1
-        self.labels[row] = label
-        self.versions[row] = version
-        self.stamps[row] = self.clock
-        self.clock += 1
-        self.trees[row] = tree
-        self.row_of[node_id] = row
-        self.by_hash[top] = node_id
-        self.next_id = max(self.next_id, node_id + 1)
-        log = self.log_ids
-        if log is not None:
-            if log and version < self.log_versions[-1]:
+    def insert(self, columns: Sequence[Sequence]) -> None:
+        """The restore step's write, for classes not live here given as
+        the columns ``(ids, tops, ops, sizes, firsts, seconds, labels,
+        versions)``, whose child ids (-1 where absent) name live classes
+        or classes among them: per class a new row with the next stamp
+        and no tree, its hash mapped to its id (the later class wins a
+        hash two share), one reference added to each child, and the id
+        counter moved past it.  Rows and stamps are taken in column
+        order, as one class at a time would take them."""
+        ids, tops, versions = columns[0], columns[1], columns[-1]
+        n = len(ids)
+        self._reserve(n)
+        taken = min(n, len(self.free))
+        rows = [self.free.pop() for _ in range(taken)]
+        rows += range(self.spare, self.spare + n - taken)
+        self.spare += n - taken
+        stamps = range(self.clock, self.clock + n)
+        self.clock += n
+        targets = (
+            self.hashes, self.ops, self.sizes, self.lefts, self.rights,
+            self.labels, self.versions, self.stamps,
+        )
+        for column, values in zip(targets, (*columns[1:], stamps)):
+            for row, value in zip(rows, values):
+                column[row] = value
+        row_of, refcounts = self.row_of, self.refcounts
+        row_of.update(zip(ids, rows))
+        self.by_hash.update(zip(tops, ids))
+        self.next_id = max([self.next_id, *(node_id + 1 for node_id in ids)])
+        for kid in chain(columns[4], columns[5]):
+            if kid >= 0:
+                refcounts[row_of[kid]] += 1
+        if self.log_ids is not None:
+            order = self.log_versions[-1:] + list(versions)
+            if all(a <= b for a, b in zip(order, order[1:])):
+                self.log_ids += ids
+                self.log_versions += versions
+            else:  # restored out of version order
                 self.log_ids = self.log_versions = None
-            else:
-                log.append(node_id)
-                self.log_versions.append(version)
+
+    def arena(
+        self, reach: Iterable[int], columns: Sequence[Sequence] = ()
+    ) -> tuple[ExprArena, dict[int, int]]:
+        """An arena built from class columns, children first, and each
+        class id's arena row; the table is only read.
+
+        Its first rows are the live classes ``reach`` names and every
+        class they reach through the child columns, by size, then id.
+        The last are the classes of ``columns``, as :meth:`insert` takes
+        them and in their order, whose child ids name classes above
+        them.  Names and literals are interned by value across both
+        (:func:`~repro.core.columns.label_indices`)."""
+        row_of, lefts, rights, sizes = self.row_of, self.lefts, self.rights, self.sizes
+        reached = set(reach)
+        frontier = list(reached)
+        while frontier:  # one level of children a pass
+            held = [row_of[node_id] for node_id in frontier]
+            below = {lefts[row] for row in held} | {rights[row] for row in held}
+            below.discard(-1)
+            frontier = list(below - reached)
+            reached |= below
+        order = sorted(reached)
+        order.sort(key=lambda node_id: sizes[row_of[node_id]])
+        held = [row_of[node_id] for node_id in order]
+        new = columns or ((),) * 8
+
+        def column(values, k: int) -> list:
+            return [values[row] for row in held] + list(new[k])
+
+        ids = order + list(new[0])
+        at = dict(zip(ids, range(len(ids))))
+        at[-1] = -1  # an absent child
+        arena = ExprArena()
+        arena.op.extend(column(self.ops, 2))
+        arena.sizes.extend(column(sizes, 3))
+        arena.left.extend(map(at.__getitem__, column(lefts, 4)))
+        arena.right.extend(map(at.__getitem__, column(rights, 5)))
+        del at[-1]
+        aux, names, literals = label_indices(arena.op, column(self.labels, 6))
+        arena.aux.extend(aux)
+        arena.names.extend(names)
+        arena.literals.extend(literals)
+        return arena, at
 
     def unlink(self, node_id: int) -> tuple[tuple[int, ...], Optional[Expr]]:
         """Drop the live class ``node_id``; return its child ids and tree.
@@ -687,12 +737,6 @@ class InternTable:
             if self.log_dead > 64 and 2 * self.log_dead > len(self.log_ids):
                 self.log_ids = self.log_versions = None
         return released
-
-    def link(self, kid_ids: Iterable[int], delta: int) -> None:
-        """Add ``delta`` to the refcount of each live class in ``kid_ids``."""
-        row_of, refcounts = self.row_of, self.refcounts
-        for kid in kid_ids:
-            refcounts[row_of[kid]] += delta
 
 
 class ExprStore:
@@ -833,10 +877,8 @@ class ExprStore:
             if missing:
                 stack += missing  # back here once they are built
                 continue
-            trees[row] = canonical_node(
-                OP_KINDS[table.ops[row]],
-                table.labels[row],
-                [trees[row_of[kid]] for kid in kid_ids],
+            trees[row] = _CANONICAL[table.ops[row]](
+                table.labels[row], [trees[row_of[kid]] for kid in kid_ids]
             )
             stack.pop()
         return trees[row_of[node_id]]
@@ -1070,7 +1112,9 @@ class ExprStore:
 
     @classmethod
     def load(cls, path: str) -> "ExprStore":
-        """Rebuild a store saved with :meth:`save` (fully warm)."""
+        """Rebuild a store saved with :meth:`save`: every class checked
+        and installed from the file's columns, with no tree and a cold
+        memo (see :mod:`repro.store.snapshot`)."""
         from repro.store.snapshot import read_snapshot
 
         store, _header = read_snapshot(path)
@@ -1163,20 +1207,19 @@ class ExprStore:
     def merge_store(self, other: "ExprStore") -> dict[int, int]:
         """Fold every canonical class of ``other`` into this store.
 
-        Returns the id remapping ``{other_node_id: self_node_id}``.
-        Interning the canonical representatives largest-first lets the
-        smaller classes resolve as memo/intern hits inside the larger
-        trees; hashes are preserved bit-for-bit, ids are re-assigned by
-        this store.  ``other`` is not modified.  (The service's
-        snapshot-upload endpoint merges client stores through it.)
+        Returns the id remapping ``{other_node_id: self_node_id}``.  One
+        arena intern (:meth:`intern_arena`) of an arena built from
+        ``other``'s columns (:meth:`InternTable.arena`), every class a
+        root: hashes are preserved bit-for-bit, ids are assigned by this
+        store in the arena's order (by size), and neither store gains a
+        tree or a memo record.  ``other`` is not modified.  (The
+        service's snapshot-upload endpoint and the coordinator's merged
+        snapshot merge through it.)
         """
         self.resolve_combiners(other.combiners)
-        mapping: dict[int, int] = {}
-        for entry in sorted(
-            other.entries(), key=lambda e: e.size, reverse=True
-        ):
-            mapping[entry.node_id] = self.intern(entry.expr)
-        return mapping
+        arena, at = other._table.arena(other._table.row_of)
+        ids, _hashes = self.intern_arena(arena, range(len(arena)))
+        return {node_id: ids[row] for node_id, row in at.items()}
 
     # -- the intern table's write steps ----------------------------------------
     #
@@ -1225,7 +1268,10 @@ class ExprStore:
         record; an interior one gets its canonical tree built at once,
         with the tree's record seeded from ``rec`` (the canonical tree is
         made of canonical subtrees, so hashing it later can be a pure
-        memo hit)."""
+        memo hit) -- but only while the memo covers every canonical
+        child: a record must imply full-subtree coverage (hashing and
+        interning resume above cached roots without descending), and a
+        flush may have dropped the children's records."""
         version = self.version
         leaf = first < 0
         node_id = hit_or_add(
@@ -1238,102 +1284,24 @@ class ExprStore:
             node if leaf else None,
         )
         if not leaf and self.version != version:  # a class was created
-            self._seed_memo(
-                MemoRecord(
-                    self._tree(node_id),
-                    rec.s_hash,
-                    dict(rec.vm_entries),
-                    rec.vm_hash,
-                    rec.top,
-                ),
-                node_id,
-            )
+            tree, memo = self._tree(node_id), self._memo
+            if all(id(kid) in memo for kid in tree.children()):
+                seeded = MemoRecord(
+                    tree, rec.s_hash, dict(rec.vm_entries), rec.vm_hash, rec.top
+                )
+                seeded.node_id = node_id
+                memo[id(tree)] = seeded
         return node_id
 
-    def _seed_memo(self, record: MemoRecord, node_id: int) -> None:
-        """Install ``record`` (a canonical tree's summary) as the memo
-        record of class ``node_id``.
-
-        Only when the memo still covers every canonical child, though --
-        a record must always imply full-subtree coverage (hashing and
-        interning resume above cached roots without descending), and a
-        flush may have dropped the children's records.  A tree that
-        already has a record keeps it."""
-        memo, node = self._memo, record.node
-        if id(node) in memo or not all(
-            id(kid) in memo for kid in node.children()
-        ):
-            return
-        record.node_id = node_id
-        memo[id(node)] = record
-
-    def _holds(self, node_id: int, hash_value: int, kind: str, size: int) -> bool:
-        """Whether the live entry ``node_id`` already has this content
-        (``False`` if the id is not live).  A live entry with another
-        hash, kind or size raises
-        :class:`~repro.store.snapshot.SnapshotError`: the document does
-        not describe this store."""
-        table = self._table
-        row = table.row_of.get(node_id)
-        if row is None:
-            return False
-        if (table.hashes[row], OP_KINDS[table.ops[row]], table.sizes[row]) != (
-            hash_value,
-            kind,
-            size,
-        ):
-            from repro.store.snapshot import SnapshotError
-
-            raise SnapshotError(
-                f"entry {node_id} disagrees with the store's existing "
-                "entry (hash/kind/size mismatch): the receiver does not "
-                "mirror the emitting store"
-            )
-        return True
-
-    def _live_size(self, node_id: int) -> Optional[int]:
-        """The size of the live class ``node_id``, or ``None`` if it is
-        not live; no LRU touch."""
-        table = self._table
-        row = table.row_of.get(node_id)
-        return None if row is None else table.sizes[row]
-
-    def _restore(
-        self,
-        node_id: int,
-        kind: str,
-        size: int,
-        kid_ids: tuple[int, ...],
-        version: int,
-        summary: MemoRecord,
-    ) -> bool:
-        """Install a saved entry under its known id; ``True`` if installed.
-
-        ``summary`` is the entry's saved memo record: its ``node`` is
-        the canonical tree, its ``top`` the class hash.  An entry
-        already live with the same content is skipped (``False``), so
-        replays are idempotent; other content raises (:meth:`_holds`).
-        The id counter and the store version advance past the entry,
-        the hash maps to it even when an older live id holds the same
-        hash (the newest id wins), the children gain a reference and
-        the record is seeded under :meth:`_seed_memo`'s coverage rule.
-        Callers restore children before parents (ascending size).
-        """
-        if self._holds(node_id, summary.top, kind, size):
-            return False
-        for kid in kid_ids:
-            if kid not in self:
-                raise KeyError(kid)
-        table = self._table
-        table.link(kid_ids, 1)
-        tree = summary.node
-        table.insert(
-            node_id, summary.top, kind, size, kid_ids, node_label(tree), tree, version
-        )
-        self.stats.misses += 1
-        self.version = max(self.version, version)
-        self._seed_memo(summary, node_id)
-        return True
+    def _restore(self, columns: Sequence[Sequence]) -> None:
+        """Install checked classes under their known ids, with no tree
+        and no memo record (:meth:`InternTable.insert`, which takes
+        ``columns``); each counts one miss, and the store version moves
+        past every class's.  A hash maps to the id restored last, even
+        while an older live id holds it."""
+        self._table.insert(columns)
+        self.stats.misses += len(columns[0])
+        self.version = max([self.version, *columns[-1]])
 
     def _restore_counters(self, stats: dict, next_id: int) -> None:
         """Adopt a loaded snapshot's saved counters.
@@ -1356,7 +1324,9 @@ class ExprStore:
     def _release(self, kid_ids: tuple[int, ...], tree: Optional[Expr]) -> None:
         """An unlinked entry's last step: its children lose a reference
         and its canonical tree's memo record, if any, forgets the id."""
-        self._table.link(kid_ids, -1)
+        table = self._table
+        for kid in kid_ids:
+            table.refcounts[table.row_of[kid]] -= 1
         rec = None if tree is None else self._memo.get(id(tree))
         if rec is not None:
             rec.node_id = None

@@ -522,6 +522,10 @@ def test_other_threads_run_during_a_long_compile():
                 resumed.append(now)
             last = now
 
+    # At the default 5 ms switch interval a ~100 ms compile leaves the
+    # count near the bar by chance alone; at 1 ms it clears it many times.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(0.001)
     thread = threading.Thread(target=counter)
     thread.start()
     try:
@@ -532,6 +536,7 @@ def test_other_threads_run_during_a_long_compile():
     finally:
         stop.set()
         thread.join()
+        sys.setswitchinterval(interval)
     # A switch just before the call or just after it returns resumes the
     # counter inside the window at most twice.
     assert sum(start < t < end for t in resumed) >= 3

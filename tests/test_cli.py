@@ -184,6 +184,17 @@ class TestServeRefusals:
         result = self.serve("--load", str(path))
         self.assert_refused(result, path, "'max_entries' must be an integer >= 1")
 
+    def test_load_file_saving_an_unknown_engine(self, tmp_path):
+        from repro.lang.expr import Var
+        from repro.store import ExprStore, write_snapshot
+
+        store = ExprStore()
+        store.intern(Var("x"))
+        path = tmp_path / "store.snap"
+        write_snapshot(store, str(path), meta={"config": {"engine": "warp"}})
+        result = self.serve("--load", str(path))
+        self.assert_refused(result, path, "'engine' must be one of")
+
     def test_journal_that_does_not_replay(self, tmp_path):
         (tmp_path / "journal-00000001.wal").write_bytes(_frame_bytes(b"garbage"))
         result = self.serve("--journal", str(tmp_path))

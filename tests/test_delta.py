@@ -347,6 +347,74 @@ class TestRepeatedIds:
         assert entry_map(replica) == entry_map(store)
 
 
+class TestLiveChildren:
+    """A window's new rows are hashed together with the live classes
+    they reach, so a name or a literal the two share must mean the same
+    thing on both sides, and one they do not share must stay apart."""
+
+    @staticmethod
+    def replayed(windows, fmt):
+        """Intern each window of items into a primary, replay its frames
+        one by one into a fresh replica; ``(primary, replica)``."""
+        primary, replica = make_store("flat"), make_store("flat")
+        for items in windows:
+            since = primary.version
+            primary.intern_many(items, engine="tree")
+            frame = (
+                delta_to_bytes(primary, since)
+                if fmt == "v2"
+                else reference_delta_v1(primary, since)
+            )
+            apply_delta_bytes(replica, frame)
+        return primary, replica
+
+    @pytest.mark.parametrize("fmt", ["v2", "v1"])
+    def test_a_new_binder_over_a_live_free_name(self, fmt):
+        from repro.lang.parser import parse
+
+        primary, replica = self.replayed([[parse("f x")], [parse(r"\x. f x")]], fmt)
+        # The second window is the Lam alone, over the live class f x.
+        assert len(primary) == 4
+        assert content_checksum(replica) == content_checksum(primary)
+
+    @pytest.mark.parametrize("fmt", ["v2", "v1"])
+    def test_literals_that_compare_equal_stay_apart(self, fmt):
+        from repro.lang.expr import App, Lam, Lit, Var
+
+        def g(value):
+            return App(Var("g"), Lit(value))
+
+        windows = [
+            [g(1), g(-0.0)],
+            [App(g(1), Lit(1.0)), App(g(-0.0), Lit(0.0)), App(Lit(True), g(1))],
+            [App(Lit(True), Lit(1.0)), Lam("x", App(Lit(0.0), Lit(-0.0)))],
+        ]
+        primary, replica = self.replayed(windows, fmt)
+        literals = {(type(e.expr.value), str(e.expr.value)) for e in primary.entries()
+                    if e.kind == "Lit"}
+        assert len(literals) == 5
+        assert content_checksum(replica) == content_checksum(primary)
+
+    def test_a_row_below_size_1_is_refused_whole(self):
+        """A row naming itself as both children with size -1 passes the
+        size sum; it is refused, not left to fail in the install."""
+        from test_codec_bytes import KIND_CODES, join_frame, split_frame
+
+        from repro.lang.parser import parse
+
+        primary = make_store("flat")
+        primary.intern(parse("f x"))
+        header, columns = split_frame(delta_to_bytes(primary, 0))
+        row = columns["kind"].index(KIND_CODES["App"])
+        node_id = columns["id"][row]
+        columns["first"][row] = columns["second"][row] = node_id
+        columns["size"][row] = -1
+        replica = make_store("flat")
+        with pytest.raises(SnapshotError, match="below 1"):
+            apply_delta_bytes(replica, join_frame(header, columns))
+        assert _state(replica) == _state(make_store("flat"))
+
+
 class TestDeltaAccounting:
     def test_hash_only_traffic_between_stamps_is_invisible(self):
         # Hashing does not create entries, so a stamp window spanning

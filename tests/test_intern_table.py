@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core.arena import OP_KINDS
+from repro.core.arena import OP_KINDS, OP_VAR
 from repro.lang.alpha import alpha_equivalent
 from repro.gen.random_exprs import random_expr
 from repro.lang.parser import parse
@@ -21,8 +21,10 @@ from repro.service import ReproServer, ServiceClient
 from repro.store import (
     ExprStore,
     Journal,
+    apply_delta_bytes,
     content_checksum,
     delta_to_bytes,
+    snapshot_from_bytes,
     snapshot_to_bytes,
 )
 
@@ -59,6 +61,34 @@ class TestFootprint:
         added = tracked_objects() - before
         assert len(store) > 10_000
         assert added / len(store) <= MAX_TRACKED_PER_ENTRY, (added, len(store))
+
+    @pytest.mark.parametrize("restore", ["snapshot", "delta", "merge"])
+    def test_a_restored_store_keeps_no_object_per_class(self, restore):
+        items = corpus(2000)
+        source, frames = ExprStore(), []
+        for lo in range(0, len(items), 500):
+            since = source.version
+            source.intern_many(items[lo : lo + 500], engine="arena")
+            frames.append(delta_to_bytes(source, since))
+        data = snapshot_to_bytes(source)
+        before = tracked_objects()
+        if restore == "snapshot":
+            store, _header = snapshot_from_bytes(data)
+        else:
+            store = ExprStore()
+            if restore == "delta":
+                for frame in frames:
+                    apply_delta_bytes(store, frame)
+            else:
+                store.merge_store(source)
+        added = tracked_objects() - before
+        assert len(store) == len(source) > 10_000
+        assert added / len(store) <= MAX_TRACKED_PER_ENTRY, (added, len(store))
+        assert store._memo == {} and live_trees(store) == []
+        if restore == "merge":  # the same classes under ids of its own
+            assert {e.hash for e in store.entries()} == {e.hash for e in source.entries()}
+        else:
+            assert content_checksum(store) == content_checksum(source)
 
     def test_journaled_server_keeps_no_encoder_trees(self, tmp_path):
         items = corpus(330, seed=23)
@@ -301,15 +331,20 @@ class TestDeltaSelection:
         for node_id, version in enumerate(versions):
             if node_id == 10:
                 table.records(0)  # start the log; the next restores drop it
-            table.insert(node_id, 7919 * node_id, "Var", 1, (), f"v{node_id}", None, version)
+            table.insert(var_class(node_id, f"v{node_id}", version))
         for node_id in rng.sample(range(80), 20):
             table.touch(node_id)
         for node_id in rng.sample(range(80), 12):
             table.unlink(node_id)
             if node_id % 2:
-                table.insert(node_id, 7919 * node_id, "Var", 1, (), "w", None, versions[node_id])
+                table.insert(var_class(node_id, "w", versions[node_id]))
         for since in range(10):
             assert table.records(since) == full_scan(table, since), since
+
+
+def var_class(node_id, name, version) -> list:
+    """One Var class as the columns ``InternTable.insert`` takes."""
+    return [[node_id], [7919 * node_id], [OP_VAR], [1], [-1], [-1], [name], [version]]
 
 
 def rescan_victims(table, protect, pinned, bound) -> list:

@@ -501,8 +501,8 @@ def mixed_corpus(n, seed=53, size=40):
 class TestArenaInternedWindows:
     """An arena intern leaves the summary memo cold; its window must be
     the frame a tree intern writes, and replay like one -- the replaying
-    store's own arena pass recomputes the summaries, so its canonical
-    trees hash as pure memo hits."""
+    store's own arena pass checks every hash, and like the arena intern
+    it leaves the memo cold and builds no tree."""
 
     @pytest.mark.parametrize("make", [ExprStore], ids=["flat"])
     def test_arena_windows_equal_tree_windows(self, make):
@@ -547,13 +547,13 @@ class TestArenaInternedWindows:
             store = restarted.session.store
             assert restarted.replay_report["applied"] == len(store)
             assert content_checksum(store) == checksum
-            # Every journaled canonical tree hashes as a pure memo hit.
-            hashed = store.stats.hashed_nodes
-            for node_id in ids:
-                assert store.hash_expr(store.expr_of(node_id)) == (
-                    store.hash_of(node_id)
-                )
-            assert store.stats.hashed_nodes == hashed
+            # Replay builds no tree and memoises nothing: each journaled
+            # class's tree is built on request and hashes to its class.
+            assert not any(store._table.trees)
+            trees = [store.expr_of(node_id) for node_id in ids]
+            assert store._memo == {}
+            for node_id, tree in zip(ids, trees):
+                assert store.hash_expr(tree) == store.hash_of(node_id)
             # And the journaled summaries resume a parent's hash exactly.
             probe = App(store.expr_of(ids[0]), store.expr_of(ids[-1]))
             assert store.hash_expr(probe) == (
@@ -723,8 +723,8 @@ class TestLegacyFrames:
             recovered = make_store()
             Journal(directory, fsync=False).replay(recovered)
             checksums[fmt] = content_checksum(recovered)
-            hashed = recovered.stats.hashed_nodes
-            for entry in list(recovered.entries()):
-                assert recovered.hash_expr(entry.expr) == entry.hash
-            assert recovered.stats.hashed_nodes == hashed
+            trees = [(entry.expr, entry.hash) for entry in recovered.entries()]
+            assert recovered._memo == {}  # nothing memoised before it is hashed
+            for tree, top in trees:
+                assert recovered.hash_expr(tree) == top
         assert checksums["v1"] == checksums["v2"] == content_checksum(store)

@@ -18,6 +18,7 @@ from repro.gen.random_exprs import random_expr
 from repro.lang.alpha import alpha_equivalent
 from repro.lang.expr import App, Lit, Var
 from repro.lang.parser import parse
+from repro.lang.traversal import preorder
 from repro.store import (
     ExprStore,
     SnapshotError,
@@ -107,18 +108,21 @@ class TestStoreRoundTrip:
         # bool/int stay distinct classes after the round trip
         assert bool_id != int_id
 
-    def test_memo_is_warm_after_load(self, snap_path):
+    def test_memo_is_cold_after_load(self, snap_path):
         store = ExprStore()
         expr = random_expr(300, seed=7)
         store.intern(expr)
         root_hash = store.hash_expr(expr)  # memo hit, counted before save
         store.save(snap_path)
         loaded = ExprStore.load(snap_path)
-        # hashing the canonical representative is a pure memo hit
+        # the canonical representative is built on request, unmemoised
         canonical = loaded.expr_of(loaded.lookup_hash(root_hash))
+        assert loaded._memo == {}
+        # and hashes to its class, each shared subtree summarised once
         assert loaded.hash_expr(canonical) == root_hash
-        assert loaded.stats.hashed_nodes == store.stats.hashed_nodes
-        assert loaded.stats.memo_hits == store.stats.memo_hits + 1
+        shared = {id(node) for node in preorder(canonical)}
+        assert loaded.stats.hashed_nodes == store.stats.hashed_nodes + len(shared)
+        assert set(loaded._memo) == shared
 
     def test_save_does_not_disturb_stats(self, snap_path):
         store = ExprStore()
@@ -486,8 +490,11 @@ class TestCrossFormat:
         state = loaded_state(from_v1)
         assert state == loaded_state(from_v3)
         assert state[:6] == saved
-        assert state[6] == sorted(from_v1._table.row_of)  # every tree warm
+        # No tree is built and nothing is memoised until it is hashed.
+        assert state[6] == [] and from_v1._memo == {} and not any(from_v1._table.trees)
         assert snapshot_to_bytes(from_v1) == snapshot_to_bytes(from_v3) == v3
+        for entry in list(from_v1.entries()):
+            assert from_v1.hash_expr(entry.expr) == entry.hash
 
     def test_an_unstamped_v1_file_saves_as_v3_and_reloads(self):
         store = self._store(64, None)
@@ -592,6 +599,32 @@ class TestSessionLoad:
         loaded = Session.load(snap_path)
         assert loaded.combiners.bits == 32
         assert loaded.hash(parse(r"\y. y + 7")) == value
+
+    @pytest.mark.parametrize(
+        "meta, reason",
+        [
+            ({"config": 5}, "'config' must be an object"),
+            ({"config": ["engine"]}, "'config' must be an object"),
+            ({"backend": "nope"}, "is not registered"),
+            ({"backend": 7}, "is not registered"),
+            ({"backend": ["ours"]}, "is not registered"),
+            ({"config": {"engine": "warp"}}, "'engine' must be one of"),
+        ],
+        ids=["config-int", "config-list", "backend-unknown", "backend-int",
+             "backend-list", "engine-unknown"],
+    )
+    def test_meta_it_cannot_adopt_is_refused(self, meta, reason):
+        store = ExprStore()
+        store.intern(parse("a b"))
+        data = snapshot_to_bytes(store, meta=meta)
+        with pytest.raises(SnapshotError, match=reason):
+            Session.from_snapshot_bytes(data)
+
+    def test_a_backend_override_ignores_the_saved_name(self):
+        store = ExprStore()
+        store.intern(parse("a b"))
+        data = snapshot_to_bytes(store, meta={"backend": "nope"})
+        assert Session.from_snapshot_bytes(data, backend="ours").backend.name == "ours"
 
 
 class TestLegacyFanoutConfig:
