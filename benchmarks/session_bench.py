@@ -32,7 +32,15 @@ Hard gates (exit 1 on failure):
 4. **first_touch_3x** -- first-touch p50 at most 3x the warm p50
    (always enforced, smoke or full): open leaves every item warm, so
    a first edit costs O(spine) like any other; a cold O(item) first
-   touch coming back fails this gate.
+   touch coming back fails this gate;
+5. **footprint** -- at most 60 GC-tracked objects kept alive per warm
+   edit (always enforced, smoke or full), counted as ``bench_store.py``'s
+   footprint gate counts them: ``gc.collect()``, then
+   ``len(gc.get_objects())``, after open and after the last edit, less
+   what the first touches kept (counted the same way around each).  The
+   trace, its shadow trees and its oracle hashes are built before the
+   first count, so they stay out of it.  Every object an edit keeps is
+   one more for each generation-1 collection to scan.
 
 The committed ``BENCH_PR9.json`` is a full-size run.
 """
@@ -40,6 +48,7 @@ The committed ``BENCH_PR9.json`` is a full-size run.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import statistics
@@ -50,6 +59,7 @@ FULL_GATE_MIN_NODES = 50_000
 SPEEDUP_FLOOR = 10.0
 DEPTH_FLOOR = 12.0
 FIRST_TOUCH_CEILING = 3.0
+FOOTPRINT_CEILING = 60.0
 
 
 def build_corpus(n_items: int, item_size: int, seed: int):
@@ -105,15 +115,28 @@ def run(args) -> dict:
     baseline_s = statistics.fmean(baseline_runs)
     print(f"baseline full-corpus rehash: {baseline_s * 1e3:.1f} ms")
 
+    # The trace, and the differential oracle for every edit: each item
+    # shadow-rewritten and hashed from scratch, all before the edits run.
     rng = random.Random(args.seed + 1)
     shadow = list(corpus)
+    trace = []
+    for index in range(args.edits):
+        item = rng.randrange(len(shadow))
+        path = rng.choice(deep_paths(shadow[item], args.min_depth))
+        replacement = alpha_rename(
+            random_expr(rng.randint(4, 16), rng=rng),
+            seed=500_000 + index,
+        )
+        shadow[item] = replace_at(shadow[item], path, replacement)
+        oracle = alpha_hash_all(shadow[item]).root_hash
+        trace.append((item, path, replacement, oracle))
+
     latencies = []
     first_touch = []
     warm = []
     touched = set()
     rehashed = []
     spine_depths = []
-    bit_identical = True
     mismatches = 0
 
     session = Session()
@@ -122,29 +145,29 @@ def run(args) -> dict:
     open_s = time.perf_counter() - started
     print(f"open: {open_s * 1e3:.0f} ms")
     try:
-        for index in range(args.edits):
-            item = rng.randrange(len(shadow))
-            path = rng.choice(deep_paths(shadow[item], args.min_depth))
-            replacement = alpha_rename(
-                random_expr(rng.randint(4, 16), rng=rng),
-                seed=500_000 + index,
-            )
+        gc.collect()
+        tracked = len(gc.get_objects())
+        for item, path, replacement, oracle in trace:
+            first = item not in touched
+            if first:
+                gc.collect()
+                tracked -= len(gc.get_objects())
             started = time.perf_counter()
             report = stream.edit(item, path, replacement)
             elapsed = time.perf_counter() - started
+            if first:
+                # What a first touch keeps stays out of the warm count.
+                gc.collect()
+                tracked += len(gc.get_objects())
             latencies.append(elapsed)
-            (warm if item in touched else first_touch).append(elapsed)
+            (first_touch if first else warm).append(elapsed)
             touched.add(item)
             rehashed.append(report.nodes_rehashed)
             spine_depths.append(report.spine_depth)
-
-            # The differential oracle, every edit: shadow-rewrite the
-            # item and hash it from scratch (outside the timed region).
-            shadow[item] = replace_at(shadow[item], path, replacement)
-            oracle = alpha_hash_all(shadow[item]).root_hash
             if report.root_hash != oracle:
-                bit_identical = False
                 mismatches += 1
+        gc.collect()
+        footprint = (len(gc.get_objects()) - tracked) / max(1, len(warm))
         totals = stream.report()
     finally:
         stream.close()
@@ -178,10 +201,11 @@ def run(args) -> dict:
         )
 
     gates = {
-        "bit_identical": bit_identical,
+        "bit_identical": mismatches == 0,
         "depth_floor": mean_depth >= DEPTH_FLOOR,
         "speedup_10x": (speedup >= SPEEDUP_FLOOR) if enforce_speedup else True,
         "first_touch_3x": first_p50 <= FIRST_TOUCH_CEILING * warm_p50,
+        "footprint": footprint <= FOOTPRINT_CEILING,
     }
 
     result = {
@@ -211,6 +235,8 @@ def run(args) -> dict:
         "rehash_ratio": round(totals["rehash_ratio"], 6),
         "repins": totals["repins"],
         "mismatches": mismatches,
+        "tracked_objects_per_warm_edit": round(footprint, 1),
+        "max_tracked_objects_per_warm_edit": FOOTPRINT_CEILING,
         "speedup_gate": speedup_gate,
         "gates": gates,
     }
@@ -230,6 +256,10 @@ def run(args) -> dict:
         f"mean spine depth {mean_depth:.1f}"
     )
     print(f"speedup vs full-corpus rehash: {speedup:.1f}x")
+    print(
+        f"footprint: {footprint:.1f} GC-tracked objects kept per warm edit "
+        f"(ceiling {FOOTPRINT_CEILING:.0f})"
+    )
     if not enforce_speedup:
         print(f"SKIP speedup_10x gate: {speedup_gate['reason']}")
     return result

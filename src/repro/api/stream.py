@@ -13,12 +13,15 @@ nodes-rehashed count (the perf receipt: O(spine), not O(corpus)).
 Warm open: opening is always one tree-engine pass, whatever the
 ``engine`` hint says, because that pass fills the store's
 per-node summary memo (the arena engine keeps only per-root results).
-An item's first edit then starts from its collapsed root read out of
-the memo and expands only the spine it walks, so it costs O(spine) like
-every later edit.  An item the memo no longer covers -- flushed by a
-bounded store's ``memo_limit``, or a store-less session -- falls back to
-a one-time O(item) annotation build, bit-identical; ``EditReport.built``
-and ``report()["built_items"]`` count those cold builds.
+An item's hasher then adopts its root's record from that memo, and
+each edit adopts the records of the siblings along its spine, so an
+item's first edit costs O(spine) like every later edit.  An item whose
+root the memo no longer holds -- flushed by a bounded store's
+``memo_limit``, or a store-less session -- falls back to a one-time
+O(item) summarise into the hasher's own memo, bit-identical;
+``EditReport.built`` and ``report()["built_items"]`` count those cold
+builds.  Each replacement is summarised once, by the store's
+``hash_expr``; interning it then starts from that record.
 
 Eviction safety: the session **pins** its classes in the shared store
 (:meth:`~repro.store.ExprStore.pin`), so an LRU-bounded store serving
@@ -75,7 +78,7 @@ class EditReport(StatsDictMixin):
     already existed in the store before this edit (the new-sharing
     report); ``new_classes`` counts classes this edit created.
     ``built`` flags a first edit that paid the O(item) cold
-    annotation build because the store memo did not cover the item
+    summarise because the store memo did not hold the item's root
     (a warm open makes first edits O(spine); see module docs);
     ``repinned`` flags an evicted-then-recovered pin.
     """
@@ -162,9 +165,9 @@ class StreamSession:
         self.intern_classes = intern_classes
         self.closed = False
 
-        #: item index -> annotation tree, created on the item's first
-        #: edit from its collapsed root in the store memo (O(1)), or by
-        #: the O(item) cold build when the memo does not cover it.
+        #: item index -> incremental hasher, created on the item's
+        #: first edit from its root's record in the store memo (O(1)),
+        #: or by the O(item) cold build when the memo does not hold it.
         self._hashers: dict[int, IncrementalHasher] = {}
         #: node ids this session has pinned (unpinned on close).
         self._pinned: list[int] = []

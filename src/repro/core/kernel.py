@@ -14,8 +14,10 @@ hand.  This module hosts the single shared loop
   splitmix64 steps inlined, bit-identical to the generic method.
 
 ``summarise_tree`` is one loop with optional hooks instead of N copies:
-``memo``/``store_stats`` give the store's resume-above-cached-roots
-behaviour, ``by_id``/``summaries``/``map_stats`` give the
+``memo``/``store_stats`` give the resume-above-cached-roots behaviour of
+the store's summary memo and of the incremental hasher's memo (Section
+6.3: a replace re-summarises only the rebuilt spine above the records it
+keeps), ``by_id``/``summaries``/``map_stats`` give the
 :class:`~repro.core.hashed.AlphaHashes` outputs.  The per-node cost of
 the disabled hooks is a handful of ``is not None`` checks -- cheap next
 to the map work -- and in exchange there is exactly one place where the
@@ -179,9 +181,9 @@ def summarise_tree(
     per node):
 
     ``memo`` + ``store_stats``
-        The store flavour: resume above cached subtree roots, snapshot
-        every fresh node's summary into ``memo`` as a
-        :class:`MemoRecord`, and count
+        The memo flavour (the store's, the incremental hasher's): resume
+        above cached subtree roots, snapshot every fresh node's summary
+        into ``memo`` as a :class:`MemoRecord`, and count
         ``memo_hits``/``memo_skipped_nodes``/``hashed_nodes``.
     ``by_id`` / ``summaries``
         The :func:`~repro.core.hashed.alpha_hash_all` flavour: record

@@ -16,8 +16,7 @@
 
 The fast summariser merges the smaller map into the bigger one
 *destructively* (each map is consumed exactly once on the way up the
-tree), which is what makes the amortised Lemma 6.1 bound real.  The
-incremental hasher (Section 6.3) instead uses ``snapshot()`` copies.
+tree), which is what makes the amortised Lemma 6.1 bound real.
 """
 
 from __future__ import annotations
@@ -247,13 +246,6 @@ class HashedVarMap:
             self.hash ^= entry_hash(combiners, name, old)
         self.entries[name] = pos_hash
         self.hash ^= entry_hash(combiners, name, pos_hash)
-
-    # -- snapshots (for the incremental hasher) -------------------------------
-
-    def snapshot(self) -> "HashedVarMap":
-        """An independent copy (O(len)); the batch summariser never needs
-        this, the incremental one (Section 6.3) does."""
-        return HashedVarMap(dict(self.entries), self.hash)
 
     # -- validation -----------------------------------------------------------
 

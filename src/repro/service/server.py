@@ -1143,7 +1143,10 @@ def serve(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8655)
     parser.add_argument(
-        "--backend", default="ours", help="unified-registry backend name"
+        "--backend",
+        default=None,
+        help="unified-registry backend name (default: a loaded snapshot's "
+        "saved backend, else ours)",
     )
     parser.add_argument("--bits", type=int, default=64)
     parser.add_argument("--seed", type=int, default=None)
@@ -1260,7 +1263,9 @@ def serve(argv=None) -> int:
         except SnapshotError as exc:
             return refuse(args.load, exc)
     else:
-        session = Session(backend=args.backend, bits=args.bits, seed=args.seed)
+        session = Session(
+            backend=args.backend or "ours", bits=args.bits, seed=args.seed
+        )
     if args.engine is not None:
         # The engine is not store shape: an explicit --engine overrides
         # a snapshot's saved default rather than being ignored.

@@ -111,7 +111,6 @@ from repro.core.kernel import MemoRecord, summarise_tree
 from repro.core.position_tree import pt_here_hash
 from repro.core.statshape import StatsDictMixin
 from repro.core.structure import svar_hash
-from repro.core.varmap import HashedVarMap
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
 from repro.lang.traversal import preorder
 
@@ -920,22 +919,6 @@ class ExprStore:
         """Number of distinct pinned classes."""
         return len(self._pinned)
 
-    def cached_summary(
-        self, node: Expr
-    ) -> Optional[tuple[int, HashedVarMap, int]]:
-        """``(structure_hash, varmap, top_hash)`` for a subtree object
-        this store has hashed before, else ``None``.
-
-        The returned map wraps the record's frozen entries without a
-        copy, so callers must never mutate it: take a
-        :meth:`~repro.core.varmap.HashedVarMap.snapshot` first, as the
-        incremental hasher's ancestor re-summarise does.
-        """
-        rec = self._memo.get(id(node))
-        if rec is None:
-            return None
-        return rec.s_hash, HashedVarMap(rec.vm_entries, rec.vm_hash), rec.top
-
     def cached_top(self, node: Expr) -> Optional[int]:
         """The memoised top-level alpha-hash of ``node``, if any."""
         rec = self._memo.get(id(node))
@@ -1085,11 +1068,14 @@ class ExprStore:
 
         Never called mid-operation: :meth:`intern` reads every node's
         record right after hashing.  The memo is a pure cache, so losing
-        warmth is the only cost of a flush.
+        warmth is the only cost of a flush.  A flush starts a new dict
+        rather than clearing the old one, so a caller that took the
+        memo before :meth:`hash_expr` still reads the records the call
+        made (the incremental hasher adopts a replacement's that way).
         """
         if self.memo_limit is not None:
             if len(self._memo) > self.memo_limit:
-                self._memo.clear()
+                self._memo = {}
             if len(self._arena_root_memo) > self.memo_limit:
                 self._arena_root_memo.clear()
             # The compile cache pins a whole corpus: a memo-bounded

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -195,10 +196,63 @@ class TestServeRefusals:
         result = self.serve("--load", str(path))
         self.assert_refused(result, path, "'engine' must be one of")
 
+    def test_load_file_saving_an_unregistered_backend(self, tmp_path):
+        from repro.lang.expr import Var
+        from repro.store import ExprStore, write_snapshot
+
+        store = ExprStore()
+        store.intern(Var("x"))
+        path = tmp_path / "store.snap"
+        write_snapshot(store, str(path), meta={"backend": "nope"})
+        result = self.serve("--load", str(path))
+        self.assert_refused(
+            result, path, "snapshot meta 'backend' 'nope' is not registered"
+        )
+
     def test_journal_that_does_not_replay(self, tmp_path):
         (tmp_path / "journal-00000001.wal").write_bytes(_frame_bytes(b"garbage"))
         result = self.serve("--journal", str(tmp_path))
         self.assert_refused(result, tmp_path, "frame payload has no delta header")
+
+
+class TestServeBackend:
+    """``repro serve --load`` serves the backend the snapshot saved,
+    unless ``--backend`` names another."""
+
+    @staticmethod
+    def banner(*args: str) -> str:
+        """The start-up line of ``repro serve`` with ``args``; the server
+        is stopped once it is read."""
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                _out, err = proc.communicate(timeout=30)
+            except subprocess.TimeoutExpired:  # pragma: no cover - cleanup
+                proc.kill()
+                _out, err = proc.communicate()
+        assert banner.startswith("repro serve: http://"), err
+        return banner
+
+    def test_saved_backend_is_served(self, tmp_path):
+        from repro.api import Session
+        from repro.lang.expr import Var
+
+        path = str(tmp_path / "store.snap")
+        with Session(backend="debruijn") as session:
+            session.intern(Var("x"))
+            session.save(path)
+        assert "(backend=debruijn," in self.banner("--load", path)
+        assert "(backend=ours," in self.banner("--load", path, "--backend", "ours")
 
 
 class TestClassesCommand:

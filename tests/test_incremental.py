@@ -16,7 +16,8 @@ from repro.core.incremental import IncrementalHasher
 from repro.gen.random_exprs import random_expr
 from repro.lang.expr import App, Lam, Lit, Var
 from repro.lang.parser import parse
-from repro.lang.traversal import preorder_with_paths, replace_at
+from repro.lang.traversal import preorder, preorder_with_paths, replace_at
+from repro.store import ExprStore
 
 from strategies import exprs
 
@@ -25,6 +26,19 @@ def assert_matches_batch(hasher: IncrementalHasher) -> None:
     fresh = alpha_hash_all(hasher.expr)
     for node, value in hasher.iter_hashes():
         assert value == fresh.hash_of(node)
+
+
+def assert_memo_within_tree(hasher: IncrementalHasher) -> None:
+    """The hasher's memo holds records of its current tree's nodes only,
+    so never more records than the tree has distinct nodes."""
+    assert hasher._memo.keys() <= {id(node) for node in preorder(hasher.expr)}
+
+
+def put_back(hasher: IncrementalHasher, rng: random.Random) -> None:
+    """Replace a random subtree of the hasher's tree with itself."""
+    path, node = rng.choice(list(preorder_with_paths(hasher.expr)))
+    hasher.replace(path, node)
+    assert_memo_within_tree(hasher)
 
 
 class TestConstruction:
@@ -80,13 +94,18 @@ class TestReplace:
 
     def test_sequential_replaces(self):
         e = random_expr(200, seed=5, shape="balanced", p_let=0.2)
-        hasher = IncrementalHasher(e)
-        rng = random.Random(0)
-        for step in range(10):
-            paths = [p for p, n in preorder_with_paths(hasher.expr) if n.size <= 7]
-            path = rng.choice(paths)
-            hasher.replace(path, Lit(step))
-            assert_matches_batch(hasher)
+        for store in (None, ExprStore()):
+            hasher = IncrementalHasher(e, store=store)
+            rng = random.Random(0)
+            for step in range(10):
+                paths = [
+                    p for p, n in preorder_with_paths(hasher.expr) if n.size <= 7
+                ]
+                path = rng.choice(paths)
+                hasher.replace(path, Lit(step))
+                assert_memo_within_tree(hasher)
+                put_back(hasher, rng)
+                assert_matches_batch(hasher)
 
     def test_equivalent_rewrite_preserves_root_hash(self):
         e = parse(r"foo (\x. x + 7) (\y. y + 7)")
@@ -165,8 +184,6 @@ class TestBoundedStoreEviction:
     """
 
     def test_memo_flush_between_replaces_recomputes(self):
-        from repro.store import ExprStore
-
         from repro.gen.random_exprs import alpha_rename
 
         store = ExprStore(memo_limit=32)
@@ -179,11 +196,12 @@ class TestBoundedStoreEviction:
             repl = alpha_rename(random_expr(5, rng=rng), seed=1_000 + index)
             store._memo.clear()  # wholesale memo eviction mid-stream
             hasher.replace(path, repl)
+            assert_memo_within_tree(hasher)
+            store._memo.clear()
+            put_back(hasher, rng)
             assert_matches_batch(hasher)
 
     def test_lru_churn_between_replaces_stays_bit_identical(self):
-        from repro.store import ExprStore
-
         from repro.gen.random_exprs import alpha_rename
 
         store = ExprStore(max_entries=8, memo_limit=16)
@@ -203,4 +221,6 @@ class TestBoundedStoreEviction:
             path = rng.choice(paths)
             repl = alpha_rename(random_expr(4, rng=rng), seed=2_000 + index)
             hasher.replace(path, repl)
+            assert_memo_within_tree(hasher)
+            put_back(hasher, rng)
             assert_matches_batch(hasher)

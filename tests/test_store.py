@@ -439,7 +439,7 @@ class TestConsumers:
     def test_incremental_navigation_into_collapsed_subtree(self):
         e = uniquify_binders(random_expr(150, seed=9, p_let=0.2))
         store = ExprStore()
-        store.hashes(e)  # warm: the whole tree collapses on construction
+        store.hashes(e)  # warm: construction adopts the root's record
         inc = IncrementalHasher(e, store=store)
         fresh = alpha_hash_all(e)
         deep = (0, 1) if len(e.children()) > 1 else (0,)
@@ -455,7 +455,7 @@ class TestConsumers:
         store = ExprStore()
         store.hashes(e)
         inc = IncrementalHasher(e, store=store)
-        store.clear_memo()  # collapsed annotations must self-expand
+        store.clear_memo()  # records never adopted are summarised once
         fresh = alpha_hash_all(e)
         for node, value in inc.iter_hashes():
             assert value == fresh.hash_of(node)

@@ -28,7 +28,8 @@ from repro.api import (
 )
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.core.hashed import alpha_hash_all
-from repro.core.incremental import IncrementalHasher, PathError
+from repro.core import incremental
+from repro.core.incremental import PathError
 from repro.core.kernel import summarise_tree
 from repro.core.position_tree import pt_here_hash
 from repro.core.structure import svar_hash
@@ -66,6 +67,33 @@ def seeded_edits(stream_exprs, n_edits, seed=23, max_repl=12):
         )
         current[item] = replace_at(current[item], path, replacement)
         yield item, path, replacement, current[item]
+
+
+@pytest.fixture()
+def summarised(monkeypatch):
+    """``summarised(store, edit)`` runs ``edit()`` and returns its result
+    with the nodes summarised meanwhile: the hasher's kernel passes,
+    through a spy on ``summarise_tree``, plus the store's
+    ``hashed_nodes``."""
+    counted = [0]
+    real = incremental.summarise_tree
+
+    def spy(root, combiners, **hooks):
+        tally = hooks["store_stats"]
+        before = tally.hashed_nodes
+        try:
+            return real(root, combiners, **hooks)
+        finally:
+            counted[0] += tally.hashed_nodes - before
+
+    monkeypatch.setattr(incremental, "summarise_tree", spy)
+
+    def run(store, edit):
+        before = counted[0] + store.stats.hashed_nodes
+        result = edit()
+        return result, counted[0] + store.stats.hashed_nodes - before
+
+    return run
 
 
 STORE_CONFIGS = [
@@ -136,19 +164,11 @@ class TestWarmOpen:
     )
     @pytest.mark.parametrize("config", UNBOUNDED_CONFIGS)
     def test_first_touch_is_spine_not_item(
-        self, config, intern_classes, monkeypatch
+        self, config, intern_classes, summarised
     ):
         # An "auto" plan would pick the arena engine, whose per-root
         # results leave the memo empty; open pins the tree engine.
         corpus = build_corpus(2, seed=110, size=2_001)
-        combined = []
-        combine = IncrementalHasher._combine
-
-        def spy(hasher, node, children, merge_counter):
-            combined.append(node)
-            return combine(hasher, node, children, merge_counter)
-
-        monkeypatch.setattr(IncrementalHasher, "_combine", spy)
         with Session(**config) as session:
             with session.open_stream(
                 corpus, intern_classes=intern_classes
@@ -157,22 +177,21 @@ class TestWarmOpen:
                 for item, path, repl, expected_tree in seeded_edits(
                     corpus, n_edits=5, seed=111
                 ):
-                    combined.clear()
-                    report = stream.edit(item, path, repl)
+                    report, nodes = summarised(
+                        session.store, lambda: stream.edit(item, path, repl)
+                    )
                     assert (
                         report.root_hash
                         == alpha_hash_all(expected_tree).root_hash
                     )
                     assert report.built is False
-                    assert len(combined) <= (
-                        report.spine_depth + report.subtree_nodes
-                    )
+                    assert nodes <= report.spine_depth + report.subtree_nodes
                     touched.add(item)
                 assert touched == {0, 1}
                 assert stream.report()["built_items"] == 0
 
     @pytest.mark.parametrize("flush", ["memo-cleared", "memo-limit"])
-    def test_cold_fallback_stays_exact(self, flush):
+    def test_cold_fallback_stays_exact(self, flush, summarised):
         corpus = build_corpus(2, seed=112, size=200)
         config = {"memo_limit": 50} if flush == "memo-limit" else {}
         with Session(**config) as session:
@@ -183,12 +202,21 @@ class TestWarmOpen:
                 for item, path, repl, expected_tree in seeded_edits(
                     corpus, n_edits=8, seed=113
                 ):
-                    report = stream.edit(item, path, repl)
+                    report, nodes = summarised(
+                        session.store, lambda: stream.edit(item, path, repl)
+                    )
                     assert (
                         report.root_hash
                         == alpha_hash_all(expected_tree).root_hash
                     )
                     assert report.built is (item not in touched)
+                    if item in touched:
+                        # The hasher kept the records the store memo
+                        # lost: after the cold build, only the spine
+                        # and the new subtree are summarised.
+                        assert nodes <= (
+                            report.spine_depth + report.subtree_nodes
+                        )
                     touched.add(item)
                 assert stream.report()["built_items"] == len(touched) == 2
 
@@ -219,8 +247,9 @@ class TestWarmOpen:
 
 
 class TestMemoRecordsStayFrozen:
-    """``cached_summary`` hands out a memo record's own map, uncopied: a
-    stream of edits must leave every record exactly as summarised."""
+    """The incremental hasher adopts the store memo's records as they
+    are, into a memo of its own: a stream of edits must leave every
+    record exactly as summarised."""
 
     @pytest.mark.parametrize("config", UNBOUNDED_CONFIGS)
     def test_edit_stream_never_mutates_a_record(self, config):
@@ -330,6 +359,43 @@ class TestEvictionSafety:
                         report.root_hash
                         == alpha_hash_all(expected_tree).root_hash
                     )
+
+    @pytest.mark.parametrize("flush", ["between-edits", "memo-limit"])
+    def test_memo_flush_costs_a_later_edit_only_its_spine(
+        self, flush, summarised
+    ):
+        """The hasher keeps every record of a replacement, so once the
+        store memo is flushed, an edit inside the last replacement still
+        summarises only its spine and its own new subtree.  A flush
+        inside an edit costs one more pass over the new subtree: the
+        intern's, which finds the store memo empty."""
+        corpus = build_corpus(1, seed=62, size=200)
+        rng = random.Random(63)
+        config = {"memo_limit": 20} if flush == "memo-limit" else {}
+        passes = 2 if flush == "memo-limit" else 1
+        with Session(**config) as session:
+            with session.open_stream(corpus) as stream:
+                path = (0,) * min(4, corpus[0].depth - 1)
+                for index in range(16):
+                    if flush == "between-edits":
+                        session.store._memo.clear()
+                    repl = alpha_rename(
+                        random_expr(rng.randint(5, 12), rng=rng),
+                        seed=80_000 + index,
+                    )
+                    report, nodes = summarised(
+                        session.store, lambda: stream.edit(0, path, repl)
+                    )
+                    assert (
+                        report.root_hash
+                        == alpha_hash_all(stream.expr(0)).root_hash
+                    )
+                    if index:  # the first is the cold build
+                        assert nodes <= (
+                            report.spine_depth + passes * report.subtree_nodes
+                        )
+                    if repl.children():
+                        path += (len(repl.children()) - 1,)
 
     def test_store_thrash_error_after_bounded_retries(self):
         corpus = build_corpus(1, seed=70, size=20)

@@ -107,13 +107,6 @@ class TestHashedVarMapBasics:
         assert m.get("x") == 2
         assert m.hash == entry_hash(C, "x", 2)
 
-    def test_snapshot_independent(self):
-        m = HashedVarMap.singleton(C, "x", 1)
-        snap = m.snapshot()
-        m.set(C, "y", 2)
-        assert "y" not in snap
-        assert snap.hash == entry_hash(C, "x", 1)
-
     def test_order_insensitive_hash(self):
         a = HashedVarMap.empty()
         a.set(C, "x", 1)
