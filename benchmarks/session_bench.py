@@ -40,7 +40,13 @@ Hard gates (exit 1 on failure):
    what the first touches kept (counted the same way around each).  The
    trace, its shadow trees and its oracle hashes are built before the
    first count, so they stay out of it.  Every object an edit keeps is
-   one more for each generation-1 collection to scan.
+   one more for each generation-1 collection to scan;
+6. **open_footprint** -- at most 1.25 GC-tracked objects kept alive by
+   the open per corpus node (always enforced, smoke or full), counted
+   the same way just before and just after ``open_stream``, with the
+   corpus, the trace and the session already built.  The open's summary
+   memo keeps one record per node; a canonical tree or a second record
+   per class coming back fails this gate.
 
 The committed ``BENCH_PR9.json`` is a full-size run.
 """
@@ -60,6 +66,7 @@ SPEEDUP_FLOOR = 10.0
 DEPTH_FLOOR = 12.0
 FIRST_TOUCH_CEILING = 3.0
 FOOTPRINT_CEILING = 60.0
+OPEN_FOOTPRINT_CEILING = 1.25
 
 
 def build_corpus(n_items: int, item_size: int, seed: int):
@@ -140,6 +147,8 @@ def run(args) -> dict:
     mismatches = 0
 
     session = Session()
+    gc.collect()
+    before_open = len(gc.get_objects())
     started = time.perf_counter()
     stream = session.open_stream(corpus)
     open_s = time.perf_counter() - started
@@ -147,6 +156,7 @@ def run(args) -> dict:
     try:
         gc.collect()
         tracked = len(gc.get_objects())
+        open_footprint = (tracked - before_open) / corpus_nodes
         for item, path, replacement, oracle in trace:
             first = item not in touched
             if first:
@@ -206,6 +216,7 @@ def run(args) -> dict:
         "speedup_10x": (speedup >= SPEEDUP_FLOOR) if enforce_speedup else True,
         "first_touch_3x": first_p50 <= FIRST_TOUCH_CEILING * warm_p50,
         "footprint": footprint <= FOOTPRINT_CEILING,
+        "open_footprint": open_footprint <= OPEN_FOOTPRINT_CEILING,
     }
 
     result = {
@@ -237,6 +248,8 @@ def run(args) -> dict:
         "mismatches": mismatches,
         "tracked_objects_per_warm_edit": round(footprint, 1),
         "max_tracked_objects_per_warm_edit": FOOTPRINT_CEILING,
+        "tracked_objects_per_open_node": round(open_footprint, 3),
+        "max_tracked_objects_per_open_node": OPEN_FOOTPRINT_CEILING,
         "speedup_gate": speedup_gate,
         "gates": gates,
     }
@@ -258,7 +271,8 @@ def run(args) -> dict:
     print(f"speedup vs full-corpus rehash: {speedup:.1f}x")
     print(
         f"footprint: {footprint:.1f} GC-tracked objects kept per warm edit "
-        f"(ceiling {FOOTPRINT_CEILING:.0f})"
+        f"(ceiling {FOOTPRINT_CEILING:.0f}); open kept "
+        f"{open_footprint:.3f} per corpus node (ceiling {OPEN_FOOTPRINT_CEILING})"
     )
     if not enforce_speedup:
         print(f"SKIP speedup_10x gate: {speedup_gate['reason']}")

@@ -340,9 +340,10 @@ class Session:
 
         Root hashes are bit-identical to the saving process, and
         interning lands on the saved node ids without growing the
-        store.  The memo starts cold: an expression, re-parsed or built
-        by ``expr_of``, is summarised once before it resolves to its
-        class.  ``backend`` overrides the saved backend name.
+        store.  The memo starts cold: an expression is summarised once
+        before it resolves to its class.  Trees are built on request by
+        ``expr_of``, as in the saving process.  ``backend`` overrides
+        the saved backend name.
         """
         store, header = read_snapshot(path)
         return cls._adopt_snapshot(store, header, backend)

@@ -20,8 +20,10 @@ root the memo no longer holds -- flushed by a bounded store's
 ``memo_limit``, or a store-less session -- falls back to a one-time
 O(item) summarise into the hasher's own memo, bit-identical;
 ``EditReport.built`` and ``report()["built_items"]`` count those cold
-builds.  Each replacement is summarised once, by the store's
-``hash_expr``; interning it then starts from that record.
+builds.  Each replacement is summarised once, into the store memo, by
+the hasher's ``replace``, which flushes a bounded memo before that pass
+rather than after it; interning the replacement then starts from its
+root's record.
 
 Eviction safety: the session **pins** its classes in the shared store
 (:meth:`~repro.store.ExprStore.pin`), so an LRU-bounded store serving

@@ -39,7 +39,7 @@ paper's own invariant -- alpha-hashes are canonical and uniform:
 * ``/v1/session/*`` (streaming edit sessions) is **sticky**: the open
   picks a live node (hashing is ownership-free, so any node can host
   a hash-only session) and every later edit/report/close for that
-  session id is forwarded to the same node, where the annotation trees
+  session id is forwarded to the same node, where the session's hashers
   live.  Session state is in-process on its node, so it does not
   survive that node: if the owner dies (or the node expired the
   session), the coordinator drops the route and answers **409** --
@@ -362,7 +362,7 @@ class ClusterCoordinator:
         self.lock = threading.Lock()
         self.requests_served = 0  # guarded-by: lock
         #: sid -> node hosting that streaming session (sticky: the
-        #: annotation trees live in that node's process).
+        #: session's hashers live in that node's process).
         self.session_routes: dict[str, _ShardNode] = {}  # guarded-by: lock
         self._session_rr = 0  # guarded-by: lock
         #: Sessions dropped because their node died or expired them.

@@ -16,7 +16,8 @@ new ancestors, and each one's map copy is the "work proportional to the
 size of the free variable map" the paper's analysis charges for.
 With an :class:`~repro.store.ExprStore` attached, records are adopted
 from its summary memo instead of being recomputed, and the new subtree
-is hashed once, by the store.
+is summarised once, into the store memo, which ``replace`` flushes (if
+it is over its bound) before that pass, not after it.
 
 The replace operation reports a :class:`ReplaceStats` with the touched
 node and map-operation counts, which the Section 6.3 experiment harness
@@ -173,8 +174,6 @@ class IncrementalHasher:
         """
         spine = self._path_nodes(path)
         old = spine.pop()
-        # Taken before hash_expr: should it flush the store memo, this
-        # dict still holds the records it made for ``new_subexpr``.
         store_memo = self._store_memo
         for parent, index in zip(spine, path):
             for position, child in enumerate(parent.children()):
@@ -183,9 +182,13 @@ class IncrementalHasher:
 
         store_memo_nodes = 0
         if self.store is not None:
+            # A bounded store memo is flushed here, before the hash, so
+            # the replacement's records stay in it for a caller that
+            # interns the replacement next (a stream edit does).
             stats = self.store.stats
             skipped = stats.memo_skipped_nodes
-            self.store.hash_expr(new_subexpr)
+            self.store._maybe_flush_memo()
+            self.store._hash_tree(new_subexpr)
             store_memo_nodes = stats.memo_skipped_nodes - skipped
 
         memo = self._memo

@@ -35,17 +35,11 @@ from typing import Optional, Sequence
 from repro.analysis.complexity import loglog_slope
 from repro.analysis.timing import time_call
 from repro.api.backends import ABLATION_ORDER, get_backend
-from repro.baselines.ablated import (  # noqa: F401 -- compatibility re-exports
-    alpha_hash_all_always_left,
-    alpha_hash_all_recompute_vm,
-)
 from repro.evalharness.config import current_profile
 from repro.evalharness.format import format_seconds, format_table
 from repro.gen.random_exprs import random_expr
 
 __all__ = [
-    "alpha_hash_all_always_left",
-    "alpha_hash_all_recompute_vm",
     "AblationResult",
     "run_ablations",
     "sweep_label",

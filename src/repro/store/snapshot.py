@@ -5,8 +5,9 @@ intern table's live classes, their LRU recency and the store's counters
 are written to one checksummed frame and restored bit-identically.
 Re-hashing the same corpus in another process yields the same root
 hashes and lands on the existing classes without growing the store.  A
-restored store holds what an arena intern leaves: columns, no canonical
-tree (``expr_of`` builds one on request) and a cold memo.
+restored store holds its classes as every intern path leaves them, as
+columns with no canonical tree (``expr_of`` builds one on request), and
+its memo is cold.
 
 Column frames
 -------------

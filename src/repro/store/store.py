@@ -40,16 +40,16 @@ without a tree leaves no GC-tracked object behind, so a large table
 costs the collector nothing.  An evicted class's row is cleared and
 reused.
 
-* **Trees on demand.**  The arena bulk intern stores no tree.
-  :meth:`ExprStore.expr_of` (and :attr:`StoreEntry.expr`) build a
-  class's tree from the columns, children first, reusing every subtree
-  already built, and keep it in the tree column.  The tree walk
-  (:meth:`ExprStore.intern`) builds its trees at once: a leaf class
-  adopts the caller's node, an interior one gets a canonical tree whose
-  memo record makes re-interning it free.  Nothing else builds one:
-  snapshot and delta frames are the columns themselves, and the loaders
-  and :meth:`ExprStore.merge_store` check and install classes through
-  an arena built from columns (:meth:`InternTable.arena`).
+* **Trees on demand.**  No intern path stores a tree: the tree walk
+  (:meth:`ExprStore.intern`), the arena bulk intern, the loaders and
+  :meth:`ExprStore.merge_store` all leave a class as its columns (the
+  loaders and the merge check and install classes through an arena
+  built from columns, :meth:`InternTable.arena`).  A class's kind,
+  label and child classes determine its tree, so
+  :meth:`ExprStore.expr_of` (and :attr:`StoreEntry.expr`) build it from
+  the columns when asked, children first, reusing every subtree already
+  built, and keep it in the tree column.  Snapshot and delta frames are
+  the columns themselves.
 * **Views.**  :class:`StoreEntry` is a read-only view of one class's
   columns, built when :meth:`~ExprStore.entry` or
   :meth:`~ExprStore.entries` asks for it.  Readers that walk the whole
@@ -248,7 +248,7 @@ def node_label(node: Expr):
 #: The one constructor of canonical trees, by opcode: a node from its
 #: :func:`node_label` and its children's canonical trees.
 #: :meth:`ExprStore._tree` builds every class's tree through it, on
-#: demand (the tree walk's intern asks at once).
+#: demand.
 _CANONICAL = (
     lambda label, kids: Var(label),
     lambda label, kids: Lit(label),
@@ -520,26 +520,24 @@ class InternTable:
         """The hit-or-add step by hash, bound once per batch over local
         column references, with room for at least ``reserve`` new classes.
 
-        Returns ``hit_or_add(top, op, size, first, second, label,
-        leaf=None)`` -> class id, where ``op`` is the kind's ``OP_*`` code
-        and ``first`` and ``second`` are the child ids, -1 where absent.
-        A hit on a class already keyed by ``top`` passes
-        :func:`check_same_class` against the kind and size columns, takes
-        the next stamp and counts one hit on ``store.stats``.  A miss
-        writes a new row with ``store.version`` bumped as its version and
-        the next stamp, adopts ``leaf`` as its tree when the caller has
-        one (a Var/Lit node of the tree walk), adds one reference to each
-        child, and counts one miss.
+        Returns ``hit_or_add(top, op, size, first, second, label)`` ->
+        class id, where ``op`` is the kind's ``OP_*`` code and ``first``
+        and ``second`` are the child ids, -1 where absent.  A hit on a
+        class already keyed by ``top`` passes :func:`check_same_class`
+        against the kind and size columns, takes the next stamp and
+        counts one hit on ``store.stats``.  A miss writes a new row with
+        ``store.version`` bumped as its version, the next stamp and no
+        tree, adds one reference to each child, and counts one miss.
         """
         self._reserve(reserve)
         row_of, by_hash = self.row_of, self.by_hash
         hashes, ops, sizes, labels = self.hashes, self.ops, self.sizes, self.labels
         lefts, rights, versions = self.lefts, self.rights, self.versions
-        stamps, refcounts, trees, stats = self.stamps, self.refcounts, self.trees, store.stats
+        stamps, refcounts, stats = self.stamps, self.refcounts, store.stats
         free, kinds, guard = self.free, OP_KINDS, check_same_class
         find, take_free, grow = by_hash.get, free.pop, self._grow
 
-        def hit_or_add(top, op, size, first, second, label, leaf=None) -> int:
+        def hit_or_add(top, op, size, first, second, label) -> int:
             node_id = find(top)
             if node_id is not None:
                 row = row_of[node_id]
@@ -566,14 +564,13 @@ class InternTable:
             versions[row] = version
             stamps[row] = clock = self.clock
             self.clock = clock + 1
-            trees[row] = leaf
             row_of[node_id] = row
             by_hash[top] = node_id
             log = self.log_ids
             if log is not None:
                 log.append(node_id)
                 self.log_versions.append(version)
-            # A row taken holds -1 in both child columns.
+            # A row taken holds -1 in both child columns and no tree.
             if first >= 0:
                 lefts[row] = first
                 refcounts[row_of[first]] += 1
@@ -715,8 +712,9 @@ class InternTable:
         arena.literals.extend(literals)
         return arena, at
 
-    def unlink(self, node_id: int) -> tuple[tuple[int, ...], Optional[Expr]]:
-        """Drop the live class ``node_id``; return its child ids and tree.
+    def unlink(self, node_id: int) -> None:
+        """Drop the live class ``node_id``; each of its children loses a
+        reference.
 
         Its hash is unmapped only while the mapping names it: a replayed
         store can hold an evicted-then-recreated class under two ids, and
@@ -726,7 +724,8 @@ class InternTable:
         top = self.hashes[row]
         if self.by_hash.get(top) == node_id:
             del self.by_hash[top]
-        released = self.children(row), self.trees[row]
+        for kid in self.children(row):
+            self.refcounts[self.row_of[kid]] -= 1
         self.hashes[row] = self.labels[row] = self.trees[row] = None
         self.lefts[row] = self.rights[row] = -1
         self.refcounts[row] = 0
@@ -735,7 +734,6 @@ class InternTable:
             self.log_dead += 1
             if self.log_dead > 64 and 2 * self.log_dead > len(self.log_ids):
                 self.log_ids = self.log_versions = None
-        return released
 
 
 class ExprStore:
@@ -1064,18 +1062,17 @@ class ExprStore:
         return memo[id(expr)]
 
     def _maybe_flush_memo(self) -> None:
-        """Wholesale memo flush at public-operation boundaries.
+        """Wholesale memo flush at operation boundaries: the end of each
+        public hash or intern call, and the start of an
+        :meth:`~repro.core.IncrementalHasher.replace`'s store pass.
 
-        Never called mid-operation: :meth:`intern` reads every node's
-        record right after hashing.  The memo is a pure cache, so losing
-        warmth is the only cost of a flush.  A flush starts a new dict
-        rather than clearing the old one, so a caller that took the
-        memo before :meth:`hash_expr` still reads the records the call
-        made (the incremental hasher adopts a replacement's that way).
+        Never called mid-walk: :meth:`intern` reads every node's record
+        right after hashing.  The memo is a pure cache, so losing warmth
+        is the only cost of a flush.
         """
         if self.memo_limit is not None:
             if len(self._memo) > self.memo_limit:
-                self._memo = {}
+                self._memo.clear()
             if len(self._arena_root_memo) > self.memo_limit:
                 self._arena_root_memo.clear()
             # The compile cache pins a whole corpus: a memo-bounded
@@ -1113,7 +1110,9 @@ class ExprStore:
 
         Every subexpression of ``expr`` is interned along the way; two
         alpha-equivalent subtrees (within one call or across calls) map
-        to the same id.
+        to the same id.  A subtree object whose memo record names a live
+        class is one hit by id; every other node is one hit-or-add step
+        by its hash.  No tree is kept (see :meth:`expr_of`).
         """
         self._hash_tree(expr)
         memo = self._memo
@@ -1138,7 +1137,10 @@ class ExprStore:
                 second = ids.pop()
             if arity:
                 first = ids.pop()
-            rec.node_id = self._intern_one(node, rec, first, second, hit_or_add)
+            rec.node_id = hit_or_add(
+                rec.top, OP_OF_KIND[node.kind], node.size, first, second,
+                node_label(node),
+            )
             ids.append(rec.node_id)
         assert len(ids) == 1
         # Evict only once the whole tree is interned: children created
@@ -1229,7 +1231,7 @@ class ExprStore:
     def _hit_or_add_step(self, reserve: int = 0) -> Callable[..., int]:
         """The hit-or-add step by hash, bound once per batch with at
         least ``reserve`` new classes: ``hit_or_add(top, op, size, first,
-        second, label, leaf=None)`` -> class id (see
+        second, label)`` -> class id (see
         :meth:`InternTable.hit_or_add_step`).  Binding once keeps the tree
         walk and the arena resolve loop off per-row attribute lookups."""
         return self._table.hit_or_add_step(self, reserve)
@@ -1239,45 +1241,6 @@ class ExprStore:
         into C: one class id per row (see
         :meth:`InternTable.resolve_arena`)."""
         return self._table.resolve_arena(self, arena, tops)
-
-    def _intern_one(
-        self,
-        node: Expr,
-        rec: MemoRecord,
-        first: int,
-        second: int,
-        hit_or_add: Callable[..., int],
-    ) -> int:
-        """One tree node, with child class ids ``first`` and ``second``
-        (-1 where absent), through the hit-or-add step.  A leaf class it
-        creates adopts ``node`` itself, which already has its memo
-        record; an interior one gets its canonical tree built at once,
-        with the tree's record seeded from ``rec`` (the canonical tree is
-        made of canonical subtrees, so hashing it later can be a pure
-        memo hit) -- but only while the memo covers every canonical
-        child: a record must imply full-subtree coverage (hashing and
-        interning resume above cached roots without descending), and a
-        flush may have dropped the children's records."""
-        version = self.version
-        leaf = first < 0
-        node_id = hit_or_add(
-            rec.top,
-            OP_OF_KIND[node.kind],
-            node.size,
-            first,
-            second,
-            node_label(node),
-            node if leaf else None,
-        )
-        if not leaf and self.version != version:  # a class was created
-            tree, memo = self._tree(node_id), self._memo
-            if all(id(kid) in memo for kid in tree.children()):
-                seeded = MemoRecord(
-                    tree, rec.s_hash, dict(rec.vm_entries), rec.vm_hash, rec.top
-                )
-                seeded.node_id = node_id
-                memo[id(tree)] = seeded
-        return node_id
 
     def _restore(self, columns: Sequence[Sequence]) -> None:
         """Install checked classes under their known ids, with no tree
@@ -1303,19 +1266,8 @@ class ExprStore:
     def _unlink(self, node_id: int) -> None:
         """Drop the eviction victim ``node_id`` from the table
         (:meth:`InternTable.unlink`) and count one eviction."""
-        released = self._table.unlink(node_id)
+        self._table.unlink(node_id)
         self.stats.evictions += 1
-        self._release(*released)
-
-    def _release(self, kid_ids: tuple[int, ...], tree: Optional[Expr]) -> None:
-        """An unlinked entry's last step: its children lose a reference
-        and its canonical tree's memo record, if any, forgets the id."""
-        table = self._table
-        for kid in kid_ids:
-            table.refcounts[table.row_of[kid]] -= 1
-        rec = None if tree is None else self._memo.get(id(tree))
-        if rec is not None:
-            rec.node_id = None
 
     # -- eviction --------------------------------------------------------------
 

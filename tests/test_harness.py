@@ -3,12 +3,11 @@
 import pytest
 
 from repro.api.backends import ABLATION_ORDER
-from repro.evalharness.ablations import (
+from repro.baselines.ablated import (
     alpha_hash_all_always_left,
     alpha_hash_all_recompute_vm,
-    run_ablations,
-    sweep_label,
 )
+from repro.evalharness.ablations import run_ablations, sweep_label
 from repro.evalharness.config import PROFILES, current_profile
 from repro.evalharness.fig2 import run_fig2
 from repro.evalharness.fig3 import run_fig3

@@ -1,9 +1,9 @@
 """The columnar intern table: footprint, trees on demand, encoders, views.
 
 The table keeps each canonical class in per-class columns, so a class
-interned without a tree leaves no GC-tracked object behind; canonical
-trees are built only when a caller asks for one, and the encoders read
-the columns.
+interned without a tree leaves no GC-tracked object behind; no intern
+path stores a tree, canonical trees are built only when a caller asks
+for one, and the encoders read the columns.
 """
 
 import gc
@@ -32,6 +32,9 @@ from repro.store import (
 MAX_TRACKED_PER_ENTRY = 0.1
 
 SHAPES = [pytest.param(ExprStore, id="flat")]
+
+#: The intern engines: the arena bulk intern and the tree walk.
+ENGINES = ["arena", "tree"]
 
 
 def corpus(n_items, seed=17, size=40):
@@ -112,10 +115,14 @@ class TestFootprint:
 
 
 class TestTreesOnDemand:
-    def test_arena_intern_stores_no_tree(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_intern_stores_no_tree(self, engine):
         store = ExprStore()
-        store.intern_many(corpus(50), engine="arena")
+        ids = store.intern_many(corpus(50), engine=engine)
         assert live_trees(store) == []
+        root = store.expr_of(ids[0])
+        assert len(live_trees(store)) == len({id(node) for node in preorder(root)})
+        assert store.expr_of(ids[0]) is root
 
     @pytest.mark.parametrize("make_store", SHAPES)
     def test_expr_of_builds_a_shared_canonical_tree(self, make_store):
@@ -131,11 +138,13 @@ class TestTreesOnDemand:
         assert store.intern(root) == node_id
         assert store.stats.hashed_nodes > hashed  # built trees carry no memo
 
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("make_store", SHAPES)
-    def test_every_built_tree_interns_to_its_class(self, make_store):
+    def test_every_built_tree_interns_to_its_class(self, make_store, engine):
         items = corpus(40, seed=29)
         store = make_store()
-        ids = store.intern_many(items, engine="arena")
+        ids = store.intern_many(items, engine=engine)
+        assert live_trees(store) == []
         for item, node_id in zip(items, ids):
             assert alpha_equivalent(store.expr_of(node_id), item)
         classes = {entry.node_id for entry in store.entries()}
@@ -155,15 +164,6 @@ class TestTreesOnDemand:
                     id(node)
                 )
         assert all(len(objects) == 1 for objects in nodes.values())
-
-    def test_tree_walk_builds_its_trees_at_once(self):
-        store = ExprStore()
-        item = parse(r"\x. x + 7")
-        node_id = store.intern(item)
-        assert len(live_trees(store)) == len(store)
-        hashed = store.stats.hashed_nodes
-        assert store.intern(store.expr_of(node_id)) == node_id
-        assert store.stats.hashed_nodes == hashed
 
 
 class TestEncoders:

@@ -85,13 +85,16 @@ class TestIntern:
         assert store.lookup_hash(12345) is None
         assert store.hash_of(node_id) == alpha_hash_root(e)
 
-    def test_interning_canonical_expr_is_free(self):
+    def test_interning_canonical_expr_hashes_it_once(self):
         store = ExprStore()
         node_id = store.intern(p(r"\x. x + 7"))
         canonical = store.expr_of(node_id)
-        hashed_before = store.stats.hashed_nodes
+        hashed = store.stats.hashed_nodes
         assert store.intern(canonical) == node_id
-        assert store.stats.hashed_nodes == hashed_before
+        assert store.stats.hashed_nodes - hashed <= canonical.size
+        hashed = store.stats.hashed_nodes
+        assert store.intern(canonical) == node_id
+        assert store.stats.hashed_nodes == hashed
 
 
 class TestHashing:
@@ -227,6 +230,23 @@ class TestLRU:
         # with the hash key
         node_id = store.intern(e)
         assert store.lookup_hash(alpha_hash_root(e)) == node_id
+
+    def test_canonical_tree_reinterns_after_its_class_is_evicted(self):
+        """The memo record of a built tree keeps naming its class after
+        the class is evicted; interning the tree again must miss that
+        stale id and make a live class with the same hash."""
+        store = ExprStore(max_entries=30)
+        e = p(r"\x. x + 7")
+        node_id = store.intern(e)
+        t = store.expr_of(node_id)
+        assert store.hash_expr(t) == alpha_hash_root(e)
+        assert store.intern(t) == node_id
+        for seed in range(20):
+            store.intern(random_expr(12, seed=seed))
+        assert node_id not in store
+        again = store.intern(t)
+        assert again in store
+        assert store.hash_of(again) == alpha_hash_root(e)
 
     def test_touch_on_hit_protects_hot_entries(self):
         store = ExprStore(max_entries=4)

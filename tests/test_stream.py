@@ -366,13 +366,12 @@ class TestEvictionSafety:
     ):
         """The hasher keeps every record of a replacement, so once the
         store memo is flushed, an edit inside the last replacement still
-        summarises only its spine and its own new subtree.  A flush
-        inside an edit costs one more pass over the new subtree: the
-        intern's, which finds the store memo empty."""
+        summarises only its spine and its own new subtree.  A bounded
+        memo is flushed before the replacement's pass, never between it
+        and the intern, so the intern never summarises it again."""
         corpus = build_corpus(1, seed=62, size=200)
         rng = random.Random(63)
         config = {"memo_limit": 20} if flush == "memo-limit" else {}
-        passes = 2 if flush == "memo-limit" else 1
         with Session(**config) as session:
             with session.open_stream(corpus) as stream:
                 path = (0,) * min(4, corpus[0].depth - 1)
@@ -391,9 +390,7 @@ class TestEvictionSafety:
                         == alpha_hash_all(stream.expr(0)).root_hash
                     )
                     if index:  # the first is the cold build
-                        assert nodes <= (
-                            report.spine_depth + passes * report.subtree_nodes
-                        )
+                        assert nodes <= report.spine_depth + report.subtree_nodes
                     if repl.children():
                         path += (len(repl.children()) - 1,)
 
