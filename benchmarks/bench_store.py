@@ -39,10 +39,12 @@ the scalar kernel and >= 2x faster (the kernels alone; the tree walk's
 time is reported); without the native library the cell reports the
 scalar time and skips the gate.  The same cell
 times the native compile walk against the Python walk on its corpus:
-``flatten`` must build the identical arena state >= 2x faster, and the
-bulk intern's resolve step in C must leave the Python loop's table
-state, resolving the corpus's arena into a fresh store, >= 3x faster;
-without the compile library those two report SKIP.  ``--json-out``
+``flatten`` must build the identical arena state >= 2x faster; the
+native wire walk must build ``ExprArena._wire_walk``'s arena state from
+the corpus sent as JSON documents >= 3x faster; and the bulk intern's
+resolve step in C must leave the Python loop's table state, resolving
+the corpus's arena into a fresh store, >= 3x faster.  Without the
+compile library those three report SKIP.  ``--json-out``
 appends the measured cells to a JSON trajectory file (see
 ``benchmarks/run_bench.py``).
 """
@@ -83,6 +85,11 @@ NATIVE_SMOKE_FLOOR = 2.0
 #: The compile gate: the native walk must beat the Python walk by this
 #: factor flattening the native cell's corpus into a fresh arena.
 FLATTEN_SMOKE_FLOOR = 2.0
+
+#: The wire gate: the native wire walk must beat the Python walk by this
+#: factor compiling the native cell's corpus, sent as JSON documents,
+#: into a fresh arena.
+WIRE_SMOKE_FLOOR = 3.0
 
 #: The resolve gate: the C resolve step must beat the Python loop by
 #: this factor resolving the native cell's arena into a fresh store.
@@ -447,27 +454,30 @@ def footprint_smoke(corpus: list[Expr], cell: dict) -> tuple[int, dict]:
     return status, cell
 
 
+def _compiled(walk, source) -> tuple:
+    """A fresh arena compiled from ``source`` by ``walk``: ``(roots,
+    arena state)``, literals keyed by type and float bits."""
+    from repro.core.arena import ExprArena
+    from repro.core.hashed import lit_cache_key
+
+    arena = ExprArena()
+    roots = arena._compile(walk, source)
+    return roots, (
+        bytes(arena.op), arena.left.tolist(), arena.right.tolist(),
+        arena.aux.tolist(), arena.sizes.tolist(), arena.names,
+        [lit_cache_key(value) for value in arena.literals],
+    )
+
+
 def flatten_smoke(corpus, repeats: int, cell: dict) -> int:
     """Native vs Python compile walk on ``corpus``: the same arena state
     always, and >= 2x; SKIP without the compile library."""
     from repro.core import native
     from repro.core.arena import ExprArena
-    from repro.core.hashed import lit_cache_key
-
-    def state(arena):
-        return (
-            bytes(arena.op), arena.left.tolist(), arena.right.tolist(),
-            arena.aux.tolist(), arena.sizes.tolist(), arena.names,
-            [lit_cache_key(value) for value in arena.literals],
-        )
 
     def compile_with(walk):
         arena = ExprArena()
         return arena, arena._compile(walk, corpus)
-
-    def result(walk):
-        arena, roots = compile_with(walk)
-        return roots, state(arena)
 
     python_time = _best_of(lambda: compile_with(ExprArena._flatten_walk), repeats)
     cell["flatten_python_s"] = round(python_time, 4)
@@ -483,8 +493,8 @@ def flatten_smoke(corpus, repeats: int, cell: dict) -> int:
     cell["flatten_native_s"] = round(native_time, 4)
     cell["flatten_speedup"] = round(speedup, 3)
     cell["flatten_required_speedup"] = FLATTEN_SMOKE_FLOOR
-    cell["flatten_identical"] = result(native.native_flatten) == result(
-        ExprArena._flatten_walk
+    cell["flatten_identical"] = _compiled(native.native_flatten, corpus) == _compiled(
+        ExprArena._flatten_walk, corpus
     )
     print(
         f"flatten: python {python_time * 1e3:8.1f} ms   native "
@@ -501,6 +511,58 @@ def flatten_smoke(corpus, repeats: int, cell: dict) -> int:
         )
         return 1
     print(f"OK: native compile speedup {speedup:.2f}x >= {FLATTEN_SMOKE_FLOOR:.1f}x floor")
+    return 0
+
+
+def wire_smoke(corpus, repeats: int, cell: dict) -> int:
+    """Native vs Python wire walk on ``corpus`` sent as ``repro-expr-v1``
+    documents (``to_wire``, then JSON text, as a server reads them): the
+    same arena state always, and >= 3x; SKIP without the compile
+    library."""
+    import json
+
+    from repro.core import native
+    from repro.core.arena import ExprArena
+    from repro.lang.sexpr import to_wire
+
+    docs = json.loads(json.dumps([to_wire(expr) for expr in corpus]))
+
+    def compile_with(walk):
+        arena = ExprArena()
+        return arena, arena._compile(walk, docs)
+
+    python_time = _best_of(lambda: compile_with(ExprArena._wire_walk), repeats)
+    cell["wire_python_s"] = round(python_time, 4)
+    if native.WIRE is None:
+        print(
+            "SKIP: native wire walk not loaded "
+            f"({native.REASONS.get('arena_flatten')}) -- Python walk "
+            f"{python_time * 1e3:.1f} ms reported, not gated"
+        )
+        return 0
+    native_time = _best_of(lambda: compile_with(native.native_wire), repeats)
+    speedup = python_time / native_time if native_time else float("inf")
+    cell["wire_native_s"] = round(native_time, 4)
+    cell["wire_speedup"] = round(speedup, 3)
+    cell["wire_required_speedup"] = WIRE_SMOKE_FLOOR
+    cell["wire_identical"] = _compiled(native.native_wire, docs) == _compiled(
+        ExprArena._wire_walk, docs
+    )
+    print(
+        f"wire ({len(docs)} documents): python {python_time * 1e3:8.1f} ms   native "
+        f"{native_time * 1e3:8.1f} ms   ({speedup:.2f}x over the Python walk)"
+    )
+    if not cell["wire_identical"]:
+        print("FAIL: the native wire walk builds another arena than the Python walk")
+        return 1
+    print("native wire walk builds the Python walk's arena state")
+    if speedup < WIRE_SMOKE_FLOOR:
+        print(
+            f"FAIL: native wire speedup {speedup:.2f}x below the "
+            f"{WIRE_SMOKE_FLOOR:.1f}x floor"
+        )
+        return 1
+    print(f"OK: native wire speedup {speedup:.2f}x >= {WIRE_SMOKE_FLOOR:.1f}x floor")
     return 0
 
 
@@ -589,8 +651,8 @@ def native_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]
     excluded -- the cell times the kernels alone); the tree walk over
     the corpus is reported next to them.  Without the native library
     the cell reports the scalar time and skips the gate honestly.  The
-    compile walks and the resolve steps are gated first
-    (:func:`flatten_smoke`, :func:`resolve_smoke`).
+    compile walks, the wire walks and the resolve steps are gated first
+    (:func:`flatten_smoke`, :func:`wire_smoke`, :func:`resolve_smoke`).
     """
     from repro.core import native
     from repro.core.arena import arena_hash, flatten_corpus
@@ -617,6 +679,7 @@ def native_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]
         f"({len(arena)} unique arena nodes)"
     )
     status = flatten_smoke(corpus, repeats, cell)
+    status = wire_smoke(corpus, repeats, cell) or status
     status = resolve_smoke(corpus, repeats, cell) or status
     if native.LIB is None:
         print(

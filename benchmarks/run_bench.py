@@ -150,20 +150,21 @@ def arena_cell(n_items: int, item_size: int, repeats: int) -> dict:
 def arena_kernel(name: str):
     """Run the arena engine on tier ``name`` for the block: ``scalar``
     hides both native libraries (a host without a compiler, where
-    flatten runs the Python walk too), ``native_pywalk`` hides only the
-    compile library (a host with ``cc`` but no ``Python.h``), and
+    flatten and extend_wire run the Python walks too), ``native_pywalk``
+    hides only the compile library's walks (a host with ``cc`` but no
+    ``Python.h``), and
     ``native`` runs them as loaded."""
     from repro.core import native
 
-    loaded = native.LIB, native.FLATTEN
+    loaded = native.LIB, native.FLATTEN, native.WIRE
     if name == "scalar":
-        native.LIB = native.FLATTEN = None
+        native.LIB = native.FLATTEN = native.WIRE = None
     elif name == "native_pywalk":
-        native.FLATTEN = None
+        native.FLATTEN = native.WIRE = None
     try:
         yield
     finally:
-        native.LIB, native.FLATTEN = loaded
+        native.LIB, native.FLATTEN, native.WIRE = loaded
 
 
 def native_cell(n_items: int, item_size: int, repeats: int) -> dict:

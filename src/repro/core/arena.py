@@ -229,8 +229,22 @@ class ExprArena:
         accepted and rejected exactly as :func:`~repro.lang.sexpr.from_wire`
         does, with the same :class:`~repro.lang.sexpr.SexprError` text,
         and a rejected call leaves the arena as it was.
+
+        The walk runs in C when the compile library loaded
+        (:func:`repro.core.native.native_wire`), over ``docs`` read into
+        a list once.  At the first document it does not take as it is
+        (a subclass where ``json.loads`` gives an exact type, a
+        malformed entry, a literal it does not read unchanged) the
+        compile is rolled back and :meth:`_wire_walk`, the oracle, reads
+        the same list: it builds the same arena or raises its error.
         """
-        return self._compile(ExprArena._wire_walk, docs)
+        if native.WIRE is None:
+            return self._compile(ExprArena._wire_walk, docs)
+        docs = list(docs)
+        try:
+            return self._compile(native.native_wire, docs)
+        except native.WireFallback:
+            return self._compile(ExprArena._wire_walk, docs)
 
     def _compile(self, walk, source) -> list[int]:
         """Run one compile ``walk`` over ``source``: flush or roll back.

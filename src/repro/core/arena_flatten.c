@@ -1,8 +1,8 @@
 /*
- * The compile library: two entry points, in C through the CPython C API.
+ * The compile library: three entry points, in C through the CPython C API.
  *
  * repro.core.native builds this file against the running interpreter's
- * headers and opens it with ctypes.PyDLL, so both entries run with the
+ * headers and opens it with ctypes.PyDLL, so every entry runs with the
  * GIL held.  Each has a Python twin that stays the fallback and the
  * oracle (compile tier "python").
  *
@@ -43,6 +43,20 @@
  * __hash__ or __eq__ run Python code, and Python code can let another
  * thread run.
  *
+ * repro_wire is ExprArena._wire_walk over the lists and dicts json.loads
+ * returns; ExprArena.extend_wire calls it whenever it loaded.  Entries
+ * arrive children first, so an operand stack of (row, size) pairs stands
+ * in for the tree, and each entry becomes a row through the same
+ * structural table and leaf interning as above, its size derived from
+ * its operands'.  It takes only what it can take as it is: exact dicts,
+ * lists and strs, and as literals an exact int, float or str under its
+ * own tag, a bool under "bool" and an exact int under "float" (as the
+ * float literal_value reads).  At anything else it returns None, and the
+ * caller rolls back and runs the Python walk, whose checks and messages
+ * stay the one source.  It holds the document, its
+ * post list and the entry it is reading, and each name or value being
+ * interned.
+ *
  * repro_resolve is the resolve step of the store's bulk intern
  * (repro.store.store.InternTable.resolve_arena; its twin is the loop
  * repro.store.arena_intern._resolve_loop).  Per arena row, in order, it
@@ -76,7 +90,8 @@
 
 enum { OP_VAR, OP_LIT, OP_LAM, OP_APP, OP_LET };
 
-/* Nodes popped, or rows resolved, between two looks at the clock. */
+/* Nodes popped, entries read or rows resolved between two looks at the
+ * clock. */
 #define TICKS 4096
 
 /* A stack item: an owned node reference, entering or exiting, and an
@@ -369,28 +384,31 @@ static int64_t new_row(Walk *w, uint8_t op, int32_t aux, int32_t left,
     return (int64_t)k;
 }
 
-/* The row of a Lam, App or Let key, added with node.size if new. */
+/* The row of a Lam, App or Let key, added if new with node.size, or with
+ * `size` when there is no node (the wire walk). */
 static int64_t interior_row(Walk *w, uint8_t op, int32_t aux, int32_t left,
-                            int32_t right, PyObject *node)
+                            int32_t right, PyObject *node, int64_t size)
 {
     uint64_t h = key_hash(op, aux, left, right);
     PyObject *size_obj;
-    int64_t row, size;
+    int64_t row;
     Slot *s;
     if (!table_reserve(w))
         return -1;
     s = table_probe(w, op, aux, left, right, h);
     if (s->row != EMPTY)
         return s->row;
-    size_obj = slot(node, w->at.size, "size");
-    if (!size_obj)
-        return -1;
-    /* A non-int size runs __index__: Python code, so hold it. */
-    Py_INCREF(size_obj);
-    size = PyLong_AsLongLong(size_obj);
-    Py_DECREF(size_obj);
-    if (size == -1 && PyErr_Occurred())
-        return -1;
+    if (node) {
+        size_obj = slot(node, w->at.size, "size");
+        if (!size_obj)
+            return -1;
+        /* A non-int size runs __index__: Python code, so hold it. */
+        Py_INCREF(size_obj);
+        size = PyLong_AsLongLong(size_obj);
+        Py_DECREF(size_obj);
+        if (size == -1 && PyErr_Occurred())
+            return -1;
+    }
     row = new_row(w, op, aux, left, right, size);
     if (row < 0)
         return -1;
@@ -687,6 +705,75 @@ static double seconds(void)
     return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
 }
 
+/* The GIL handover schedule of one call. */
+typedef struct {
+    unsigned ticks;
+    double interval, release_at;
+} Clock;
+
+/* Start the schedule: `interval` is the switch interval in seconds. */
+static int clock_start(Clock *c, PyObject *interval)
+{
+    c->ticks = 0;
+    c->interval = PyFloat_AsDouble(interval);
+    if (c->interval == -1.0 && PyErr_Occurred())
+        return 0;
+    c->release_at = seconds() + c->interval;
+    return 1;
+}
+
+/* Count one step, at a point where the caller holds every object it
+ * keeps.  Once per switch interval (looked at every TICKS steps) release
+ * and retake the GIL.  1 after a handover, 0 without, -1 when a signal
+ * handler raised. */
+static int tick(Clock *c)
+{
+    if (++c->ticks < TICKS)
+        return 0;
+    c->ticks = 0;
+    if (seconds() < c->release_at)
+        return 0;
+    Py_BEGIN_ALLOW_THREADS
+    Py_END_ALLOW_THREADS
+    if (PyErr_CheckSignals() < 0)
+        return -1;
+    c->release_at = seconds() + c->interval;
+    return 1;
+}
+
+/* Set up a compile walk over the arena's rows (op_obj, left_obj,
+ * right_obj, aux_obj) and tables; 0 after an error, with `w` still safe
+ * to free. */
+static int walk_start(Walk *w, PyObject *roots, PyObject *names, PyObject *name_ids,
+                      PyObject *literals, PyObject *lit_ids, PyObject *lit_key,
+                      PyObject *op_obj, PyObject *left_obj, PyObject *right_obj,
+                      PyObject *aux_obj)
+{
+    memset(w, 0, sizeof *w);
+    if (!PyList_Check(roots) || !PyList_Check(names) || !PyDict_Check(name_ids)
+        || !PyList_Check(literals) || !PyDict_Check(lit_ids)) {
+        PyErr_SetString(PyExc_TypeError, "compile walk: bad arguments");
+        return 0;
+    }
+    w->names = names;
+    w->name_ids = name_ids;
+    w->literals = literals;
+    w->lit_ids = lit_ids;
+    w->lit_key = lit_key;
+    return index_rows(w, op_obj, left_obj, right_obj, aux_obj);
+}
+
+static int append_root(PyObject *roots, int32_t row)
+{
+    PyObject *boxed = PyLong_FromLong(row);
+    int failed;
+    if (!boxed)
+        return 0;
+    failed = PyList_Append(roots, boxed) < 0;
+    Py_DECREF(boxed);
+    return !failed;
+}
+
 static void raise_foreign(Walk *w, PyObject *node)
 {
     PyObject *exc = PyObject_CallOneArg(w->foreign, node);
@@ -716,7 +803,7 @@ static int step(Walk *w)
         y = pop_operand(w);
         if (op == OP_APP) {
             x = pop_operand(w);
-            row = interior_row(w, OP_APP, -1, x, y, node);
+            row = interior_row(w, OP_APP, -1, x, y, node, 0);
         } else {
             x = op == OP_LAM ? -1 : pop_operand(w);
             name = slot(node, op == OP_LAM ? at->lam_binder : at->let_binder,
@@ -728,8 +815,8 @@ static int step(Walk *w)
             Py_DECREF(name);
             if (id < 0)
                 goto fail;
-            row = op == OP_LAM ? interior_row(w, OP_LAM, id, y, -1, node)
-                               : interior_row(w, OP_LET, id, x, y, node);
+            row = op == OP_LAM ? interior_row(w, OP_LAM, id, y, -1, node, 0)
+                               : interior_row(w, OP_LET, id, x, y, node, 0);
         }
         if (row < 0 || !push_operand(w, row))
             goto fail;
@@ -841,31 +928,20 @@ PyObject *repro_flatten(PyObject *exprs, PyObject *roots, PyObject *names,
                         PyObject *aux_obj, PyObject *helpers)
 {
     Walk w;
-    PyObject *it = NULL, *root, *out = NULL, *boxed;
-    unsigned ticks = 0;
-    double interval, release_at;
-    size_t k;
+    PyObject *it = NULL, *root, *out = NULL;
+    Clock clock;
 
-    memset(&w, 0, sizeof w);
-    if (!PyList_Check(roots) || !PyList_Check(names) || !PyDict_Check(name_ids)
-        || !PyList_Check(literals) || !PyDict_Check(lit_ids)
-        || !PyTuple_Check(helpers) || PyTuple_GET_SIZE(helpers) != 4) {
+    if (!PyTuple_Check(helpers) || PyTuple_GET_SIZE(helpers) != 4) {
         PyErr_SetString(PyExc_TypeError, "repro_flatten: bad arguments");
         return NULL;
     }
-    w.names = names;
-    w.name_ids = name_ids;
-    w.literals = literals;
-    w.lit_ids = lit_ids;
-    w.lit_key = PyTuple_GET_ITEM(helpers, 1);
-    w.foreign = PyTuple_GET_ITEM(helpers, 2);
-    interval = PyFloat_AsDouble(PyTuple_GET_ITEM(helpers, 3));
-    if (interval == -1.0 && PyErr_Occurred())
+    if (!clock_start(&clock, PyTuple_GET_ITEM(helpers, 3)))
         return NULL;
-    release_at = seconds() + interval;
-    if (!read_layout(&w.at, PyTuple_GET_ITEM(helpers, 0))
-        || !index_rows(&w, op_obj, left_obj, right_obj, aux_obj))
+    if (!walk_start(&w, roots, names, name_ids, literals, lit_ids,
+                    PyTuple_GET_ITEM(helpers, 1), op_obj, left_obj, right_obj, aux_obj)
+        || !read_layout(&w.at, PyTuple_GET_ITEM(helpers, 0)))
         goto done;
+    w.foreign = PyTuple_GET_ITEM(helpers, 2);
     it = PyObject_GetIter(exprs);
     if (!it)
         goto done;
@@ -880,26 +956,10 @@ PyObject *repro_flatten(PyObject *exprs, PyObject *roots, PyObject *names,
         }
         if (!push(&w, root, F_SHARED))
             goto done;
-        while (w.sp) {
-            if (!step(&w))
+        while (w.sp)
+            if (!step(&w) || tick(&clock) < 0)
                 goto done;
-            if (++ticks == TICKS) {
-                ticks = 0;
-                if (seconds() >= release_at) {
-                    Py_BEGIN_ALLOW_THREADS
-                    Py_END_ALLOW_THREADS
-                    if (PyErr_CheckSignals() < 0)
-                        goto done;
-                    release_at = seconds() + interval;
-                }
-            }
-        }
-        boxed = PyLong_FromLong(pop_operand(&w));
-        if (!boxed)
-            goto done;
-        k = PyList_Append(roots, boxed) < 0;
-        Py_DECREF(boxed);
-        if (k)
+        if (!append_root(roots, pop_operand(&w)))
             goto done;
     }
     if (PyErr_Occurred())
@@ -908,6 +968,208 @@ PyObject *repro_flatten(PyObject *exprs, PyObject *roots, PyObject *names,
     out = new_columns(&w);
 done:
     Py_XDECREF(it);
+    walk_free(&w);
+    return out;
+}
+
+/* -- the wire walk --------------------------------------------------------- */
+
+/* What the wire walk makes of an entry or a document: an error raised,
+ * compiled, or left to the Python walk. */
+enum { W_ERROR, W_DONE, W_FALLBACK };
+
+/* An operand of the wire walk: a row and its subtree's size. */
+typedef struct {
+    int32_t row;
+    int64_t size;
+} Operand;
+
+typedef struct {
+    Operand *slot;
+    size_t n, cap;
+} Operands;
+
+static int spells(PyObject *str, const char *ascii)
+{
+    return PyUnicode_CompareWithASCIIString(str, ascii) == 0;
+}
+
+/* The value of a ["c", tag, value] entry (a new reference) when the
+ * Python walk takes it as it is: an exact int, float or str under its
+ * own tag, a bool under "bool", or an exact int within the float range
+ * under "float", read as that float.  NULL with no error set for any
+ * other entry, or NULL after an error. */
+static PyObject *wire_literal(PyObject *entry)
+{
+    PyObject *tag, *value;
+    double x;
+    if (PyList_GET_SIZE(entry) != 3)
+        return NULL;
+    tag = PyList_GET_ITEM(entry, 1);
+    value = PyList_GET_ITEM(entry, 2);
+    if (!PyUnicode_CheckExact(tag))
+        return NULL;
+    if (spells(tag, "int") ? PyLong_CheckExact(value)
+        : spells(tag, "str") ? PyUnicode_CheckExact(value)
+        : spells(tag, "bool") ? PyBool_Check(value)
+        : spells(tag, "float") && PyFloat_CheckExact(value)) {
+        Py_INCREF(value);
+        return value;
+    }
+    if (!spells(tag, "float") || !PyLong_CheckExact(value))
+        return NULL;
+    x = PyLong_AsDouble(value);
+    if (x == -1.0 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_OverflowError))
+            PyErr_Clear(); /* beyond the float range: literal_value refuses it */
+        return NULL;
+    }
+    return PyFloat_FromDouble(x);
+}
+
+/* Compile one postorder entry (held by the caller) onto the operands. */
+static int wire_entry(Walk *w, Operands *s, PyObject *entry)
+{
+    PyObject *tag, *name, *value;
+    Operand a = {-1, 0}, b = {-1, 0};
+    int64_t row, size = 1;
+    size_t arity;
+    int32_t id;
+    Py_UCS4 c;
+
+    if (!PyList_CheckExact(entry) || !PyList_GET_SIZE(entry))
+        return W_FALLBACK;
+    tag = PyList_GET_ITEM(entry, 0);
+    if (!PyUnicode_CheckExact(tag) || PyUnicode_GET_LENGTH(tag) != 1)
+        return W_FALLBACK;
+    c = PyUnicode_READ_CHAR(tag, 0);
+    if (c == 'c') {
+        value = wire_literal(entry);
+        if (!value)
+            return PyErr_Occurred() ? W_ERROR : W_FALLBACK;
+        id = intern_literal(w, value);
+        Py_DECREF(value);
+        row = id < 0 ? -1 : leaf_row(w, OP_LIT, id);
+    } else if (c == 'a') {
+        /* from_wire reads nothing of an App entry past its tag. */
+        if (s->n < 2)
+            return W_FALLBACK;
+        b = s->slot[--s->n];
+        a = s->slot[--s->n];
+        size = 1 + a.size + b.size;
+        row = interior_row(w, OP_APP, -1, a.row, b.row, NULL, size);
+    } else if (c == 'v' || c == 'l' || c == 't') {
+        arity = c == 'v' ? 0 : c == 'l' ? 1 : 2;
+        name = PyList_GET_SIZE(entry) == 2 ? PyList_GET_ITEM(entry, 1) : NULL;
+        if (!name || !PyUnicode_CheckExact(name) || !PyUnicode_GET_LENGTH(name)
+            || s->n < arity)
+            return W_FALLBACK;
+        if (arity)
+            b = s->slot[--s->n];
+        if (arity == 2)
+            a = s->slot[--s->n];
+        Py_INCREF(name);
+        id = intern_name(w, name);
+        Py_DECREF(name);
+        /* A Lam's absent operand adds nothing to its size. */
+        size = 1 + a.size + b.size;
+        row = id < 0 ? -1
+              : c == 'v' ? leaf_row(w, OP_VAR, id)
+              : c == 'l' ? interior_row(w, OP_LAM, id, b.row, -1, NULL, size)
+              : interior_row(w, OP_LET, id, a.row, b.row, NULL, size);
+    } else {
+        return W_FALLBACK;
+    }
+    if (row < 0 || !grow((void **)&s->slot, &s->cap, s->n + 1, sizeof(Operand)))
+        return W_ERROR;
+    s->slot[s->n].row = (int32_t)row;
+    s->slot[s->n].size = size;
+    s->n++;
+    return W_DONE;
+}
+
+/* Compile one document (held by the caller) and append its root row. */
+static int wire_doc(Walk *w, Operands *s, PyObject *doc, PyObject *format,
+                    PyObject *roots, Clock *clock)
+{
+    PyObject *got, *post;
+    Py_ssize_t i;
+    int status = W_DONE;
+
+    if (!PyDict_CheckExact(doc))
+        return W_FALLBACK;
+    /* A lookup that raises (a key's __eq__) is left to the Python walk
+     * too: PyDict_GetItemString clears the error and returns NULL. */
+    got = PyDict_GetItemString(doc, "format");
+    if (!got || !PyUnicode_CheckExact(got) || PyUnicode_Compare(got, format) != 0)
+        return W_FALLBACK;
+    post = PyDict_GetItemString(doc, "post");
+    if (!post || !PyList_CheckExact(post) || !PyList_GET_SIZE(post))
+        return W_FALLBACK;
+    /* Held, as is each entry, across the Python code and the handovers
+     * below: another thread may change the document meanwhile. */
+    Py_INCREF(post);
+    s->n = 0;
+    for (i = 0; status == W_DONE && i < PyList_GET_SIZE(post); i++) {
+        PyObject *entry = PyList_GET_ITEM(post, i);
+        Py_INCREF(entry);
+        status = wire_entry(w, s, entry);
+        Py_DECREF(entry);
+        if (status == W_DONE && tick(clock) < 0)
+            status = W_ERROR;
+    }
+    Py_DECREF(post);
+    if (status != W_DONE)
+        return status;
+    if (s->n != 1)
+        return W_FALLBACK;
+    return append_root(roots, s->slot[0].row) ? W_DONE : W_ERROR;
+}
+
+/*
+ * Compile the repro-expr-v1 documents of the list `docs` as
+ * ExprArena._wire_walk does, with repro_flatten's arguments but for
+ * `helpers`: (lit_cache_key, the format tag, the switch interval in
+ * seconds).  Returns the new rows (new_columns); or None at the first
+ * document that is not exactly as the walk takes it -- a type that is
+ * not exact, a malformed entry or document, a literal it does not read
+ * -- with that document's rows, names and literals partly appended, so
+ * that the caller rolls back and the Python walk decides.
+ */
+PyObject *repro_wire(PyObject *docs, PyObject *roots, PyObject *names,
+                     PyObject *name_ids, PyObject *literals, PyObject *lit_ids,
+                     PyObject *op_obj, PyObject *left_obj, PyObject *right_obj,
+                     PyObject *aux_obj, PyObject *helpers)
+{
+    Walk w;
+    Operands s = {NULL, 0, 0};
+    PyObject *out = NULL, *format;
+    Py_ssize_t i;
+    int status = W_DONE;
+    Clock clock;
+
+    if (!PyList_Check(docs) || !PyTuple_Check(helpers) || PyTuple_GET_SIZE(helpers) != 3
+        || !PyUnicode_Check(format = PyTuple_GET_ITEM(helpers, 1))) {
+        PyErr_SetString(PyExc_TypeError, "repro_wire: bad arguments");
+        return NULL;
+    }
+    if (!clock_start(&clock, PyTuple_GET_ITEM(helpers, 2)))
+        return NULL;
+    if (!walk_start(&w, roots, names, name_ids, literals, lit_ids,
+                    PyTuple_GET_ITEM(helpers, 0), op_obj, left_obj, right_obj, aux_obj))
+        goto done;
+    for (i = 0; status == W_DONE && i < PyList_GET_SIZE(docs); i++) {
+        PyObject *doc = PyList_GET_ITEM(docs, i);
+        Py_INCREF(doc);
+        status = wire_doc(&w, &s, doc, format, roots, &clock);
+        Py_DECREF(doc);
+    }
+    if (status == W_DONE)
+        out = new_columns(&w);
+    else if (status == W_FALLBACK)
+        out = Py_NewRef(Py_None);
+done:
+    PyMem_Free(s.slot);
     walk_free(&w);
     return out;
 }
@@ -1125,10 +1387,9 @@ PyObject *repro_resolve(PyObject *arena, PyObject *tops, PyObject *table,
     PyObject *objs[N_VIEWS];
     static const int writable[N_VIEWS] = {0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1};
     Py_ssize_t lens[N_VIEWS], i, failed = -1;
-    int n_views = 0, status = R_DONE;
+    int n_views = 0, status = R_DONE, yielded;
     int64_t *state = NULL;
-    unsigned ticks = 0;
-    double interval, release_at;
+    Clock clock;
     Resolve r;
 
     memset(&r, 0, sizeof r);
@@ -1149,8 +1410,7 @@ PyObject *repro_resolve(PyObject *arena, PyObject *tops, PyObject *table,
         PyErr_SetString(PyExc_TypeError, "repro_resolve: bad arguments");
         return NULL;
     }
-    interval = PyFloat_AsDouble(interval_obj);
-    if (interval == -1.0 && PyErr_Occurred())
+    if (!clock_start(&clock, interval_obj))
         return NULL;
 
     for (i = 0; i < 5; i++)
@@ -1215,23 +1475,15 @@ PyObject *repro_resolve(PyObject *arena, PyObject *tops, PyObject *table,
         goto done;
     }
 
-    release_at = seconds() + interval;
     for (i = 0; i < r.n; i++) {
         status = resolve_row(&r, i);
         if (status != R_DONE)
             break;
-        if (++ticks == TICKS) {
-            ticks = 0;
-            if (seconds() >= release_at) {
-                /* At a row boundary, no borrowed item held. */
-                Py_BEGIN_ALLOW_THREADS
-                Py_END_ALLOW_THREADS
-                if (PyErr_CheckSignals() < 0 || !still_sized(&r)) {
-                    status = R_ERROR;
-                    break;
-                }
-                release_at = seconds() + interval;
-            }
+        /* At a row boundary, no borrowed item held. */
+        yielded = tick(&clock);
+        if (yielded < 0 || (yielded && !still_sized(&r))) {
+            status = R_ERROR;
+            break;
         }
     }
     if (status == R_COLLISION)

@@ -8,13 +8,16 @@ system ``cc`` into a per-user cache and opens the results:
   :class:`ctypes.CDLL`, whose calls release the GIL.  It includes only
   C99 headers.
 * ``arena_flatten.c``, the compile library, with :class:`ctypes.PyDLL`,
-  whose calls hold the GIL.  It has two entry points, both run through
+  whose calls hold the GIL.  It has three entry points, all run through
   the CPython C API, so it builds against the interpreter's headers
   (:data:`PY_INCLUDE`): the compile walk behind :meth:`ExprArena.flatten
   <repro.core.arena.ExprArena.flatten>` (:func:`native_flatten`), which
-  walks ``Expr`` objects, and the arena resolve step behind the store's
-  bulk intern (:func:`native_resolve`), which resolves every arena row
-  against the intern table's columns and dicts.
+  walks ``Expr`` objects; the wire walk behind
+  :meth:`ExprArena.extend_wire <repro.core.arena.ExprArena.extend_wire>`
+  (:func:`native_wire`), which walks the lists and dicts of
+  ``repro-expr-v1`` documents; and the arena resolve step behind the
+  store's bulk intern (:func:`native_resolve`), which resolves every
+  arena row against the intern table's columns and dicts.
 
 A cache file is named by the sha256 of its source bytes, the compile
 flags and the machine, and the compile library's also by the
@@ -35,12 +38,12 @@ would run as the caller.  Concurrent first imports each build into a
 temp file and ``os.replace`` it into place.
 
 A library that does not build or load is ``None`` (:data:`LIB`, and
-:data:`FLATTEN` and :data:`RESOLVE` for the compile library's two
-entries), and one ``repro`` warning per import names each such library
-and why (:data:`REASONS`).  Without the kernel
+:data:`FLATTEN`, :data:`WIRE` and :data:`RESOLVE` for the compile
+library's three entries), and one ``repro`` warning per import names
+each such library and why (:data:`REASONS`).  Without the kernel
 :func:`repro.core.arena.arena_hash_any` runs the scalar pass; without
-the compile library ``flatten`` runs the Python walk and the bulk
-intern the Python resolve loop
+the compile library ``flatten`` and ``extend_wire`` run their Python
+walks and the bulk intern the Python resolve loop
 (:func:`repro.store.arena_intern._resolve_loop`).  Each stays the
 oracle its native tier is tested against, and a host without the
 Python headers keeps the native kernel.
@@ -74,6 +77,8 @@ __all__ = [
     "LIB",
     "REASONS",
     "RESOLVE",
+    "WIRE",
+    "WireFallback",
     "cache_dir",
     "compile_tier",
     "kernel",
@@ -81,6 +86,7 @@ __all__ = [
     "native_flatten",
     "native_resolve",
     "native_tops",
+    "native_wire",
 ]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -106,7 +112,7 @@ PRUNE_AGE = 7 * 24 * 3600
 #: What runs when each library did not load, for the warning.
 _FALLBACKS = {
     "arena_kernel": "the scalar kernel runs",
-    "arena_flatten": "flatten and the resolve step run in Python",
+    "arena_flatten": "flatten, extend_wire and the resolve step run in Python",
 }
 
 _log = logging.getLogger("repro")
@@ -115,6 +121,11 @@ _log = logging.getLogger("repro")
 class ArenaKernelError(ValueError):
     """An arena the kernels refuse: a row whose opcode, children or
     ``aux`` are out of range, or columns of unequal length."""
+
+
+class WireFallback(Exception):
+    """The native wire walk met a document it does not take as it is;
+    the Python walk reads the documents instead."""
 
 
 def cache_dir() -> str:
@@ -228,7 +239,9 @@ def _kernel_entry(lib: ctypes.CDLL):
 
 
 def _compile_entries(lib: ctypes.PyDLL):
-    for entry, arity in ((lib.repro_flatten, 11), (lib.repro_resolve, 5)):
+    for entry, arity in (
+        (lib.repro_flatten, 11), (lib.repro_wire, 11), (lib.repro_resolve, 5)
+    ):
         entry.argtypes = [ctypes.py_object] * arity
         entry.restype = ctypes.py_object
     return lib
@@ -237,7 +250,8 @@ def _compile_entries(lib: ctypes.PyDLL):
 def load(directory: Optional[str] = None):
     """Build on a cache miss, then open both libraries: ``(kernel,
     compile, reasons)``, the kernel's library and the compile library
-    (its ``repro_flatten`` and ``repro_resolve`` entries set up), each
+    (its ``repro_flatten``, ``repro_wire`` and ``repro_resolve`` entries
+    set up), each
     ``None`` when it did not load, and ``reasons`` mapping each library
     that did not load to why.  One warning names them all."""
     directory = directory or cache_dir()
@@ -272,11 +286,13 @@ def load(directory: Optional[str] = None):
 #: (``"arena_kernel"``, ``"arena_flatten"``) to why.
 LIB, _COMPILE, REASONS = load()
 
-#: The compile library's entry points, the compile walk and the resolve
-#: step, both ``None`` when it did not load.
-FLATTEN = RESOLVE = None
+#: The compile library's entry points, the compile walk, the wire walk
+#: and the resolve step, all ``None`` when it did not load.
+FLATTEN = WIRE = RESOLVE = None
 if _COMPILE is not None:
-    FLATTEN, RESOLVE = _COMPILE.repro_flatten, _COMPILE.repro_resolve
+    FLATTEN, WIRE, RESOLVE = (
+        _COMPILE.repro_flatten, _COMPILE.repro_wire, _COMPILE.repro_resolve
+    )
 
 
 def kernel() -> str:
@@ -285,9 +301,9 @@ def kernel() -> str:
 
 
 def compile_tier() -> str:
-    """The tier of the compile library's two steps, the walk
-    ``ExprArena.flatten`` runs and the bulk intern's resolve step:
-    ``"native"`` or ``"python"``."""
+    """The tier of the compile library's three steps, the walks
+    ``ExprArena.flatten`` and ``ExprArena.extend_wire`` run and the bulk
+    intern's resolve step: ``"native"`` or ``"python"``."""
     return "python" if FLATTEN is None else "native"
 
 
@@ -398,13 +414,45 @@ def native_flatten(arena, exprs, roots: list) -> tuple:
     from repro.core.arena import _NODE_TYPES, _foreign_node
     from repro.core.hashed import lit_cache_key
 
+    return _new_rows(arena, FLATTEN, exprs, roots, (
+        _NODE_TYPES, lit_cache_key, _foreign_node, sys.getswitchinterval(),
+    ))
+
+
+def native_wire(arena, docs: list, roots: list) -> tuple:
+    """:meth:`ExprArena._wire_walk
+    <repro.core.arena.ExprArena._wire_walk>` over the list ``docs`` in
+    one call into the compile library, as :func:`native_flatten` runs
+    the compile walk.  Raises :class:`WireFallback`, with rows, names
+    and literals left for the caller to roll back, at the first
+    document it does not take as it is: a type that is not exact, a
+    malformed entry or document, or a literal other than an exact
+    ``int``, ``float`` or ``str`` or a ``bool`` under its own tag (or
+    an exact ``int`` in the float range under ``float``)."""
+    from repro.core.hashed import lit_cache_key
+    from repro.lang.sexpr import WIRE_FORMAT
+
+    rows = _new_rows(arena, WIRE, docs, roots, (
+        lit_cache_key, WIRE_FORMAT, sys.getswitchinterval(),
+    ))
+    if rows is None:
+        raise WireFallback
+    return rows
+
+
+def _new_rows(arena, entry, source, roots: list, helpers: tuple):
+    """Run the library's compile walk ``entry`` over ``source`` into
+    ``arena``: the new rows' columns, ``bytes`` and four int arrays, or
+    ``None`` when the walk returned it."""
     columns = (arena.left, arena.right, arena.aux)
     name_ids, lit_ids = arena._leaf_ids()
-    op, *new = FLATTEN(
-        exprs, roots, arena.names, name_ids, arena.literals, lit_ids,
-        arena.op, *(_int_column(column, (8,)) for column in columns),
-        (_NODE_TYPES, lit_cache_key, _foreign_node, sys.getswitchinterval()),
+    rows = entry(
+        source, roots, arena.names, name_ids, arena.literals, lit_ids,
+        arena.op, *(_int_column(column, (8,)) for column in columns), helpers,
     )
+    if rows is None:
+        return None
+    op, *new = rows
     new = [array("q", data) for data in new]
     # The columns extend by their own typecode (a body-decoded arena's
     # left, right and aux are int32).

@@ -21,7 +21,7 @@ Both directions are iterative, so million-node unbalanced expressions
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Optional
 
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
 
@@ -34,6 +34,7 @@ __all__ = [
     "loads",
     "SexprError",
     "WIRE_FORMAT",
+    "literal_tag",
     "literal_value",
 ]
 
@@ -55,22 +56,52 @@ def _is_name(value: Any) -> bool:
     return isinstance(value, str) and value != ""
 
 
+def literal_tag(value: Any) -> Optional[str]:
+    """The tag a literal value is written under: ``"bool"``, ``"int"``,
+    ``"float"`` or ``"str"`` by ``isinstance`` (bool first, since a bool
+    is an int), or ``None`` for a value of no literal type.
+
+    The one copy of the tag rules on the encode side, shared by
+    :func:`to_sexpr`, :func:`to_wire`, the ``repro-arena-v1`` body
+    (:func:`repro.service.arena_body.encode_body`) and the snapshot and
+    delta writer (:mod:`repro.store.snapshot`).
+    """
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, int):
+        return "int"
+    if isinstance(value, float):
+        return "float"
+    if isinstance(value, str):
+        return "str"
+    return None
+
+
 def literal_value(node: list) -> Any:
     """The value of a ``["c", tag, value]`` literal entry.
 
-    The one copy of the literal rules, shared by :func:`from_sexpr`
-    (hence :func:`from_wire`) and
-    :meth:`repro.core.arena.ExprArena.extend_wire`: the tag must name
-    a literal type, an integral JSON number is read as a float under
-    the ``float`` tag (JSON may render ``1.0`` as ``1``), and a bool
-    never passes for an int.
+    The one copy of the literal rules on the decode side, shared by
+    :func:`from_sexpr` (hence :func:`from_wire`),
+    :meth:`repro.core.arena.ExprArena.extend_wire` and the column
+    codecs' literal tables (:func:`repro.core.columns.check_literals`):
+    the tag must name a literal type, an integral JSON number is read as
+    a float under the ``float`` tag (JSON may render ``1.0`` as ``1``),
+    one beyond the float range is refused, and a bool never passes for
+    an int.  Every refusal is a :class:`SexprError`.  The native wire
+    walk reads only an exact ``int``, ``float`` or ``str`` under its own
+    tag, a ``bool`` under ``bool`` and an exact ``int`` under ``float``
+    (as the float this function reads), and leaves every other entry to
+    this function.
     """
     if len(node) != 3 or node[1] not in _LIT_TAGS:
         raise SexprError(f"malformed literal {node!r}")
     expected = _LIT_TAGS[node[1]]
     value = node[2]
     if expected is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise SexprError(f"float literal out of range {node!r}") from None
     if not isinstance(value, expected) or (
         expected is int and isinstance(value, bool)
     ):
@@ -93,14 +124,7 @@ def to_sexpr(expr: Expr) -> list:
         if isinstance(node, Var):
             results.append(["v", node.name])
         elif isinstance(node, Lit):
-            if isinstance(node.value, bool):
-                results.append(["c", "bool", node.value])
-            elif isinstance(node.value, int):
-                results.append(["c", "int", node.value])
-            elif isinstance(node.value, float):
-                results.append(["c", "float", node.value])
-            else:
-                results.append(["c", "str", node.value])
+            results.append(["c", literal_tag(node.value) or "str", node.value])
         elif isinstance(node, Lam):
             body = results.pop()
             results.append(["l", node.binder, body])
@@ -182,28 +206,39 @@ def to_wire(expr: Expr) -> dict:
     rather than nested because ``json`` recurses over nested lists,
     which would overflow on the deep binder chains this library
     routinely handles; the decoder replays entries against a stack.
+
+    One pass over an explicit stack: a leaf is written when it is
+    popped, and an interior node pushes its own entry, as its exit
+    marker, below its children, so the entry is written after them.
     """
     post: list[list] = []
-    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    write = post.append
+    stack: list = [expr]
+    push, pop = stack.append, stack.pop
     while stack:
-        node, visited = stack.pop()
-        if not visited:
-            stack.append((node, True))
-            for child in reversed(node.children()):
-                stack.append((child, False))
-            continue
-        if isinstance(node, Var):
-            post.append(["v", node.name])
-        elif isinstance(node, Lit):
-            encoded = to_sexpr(node)
-            post.append(encoded)
-        elif isinstance(node, Lam):
-            post.append(["l", node.binder])
+        node = pop()
+        if isinstance(node, list):  # an exit marker: the entry itself
+            write(node)
+        elif isinstance(node, Var):
+            write(["v", node.name])
         elif isinstance(node, App):
-            post.append(["a"])
+            push(["a"])
+            push(node.arg)
+            push(node.fn)
+        elif isinstance(node, Lam):
+            push(["l", node.binder])
+            push(node.body)
+        elif isinstance(node, Let):
+            push(["t", node.binder])
+            push(node.body)
+            push(node.bound)
+        elif isinstance(node, Lit):
+            value = node.value
+            write(["c", literal_tag(value) or "str", value])
         else:
-            assert isinstance(node, Let)
-            post.append(["t", node.binder])
+            raise TypeError(
+                f"cannot encode non-expression node of type {type(node).__name__}"
+            )
     return {"format": WIRE_FORMAT, "post": post}
 
 

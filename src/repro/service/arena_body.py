@@ -36,7 +36,7 @@ from typing import Sequence
 from repro.core.arena import OP_APP, OP_KINDS, OP_LAM, OP_LET, OP_LIT, OP_VAR, ExprArena
 from repro.core.columns import I32, check_literals, check_names, column_bytes, read_column
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
-from repro.lang.sexpr import to_sexpr
+from repro.lang.sexpr import literal_tag
 
 __all__ = [
     "ARENA_CONTENT_TYPE",
@@ -87,7 +87,7 @@ def encode_body(
         rows=len(arena),
         roots=len(roots),
         names=arena.names,
-        literals=[to_sexpr(Lit(value))[1:] for value in arena.literals],
+        literals=[[literal_tag(value) or "str", value] for value in arena.literals],
     )
     return b"".join(
         (

@@ -103,6 +103,7 @@ from repro.core.columns import (
     read_column,
 )
 from repro.core.combiners import HashCombiners
+from repro.lang.sexpr import literal_tag
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.store import ExprStore
@@ -145,8 +146,6 @@ _V1_FIELDS = ("i", "h", "k", "z", "c", "p", "s", "v", "m", "t")
 _INT64_FIELDS = ("i", "z", "t")
 _INT64 = 1 << 63
 
-_LIT_TAGS = {"int": int, "float": float, "bool": bool, "str": str}
-
 
 class SnapshotError(ValueError):
     """Raised when a snapshot file is malformed, truncated or tampered."""
@@ -161,34 +160,10 @@ def _stats_dict(stats) -> dict:
 
 
 def _lit_payload(value: Any) -> list:
-    if isinstance(value, bool):  # bool first: bool subclasses int
-        return ["bool", value]
-    if isinstance(value, int):
-        return ["int", value]
-    if isinstance(value, float):
-        return ["float", value]
-    if isinstance(value, str):
-        return ["str", value]
-    raise SnapshotError(f"cannot snapshot literal {value!r}")
-
-
-def _decode_lit(payload: Any):
-    """The literal value a ``["<tag>", value]`` payload carries."""
-    if (
-        not isinstance(payload, list)
-        or len(payload) != 2
-        or payload[0] not in _LIT_TAGS
-    ):
-        raise SnapshotError(f"malformed literal payload {payload!r}")
-    tag, value = payload
-    expected = _LIT_TAGS[tag]
-    if expected is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)  # JSON may render 1.0 as 1
-    if not isinstance(value, expected) or (
-        expected is int and isinstance(value, bool)
-    ):
-        raise SnapshotError(f"literal value/tag mismatch {payload!r}")
-    return value
+    tag = literal_tag(value)
+    if tag is None:
+        raise SnapshotError(f"cannot snapshot literal {value!r}")
+    return [tag, value]
 
 
 def _payload(kind: str, label: Any) -> Any:
@@ -691,7 +666,7 @@ def _decode_v1(
                 f"entry {rec['i']}: a {kind} with {len(children)} children"
             )
         if kind == "Lit":
-            label = _decode_lit(payload)
+            (label,) = check_literals([payload], SnapshotError)
         elif kind == "App":
             if payload is not None:
                 raise SnapshotError(f"entry {rec['i']}: App with payload {payload!r}")

@@ -9,7 +9,8 @@ combiner width.  This wall pins that contract on adversarial corpora
 case), plus the arena's own mechanics: flatten-time dedup,
 ``flatten -> unshared_items`` round-trips, incremental flattening, and
 ``extend_wire`` compiling wire documents into the same columns.  The
-flatten classes run on both compile walks, native and Python.
+flatten and ``extend_wire`` classes run on both tiers of each walk,
+native and Python.
 """
 
 import json
@@ -184,12 +185,14 @@ class TestDifferential:
 
 
 class PythonWalk:
-    """Runs a compile test class on the Python walk: ``flatten`` runs it
-    whenever the native compile library did not load."""
+    """Runs a compile test class on the Python walks: ``flatten`` and
+    ``extend_wire`` run them whenever the native compile library did not
+    load."""
 
     @pytest.fixture(autouse=True)
     def python_walk(self, monkeypatch):
         monkeypatch.setattr(native, "FLATTEN", None)
+        monkeypatch.setattr(native, "WIRE", None)
 
 
 class TestFlatten:
@@ -345,9 +348,9 @@ def arena_state(arena: ExprArena) -> tuple:
 
 class TestExtendWire:
     """Wire documents compile straight into the columns ``from_wire``
-    then ``flatten`` would build, and hash like ``alpha_hash_all``; the
-    ``flatten`` side runs the walk ``flatten`` runs
-    (:class:`TestExtendWirePythonWalk` runs the Python walk)."""
+    then ``flatten`` would build, and hash like ``alpha_hash_all``; each
+    side runs the walk it runs (native when the compile library loaded;
+    :class:`TestExtendWirePythonWalk` runs the Python walks)."""
 
     @staticmethod
     def both(docs, via_tree=None, via_wire=None):
@@ -432,7 +435,8 @@ class TestExtendWire:
 
 
 class TestExtendWirePythonWalk(PythonWalk, TestExtendWire):
-    """:class:`TestExtendWire` with ``flatten`` on the Python walk."""
+    """:class:`TestExtendWire` with ``flatten`` and ``extend_wire`` on
+    the Python walks."""
 
 
 class TestRoundTrip:

@@ -19,6 +19,12 @@ kernel; this module covers what only the native tiers have:
   literal spellings, odd names, a depth-50k chain, repeated and shared
   roots, foreign nodes anywhere), leaks no reference, and lets other
   threads run.
+* **The native wire walk** builds ``ExprArena._wire_walk``'s arena
+  state from the same cases sent as ``repro-expr-v1`` documents, into
+  fresh arenas and into arenas ``flatten`` already grew; a subclass
+  where ``json.loads`` gives an exact type falls back to the Python
+  walk and its result; it leaks no reference and lets other threads
+  run.
 * **The loader**: both libraries built in a fresh cache directory, a
   cache hit, a failing build or no compiler (one warning naming both,
   the scalar kernel and the Python walk answer), a build without
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import ast
 import fnmatch
+import json
 import logging
 import os
 import random
@@ -61,6 +68,7 @@ from repro.core.arena import (
 from repro.core.combiners import HashCombiners
 from repro.gen.random_exprs import alpha_rename, random_expr
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
+from repro.lang.sexpr import WIRE_FORMAT, to_wire
 from repro.service import ReproServer, ServiceClient
 from repro.service.arena_body import decode_body, encode_body
 from repro.store import ExprStore
@@ -75,6 +83,10 @@ needs_native = pytest.mark.skipif(
 needs_native_walk = pytest.mark.skipif(
     native.FLATTEN is None,
     reason=f"native compile walk not loaded: {native.REASONS.get('arena_flatten')}",
+)
+needs_native_wire = pytest.mark.skipif(
+    native.WIRE is None,
+    reason=f"native wire walk not loaded: {native.REASONS.get('arena_flatten')}",
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -509,7 +521,9 @@ def test_no_reference_leaks():
 @needs_native_walk
 def test_other_threads_run_during_a_long_compile():
     rng = random.Random(5)
-    corpus = [random_expr(100, rng=rng, p_let=0.3, p_lit=0.1) for _ in range(3000)]
+    # No literal: lit_cache_key is Python code, which would hand the GIL
+    # over by itself.
+    corpus = [random_expr(100, rng=rng, p_let=0.3, p_lit=0.0) for _ in range(3000)]
     assert sum(e.size for e in corpus) >= 300_000
     resumed: list[float] = []
     stop = threading.Event()
@@ -537,9 +551,9 @@ def test_other_threads_run_during_a_long_compile():
         stop.set()
         thread.join()
         sys.setswitchinterval(interval)
-    # A switch just before the call or just after it returns resumes the
-    # counter inside the window at most twice.
-    assert sum(start < t < end for t in resumed) >= 3
+    # Without the walk's handovers the Python around the call still lets
+    # the counter in a couple of times (2 seen); with them, dozens (34-50).
+    assert sum(start < t < end for t in resumed) >= 10
 
 
 @needs_native_walk
@@ -571,6 +585,281 @@ def test_concurrent_compiles_build_their_own_arenas():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+
+
+# -- the wire walk -------------------------------------------------------------
+
+
+def wire_both(docs, grown=()):
+    """Each wire walk's ``(roots, arena state)`` for ``docs``, compiled
+    into an arena that ``flatten`` first grew by each of ``grown``: the
+    native walk, which must take every document as it is, then the
+    Python walk."""
+    out = []
+    for walk in (native.native_wire, ExprArena._wire_walk):
+        arena = ExprArena()
+        for batch in grown:
+            arena.flatten(batch)
+        out.append((arena._compile(walk, docs), arena_state(arena)))
+    return out
+
+
+def assert_same_wire_arena(docs, grown=()):
+    native_side, python_side = wire_both(docs, grown)
+    assert native_side == python_side
+    return native_side
+
+
+def sent(corpus) -> list:
+    """``corpus`` as the documents a server reads: ``to_wire``, then
+    through JSON text."""
+    return json.loads(json.dumps([to_wire(expr) for expr in corpus]))
+
+
+def doc_of(*post) -> dict:
+    return {"format": WIRE_FORMAT, "post": list(post)}
+
+
+@needs_native_wire
+@pytest.mark.parametrize("seed", [1, 7, 13])
+def test_corpus_batches_compile_alike_as_documents(seed):
+    rng = random.Random(seed)
+    batches = [corpus_batch(rng, 300) for _ in range(3)]
+    assert_same_wire_arena(sent(batches[0]))
+    (roots, state), _python = wire_both(sent(batches[2]), grown=batches[:2])
+    arena = ExprArena()
+    for batch in batches[:2]:
+        arena.flatten(batch)
+    assert arena.extend_wire(sent(batches[2])) == roots
+    assert arena_state(arena) == state
+    tops = arena_hash_any(arena)
+    assert [tops[r] for r in roots] == tree_hashes(batches[2])
+
+
+@needs_native_wire
+@pytest.mark.parametrize("seed", [2, 3])
+def test_let_heavy_documents_compile_alike(seed):
+    rng = random.Random(seed)
+    corpus = [
+        random_expr(rng.randint(1, 120), rng=rng, p_let=0.6, p_lit=0.2)
+        for _ in range(200)
+    ]
+    assert_same_wire_arena(sent(corpus))
+    assert_same_wire_arena(sent(corpus[100:]), grown=[corpus[:150]])
+
+
+@needs_native_wire
+def test_literal_edge_case_documents_compile_alike():
+    """Signed zeros, NaN payloads and the spellings of one as they are
+    (``to_wire`` keeps the objects) and through JSON; and integral
+    numbers under ``float``, which both walks read as floats."""
+    values = EDGE_LITERALS + [copy_value(v) for v in EDGE_LITERALS]
+    corpus = [Lit(v) for v in values]
+    corpus += [App(Lit(a), Lit(b)) for a, b in zip(values, reversed(values))]
+    corpus += [Let("k", Lit(v), App(Var("k"), Lit(v))) for v in values]
+    _roots, state = assert_same_wire_arena([to_wire(e) for e in corpus])
+    assert len(state[-1]) == len(EDGE_LITERALS)
+    assert_same_wire_arena(sent(corpus), grown=[corpus[:20]])
+    integral = [0, 1, -1, 2**53 + 1, -(2**70), 10**300]
+    docs = [doc_of(["c", "float", n]) for n in integral]
+    docs += [doc_of(["c", "int", 1], ["c", "float", 1], ["a"]), doc_of(["c", "bool", True])]
+    roots, state = assert_same_wire_arena(json.loads(json.dumps(docs)))
+    arena = ExprArena()
+    arena.extend_wire(docs)
+    assert [type(v) for v in arena.literals] == [float] * 6 + [int, bool]
+    assert arena.literals[:6] == [float(n) for n in integral]
+    tops = arena_hash_any(arena)
+    assert tops[roots[-2]] == tree_hashes([App(Lit(1), Lit(1.0))])[0]
+
+
+@needs_native_wire
+def test_odd_name_documents_compile_alike():
+    corpus = [Lam(name, App(Var(name), Var("y"))) for name in ODD_BINDERS]
+    corpus += [Let(a, Var(b), Lam(b, Var(a))) for a, b in zip(ODD_BINDERS, ODD_BINDERS[1:])]
+    assert_same_wire_arena(sent(corpus))
+    assert_same_wire_arena([to_wire(e) for e in corpus], grown=[corpus[3:]])
+
+
+@needs_native_wire
+def test_depth_50k_chain_documents_compile_alike():
+    lam: Expr = Var("v0")
+    app: Expr = Var("x")
+    let: Expr = Var("x0")
+    for i in range(50_000):
+        lam = Lam(f"v{i % 7}", lam)
+        app = App(app, Lit(i % 3))
+        let = Let(f"x{i % 5}", Var(f"x{(i + 1) % 5}"), let)
+    roots, state = assert_same_wire_arena([to_wire(e) for e in (lam, app, let)])
+    assert [state[4][r] for r in roots] == [lam.size, app.size, let.size]
+
+
+@needs_native_wire
+def test_repeated_root_documents_compile_alike():
+    shared = random_expr(40, seed=2, p_let=0.3, p_lit=0.2)
+    outer = App(shared, Lam("z", shared))
+    doc = to_wire(outer)
+    docs = [to_wire(shared), doc, doc, sent([outer])[0], to_wire(outer.fn), doc]
+    roots, _state = assert_same_wire_arena(docs)
+    assert roots[0] == roots[4] and roots[1] == roots[2] == roots[3] == roots[5]
+    assert_same_wire_arena(docs, grown=[[outer]])
+
+
+class Name(str):
+    """A str subclass, where ``json.loads`` gives an exact str."""
+
+
+class Count(int):
+    """An int subclass."""
+
+
+class Doc(dict):
+    """A dict subclass."""
+
+
+#: Documents holding a subclass where JSON gives an exact type: each is
+#: read by the Python walk, which takes it.
+SUBCLASS_DOCS = {
+    "str-name": doc_of(["v", Name("x")], ["l", Name("y")]),
+    "int-value": doc_of(["c", "int", Count(3)], ["c", "float", Count(4)], ["a"]),
+    "dict-document": Doc(doc_of(["v", "f"], ["c", "str", "s"], ["a"])),
+}
+
+
+@needs_native_wire
+@pytest.mark.parametrize("case", sorted(SUBCLASS_DOCS))
+def test_subclasses_take_the_python_walk(case):
+    rng = random.Random(4)
+    grown = corpus_batch(rng, 30)
+    good = sent(corpus_batch(rng, 30))
+    docs = [*good[:15], SUBCLASS_DOCS[case], *good[15:]]
+    arena = ExprArena()
+    arena.flatten(grown)
+    before = arena_state(arena)
+    with pytest.raises(native.WireFallback):
+        arena._compile(native.native_wire, docs)
+    assert arena_state(arena) == before
+    roots = arena.extend_wire(iter(docs))
+    python = ExprArena()
+    python.flatten(grown)
+    assert python._compile(ExprArena._wire_walk, docs) == roots
+    assert arena_state(arena) == arena_state(python)
+
+
+@needs_native_wire
+def test_the_wire_walk_leaks_no_reference():
+    """200 wire compiles, half of them falling back at a last document
+    with an int-subclass value, leave every document, entry, name and
+    literal value with the references it had."""
+    names = ["".join(("nm", str(i))) for i in range(4)]
+    values = [float(i) + 0.5 for i in range(3)] + [2**80 + 7, "".join(("s", "\x00"))]
+    inner = App(Var(names[0]), Lit(values[0]))
+    corpus = [
+        Lam(names[1], App(inner, Var(names[1]))),
+        Let(names[2], Lit(values[1]), App(inner, Lit(values[2]))),
+        inner,
+        App(Lit(values[3]), Lam(names[3], Lit(values[4]))),
+    ]
+    docs = [to_wire(e) for e in corpus] + [doc_of(["c", "float", 2**70 + 1])]
+    bad = doc_of(["v", names[0]], ["c", "int", Count(5)], ["a"])
+    watched = [
+        *docs, *names, *values, bad,
+        *(doc["post"] for doc in (*docs, bad)),
+        *(entry for doc in (*docs, bad) for entry in doc["post"]),
+    ]
+    before = [sys.getrefcount(obj) for obj in watched]
+    for call in range(200):
+        arena = ExprArena()
+        if call % 2:
+            arena._compile(native.native_wire, docs)
+        else:
+            with pytest.raises(native.WireFallback):
+                arena._compile(native.native_wire, [*docs, bad])
+        del arena
+    assert [sys.getrefcount(obj) for obj in watched] == before
+
+
+@needs_native_wire
+def test_other_threads_run_during_a_long_wire_compile():
+    rng = random.Random(5)
+    # No literal: lit_cache_key is Python code, which would hand the GIL
+    # over by itself.
+    corpus = [random_expr(100, rng=rng, p_let=0.3, p_lit=0.0) for _ in range(4000)]
+    docs = [to_wire(expr) for expr in corpus]
+    assert sum(len(doc["post"]) for doc in docs) >= 400_000
+    resumed: list[float] = []
+    stop = threading.Event()
+
+    def counter():
+        last = time.perf_counter()
+        while not stop.is_set():
+            now = time.perf_counter()
+            if now - last > 1e-3:  # it had been waiting for the GIL
+                resumed.append(now)
+            last = now
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(0.001)
+    thread = threading.Thread(target=counter)
+    thread.start()
+    try:
+        time.sleep(0.05)
+        start = time.perf_counter()
+        ExprArena()._compile(native.native_wire, docs)
+        end = time.perf_counter()
+    finally:
+        stop.set()
+        thread.join()
+        sys.setswitchinterval(interval)
+    # Without the walk's handovers the Python around the call still lets
+    # the counter in a few times (3-4 seen); with them, dozens (30-50).
+    assert sum(start < t < end for t in resumed) >= 10
+
+
+@needs_native_wire
+def test_concurrent_wire_compiles_survive_rewritten_documents():
+    """Three threads compile their own documents at once, with a short
+    switch interval so the walks hand the GIL back and forth, while a
+    fourth keeps replacing each document's post list and entries with
+    equal fresh ones, dropping the objects a walk that did not hold them
+    would read after they are freed: each arena equals the Python
+    walk's."""
+    rng = random.Random(12)
+    corpora = [sent(corpus_batch(rng, 150)) for _ in range(3)]
+    expected = []
+    for docs in corpora:
+        arena = ExprArena()
+        expected.append((arena._compile(ExprArena._wire_walk, docs), arena_state(arena)))
+    results: list = [None] * len(corpora)
+    done = threading.Event()
+
+    def work(k):
+        for _ in range(20):
+            arena = ExprArena()
+            results[k] = (arena._compile(native.native_wire, corpora[k]), arena_state(arena))
+
+    def rewrite():
+        while not done.is_set():
+            for docs in corpora:
+                for doc in docs:
+                    doc["post"] = [list(entry) for entry in doc["post"]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        rewriter = threading.Thread(target=rewrite)
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(corpora))]
+        rewriter.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        done.set()
+        rewriter.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in (*threads, rewriter))
     assert results == expected
 
 
@@ -636,6 +925,7 @@ def test_failing_build_falls_back_with_one_warning(fresh, tmp_path, monkeypatch,
     # The scalar kernel and the Python walk answer, with the same hashes.
     monkeypatch.setattr(native, "LIB", loaded[0])
     monkeypatch.setattr(native, "FLATTEN", loaded[1])
+    monkeypatch.setattr(native, "WIRE", loaded[1])
     assert (native.kernel(), native.compile_tier()) == ("scalar", "python")
     arena, roots = flatten_corpus(mixed_corpus(30, seed=9))
     assert [arena_hash_any(arena)[r] for r in roots] == tree_hashes(
@@ -660,20 +950,28 @@ def test_build_without_python_headers_keeps_the_native_kernel(
         loaded = native.load(fresh)
     assert_fell_back(loaded, caplog, f"no Python.h in {tmp_path}", ("arena_flatten",))
     assert [name.split("-")[0] for name in built(fresh)] == ["arena_kernel"]
-    # The kernel stays native; flatten runs the Python walk.
+    # The kernel stays native; flatten and extend_wire run the Python
+    # walks.
     monkeypatch.setattr(native, "LIB", loaded[0])
     monkeypatch.setattr(native, "FLATTEN", loaded[1])
+    monkeypatch.setattr(native, "WIRE", loaded[1])
     walked = []
-    python_walk = ExprArena._flatten_walk
+    python_walk, python_wire = ExprArena._flatten_walk, ExprArena._wire_walk
 
     def spy(arena, exprs, roots):
         walked.append(len(exprs))
         return python_walk(arena, exprs, roots)
 
+    def wire_spy(arena, docs, roots):
+        walked.append(("wire", len(docs)))
+        return python_wire(arena, docs, roots)
+
     monkeypatch.setattr(ExprArena, "_flatten_walk", spy)
+    monkeypatch.setattr(ExprArena, "_wire_walk", wire_spy)
     corpus = mixed_corpus(30, seed=10)
     arena, roots = flatten_corpus(corpus)
-    assert walked == [30]
+    assert ExprArena().extend_wire([to_wire(e) for e in corpus]) == roots
+    assert walked == [30, ("wire", 30)]
     assert (native.kernel(), native.compile_tier()) == ("native", "python")
     assert [native_tops(arena)[r] for r in roots] == tree_hashes(corpus)
 

@@ -252,6 +252,7 @@ def no_native(monkeypatch):
     why = "no C compiler (cc) on PATH"
     monkeypatch.setattr(native, "LIB", None)
     monkeypatch.setattr(native, "FLATTEN", None)
+    monkeypatch.setattr(native, "WIRE", None)
     monkeypatch.setattr(native, "REASONS", {"arena_kernel": why, "arena_flatten": why})
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.combiners import HashCombiners
 from repro.gen.random_exprs import random_expr
+from repro.lang.expr import App, Lit, Var
 from repro.store import (
     DELTA_FORMAT,
     ExprStore,
@@ -230,6 +231,41 @@ class TestDeltaValidation:
         assert (content_checksum(replica), replica.version) == before
         apply_delta_bytes(replica, head + b"\n" + body)
         assert entry_map(replica) == entry_map(store)
+
+    @pytest.mark.parametrize("legacy", [False, True], ids=["v2", "v1"])
+    def test_a_forged_literal_is_refused_whole(self, layout, legacy):
+        """An integral number under ``float`` beyond the float range, in
+        the v2 header's ``literals`` (outside the checksum) or a v1
+        record's payload (checksum recomputed), is a SnapshotError, and
+        the replica is left as it was."""
+        store, replica = self._pair(layout)
+        store.intern(App(Var("f"), Lit(2.5)))
+        forged = ["float", 10**400]
+        if legacy:
+            delta = reference_delta_v1(store, replica.version)
+            head, _, body = delta.partition(b"\n")
+            records = [json.loads(line) for line in body.splitlines()]
+            next(rec for rec in records if rec["k"] == "Lit")["p"] = forged
+            new_body = "".join(
+                json.dumps(rec, separators=(",", ":"), sort_keys=True) + "\n"
+                for rec in records
+            ).encode("utf-8")
+            import hashlib
+
+            header = dict(
+                json.loads(head),
+                checksum="sha256:" + hashlib.sha256(new_body).hexdigest(),
+            )
+            data = json.dumps(header).encode() + b"\n" + new_body
+        else:
+            delta = delta_to_bytes(store, replica.version)
+            head, _, body = delta.partition(b"\n")
+            header = dict(json.loads(head), literals=[forged])
+            data = json.dumps(header).encode() + b"\n" + body
+        before = (len(replica), replica.version, content_checksum(replica))
+        with pytest.raises(SnapshotError, match="float literal out of range"):
+            apply_delta_bytes(replica, data)
+        assert (len(replica), replica.version, content_checksum(replica)) == before
 
     def test_gap_rejected(self, layout):
         store, replica = self._pair(layout)

@@ -398,6 +398,43 @@ class TestWireToArena:
             )
         assert len(server.session.store) == 0
 
+    @pytest.mark.parametrize(
+        "path, kind",
+        [
+            ("/v1/hash", "json"),
+            ("/v1/intern", "json"),
+            ("/v1/session/open", "json"),
+            ("/v1/hash", "arena"),
+        ],
+    )
+    def test_a_float_literal_beyond_the_float_range_answers_400(
+        self, server, client, path, kind
+    ):
+        """An integral number under ``float`` that ``float()`` cannot
+        read is a malformed literal: 400, the store untouched, whether a
+        document or an arena body's ``literals`` carries it."""
+        from repro.core.arena import ExprArena
+        from repro.service.arena_body import encode_body
+        from test_arena_body import post_raw
+
+        good = parse(r"\x. x 2.5")
+        if kind == "json":
+            bad = {"format": "repro-expr-v1", "post": [["c", "float", 10**400]]}
+            with pytest.raises(ServiceError) as excinfo:
+                client._json("POST", path, {"exprs": [to_wire(good), bad]})
+            status, message = excinfo.value.status, str(excinfo.value)
+        else:
+            arena = ExprArena()
+            head, _, columns = encode_body(arena, arena.flatten([good])).partition(b"\n")
+            header = dict(json.loads(head), literals=[["float", 10**400]])
+            status, reply = post_raw(
+                server.url, path, json.dumps(header).encode() + b"\n" + columns
+            )
+            message = reply["error"]
+        assert status == 400
+        assert "float literal out of range" in message
+        assert len(server.session.store) == 0
+
     @pytest.mark.parametrize("path", ["/v1/hash", "/v1/intern"])
     @pytest.mark.parametrize("pin", [{"bits": 32}, {"seed": 7}])
     def test_mismatched_pins_answer_400(self, server, client, big, path, pin):

@@ -1,12 +1,20 @@
-"""Tests for the structured serialisation format."""
+"""Tests for the structured serialisation format.
 
+``TestExtendWireErrors`` runs on both tiers of ``extend_wire`` (the
+native wire walk with its fallback, and the Python walk alone), and
+``TestToWire`` holds the one-pass ``to_wire`` to the loop it replaced.
+"""
+
+import enum
 import json
+import random
 
 import pytest
 from hypothesis import given
 
 from repro.core.arena import ExprArena
-from repro.lang.expr import App, Lam, Lit, Var, syntactic_eq
+from repro.gen.random_exprs import random_expr
+from repro.lang.expr import App, Lam, Let, Lit, Var, syntactic_eq
 from repro.lang.parser import parse
 from repro.lang.sexpr import (
     WIRE_FORMAT,
@@ -14,13 +22,14 @@ from repro.lang.sexpr import (
     dumps,
     from_sexpr,
     from_wire,
+    literal_tag,
     loads,
     to_sexpr,
     to_wire,
 )
 
 from strategies import exprs
-from test_arena import arena_state
+from test_arena import PythonWalk, arena_state, mixed_corpus
 
 
 class TestEncoding:
@@ -86,6 +95,7 @@ MALFORMED = [
     ["c", "float", True],
     ["l", "", ["v", "x"]],
     ["t", "", ["v", "x"], ["v", "y"]],
+    ["c", "float", 10**400],  # an integral number beyond the float range
 ]
 
 #: Malformed flat documents (JSON text).
@@ -163,3 +173,140 @@ class TestExtendWireErrors:
             arena.extend_wire([to_wire(parse(r"\z. z other 9")), doc])
         assert str(got.value) == str(expected.value)
         assert arena_state(arena) == before
+
+
+class TestExtendWireErrorsPythonWalk(PythonWalk, TestExtendWireErrors):
+    """:class:`TestExtendWireErrors` with ``extend_wire`` on the Python
+    walk alone."""
+
+
+def reference_to_wire(expr):
+    """``to_wire`` as its loop was written before the one-pass loop: a
+    ``(node, visited)`` pair and a ``children()`` tuple per node, and the
+    literal tags chosen inline.  Kept as the reference the one-pass loop
+    must reproduce."""
+    post = []
+    stack = [(expr, False)]
+    while stack:
+        node, visited = stack.pop()
+        if not visited:
+            stack.append((node, True))
+            for child in reversed(node.children()):
+                stack.append((child, False))
+            continue
+        if isinstance(node, Var):
+            post.append(["v", node.name])
+        elif isinstance(node, Lit):
+            value = node.value
+            if isinstance(value, bool):
+                tag = "bool"
+            elif isinstance(value, int):
+                tag = "int"
+            elif isinstance(value, float):
+                tag = "float"
+            else:
+                tag = "str"
+            post.append(["c", tag, value])
+        elif isinstance(node, Lam):
+            post.append(["l", node.binder])
+        elif isinstance(node, App):
+            post.append(["a"])
+        else:
+            assert isinstance(node, Let)
+            post.append(["t", node.binder])
+    return {"format": WIRE_FORMAT, "post": post}
+
+
+class Shade(enum.IntEnum):
+    DARK = 1
+    LIGHT = 2
+
+
+class Text(str):
+    """A str subclass: a literal value and a name."""
+
+
+class MyVar(Var):
+    __slots__ = ()
+
+
+class MyLit(Lit):
+    __slots__ = ()
+
+
+class MyLam(Lam):
+    __slots__ = ()
+
+
+class MyApp(App):
+    __slots__ = ()
+
+
+class MyLet(Let):
+    __slots__ = ()
+
+
+class TestToWire:
+    """The one-pass ``to_wire`` writes the documents of the loop it
+    replaced: equal, and equal as JSON bytes."""
+
+    @staticmethod
+    def assert_same(corpus):
+        for expr in corpus:
+            got, want = to_wire(expr), reference_to_wire(expr)
+            assert got == want
+            assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_mixed_corpora(self, seed):
+        self.assert_same(mixed_corpus(150, seed=seed, size=60))
+
+    def test_let_heavy_corpus(self):
+        rng = random.Random(17)
+        self.assert_same(
+            random_expr(rng.randint(1, 150), rng=rng, p_let=0.6, p_lit=0.3)
+            for _ in range(200)
+        )
+
+    @given(exprs(max_size=80))
+    def test_random_exprs(self, expr):
+        self.assert_same([expr])
+
+    def test_literal_values(self):
+        values = [
+            True, False, 0, 1, -(2**70), 1.0, -0.0, float("nan"), float("inf"),
+            "", "a\x00b", "\U0001F600", Shade.DARK, Text("s"),
+        ]
+        corpus = [Lit(value) for value in values]
+        corpus.append(App(Lit(Shade.LIGHT), Let("k", Lit(Text("t")), Var(Text("k")))))
+        self.assert_same(corpus)
+        assert to_wire(Lit(Shade.DARK))["post"] == [["c", "int", Shade.DARK]]
+        assert [literal_tag(value) for value in (True, Shade.DARK, 2.5, Text("s"))] == [
+            "bool", "int", "float", "str",
+        ]
+        assert literal_tag(None) is None
+
+    def test_expr_subclasses(self):
+        inner = MyApp(MyVar("f"), MyLit(2))
+        corpus = [
+            inner,
+            MyLam("x", MyLet("y", inner, App(Var("x"), MyVar("y")))),
+            App(MyLam("z", Var("z")), Lit(1.5)),
+        ]
+        self.assert_same(corpus)
+
+    def test_depth_50k_chains(self):
+        lam = Var("v0")
+        app = Var("x")
+        let = Var("x0")
+        for i in range(50_000):
+            lam = Lam(f"v{i % 7}", lam)
+            app = App(app, Lit(i % 3))
+            let = Let(f"x{i % 5}", Var(f"x{(i + 1) % 5}"), let)
+        self.assert_same([lam, app, let])
+
+    def test_a_foreign_node_is_refused(self):
+        bad = App(Var("f"), Var("x"))
+        bad.arg = object()
+        with pytest.raises(TypeError, match="non-expression node of type object"):
+            to_wire(bad)

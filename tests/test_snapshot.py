@@ -377,6 +377,25 @@ class TestHeaderWall:
         assert snapshot_from_bytes(data)[0].stats == store.stats
 
     @pytest.mark.parametrize("legacy", [False, True], ids=["v3", "v1"])
+    def test_a_forged_literal_is_refused(self, legacy):
+        """An integral number under ``float`` beyond the float range, in
+        the v3 header's ``literals`` (which the checksum does not cover)
+        or a v1 record's payload (checksum recomputed), is a
+        SnapshotError."""
+        store = small_store()
+        store.intern(App(Var("f"), Lit(2.5)))
+        forged = ["float", 10**400]
+        if legacy:
+            def forge(header, records):
+                next(rec for rec in records if rec["k"] == "Lit")["p"] = forged
+
+            data = redo_v1(reference_snapshot_v1(store), forge)
+        else:
+            data = with_header(snapshot_to_bytes(store), literals=[forged])
+        with pytest.raises(SnapshotError, match="float literal out of range"):
+            snapshot_from_bytes(data)
+
+    @pytest.mark.parametrize("legacy", [False, True], ids=["v3", "v1"])
     def test_unknown_stats_keys_are_ignored(self, legacy):
         store = small_store()
         data = reference_snapshot_v1(store) if legacy else snapshot_to_bytes(store)
